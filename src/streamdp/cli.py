@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _INT_KEYS = (
-    "B", "b0", "w", "w0", "T", "iters", "minibatch", "passes", "gamma_unused",
+    "B", "b0", "w", "w0", "T", "iters", "minibatch", "passes",
     "synth_d", "synth_k", "synth_n", "synth_seed",
 )
 _FLOAT_KEYS = ("lam", "gamma", "lipschitz", "synth_sigma", "synth_drift")
@@ -361,11 +361,12 @@ def cmd_run(cfg: RunConfig) -> int:
         gamma=cfg.gamma, iterations=cfg.iters, minibatch=cfg.minibatch, passes=cfg.passes
     )
     multi = len(cfg.seeds) > 1
-    all_records = []
-    for seed in cfg.seeds:
-        ev = EvalConfig(test=test, seeds=(seed,), nonprivate=cfg.nonprivate, train=train)
-        records = replay(StreamSource(stream), sched, ev)
-        all_records.extend(records)
+    # a repeated seed reruns identically, so it is replayed and exported once
+    seeds = tuple(dict.fromkeys(cfg.seeds))
+    ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate, train=train)
+    all_records = replay(StreamSource(stream), sched, ev)
+    for seed in seeds:
+        records = [r for r in all_records if r.seed == seed]
         export_metrics(records, _seed_path(cfg.output, seed, multi), cfg.format)
 
     schedule = build_schedule(

@@ -138,14 +138,13 @@ def _check_dims(w: np.ndarray, data: Dataset):
         raise ErmError(f"weight shape {w.shape} does not match (k={data.k}, d={data.d})")
 
 
-def _softmax_terms(w: np.ndarray, X: np.ndarray, y: np.ndarray):
+def _softmax_terms(w: np.ndarray, X: np.ndarray):
+    """Max-shifted scores X @ w.T, each row's sum of exponentials, and the softmax."""
     scores = X @ w.T
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
-    log_probs = shifted - np.log(total)[:, None]
-    probs = exp / total[:, None]
-    return log_probs, probs
+    return shifted, total, exp / total[:, None]
 
 
 def loss_and_gradient(
@@ -156,7 +155,8 @@ def loss_and_gradient(
         raise ErmError("empty batch")
     _check_dims(w.w, batch)
     wg = reg.bias_matrix(batch.k, batch.d)
-    log_probs, probs = _softmax_terms(w.w, batch.X, batch.y)
+    shifted, total, probs = _softmax_terms(w.w, batch.X)
+    log_probs = shifted - np.log(total)[:, None]
     n = batch.n
     data_loss = -log_probs[np.arange(n), batch.y].mean()
     diff = w.w - wg
@@ -183,7 +183,7 @@ def sgd_train(data: Dataset, reg: RegularizerSpec, cfg: TrainConfig) -> ModelWei
     for i in range(1, total + 1):
         idx = rng.integers(0, data.n, size=min(cfg.minibatch, data.n))
         Xb, yb = data.X[idx], data.y[idx]
-        _, probs = _softmax_terms(w, Xb, yb)
+        _, _, probs = _softmax_terms(w, Xb)
         probs[np.arange(len(idx)), yb] -= 1.0
         g = (probs.T @ Xb) / len(idx)
         eta = 1.0 / (cfg.gamma * i)

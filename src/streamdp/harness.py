@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .erm import Dataset, TrainConfig, evaluate_accuracy
+from .ledger import RunningMax
 from .rng import make_rng
 from .schedulers import build_schedule, execute
 
@@ -200,9 +201,13 @@ def replay(source: StreamSource, sched: SchedulerConfig, ev: EvalConfig) -> list
 
     acc_recent uses the trailing `batch` points at the release step, acc_test
     the fixed held-out set, acc_old the batch preceding the model's training
-    interval (None at the stream head). eps_max is the exact running maximum
-    per-point loss over all charges up to the release step; in non-private
-    mode the ledger is disabled and eps_max stays 0.
+    interval (None at the stream head). eps_max is the exact maximum
+    per-point loss over all charges up to the release step, kept by
+    `ledger.RunningMax` as integer numerators over one common denominator.
+    Records follow the schedule's release order, which for continual lists
+    the embedded multi-resolution releases first, so a release listed after
+    one at a later step reports the maximum at that later step. In
+    non-private mode the ledger is disabled and eps_max stays 0.
     """
     stream = source.data
     records = []
@@ -216,7 +221,7 @@ def replay(source: StreamSource, sched: SchedulerConfig, ev: EvalConfig) -> list
     for seed in ev.seeds:
         cfg = replace(ev.train, seed=seed)
         result = execute(schedule, stream, sched.lam, cfg, sched.eps, nonprivate=ev.nonprivate)
-        running = _RunningMax(result.ledger)
+        running = RunningMax(result.ledger.charges if result.ledger else ())
         for t, mid in result.releases:
             model = result.models[mid]
             pm = result.perturbed.get(mid)
@@ -239,33 +244,6 @@ def replay(source: StreamSource, sched: SchedulerConfig, ev: EvalConfig) -> list
                 seed=seed,
             ))
     return records
-
-
-class _RunningMax:
-    """Exact max per-point loss over charges with time <= t, amortized."""
-
-    def __init__(self, ledger):
-        self.charges = sorted(ledger.charges, key=lambda c: c.time) if ledger else []
-        self.pos = 0
-        self.deltas: dict[int, Fraction] = {}
-        self.best = Fraction(0)
-
-    def at(self, t: int) -> Fraction:
-        moved = False
-        while self.pos < len(self.charges) and self.charges[self.pos].time <= t:
-            c = self.charges[self.pos]
-            self.deltas[c.a] = self.deltas.get(c.a, Fraction(0)) + c.eps
-            self.deltas[c.b + 1] = self.deltas.get(c.b + 1, Fraction(0)) - c.eps
-            self.pos += 1
-            moved = True
-        if moved:
-            running = Fraction(0)
-            best = Fraction(0)
-            for x in sorted(self.deltas):
-                running += self.deltas[x]
-                best = max(best, running)
-            self.best = best
-        return self.best
 
 
 def final_accuracy_by_seed(records, field_name="acc_test") -> dict[int, float]:

@@ -1,16 +1,22 @@
 """Exact per-datapoint privacy accounting.
 
 Every release charges an inclusive interval of stream indices with an exact
-rational epsilon. Per-point totals and maxima are computed with Fraction
-arithmetic by an interval sweep, so the geometric-series budget assertions
-are exact rather than float-tolerant.
+rational epsilon, stored as a Fraction. Per-point totals and maxima are
+summed as integer numerators over the charges' common denominator, and a
+Fraction is formed only for the result, so the geometric-series budget
+assertions are exact rather than float-tolerant. `Ledger.max_point_loss`
+sweeps all charges at once; `RunningMax` keeps the maximum up to each release
+step as charges arrive in time order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 SUBSYSTEMS = ("multires", "continual", "sliding", "baseline")
 
@@ -35,6 +41,12 @@ class Charge:
             raise LedgerError(f"charge must be positive, got {self.eps}")
         if self.subsystem not in SUBSYSTEMS:
             raise LedgerError(f"unknown subsystem {self.subsystem!r}")
+
+
+def _over_common_denominator(charges) -> tuple[int, list[int]]:
+    """The LCM of the charges' denominators and each charge's numerator over it."""
+    den = math.lcm(*{c.eps.denominator for c in charges})
+    return den, [c.eps.numerator * (den // c.eps.denominator) for c in charges]
 
 
 @dataclass(frozen=True)
@@ -83,21 +95,24 @@ class Ledger:
     def max_point_loss(self, subsystems=None) -> tuple[int | None, Fraction]:
         """Maximum cumulative charge over all touched indices, by interval sweep.
 
-        Returns (witness index, exact total); (None, 0) for no charges.
+        Returns (witness index, exact total), the witness being the first
+        index where the maximum is reached; (None, 0) for no charges.
         """
-        deltas: dict[int, Fraction] = {}
-        for c in self._selected(subsystems):
-            deltas[c.a] = deltas.get(c.a, Fraction(0)) + c.eps
-            deltas[c.b + 1] = deltas.get(c.b + 1, Fraction(0)) - c.eps
-        if not deltas:
+        charges = self._selected(subsystems)
+        if not charges:
             return None, Fraction(0)
-        best_idx, best = None, Fraction(0)
-        running = Fraction(0)
+        den, nums = _over_common_denominator(charges)
+        deltas: dict[int, int] = {}
+        for c, num in zip(charges, nums):
+            deltas[c.a] = deltas.get(c.a, 0) + num
+            deltas[c.b + 1] = deltas.get(c.b + 1, 0) - num
+        best_idx, best = None, 0
+        running = 0
         for x in sorted(deltas):
             running += deltas[x]
             if running > best:
                 best, best_idx = running, x
-        return best_idx, best
+        return best_idx, Fraction(best, den)
 
     def assert_budget(self) -> BudgetReport:
         """Per-subsystem pass/fail with the witness point of maximal loss."""
@@ -157,3 +172,32 @@ class Ledger:
                 except (KeyError, ValueError, TypeError) as exc:
                     raise LedgerError(f"malformed charge at line {lineno}: {exc}") from exc
         return ledger
+
+
+class RunningMax:
+    """Exact maximum per-point loss over the charges with time <= t.
+
+    Charges are positive, so per-point totals only grow and the maximum is
+    monotone in t. Each charge, taken in time order, adds its numerator over
+    the common denominator to its slice of a per-point array of Python ints
+    and folds that slice's maximum into the best so far; the total work is
+    the sum of the charged lengths. `at` is meant for non-decreasing t: a
+    smaller t than one already seen returns the maximum at the largest t seen.
+    """
+
+    def __init__(self, charges):
+        self._charges = sorted(charges, key=lambda c: c.time)
+        self._den, self._nums = _over_common_denominator(self._charges)
+        size = max((c.b for c in self._charges), default=-1) + 1
+        self._points = np.zeros(size, dtype=object)
+        self._pos = 0
+        self._best = 0
+
+    def at(self, t: int) -> Fraction:
+        while self._pos < len(self._charges) and self._charges[self._pos].time <= t:
+            c = self._charges[self._pos]
+            seg = self._points[c.a : c.b + 1]
+            seg += self._nums[self._pos]
+            self._best = max(self._best, seg.max())
+            self._pos += 1
+        return Fraction(self._best, self._den)

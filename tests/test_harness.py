@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,10 @@ from streamdp import (
     synth_stream,
     utility_bound,
 )
+from streamdp.cli import SCHEDULERS
 from streamdp.harness import CSV_HEADER, import_metrics_jsonl
+from streamdp.ledger import Ledger
+from streamdp.schedulers import build_schedule, execute
 from conftest import idx_images_bytes, idx_labels_bytes
 
 
@@ -214,6 +218,56 @@ class TestReplay:
         by_t = {r.t: r for r in recs}
         for t, mid in result.releases:
             assert by_t[t].acc_test == evaluate_accuracy(result.models[mid], self.test)
+
+
+class TestReplayEpsMaxDifferential:
+    """Every release's eps_max against a brute-force max of Ledger.point_loss."""
+
+    SEEDS = (0, 1)
+
+    def setup_method(self):
+        self.stream = synth_stream(SynthConfig(d=4, k=2, n=96, sigma=0.3, seed=3)).data
+        self.train = TrainConfig(iterations=3, minibatch=8)
+
+    def sched(self, name):
+        # B=2 gives multires-sample empty subsamples, so some events are skipped
+        B = 2 if name.startswith("multires") else 16
+        return SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=B, b0=4, w=28, w0=4)
+
+    def brute_force(self, ledger, t):
+        charges = [c for c in ledger.charges if c.time <= t]
+        prefix = Ledger(charges=charges)
+        points = {i for c in charges for i in range(c.a, c.b + 1)}
+        return max((prefix.point_loss(i) for i in points), default=Fraction(0))
+
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_matches_brute_force_point_loss(self, name):
+        sched = self.sched(name)
+        ev = EvalConfig(seeds=self.SEEDS, train=self.train)
+        recs = replay(StreamSource(self.stream), sched, ev)
+        schedule = build_schedule(
+            name, self.stream.n, eps=sched.eps, lam=sched.lam, L=sched.L,
+            B=sched.B, b0=sched.b0, w=sched.w, w0=sched.w0,
+        )
+        for seed in self.SEEDS:
+            result = execute(schedule, self.stream, sched.lam,
+                             replace(self.train, seed=seed), sched.eps)
+            if name == "multires-sample":
+                assert result.skipped
+            seen = -1
+            seed_recs = [r for r in recs if r.seed == seed]
+            assert len(seed_recs) == len(result.releases)
+            for r in seed_recs:
+                # records follow schedule order; continual lists its embedded
+                # multires releases first, so the maximum covers the latest step seen
+                seen = max(seen, r.t)
+                assert r.eps_max == self.brute_force(result.ledger, seen)
+
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_nonprivate_eps_max_is_zero(self, name):
+        ev = EvalConfig(seeds=(0,), nonprivate=True, train=self.train)
+        recs = replay(StreamSource(self.stream), self.sched(name), ev)
+        assert recs and all(r.eps_max == 0 for r in recs)
 
 
 class TestUtilityBound:

@@ -4,17 +4,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdp import Charge, Ledger, LedgerError
+from streamdp.ledger import RunningMax
 
 
 def brute_force_max(charges):
-    """Reference: scan every touched index directly."""
-    points = set()
-    for c in charges:
-        points.update(range(c.a, c.b + 1))
-    best = Fraction(0)
+    """Reference: scan every touched index directly; (first index at the max, max)."""
+    points = sorted({p for c in charges for p in range(c.a, c.b + 1)})
+    best_idx, best = None, Fraction(0)
     for p in points:
-        best = max(best, sum((c.eps for c in charges if c.a <= p <= c.b), Fraction(0)))
-    return best
+        loss = sum((c.eps for c in charges if c.a <= p <= c.b), Fraction(0))
+        if loss > best:
+            best_idx, best = p, loss
+    return best_idx, best
+
+
+# Mixed denominators as the schedulers produce them: eps/10-style budgets,
+# thirds from the sliding base, eps/(6*2^j) from sliding updates.
+mixed_eps = st.builds(
+    Fraction,
+    st.integers(1, 7),
+    st.sampled_from([10, 3, 2, 16] + [6 * 2**j for j in range(8)]),
+)
+timed_charges = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 40), mixed_eps, st.integers(0, 12)),
+    min_size=0,
+    max_size=14,
+)
+
+
+def ledger_of(raw):
+    led = Ledger()
+    for a, b, eps, t in raw:
+        led.charge((min(a, b), max(a, b)), eps, "sliding", t, "m")
+    return led
 
 
 class TestCharge:
@@ -79,8 +101,30 @@ class TestMaxPointLoss:
         for a, b, num in raw:
             lo, hi = min(a, b), max(a, b)
             led.charge((lo, hi), Fraction(num, 16), "multires", hi + 1, "m")
-        _, mx = led.max_point_loss()
-        assert mx == brute_force_max(led.charges)
+        assert led.max_point_loss() == brute_force_max(led.charges)
+
+    @given(timed_charges)
+    @settings(max_examples=120, deadline=None)
+    def test_mixed_denominators_match_brute_force_with_witness(self, raw):
+        led = ledger_of(raw)
+        assert led.max_point_loss() == brute_force_max(led.charges)
+
+
+class TestRunningMax:
+    def test_no_charges(self):
+        assert RunningMax(()).at(5) == 0
+
+    @given(timed_charges, st.lists(st.integers(-1, 14), min_size=1, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sweep_over_each_time_prefix(self, raw, queries):
+        led = ledger_of(raw)
+        running = RunningMax(led.charges)
+        seen = -1
+        for t in queries:
+            # a step earlier than one already seen keeps the later maximum
+            seen = max(seen, t)
+            prefix = Ledger(charges=[c for c in led.charges if c.time <= seen])
+            assert running.at(t) == prefix.max_point_loss()[1]
 
 
 class TestBudgetReport:
