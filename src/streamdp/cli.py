@@ -5,7 +5,7 @@ Subcommands: `run` (train over a stream and export metrics, trace and ledger),
 (replay a trace's charges and check them against a budget).
 
 Exit codes: 0 success, 1 usage or config error, 2 budget violation,
-3 data error.
+3 data error (unreadable or non-finite input, or training that diverged).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .erm import Dataset, ErmError, TrainConfig, clip_l1, lipschitz_public
+from .erm import Dataset, DivergenceError, ErmError, TrainConfig, clip_l1, lipschitz_public
 from .harness import (
     EvalConfig,
     HarnessError,
@@ -364,16 +364,16 @@ def cmd_run(cfg: RunConfig) -> int:
     # a repeated seed reruns identically, so it is replayed and exported once
     seeds = tuple(dict.fromkeys(cfg.seeds))
     ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate, train=train)
-    all_records = replay(StreamSource(stream), sched, ev)
-    for seed in seeds:
-        records = [r for r in all_records if r.seed == seed]
-        export_metrics(records, _seed_path(cfg.output, seed, multi), cfg.format)
-
     schedule = build_schedule(
         cfg.scheduler, stream.n, eps=cfg.epsilon, lam=cfg.lam, L=sched.L,
         B=cfg.B, b0=cfg.b0, w=cfg.w, w0=cfg.w0,
         standalone_base=cfg.standalone_base, first_base_at_2B=cfg.first_base_at_2b,
     )
+    all_records = replay(StreamSource(stream), sched, ev, schedule)
+    for seed in seeds:
+        records = [r for r in all_records if r.seed == seed]
+        export_metrics(records, _seed_path(cfg.output, seed, multi), cfg.format)
+
     if cfg.trace:
         export_trace(schedule.events, cfg.trace)
     ledger = ledger_from_events(schedule.events, schedule.budgets)
@@ -476,6 +476,9 @@ def main(argv=None) -> int:
     except (ScheduleError, MechanismError, ErmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DivergenceError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (HarnessError, LedgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

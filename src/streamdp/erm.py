@@ -7,6 +7,7 @@ and Lipschitz-constant computation for DP noise calibration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,12 +140,19 @@ def _check_dims(w: np.ndarray, data: Dataset):
 
 
 def _softmax_terms(w: np.ndarray, X: np.ndarray):
-    """Max-shifted scores X @ w.T, each row's sum of exponentials, and the softmax."""
-    scores = X @ w.T
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Max-shifted scores X @ w.T, each row's sum of exponentials, and the softmax.
+
+    Leading axes of w and X are batch axes: a (S, k, d) weight stack with
+    (S, m, d) features gives (S, m, k) scores, slice by slice the 2-D result.
+    """
+    scores = X @ w.swapaxes(-1, -2)
+    # A running maximum over the class columns (the rows of scores.T) is
+    # exact, like max(axis=-1), and much faster when the class axis is short.
+    top = functools.reduce(np.maximum, scores.T).T
+    shifted = scores - top[..., None]
     exp = np.exp(shifted)
-    total = exp.sum(axis=1)
-    return shifted, total, exp / total[:, None]
+    total = exp.sum(axis=-1)
+    return shifted, total, exp / total[..., None]
 
 
 def loss_and_gradient(
@@ -167,38 +175,94 @@ def loss_and_gradient(
     return float(loss), grad
 
 
-def sgd_train(data: Dataset, reg: RegularizerSpec, cfg: TrainConfig) -> ModelWeights:
-    """SGD with step size 1/(gamma*i), deterministic in cfg.seed.
+# Indices are drawn ahead in blocks of about this many bytes. A block large
+# enough to move glibc's dynamic mmap threshold would leave later allocations
+# of a few MB (such as a CSV load) resident, raising the peak RSS.
+_INDEX_BLOCK_BYTES = 1 << 18
+
+
+def _minibatch_indices(seeds, sizes, rows, total, m):
+    """Yield each iteration's (S, m) row indices into the training data.
+
+    Seed s draws from its own "sgd" stream over its sizes[s] rows (mapped
+    through rows[s] when rows is given). The stream is drawn in blocks of
+    iterations, which gives the values of one (total, m) draw, or of one
+    size-m draw per iteration.
+    """
+    rngs = [make_rng(seed, "sgd") for seed in seeds]
+    block = max(1, _INDEX_BLOCK_BYTES // (8 * len(seeds) * m))
+    for start in range(0, total, block):
+        count = min(block, total - start)
+        idx = np.empty((count, len(seeds), m), dtype=np.int64)
+        for s, (rng, n) in enumerate(zip(rngs, sizes)):
+            draws = rng.integers(0, n, size=(count, m))
+            idx[:, s] = draws if rows is None else rows[s][draws]
+        yield from idx
+
+
+def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
+    """SGD with step size 1/(gamma*i), deterministic in the seed.
 
     The quadratic penalty is applied as a proximal (implicit) step each
     iteration, which stays stable for arbitrarily large lam; the data term
     uses the plain stochastic gradient. Initialized at the regularizer bias.
+
+    With seeds=None this trains seed cfg.seed on all of data against reg and
+    returns its ModelWeights. Given a sequence of seeds, it trains them in
+    lockstep as one (S, k, d) weight stack and returns one ModelWeights per
+    seed. reg is then one RegularizerSpec for every seed or a sequence with
+    one per seed (all with the same lam), and rows, if given, holds each
+    seed's row indices into data. Each seed draws its minibatch indices ahead
+    from its own "sgd" stream (the values per-iteration draws would give),
+    and every step applies the same floating-point operations to each slice
+    of the stack, so a seed's weights do not depend on the other seeds. All
+    seeds must share the minibatch size min(minibatch, n_i).
     """
-    if data.n == 0:
+    single = seeds is None
+    if single:
+        seeds, reg = (cfg.seed,), (reg,)
+    elif isinstance(reg, RegularizerSpec):
+        reg = (reg,) * len(seeds)
+    if len(reg) != len(seeds) or (rows is not None and len(rows) != len(seeds)):
+        raise ErmError("need one regularizer and one row set per seed")
+    if len({r.lam for r in reg}) != 1:
+        raise ErmError("seeds trained in lockstep must share lambda")
+    sizes = [data.n] * len(seeds) if rows is None else [len(r) for r in rows]
+    if min(sizes) == 0:
         raise ErmError("empty training set")
-    wg = reg.bias_matrix(data.k, data.d)
+    m = min(cfg.minibatch, sizes[0])
+    if any(min(cfg.minibatch, n) != m for n in sizes):
+        raise ErmError("seeds trained in lockstep must share the minibatch size")
+    batches = _minibatch_indices(seeds, sizes, rows, cfg.iterations * cfg.passes, m)
+    # flat positions of each row's true-class entry in the (S, m, k) softmax
+    row_start = np.arange(len(seeds) * m).reshape(len(seeds), m) * data.k
+    lam = reg[0].lam
+    wg = np.stack([r.bias_matrix(data.k, data.d) for r in reg])
     w = wg.copy()
-    rng = make_rng(cfg.seed, "sgd")
-    total = cfg.iterations * cfg.passes
-    for i in range(1, total + 1):
-        idx = rng.integers(0, data.n, size=min(cfg.minibatch, data.n))
-        Xb, yb = data.X[idx], data.y[idx]
+    for i, idx in enumerate(batches, start=1):
+        Xb = np.take(data.X, idx, axis=0)
         _, _, probs = _softmax_terms(w, Xb)
-        probs[np.arange(len(idx)), yb] -= 1.0
-        g = (probs.T @ Xb) / len(idx)
+        probs.reshape(-1)[row_start + data.y[idx]] -= 1.0
+        g = (probs.swapaxes(-1, -2) @ Xb) / m
         eta = 1.0 / (cfg.gamma * i)
-        w = (w - eta * g + 2.0 * eta * reg.lam * wg) / (1.0 + 2.0 * eta * reg.lam)
-        if not np.all(np.isfinite(w)):
+        w = (w - eta * g + 2.0 * eta * lam * wg) / (1.0 + 2.0 * eta * lam)
+        if not np.isfinite(w).all():
             raise DivergenceError(i)
-    return ModelWeights(w, ModelMeta(interval=None, reg_source=None, noise_scale=None))
+    models = [ModelWeights(ws, ModelMeta()) for ws in w]
+    return models[0] if single else models
 
 
-def biased_erm_minimize(
-    data: Dataset, bias: ModelWeights, lam: float, cfg: TrainConfig
-) -> ModelWeights:
-    """Minimize the data loss plus lam*||w - bias||^2, starting from bias."""
-    out = sgd_train(data, RegularizerSpec(lam, bias), cfg)
-    return out.with_meta(reg_source=bias.meta.model_id)
+def biased_erm_minimize(data: Dataset, bias, lam: float, cfg: TrainConfig, seeds=None, rows=None):
+    """Minimize the data loss plus lam*||w - bias||^2, starting from bias.
+
+    Seeds and rows work as in `sgd_train`, with one bias per seed when seeds
+    is given. Each model records its bias's model id as reg_source.
+    """
+    if seeds is None:
+        out = sgd_train(data, RegularizerSpec(lam, bias), cfg)
+        return out.with_meta(reg_source=bias.meta.model_id)
+    models = sgd_train(data, [RegularizerSpec(lam, b) for b in bias], cfg, seeds, rows)
+    return [w.with_meta(reg_source=b.meta.model_id) for w, b in zip(models, bias)]
 
 
 def lipschitz_data(data: Dataset) -> float:

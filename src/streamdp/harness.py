@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 from .erm import Dataset, TrainConfig, evaluate_accuracy
 from .ledger import RunningMax
 from .rng import make_rng
-from .schedulers import build_schedule, execute
+from .schedulers import Schedule, build_schedule, execute
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -90,6 +90,10 @@ def load_csv(path) -> Dataset:
     if not rows or width < 2:
         raise HarnessError(f"{path}: need at least one data row with features and a label")
     mat = np.asarray(rows)
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise HarnessError(f"{path}: non-finite cell in row {bad + start + 1}")
     raw_labels = mat[:, -1]
     if not np.all(raw_labels == np.round(raw_labels)):
         bad = int(np.argmax(raw_labels != np.round(raw_labels)))
@@ -196,31 +200,34 @@ class MetricsRecord:
     seed: int
 
 
-def replay(source: StreamSource, sched: SchedulerConfig, ev: EvalConfig) -> list[MetricsRecord]:
-    """Run the schedule over the stream once per seed and score every release.
+def replay(
+    source: StreamSource, sched: SchedulerConfig, ev: EvalConfig, schedule: Schedule | None = None
+) -> list[MetricsRecord]:
+    """Run the schedule over the stream for every seed and score every release.
 
-    acc_recent uses the trailing `batch` points at the release step, acc_test
-    the fixed held-out set, acc_old the batch preceding the model's training
-    interval (None at the stream head). eps_max is the exact maximum
+    `schedule` is the one built from `sched` for this stream; it is built
+    here when not given. `execute` trains all seeds of each event in
+    lockstep; the records come seed by seed, each seed's releases in time
+    order. acc_recent uses the trailing `batch` points at the release step,
+    acc_test the fixed held-out set, acc_old the batch preceding the model's
+    training interval (None at the stream head). eps_max is the exact maximum
     per-point loss over all charges up to the release step, kept by
     `ledger.RunningMax` as integer numerators over one common denominator.
-    Records follow the schedule's release order, which for continual lists
-    the embedded multi-resolution releases first, so a release listed after
-    one at a later step reports the maximum at that later step. In
-    non-private mode the ledger is disabled and eps_max stays 0.
+    In non-private mode the ledger is disabled and eps_max stays 0.
     """
     stream = source.data
     records = []
-    schedule = build_schedule(
-        sched.name, stream.n, eps=sched.eps, lam=sched.lam, L=sched.L,
-        B=sched.B, b0=sched.b0, w=sched.w, w0=sched.w0,
-        standalone_base=sched.standalone_base, first_base_at_2B=sched.first_base_at_2B,
-    )
+    if schedule is None:
+        schedule = build_schedule(
+            sched.name, stream.n, eps=sched.eps, lam=sched.lam, L=sched.L,
+            B=sched.B, b0=sched.b0, w=sched.w, w0=sched.w0,
+            standalone_base=sched.standalone_base, first_base_at_2B=sched.first_base_at_2B,
+        )
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
     batch = sched.batch
-    for seed in ev.seeds:
-        cfg = replace(ev.train, seed=seed)
-        result = execute(schedule, stream, sched.lam, cfg, sched.eps, nonprivate=ev.nonprivate)
+    results = execute(schedule, stream, sched.lam, ev.train, sched.eps,
+                      nonprivate=ev.nonprivate, seeds=ev.seeds)
+    for seed, result in zip(ev.seeds, results):
         running = RunningMax(result.ledger.charges if result.ledger else ())
         for t, mid in result.releases:
             model = result.models[mid]

@@ -14,7 +14,6 @@ import numpy as np
 
 from .erm import (
     Dataset,
-    ErmError,
     ModelWeights,
     RegularizerSpec,
     TrainConfig,
@@ -139,65 +138,73 @@ def _identity_perturbed(w: ModelWeights) -> PerturbedModel:
     return PerturbedModel(weights=w, noise_l1=0.0, noise_l2=0.0, spec=None)
 
 
+def _perturb_each(models, delta: float, noise_seeds) -> list[PerturbedModel]:
+    """Laplace(delta) output perturbation of each model with its own seed;
+    delta=0 releases the models unperturbed."""
+    if delta == 0.0:
+        return [_identity_perturbed(w) for w in models]
+    return [output_perturb(w, NoiseSpec(delta, w.w.shape, seed))
+            for w, seed in zip(models, noise_seeds)]
+
+
 def psgd(
     data: Dataset,
     delta: float,
     reg: RegularizerSpec,
     cfg: TrainConfig,
-    noise_seed: int | None = None,
-) -> PerturbedModel:
+    noise_seed=None,
+    seeds=None,
+    rows=None,
+):
     """Private SGD via output perturbation: train, then add Laplace(delta) noise.
 
     delta=0 is the explicit non-private escape hatch used by replay harness
-    comparisons; any other non-positive value is rejected.
+    comparisons; any other non-positive value is rejected. With seeds=None
+    one model is trained with cfg.seed and perturbed with noise_seed (default
+    cfg.seed). Given a sequence of seeds, `sgd_train` trains them in lockstep
+    (seed i on the rows rows[i] of data, if rows is given) and seed i is
+    perturbed with noise_seed[i]; one PerturbedModel per seed is returned.
     """
-    w = sgd_train(data, reg, cfg)
-    if delta == 0.0:
-        return _identity_perturbed(w)
-    spec = NoiseSpec(delta, (data.k, data.d), cfg.seed if noise_seed is None else noise_seed)
-    return output_perturb(w, spec)
+    if seeds is None:
+        noise_seed = cfg.seed if noise_seed is None else noise_seed
+        return _perturb_each([sgd_train(data, reg, cfg)], delta, [noise_seed])[0]
+    return _perturb_each(sgd_train(data, reg, cfg, seeds, rows), delta, noise_seed)
 
 
 def pberm(
-    bias: ModelWeights,
+    bias,
     data: Dataset,
     lam: float,
-    eps: float,
-    L: float,
     cfg: TrainConfig,
-    size_for_noise: int,
-    scale: float | None = None,
-    noise_seed: int | None = None,
-) -> PerturbedModel:
+    scale: float,
+    noise_seed=None,
+    seeds=None,
+    rows=None,
+):
     """Private biased regularized ERM: fine-tune toward bias, then perturb.
 
-    Default noise scale is 4L/(lam * size_for_noise * eps); callers running
-    the sliding-window schedule pass their scale explicitly.
+    Minimizes the data loss plus lam*||w - bias||^2 from bias and adds
+    Laplace(scale) noise, the scale the caller's schedule calibrated;
+    scale=0 releases the model unperturbed. Seeds work as in `psgd`, with
+    one bias per seed when seeds is given.
     """
-    if data.n == 0:
-        raise ErmError("empty training set")
-    w = biased_erm_minimize(data, bias, lam, cfg)
-    if scale is None:
-        if size_for_noise <= 0:
-            raise MechanismError("size_for_noise must be positive")
-        scale = 4.0 * L / (lam * size_for_noise * eps)
-    if scale == 0.0:
-        return _identity_perturbed(w)
-    spec = NoiseSpec(scale, (data.k, data.d), cfg.seed if noise_seed is None else noise_seed)
-    return output_perturb(w, spec)
+    if seeds is None:
+        noise_seed = cfg.seed if noise_seed is None else noise_seed
+        models = [biased_erm_minimize(data, bias, lam, cfg)]
+        return _perturb_each(models, scale, [noise_seed])[0]
+    models = biased_erm_minimize(data, bias, lam, cfg, seeds, rows)
+    return _perturb_each(models, scale, noise_seed)
 
 
-def subsample(data: Dataset, spec: SamplingSpec, eps: float) -> tuple[Dataset, float]:
+def subsample(data: Dataset, spec: SamplingSpec, eps: float) -> tuple[np.ndarray, float]:
     """Include each element independently with the rule's probability.
 
-    Order is preserved; an empty input yields an empty output. The inclusion
-    probability is returned for the ledger.
+    Returns the indices of the kept rows, in increasing order (all rows when
+    the probability is 1, none for an empty input), and the inclusion
+    probability for the ledger.
     """
     p = spec.probability(eps)
-    if data.n == 0:
-        return data, p
-    if p >= 1.0:
-        return data, p
+    if data.n == 0 or p >= 1.0:
+        return np.arange(data.n), p
     rng = make_rng(spec.seed, "subsample")
-    mask = rng.random(data.n) < p
-    return data.take(mask), p
+    return np.flatnonzero(rng.random(data.n) < p), p

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from .erm import Dataset, ModelWeights, TrainConfig, RegularizerSpec
 from .ledger import Ledger
 from .mechanisms import (
-    PerturbedModel,
     SamplingSpec,
     noise_scale,
     pberm,
@@ -90,7 +89,7 @@ class ChainState:
 class Schedule:
     name: str
     events: tuple
-    releases: tuple  # (t, model_id) pairs in release order
+    releases: tuple  # (t, model_id) pairs in time order, each once
     budgets: dict
     chain_states: tuple | None = None
 
@@ -219,6 +218,9 @@ def continual_schedule(
     budgets = {"continual": 2 * eps if standalone_base else eps}
     if not standalone_base:
         budgets["multires"] = eps
+    # merge the embedded multires releases into time order; an adopted base
+    # is the multires model released at the same step, so it is listed once
+    releases = sorted(dict.fromkeys(releases), key=lambda r: r[0])
     return Schedule("continual", tuple(events), tuple(releases), budgets)
 
 
@@ -448,7 +450,7 @@ def ledger_from_events(events, budgets) -> Ledger:
 @dataclass
 class RunResult:
     schedule: Schedule
-    models: dict
+    models: dict  # model id -> weights; a skipped event maps to its bias model
     perturbed: dict
     releases: list  # (t, model_id)
     ledger: Ledger | None
@@ -465,17 +467,33 @@ def execute(
     train_cfg: TrainConfig,
     eps: float | Fraction,
     nonprivate: bool = False,
-) -> RunResult:
+    seeds=None,
+):
     """Run a schedule against a stream: train, perturb, and charge the ledger.
 
+    With seeds=None this runs train_cfg.seed and returns its RunResult;
+    given a sequence of seeds it returns one RunResult per seed. The
+    schedule is RNG-free, so every seed trains the same events on the same
+    slices in the same order, and each event trains all seeds in lockstep:
+    one `psgd`/`pberm` call per group of seeds that share a minibatch size.
+    A seed's subsample, SGD and noise streams derive from that seed and the
+    model id alone, so its result equals a run of that seed by itself.
+
+    A sampled event whose subsample is empty is skipped for that seed: it is
+    neither trained, charged nor released, and later events regularized on
+    it use its bias model (the zero model for psgd), which minimises the
+    empty-data objective lam*||w - bias||^2, so that is post-processing.
+
     nonprivate=True forces all noise scales to zero and disables the ledger
-    (the result carries ledger=None as the flag).
+    (each result carries ledger=None as the flag).
     """
+    single = seeds is None
+    seeds = (train_cfg.seed,) if single else tuple(seeds)
     feps = float(eps)
-    models: dict[int, ModelWeights] = {}
-    perturbed: dict[int, PerturbedModel] = {}
-    ledger = None if nonprivate else Ledger(budgets=dict(schedule.budgets))
-    skipped = []
+    runs = [
+        RunResult(schedule, {}, {}, [], None if nonprivate else Ledger(dict(schedule.budgets)))
+        for _ in seeds
+    ]
     zero = ModelWeights(np.zeros((stream.k, stream.d)))
     for e in schedule.events:
         if e.train == "adopt":
@@ -483,37 +501,48 @@ def execute(
         if e.b >= stream.n:
             raise ScheduleError(f"event at t={e.t} needs point {e.b} beyond stream end")
         data = stream.slice(e.a, e.b)
-        prob = None
+        mid = e.model_id
+        bias = [zero if e.reg_source is None else run.models[e.reg_source] for run in runs]
+        rows, sizes = None, [data.n] * len(seeds)
         if e.sampled_rule is not None:
             rule, level = e.sampled_rule
-            spec = SamplingSpec(rule, level, seed=_subseed(train_cfg.seed, "sample", e.model_id))
-            data, prob = subsample(data, spec, feps)
-            if data.n == 0:
-                skipped.append(e)
-                continue
-        cfg = replace(train_cfg, seed=_subseed(train_cfg.seed, "train", e.model_id))
-        noise_seed = _subseed(train_cfg.seed, "noise", e.model_id)
+            rows = [
+                subsample(data, SamplingSpec(rule, level, _subseed(seed, "sample", mid)), feps)[0]
+                for seed in seeds
+            ]
+            sizes = [len(r) for r in rows]
+        groups = {}  # minibatch size -> positions of the seeds trained with it
+        for i, n in enumerate(sizes):
+            if n == 0:
+                runs[i].skipped.append(e)
+                runs[i].models[mid] = bias[i]
+            else:
+                groups.setdefault(min(train_cfg.minibatch, n), []).append(i)
         scale = 0.0 if nonprivate else e.noise_scale
-        if e.train == "psgd":
-            pm = psgd(data, scale, RegularizerSpec(lam), cfg, noise_seed=noise_seed)
-        else:
-            bias = models[e.reg_source] if e.reg_source is not None else zero
-            pm = pberm(
-                bias, data, lam, feps, L=1.0, cfg=cfg,
-                size_for_noise=1, scale=scale, noise_seed=noise_seed,
-            )
-        weights = pm.weights.with_meta(
-            interval=e.interval, reg_source=e.reg_source, model_id=e.model_id,
-            noise_scale=scale,
-        )
-        models[e.model_id] = weights
-        perturbed[e.model_id] = pm
-        if ledger is not None and e.eps > 0:
-            mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
-            ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
-    skipped_ids = {e.model_id for e in skipped}
-    releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
-    return RunResult(schedule, models, perturbed, releases, ledger, skipped)
+        mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
+        for members in groups.values():
+            train_seeds = [_subseed(seeds[i], "train", mid) for i in members]
+            noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
+            member_rows = None if rows is None else [rows[i] for i in members]
+            if e.train == "psgd":
+                pms = psgd(data, scale, RegularizerSpec(lam), train_cfg,
+                           noise_seeds, train_seeds, member_rows)
+            else:
+                pms = pberm([bias[i] for i in members], data, lam, train_cfg, scale,
+                            noise_seeds, train_seeds, member_rows)
+            for i, pm in zip(members, pms):
+                run = runs[i]
+                run.models[mid] = pm.weights.with_meta(
+                    interval=e.interval, reg_source=e.reg_source, model_id=mid,
+                    noise_scale=scale,
+                )
+                run.perturbed[mid] = pm
+                if run.ledger is not None and e.eps > 0:
+                    run.ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
+    for run in runs:
+        skipped_ids = {e.model_id for e in run.skipped}
+        run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
+    return runs[0] if single else runs
 
 
 def _subseed(seed: int, label: str, model_id: int) -> int:

@@ -308,15 +308,15 @@ def test_criterion_9_sampling_variants():
     rng = np.random.default_rng(5)
     # level 0 is the exact identity
     data = random_dataset(rng, 64, 3, 2)
-    out, p = subsample(data, SamplingSpec("exp_formula", 0, seed=1), eps=0.1)
-    identity_ok = p == 1.0 and np.array_equal(out.X, data.X)
+    rows, p = subsample(data, SamplingSpec("exp_formula", 0, seed=1), eps=0.1)
+    identity_ok = p == 1.0 and np.array_equal(data.take(rows).X, data.X)
 
     # expected sampled size from 8B inputs at level 3 is close to B
     B = 256
     eps = 0.1
     big = random_dataset(rng, 8 * B, 2, 2)
     sizes = [
-        subsample(big, SamplingSpec("exp_formula", 3, seed=s), eps)[0].n
+        len(subsample(big, SamplingSpec("exp_formula", 3, seed=s), eps)[0])
         for s in range(200)
     ]
     mean_ok = abs(np.mean(sizes) - B) / B <= 0.05

@@ -156,6 +156,44 @@ class TestRun:
         assert code == EXIT_DATA
 
 
+    def write_csv(self, path, X):
+        labels = [0, 1, 2] * (len(X) // 3)
+        path.write_text("".join(",".join([*map(repr, row), str(c)]) + "\n"
+                                for row, c in zip(X, labels)))
+
+    def test_non_finite_cell_exits_3_naming_the_row(self, capsys, tmp_path):
+        X = [[0.1 * i, -0.2 * i] for i in range(30)]
+        X[6][1] = float("nan")
+        self.write_csv(tmp_path / "d.csv", X)
+        code, out, err = run_cli(
+            capsys, "run", "--scheduler", "multires", "--epsilon", "1", "--lambda", "1",
+            "--B", "4", "--source", f"csv:{tmp_path}/d.csv", "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == EXIT_DATA and "non-finite cell in row 7" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_training_exits_3(self, capsys, tmp_path):
+        self.write_csv(tmp_path / "d.csv", [[1e200 * (i % 5 - 2), 1e200] for i in range(30)])
+        code, out, err = run_cli(
+            capsys, "run", "--scheduler", "multires", "--epsilon", "1", "--lambda", "1",
+            "--B", "4", "--iters", "20", "--source", f"csv:{tmp_path}/d.csv",
+            "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == EXIT_DATA and "training diverged" in err and "Traceback" not in err
+
+    def test_sampled_schedule_with_skipped_regularizer_runs(self, capsys, tmp_path):
+        # a sliding-sample update skipped on an empty subsample is later the
+        # regularizer of another update
+        code, out, err = run_cli(
+            capsys, "run", "--scheduler", "sliding-sample", "--w", "7", "--w0", "1",
+            "--epsilon", "1", "--lambda", "1", "--source", "synth", "--synth-n", "64",
+            "--synth-d", "4", "--synth-k", "3", "--iters", "3", "--minibatch", "8",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == EXIT_OK, err
+
+
 class TestVerifyLedger:
     def make_trace(self, tmp_path, lines):
         p = tmp_path / "trace.jsonl"

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdp import (
     Dataset,
+    DivergenceError,
     ErmError,
     ModelWeights,
     RegularizerSpec,
@@ -16,6 +19,8 @@ from streamdp import (
     loss_and_gradient,
     sgd_train,
 )
+from streamdp import erm
+from streamdp.rng import make_rng
 from conftest import random_dataset
 
 
@@ -129,6 +134,107 @@ class TestSgd:
         bias = ModelWeights(np.zeros((2, 2))).with_meta(model_id=42)
         w = biased_erm_minimize(data, bias, 0.5, TrainConfig(iterations=20))
         assert w.meta.reg_source == 42
+
+
+def reference_sgd(data, reg, cfg):
+    """The per-iteration SGD loop sgd_train replaced: one minibatch draw and
+    one (m, d) step per iteration, for a single seed."""
+    wg = reg.bias_matrix(data.k, data.d)
+    w = wg.copy()
+    rng = make_rng(cfg.seed, "sgd")
+    for i in range(1, cfg.iterations * cfg.passes + 1):
+        idx = rng.integers(0, data.n, size=min(cfg.minibatch, data.n))
+        Xb, yb = data.X[idx], data.y[idx]
+        scores = Xb @ w.T
+        exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1)[:, None]
+        probs[np.arange(len(idx)), yb] -= 1.0
+        g = (probs.T @ Xb) / len(idx)
+        eta = 1.0 / (cfg.gamma * i)
+        w = (w - eta * g + 2.0 * eta * reg.lam * wg) / (1.0 + 2.0 * eta * reg.lam)
+        if not np.all(np.isfinite(w)):
+            raise DivergenceError(i)
+    return w
+
+
+def random_problem(rng, case):
+    """Case `case` of a fixed spread of sizes: minibatch above and below n,
+    one or more passes, zero or nonzero bias, k in {2, 3, 10}."""
+    k = (2, 3, 10)[case % 3]
+    n, d = int(rng.integers(1, 120)), int(rng.integers(1, 25))
+    data = Dataset(rng.standard_normal((n, d)) * rng.choice([0.3, 1.0, 4.0]),
+                   rng.integers(0, k, size=n), k)
+    bias = ModelWeights(rng.standard_normal((k, d))) if case % 2 else None
+    reg = RegularizerSpec(float(rng.choice([0.01, 1.0, 50.0])), bias)
+    cfg = TrainConfig(
+        gamma=float(rng.choice([1.0, 10.0])), iterations=int(rng.integers(1, 30)),
+        minibatch=int(rng.choice([1, 7, 64, 500])), passes=int(rng.integers(1, 4)),
+        seed=int(rng.integers(0, 2**31)),
+    )
+    return data, reg, cfg
+
+
+class TestLockstepKernel:
+    """sgd_train against the per-iteration loop it replaced, bit for bit.
+
+    `block_bytes` shrinks the blocks the minibatch indices are drawn in, down
+    to one iteration per block, so that draws cross block boundaries.
+    """
+
+    @pytest.fixture(params=[None, 1, 3000])
+    def block_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(erm, "_INDEX_BLOCK_BYTES", request.param)
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_single_seed_matches_reference_loop(self, case, block_bytes):
+        data, reg, cfg = random_problem(np.random.default_rng(case), case)
+        np.testing.assert_array_equal(sgd_train(data, reg, cfg).w, reference_sgd(data, reg, cfg))
+
+    @pytest.mark.parametrize("case", range(0, 20, 3))
+    def test_seed_stack_matches_single_seeds(self, case, block_bytes):
+        rng = np.random.default_rng(100 + case)
+        data, _, cfg = random_problem(rng, case)
+        seeds = (5, 6, 5, 9)
+        regs = [RegularizerSpec(0.7, ModelWeights(rng.standard_normal((data.k, data.d))))
+                for _ in seeds]
+        stacked = sgd_train(data, regs, cfg, seeds)
+        for seed, reg, got in zip(seeds, regs, stacked):
+            want = reference_sgd(data, reg, replace(cfg, seed=seed))
+            np.testing.assert_array_equal(got.w, want)
+
+    def test_rows_train_like_the_subset(self, rng, block_bytes):
+        data = random_dataset(rng, 90, 4, 3)
+        cfg = TrainConfig(iterations=25, minibatch=8)
+        rows = [np.arange(0, 90, 3), np.arange(40, 90), np.arange(90)]
+        stacked = sgd_train(data, RegularizerSpec(0.5), cfg, (1, 2, 3), rows)
+        for seed, r, got in zip((1, 2, 3), rows, stacked):
+            want = reference_sgd(data.take(r), RegularizerSpec(0.5), replace(cfg, seed=seed))
+            np.testing.assert_array_equal(got.w, want)
+
+    def test_unequal_minibatch_sizes_rejected(self, rng):
+        data = random_dataset(rng, 20, 2, 2)
+        with pytest.raises(ErmError):
+            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=2, minibatch=8),
+                      (1, 2), [np.arange(4), np.arange(20)])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_reported_at_first_nonfinite_iteration(self, rng):
+        data = random_dataset(rng, 40, 3, 3)
+        huge = Dataset(data.X * 1e200, data.y, 3)
+        cfg = TrainConfig(iterations=10, minibatch=8, seed=4)
+        with pytest.raises(DivergenceError) as ref:
+            reference_sgd(huge, RegularizerSpec(0.5), cfg)
+        with pytest.raises(DivergenceError) as got:
+            sgd_train(huge, RegularizerSpec(0.5), cfg)
+        assert got.value.iteration == ref.value.iteration
+        # in a stack, one diverging seed stops the call at its iteration
+        mixed = Dataset(np.vstack([data.X, huge.X]), np.concatenate([data.y, data.y]), 3)
+        rows = [np.arange(40), np.arange(40, 80)]
+        with pytest.raises(DivergenceError) as stacked:
+            sgd_train(mixed, RegularizerSpec(0.5), cfg, (4, 4), rows)
+        assert stacked.value.iteration == ref.value.iteration
 
 
 class TestLipschitz:

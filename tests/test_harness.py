@@ -121,6 +121,13 @@ class TestLoadCsv:
         with pytest.raises(HarnessError):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_number(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"f1,f2,label\n1.0,2.0,0\n3.0,4.0,1\n{cell},1.0,0\n")
+        with pytest.raises(HarnessError, match="non-finite cell in row 4"):
+            load_csv(p)
+
 
 class TestSynthStream:
     def test_same_seed_identical(self):
@@ -254,14 +261,14 @@ class TestReplayEpsMaxDifferential:
                              replace(self.train, seed=seed), sched.eps)
             if name == "multires-sample":
                 assert result.skipped
-            seen = -1
             seed_recs = [r for r in recs if r.seed == seed]
             assert len(seed_recs) == len(result.releases)
+            # releases come in time order, each (t, model) once, and every
+            # record reports the maximum at its own step
+            assert [r.t for r in seed_recs] == sorted(r.t for r in seed_recs)
+            assert len(set(result.releases)) == len(result.releases)
             for r in seed_recs:
-                # records follow schedule order; continual lists its embedded
-                # multires releases first, so the maximum covers the latest step seen
-                seen = max(seen, r.t)
-                assert r.eps_max == self.brute_force(result.ledger, seen)
+                assert r.eps_max == self.brute_force(result.ledger, r.t)
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_nonprivate_eps_max_is_zero(self, name):

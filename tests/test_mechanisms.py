@@ -105,7 +105,8 @@ class TestSampling:
 
     def test_subsample_preserves_order(self, rng):
         data = random_dataset(rng, 200, 2, 2)
-        out, p = subsample(data, SamplingSpec("reciprocal", 1, seed=11), eps=1.0)
+        rows, p = subsample(data, SamplingSpec("reciprocal", 1, seed=11), eps=1.0)
+        out = data.take(rows)
         assert p == 0.5
         # sampled rows appear in original relative order
         pos = [np.flatnonzero((data.X == row).all(axis=1))[0] for row in out.X]
@@ -115,14 +116,14 @@ class TestSampling:
         from streamdp import Dataset
 
         data = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
-        out, p = subsample(data, SamplingSpec("reciprocal", 2, seed=0), eps=1.0)
-        assert out.n == 0 and p == 0.25
+        rows, p = subsample(data, SamplingSpec("reciprocal", 2, seed=0), eps=1.0)
+        assert len(rows) == 0 and p == 0.25
 
     def test_identity_at_p_one_returns_same_rows(self, rng):
         data = random_dataset(rng, 50, 2, 2)
-        out, p = subsample(data, SamplingSpec("exp_formula", 0, seed=3), eps=0.1)
+        rows, p = subsample(data, SamplingSpec("exp_formula", 0, seed=3), eps=0.1)
         assert p == pytest.approx(1.0)
-        np.testing.assert_array_equal(out.X, data.X)
+        np.testing.assert_array_equal(data.take(rows).X, data.X)
 
     @given(st.integers(1, 6), st.floats(0.01, 2.0))
     @settings(max_examples=60, deadline=None)
@@ -172,17 +173,20 @@ class TestPsgdPberm:
             noisy.noise_l2
         )
 
-    def test_pberm_default_scale(self, rng):
+    def test_pberm_applies_given_scale(self, rng):
         data = random_dataset(rng, 30, 2, 2)
         bias = ModelWeights(np.zeros((2, 2)))
-        pm = pberm(bias, data, lam=2.0, eps=0.5, L=1.0, cfg=TrainConfig(iterations=10),
-                   size_for_noise=10)
-        assert pm.spec.scale == pytest.approx(4 * 1.0 / (2.0 * 10 * 0.5))
+        cfg = TrainConfig(iterations=10)
+        clean = pberm(bias, data, 2.0, cfg, 0.0)
+        noisy = pberm(bias, data, 2.0, cfg, 0.4, noise_seed=9)
+        assert clean.spec is None and noisy.spec.scale == 0.4
+        assert np.linalg.norm(noisy.weights.w - clean.weights.w) == pytest.approx(
+            noisy.noise_l2
+        )
 
     def test_pberm_empty_data_rejected(self):
         from streamdp import Dataset, ErmError
 
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ErmError):
-            pberm(ModelWeights(np.zeros((2, 2))), data, 1.0, 1.0, 1.0,
-                  TrainConfig(iterations=5), size_for_noise=1)
+            pberm(ModelWeights(np.zeros((2, 2))), data, 1.0, TrainConfig(iterations=5), 1.0)

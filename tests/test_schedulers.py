@@ -19,6 +19,7 @@ from streamdp import (
     synth_stream,
     window_shape,
 )
+from streamdp import schedulers
 from streamdp.erm import TrainConfig
 
 EPS = Fraction(1)
@@ -344,6 +345,95 @@ class TestExecute:
         for b in bases:
             assert b.model_id in released_ids
             assert b.model_id in r.models  # produced by the multires event
+
+
+def _charges(ledger):
+    return [(c.a, c.b, c.eps, c.subsystem, c.time, c.mechanism) for c in ledger.charges]
+
+
+class TestLockstepExecute:
+    """execute over a seed tuple against each seed run alone."""
+
+    SEEDS = (1, 2, 3, 2)
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6)).data
+
+    @pytest.mark.parametrize("name", [
+        "multires", "multires-sample", "continual", "continual-sample",
+        "sliding", "sliding-sample", "baseline-independent", "baseline-basic",
+    ])
+    def test_each_seed_matches_its_own_run(self, stream, name, monkeypatch):
+        # B=2 leaves sampled events with empty subsamples (skipped) and with
+        # subsamples smaller than the minibatch (separate kernel calls)
+        B = 2 if name.endswith("sample") else 16
+        sched = build_schedule(name, stream.n, eps=EPS, lam=1.0, L=0.2,
+                               B=B, b0=2 if B == 2 else 4, w=7, w0=1)
+        cfg = TrainConfig(iterations=6, minibatch=8)
+        row_sets = []  # the per-seed rows of every lockstep psgd/pberm call
+        for fn in ("psgd", "pberm"):
+            def spy(*args, _fn=getattr(schedulers, fn)):
+                row_sets.append(args[-1])
+                return _fn(*args)
+            monkeypatch.setattr(schedulers, fn, spy)
+        runs = execute(sched, stream, 1.0, cfg, EPS, seeds=self.SEEDS)
+        monkeypatch.undo()
+        assert len(runs) == len(self.SEEDS)
+        for seed, run in zip(self.SEEDS, runs):
+            alone = execute(sched, stream, 1.0, TrainConfig(iterations=6, minibatch=8, seed=seed),
+                            EPS)
+            assert run.models.keys() == alone.models.keys()
+            for mid, w in alone.models.items():
+                np.testing.assert_array_equal(run.models[mid].w, w.w)
+                assert run.models[mid].meta == w.meta
+            assert run.perturbed.keys() == alone.perturbed.keys()
+            for mid, pm in alone.perturbed.items():
+                np.testing.assert_array_equal(run.perturbed[mid].weights.w, pm.weights.w)
+                assert run.perturbed[mid].spec == pm.spec
+                assert run.perturbed[mid].noise_l2 == pm.noise_l2
+            assert _charges(run.ledger) == _charges(alone.ledger)
+            assert run.skipped == alone.skipped
+            assert run.releases == alone.releases
+        trained = [e for e in sched.events
+                   if e.train != "adopt" and any(e not in run.skipped for run in runs)]
+        if name.endswith("sample"):
+            assert any(run.skipped for run in runs)
+            assert any(len(r) < cfg.minibatch for rows in row_sets if rows for r in rows)
+            assert len(row_sets) > len(trained)  # some events split by minibatch size
+        else:
+            assert len(row_sets) == len(trained) and not any(row_sets)
+
+
+class TestSkippedEvents:
+    """A sampled event with an empty subsample, later used as a regularizer."""
+
+    @pytest.mark.parametrize("B,b0", [(2, 1), (2, 2), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("n", [64, 80, 96])
+    def test_continual_sample_runs(self, B, b0, n):
+        stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n)).data
+        sched = continual_schedule(n, B, b0, EPS, 1.0, 0.2, sampled=True)
+        runs = execute(sched, stream, 1.0, TrainConfig(iterations=3, minibatch=8), EPS,
+                       seeds=(0, 1, 2, 3, 4))
+        for run in runs:
+            released = {mid for _, mid in run.releases}
+            for e in run.skipped:
+                # resolved to its bias model: not trained, charged or released
+                assert e.sampled_rule is not None and e.reg_source is not None
+                np.testing.assert_array_equal(run.models[e.model_id].w,
+                                              run.models[e.reg_source].w)
+                assert e.model_id not in run.perturbed and e.model_id not in released
+            trained = [e for e in sched.events if e not in run.skipped]
+            assert _charges(run.ledger) == _charges(ledger_from_events(trained, sched.budgets))
+        assert any(run.skipped for run in runs)
+
+    def test_skipped_psgd_event_resolves_to_zero_model(self):
+        stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1)).data
+        sched = multires_schedule(stream.n, 2, EPS, 1.0, 0.2, sampled=True)
+        run = execute(sched, stream, 1.0, TrainConfig(iterations=3, minibatch=8, seed=0), EPS)
+        assert run.skipped
+        for e in run.skipped:
+            assert not run.models[e.model_id].w.any()
 
 
 class TestBuildSchedule:
