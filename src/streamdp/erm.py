@@ -39,7 +39,9 @@ class Dataset:
     k: int
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
+        # C order: SGD gathers minibatch rows with np.take, which copies a
+        # non-contiguous source in full on every call
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.asarray(self.y)
         if X.ndim != 2:
             raise ErmError(f"features must be 2-D, got shape {X.shape}")
@@ -181,22 +183,22 @@ def loss_and_gradient(
 _INDEX_BLOCK_BYTES = 1 << 18
 
 
-def _minibatch_indices(seeds, sizes, rows, total, m):
+def _minibatch_indices(seeds, rows, total, m):
     """Yield each iteration's (S, m) row indices into the training data.
 
-    Seed s draws from its own "sgd" stream over its sizes[s] rows (mapped
-    through rows[s] when rows is given). The stream is drawn in blocks of
-    iterations, which gives the values of one (total, m) draw, or of one
-    size-m draw per iteration.
+    Seed s draws from its own "sgd" stream over its len(rows[s]) rows and
+    maps the draws through rows[s]: a range adds its start, an index array
+    is indexed. The stream is drawn in blocks of iterations, which gives the
+    values of one (total, m) draw, or of one size-m draw per iteration.
     """
     rngs = [make_rng(seed, "sgd") for seed in seeds]
     block = max(1, _INDEX_BLOCK_BYTES // (8 * len(seeds) * m))
     for start in range(0, total, block):
         count = min(block, total - start)
         idx = np.empty((count, len(seeds), m), dtype=np.int64)
-        for s, (rng, n) in enumerate(zip(rngs, sizes)):
-            draws = rng.integers(0, n, size=(count, m))
-            idx[:, s] = draws if rows is None else rows[s][draws]
+        for s, (rng, r) in enumerate(zip(rngs, rows)):
+            draws = rng.integers(0, len(r), size=(count, m))
+            idx[:, s] = draws + r.start if isinstance(r, range) else r[draws]
         yield from idx
 
 
@@ -212,11 +214,12 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     lockstep as one (S, k, d) weight stack and returns one ModelWeights per
     seed. reg is then one RegularizerSpec for every seed or a sequence with
     one per seed (all with the same lam), and rows, if given, holds each
-    seed's row indices into data. Each seed draws its minibatch indices ahead
-    from its own "sgd" stream (the values per-iteration draws would give),
-    and every step applies the same floating-point operations to each slice
-    of the stack, so a seed's weights do not depend on the other seeds. All
-    seeds must share the minibatch size min(minibatch, n_i).
+    seed's rows of data: a range for a contiguous interval, or an array of
+    row indices. Each seed draws its minibatch indices ahead from its own
+    "sgd" stream (the values per-iteration draws would give), and every step
+    applies the same floating-point operations to each slice of the stack,
+    so a seed's weights do not depend on the other seeds. All seeds must
+    share the minibatch size min(minibatch, n_i).
     """
     single = seeds is None
     if single:
@@ -227,13 +230,15 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
         raise ErmError("need one regularizer and one row set per seed")
     if len({r.lam for r in reg}) != 1:
         raise ErmError("seeds trained in lockstep must share lambda")
-    sizes = [data.n] * len(seeds) if rows is None else [len(r) for r in rows]
+    if rows is None:
+        rows = [range(data.n)] * len(seeds)
+    sizes = [len(r) for r in rows]
     if min(sizes) == 0:
         raise ErmError("empty training set")
     m = min(cfg.minibatch, sizes[0])
     if any(min(cfg.minibatch, n) != m for n in sizes):
         raise ErmError("seeds trained in lockstep must share the minibatch size")
-    batches = _minibatch_indices(seeds, sizes, rows, cfg.iterations * cfg.passes, m)
+    batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m)
     # flat positions of each row's true-class entry in the (S, m, k) softmax
     row_start = np.arange(len(seeds) * m).reshape(len(seeds), m) * data.k
     lam = reg[0].lam

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -65,31 +67,32 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def load_csv(path) -> Dataset:
-    """Numeric CSV, last column an integral label; header auto-detected."""
-    rows = []
+    """Numeric CSV, last column an integral label; header auto-detected.
+
+    A non-numeric first cell in the first non-empty row marks a header.
+    Blank lines are skipped, and errors name the row counting non-empty
+    rows from 1, the header included.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        raw = [r for r in reader if r]
-    if not raw:
+        first = next((r for r in reader if r), None)
+        header_lines = reader.line_num
+    if first is None:
         raise HarnessError(f"{path}: empty file")
-    start = 0
     try:
-        float(raw[0][0])
+        float(first[0])
+        start, skip = 0, 0
     except ValueError:
-        start = 1  # non-numeric first cell marks a header row
-    width = None
-    for i, row in enumerate(raw[start:], start=start + 1):
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise HarnessError(f"{path}: ragged row {i}: {len(row)} cells, expected {width}")
-        try:
-            rows.append([float(c) for c in row])
-        except ValueError as exc:
-            raise HarnessError(f"{path}: non-numeric cell in row {i}: {exc}") from exc
-    if not rows or width < 2:
+        start, skip = 1, header_lines  # the header row and the blank lines before it
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header with no data rows
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip,
+                             comments=None, quotechar='"')
+    except ValueError as exc:
+        raise _csv_parse_error(path, str(exc), start) from exc
+    if mat.shape[0] == 0 or mat.shape[1] < 2:
         raise HarnessError(f"{path}: need at least one data row with features and a label")
-    mat = np.asarray(rows)
     finite = np.isfinite(mat).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -98,10 +101,27 @@ def load_csv(path) -> Dataset:
     if not np.all(raw_labels == np.round(raw_labels)):
         bad = int(np.argmax(raw_labels != np.round(raw_labels)))
         raise HarnessError(f"{path}: non-integral label in row {bad + start + 1}")
-    uniq = np.unique(raw_labels.astype(np.int64))
-    remap = {v: i for i, v in enumerate(uniq.tolist())}
-    y = np.array([remap[int(v)] for v in raw_labels], dtype=np.int64)
+    uniq, y = np.unique(raw_labels.astype(np.int64), return_inverse=True)
     return Dataset(mat[:, :-1], y, len(uniq))
+
+
+def _csv_parse_error(path, msg: str, start: int) -> HarnessError:
+    """The loader's error for numpy's parse error `msg`, with the row renumbered.
+
+    numpy counts data rows after the skipped header, leaving out blank
+    lines: a ragged row from 1, a bad cell from 0.
+    """
+    ragged = re.search(r"changed from (\d+) to (\d+) at row (\d+)", msg)
+    if ragged:
+        width, cells, row = map(int, ragged.groups())
+        return HarnessError(
+            f"{path}: ragged row {row + start}: {cells} cells, expected {width}")
+    cell = re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", msg)
+    if cell:
+        value, row, col = cell.group(1), int(cell.group(2)), int(cell.group(3))
+        return HarnessError(
+            f"{path}: non-numeric cell in row {row + start + 1}, column {col}: {value}")
+    return HarnessError(f"{path}: {msg}")
 
 
 @dataclass(frozen=True)
@@ -206,9 +226,9 @@ def replay(
     """Run the schedule over the stream for every seed and score every release.
 
     `schedule` is the one built from `sched` for this stream; it is built
-    here when not given. `execute` trains all seeds of each event in
-    lockstep; the records come seed by seed, each seed's releases in time
-    order. acc_recent uses the trailing `batch` points at the release step,
+    here when not given. `execute` trains all seeds and the independent
+    events of each dependency wave in lockstep; the records come seed by
+    seed, each seed's releases in time order. acc_recent uses the trailing `batch` points at the release step,
     acc_test the fixed held-out set, acc_old the batch preceding the model's
     training interval (None at the stream head). eps_max is the exact maximum
     per-point loss over all charges up to the release step, kept by

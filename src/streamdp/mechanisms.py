@@ -138,13 +138,12 @@ def _identity_perturbed(w: ModelWeights) -> PerturbedModel:
     return PerturbedModel(weights=w, noise_l1=0.0, noise_l2=0.0, spec=None)
 
 
-def _perturb_each(models, delta: float, noise_seeds) -> list[PerturbedModel]:
-    """Laplace(delta) output perturbation of each model with its own seed;
-    delta=0 releases the models unperturbed."""
-    if delta == 0.0:
-        return [_identity_perturbed(w) for w in models]
-    return [output_perturb(w, NoiseSpec(delta, w.w.shape, seed))
-            for w, seed in zip(models, noise_seeds)]
+def _perturb_each(models, deltas, noise_seeds) -> list[PerturbedModel]:
+    """Laplace(delta) output perturbation of each model with its own delta
+    and seed; delta=0 releases that model unperturbed."""
+    return [_identity_perturbed(w) if delta == 0.0
+            else output_perturb(w, NoiseSpec(delta, w.w.shape, seed))
+            for w, delta, seed in zip(models, deltas, noise_seeds)]
 
 
 def psgd(
@@ -163,11 +162,12 @@ def psgd(
     one model is trained with cfg.seed and perturbed with noise_seed (default
     cfg.seed). Given a sequence of seeds, `sgd_train` trains them in lockstep
     (seed i on the rows rows[i] of data, if rows is given) and seed i is
-    perturbed with noise_seed[i]; one PerturbedModel per seed is returned.
+    perturbed with Laplace(delta[i]) noise from noise_seed[i]; one
+    PerturbedModel per seed is returned.
     """
     if seeds is None:
         noise_seed = cfg.seed if noise_seed is None else noise_seed
-        return _perturb_each([sgd_train(data, reg, cfg)], delta, [noise_seed])[0]
+        return _perturb_each([sgd_train(data, reg, cfg)], [delta], [noise_seed])[0]
     return _perturb_each(sgd_train(data, reg, cfg, seeds, rows), delta, noise_seed)
 
 
@@ -186,12 +186,12 @@ def pberm(
     Minimizes the data loss plus lam*||w - bias||^2 from bias and adds
     Laplace(scale) noise, the scale the caller's schedule calibrated;
     scale=0 releases the model unperturbed. Seeds work as in `psgd`, with
-    one bias per seed when seeds is given.
+    one bias and one scale per seed when seeds is given.
     """
     if seeds is None:
         noise_seed = cfg.seed if noise_seed is None else noise_seed
         models = [biased_erm_minimize(data, bias, lam, cfg)]
-        return _perturb_each(models, scale, [noise_seed])[0]
+        return _perturb_each(models, [scale], [noise_seed])[0]
     models = biased_erm_minimize(data, bias, lam, cfg, seeds, rows)
     return _perturb_each(models, scale, noise_seed)
 

@@ -460,6 +460,14 @@ class RunResult:
         return [(t, self.models[mid]) for t, mid in self.releases]
 
 
+# A lockstep SGD call holds an (members, m, d) float64 minibatch and
+# (members, k, d) weight stacks. A wave's members are stacked up to about
+# this many bytes of both, counted as members * (m + k) * d * 8; larger
+# stacks train no faster and raise the peak RSS. The seeds of one event are
+# never split, so an event above the cap is a call of its own.
+_STACK_BYTES = 160 << 10
+
+
 def execute(
     schedule: Schedule,
     stream: Dataset,
@@ -474,10 +482,18 @@ def execute(
     With seeds=None this runs train_cfg.seed and returns its RunResult;
     given a sequence of seeds it returns one RunResult per seed. The
     schedule is RNG-free, so every seed trains the same events on the same
-    slices in the same order, and each event trains all seeds in lockstep:
-    one `psgd`/`pberm` call per group of seeds that share a minibatch size.
-    A seed's subsample, SGD and noise streams derive from that seed and the
-    model id alone, so its result equals a run of that seed by itself.
+    slices, and events are trained in dependency waves: an event's wave is
+    one more than its `reg_source`'s, and events without one are wave 1, so
+    the events of a wave are independent of each other. Each wave's (event,
+    seed) members are grouped by train kind and minibatch size
+    min(minibatch, n), and each group is trained in lockstep, one
+    `psgd`/`pberm` call per stack of at most `_STACK_BYTES` of minibatch and
+    weights (never splitting one event's seeds). Members read the whole
+    stream: an interval as a range, a subsample as its kept row indices. A seed's
+    subsample, SGD and noise streams derive from that seed and the model id
+    alone, so its result equals a run of that seed by itself, event by event.
+    Models, perturbations, skipped events, charges and releases are recorded
+    in schedule order.
 
     A sampled event whose subsample is empty is skipped for that seed: it is
     neither trained, charged nor released, and later events regularized on
@@ -490,59 +506,100 @@ def execute(
     single = seeds is None
     seeds = (train_cfg.seed,) if single else tuple(seeds)
     feps = float(eps)
-    runs = [
-        RunResult(schedule, {}, {}, [], None if nonprivate else Ledger(dict(schedule.budgets)))
-        for _ in seeds
-    ]
-    zero = ModelWeights(np.zeros((stream.k, stream.d)))
-    for e in schedule.events:
-        if e.train == "adopt":
-            continue  # model produced by an earlier event; release only
+    trained = [e for e in schedule.events if e.train != "adopt"]  # adopt: release only
+    for e in trained:
         if e.b >= stream.n:
             raise ScheduleError(f"event at t={e.t} needs point {e.b} beyond stream end")
-        data = stream.slice(e.a, e.b)
-        mid = e.model_id
-        bias = [zero if e.reg_source is None else run.models[e.reg_source] for run in runs]
-        rows, sizes = None, [data.n] * len(seeds)
-        if e.sampled_rule is not None:
-            rule, level = e.sampled_rule
-            rows = [
-                subsample(data, SamplingSpec(rule, level, _subseed(seed, "sample", mid)), feps)[0]
-                for seed in seeds
-            ]
-            sizes = [len(r) for r in rows]
-        groups = {}  # minibatch size -> positions of the seeds trained with it
-        for i, n in enumerate(sizes):
-            if n == 0:
-                runs[i].skipped.append(e)
-                runs[i].models[mid] = bias[i]
+    zero = ModelWeights(np.zeros((stream.k, stream.d)))
+    models = [{} for _ in seeds]  # per seed: model id -> weights
+    perturbed = [{} for _ in seeds]  # per seed: model id -> PerturbedModel
+
+    def bias(i, e):
+        return zero if e.reg_source is None else models[i][e.reg_source]
+
+    for wave in _waves(trained):
+        groups = {}  # (train kind, minibatch size) -> [(event, seed position, rows)]
+        for e in wave:
+            if e.sampled_rule is None:
+                event_rows = [range(e.a, e.b + 1)] * len(seeds)
             else:
-                groups.setdefault(min(train_cfg.minibatch, n), []).append(i)
-        scale = 0.0 if nonprivate else e.noise_scale
-        mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
-        for members in groups.values():
-            train_seeds = [_subseed(seeds[i], "train", mid) for i in members]
-            noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
-            member_rows = None if rows is None else [rows[i] for i in members]
-            if e.train == "psgd":
-                pms = psgd(data, scale, RegularizerSpec(lam), train_cfg,
-                           noise_seeds, train_seeds, member_rows)
-            else:
-                pms = pberm([bias[i] for i in members], data, lam, train_cfg, scale,
-                            noise_seeds, train_seeds, member_rows)
-            for i, pm in zip(members, pms):
-                run = runs[i]
-                run.models[mid] = pm.weights.with_meta(
-                    interval=e.interval, reg_source=e.reg_source, model_id=mid,
-                    noise_scale=scale,
-                )
-                run.perturbed[mid] = pm
-                if run.ledger is not None and e.eps > 0:
-                    run.ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
-    for run in runs:
+                rule, level = e.sampled_rule
+                data = stream.slice(e.a, e.b)
+                specs = [SamplingSpec(rule, level, _subseed(seed, "sample", e.model_id))
+                         for seed in seeds]
+                event_rows = [subsample(data, spec, feps)[0] + e.a for spec in specs]
+            for i, rows in enumerate(event_rows):
+                if len(rows) == 0:
+                    models[i][e.model_id] = bias(i, e)  # skipped
+                else:
+                    key = (e.train, min(train_cfg.minibatch, len(rows)))
+                    groups.setdefault(key, []).append((e, i, rows))
+        for (kind, m), members in groups.items():
+            for stack in _stacks(members, (m + stream.k) * stream.d * 8):
+                train_seeds = [_subseed(seeds[i], "train", e.model_id) for e, i, _ in stack]
+                noise_seeds = [_subseed(seeds[i], "noise", e.model_id) for e, i, _ in stack]
+                scales = [0.0 if nonprivate else e.noise_scale for e, _, _ in stack]
+                stack_rows = [r for _, _, r in stack]
+                if kind == "psgd":
+                    pms = psgd(stream, scales, RegularizerSpec(lam), train_cfg,
+                               noise_seeds, train_seeds, stack_rows)
+                else:
+                    pms = pberm([bias(i, e) for e, i, _ in stack], stream, lam, train_cfg,
+                                scales, noise_seeds, train_seeds, stack_rows)
+                for (e, i, _), pm, scale in zip(stack, pms, scales):
+                    models[i][e.model_id] = pm.weights.with_meta(
+                        interval=e.interval, reg_source=e.reg_source, model_id=e.model_id,
+                        noise_scale=scale,
+                    )
+                    perturbed[i][e.model_id] = pm
+
+    runs = []
+    for i in range(len(seeds)):
+        ledger = None if nonprivate else Ledger(dict(schedule.budgets))
+        run = RunResult(schedule, {}, {}, [], ledger)
+        for e in trained:
+            run.models[e.model_id] = models[i][e.model_id]
+            pm = perturbed[i].get(e.model_id)
+            if pm is None:
+                run.skipped.append(e)
+                continue
+            run.perturbed[e.model_id] = pm
+            if ledger is not None and e.eps > 0:
+                mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
+                ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
         skipped_ids = {e.model_id for e in run.skipped}
         run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
+        runs.append(run)
     return runs[0] if single else runs
+
+
+def _waves(events):
+    """Events grouped by dependency wave, each wave in schedule order.
+
+    An event's wave is one more than its regularizer's, and 1 without one;
+    a regularizer always comes earlier in the schedule.
+    """
+    waves, depth = [], {}
+    for e in events:
+        depth[e.model_id] = 1 if e.reg_source is None else depth[e.reg_source] + 1
+        if depth[e.model_id] > len(waves):
+            waves.append([])
+        waves[depth[e.model_id] - 1].append(e)
+    return waves
+
+
+def _stacks(members, member_bytes):
+    """Split members, in order, into stacks of at most _STACK_BYTES (one
+    member takes member_bytes); the members of one event share a stack."""
+    stack = []
+    for _, event_members in itertools.groupby(members, key=lambda mem: mem[0].model_id):
+        event_members = list(event_members)
+        if stack and (len(stack) + len(event_members)) * member_bytes > _STACK_BYTES:
+            yield stack
+            stack = []
+        stack.extend(event_members)
+    if stack:
+        yield stack
 
 
 def _subseed(seed: int, label: str, model_id: int) -> int:

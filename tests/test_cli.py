@@ -182,6 +182,19 @@ class TestRun:
         )
         assert code == EXIT_DATA and "training diverged" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_inside_a_wave_exits_3(self, capsys, tmp_path):
+        # sliding trains each dependency wave of events as stacked calls
+        self.write_csv(tmp_path / "d.csv", [[1e200 * (i % 5 - 2), 1e200] for i in range(30)])
+        code, out, err = run_cli(
+            capsys, "run", "--scheduler", "sliding", "--w", "7", "--w0", "1",
+            "--epsilon", "1", "--lambda", "1", "--iters", "20", "--minibatch", "4",
+            "--seeds", "1,2", "--source", f"csv:{tmp_path}/d.csv",
+            "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == EXIT_DATA and "training diverged" in err and "Traceback" not in err
+
     def test_sampled_schedule_with_skipped_regularizer_runs(self, capsys, tmp_path):
         # a sliding-sample update skipped on an empty subsample is later the
         # regularizer of another update

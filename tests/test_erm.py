@@ -212,6 +212,16 @@ class TestLockstepKernel:
             want = reference_sgd(data.take(r), RegularizerSpec(0.5), replace(cfg, seed=seed))
             np.testing.assert_array_equal(got.w, want)
 
+    def test_range_rows_train_like_the_slice(self, rng, block_bytes):
+        data = random_dataset(rng, 90, 4, 3)
+        cfg = TrainConfig(iterations=25, minibatch=8)
+        rows = [range(10, 50), range(90), range(70, 78)]
+        stacked = sgd_train(data, RegularizerSpec(0.5), cfg, (1, 2, 3), rows)
+        for seed, r, got in zip((1, 2, 3), rows, stacked):
+            want = reference_sgd(data.slice(r.start, r.stop - 1), RegularizerSpec(0.5),
+                                 replace(cfg, seed=seed))
+            np.testing.assert_array_equal(got.w, want)
+
     def test_unequal_minibatch_sizes_rejected(self, rng):
         data = random_dataset(rng, 20, 2, 2)
         with pytest.raises(ErmError):

@@ -129,6 +129,48 @@ class TestLoadCsv:
             load_csv(p)
 
 
+    def test_features_are_c_contiguous(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,3.0,0\n4.0,5.0,6.0,1\n")
+        data = load_csv(p)
+        assert data.X.flags.c_contiguous
+        np.testing.assert_array_equal(data.X, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_header_after_blank_lines_and_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\n\nf1,f2,label\n\n1.0,2.0,7\n\n3.0,4.0,-2\n\n")
+        data = load_csv(p)
+        np.testing.assert_array_equal(data.X, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(data.y, [1, 0])  # sorted distinct labels
+        assert data.k == 2
+
+    @pytest.mark.parametrize("text,message", [
+        # rows are counted over non-empty rows from 1, the header included
+        ("f1,f2,label\n\n1.0,2.0,0\n\n1.0,0\n", "ragged row 3: 2 cells, expected 3"),
+        ("\n1.0,2.0,0\n\n\n1.0,0\n", "ragged row 2: 2 cells, expected 3"),
+        ("f1,f2,label\n1.0,2.0,0\n\n1.0,x,1\n", "non-numeric cell in row 3, column 2"),
+        ("\n1.0,2.0,0\n\n2.0,3.0,\n", "non-numeric cell in row 2, column 3"),
+        ("h,h,h\n\n1.0,2.0,0\n\nnan,1.0,0\n", "non-finite cell in row 3"),
+        ("1.0,2.0,0\n\n1.0,2.0,0.5\n", "non-integral label in row 2"),
+        ("\nf1,f2,label\n\n", "need at least one data row"),
+        ("\n\n", "empty file"),
+    ])
+    def test_errors_name_the_row_with_header_and_blank_lines(self, tmp_path, text, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(HarnessError, match=message):
+            load_csv(p)
+
+    def test_round_trips_17_digit_floats_exactly(self, tmp_path, rng):
+        X = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-30, 30, size=(50, 4))
+        y = rng.integers(0, 3, size=50)
+        p = tmp_path / "d.csv"
+        np.savetxt(p, np.column_stack([X, y]), delimiter=",", fmt="%.17g")
+        data = load_csv(p)
+        np.testing.assert_array_equal(data.X, X)
+        np.testing.assert_array_equal(data.y, y)
+
+
 class TestSynthStream:
     def test_same_seed_identical(self):
         cfg = SynthConfig(d=5, k=3, n=100, sigma=0.2, seed=9)

@@ -19,8 +19,11 @@ from streamdp import (
     synth_stream,
     window_shape,
 )
-from streamdp import schedulers
-from streamdp.erm import TrainConfig
+from streamdp import erm, mechanisms, schedulers
+from streamdp.erm import ModelWeights, RegularizerSpec, TrainConfig
+from streamdp.ledger import Ledger
+from streamdp.mechanisms import SamplingSpec, pberm, psgd, subsample
+from streamdp.schedulers import RunResult, _subseed
 
 EPS = Fraction(1)
 
@@ -399,10 +402,148 @@ class TestLockstepExecute:
                    if e.train != "adopt" and any(e not in run.skipped for run in runs)]
         if name.endswith("sample"):
             assert any(run.skipped for run in runs)
-            assert any(len(r) < cfg.minibatch for rows in row_sets if rows for r in rows)
-            assert len(row_sets) > len(trained)  # some events split by minibatch size
-        else:
-            assert len(row_sets) == len(trained) and not any(row_sets)
+            assert any(len(r) < cfg.minibatch for rows in row_sets for r in rows)
+        # each call stacks the members of a wave: fewer calls than events
+        assert len(row_sets) < len(trained)
+
+
+def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
+    """The per-event loop execute replaced: events in schedule order, each
+    event's seeds in lockstep, one psgd/pberm call per minibatch size, on a
+    per-event slice of the stream."""
+    feps = float(eps)
+    runs = [RunResult(schedule, {}, {}, [], None if nonprivate else Ledger(dict(schedule.budgets)))
+            for _ in seeds]
+    zero = ModelWeights(np.zeros((stream.k, stream.d)))
+    for e in schedule.events:
+        if e.train == "adopt":
+            continue
+        data = stream.slice(e.a, e.b)
+        mid = e.model_id
+        bias = [zero if e.reg_source is None else run.models[e.reg_source] for run in runs]
+        rows, sizes = None, [data.n] * len(seeds)
+        if e.sampled_rule is not None:
+            rule, level = e.sampled_rule
+            rows = [subsample(data, SamplingSpec(rule, level, _subseed(seed, "sample", mid)),
+                              feps)[0]
+                    for seed in seeds]
+            sizes = [len(r) for r in rows]
+        groups = {}
+        for i, n in enumerate(sizes):
+            if n == 0:
+                runs[i].skipped.append(e)
+                runs[i].models[mid] = bias[i]
+            else:
+                groups.setdefault(min(cfg.minibatch, n), []).append(i)
+        scale = 0.0 if nonprivate else e.noise_scale
+        mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
+        for members in groups.values():
+            train_seeds = [_subseed(seeds[i], "train", mid) for i in members]
+            noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
+            member_rows = None if rows is None else [rows[i] for i in members]
+            scales = [scale] * len(members)
+            if e.train == "psgd":
+                pms = psgd(data, scales, RegularizerSpec(lam), cfg,
+                           noise_seeds, train_seeds, member_rows)
+            else:
+                pms = pberm([bias[i] for i in members], data, lam, cfg, scales,
+                            noise_seeds, train_seeds, member_rows)
+            for i, pm in zip(members, pms):
+                run = runs[i]
+                run.models[mid] = pm.weights.with_meta(
+                    interval=e.interval, reg_source=e.reg_source, model_id=mid,
+                    noise_scale=scale,
+                )
+                run.perturbed[mid] = pm
+                if run.ledger is not None and e.eps > 0:
+                    run.ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
+    for run in runs:
+        skipped_ids = {e.model_id for e in run.skipped}
+        run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
+    return runs
+
+
+def _depths(schedule):
+    """Dependency wave of every trained model id: 1 + its regularizer's."""
+    depth = {}
+    for e in schedule.events:
+        if e.train != "adopt":
+            depth[e.model_id] = 1 if e.reg_source is None else depth[e.reg_source] + 1
+    return depth
+
+
+class TestWaves:
+    """execute's dependency waves against the per-event loop, bit for bit.
+
+    `stack_bytes` shrinks the cap on a stacked call, down to one event per
+    call, so that waves split into several calls.
+    """
+
+    SEEDS = (1, 2, 3, 2)
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6)).data
+
+    @pytest.fixture(params=[None, 1, 3000])
+    def stack_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(schedulers, "_STACK_BYTES", request.param)
+
+    @pytest.mark.parametrize("nonprivate", [False, True])
+    @pytest.mark.parametrize("name", [
+        "multires", "multires-sample", "continual", "continual-sample",
+        "sliding", "sliding-sample", "baseline-independent", "baseline-basic",
+    ])
+    def test_matches_per_event_loop(self, stream, name, nonprivate, stack_bytes):
+        # B=2 leaves sampled events with empty subsamples (skipped)
+        B = 2 if name.endswith("sample") else 16
+        sched = build_schedule(name, stream.n, eps=EPS, lam=1.0, L=0.2,
+                               B=B, b0=2 if B == 2 else 4, w=7, w0=1)
+        cfg = TrainConfig(iterations=6, minibatch=8)
+        runs = execute(sched, stream, 1.0, cfg, EPS, nonprivate, self.SEEDS)
+        refs = reference_execute(sched, stream, 1.0, cfg, EPS, nonprivate, self.SEEDS)
+        for run, ref in zip(runs, refs, strict=True):
+            assert list(run.models) == list(ref.models)
+            for mid, w in ref.models.items():
+                np.testing.assert_array_equal(run.models[mid].w, w.w)
+                assert run.models[mid].meta == w.meta
+            assert list(run.perturbed) == list(ref.perturbed)
+            for mid, pm in ref.perturbed.items():
+                np.testing.assert_array_equal(run.perturbed[mid].weights.w, pm.weights.w)
+                assert run.perturbed[mid].weights.meta == pm.weights.meta
+                assert run.perturbed[mid].spec == pm.spec
+                assert run.perturbed[mid].noise_l1 == pm.noise_l1
+                assert run.perturbed[mid].noise_l2 == pm.noise_l2
+            if nonprivate:
+                assert run.ledger is None and ref.ledger is None
+            else:
+                assert _charges(run.ledger) == _charges(ref.ledger)
+            assert run.skipped == ref.skipped
+            assert run.releases == ref.releases
+        if name.endswith("sample"):
+            assert any(run.skipped for run in runs)
+
+    def test_sliding_trains_in_few_stacked_calls(self, monkeypatch):
+        # a structural guard: a return to one SGD call per event fails it
+        T, d, m = 600, 4, 32
+        stream = synth_stream(SynthConfig(d=d, k=3, n=T, sigma=0.3, seed=2)).data
+        sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
+        calls = []
+        for owner in (erm, mechanisms):
+            def counted(*args, _fn=owner.sgd_train, **kw):
+                calls.append(len(args[3]) if len(args) > 3 else 1)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(owner, "sgd_train", counted)
+        execute(sched, stream, 1.0, TrainConfig(iterations=2, minibatch=m), EPS)
+        trained = [e for e in sched.events if e.train != "adopt"]
+        waves = max(_depths(sched).values())
+        sizes = {min(m, e.b - e.a + 1) for e in trained}
+        # a stack and the next event exceed the cap, so a group of g bytes
+        # needs fewer than 2g/cap + 1 stacks; no group holds more than T events
+        chunks = 2 * T * (m + stream.k) * d * 8 // schedulers._STACK_BYTES + 1
+        assert sum(calls) == len(trained)
+        assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
 
 
 class TestSkippedEvents:
