@@ -20,7 +20,6 @@ from .harness import (
     EvalConfig,
     HarnessError,
     MetricsRecord,
-    SchedulerConfig,
     StreamSource,
     SynthConfig,
     TheoryParams,
@@ -36,12 +35,10 @@ from .mechanisms import (
     MechanismError,
     NoiseSpec,
     PerturbedModel,
-    SamplingSpec,
+    laplace_scale,
     laplace_vector,
-    noise_scale,
     output_perturb,
     pberm,
-    psgd,
     sampling_probability,
     subsample,
 )
@@ -50,6 +47,7 @@ from .schedulers import (
     EventSpec,
     Schedule,
     ScheduleError,
+    SchedulerConfig,
     baseline_basic_cumulative_schedule,
     baseline_independent_schedule,
     build_schedule,

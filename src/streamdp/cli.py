@@ -22,7 +22,6 @@ from .erm import Dataset, DivergenceError, ErmError, TrainConfig, clip_l1, lipsc
 from .harness import (
     EvalConfig,
     HarnessError,
-    SchedulerConfig,
     StreamSource,
     SynthConfig,
     accuracy_quartiles,
@@ -37,6 +36,7 @@ from .mechanisms import MechanismError
 from .schedulers import (
     KIND_SUBSYSTEM,
     ScheduleError,
+    SchedulerConfig,
     build_schedule,
     export_trace,
     ledger_from_events,
@@ -75,14 +75,7 @@ _BOOL_KEYS = ("clip_l1", "nonprivate", "standalone_base", "first_base_at_2b")
 
 @dataclass(frozen=True)
 class RunConfig:
-    scheduler: str
-    epsilon: Fraction
-    lam: float
-    lipschitz: float
-    B: int | None
-    b0: int | None
-    w: int | None
-    w0: int | None
+    sched: SchedulerConfig  # L=None: the public bound for the stream
     T: int | None
     gamma: float
     iters: int
@@ -94,8 +87,6 @@ class RunConfig:
     synth: SynthConfig | None
     clip_l1: bool
     nonprivate: bool
-    standalone_base: bool
-    first_base_at_2b: bool
     output: str
     format: str
     trace: str | None
@@ -286,17 +277,18 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if not seeds:
         raise UsageError("need at least one seed")
 
-    return RunConfig(
-        scheduler=name, epsilon=eps, lam=float(merged["lam"]),
-        lipschitz=merged["lipschitz"],
+    sched = SchedulerConfig(
+        name=name, eps=eps, lam=float(merged["lam"]), L=merged["lipschitz"],
         B=merged["B"], b0=merged["b0"], w=merged["w"], w0=merged["w0"],
-        T=merged["T"], gamma=float(merged["gamma"]), iters=int(merged["iters"]),
+        standalone_base=bool(merged["standalone_base"]),
+        first_base_at_2B=bool(merged["first_base_at_2b"]),
+    )
+    return RunConfig(
+        sched=sched, T=merged["T"], gamma=float(merged["gamma"]), iters=int(merged["iters"]),
         minibatch=int(merged["minibatch"]), passes=int(merged["passes"]),
         seeds=tuple(seeds), source=merged["source"], test=merged["test"],
         synth=synth, clip_l1=bool(merged["clip_l1"]),
         nonprivate=bool(merged["nonprivate"]),
-        standalone_base=bool(merged["standalone_base"]),
-        first_base_at_2b=bool(merged["first_base_at_2b"]),
         output=merged["output"], format=merged["format"],
         trace=merged["trace"], ledger_out=merged["ledger_out"],
         inject_charge=merged["inject_charge"],
@@ -330,19 +322,6 @@ def _split_test(stream: Dataset, cfg: RunConfig):
     return stream, _load_source(cfg.test, cfg)
 
 
-def _scheduler_config(cfg: RunConfig, k: int | None = None, m: int | None = None):
-    L = cfg.lipschitz
-    if L is None:
-        if k is None:
-            raise UsageError("missing required flag --lipschitz")
-        L = lipschitz_public(k, m)
-    return SchedulerConfig(
-        name=cfg.scheduler, eps=cfg.epsilon, lam=cfg.lam, L=L,
-        B=cfg.B, b0=cfg.b0, w=cfg.w, w0=cfg.w0,
-        standalone_base=cfg.standalone_base, first_base_at_2B=cfg.first_base_at_2b,
-    )
-
-
 def _seed_path(output: str, seed: int, multi: bool) -> str:
     if not multi:
         return output
@@ -355,8 +334,9 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.clip_l1:
         stream = clip_l1(stream)
     stream, test = _split_test(stream, cfg)
-    sched = _scheduler_config(cfg, stream.k, max(1, SchedulerConfig(
-        cfg.scheduler, cfg.epsilon, cfg.lam, 1.0, cfg.B, cfg.b0, cfg.w, cfg.w0).batch))
+    sched = cfg.sched
+    if sched.L is None:
+        sched = replace(sched, L=lipschitz_public(stream.k, max(1, sched.batch)))
     train = TrainConfig(
         gamma=cfg.gamma, iterations=cfg.iters, minibatch=cfg.minibatch, passes=cfg.passes
     )
@@ -364,11 +344,7 @@ def cmd_run(cfg: RunConfig) -> int:
     # a repeated seed reruns identically, so it is replayed and exported once
     seeds = tuple(dict.fromkeys(cfg.seeds))
     ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate, train=train)
-    schedule = build_schedule(
-        cfg.scheduler, stream.n, eps=cfg.epsilon, lam=cfg.lam, L=sched.L,
-        B=cfg.B, b0=cfg.b0, w=cfg.w, w0=cfg.w0,
-        standalone_base=cfg.standalone_base, first_base_at_2B=cfg.first_base_at_2b,
-    )
+    schedule = build_schedule(sched, stream.n)
     all_records = replay(StreamSource(stream), sched, ev, schedule)
     for seed in seeds:
         records = [r for r in all_records if r.seed == seed]
@@ -405,12 +381,9 @@ def _summary_path(output: str) -> str:
 def cmd_inspect_schedule(cfg: RunConfig) -> int:
     if cfg.T is None:
         raise UsageError("inspect-schedule requires --T")
-    L = cfg.lipschitz if cfg.lipschitz is not None else 1.0
-    schedule = build_schedule(
-        cfg.scheduler, cfg.T, eps=cfg.epsilon, lam=cfg.lam, L=L,
-        B=cfg.B, b0=cfg.b0, w=cfg.w, w0=cfg.w0,
-        standalone_base=cfg.standalone_base, first_base_at_2B=cfg.first_base_at_2b,
-    )
+    # no stream to bound L from: L=1 unless --lipschitz is given
+    sched = cfg.sched if cfg.sched.L is not None else replace(cfg.sched, L=1.0)
+    schedule = build_schedule(sched, cfg.T)
     if cfg.trace:
         export_trace(schedule.events, cfg.trace)
     else:

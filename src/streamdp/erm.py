@@ -20,11 +20,17 @@ class ErmError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when training produces non-finite weights."""
+    """Raised when training produces non-finite weights.
 
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite weights at iteration {iteration}")
+    `member` is the position, in a lockstep stack, of the first seed whose
+    weights are non-finite; `where` names what that member was training.
+    """
+
+    def __init__(self, iteration: int, member: int = 0, where: str | None = None):
+        at = f" in {where}" if where else ""
+        super().__init__(f"non-finite weights at iteration {iteration}{at}")
         self.iteration = iteration
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -252,7 +258,8 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
         eta = 1.0 / (cfg.gamma * i)
         w = (w - eta * g + 2.0 * eta * lam * wg) / (1.0 + 2.0 * eta * lam)
         if not np.isfinite(w).all():
-            raise DivergenceError(i)
+            finite = np.isfinite(w).all(axis=(1, 2))
+            raise DivergenceError(i, int(np.argmin(finite)))
     models = [ModelWeights(ws, ModelMeta()) for ws in w]
     return models[0] if single else models
 

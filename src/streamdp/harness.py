@@ -22,7 +22,7 @@ import numpy as np
 from .erm import Dataset, TrainConfig, evaluate_accuracy
 from .ledger import RunningMax
 from .rng import make_rng
-from .schedulers import Schedule, build_schedule, execute
+from .schedulers import Schedule, SchedulerConfig, build_schedule, execute, ledger_from_events
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -174,28 +174,6 @@ def synth_stream(cfg: SynthConfig) -> StreamSource:
 
 
 @dataclass(frozen=True)
-class SchedulerConfig:
-    name: str
-    eps: Fraction
-    lam: float
-    L: float
-    B: int | None = None
-    b0: int | None = None
-    w: int | None = None
-    w0: int | None = None
-    standalone_base: bool = False
-    first_base_at_2B: bool = False
-
-    @property
-    def batch(self) -> int:
-        """Smallest release granularity, used for recent/old evaluation windows."""
-        for v in (self.b0, self.w0, self.B):
-            if v is not None:
-                return v
-        return 1
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     test: Dataset | None = None
     seeds: tuple = (0,)
@@ -228,27 +206,26 @@ def replay(
     `schedule` is the one built from `sched` for this stream; it is built
     here when not given. `execute` trains all seeds and the independent
     events of each dependency wave in lockstep; the records come seed by
-    seed, each seed's releases in time order. acc_recent uses the trailing `batch` points at the release step,
-    acc_test the fixed held-out set, acc_old the batch preceding the model's
-    training interval (None at the stream head). eps_max is the exact maximum
-    per-point loss over all charges up to the release step, kept by
-    `ledger.RunningMax` as integer numerators over one common denominator.
-    In non-private mode the ledger is disabled and eps_max stays 0.
+    seed, each seed's releases in time order. acc_recent uses the trailing
+    `batch` points at the release step, acc_test the fixed held-out set,
+    acc_old the batch preceding the model's training interval (None at the
+    stream head). eps_max is the exact maximum per-point loss over the
+    schedule's charges (`ledger_from_events`) up to the release step, the
+    same for every seed, kept by `ledger.RunningMax` as integer numerators
+    over one common denominator. In non-private mode nothing is charged and
+    eps_max stays 0.
     """
     stream = source.data
     records = []
     if schedule is None:
-        schedule = build_schedule(
-            sched.name, stream.n, eps=sched.eps, lam=sched.lam, L=sched.L,
-            B=sched.B, b0=sched.b0, w=sched.w, w0=sched.w0,
-            standalone_base=sched.standalone_base, first_base_at_2B=sched.first_base_at_2B,
-        )
+        schedule = build_schedule(sched, stream.n)
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
     batch = sched.batch
-    results = execute(schedule, stream, sched.lam, ev.train, sched.eps,
-                      nonprivate=ev.nonprivate, seeds=ev.seeds)
+    results = execute(schedule, stream, ev.train, nonprivate=ev.nonprivate, seeds=ev.seeds)
+    ledger = None if ev.nonprivate else ledger_from_events(schedule.events, schedule.budgets)
+    running = RunningMax(ledger.charges if ledger else ())
+    eps_max = {t: running.at(t) for t, _ in schedule.releases}
     for seed, result in zip(ev.seeds, results):
-        running = RunningMax(result.ledger.charges if result.ledger else ())
         for t, mid in result.releases:
             model = result.models[mid]
             pm = result.perturbed.get(mid)
@@ -266,14 +243,14 @@ def replay(
                 acc_test=evaluate_accuracy(model, ev.test) if ev.test is not None else None,
                 acc_old=evaluate_accuracy(model, old) if old else None,
                 noise_l2=pm.noise_l2 if pm is not None else 0.0,
-                eps_max=running.at(t),
+                eps_max=eps_max[t],
                 bound=None,
                 seed=seed,
             ))
     return records
 
 
-def final_accuracy_by_seed(records, field_name="acc_test") -> dict[int, float]:
+def _final_accuracy_by_seed(records, field_name="acc_test") -> dict[int, float]:
     """Accuracy of the last release in each seed's run."""
     out = {}
     for r in records:
@@ -284,14 +261,14 @@ def final_accuracy_by_seed(records, field_name="acc_test") -> dict[int, float]:
 
 
 def median_final_accuracy(records, field_name="acc_test") -> float:
-    vals = list(final_accuracy_by_seed(records, field_name).values())
+    vals = list(_final_accuracy_by_seed(records, field_name).values())
     if not vals:
         raise HarnessError("no evaluated releases to aggregate")
     return float(np.median(vals))
 
 
 def accuracy_quartiles(records, field_name="acc_test"):
-    vals = list(final_accuracy_by_seed(records, field_name).values())
+    vals = list(_final_accuracy_by_seed(records, field_name).values())
     if not vals:
         raise HarnessError("no evaluated releases to aggregate")
     q25, q50, q75 = np.percentile(vals, [25, 50, 75])

@@ -1,8 +1,9 @@
 """Randomized privacy layer.
 
 Laplace noise via inverse-CDF sampling from a counter-based generator, output
-perturbation of trained weights, the catalogue of noise-scale formulas used by
-the release schedules, and independent-inclusion subsampling for amplification.
+perturbation of trained weights, the Laplace scale of one release (one formula
+for every schedule, derived in `laplace_scale`), and independent-inclusion
+subsampling for amplification.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erm import (
-    Dataset,
-    ModelWeights,
-    RegularizerSpec,
-    TrainConfig,
-    biased_erm_minimize,
-    sgd_train,
-)
+from .erm import Dataset, ModelWeights, TrainConfig, biased_erm_minimize
 from .rng import make_rng
 
 
@@ -46,18 +40,6 @@ class PerturbedModel:
     spec: NoiseSpec | None
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Inclusion-probability rule: 'exp_formula' on (level, eps) or 'reciprocal' on level."""
-
-    rule: str
-    level: int
-    seed: int
-
-    def probability(self, eps: float) -> float:
-        return sampling_probability(self.rule, self.level, eps)
-
-
 def sampling_probability(rule: str, level: int, eps: float) -> float:
     """Inclusion probability that makes subsampled release level-equivalent."""
     if rule == "exp_formula":
@@ -81,42 +63,31 @@ def laplace_vector(spec: NoiseSpec) -> np.ndarray:
     return -spec.scale * np.sign(v) * np.log(mag)
 
 
-def noise_scale(kind: str, **params) -> float:
-    """Laplace scale for one release, per the schedule the caller is running.
+def laplace_scale(L, lam, n: int, charge, sampled_level: int | None = None) -> float:
+    """Laplace scale of one release: 2L / (lam * n * eps).
 
-    Kinds: multires, pberm, pberm_sampled, multires_sampled, sliding_base,
-    sliding_update, sliding_update_sampled.
+    A release perturbs the minimiser of an L-Lipschitz loss averaged over its
+    n points plus a lam-strongly-convex penalty. Replacing one of the n
+    points moves that minimiser by at most 2L/(lam*n) (Chaudhuri, Monteleoni
+    & Sarwate 2011), so Laplace noise of scale 2L/(lam*n*eps) makes the
+    release eps-DP. That bound is for the exact minimiser and in L2; the
+    calibration takes it as the L1 sensitivity of the trained weights, and
+    this function is the one place to change if that is revised.
+
+    eps is what the release itself spends. Unsampled, that is its ledger
+    charge. A sampled release at level j keeps each point with the
+    probability `sampling_probability` gives, which amplifies an eps of
+    charge * 2^j down to the charge (Balle, Barthe & Gaboardi 2018), so it
+    spends charge * 2^j: half the schedule's eps under exp_formula, a sixth
+    under reciprocal.
     """
-    L = params.get("L")
-    lam = params.get("lam")
-    eps = params.get("eps")
-    for name in ("L", "lam", "eps"):
-        v = params.get(name)
+    for name, v in (("L", L), ("lam", lam), ("charge", charge)):
         if v is None or v <= 0:
             raise MechanismError(f"parameter {name} must be positive, got {v}")
-
-    def need(name):
-        v = params.get(name)
-        floor = 0 if name == "level" else 1  # level 0 is the unsampled identity
-        if v is None or v < floor:
-            raise MechanismError(f"parameter {name} must be present and >= {floor} for kind {kind!r}")
-        return v
-
-    if kind == "multires":
-        return 4.0 * L / (lam * need("B") * eps)
-    if kind == "multires_sampled":
-        return 4.0 * L / (lam * 2 ** need("level") * need("B") * eps)
-    if kind == "pberm":
-        return 4.0 * L / (lam * need("b0") * eps)
-    if kind == "pberm_sampled":
-        return 4.0 * L / (lam * 2 ** need("level") * need("b0") * eps)
-    if kind == "sliding_base":
-        return 6.0 * L / (lam * eps * need("base_size"))
-    if kind == "sliding_update":
-        return 12.0 * L / (lam * need("w0") * eps)
-    if kind == "sliding_update_sampled":
-        return 12.0 * L / (lam * 2 ** need("level") * need("w0") * eps)
-    raise MechanismError(f"unknown noise kind {kind!r}")
+    if n < 1:
+        raise MechanismError(f"a release needs at least one point, got n={n}")
+    eps = charge if sampled_level is None else charge * 2**sampled_level
+    return 2.0 * L / (lam * n * float(eps))
 
 
 def output_perturb(w: ModelWeights, spec: NoiseSpec) -> PerturbedModel:
@@ -146,31 +117,6 @@ def _perturb_each(models, deltas, noise_seeds) -> list[PerturbedModel]:
             for w, delta, seed in zip(models, deltas, noise_seeds)]
 
 
-def psgd(
-    data: Dataset,
-    delta: float,
-    reg: RegularizerSpec,
-    cfg: TrainConfig,
-    noise_seed=None,
-    seeds=None,
-    rows=None,
-):
-    """Private SGD via output perturbation: train, then add Laplace(delta) noise.
-
-    delta=0 is the explicit non-private escape hatch used by replay harness
-    comparisons; any other non-positive value is rejected. With seeds=None
-    one model is trained with cfg.seed and perturbed with noise_seed (default
-    cfg.seed). Given a sequence of seeds, `sgd_train` trains them in lockstep
-    (seed i on the rows rows[i] of data, if rows is given) and seed i is
-    perturbed with Laplace(delta[i]) noise from noise_seed[i]; one
-    PerturbedModel per seed is returned.
-    """
-    if seeds is None:
-        noise_seed = cfg.seed if noise_seed is None else noise_seed
-        return _perturb_each([sgd_train(data, reg, cfg)], [delta], [noise_seed])[0]
-    return _perturb_each(sgd_train(data, reg, cfg, seeds, rows), delta, noise_seed)
-
-
 def pberm(
     bias,
     data: Dataset,
@@ -185,8 +131,14 @@ def pberm(
 
     Minimizes the data loss plus lam*||w - bias||^2 from bias and adds
     Laplace(scale) noise, the scale the caller's schedule calibrated;
-    scale=0 releases the model unperturbed. Seeds work as in `psgd`, with
-    one bias and one scale per seed when seeds is given.
+    scale=0 is the explicit non-private escape hatch and releases the model
+    unperturbed, and a negative scale is rejected. A zero bias model trains
+    toward 0. With seeds=None one model is trained with cfg.seed and
+    perturbed with noise_seed (default cfg.seed). Given a sequence of seeds,
+    `sgd_train` trains them in lockstep (seed i on the rows rows[i] of data,
+    if rows is given) and seed i, with bias[i], is perturbed with
+    Laplace(scale[i]) noise from noise_seed[i]; one PerturbedModel per seed
+    is returned.
     """
     if seeds is None:
         noise_seed = cfg.seed if noise_seed is None else noise_seed
@@ -196,15 +148,13 @@ def pberm(
     return _perturb_each(models, scale, noise_seed)
 
 
-def subsample(data: Dataset, spec: SamplingSpec, eps: float) -> tuple[np.ndarray, float]:
-    """Include each element independently with the rule's probability.
+def subsample(n: int, p: float, seed: int) -> np.ndarray:
+    """Keep each of n rows independently with probability p.
 
-    Returns the indices of the kept rows, in increasing order (all rows when
-    the probability is 1, none for an empty input), and the inclusion
-    probability for the ledger.
+    Returns the indices of the kept rows, in increasing order: all rows when
+    p is 1, none when n is 0.
     """
-    p = spec.probability(eps)
-    if data.n == 0 or p >= 1.0:
-        return np.arange(data.n), p
-    rng = make_rng(spec.seed, "subsample")
-    return np.flatnonzero(rng.random(data.n) < p), p
+    if n == 0 or p >= 1.0:
+        return np.arange(n)
+    rng = make_rng(seed, "subsample")
+    return np.flatnonzero(rng.random(n) < p)

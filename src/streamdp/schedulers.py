@@ -13,6 +13,7 @@ of length T therefore fires events at steps t <= T - 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -20,16 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .erm import Dataset, ModelWeights, TrainConfig, RegularizerSpec
+from .erm import Dataset, DivergenceError, ModelWeights, TrainConfig
 from .ledger import Ledger
-from .mechanisms import (
-    SamplingSpec,
-    noise_scale,
-    pberm,
-    psgd,
-    sampling_probability,
-    subsample,
-)
+from .mechanisms import laplace_scale, pberm, sampling_probability, subsample
 from .rng import make_rng
 
 KIND_SUBSYSTEM = {
@@ -50,6 +44,35 @@ class ScheduleError(ValueError):
 
 
 @dataclass(frozen=True)
+class SchedulerConfig:
+    """The parameters of a schedule: scheduler name, total eps, lambda,
+    Lipschitz constant and block sizes (each scheduler reads its own).
+
+    L=None stands for the public bound, which the caller resolves from the
+    stream before building the schedule.
+    """
+
+    name: str
+    eps: Fraction
+    lam: float
+    L: float | None
+    B: int | None = None
+    b0: int | None = None
+    w: int | None = None
+    w0: int | None = None
+    standalone_base: bool = False
+    first_base_at_2B: bool = False
+
+    @property
+    def batch(self) -> int:
+        """Smallest release granularity, used for recent/old evaluation windows."""
+        for v in (self.b0, self.w0, self.B):
+            if v is not None:
+                return v
+        return 1
+
+
+@dataclass(frozen=True)
 class EventSpec:
     """One model training/adoption with its interval, noise and exact charge."""
 
@@ -61,10 +84,10 @@ class EventSpec:
     eps: Fraction
     noise_scale: float
     model_id: int
-    reg_source: int | None = None
-    train: str = "psgd"  # psgd | pberm | adopt
+    reg_source: int | None = None  # None: trained toward the zero model
+    adopt: bool = False  # released, not trained: a continual base adopts a multires model
     side: str | None = None  # sliding: base | left | right
-    sampled_rule: tuple[str, int] | None = None
+    sampled_rule: str | None = None  # exp_formula | reciprocal, at this event's level
 
     @property
     def subsystem(self) -> str:
@@ -91,7 +114,18 @@ class Schedule:
     events: tuple
     releases: tuple  # (t, model_id) pairs in time order, each once
     budgets: dict
+    lam: float  # the lambda the events' noise is calibrated for, and trained with
     chain_states: tuple | None = None
+
+
+def _event(lam, L, t, kind, level, a, b, eps, model_id, sampled_rule=None, adopt=False,
+           **fields) -> EventSpec:
+    """An event on [a, b] charged eps, with the Laplace scale that charge
+    buys (`laplace_scale`); an adopted model is not trained and has none."""
+    scale = 0.0 if adopt else laplace_scale(
+        L, lam, b - a + 1, eps, level if sampled_rule else None)
+    return EventSpec(t=t, kind=kind, level=level, a=a, b=b, eps=eps, noise_scale=scale,
+                     model_id=model_id, sampled_rule=sampled_rule, adopt=adopt, **fields)
 
 
 def _is_pow2(x: int) -> bool:
@@ -111,31 +145,18 @@ def multires_events_at(t: int, B: int):
     return out
 
 
-def _multires_event(t, k, a, b, eps, lam, L, B, sampled, model_id):
-    if sampled:
-        scale = noise_scale("multires_sampled", L=L, lam=lam, eps=float(eps), B=B, level=k)
-        rule = ("exp_formula", k)
-    else:
-        scale = noise_scale("multires", L=L, lam=lam, eps=float(eps), B=B)
-        rule = None
-    return EventSpec(
-        t=t, kind="MultiRes", level=k, a=a, b=b,
-        eps=eps / (2 * 2**k), noise_scale=scale, model_id=model_id,
-        sampled_rule=rule, train="psgd",
-    )
-
-
 def multires_schedule(T, B, eps, lam, L, sampled=False, _ids=None) -> Schedule:
     if B < 1:
         raise ScheduleError("B must be >= 1")
     eps = Fraction(eps)
     ids = _ids if _ids is not None else itertools.count()
-    events = []
-    for t in range(B, T, B):
-        for k, (a, b) in multires_events_at(t, B):
-            events.append(_multires_event(t, k, a, b, eps, lam, L, B, sampled, next(ids)))
+    rule = "exp_formula" if sampled else None
+    events = [
+        _event(lam, L, t, "MultiRes", k, a, b, eps / (2 * 2**k), next(ids), rule)
+        for t in range(B, T, B) for k, (a, b) in multires_events_at(t, B)
+    ]
     releases = tuple((e.t, e.model_id) for e in events)
-    return Schedule("multires", tuple(events), releases, {"multires": eps})
+    return Schedule("multires", tuple(events), releases, {"multires": eps}, lam)
 
 
 def continual_schedule(
@@ -153,6 +174,7 @@ def continual_schedule(
     if b0 < 1 or B < b0 or B % b0:
         raise ScheduleError("need 1 <= b0 <= B with B a multiple of b0")
     eps = Fraction(eps)
+    event = functools.partial(_event, lam, L)
     ids = itertools.count()
     events = []
     releases = []
@@ -165,7 +187,6 @@ def continual_schedule(
             if e.a == 0 and e.t == e.b + 1:
                 multires_prefix[e.t] = e.model_id
 
-    scale_small = noise_scale("pberm", L=L, lam=lam, eps=float(eps), b0=b0)
     t_g = None
     f_g = f_c = None
     min_ratio = 2 if first_base_at_2B else 1
@@ -174,18 +195,9 @@ def continual_schedule(
         if t % B == 0 and _is_pow2(ratio) and ratio >= min_ratio:
             k = ratio.bit_length() - 1
             if standalone_base:
-                ev = EventSpec(
-                    t=t, kind="Base", level=k, a=0, b=t - 1,
-                    eps=eps / (2 * 2**k),
-                    noise_scale=noise_scale("multires", L=L, lam=lam, eps=float(eps), B=B),
-                    model_id=next(ids), train="psgd",
-                )
+                ev = event(t, "Base", k, 0, t - 1, eps / (2 * 2**k), next(ids))
             else:
-                ev = EventSpec(
-                    t=t, kind="Base", level=k, a=0, b=t - 1,
-                    eps=Fraction(0), noise_scale=0.0,
-                    model_id=multires_prefix[t], train="adopt",
-                )
+                ev = event(t, "Base", k, 0, t - 1, Fraction(0), multires_prefix[t], adopt=True)
             events.append(ev)
             releases.append((t, ev.model_id))
             t_g, f_g, f_c = t, ev.model_id, ev.model_id
@@ -193,26 +205,12 @@ def continual_schedule(
             blocks = (t - t_g) // b0
             if _is_pow2(blocks) and blocks >= 2:
                 j = blocks.bit_length() - 1
-                if sampled:
-                    scale = noise_scale(
-                        "pberm_sampled", L=L, lam=lam, eps=float(eps), b0=b0, level=j
-                    )
-                    rule = ("exp_formula", j)
-                else:
-                    scale = noise_scale("pberm", L=L, lam=lam, eps=float(eps), b0=b0)
-                    rule = None
-                ev = EventSpec(
-                    t=t, kind="LargeUpdate", level=j, a=t_g, b=t - 1,
-                    eps=eps / (2 * 2**j), noise_scale=scale, model_id=next(ids),
-                    reg_source=f_g, train="pberm", sampled_rule=rule,
-                )
+                ev = event(t, "LargeUpdate", j, t_g, t - 1, eps / (2 * 2**j), next(ids),
+                           "exp_formula" if sampled else None, reg_source=f_g)
                 f_c = ev.model_id
             else:
-                ev = EventSpec(
-                    t=t, kind="SmallUpdate", level=None, a=t - b0, b=t - 1,
-                    eps=eps / 2, noise_scale=scale_small, model_id=next(ids),
-                    reg_source=f_c, train="pberm",
-                )
+                ev = event(t, "SmallUpdate", None, t - b0, t - 1, eps / 2, next(ids),
+                           reg_source=f_c)
             events.append(ev)
             releases.append((t, ev.model_id))
     budgets = {"continual": 2 * eps if standalone_base else eps}
@@ -221,7 +219,7 @@ def continual_schedule(
     # merge the embedded multires releases into time order; an adopted base
     # is the multires model released at the same step, so it is listed once
     releases = sorted(dict.fromkeys(releases), key=lambda r: r[0])
-    return Schedule("continual", tuple(events), tuple(releases), budgets)
+    return Schedule("continual", tuple(events), tuple(releases), budgets, lam)
 
 
 def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
@@ -231,19 +229,12 @@ def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
     each release depends on exactly one batch of data.
     """
     eps = Fraction(eps)
-    scale = noise_scale("pberm", L=L, lam=lam, eps=float(eps), b0=b0)
-    events = []
     ids = itertools.count()
-    for t in range(b0, T, b0):
-        ev = EventSpec(
-            t=t, kind="BaselineIndependent", level=None, a=t - b0, b=t - 1,
-            eps=eps / 2, noise_scale=scale, model_id=next(ids),
-            reg_source=None, train="pberm",
-        )
-        events.append(ev)
+    events = [_event(lam, L, t, "BaselineIndependent", None, t - b0, t - 1, eps / 2, next(ids))
+              for t in range(b0, T, b0)]
     return Schedule(
         "baseline-independent", tuple(events),
-        tuple((e.t, e.model_id) for e in events), {"baseline": eps},
+        tuple((e.t, e.model_id) for e in events), {"baseline": eps}, lam,
     )
 
 
@@ -252,8 +243,7 @@ def baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L) -> Schedule:
     if b0 < 1 or B < b0 or B % b0:
         raise ScheduleError("need 1 <= b0 <= B with B a multiple of b0")
     eps = Fraction(eps)
-    scale_base = noise_scale("multires", L=L, lam=lam, eps=float(eps), B=B)
-    scale_small = noise_scale("pberm", L=L, lam=lam, eps=float(eps), b0=b0)
+    event = functools.partial(_event, lam, L)
     events = []
     prev = None
     t_g = None
@@ -262,25 +252,18 @@ def baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L) -> Schedule:
         ratio = t // B
         if t % B == 0 and _is_pow2(ratio):
             k = ratio.bit_length() - 1
-            ev = EventSpec(
-                t=t, kind="BaselineBasicCumulative", level=k, a=0, b=t - 1,
-                eps=eps / (2 * 2**k), noise_scale=scale_base, model_id=next(ids),
-                train="psgd",
-            )
+            ev = event(t, "BaselineBasicCumulative", k, 0, t - 1, eps / (2 * 2**k), next(ids))
             t_g = t
         elif t_g is not None and (t - t_g) % b0 == 0:
-            ev = EventSpec(
-                t=t, kind="BaselineBasicCumulative", level=None, a=t - b0, b=t - 1,
-                eps=eps / 2, noise_scale=scale_small, model_id=next(ids),
-                reg_source=prev, train="pberm",
-            )
+            ev = event(t, "BaselineBasicCumulative", None, t - b0, t - 1, eps / 2, next(ids),
+                       reg_source=prev)
         else:
             continue
         events.append(ev)
         prev = ev.model_id
     return Schedule(
         "baseline-basic", tuple(events),
-        tuple((e.t, e.model_id) for e in events), {"baseline": 2 * eps},
+        tuple((e.t, e.model_id) for e in events), {"baseline": 2 * eps}, lam,
     )
 
 
@@ -320,11 +303,9 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
     """
     k = window_shape(w, w0)
     eps = Fraction(eps)
-    feps = float(eps)
+    event = functools.partial(_event, lam, L)
     base_blocks = 2 ** (k - 1)
     cap = base_blocks - 1  # side capacity in w0-blocks
-    scale_base = noise_scale("sliding_base", L=L, lam=lam, eps=feps, base_size=base_blocks * w0)
-    scale_update = noise_scale("sliding_update", L=L, lam=lam, eps=feps, w0=w0)
 
     ids = itertools.count()
     events, releases, states = [], [], []
@@ -339,19 +320,10 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
 
     def update_event(t, kind, bucket, reg_source):
         j = bucket.blocks.bit_length() - 1
-        if sampled and j > 0:
-            scale = noise_scale(
-                "sliding_update_sampled", L=L, lam=lam, eps=feps, w0=w0, level=j
-            )
-            rule = ("reciprocal", j)
-        else:
-            scale, rule = scale_update, None
         bucket.model_id = next(ids)
-        return EventSpec(
-            t=t, kind=kind, level=j, a=bucket.a, b=bucket.b,
-            eps=eps / (6 * 2**j), noise_scale=scale, model_id=bucket.model_id,
-            reg_source=reg_source, train="pberm", side=bucket.side, sampled_rule=rule,
-        )
+        return event(t, kind, j, bucket.a, bucket.b, eps / (6 * 2**j), bucket.model_id,
+                     "reciprocal" if sampled and j > 0 else None,
+                     reg_source=reg_source, side=bucket.side)
 
     def train_cascade(t, kind, to_train):
         """Train the given buckets in descending size order, regularizing each
@@ -364,11 +336,8 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
                 continue
             if bucket is base:
                 bucket.model_id = next(ids)
-                new.append(EventSpec(
-                    t=t, kind=kind, level=k - 1, a=bucket.a, b=bucket.b,
-                    eps=eps / 3, noise_scale=scale_base, model_id=bucket.model_id,
-                    train="psgd", side="base",
-                ))
+                new.append(event(t, kind, k - 1, bucket.a, bucket.b, eps / 3, bucket.model_id,
+                                 side="base"))
             else:
                 new.append(update_event(t, kind, bucket, ordered[idx - 1].model_id))
         return new
@@ -401,10 +370,10 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
 
     first = w - 1
     if T <= first:
-        return Schedule("sliding", (), (), {"sliding": eps}, ())
+        return Schedule("sliding", (), (), {"sliding": eps}, lam, ())
     init_window(first, "WindowInit")
     for t in range(first + w0, T, w0):
-        if len_blocks(right) == cap:
+        if _len_blocks(right) == cap:
             init_window(t, "WindowRefresh")
             continue
         # binary increment on the right with the new w0 block
@@ -425,10 +394,11 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
         new = train_cascade(t, "WindowAdvance", to_train)
         events.extend(new)
         snapshot(t, new)
-    return Schedule("sliding", tuple(events), tuple(releases), {"sliding": eps}, tuple(states))
+    return Schedule("sliding", tuple(events), tuple(releases), {"sliding": eps}, lam,
+                    tuple(states))
 
 
-def len_blocks(buckets) -> int:
+def _len_blocks(buckets) -> int:
     return sum(bk.blocks for bk in buckets)
 
 
@@ -453,7 +423,6 @@ class RunResult:
     models: dict  # model id -> weights; a skipped event maps to its bias model
     perturbed: dict
     releases: list  # (t, model_id)
-    ledger: Ledger | None
     skipped: list = field(default_factory=list)  # events skipped on empty subsample
 
     def released_weights(self):
@@ -471,13 +440,11 @@ _STACK_BYTES = 160 << 10
 def execute(
     schedule: Schedule,
     stream: Dataset,
-    lam: float,
     train_cfg: TrainConfig,
-    eps: float | Fraction,
     nonprivate: bool = False,
     seeds=None,
 ):
-    """Run a schedule against a stream: train, perturb, and charge the ledger.
+    """Run a schedule against a stream: train and perturb its models.
 
     With seeds=None this runs train_cfg.seed and returns its RunResult;
     given a sequence of seeds it returns one RunResult per seed. The
@@ -485,28 +452,31 @@ def execute(
     slices, and events are trained in dependency waves: an event's wave is
     one more than its `reg_source`'s, and events without one are wave 1, so
     the events of a wave are independent of each other. Each wave's (event,
-    seed) members are grouped by train kind and minibatch size
-    min(minibatch, n), and each group is trained in lockstep, one
-    `psgd`/`pberm` call per stack of at most `_STACK_BYTES` of minibatch and
-    weights (never splitting one event's seeds). Members read the whole
-    stream: an interval as a range, a subsample as its kept row indices. A seed's
-    subsample, SGD and noise streams derive from that seed and the model id
-    alone, so its result equals a run of that seed by itself, event by event.
-    Models, perturbations, skipped events, charges and releases are recorded
-    in schedule order.
+    seed) members are grouped by minibatch size min(minibatch, n), and each
+    group is trained in lockstep by `pberm` with the schedule's lambda
+    toward each member's regularizer (the zero model without one), one call
+    per stack of at most `_STACK_BYTES` of minibatch and weights (never
+    splitting one event's seeds). Members read the whole stream: an interval
+    as a range, a subsample as its kept row indices. A seed's subsample, SGD
+    and noise streams derive from that seed and the model id alone, so its
+    result equals a run of that seed by itself, event by event. Models,
+    perturbations, skipped events and releases are recorded in schedule
+    order. Nothing is charged here: the run's charges are the schedule's
+    (`ledger_from_events`).
 
-    A sampled event whose subsample is empty is skipped for that seed: it is
-    neither trained, charged nor released, and later events regularized on
-    it use its bias model (the zero model for psgd), which minimises the
-    empty-data objective lam*||w - bias||^2, so that is post-processing.
+    A sampled event keeps each point with its `event_probability`. One whose
+    subsample is empty is skipped for that seed: it is neither trained nor
+    released, and later events regularized on it use its bias model, which
+    minimises the empty-data objective lam*||w - bias||^2, so that is
+    post-processing. Its charge still stands, since the amplified charge
+    covers subsample-then-release whatever the subsample.
 
-    nonprivate=True forces all noise scales to zero and disables the ledger
-    (each result carries ledger=None as the flag).
+    nonprivate=True forces all noise scales to zero. A DivergenceError names
+    the first diverged member's event and seed.
     """
     single = seeds is None
     seeds = (train_cfg.seed,) if single else tuple(seeds)
-    feps = float(eps)
-    trained = [e for e in schedule.events if e.train != "adopt"]  # adopt: release only
+    trained = [e for e in schedule.events if not e.adopt]
     for e in trained:
         if e.b >= stream.n:
             raise ScheduleError(f"event at t={e.t} needs point {e.b} beyond stream end")
@@ -518,34 +488,33 @@ def execute(
         return zero if e.reg_source is None else models[i][e.reg_source]
 
     for wave in _waves(trained):
-        groups = {}  # (train kind, minibatch size) -> [(event, seed position, rows)]
+        groups = {}  # minibatch size -> [(event, seed position, rows)]
         for e in wave:
             if e.sampled_rule is None:
                 event_rows = [range(e.a, e.b + 1)] * len(seeds)
             else:
-                rule, level = e.sampled_rule
-                data = stream.slice(e.a, e.b)
-                specs = [SamplingSpec(rule, level, _subseed(seed, "sample", e.model_id))
-                         for seed in seeds]
-                event_rows = [subsample(data, spec, feps)[0] + e.a for spec in specs]
+                p = event_probability(e)
+                event_rows = [subsample(e.b - e.a + 1, p, _subseed(seed, "sample", e.model_id))
+                              + e.a for seed in seeds]
             for i, rows in enumerate(event_rows):
                 if len(rows) == 0:
                     models[i][e.model_id] = bias(i, e)  # skipped
                 else:
-                    key = (e.train, min(train_cfg.minibatch, len(rows)))
-                    groups.setdefault(key, []).append((e, i, rows))
-        for (kind, m), members in groups.items():
+                    groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append((e, i, rows))
+        for m, members in groups.items():
             for stack in _stacks(members, (m + stream.k) * stream.d * 8):
                 train_seeds = [_subseed(seeds[i], "train", e.model_id) for e, i, _ in stack]
                 noise_seeds = [_subseed(seeds[i], "noise", e.model_id) for e, i, _ in stack]
                 scales = [0.0 if nonprivate else e.noise_scale for e, _, _ in stack]
-                stack_rows = [r for _, _, r in stack]
-                if kind == "psgd":
-                    pms = psgd(stream, scales, RegularizerSpec(lam), train_cfg,
-                               noise_seeds, train_seeds, stack_rows)
-                else:
-                    pms = pberm([bias(i, e) for e, i, _ in stack], stream, lam, train_cfg,
-                                scales, noise_seeds, train_seeds, stack_rows)
+                try:
+                    pms = pberm([bias(i, e) for e, i, _ in stack], stream, schedule.lam,
+                                train_cfg, scales, noise_seeds, train_seeds,
+                                [r for _, _, r in stack])
+                except DivergenceError as exc:
+                    e, i, _ = stack[exc.member]
+                    raise DivergenceError(
+                        exc.iteration, exc.member,
+                        f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}") from None
                 for (e, i, _), pm, scale in zip(stack, pms, scales):
                     models[i][e.model_id] = pm.weights.with_meta(
                         interval=e.interval, reg_source=e.reg_source, model_id=e.model_id,
@@ -555,18 +524,14 @@ def execute(
 
     runs = []
     for i in range(len(seeds)):
-        ledger = None if nonprivate else Ledger(dict(schedule.budgets))
-        run = RunResult(schedule, {}, {}, [], ledger)
+        run = RunResult(schedule, {}, {}, [])
         for e in trained:
             run.models[e.model_id] = models[i][e.model_id]
             pm = perturbed[i].get(e.model_id)
             if pm is None:
                 run.skipped.append(e)
-                continue
-            run.perturbed[e.model_id] = pm
-            if ledger is not None and e.eps > 0:
-                mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
-                ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
+            else:
+                run.perturbed[e.model_id] = pm
         skipped_ids = {e.model_id for e in run.skipped}
         run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
         runs.append(run)
@@ -608,23 +573,23 @@ def _subseed(seed: int, label: str, model_id: int) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def build_schedule(name: str, T: int, *, eps, lam, L, B=None, b0=None, w=None, w0=None,
-                   standalone_base=False, first_base_at_2B=False) -> Schedule:
-    """Construct a schedule by CLI name."""
-    if name in ("multires", "multires-sample"):
-        return multires_schedule(T, B, eps, lam, L, sampled=name.endswith("sample"))
-    if name in ("continual", "continual-sample"):
+def build_schedule(cfg: SchedulerConfig, T: int) -> Schedule:
+    """Construct the schedule cfg names for a stream of length T."""
+    sampled = cfg.name.endswith("-sample")
+    if cfg.name in ("multires", "multires-sample"):
+        return multires_schedule(T, cfg.B, cfg.eps, cfg.lam, cfg.L, sampled)
+    if cfg.name in ("continual", "continual-sample"):
         return continual_schedule(
-            T, B, b0, eps, lam, L, sampled=name.endswith("sample"),
-            standalone_base=standalone_base, first_base_at_2B=first_base_at_2B,
+            T, cfg.B, cfg.b0, cfg.eps, cfg.lam, cfg.L, sampled,
+            standalone_base=cfg.standalone_base, first_base_at_2B=cfg.first_base_at_2B,
         )
-    if name in ("sliding", "sliding-sample"):
-        return sliding_schedule(T, w, w0, eps, lam, L, sampled=name.endswith("sample"))
-    if name == "baseline-independent":
-        return baseline_independent_schedule(T, b0, eps, lam, L)
-    if name == "baseline-basic":
-        return baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L)
-    raise ScheduleError(f"unknown scheduler {name!r}")
+    if cfg.name in ("sliding", "sliding-sample"):
+        return sliding_schedule(T, cfg.w, cfg.w0, cfg.eps, cfg.lam, cfg.L, sampled)
+    if cfg.name == "baseline-independent":
+        return baseline_independent_schedule(T, cfg.b0, cfg.eps, cfg.lam, cfg.L)
+    if cfg.name == "baseline-basic":
+        return baseline_basic_cumulative_schedule(T, cfg.B, cfg.b0, cfg.eps, cfg.lam, cfg.L)
+    raise ScheduleError(f"unknown scheduler {cfg.name!r}")
 
 
 def export_trace(events, path):
@@ -634,13 +599,12 @@ def export_trace(events, path):
 
 
 def event_probability(e: EventSpec) -> float | None:
-    """Resolved inclusion probability for a sampled event, else None."""
+    """Inclusion probability of a sampled event's points, else None."""
     if e.sampled_rule is None:
         return None
-    rule, level = e.sampled_rule
-    # the charge is always eps_total / (2 * 2^level) for exp_formula events
-    total = float(e.eps * 2 * 2**level) if rule == "exp_formula" else 1.0
-    return sampling_probability(rule, level, total)
+    # an exp_formula event is charged the schedule's eps / (2 * 2^level);
+    # reciprocal does not read eps
+    return sampling_probability(e.sampled_rule, e.level, float(e.eps * 2 * 2**e.level))
 
 
 def trace_record(e: EventSpec) -> dict:

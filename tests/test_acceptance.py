@@ -19,11 +19,11 @@ from streamdp import (
     EvalConfig,
     Ledger,
     NoiseSpec,
-    SamplingSpec,
     SchedulerConfig,
     StreamSource,
     SynthConfig,
     laplace_vector,
+    sampling_probability,
     subsample,
     synth_stream,
 )
@@ -308,17 +308,16 @@ def test_criterion_9_sampling_variants():
     rng = np.random.default_rng(5)
     # level 0 is the exact identity
     data = random_dataset(rng, 64, 3, 2)
-    rows, p = subsample(data, SamplingSpec("exp_formula", 0, seed=1), eps=0.1)
+    p = sampling_probability("exp_formula", 0, 0.1)
+    rows = subsample(data.n, p, seed=1)
     identity_ok = p == 1.0 and np.array_equal(data.take(rows).X, data.X)
 
     # expected sampled size from 8B inputs at level 3 is close to B
     B = 256
     eps = 0.1
     big = random_dataset(rng, 8 * B, 2, 2)
-    sizes = [
-        len(subsample(big, SamplingSpec("exp_formula", 3, seed=s), eps)[0])
-        for s in range(200)
-    ]
+    p3 = sampling_probability("exp_formula", 3, eps)
+    sizes = [len(subsample(big.n, p3, seed=s)) for s in range(200)]
     mean_ok = abs(np.mean(sizes) - B) / B <= 0.05
 
     # sampled schedulers carry the same exact charges as the plain ones

@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from streamdp.cli import (
     EXIT_USAGE,
     main,
 )
+from streamdp.harness import CSV_HEADER
 
 
 def run_cli(capsys, *argv):
@@ -185,8 +188,10 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_divergence_inside_a_wave_exits_3(self, capsys, tmp_path):
-        # sliding trains each dependency wave of events as stacked calls
-        self.write_csv(tmp_path / "d.csv", [[1e200 * (i % 5 - 2), 1e200] for i in range(30)])
+        # sliding trains each dependency wave of events as stacked calls; the
+        # window bases are wave 1, and only the rows from 15 on blow up
+        scale = [1e200 if i >= 15 else 1.0 for i in range(30)]
+        self.write_csv(tmp_path / "d.csv", [[s * (i % 5 - 2), s] for i, s in enumerate(scale)])
         code, out, err = run_cli(
             capsys, "run", "--scheduler", "sliding", "--w", "7", "--w0", "1",
             "--epsilon", "1", "--lambda", "1", "--iters", "20", "--minibatch", "4",
@@ -194,6 +199,8 @@ class TestRun:
             "--output", str(tmp_path / "m.csv"),
         )
         assert code == EXIT_DATA and "training diverged" in err and "Traceback" not in err
+        # the error names the first diverged member of the stack
+        assert "event at t=18 on [15, 18], seed 1" in err
 
     def test_sampled_schedule_with_skipped_regularizer_runs(self, capsys, tmp_path):
         # a sliding-sample update skipped on an empty subsample is later the
@@ -205,6 +212,21 @@ class TestRun:
             "--output", str(tmp_path / "x.csv"),
         )
         assert code == EXIT_OK, err
+
+    def test_sampled_run_eps_max_matches_verified_trace(self, capsys, tmp_path):
+        # events skipped on an empty subsample are charged like the others
+        out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
+        code, _, err = run_cli(
+            capsys, "run", "--scheduler", "continual-sample", "--B", "4", "--b0", "1",
+            "--epsilon", "1", "--lambda", "1", "--synth-n", "96", "--synth-d", "4",
+            "--iters", "3", "--minibatch", "8", "--output", str(out), "--trace", str(trace),
+        )
+        assert code == EXIT_OK, err
+        last = dict(zip(CSV_HEADER.split(","), out.read_text().splitlines()[-1].split(",")))
+        eps_max = Fraction(int(last["eps_max_num"]), int(last["eps_max_den"]))
+        code, verified, _ = run_cli(capsys, "verify-ledger", str(trace), "--epsilon", "1")
+        assert code == EXIT_OK
+        assert eps_max == Fraction(re.search(r"max point loss: (\S+)", verified).group(1))
 
 
 class TestVerifyLedger:

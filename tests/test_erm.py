@@ -245,6 +245,7 @@ class TestLockstepKernel:
         with pytest.raises(DivergenceError) as stacked:
             sgd_train(mixed, RegularizerSpec(0.5), cfg, (4, 4), rows)
         assert stacked.value.iteration == ref.value.iteration
+        assert stacked.value.member == 1  # the first non-finite member
 
 
 class TestLipschitz:

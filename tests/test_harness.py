@@ -28,7 +28,7 @@ from streamdp import (
 from streamdp.cli import SCHEDULERS
 from streamdp.harness import CSV_HEADER, import_metrics_jsonl
 from streamdp.ledger import Ledger
-from streamdp.schedulers import build_schedule, execute
+from streamdp.schedulers import build_schedule, execute, ledger_from_events
 from conftest import idx_images_bytes, idx_labels_bytes
 
 
@@ -255,15 +255,10 @@ class TestReplay:
         assert median_final_accuracy(ra) == median_final_accuracy(rb)
 
     def test_reevaluating_stored_model_reproduces_metrics(self):
-        from streamdp.schedulers import build_schedule, execute
-
         ev = EvalConfig(test=self.test, seeds=(0,), train=self.train)
         recs = replay(self.stream, self.sched, ev)
-        schedule = build_schedule(
-            "continual", self.stream.data.n, eps=Fraction(1), lam=1.0, L=0.2,
-            B=32, b0=8,
-        )
-        result = execute(schedule, self.stream.data, 1.0, self.train, Fraction(1))
+        schedule = build_schedule(self.sched, self.stream.data.n)
+        result = execute(schedule, self.stream.data, self.train)
         by_t = {r.t: r for r in recs}
         for t, mid in result.releases:
             assert by_t[t].acc_test == evaluate_accuracy(result.models[mid], self.test)
@@ -294,13 +289,11 @@ class TestReplayEpsMaxDifferential:
         sched = self.sched(name)
         ev = EvalConfig(seeds=self.SEEDS, train=self.train)
         recs = replay(StreamSource(self.stream), sched, ev)
-        schedule = build_schedule(
-            name, self.stream.n, eps=sched.eps, lam=sched.lam, L=sched.L,
-            B=sched.B, b0=sched.b0, w=sched.w, w0=sched.w0,
-        )
+        schedule = build_schedule(sched, self.stream.n)
+        # a sampled release's charge stands when its subsample is empty
+        charged = ledger_from_events(schedule.events, schedule.budgets)
         for seed in self.SEEDS:
-            result = execute(schedule, self.stream, sched.lam,
-                             replace(self.train, seed=seed), sched.eps)
+            result = execute(schedule, self.stream, replace(self.train, seed=seed))
             if name == "multires-sample":
                 assert result.skipped
             seed_recs = [r for r in recs if r.seed == seed]
@@ -310,7 +303,7 @@ class TestReplayEpsMaxDifferential:
             assert [r.t for r in seed_recs] == sorted(r.t for r in seed_recs)
             assert len(set(result.releases)) == len(result.releases)
             for r in seed_recs:
-                assert r.eps_max == self.brute_force(result.ledger, r.t)
+                assert r.eps_max == self.brute_force(charged, r.t)
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_nonprivate_eps_max_is_zero(self, name):

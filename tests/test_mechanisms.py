@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,11 @@ from streamdp import (
     ModelWeights,
     NoiseSpec,
     RegularizerSpec,
-    SamplingSpec,
     TrainConfig,
+    laplace_scale,
     laplace_vector,
-    noise_scale,
     output_perturb,
     pberm,
-    psgd,
     sampling_probability,
     subsample,
 )
@@ -53,36 +52,38 @@ class TestLaplace:
 
 class TestNoiseScale:
     def test_catalogue_formulas(self):
-        L, lam, eps = 0.5, 2.0, 0.25
-        assert noise_scale("multires", L=L, lam=lam, eps=eps, B=8) == pytest.approx(
-            4 * L / (lam * 8 * eps)
-        )
-        assert noise_scale("pberm", L=L, lam=lam, eps=eps, b0=4) == pytest.approx(
-            4 * L / (lam * 4 * eps)
-        )
-        assert noise_scale(
-            "multires_sampled", L=L, lam=lam, eps=eps, B=8, level=3
-        ) == pytest.approx(4 * L / (lam * 8 * 8 * eps))
-        assert noise_scale(
-            "pberm_sampled", L=L, lam=lam, eps=eps, b0=4, level=2
-        ) == pytest.approx(4 * L / (lam * 4 * 4 * eps))
-        assert noise_scale(
-            "sliding_base", L=L, lam=lam, eps=eps, base_size=16
-        ) == pytest.approx(6 * L / (lam * eps * 16))
-        assert noise_scale("sliding_update", L=L, lam=lam, eps=eps, w0=2) == pytest.approx(
-            12 * L / (lam * 2 * eps)
-        )
-        assert noise_scale(
-            "sliding_update_sampled", L=L, lam=lam, eps=eps, w0=2, level=2
-        ) == pytest.approx(12 * L / (lam * 4 * 2 * eps))
+        # each former catalogue entry, as an event's interval size n, charge
+        # and sampled level
+        L, lam, eps = 0.5, 2.0, Fraction(1, 4)
+        # multires level 3 (B=8): n = 8B, charge eps/16
+        assert laplace_scale(L, lam, 64, eps / 16) == pytest.approx(4 * L / (lam * 8 * eps))
+        # pberm small update (b0=4): charge eps/2
+        assert laplace_scale(L, lam, 4, eps / 2) == pytest.approx(4 * L / (lam * 4 * eps))
+        # multires_sampled level 3 (B=8)
+        assert laplace_scale(L, lam, 64, eps / 16, 3) == pytest.approx(
+            4 * L / (lam * 8 * 8 * eps))
+        # pberm_sampled level 2 (b0=4)
+        assert laplace_scale(L, lam, 16, eps / 8, 2) == pytest.approx(
+            4 * L / (lam * 4 * 4 * eps))
+        # sliding_base (base size 16): charge eps/3
+        assert laplace_scale(L, lam, 16, eps / 3) == pytest.approx(6 * L / (lam * eps * 16))
+        # sliding_update level 1 (w0=2): n = 2 w0, charge eps/12
+        assert laplace_scale(L, lam, 4, eps / 12) == pytest.approx(12 * L / (lam * 2 * eps))
+        # sliding_update_sampled level 2 (w0=2)
+        assert laplace_scale(L, lam, 8, eps / 24, 2) == pytest.approx(
+            12 * L / (lam * 4 * 2 * eps))
 
     def test_missing_or_invalid_params(self):
         with pytest.raises(MechanismError):
-            noise_scale("multires", L=1.0, lam=1.0, eps=1.0)  # no B
+            laplace_scale(1.0, 1.0, 0, Fraction(1, 2))  # no points
         with pytest.raises(MechanismError):
-            noise_scale("multires", L=1.0, lam=-1.0, eps=1.0, B=8)
+            laplace_scale(1.0, -1.0, 8, Fraction(1, 2))
         with pytest.raises(MechanismError):
-            noise_scale("nope", L=1.0, lam=1.0, eps=1.0)
+            laplace_scale(None, 1.0, 8, Fraction(1, 2))
+        with pytest.raises(MechanismError):
+            laplace_scale(0.0, 1.0, 8, Fraction(1, 2))
+        with pytest.raises(MechanismError):
+            laplace_scale(1.0, 1.0, 8, Fraction(0))
 
 
 class TestSampling:
@@ -105,8 +106,8 @@ class TestSampling:
 
     def test_subsample_preserves_order(self, rng):
         data = random_dataset(rng, 200, 2, 2)
-        rows, p = subsample(data, SamplingSpec("reciprocal", 1, seed=11), eps=1.0)
-        out = data.take(rows)
+        p = sampling_probability("reciprocal", 1, 1.0)
+        out = data.take(subsample(data.n, p, seed=11))
         assert p == 0.5
         # sampled rows appear in original relative order
         pos = [np.flatnonzero((data.X == row).all(axis=1))[0] for row in out.X]
@@ -116,12 +117,14 @@ class TestSampling:
         from streamdp import Dataset
 
         data = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
-        rows, p = subsample(data, SamplingSpec("reciprocal", 2, seed=0), eps=1.0)
+        p = sampling_probability("reciprocal", 2, 1.0)
+        rows = subsample(data.n, p, seed=0)
         assert len(rows) == 0 and p == 0.25
 
     def test_identity_at_p_one_returns_same_rows(self, rng):
         data = random_dataset(rng, 50, 2, 2)
-        rows, p = subsample(data, SamplingSpec("exp_formula", 0, seed=3), eps=0.1)
+        p = sampling_probability("exp_formula", 0, 0.1)
+        rows = subsample(data.n, p, seed=3)
         assert p == pytest.approx(1.0)
         np.testing.assert_array_equal(data.take(rows).X, data.X)
 
@@ -144,11 +147,16 @@ class TestOutputPerturb:
             output_perturb(ModelWeights(np.zeros((2, 2))), NoiseSpec(1.0, (2, 3), 0))
 
 
+def zero_model(data):
+    return ModelWeights(np.zeros((data.k, data.d)))
+
+
 class TestPsgdPberm:
+    # private SGD (psgd) is pberm on the zero model: regularized toward 0
     def test_psgd_zero_delta_is_nonprivate_escape(self, rng):
         data = random_dataset(rng, 60, 3, 2)
         cfg = TrainConfig(iterations=40, seed=5)
-        pm = psgd(data, 0.0, RegularizerSpec(0.5), cfg)
+        pm = pberm(zero_model(data), data, 0.5, cfg, 0.0)
         from streamdp import sgd_train
 
         np.testing.assert_array_equal(pm.weights.w, sgd_train(data, RegularizerSpec(0.5), cfg).w)
@@ -157,13 +165,13 @@ class TestPsgdPberm:
     def test_psgd_negative_delta_rejected(self, rng):
         data = random_dataset(rng, 20, 2, 2)
         with pytest.raises(MechanismError):
-            psgd(data, -1.0, RegularizerSpec(0.5), TrainConfig(iterations=5))
+            pberm(zero_model(data), data, 0.5, TrainConfig(iterations=5), -1.0)
 
     def test_psgd_noise_actually_added(self, rng):
         data = random_dataset(rng, 60, 3, 2)
         cfg = TrainConfig(iterations=40, seed=5)
-        clean = psgd(data, 0.0, RegularizerSpec(0.5), cfg)
-        noisy = psgd(data, 0.3, RegularizerSpec(0.5), cfg, noise_seed=77)
+        clean = pberm(zero_model(data), data, 0.5, cfg, 0.0)
+        noisy = pberm(zero_model(data), data, 0.5, cfg, 0.3, noise_seed=77)
         assert noisy.noise_l2 > 0
         np.testing.assert_allclose(
             noisy.weights.w - clean.weights.w,

@@ -1,3 +1,5 @@
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +7,10 @@ import pytest
 
 from streamdp import (
     Dataset,
+    EvalConfig,
     ScheduleError,
+    SchedulerConfig,
+    StreamSource,
     SynthConfig,
     baseline_basic_cumulative_schedule,
     baseline_independent_schedule,
@@ -15,15 +20,16 @@ from streamdp import (
     ledger_from_events,
     multires_events_at,
     multires_schedule,
+    replay,
     sliding_schedule,
     synth_stream,
     window_shape,
 )
-from streamdp import erm, mechanisms, schedulers
-from streamdp.erm import ModelWeights, RegularizerSpec, TrainConfig
-from streamdp.ledger import Ledger
-from streamdp.mechanisms import SamplingSpec, pberm, psgd, subsample
-from streamdp.schedulers import RunResult, _subseed
+from streamdp import erm, schedulers
+from streamdp.cli import SCHEDULERS
+from streamdp.erm import ModelWeights, TrainConfig, lipschitz_public
+from streamdp.mechanisms import pberm, sampling_probability, subsample
+from streamdp.schedulers import RunResult, _subseed, event_probability
 
 EPS = Fraction(1)
 
@@ -171,14 +177,14 @@ class TestContinualSchedule:
             if e.kind == "MultiRes" and e.a == 0
         }
         for b in bases:
-            assert b.train == "adopt" and b.eps == 0
+            assert b.adopt and b.eps == 0
             assert b.model_id == prefixes[b.t]
 
     def test_standalone_bases_are_trained_and_charged(self):
         sched = continual_schedule(33, 8, 2, EPS, 1.0, 1.0, standalone_base=True)
         assert not any(e.kind == "MultiRes" for e in sched.events)
         bases = [e for e in sched.events if e.kind == "Base"]
-        assert all(b.train == "psgd" for b in bases)
+        assert all(not b.adopt and b.reg_source is None for b in bases)
         assert [b.eps for b in bases] == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
 
     def test_invalid_block_sizes(self):
@@ -283,7 +289,7 @@ class TestSampledVariants:
         by_level = {}
         for e in sched.events:
             by_level[e.level] = e.noise_scale
-            assert e.sampled_rule == ("exp_formula", e.level)
+            assert e.sampled_rule == "exp_formula"
         levels = sorted(by_level)
         assert all(by_level[a] > by_level[b] for a, b in zip(levels, levels[1:]))
 
@@ -298,7 +304,7 @@ class TestSampledVariants:
         sched = sliding_schedule(60, 7, 1, EPS, 1.0, 1.0, sampled=True)
         for e in sched.events:
             if e.side != "base" and e.level and e.level > 0:
-                assert e.sampled_rule == ("reciprocal", e.level)
+                assert e.sampled_rule == "reciprocal"
 
 
 class TestExecute:
@@ -311,47 +317,52 @@ class TestExecute:
 
     def test_deterministic(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        r1 = execute(sched, stream, 1.0, self.cfg(), EPS)
-        r2 = execute(sched, stream, 1.0, self.cfg(), EPS)
+        r1 = execute(sched, stream, self.cfg())
+        r2 = execute(sched, stream, self.cfg())
         for mid in r1.models:
             np.testing.assert_array_equal(r1.models[mid].w, r2.models[mid].w)
 
     def test_distinct_models_get_distinct_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        r = execute(sched, stream, 1.0, self.cfg(), EPS)
+        r = execute(sched, stream, self.cfg())
         norms = [r.perturbed[m].noise_l2 for m in r.perturbed]
         assert len(set(norms)) == len(norms)
 
     def test_ledger_matches_dry_run(self, stream):
+        # execute charges nothing; a run's eps_max comes from the dry run's charges
         sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
-        r = execute(sched, stream, 1.0, self.cfg(), EPS)
+        assert not hasattr(execute(sched, stream, self.cfg()), "ledger")
+        recs = replay(StreamSource(stream), SchedulerConfig("continual", EPS, 1.0, 0.2, B=8, b0=2),
+                      EvalConfig(seeds=(0,), train=self.cfg()), sched)
         dry = ledger_from_events(sched.events, sched.budgets)
-        assert r.ledger.max_point_loss() == dry.max_point_loss()
-        assert len(r.ledger.charges) == len(dry.charges)
+        assert recs[-1].eps_max == dry.max_point_loss()[1]
 
     def test_nonprivate_disables_ledger_and_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        r = execute(sched, stream, 1.0, self.cfg(), EPS, nonprivate=True)
-        assert r.ledger is None
+        r = execute(sched, stream, self.cfg(), nonprivate=True)
         assert all(pm.noise_l2 == 0.0 for pm in r.perturbed.values())
+
+    def test_trains_with_the_schedules_lambda(self, stream):
+        sched = multires_schedule(stream.n, 8, EPS, 7.0, 0.2)
+        run = execute(sched, stream, self.cfg())
+        for lam, same in ((7.0, True), (1.0, False)):
+            ref = reference_execute(sched, stream, lam, self.cfg(), EPS, False, (0,))[0]
+            assert all(np.array_equal(run.models[mid].w, w.w)
+                       for mid, w in ref.models.items()) == same
 
     def test_event_beyond_stream_rejected(self, stream):
         sched = multires_schedule(stream.n + 10, 8, EPS, 1.0, 0.2)
         with pytest.raises(ScheduleError):
-            execute(sched, stream, 1.0, self.cfg(), EPS)
+            execute(sched, stream, self.cfg())
 
     def test_adopted_base_is_released_not_retrained(self, stream):
         sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
-        r = execute(sched, stream, 1.0, self.cfg(), EPS)
+        r = execute(sched, stream, self.cfg())
         bases = [e for e in sched.events if e.kind == "Base"]
         released_ids = {mid for _, mid in r.releases}
         for b in bases:
             assert b.model_id in released_ids
             assert b.model_id in r.models  # produced by the multires event
-
-
-def _charges(ledger):
-    return [(c.a, c.b, c.eps, c.subsystem, c.time, c.mechanism) for c in ledger.charges]
 
 
 class TestLockstepExecute:
@@ -371,21 +382,20 @@ class TestLockstepExecute:
         # B=2 leaves sampled events with empty subsamples (skipped) and with
         # subsamples smaller than the minibatch (separate kernel calls)
         B = 2 if name.endswith("sample") else 16
-        sched = build_schedule(name, stream.n, eps=EPS, lam=1.0, L=0.2,
-                               B=B, b0=2 if B == 2 else 4, w=7, w0=1)
+        sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
+                                               w=7, w0=1), stream.n)
         cfg = TrainConfig(iterations=6, minibatch=8)
-        row_sets = []  # the per-seed rows of every lockstep psgd/pberm call
-        for fn in ("psgd", "pberm"):
-            def spy(*args, _fn=getattr(schedulers, fn)):
-                row_sets.append(args[-1])
-                return _fn(*args)
-            monkeypatch.setattr(schedulers, fn, spy)
-        runs = execute(sched, stream, 1.0, cfg, EPS, seeds=self.SEEDS)
+        row_sets = []  # the per-seed rows of every lockstep pberm call
+
+        def spy(*args, _fn=schedulers.pberm):
+            row_sets.append(args[-1])
+            return _fn(*args)
+        monkeypatch.setattr(schedulers, "pberm", spy)
+        runs = execute(sched, stream, cfg, seeds=self.SEEDS)
         monkeypatch.undo()
         assert len(runs) == len(self.SEEDS)
         for seed, run in zip(self.SEEDS, runs):
-            alone = execute(sched, stream, 1.0, TrainConfig(iterations=6, minibatch=8, seed=seed),
-                            EPS)
+            alone = execute(sched, stream, TrainConfig(iterations=6, minibatch=8, seed=seed))
             assert run.models.keys() == alone.models.keys()
             for mid, w in alone.models.items():
                 np.testing.assert_array_equal(run.models[mid].w, w.w)
@@ -395,11 +405,10 @@ class TestLockstepExecute:
                 np.testing.assert_array_equal(run.perturbed[mid].weights.w, pm.weights.w)
                 assert run.perturbed[mid].spec == pm.spec
                 assert run.perturbed[mid].noise_l2 == pm.noise_l2
-            assert _charges(run.ledger) == _charges(alone.ledger)
             assert run.skipped == alone.skipped
             assert run.releases == alone.releases
         trained = [e for e in sched.events
-                   if e.train != "adopt" and any(e not in run.skipped for run in runs)]
+                   if not e.adopt and any(e not in run.skipped for run in runs)]
         if name.endswith("sample"):
             assert any(run.skipped for run in runs)
             assert any(len(r) < cfg.minibatch for rows in row_sets for r in rows)
@@ -409,24 +418,22 @@ class TestLockstepExecute:
 
 def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
     """The per-event loop execute replaced: events in schedule order, each
-    event's seeds in lockstep, one psgd/pberm call per minibatch size, on a
-    per-event slice of the stream."""
+    event's seeds in lockstep, one pberm call per minibatch size, on a
+    per-event slice of the stream, with inclusion probabilities from the
+    schedule's total eps."""
     feps = float(eps)
-    runs = [RunResult(schedule, {}, {}, [], None if nonprivate else Ledger(dict(schedule.budgets)))
-            for _ in seeds]
+    runs = [RunResult(schedule, {}, {}, []) for _ in seeds]
     zero = ModelWeights(np.zeros((stream.k, stream.d)))
     for e in schedule.events:
-        if e.train == "adopt":
+        if e.adopt:
             continue
         data = stream.slice(e.a, e.b)
         mid = e.model_id
         bias = [zero if e.reg_source is None else run.models[e.reg_source] for run in runs]
         rows, sizes = None, [data.n] * len(seeds)
         if e.sampled_rule is not None:
-            rule, level = e.sampled_rule
-            rows = [subsample(data, SamplingSpec(rule, level, _subseed(seed, "sample", mid)),
-                              feps)[0]
-                    for seed in seeds]
+            p = sampling_probability(e.sampled_rule, e.level, feps)
+            rows = [subsample(data.n, p, _subseed(seed, "sample", mid)) for seed in seeds]
             sizes = [len(r) for r in rows]
         groups = {}
         for i, n in enumerate(sizes):
@@ -436,18 +443,13 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
             else:
                 groups.setdefault(min(cfg.minibatch, n), []).append(i)
         scale = 0.0 if nonprivate else e.noise_scale
-        mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
         for members in groups.values():
             train_seeds = [_subseed(seeds[i], "train", mid) for i in members]
             noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
             member_rows = None if rows is None else [rows[i] for i in members]
             scales = [scale] * len(members)
-            if e.train == "psgd":
-                pms = psgd(data, scales, RegularizerSpec(lam), cfg,
-                           noise_seeds, train_seeds, member_rows)
-            else:
-                pms = pberm([bias[i] for i in members], data, lam, cfg, scales,
-                            noise_seeds, train_seeds, member_rows)
+            pms = pberm([bias[i] for i in members], data, lam, cfg, scales,
+                        noise_seeds, train_seeds, member_rows)
             for i, pm in zip(members, pms):
                 run = runs[i]
                 run.models[mid] = pm.weights.with_meta(
@@ -455,8 +457,6 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
                     noise_scale=scale,
                 )
                 run.perturbed[mid] = pm
-                if run.ledger is not None and e.eps > 0:
-                    run.ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
     for run in runs:
         skipped_ids = {e.model_id for e in run.skipped}
         run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
@@ -467,7 +467,7 @@ def _depths(schedule):
     """Dependency wave of every trained model id: 1 + its regularizer's."""
     depth = {}
     for e in schedule.events:
-        if e.train != "adopt":
+        if not e.adopt:
             depth[e.model_id] = 1 if e.reg_source is None else depth[e.reg_source] + 1
     return depth
 
@@ -498,10 +498,10 @@ class TestWaves:
     def test_matches_per_event_loop(self, stream, name, nonprivate, stack_bytes):
         # B=2 leaves sampled events with empty subsamples (skipped)
         B = 2 if name.endswith("sample") else 16
-        sched = build_schedule(name, stream.n, eps=EPS, lam=1.0, L=0.2,
-                               B=B, b0=2 if B == 2 else 4, w=7, w0=1)
+        sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
+                                               w=7, w0=1), stream.n)
         cfg = TrainConfig(iterations=6, minibatch=8)
-        runs = execute(sched, stream, 1.0, cfg, EPS, nonprivate, self.SEEDS)
+        runs = execute(sched, stream, cfg, nonprivate, self.SEEDS)
         refs = reference_execute(sched, stream, 1.0, cfg, EPS, nonprivate, self.SEEDS)
         for run, ref in zip(runs, refs, strict=True):
             assert list(run.models) == list(ref.models)
@@ -515,10 +515,6 @@ class TestWaves:
                 assert run.perturbed[mid].spec == pm.spec
                 assert run.perturbed[mid].noise_l1 == pm.noise_l1
                 assert run.perturbed[mid].noise_l2 == pm.noise_l2
-            if nonprivate:
-                assert run.ledger is None and ref.ledger is None
-            else:
-                assert _charges(run.ledger) == _charges(ref.ledger)
             assert run.skipped == ref.skipped
             assert run.releases == ref.releases
         if name.endswith("sample"):
@@ -530,13 +526,13 @@ class TestWaves:
         stream = synth_stream(SynthConfig(d=d, k=3, n=T, sigma=0.3, seed=2)).data
         sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
         calls = []
-        for owner in (erm, mechanisms):
-            def counted(*args, _fn=owner.sgd_train, **kw):
-                calls.append(len(args[3]) if len(args) > 3 else 1)
-                return _fn(*args, **kw)
-            monkeypatch.setattr(owner, "sgd_train", counted)
-        execute(sched, stream, 1.0, TrainConfig(iterations=2, minibatch=m), EPS)
-        trained = [e for e in sched.events if e.train != "adopt"]
+
+        def counted(*args, _fn=erm.sgd_train, **kw):
+            calls.append(len(args[3]) if len(args) > 3 else 1)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "sgd_train", counted)
+        execute(sched, stream, TrainConfig(iterations=2, minibatch=m))
+        trained = [e for e in sched.events if not e.adopt]
         waves = max(_depths(sched).values())
         sizes = {min(m, e.b - e.a + 1) for e in trained}
         # a stack and the next event exceed the cap, so a group of g bytes
@@ -554,36 +550,139 @@ class TestSkippedEvents:
     def test_continual_sample_runs(self, B, b0, n):
         stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n)).data
         sched = continual_schedule(n, B, b0, EPS, 1.0, 0.2, sampled=True)
-        runs = execute(sched, stream, 1.0, TrainConfig(iterations=3, minibatch=8), EPS,
+        runs = execute(sched, stream, TrainConfig(iterations=3, minibatch=8),
                        seeds=(0, 1, 2, 3, 4))
         for run in runs:
             released = {mid for _, mid in run.releases}
             for e in run.skipped:
-                # resolved to its bias model: not trained, charged or released
+                # resolved to its bias model: not trained or released
                 assert e.sampled_rule is not None and e.reg_source is not None
                 np.testing.assert_array_equal(run.models[e.model_id].w,
                                               run.models[e.reg_source].w)
                 assert e.model_id not in run.perturbed and e.model_id not in released
-            trained = [e for e in sched.events if e not in run.skipped]
-            assert _charges(run.ledger) == _charges(ledger_from_events(trained, sched.budgets))
         assert any(run.skipped for run in runs)
 
     def test_skipped_psgd_event_resolves_to_zero_model(self):
         stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1)).data
         sched = multires_schedule(stream.n, 2, EPS, 1.0, 0.2, sampled=True)
-        run = execute(sched, stream, 1.0, TrainConfig(iterations=3, minibatch=8, seed=0), EPS)
+        run = execute(sched, stream, TrainConfig(iterations=3, minibatch=8, seed=0))
         assert run.skipped
         for e in run.skipped:
             assert not run.models[e.model_id].w.any()
 
 
+def reference_noise_scale(kind: str, **params) -> float:
+    """The catalogue of Laplace scales, one formula per kind of release, that
+    the schedules used before each event derived its scale from its own
+    interval size and charge."""
+    L = params.get("L")
+    lam = params.get("lam")
+    eps = params.get("eps")
+    for name in ("L", "lam", "eps"):
+        v = params.get(name)
+        if v is None or v <= 0:
+            raise ValueError(f"parameter {name} must be positive, got {v}")
+
+    def need(name):
+        v = params.get(name)
+        floor = 0 if name == "level" else 1  # level 0 is the unsampled identity
+        if v is None or v < floor:
+            raise ValueError(f"parameter {name} must be present and >= {floor} for kind {kind!r}")
+        return v
+
+    if kind == "multires":
+        return 4.0 * L / (lam * need("B") * eps)
+    if kind == "multires_sampled":
+        return 4.0 * L / (lam * 2 ** need("level") * need("B") * eps)
+    if kind == "pberm":
+        return 4.0 * L / (lam * need("b0") * eps)
+    if kind == "pberm_sampled":
+        return 4.0 * L / (lam * 2 ** need("level") * need("b0") * eps)
+    if kind == "sliding_base":
+        return 6.0 * L / (lam * eps * need("base_size"))
+    if kind == "sliding_update":
+        return 12.0 * L / (lam * need("w0") * eps)
+    if kind == "sliding_update_sampled":
+        return 12.0 * L / (lam * 2 ** need("level") * need("w0") * eps)
+    raise ValueError(f"unknown noise kind {kind!r}")
+
+
+def reference_scale(e, cfg) -> float:
+    """An event's scale by the catalogue: its kind from the event's kind,
+    side and sampling, its parameters from the schedule's config."""
+    ref = functools.partial(reference_noise_scale, L=cfg.L, lam=cfg.lam, eps=float(cfg.eps))
+    if e.adopt:
+        return 0.0
+    if e.kind == "MultiRes" or e.kind == "Base" or (
+            e.kind == "BaselineBasicCumulative" and e.level is not None):
+        return (ref("multires_sampled", B=cfg.B, level=e.level) if e.sampled_rule
+                else ref("multires", B=cfg.B))
+    if e.kind in ("LargeUpdate", "SmallUpdate", "BaselineIndependent", "BaselineBasicCumulative"):
+        return (ref("pberm_sampled", b0=cfg.b0, level=e.level) if e.sampled_rule
+                else ref("pberm", b0=cfg.b0))
+    if e.side == "base":
+        return ref("sliding_base", base_size=(cfg.w // cfg.w0 + 1) // 2 * cfg.w0)
+    return (ref("sliding_update_sampled", w0=cfg.w0, level=e.level) if e.sampled_rule
+            else ref("sliding_update", w0=cfg.w0))
+
+
+def random_scheduler_config(rng, name):
+    b0 = int(rng.choice([1, 2, 3, 4, 5, 8]))
+    w0 = int(rng.choice([1, 2, 3]))
+    return SchedulerConfig(
+        name, Fraction(int(rng.integers(1, 20)), int(rng.choice([1, 3, 7, 10, 100]))),
+        float(rng.choice([1.0, rng.uniform(0.01, 10.0)])),
+        float(rng.choice([1.0, rng.uniform(0.001, 5.0)])),
+        B=b0 * int(rng.choice([1, 2, 3, 4, 8])), b0=b0,
+        w=(2 ** int(rng.integers(2, 6)) - 1) * w0, w0=w0,
+        standalone_base=bool(rng.integers(2)), first_base_at_2B=bool(rng.integers(2)),
+    )
+
+
+class TestCalibration:
+    """Every event's noise scale and inclusion probability against the
+    catalogue the schedules used before, over a sweep of configurations."""
+
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_scales_within_two_ulps_of_catalogue(self, name):
+        # each side rounds four times (eps or eps/3 to a float, two products
+        # and a quotient), so they may differ by 2 ulps; some sliding events
+        # with eps 3/5, 9/7 or 18/7 do
+        rng = np.random.default_rng(sum(name.encode()))
+        events = 0
+        for _ in range(40):
+            cfg = random_scheduler_config(rng, name)
+            sched = build_schedule(cfg, int(rng.integers(10, 400)))
+            for e in sched.events:
+                want = reference_scale(e, cfg)
+                assert abs(e.noise_scale - want) <= 2 * math.ulp(want), (cfg, e)
+                if e.sampled_rule is not None:
+                    assert event_probability(e) == sampling_probability(
+                        e.sampled_rule, e.level, float(cfg.eps))
+            events += len(sched.events)
+        assert events > 500
+
+    @pytest.mark.parametrize("cfg,T", [
+        (SchedulerConfig("continual", Fraction(1, 10), 1.0, lipschitz_public(3, 512),
+                         B=4096, b0=512), 20_000),
+        (SchedulerConfig("continual", Fraction(1, 10), 1.0, lipschitz_public(10, 1024),
+                         B=8192, b0=1024), 20_000),
+        (SchedulerConfig("sliding", Fraction(1), 1.0, lipschitz_public(3, 1), w=255, w0=1),
+         3_000),
+    ], ids=["continual-d20", "image-d784", "sliding-w255"])
+    def test_benchmark_shapes_bit_equal(self, cfg, T):
+        sched = build_schedule(cfg, T)
+        assert [e.noise_scale for e in sched.events] == [
+            reference_scale(e, cfg) for e in sched.events]
+
+
 class TestBuildSchedule:
     def test_unknown_name(self):
         with pytest.raises(ScheduleError):
-            build_schedule("nope", 10, eps=EPS, lam=1.0, L=1.0)
+            build_schedule(SchedulerConfig("nope", EPS, 1.0, 1.0), 10)
 
     def test_dispatch(self):
-        s = build_schedule("sliding", 20, eps=EPS, lam=1.0, L=1.0, w=7, w0=1)
+        s = build_schedule(SchedulerConfig("sliding", EPS, 1.0, 1.0, w=7, w0=1), 20)
         assert s.name == "sliding"
-        s = build_schedule("baseline-basic", 20, eps=EPS, lam=1.0, L=1.0, B=4, b0=2)
+        s = build_schedule(SchedulerConfig("baseline-basic", EPS, 1.0, 1.0, B=4, b0=2), 20)
         assert s.name == "baseline-basic"
