@@ -11,7 +11,6 @@ from .erm import (
     biased_erm_minimize,
     clip_l1,
     evaluate_accuracy,
-    lipschitz_data,
     lipschitz_public,
     loss_and_gradient,
     sgd_train,
@@ -22,13 +21,11 @@ from .harness import (
     MetricsRecord,
     StreamSource,
     SynthConfig,
-    TheoryParams,
     export_metrics,
     load_csv,
     load_idx,
     replay,
     synth_stream,
-    utility_bound,
 )
 from .ledger import BudgetReport, Charge, Ledger, LedgerError
 from .mechanisms import (
@@ -36,6 +33,7 @@ from .mechanisms import (
     NoiseSpec,
     PerturbedModel,
     laplace_scale,
+    laplace_stack,
     laplace_vector,
     output_perturb,
     pberm,

@@ -345,14 +345,15 @@ def cmd_run(cfg: RunConfig) -> int:
     seeds = tuple(dict.fromkeys(cfg.seeds))
     ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate, train=train)
     schedule = build_schedule(sched, stream.n)
-    all_records = replay(StreamSource(stream), sched, ev, schedule)
+    ledger = ledger_from_events(schedule.events, schedule.budgets)
+    all_records = replay(StreamSource(stream), sched, ev, schedule, ledger)
     for seed in seeds:
         records = [r for r in all_records if r.seed == seed]
         export_metrics(records, _seed_path(cfg.output, seed, multi), cfg.format)
 
     if cfg.trace:
         export_trace(schedule.events, cfg.trace)
-    ledger = ledger_from_events(schedule.events, schedule.budgets)
+    # replay has read its eps_max, so the injected charge reaches only the report
     if cfg.inject_charge:
         sub_name, a, b, frac = cfg.inject_charge.split(":")
         ledger.charge((int(a), int(b)), Fraction(frac), sub_name, -1, "injected")

@@ -85,6 +85,10 @@ class ModelMeta:
     noise_scale: float | None = None
     model_id: int | None = None
 
+    def __post_init__(self):
+        if self.interval is not None and self.interval[0] > self.interval[1]:
+            raise ErmError(f"malformed interval {self.interval}")
+
 
 @dataclass(frozen=True)
 class ModelWeights:
@@ -95,14 +99,30 @@ class ModelWeights:
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 2:
             raise ErmError(f"weights must be a k x d matrix, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ErmError("weights contain non-finite entries")
-        if self.meta.interval is not None and self.meta.interval[0] > self.meta.interval[1]:
-            raise ErmError(f"malformed interval {self.meta.interval}")
         object.__setattr__(self, "w", w)
 
+    @classmethod
+    def checked_stack(cls, stack: np.ndarray, metas) -> list["ModelWeights"]:
+        """One model per slice of an (S, k, d) float64 stack, with metas[i].
+
+        The stack is checked once, as a whole, instead of slice by slice.
+        """
+        if not np.isfinite(stack).all():
+            raise ErmError("weights contain non-finite entries")
+        return [cls._unchecked(w, meta) for w, meta in zip(stack, metas)]
+
+    @classmethod
+    def _unchecked(cls, w: np.ndarray, meta: ModelMeta) -> "ModelWeights":
+        model = object.__new__(cls)
+        object.__setattr__(model, "w", w)
+        object.__setattr__(model, "meta", meta)
+        return model
+
     def with_meta(self, **kw) -> "ModelWeights":
-        return ModelWeights(self.w, replace(self.meta, **kw))
+        """The same weights, checked when this model was built, with new provenance."""
+        return ModelWeights._unchecked(self.w, replace(self.meta, **kw))
 
 
 @dataclass(frozen=True)
@@ -143,7 +163,7 @@ class RegularizerSpec:
 
 
 def _check_dims(w: np.ndarray, data: Dataset):
-    if w.shape != (data.k, data.d):
+    if w.shape[-2:] != (data.k, data.d):
         raise ErmError(f"weight shape {w.shape} does not match (k={data.k}, d={data.d})")
 
 
@@ -260,7 +280,7 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
         if not np.isfinite(w).all():
             finite = np.isfinite(w).all(axis=(1, 2))
             raise DivergenceError(i, int(np.argmin(finite)))
-    models = [ModelWeights(ws, ModelMeta()) for ws in w]
+    models = ModelWeights.checked_stack(w, [ModelMeta()] * len(seeds))
     return models[0] if single else models
 
 
@@ -277,20 +297,6 @@ def biased_erm_minimize(data: Dataset, bias, lam: float, cfg: TrainConfig, seeds
     return [w.with_meta(reg_source=b.meta.model_id) for w, b in zip(models, bias)]
 
 
-def lipschitz_data(data: Dataset) -> float:
-    """Diagnostic L = (k-1)/(2mk) * ||X||_F computed from the data itself.
-
-    Leaks information about the private data; use lipschitz_public for noise
-    calibration.
-    """
-    if data.n == 0:
-        raise ErmError("empty dataset")
-    if data.k <= 1:
-        return 0.0
-    fro = float(np.linalg.norm(data.X))
-    return (data.k - 1) / (2.0 * data.n * data.k) * fro
-
-
 def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
     """Data-independent bound (k-1)/(2mk) * c * sqrt(m) under per-row norm <= c."""
     if m <= 0:
@@ -302,13 +308,29 @@ def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
     return (k - 1) / (2.0 * m * k) * norm_cap * np.sqrt(m)
 
 
-def evaluate_accuracy(w: ModelWeights, data: Dataset) -> float:
-    """Fraction of correct argmax predictions; ties go to the lowest class."""
+def evaluate_accuracy(w, data: Dataset, per_model: bool = False):
+    """Fraction of correct argmax predictions; ties go to the lowest class.
+
+    w is one ModelWeights, giving a float, or an (R, k, d) weight stack,
+    giving R accuracies: each model scored on all of data or, with
+    per_model, model r on the r-th of R equal runs of consecutive rows.
+    Model r's scores come from its own (rows, d) @ (d, k) product, and an
+    accuracy is an exact hit count over the row count, so each model gets
+    the value it gets alone, bit for bit.
+    """
     if data.n == 0:
         raise ErmError("cannot evaluate on an empty dataset")
-    _check_dims(w.w, data)
-    pred = np.argmax(data.X @ w.w.T, axis=1)
-    return float(np.mean(pred == data.y))
+    single = isinstance(w, ModelWeights)
+    w = w.w if single else np.asarray(w)
+    _check_dims(w, data)
+    X, y = data.X, data.y
+    if per_model:
+        if data.n % len(w):
+            raise ErmError(f"{data.n} rows do not split into {len(w)} equal runs")
+        X, y = X.reshape(len(w), -1, data.d), y.reshape(len(w), -1)
+    hits = np.count_nonzero(np.argmax(X @ w.swapaxes(-1, -2), axis=-1) == y, axis=-1)
+    acc = hits / y.shape[-1]
+    return float(acc) if single else acc
 
 
 def clip_l1(data: Dataset) -> Dataset:

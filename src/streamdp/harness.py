@@ -2,8 +2,9 @@
 
 Streams come from IDX image/label files, numeric CSV, or a synthetic
 rotating-means generator. `replay` feeds a stream through a release schedule,
-evaluates every released model on recent, held-out and older data, and emits
-flat metric records that export to CSV or JSONL.
+evaluates every released model on recent, held-out and older data (a seed's
+models as stacks, in chunks), and emits flat metric records that export to
+CSV or JSONL.
 """
 
 from __future__ import annotations
@@ -20,16 +21,23 @@ from pathlib import Path
 import numpy as np
 
 from .erm import Dataset, TrainConfig, evaluate_accuracy
-from .ledger import RunningMax
+from .ledger import Ledger, RunningMax
 from .rng import make_rng
-from .schedulers import Schedule, SchedulerConfig, build_schedule, execute, ledger_from_events
+from .schedulers import (
+    _STACK_BYTES,
+    Schedule,
+    SchedulerConfig,
+    build_schedule,
+    execute,
+    ledger_from_events,
+)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
 class HarnessError(ValueError):
-    """Data loading or bound-evaluation errors."""
+    """Data loading and aggregation errors."""
 
 
 def _read_idx(path, expect_magic: int, ndims: int):
@@ -199,20 +207,26 @@ class MetricsRecord:
 
 
 def replay(
-    source: StreamSource, sched: SchedulerConfig, ev: EvalConfig, schedule: Schedule | None = None
+    source: StreamSource, sched: SchedulerConfig, ev: EvalConfig,
+    schedule: Schedule | None = None, ledger: Ledger | None = None,
 ) -> list[MetricsRecord]:
     """Run the schedule over the stream for every seed and score every release.
 
-    `schedule` is the one built from `sched` for this stream; it is built
-    here when not given. `execute` trains all seeds and the independent
-    events of each dependency wave in lockstep; the records come seed by
-    seed, each seed's releases in time order. acc_recent uses the trailing
-    `batch` points at the release step, acc_test the fixed held-out set,
-    acc_old the batch preceding the model's training interval (None at the
-    stream head). eps_max is the exact maximum per-point loss over the
-    schedule's charges (`ledger_from_events`) up to the release step, the
-    same for every seed, kept by `ledger.RunningMax` as integer numerators
-    over one common denominator. In non-private mode nothing is charged and
+    `schedule` is the one built from `sched` for this stream and `ledger`
+    holds its charges (`ledger_from_events`); each is built here when not
+    given. `execute` trains all seeds and the independent events of each
+    dependency wave in lockstep; the records come seed by seed, each seed's
+    releases in time order. acc_recent uses the trailing `batch` points at
+    the release step, acc_test the fixed held-out set, acc_old the batch
+    preceding the model's training interval (None at the stream head). A
+    seed's released models are scored as (R, k, d) stacks by
+    `evaluate_accuracy`, against the test set and against their gathered
+    windows, in chunks of about `_STACK_BYTES`; each value equals the
+    model's own evaluation. eps_max is the exact maximum per-point loss over
+    the ledger's charges up to the release step, the same for every seed,
+    kept by `ledger.RunningMax` as integer numerators over one common
+    denominator and read before returning, so charges added to the ledger
+    afterwards do not reach it. In non-private mode nothing is charged and
     eps_max stays 0.
     """
     stream = source.data
@@ -222,16 +236,22 @@ def replay(
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
     batch = sched.batch
     results = execute(schedule, stream, ev.train, nonprivate=ev.nonprivate, seeds=ev.seeds)
-    ledger = None if ev.nonprivate else ledger_from_events(schedule.events, schedule.budgets)
-    running = RunningMax(ledger.charges if ledger else ())
+    if ledger is None and not ev.nonprivate:
+        ledger = ledger_from_events(schedule.events, schedule.budgets)
+    running = RunningMax(() if ev.nonprivate else ledger.charges)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
     for seed, result in zip(ev.seeds, results):
-        for t, mid in result.releases:
-            model = result.models[mid]
+        models = [result.models[mid] for _, mid in result.releases]
+        steps = np.array([t for t, _ in result.releases], dtype=np.int64)
+        starts = np.array([m.meta.interval[0] if m.meta.interval else 0 for m in models],
+                          dtype=np.int64)
+        recent = np.maximum(0, steps - batch + 1)
+        acc_recent = _window_accuracy(models, stream, recent, steps - recent + 1)
+        acc_old = _window_accuracy(models, stream, starts - batch,
+                                   np.where(starts >= batch, batch, 0))
+        acc_test = _test_accuracy(models, ev.test)
+        for r, (t, mid) in enumerate(result.releases):
             pm = result.perturbed.get(mid)
-            a, b = model.meta.interval if model.meta.interval else (0, t)
-            recent = stream.slice(max(0, t - batch + 1), t) if t >= 0 else None
-            old = stream.slice(a - batch, a - 1) if a - batch >= 0 else None
             records.append(MetricsRecord(
                 t=t,
                 scheduler=sched.name,
@@ -239,15 +259,56 @@ def replay(
                 eps=float(sched.eps),
                 lam=sched.lam,
                 batch=batch,
-                acc_recent=evaluate_accuracy(model, recent) if recent else None,
-                acc_test=evaluate_accuracy(model, ev.test) if ev.test is not None else None,
-                acc_old=evaluate_accuracy(model, old) if old else None,
+                acc_recent=acc_recent[r],
+                acc_test=acc_test[r],
+                acc_old=acc_old[r],
                 noise_l2=pm.noise_l2 if pm is not None else 0.0,
                 eps_max=eps_max[t],
                 bound=None,
                 seed=seed,
             ))
     return records
+
+
+def _window_accuracy(models, stream: Dataset, starts, lengths) -> list:
+    """Accuracy of models[r] on the lengths[r] stream rows from starts[r],
+    or None where lengths[r] is 0.
+
+    Windows of one length are scored in chunks of about _STACK_BYTES of
+    weights, gathered rows and scores; a chunk of one window reads its slice
+    in place, so a window above the cap is never copied.
+    """
+    out = [None] * len(models)
+    for n in sorted(set(lengths[lengths > 0].tolist())):  # np.unique would import numpy.ma
+        members = np.flatnonzero(lengths == n)
+        model_bytes = (n * (stream.d + stream.k) + stream.k * stream.d) * 8
+        per_chunk = max(1, _STACK_BYTES // model_bytes)
+        for i in range(0, len(members), per_chunk):
+            chunk = members[i : i + per_chunk]
+            if len(chunk) == 1:
+                start = int(starts[chunk[0]])
+                data = stream.slice(start, start + n - 1)
+            else:
+                rows = (starts[chunk, None] + np.arange(n)).ravel()
+                data = Dataset(stream.X[rows], stream.y[rows], stream.k)
+            accs = evaluate_accuracy(np.stack([models[r].w for r in chunk]), data,
+                                     per_model=True)
+            for r, acc in zip(chunk.tolist(), accs.tolist()):
+                out[r] = acc
+    return out
+
+
+def _test_accuracy(models, test: Dataset | None) -> list:
+    """Accuracy of each model on the test set (None without one), in chunks
+    of about _STACK_BYTES of weights and scores."""
+    if test is None:
+        return [None] * len(models)
+    per_chunk = max(1, _STACK_BYTES // ((test.n * (test.k + 2) + test.k * test.d) * 8))
+    out = []
+    for i in range(0, len(models), per_chunk):
+        stack = np.stack([m.w for m in models[i : i + per_chunk]])
+        out.extend(evaluate_accuracy(stack, test).tolist())
+    return out
 
 
 def _final_accuracy_by_seed(records, field_name="acc_test") -> dict[int, float]:
@@ -273,82 +334,6 @@ def accuracy_quartiles(records, field_name="acc_test"):
         raise HarnessError("no evaluated releases to aggregate")
     q25, q50, q75 = np.percentile(vals, [25, 50, 75])
     return float(q25), float(q50), float(q75)
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Symbols consumed by the excess-risk bound formulas; leave unused ones None."""
-
-    L: float | None = None
-    lam: float | None = None
-    eps: float | None = None
-    d: int | None = None
-    B: int | None = None
-    b0: int | None = None
-    w0: int | None = None
-    level: int | None = None
-    eta: float | None = None
-    M: float | None = None
-    G: float | None = None
-    beta_smooth: float | None = None
-    R: float | None = None
-    R_g: float | None = None
-
-
-BOUND_KINDS = ("multires", "continual", "old_data", "sliding")
-
-
-def utility_bound(kind: str, p: TheoryParams) -> float:
-    """High-probability excess empirical risk bound for one release family.
-
-    multires: ((L + beta*R^2) + G^2) * ln(2^k B) / (lam 2^k B) + 4 d G^2 / (eps lam B)
-    continual: sqrt(2 eta R_g / (2^j b0)) + (1.5 M eta + 1)/(2^j b0)
-               + (ln d + eta) * 4 d L^2 / (lam b0 eps)
-    old_data: L * g * (sqrt(2 ((ln d + eta) * 2 d L^2 / (lam eps) + 1)) + 1)
-              with g = 1/sqrt(lam b0), the model gap implied by the lam setting
-    sliding: sqrt(2 eta R_g / w0) + (1.5 M eta + 1)/w0
-             + (ln d + eta) * 12 d L^2 / (lam w0 eps)
-    """
-
-    def need(name):
-        v = getattr(p, name)
-        if v is None:
-            raise HarnessError(f"bound {kind!r} requires parameter {name}")
-        return v
-
-    if kind == "multires":
-        L, beta, R, G = need("L"), need("beta_smooth"), need("R"), need("G")
-        lam, eps, d, B, k = need("lam"), need("eps"), need("d"), need("B"), need("level")
-        n = 2**k * B
-        return ((L + beta * R**2) + G**2) * math.log(n) / (lam * n) + 4 * d * G**2 / (
-            eps * lam * B
-        )
-    if kind == "continual":
-        eta, R_g, M = need("eta"), need("R_g"), need("M")
-        lam, eps, d, b0, j = need("lam"), need("eps"), need("d"), need("b0"), need("level")
-        L = need("L")
-        n = 2**j * b0
-        return (
-            math.sqrt(2 * eta * R_g / n)
-            + (1.5 * M * eta + 1) / n
-            + (math.log(d) + eta) * 4 * d * L**2 / (lam * b0 * eps)
-        )
-    if kind == "old_data":
-        L, lam, eps, d = need("L"), need("lam"), need("eps"), need("d")
-        b0, eta = need("b0"), need("eta")
-        gap = 1.0 / math.sqrt(lam * b0)
-        inner = (math.log(d) + eta) * 2 * d * L**2 / (lam * eps) + 1
-        return L * gap * (math.sqrt(2 * inner) + 1)
-    if kind == "sliding":
-        eta, R_g, M = need("eta"), need("R_g"), need("M")
-        lam, eps, d, w0 = need("lam"), need("eps"), need("d"), need("w0")
-        L = need("L")
-        return (
-            math.sqrt(2 * eta * R_g / w0)
-            + (1.5 * M * eta + 1) / w0
-            + (math.log(d) + eta) * 12 * d * L**2 / (lam * w0 * eps)
-        )
-    raise HarnessError(f"unknown bound kind {kind!r}, expected one of {BOUND_KINDS}")
 
 
 CSV_HEADER = (
@@ -391,22 +376,3 @@ def export_metrics(records, path, format: str = "csv"):
                 fh.write(json.dumps(rec) + "\n")
     else:
         raise HarnessError(f"unknown metrics format {format!r}")
-
-
-def import_metrics_jsonl(path) -> list[MetricsRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            records.append(MetricsRecord(
-                t=rec["t"], scheduler=rec["scheduler"], kind=rec["kind"],
-                eps=rec["eps"], lam=rec["lambda"], batch=rec["batch"],
-                acc_recent=rec["acc_recent"], acc_test=rec["acc_test"],
-                acc_old=rec["acc_old"], noise_l2=rec["noise_l2"],
-                eps_max=Fraction(rec["eps_max_num"], rec["eps_max_den"]),
-                bound=rec["bound"], seed=rec["seed"],
-            ))
-    return records

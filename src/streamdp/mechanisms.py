@@ -4,17 +4,23 @@ Laplace noise via inverse-CDF sampling from a counter-based generator, output
 perturbation of trained weights, the Laplace scale of one release (one formula
 for every schedule, derived in `laplace_scale`), and independent-inclusion
 subsampling for amplification.
+
+Noise is drawn per stack: `pberm` trains a stack of models in lockstep and
+`output_perturb` perturbs them with one `laplace_stack` draw, whose uniforms
+for every member come from a few array operations (`rng.philox_random`)
+rather than one generator per member, with the values those generators
+would give.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .erm import Dataset, ModelWeights, TrainConfig, biased_erm_minimize
-from .rng import make_rng
+from .rng import make_rng, philox_random, stream_keys
 
 
 class MechanismError(ValueError):
@@ -53,14 +59,29 @@ def sampling_probability(rule: str, level: int, eps: float) -> float:
     return p
 
 
-def laplace_vector(spec: NoiseSpec) -> np.ndarray:
-    """I.i.d. Laplace(0, scale) matrix via inverse CDF; deterministic per seed."""
-    rng = make_rng(spec.seed, "laplace")
-    u = rng.random(spec.dims)
-    v = u - 0.5
+def laplace_stack(specs) -> np.ndarray:
+    """I.i.d. Laplace(0, spec.scale) noise for each of S specs of equal dims,
+    as one (S, *dims) array, by inverse CDF.
+
+    Spec i's uniforms are `make_rng(spec.seed, "laplace").random(dims)`,
+    computed for the whole stack at once (`rng.stream_keys` and
+    `rng.philox_random`), so the noise is a deterministic function of the
+    spec alone.
+    """
+    dims = specs[0].dims
+    if any(s.dims != dims for s in specs):
+        raise MechanismError("a noise stack needs equal dims")
+    keys = stream_keys([s.seed for s in specs], "laplace")
+    v = philox_random(keys, math.prod(dims)).reshape(len(specs), *dims) - 0.5
     # |v| = 0.5 exactly (u == 0.0) would map to -inf; nudge into the support.
     mag = np.maximum(1.0 - 2.0 * np.abs(v), np.finfo(np.float64).tiny)
-    return -spec.scale * np.sign(v) * np.log(mag)
+    scale = np.array([-s.scale for s in specs]).reshape(-1, *(1,) * len(dims))
+    return scale * np.sign(v) * np.log(mag)
+
+
+def laplace_vector(spec: NoiseSpec) -> np.ndarray:
+    """I.i.d. Laplace(0, scale) matrix via inverse CDF; deterministic per seed."""
+    return laplace_stack([spec])[0]
 
 
 def laplace_scale(L, lam, n: int, charge, sampled_level: int | None = None) -> float:
@@ -90,31 +111,35 @@ def laplace_scale(L, lam, n: int, charge, sampled_level: int | None = None) -> f
     return 2.0 * L / (lam * n * float(eps))
 
 
-def output_perturb(w: ModelWeights, spec: NoiseSpec) -> PerturbedModel:
-    """Add Laplace noise to the weights, recording the noise norms."""
-    if w.w.shape != spec.dims:
-        raise MechanismError(f"weight shape {w.w.shape} does not match noise dims {spec.dims}")
-    nu = laplace_vector(spec)
-    noisy = w.with_meta(noise_scale=spec.scale)
-    noisy = ModelWeights(w.w + nu, noisy.meta)
-    return PerturbedModel(
-        weights=noisy,
-        noise_l1=float(np.abs(nu).sum()),
-        noise_l2=float(np.linalg.norm(nu)),
-        spec=spec,
-    )
+def output_perturb(w, spec):
+    """Add Laplace noise to the weights, recording the noise norms.
 
-
-def _identity_perturbed(w: ModelWeights) -> PerturbedModel:
-    return PerturbedModel(weights=w, noise_l1=0.0, noise_l2=0.0, spec=None)
-
-
-def _perturb_each(models, deltas, noise_seeds) -> list[PerturbedModel]:
-    """Laplace(delta) output perturbation of each model with its own delta
-    and seed; delta=0 releases that model unperturbed."""
-    return [_identity_perturbed(w) if delta == 0.0
-            else output_perturb(w, NoiseSpec(delta, w.w.shape, seed))
-            for w, delta, seed in zip(models, deltas, noise_seeds)]
+    w and spec are one model and its NoiseSpec, giving one PerturbedModel,
+    or equal-length sequences of models of one shape and their specs,
+    giving a list; a spec of None releases its model unperturbed. The noise
+    of a sequence is one `laplace_stack` draw, and each noisy model is one
+    ModelWeights with the model's meta and the noise scale.
+    """
+    if isinstance(w, ModelWeights):
+        return output_perturb([w], [spec])[0]
+    for model, s in zip(w, spec):
+        if s is not None and model.w.shape != s.dims:
+            raise MechanismError(
+                f"weight shape {model.w.shape} does not match noise dims {s.dims}")
+    out = [PerturbedModel(model, 0.0, 0.0, None) for model in w]
+    noisy = [i for i, s in enumerate(spec) if s is not None]
+    if not noisy:
+        return out
+    nu = laplace_stack([spec[i] for i in noisy])
+    weights = ModelWeights.checked_stack(
+        np.stack([w[i].w for i in noisy]) + nu,
+        [replace(w[i].meta, noise_scale=spec[i].scale) for i in noisy])
+    nu = nu.reshape(len(noisy), -1)
+    l1 = np.abs(nu).sum(axis=1).tolist()
+    for j, i in enumerate(noisy):
+        # the L2 norm as np.linalg.norm takes it: one BLAS dot per model
+        out[i] = PerturbedModel(weights[j], l1[j], math.sqrt(nu[j].dot(nu[j])), spec[i])
+    return out
 
 
 def pberm(
@@ -138,14 +163,14 @@ def pberm(
     `sgd_train` trains them in lockstep (seed i on the rows rows[i] of data,
     if rows is given) and seed i, with bias[i], is perturbed with
     Laplace(scale[i]) noise from noise_seed[i]; one PerturbedModel per seed
-    is returned.
+    is returned, and the noise of all seeds is one `output_perturb` call.
     """
     if seeds is None:
         noise_seed = cfg.seed if noise_seed is None else noise_seed
-        models = [biased_erm_minimize(data, bias, lam, cfg)]
-        return _perturb_each(models, [scale], [noise_seed])[0]
+        return pberm([bias], data, lam, cfg, [scale], [noise_seed], [cfg.seed])[0]
     models = biased_erm_minimize(data, bias, lam, cfg, seeds, rows)
-    return _perturb_each(models, scale, noise_seed)
+    return output_perturb(models, [None if s == 0.0 else NoiseSpec(s, w.w.shape, seed)
+                                   for w, s, seed in zip(models, scale, noise_seed)])
 
 
 def subsample(n: int, p: float, seed: int) -> np.ndarray:

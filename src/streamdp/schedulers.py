@@ -24,7 +24,7 @@ import numpy as np
 from .erm import Dataset, DivergenceError, ModelWeights, TrainConfig
 from .ledger import Ledger
 from .mechanisms import laplace_scale, pberm, sampling_probability, subsample
-from .rng import make_rng
+from .rng import first_integers, stream_keys
 
 KIND_SUBSYSTEM = {
     "MultiRes": "multires",
@@ -459,7 +459,9 @@ def execute(
     splitting one event's seeds). Members read the whole stream: an interval
     as a range, a subsample as its kept row indices. A seed's subsample, SGD
     and noise streams derive from that seed and the model id alone, so its
-    result equals a run of that seed by itself, event by event. Models,
+    result equals a run of that seed by itself, event by event; the
+    subseeds of every (event, seed) are derived up front, one vectorised
+    call per label (`_subseeds`), and a stack's noise is one draw. Models,
     perturbations, skipped events and releases are recorded in schedule
     order. Nothing is charged here: the run's charges are the schedule's
     (`ledger_from_events`).
@@ -481,6 +483,10 @@ def execute(
         if e.b >= stream.n:
             raise ScheduleError(f"event at t={e.t} needs point {e.b} beyond stream end")
     zero = ModelWeights(np.zeros((stream.k, stream.d)))
+    ids = [e.model_id for e in trained]
+    train_seeds = _subseeds(seeds, "train", ids)
+    noise_seeds = _subseeds(seeds, "noise", ids)
+    sample_seeds = _subseeds(seeds, "sample", [e.model_id for e in trained if e.sampled_rule])
     models = [{} for _ in seeds]  # per seed: model id -> weights
     perturbed = [{} for _ in seeds]  # per seed: model id -> PerturbedModel
 
@@ -494,8 +500,8 @@ def execute(
                 event_rows = [range(e.a, e.b + 1)] * len(seeds)
             else:
                 p = event_probability(e)
-                event_rows = [subsample(e.b - e.a + 1, p, _subseed(seed, "sample", e.model_id))
-                              + e.a for seed in seeds]
+                event_rows = [subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id]))
+                              + e.a for i in range(len(seeds))]
             for i, rows in enumerate(event_rows):
                 if len(rows) == 0:
                     models[i][e.model_id] = bias(i, e)  # skipped
@@ -503,12 +509,12 @@ def execute(
                     groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append((e, i, rows))
         for m, members in groups.items():
             for stack in _stacks(members, (m + stream.k) * stream.d * 8):
-                train_seeds = [_subseed(seeds[i], "train", e.model_id) for e, i, _ in stack]
-                noise_seeds = [_subseed(seeds[i], "noise", e.model_id) for e, i, _ in stack]
                 scales = [0.0 if nonprivate else e.noise_scale for e, _, _ in stack]
                 try:
                     pms = pberm([bias(i, e) for e, i, _ in stack], stream, schedule.lam,
-                                train_cfg, scales, noise_seeds, train_seeds,
+                                train_cfg, scales,
+                                [int(noise_seeds[i, e.model_id]) for e, i, _ in stack],
+                                [int(train_seeds[i, e.model_id]) for e, i, _ in stack],
                                 [r for _, _, r in stack])
                 except DivergenceError as exc:
                     e, i, _ = stack[exc.member]
@@ -567,10 +573,17 @@ def _stacks(members, member_bytes):
         yield stack
 
 
-def _subseed(seed: int, label: str, model_id: int) -> int:
-    # stable 63-bit derivation so each (train, noise, sample) stream is independent
-    rng = make_rng(seed, label, model_id)
-    return int(rng.integers(0, 2**63 - 1))
+def _subseeds(seeds, label: str, model_ids) -> np.ndarray:
+    """make_rng(seed, label, model_id).integers(0, 2**63 - 1) for every seed
+    and model id, derived in one vectorised call (`rng.stream_keys`,
+    `rng.first_integers`), as an int64 array indexed [seed position, model
+    id]. Each label's 63-bit subseeds seed an independent stream (train,
+    noise, sample) per (seed, model)."""
+    ids = np.array(model_ids, dtype=np.int64)
+    out = np.zeros((len(seeds), ids.max(initial=-1) + 1), dtype=np.int64)
+    keys = stream_keys([seed for seed in seeds for _ in ids], label, np.tile(ids, len(seeds)))
+    out[:, ids] = first_integers(keys).reshape(len(seeds), len(ids))
+    return out
 
 
 def build_schedule(cfg: SchedulerConfig, T: int) -> Schedule:

@@ -140,6 +140,34 @@ class TestRun:
         assert code == EXIT_BUDGET
         assert "VIOLATION" in out
 
+    def test_builds_the_ledger_once_and_keeps_injected_charges_out_of_eps_max(
+            self, capsys, tmp_path, monkeypatch):
+        from streamdp import cli, harness
+
+        calls = []
+
+        def counted(*args, _fn=cli.ledger_from_events):
+            calls.append(args)
+            return _fn(*args)
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "ledger_from_events", counted)
+        metrics = {}
+        for inject in (False, True):
+            out_path = tmp_path / f"m{inject}.csv"
+            ledger_path = tmp_path / f"ledger{inject}.jsonl"
+            extra = ["--inject-charge", "continual:0:0:2/1"] if inject else []
+            code, _, _ = run_cli(capsys, *BASE_RUN, "--output", str(out_path),
+                                 "--ledger", str(ledger_path), *extra)
+            assert code == (EXIT_BUDGET if inject else EXIT_OK)
+            assert len(calls) == 1
+            calls.clear()
+            metrics[inject] = out_path.read_text()
+            injected = [line for line in ledger_path.read_text().splitlines()
+                        if json.loads(line)["mechanism"] == "injected"]
+            assert len(injected) == inject
+        # the injected charge reaches the ledger file and the report, not eps_max
+        assert metrics[True] == metrics[False]
+
     def test_multi_seed_writes_per_seed_files_and_summary(self, capsys, tmp_path):
         out_path = tmp_path / "metrics.csv"
         code, out, err = run_cli(

@@ -14,7 +14,6 @@ from streamdp import (
     biased_erm_minimize,
     clip_l1,
     evaluate_accuracy,
-    lipschitz_data,
     lipschitz_public,
     loss_and_gradient,
     sgd_train,
@@ -249,15 +248,8 @@ class TestLockstepKernel:
 
 
 class TestLipschitz:
-    def test_data_diagnostic_formula(self):
-        X = np.array([[3.0, 4.0], [0.0, 0.0]])
-        data = Dataset(X, np.array([0, 1]), 2)
-        # (k-1)/(2nk) * ||X||_F = 1/8 * 5
-        assert lipschitz_data(data) == pytest.approx(5.0 / 8.0)
-
     def test_single_class_is_zero(self):
-        data = Dataset(np.ones((3, 2)), np.zeros(3, dtype=int), 1)
-        assert lipschitz_data(data) == 0.0
+        assert lipschitz_public(1, 16) == 0.0
 
     def test_public_bound_formula(self):
         # (k-1)/(2mk) * c * sqrt(m) with k=3, m=16, c=2

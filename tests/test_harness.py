@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -14,7 +15,6 @@ from streamdp import (
     SchedulerConfig,
     StreamSource,
     SynthConfig,
-    TheoryParams,
     TrainConfig,
     evaluate_accuracy,
     export_metrics,
@@ -23,10 +23,9 @@ from streamdp import (
     replay,
     sgd_train,
     synth_stream,
-    utility_bound,
 )
 from streamdp.cli import SCHEDULERS
-from streamdp.harness import CSV_HEADER, import_metrics_jsonl
+from streamdp.harness import CSV_HEADER
 from streamdp.ledger import Ledger
 from streamdp.schedulers import build_schedule, execute, ledger_from_events
 from conftest import idx_images_bytes, idx_labels_bytes
@@ -264,6 +263,55 @@ class TestReplay:
             assert by_t[t].acc_test == evaluate_accuracy(result.models[mid], self.test)
 
 
+class TestBatchedEvaluation:
+    """replay's stacked, chunked evaluation against one evaluate_accuracy call
+    per release and data set."""
+
+    SEEDS = (0, 1)
+
+    def setup_method(self):
+        data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9)).data
+        self.stream, self.test = data.slice(0, 119), data.slice(120, 159)
+        self.train = TrainConfig(iterations=3, minibatch=8)
+
+    @pytest.fixture(params=[None, 1, 2000])
+    def stack_bytes(self, request, monkeypatch):
+        from streamdp import harness
+
+        if request.param is not None:
+            monkeypatch.setattr(harness, "_STACK_BYTES", request.param)
+
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_every_record_equals_a_per_release_evaluation(self, name, stack_bytes):
+        # batch = b0 = 12: multires and sliding release models before 12 points
+        # have arrived (a short recent window) and at the stream head (no old window)
+        sched = SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=4 if name.startswith(
+            ("multires", "sliding")) else 24, b0=12, w=7, w0=1)
+        ev = EvalConfig(test=self.test, seeds=self.SEEDS, train=self.train)
+        recs = replay(StreamSource(self.stream), sched, ev)
+        schedule = build_schedule(sched, self.stream.n)
+        short = 0
+        for seed in self.SEEDS:
+            result = execute(schedule, self.stream, replace(self.train, seed=seed))
+            seed_recs = [r for r in recs if r.seed == seed]
+            assert len(seed_recs) == len(result.releases)
+            for r, (t, mid) in zip(seed_recs, result.releases):
+                model = result.models[mid]
+                a = model.meta.interval[0]
+                assert r.acc_recent == evaluate_accuracy(
+                    model, self.stream.slice(max(0, t - 11), t))
+                assert r.acc_test == evaluate_accuracy(model, self.test)
+                if a < 12:
+                    assert r.acc_old is None
+                else:
+                    assert r.acc_old == evaluate_accuracy(
+                        model, self.stream.slice(a - 12, a - 1))
+                short += t < 11
+        assert any(r.acc_old is None for r in recs)
+        if name.startswith(("multires", "sliding")):
+            assert short
+
+
 class TestReplayEpsMaxDifferential:
     """Every release's eps_max against a brute-force max of Ledger.point_loss."""
 
@@ -312,56 +360,6 @@ class TestReplayEpsMaxDifferential:
         assert recs and all(r.eps_max == 0 for r in recs)
 
 
-class TestUtilityBound:
-    def test_continual_vanishing_stochastic_terms(self):
-        n = 1000
-        p = TheoryParams(L=0.5, lam=2.0, eps=0.5, d=10, b0=n, level=0, eta=0.0,
-                         R_g=0.0, M=1.0)
-        got = utility_bound("continual", p)
-        expect = 1 / n + math.log(10) * 4 * 10 * 0.5**2 / (2.0 * n * 0.5)
-        assert got == pytest.approx(expect)
-
-    def test_doubling_eps_halves_noise_term(self):
-        base = TheoryParams(L=0.5, lam=2.0, eps=0.5, d=10, b0=100, level=0,
-                            eta=0.0, R_g=0.0, M=1.0)
-        double = TheoryParams(L=0.5, lam=2.0, eps=1.0, d=10, b0=100, level=0,
-                              eta=0.0, R_g=0.0, M=1.0)
-        stoch = 1 / 100  # shared non-noise part
-        b1 = utility_bound("continual", base) - stoch
-        b2 = utility_bound("continual", double) - stoch
-        assert b1 == pytest.approx(2 * b2)
-
-    def test_multires_level_scaling(self):
-        B = 64
-        common = dict(L=1.0, lam=1.0, eps=1.0, d=5, B=B, G=1.0, R=1.0,
-                      beta_smooth=1.0)
-        b0 = utility_bound("multires", TheoryParams(level=0, **common))
-        b3 = utility_bound("multires", TheoryParams(level=3, **common))
-        second = 4 * 5 * 1.0 / (1.0 * 1.0 * B)
-        # the noise term is level-independent; the ERM term shrinks with k
-        first0, first3 = b0 - second, b3 - second
-        assert first3 == pytest.approx(first0 * (math.log(8 * B) / 8) / math.log(B))
-
-    def test_sliding_uses_window_noise_scale(self):
-        p = TheoryParams(L=1.0, lam=1.0, eps=1.0, d=3, w0=50, eta=0.0, R_g=0.0,
-                         M=1.0)
-        got = utility_bound("sliding", p)
-        assert got == pytest.approx(1 / 50 + math.log(3) * 12 * 3 / (50 * 1.0))
-
-    def test_old_data_positive_and_shrinks_with_eps(self):
-        p1 = TheoryParams(L=0.5, lam=1.0, eps=0.1, d=4, b0=100, eta=1.0)
-        p2 = TheoryParams(L=0.5, lam=1.0, eps=1.0, d=4, b0=100, eta=1.0)
-        assert utility_bound("old_data", p1) > utility_bound("old_data", p2) > 0
-
-    def test_missing_parameter_named(self):
-        with pytest.raises(HarnessError, match="R_g"):
-            utility_bound("continual", TheoryParams(L=1.0, lam=1.0, eps=1.0,
-                                                    d=2, b0=8, level=0, eta=0.0,
-                                                    M=1.0))
-        with pytest.raises(HarnessError, match="unknown bound"):
-            utility_bound("nope", TheoryParams())
-
-
 class TestExportMetrics:
     def rec(self, t=1, seed=0):
         return MetricsRecord(
@@ -390,7 +388,13 @@ class TestExportMetrics:
         path = tmp_path / "m.jsonl"
         records = [self.rec(t) for t in (1, 2, 3)]
         export_metrics(records, path, "jsonl")
-        assert import_metrics_jsonl(path) == records
+        parsed = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [MetricsRecord(
+            t=r["t"], scheduler=r["scheduler"], kind=r["kind"], eps=r["eps"], lam=r["lambda"],
+            batch=r["batch"], acc_recent=r["acc_recent"], acc_test=r["acc_test"],
+            acc_old=r["acc_old"], noise_l2=r["noise_l2"],
+            eps_max=Fraction(r["eps_max_num"], r["eps_max_den"]), bound=r["bound"],
+            seed=r["seed"]) for r in parsed] == records
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(HarnessError):

@@ -7,17 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from streamdp import (
     MechanismError,
+    ModelMeta,
     ModelWeights,
     NoiseSpec,
     RegularizerSpec,
     TrainConfig,
     laplace_scale,
+    laplace_stack,
     laplace_vector,
     output_perturb,
     pberm,
     sampling_probability,
     subsample,
 )
+from streamdp.rng import make_rng
 from conftest import random_dataset
 
 
@@ -48,6 +51,48 @@ class TestLaplace:
         a = laplace_vector(NoiseSpec(1.0, (2, 2), 5))
         c = laplace_vector(NoiseSpec(3.0, (2, 2), 5))
         np.testing.assert_allclose(c, 3.0 * a)
+
+
+def old_laplace(spec):
+    """The per-spec formula: one generator, inverse CDF."""
+    u = make_rng(spec.seed, "laplace").random(spec.dims)
+    v = u - 0.5
+    mag = np.maximum(1.0 - 2.0 * np.abs(v), np.finfo(np.float64).tiny)
+    return -spec.scale * np.sign(v) * np.log(mag)
+
+
+class TestLaplaceBitExact:
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 5), (2, 20), (10, 78), (1, 1001)])
+    def test_vector_equals_per_spec_generator(self, dims):
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**62 + 12345):
+            spec = NoiseSpec(0.37, dims, seed)
+            assert np.array_equal(laplace_vector(spec), old_laplace(spec))
+
+    def test_stack_equals_each_spec(self):
+        rng = np.random.default_rng(4)
+        specs = [NoiseSpec(float(s), (3, 7), int(x)) for s, x in
+                 zip(rng.uniform(0.01, 5, size=40), rng.integers(0, 2**63 - 1, size=40))]
+        stack = laplace_stack(specs)
+        for nu, spec in zip(stack, specs):
+            assert np.array_equal(nu, old_laplace(spec))
+
+    def test_perturbing_a_stack_equals_one_model_at_a_time(self):
+        rng = np.random.default_rng(5)
+        models = [ModelWeights(rng.standard_normal((3, 4)), ModelMeta(reg_source=i))
+                  for i in range(6)]
+        specs = [NoiseSpec(0.5 + i, (3, 4), 1000 + i) if i % 3 else None for i in range(6)]
+        out = output_perturb(models, specs)
+        for model, spec, pm in zip(models, specs, out):
+            if spec is None:
+                assert pm.weights is model and pm.noise_l1 == pm.noise_l2 == 0.0
+                continue
+            nu = old_laplace(spec)
+            assert np.array_equal(pm.weights.w, model.w + nu)
+            assert pm.weights.meta == ModelMeta(reg_source=model.meta.reg_source,
+                                                noise_scale=spec.scale)
+            assert pm.noise_l1 == float(np.abs(nu).sum())
+            assert pm.noise_l2 == float(np.linalg.norm(nu))
+            assert pm.spec == spec
 
 
 class TestNoiseScale:

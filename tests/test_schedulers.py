@@ -29,7 +29,8 @@ from streamdp import erm, schedulers
 from streamdp.cli import SCHEDULERS
 from streamdp.erm import ModelWeights, TrainConfig, lipschitz_public
 from streamdp.mechanisms import pberm, sampling_probability, subsample
-from streamdp.schedulers import RunResult, _subseed, event_probability
+from streamdp.rng import make_rng
+from streamdp.schedulers import RunResult, event_probability
 
 EPS = Fraction(1)
 
@@ -416,6 +417,11 @@ class TestLockstepExecute:
         assert len(row_sets) < len(trained)
 
 
+def _subseed(seed: int, label: str, model_id: int) -> int:
+    """One subseed the scalar way: a generator per (seed, label, model id)."""
+    return int(make_rng(seed, label, model_id).integers(0, 2**63 - 1))
+
+
 def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
     """The per-event loop execute replaced: events in schedule order, each
     event's seeds in lockstep, one pberm call per minibatch size, on a
@@ -540,6 +546,33 @@ class TestWaves:
         chunks = 2 * T * (m + stream.k) * d * 8 // schedulers._STACK_BYTES + 1
         assert sum(calls) == len(trained)
         assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
+
+
+    def test_per_event_cost_is_one_generator_and_one_noise_call_per_stack(self, monkeypatch):
+        # a structural guard: building a generator per subseed or per Laplace
+        # draw, or perturbing model by model, fails it
+        from streamdp import harness, mechanisms, rng
+
+        T, seeds = 600, (1, 2)
+        stream = synth_stream(SynthConfig(d=4, k=3, n=T, sigma=0.3, seed=2)).data
+        sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
+        counts = {"make_rng": 0, "sgd_train": 0, "output_perturb": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kw):
+                counts[name] += 1
+                return fn(*args, **kw)
+            return counted
+        for module in (erm, mechanisms, schedulers, harness, rng):
+            if hasattr(module, "make_rng"):
+                monkeypatch.setattr(module, "make_rng", counting("make_rng", module.make_rng))
+        monkeypatch.setattr(erm, "sgd_train", counting("sgd_train", erm.sgd_train))
+        monkeypatch.setattr(mechanisms, "output_perturb",
+                            counting("output_perturb", mechanisms.output_perturb))
+        execute(sched, stream, TrainConfig(iterations=2, minibatch=32), seeds=seeds)
+        trained = [e for e in sched.events if not e.adopt]
+        assert counts["make_rng"] <= len(trained) * len(seeds)
+        assert counts["output_perturb"] <= counts["sgd_train"] < len(trained) / 2
 
 
 class TestSkippedEvents:
