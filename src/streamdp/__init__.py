@@ -4,11 +4,9 @@ from .erm import (
     Dataset,
     DivergenceError,
     ErmError,
-    ModelMeta,
     ModelWeights,
     RegularizerSpec,
     TrainConfig,
-    biased_erm_minimize,
     clip_l1,
     evaluate_accuracy,
     lipschitz_public,

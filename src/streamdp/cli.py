@@ -2,7 +2,11 @@
 
 Subcommands: `run` (train over a stream and export metrics, trace and ledger),
 `inspect-schedule` (dry-run event trace: no data, no RNG), and `verify-ledger`
-(replay a trace's charges and check them against a budget).
+(replay a trace's charges and check them against the budgets in its header).
+
+A trace is one header line (the scheduler, its eps and its per-subsystem
+budgets) and then one line per event; `run --trace` and `inspect-schedule`
+write it, and `verify-ledger` needs nothing else to check it.
 
 Exit codes: 0 success, 1 usage or config error, 2 budget violation,
 3 data error (unreadable or non-finite input, or training that diverged).
@@ -31,16 +35,15 @@ from .harness import (
     replay,
     synth_stream,
 )
-from .ledger import Ledger, LedgerError
+from .ledger import LedgerError
 from .mechanisms import MechanismError
 from .schedulers import (
-    KIND_SUBSYSTEM,
     ScheduleError,
     SchedulerConfig,
     build_schedule,
     export_trace,
     ledger_from_events,
-    trace_record,
+    ledger_from_trace,
 )
 
 EXIT_OK = 0
@@ -105,7 +108,6 @@ def _add_common(sub):
     sub.add_argument("--b0", default=None, type=int)
     sub.add_argument("--w", default=None, type=int)
     sub.add_argument("--w0", default=None, type=int)
-    sub.add_argument("--T", default=None, type=int, help="stream length (schedule horizon)")
     sub.add_argument("--standalone-base", dest="standalone_base",
                      action="store_true", default=None)
     sub.add_argument("--first-base-at-2b", dest="first_base_at_2b",
@@ -144,11 +146,14 @@ def build_parser() -> _Parser:
 
     ins = sub.add_parser("inspect-schedule", help="dry-run event trace, no data, no RNG")
     _add_common(ins)
+    ins.add_argument("--T", default=None, type=int, help="stream length (schedule horizon)")
     ins.add_argument("--trace", default=None, help="write trace here instead of stdout")
 
-    ver = sub.add_parser("verify-ledger", help="check a trace's charges against a budget")
+    ver = sub.add_parser("verify-ledger",
+                         help="check a trace's charges against the budgets in its header")
     ver.add_argument("trace_path")
-    ver.add_argument("--epsilon", required=True, help="per-subsystem budget")
+    ver.add_argument("--epsilon", default=None,
+                     help="optional: the eps the trace must have been built for")
     return p
 
 
@@ -211,6 +216,16 @@ def _env_overrides() -> dict:
     return out
 
 
+def _parse_epsilon(value) -> Fraction:
+    try:
+        eps = Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"invalid --epsilon {value!r}: {exc}") from exc
+    if eps <= 0:
+        raise UsageError("--epsilon must be positive")
+    return eps
+
+
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, environment and flags (flags win)."""
     merged = dict(_DEFAULTS)
@@ -226,12 +241,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("missing required flag --scheduler")
     if merged["epsilon"] is None:
         raise UsageError("missing required flag --epsilon")
-    try:
-        eps = Fraction(str(merged["epsilon"]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid --epsilon {merged['epsilon']!r}: {exc}") from exc
-    if eps <= 0:
-        raise UsageError("--epsilon must be positive")
+    eps = _parse_epsilon(merged["epsilon"])
     if merged["lam"] is None:
         raise UsageError("missing required flag --lambda")
 
@@ -312,7 +322,11 @@ def _split_test(stream: Dataset, cfg: RunConfig):
     if cfg.test is None:
         return stream, None
     if cfg.test.startswith("tail:"):
-        frac = float(cfg.test[5:])
+        try:
+            frac = float(cfg.test[5:])
+        except ValueError as exc:
+            raise UsageError(f"invalid --test {cfg.test!r}: the tail fraction is not a number") \
+                from exc
         if not 0.0 < frac < 1.0:
             raise UsageError("tail fraction must be in (0, 1)")
         cut = int(stream.n * (1.0 - frac))
@@ -329,7 +343,27 @@ def _seed_path(output: str, seed: int, multi: bool) -> str:
     return str(p.with_name(f"{p.stem}.seed{seed}{p.suffix}"))
 
 
+def _parse_charge(spec: str):
+    """subsystem:a:b:num/den as (subsystem, (a, b), eps)."""
+    try:
+        sub_name, a, b, frac = spec.split(":")
+        return sub_name, (int(a), int(b)), Fraction(frac)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(
+            f"invalid --inject-charge {spec!r}: expected subsystem:a:b:num/den") from exc
+
+
+def _print_report(report):
+    for entry in report.entries:
+        status = "ok" if entry.ok else "VIOLATION"
+        print(f"{entry.subsystem}: max {entry.max_eps} (budget {entry.budget}) {status}")
+
+
 def cmd_run(cfg: RunConfig) -> int:
+    if cfg.T is not None:
+        raise UsageError("run takes its length from the stream: T (--T, config key T or "
+                         f"{ENV_PREFIX}T) is for inspect-schedule only")
+    injected = _parse_charge(cfg.inject_charge) if cfg.inject_charge else None
     stream = _load_source(cfg.source, cfg)
     if cfg.clip_l1:
         stream = clip_l1(stream)
@@ -352,17 +386,15 @@ def cmd_run(cfg: RunConfig) -> int:
         export_metrics(records, _seed_path(cfg.output, seed, multi), cfg.format)
 
     if cfg.trace:
-        export_trace(schedule.events, cfg.trace)
+        export_trace(schedule, cfg.trace)
     # replay has read its eps_max, so the injected charge reaches only the report
-    if cfg.inject_charge:
-        sub_name, a, b, frac = cfg.inject_charge.split(":")
-        ledger.charge((int(a), int(b)), Fraction(frac), sub_name, -1, "injected")
+    if injected:
+        sub_name, interval, eps = injected
+        ledger.charge(interval, eps, sub_name, -1, "injected")
     if cfg.ledger_out:
         ledger.export_jsonl(cfg.ledger_out)
     report = ledger.assert_budget()
-    for entry in report.entries:
-        status = "ok" if entry.ok else "VIOLATION"
-        print(f"{entry.subsystem}: max {entry.max_eps} (budget {entry.budget}) {status}")
+    _print_report(report)
     if multi and test is not None:
         q25, q50, q75 = accuracy_quartiles(all_records)
         summary = {"median_final_acc_test": q50, "q25": q25, "q75": q75,
@@ -385,11 +417,7 @@ def cmd_inspect_schedule(cfg: RunConfig) -> int:
     # no stream to bound L from: L=1 unless --lipschitz is given
     sched = cfg.sched if cfg.sched.L is not None else replace(cfg.sched, L=1.0)
     schedule = build_schedule(sched, cfg.T)
-    if cfg.trace:
-        export_trace(schedule.events, cfg.trace)
-    else:
-        for e in schedule.events:
-            print(json.dumps(trace_record(e)))
+    export_trace(schedule, cfg.trace)
     ledger = ledger_from_events(schedule.events, schedule.budgets)
     witness, mx = ledger.max_point_loss()
     print(f"# events: {len(schedule.events)}", file=sys.stderr)
@@ -397,40 +425,17 @@ def cmd_inspect_schedule(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_ledger(trace_path: str, epsilon: str) -> int:
-    try:
-        eps = Fraction(epsilon)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid --epsilon {epsilon!r}: {exc}") from exc
-    if eps <= 0:
-        raise UsageError("--epsilon must be positive")
-    budgets = {sub: eps for sub in set(KIND_SUBSYSTEM.values())}
-    budgets["baseline"] = 2 * eps
-    ledger = Ledger(budgets=budgets)
-    try:
-        with open(trace_path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    sub = KIND_SUBSYSTEM[rec["kind"]]
-                    eps_charge = Fraction(rec["eps_num"], rec["eps_den"])
-                    if eps_charge > 0:
-                        ledger.charge(
-                            (rec["a"], rec["b"]), eps_charge, sub, rec["t"], rec["kind"]
-                        )
-                except (KeyError, ValueError, TypeError, LedgerError) as exc:
-                    raise LedgerError(f"malformed trace line {lineno}: {exc}") from exc
-    except OSError as exc:
-        raise HarnessError(f"cannot read trace {trace_path}: {exc}") from exc
+def cmd_verify_ledger(trace_path: str, epsilon: str | None) -> int:
+    """Rebuild a trace's ledger and check each subsystem against the budget
+    its header records; --epsilon, if given, must be the header's eps."""
+    expected = None if epsilon is None else _parse_epsilon(epsilon)
+    eps, ledger = ledger_from_trace(trace_path)
+    if expected is not None and expected != eps:
+        raise UsageError(f"--epsilon {expected} does not match the trace's epsilon {eps}")
     witness, mx = ledger.max_point_loss()
     print(f"max point loss: {mx} at index {witness}")
     report = ledger.assert_budget()
-    for entry in report.entries:
-        status = "ok" if entry.ok else "VIOLATION"
-        print(f"{entry.subsystem}: max {entry.max_eps} (budget {entry.budget}) {status}")
+    _print_report(report)
     return EXIT_OK if report.ok else EXIT_BUDGET
 
 

@@ -8,11 +8,11 @@ and Lipschitz-constant computation for DP noise calibration.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import stream_keys
 
 
 class ErmError(ValueError):
@@ -77,23 +77,8 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ModelMeta:
-    """Provenance: training interval, regularizer lineage, noise applied."""
-
-    interval: tuple[int, int] | None = None
-    reg_source: int | None = None
-    noise_scale: float | None = None
-    model_id: int | None = None
-
-    def __post_init__(self):
-        if self.interval is not None and self.interval[0] > self.interval[1]:
-            raise ErmError(f"malformed interval {self.interval}")
-
-
-@dataclass(frozen=True)
 class ModelWeights:
     w: np.ndarray
-    meta: ModelMeta = field(default_factory=ModelMeta)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
@@ -104,25 +89,19 @@ class ModelWeights:
         object.__setattr__(self, "w", w)
 
     @classmethod
-    def checked_stack(cls, stack: np.ndarray, metas) -> list["ModelWeights"]:
-        """One model per slice of an (S, k, d) float64 stack, with metas[i].
+    def checked_stack(cls, stack: np.ndarray) -> list["ModelWeights"]:
+        """One model per slice of an (S, k, d) float64 stack.
 
         The stack is checked once, as a whole, instead of slice by slice.
         """
         if not np.isfinite(stack).all():
             raise ErmError("weights contain non-finite entries")
-        return [cls._unchecked(w, meta) for w, meta in zip(stack, metas)]
-
-    @classmethod
-    def _unchecked(cls, w: np.ndarray, meta: ModelMeta) -> "ModelWeights":
-        model = object.__new__(cls)
-        object.__setattr__(model, "w", w)
-        object.__setattr__(model, "meta", meta)
-        return model
-
-    def with_meta(self, **kw) -> "ModelWeights":
-        """The same weights, checked when this model was built, with new provenance."""
-        return ModelWeights._unchecked(self.w, replace(self.meta, **kw))
+        models = []
+        for w in stack:
+            model = object.__new__(cls)
+            object.__setattr__(model, "w", w)
+            models.append(model)
+        return models
 
 
 @dataclass(frozen=True)
@@ -214,10 +193,13 @@ def _minibatch_indices(seeds, rows, total, m):
 
     Seed s draws from its own "sgd" stream over its len(rows[s]) rows and
     maps the draws through rows[s]: a range adds its start, an index array
-    is indexed. The stream is drawn in blocks of iterations, which gives the
-    values of one (total, m) draw, or of one size-m draw per iteration.
+    is indexed. The streams are `make_rng(seed, "sgd")`'s generators, built
+    from their keys, which one `rng.stream_keys` call derives for all seeds.
+    Each is drawn in blocks of iterations, which gives the values of one
+    (total, m) draw, or of one size-m draw per iteration.
     """
-    rngs = [make_rng(seed, "sgd") for seed in seeds]
+    rngs = [np.random.Generator(np.random.Philox(key=key))
+            for key in stream_keys(seeds, "sgd")]
     block = max(1, _INDEX_BLOCK_BYTES // (8 * len(seeds) * m))
     for start in range(0, total, block):
         count = min(block, total - start)
@@ -280,21 +262,8 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
         if not np.isfinite(w).all():
             finite = np.isfinite(w).all(axis=(1, 2))
             raise DivergenceError(i, int(np.argmin(finite)))
-    models = ModelWeights.checked_stack(w, [ModelMeta()] * len(seeds))
+    models = ModelWeights.checked_stack(w)
     return models[0] if single else models
-
-
-def biased_erm_minimize(data: Dataset, bias, lam: float, cfg: TrainConfig, seeds=None, rows=None):
-    """Minimize the data loss plus lam*||w - bias||^2, starting from bias.
-
-    Seeds and rows work as in `sgd_train`, with one bias per seed when seeds
-    is given. Each model records its bias's model id as reg_source.
-    """
-    if seeds is None:
-        out = sgd_train(data, RegularizerSpec(lam, bias), cfg)
-        return out.with_meta(reg_source=bias.meta.model_id)
-    models = sgd_train(data, [RegularizerSpec(lam, b) for b in bias], cfg, seeds, rows)
-    return [w.with_meta(reg_source=b.meta.model_id) for w, b in zip(models, bias)]
 
 
 def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:

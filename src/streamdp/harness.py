@@ -234,6 +234,8 @@ def replay(
     if schedule is None:
         schedule = build_schedule(sched, stream.n)
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
+    # an adopted continual base is its multires model, trained on [0, t - 1]
+    start_of = {e.model_id: e.a for e in schedule.events}
     batch = sched.batch
     results = execute(schedule, stream, ev.train, nonprivate=ev.nonprivate, seeds=ev.seeds)
     if ledger is None and not ev.nonprivate:
@@ -243,8 +245,7 @@ def replay(
     for seed, result in zip(ev.seeds, results):
         models = [result.models[mid] for _, mid in result.releases]
         steps = np.array([t for t, _ in result.releases], dtype=np.int64)
-        starts = np.array([m.meta.interval[0] if m.meta.interval else 0 for m in models],
-                          dtype=np.int64)
+        starts = np.array([start_of[mid] for _, mid in result.releases], dtype=np.int64)
         recent = np.maximum(0, steps - batch + 1)
         acc_recent = _window_accuracy(models, stream, recent, steps - recent + 1)
         acc_old = _window_accuracy(models, stream, starts - batch,

@@ -152,27 +152,6 @@ class Ledger:
                     + "\n"
                 )
 
-    @classmethod
-    def from_jsonl(cls, path, budgets=None) -> "Ledger":
-        ledger = cls(budgets=dict(budgets or {}))
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    ledger.charge(
-                        (rec["a"], rec["b"]),
-                        Fraction(rec["eps_num"], rec["eps_den"]),
-                        rec["subsystem"],
-                        rec["t"],
-                        rec["mechanism"],
-                    )
-                except (KeyError, ValueError, TypeError) as exc:
-                    raise LedgerError(f"malformed charge at line {lineno}: {exc}") from exc
-        return ledger
-
 
 class RunningMax:
     """Exact maximum per-point loss over the charges with time <= t.

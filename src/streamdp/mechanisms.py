@@ -15,11 +15,12 @@ would give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .erm import Dataset, ModelWeights, TrainConfig, biased_erm_minimize
+from . import erm
+from .erm import Dataset, ModelWeights, RegularizerSpec, TrainConfig
 from .rng import make_rng, philox_random, stream_keys
 
 
@@ -117,8 +118,7 @@ def output_perturb(w, spec):
     w and spec are one model and its NoiseSpec, giving one PerturbedModel,
     or equal-length sequences of models of one shape and their specs,
     giving a list; a spec of None releases its model unperturbed. The noise
-    of a sequence is one `laplace_stack` draw, and each noisy model is one
-    ModelWeights with the model's meta and the noise scale.
+    of a sequence is one `laplace_stack` draw, checked for finiteness once.
     """
     if isinstance(w, ModelWeights):
         return output_perturb([w], [spec])[0]
@@ -131,9 +131,7 @@ def output_perturb(w, spec):
     if not noisy:
         return out
     nu = laplace_stack([spec[i] for i in noisy])
-    weights = ModelWeights.checked_stack(
-        np.stack([w[i].w for i in noisy]) + nu,
-        [replace(w[i].meta, noise_scale=spec[i].scale) for i in noisy])
+    weights = ModelWeights.checked_stack(np.stack([w[i].w for i in noisy]) + nu)
     nu = nu.reshape(len(noisy), -1)
     l1 = np.abs(nu).sum(axis=1).tolist()
     for j, i in enumerate(noisy):
@@ -168,7 +166,8 @@ def pberm(
     if seeds is None:
         noise_seed = cfg.seed if noise_seed is None else noise_seed
         return pberm([bias], data, lam, cfg, [scale], [noise_seed], [cfg.seed])[0]
-    models = biased_erm_minimize(data, bias, lam, cfg, seeds, rows)
+    # looked up on erm at each call, so that a wrapper put on erm.sgd_train sees it
+    models = erm.sgd_train(data, [RegularizerSpec(lam, b) for b in bias], cfg, seeds, rows)
     return output_perturb(models, [None if s == 0.0 else NoiseSpec(s, w.w.shape, seed)
                                    for w, s, seed in zip(models, scale, noise_seed)])
 

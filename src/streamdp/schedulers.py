@@ -16,13 +16,15 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .erm import Dataset, DivergenceError, ModelWeights, TrainConfig
-from .ledger import Ledger
+from .ledger import SUBSYSTEMS, Ledger, LedgerError
 from .mechanisms import laplace_scale, pberm, sampling_probability, subsample
 from .rng import first_integers, stream_keys
 
@@ -113,7 +115,8 @@ class Schedule:
     name: str
     events: tuple
     releases: tuple  # (t, model_id) pairs in time order, each once
-    budgets: dict
+    eps: Fraction  # the eps the schedule was built for
+    budgets: dict  # subsystem -> the most one point may be charged in it
     lam: float  # the lambda the events' noise is calibrated for, and trained with
     chain_states: tuple | None = None
 
@@ -156,7 +159,7 @@ def multires_schedule(T, B, eps, lam, L, sampled=False, _ids=None) -> Schedule:
         for t in range(B, T, B) for k, (a, b) in multires_events_at(t, B)
     ]
     releases = tuple((e.t, e.model_id) for e in events)
-    return Schedule("multires", tuple(events), releases, {"multires": eps}, lam)
+    return Schedule("multires", tuple(events), releases, eps, {"multires": eps}, lam)
 
 
 def continual_schedule(
@@ -219,7 +222,7 @@ def continual_schedule(
     # merge the embedded multires releases into time order; an adopted base
     # is the multires model released at the same step, so it is listed once
     releases = sorted(dict.fromkeys(releases), key=lambda r: r[0])
-    return Schedule("continual", tuple(events), tuple(releases), budgets, lam)
+    return Schedule("continual", tuple(events), tuple(releases), eps, budgets, lam)
 
 
 def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
@@ -234,7 +237,7 @@ def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
               for t in range(b0, T, b0)]
     return Schedule(
         "baseline-independent", tuple(events),
-        tuple((e.t, e.model_id) for e in events), {"baseline": eps}, lam,
+        tuple((e.t, e.model_id) for e in events), eps, {"baseline": eps}, lam,
     )
 
 
@@ -263,7 +266,7 @@ def baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L) -> Schedule:
         prev = ev.model_id
     return Schedule(
         "baseline-basic", tuple(events),
-        tuple((e.t, e.model_id) for e in events), {"baseline": 2 * eps}, lam,
+        tuple((e.t, e.model_id) for e in events), eps, {"baseline": 2 * eps}, lam,
     )
 
 
@@ -370,7 +373,7 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
 
     first = w - 1
     if T <= first:
-        return Schedule("sliding", (), (), {"sliding": eps}, lam, ())
+        return Schedule("sliding", (), (), eps, {"sliding": eps}, lam, ())
     init_window(first, "WindowInit")
     for t in range(first + w0, T, w0):
         if _len_blocks(right) == cap:
@@ -394,7 +397,7 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
         new = train_cascade(t, "WindowAdvance", to_train)
         events.extend(new)
         snapshot(t, new)
-    return Schedule("sliding", tuple(events), tuple(releases), {"sliding": eps}, lam,
+    return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam,
                     tuple(states))
 
 
@@ -424,9 +427,6 @@ class RunResult:
     perturbed: dict
     releases: list  # (t, model_id)
     skipped: list = field(default_factory=list)  # events skipped on empty subsample
-
-    def released_weights(self):
-        return [(t, self.models[mid]) for t, mid in self.releases]
 
 
 # A lockstep SGD call holds an (members, m, d) float64 minibatch and
@@ -521,11 +521,8 @@ def execute(
                     raise DivergenceError(
                         exc.iteration, exc.member,
                         f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}") from None
-                for (e, i, _), pm, scale in zip(stack, pms, scales):
-                    models[i][e.model_id] = pm.weights.with_meta(
-                        interval=e.interval, reg_source=e.reg_source, model_id=e.model_id,
-                        noise_scale=scale,
-                    )
+                for (e, i, _), pm in zip(stack, pms):
+                    models[i][e.model_id] = pm.weights
                     perturbed[i][e.model_id] = pm
 
     runs = []
@@ -605,12 +602,6 @@ def build_schedule(cfg: SchedulerConfig, T: int) -> Schedule:
     raise ScheduleError(f"unknown scheduler {cfg.name!r}")
 
 
-def export_trace(events, path):
-    with open(path, "w") as fh:
-        for e in events:
-            fh.write(json.dumps(trace_record(e)) + "\n")
-
-
 def event_probability(e: EventSpec) -> float | None:
     """Inclusion probability of a sampled event's points, else None."""
     if e.sampled_rule is None:
@@ -634,3 +625,59 @@ def trace_record(e: EventSpec) -> dict:
         "eps_den": e.eps.denominator,
         "model_id": e.model_id,
     }
+
+
+def trace_header(schedule: Schedule) -> dict:
+    """The first line of a trace: the scheduler, its eps (as eps_num and
+    eps_den, like an event's charge) and its budgets, each an exact
+    [numerator, denominator] pair."""
+    return {
+        "scheduler": schedule.name,
+        "eps_num": schedule.eps.numerator,
+        "eps_den": schedule.eps.denominator,
+        "budgets": {sub: [b.numerator, b.denominator] for sub, b in schedule.budgets.items()},
+    }
+
+
+def export_trace(schedule: Schedule, path=None):
+    """Write the schedule's trace to path, or to standard output without one:
+    its `trace_header`, then one `trace_record` per event, one JSON object a
+    line. `ledger_from_trace` reads it back."""
+    with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(trace_header(schedule)) + "\n")
+        for e in schedule.events:
+            fh.write(json.dumps(trace_record(e)) + "\n")
+
+
+def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
+    """The eps and the budgeted ledger of a trace `export_trace` wrote.
+
+    Line 1 must be the header, which gives the budgets. Each later line is
+    an event, charged to its kind's subsystem with the kind as mechanism; a
+    zero charge is skipped. A line that does not parse, or an event of a
+    subsystem the header has no budget for, raises LedgerError naming its
+    line number.
+    """
+    with open(path) as fh:
+        try:
+            head = json.loads(fh.readline())
+            eps = Fraction(head["eps_num"], head["eps_den"])
+            budgets = {sub: Fraction(num, den) for sub, (num, den) in head["budgets"].items()}
+        except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise LedgerError(f"trace line 1 is not a trace header: {exc!r}") from exc
+        if eps <= 0 or not budgets or any(
+                sub not in SUBSYSTEMS or b <= 0 for sub, b in budgets.items()):
+            raise LedgerError(f"trace line 1 has an invalid eps or budgets: {head}")
+        ledger = Ledger(budgets=budgets)
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                rec = json.loads(line)
+                sub = KIND_SUBSYSTEM[rec["kind"]]
+                if sub not in budgets:
+                    raise LedgerError(f"the header has no {sub} budget")
+                charge = Fraction(rec["eps_num"], rec["eps_den"])
+                if charge != 0:
+                    ledger.charge((rec["a"], rec["b"]), charge, sub, rec["t"], rec["kind"])
+            except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+                raise LedgerError(f"malformed trace line {lineno}: {exc}") from exc
+    return eps, ledger

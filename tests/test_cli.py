@@ -58,7 +58,7 @@ class TestParsing:
             "--epsilon", "1",
         )
         assert code == EXIT_OK
-        first = json.loads(out.splitlines()[0])
+        first = json.loads(out.splitlines()[1])  # the first event, after the header
         assert first["eps_num"] == 1 and first["eps_den"] == 2  # eps/2, not 1/20
 
     def test_unknown_config_key(self, capsys, tmp_path):
@@ -79,7 +79,7 @@ class TestParsing:
             capsys, "inspect-schedule", "--config", str(cfgfile)
         )
         assert code == EXIT_OK
-        first = json.loads(out.splitlines()[0])
+        first = json.loads(out.splitlines()[1])  # the first event, after the header
         assert first["eps_num"] == 1 and first["eps_den"] == 4
 
     def test_bad_epsilon(self, capsys):
@@ -88,6 +88,37 @@ class TestParsing:
             "--T", "8", "--epsilon", "-1", "--lambda", "1",
         )
         assert code == EXIT_USAGE
+
+    def test_run_rejects_T_flag(self, capsys, tmp_path):
+        # run's length is the stream's; a T it ignored would look like a setting
+        code, out, err = run_cli(capsys, *BASE_RUN, "--T", "32",
+                                 "--output", str(tmp_path / "m.csv"))
+        assert code == EXIT_USAGE and "--T" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_run_rejects_T_from_env_or_config(self, source, capsys, tmp_path, monkeypatch):
+        argv = [*BASE_RUN, "--output", str(tmp_path / "m.csv")]
+        if source == "env":
+            monkeypatch.setenv("STREAMDP_T", "32")
+        else:
+            (tmp_path / "cfg").write_text("T=32\n")
+            argv += ["--config", str(tmp_path / "cfg")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and "STREAMDP_T" in err and "config key T" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_bad_tail_fraction_names_value(self, capsys, tmp_path):
+        argv = [*BASE_RUN, "--output", str(tmp_path / "m.csv")]
+        argv[argv.index("tail:0.25")] = "tail:abc"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and "'tail:abc'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["foo", "continual:0:x:1", "continual:0:0:1/0"])
+    def test_malformed_injected_charge_names_value(self, spec, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"),
+                                 "--inject-charge", spec)
+        assert code == EXIT_USAGE and repr(spec) in err
 
 
 class TestInspect:
@@ -98,7 +129,7 @@ class TestInspect:
             "--T", "9", "--epsilon", "1", "--lambda", "1",
         )
         assert code == EXIT_OK
-        events = [json.loads(line) for line in out.splitlines()]
+        events = [json.loads(line) for line in out.splitlines()[1:]]
         at_8 = [e for e in events if e["t"] == 8]
         assert sorted(e["level"] for e in at_8) == [0, 1, 2]
 
@@ -110,6 +141,18 @@ class TestInspect:
         code1, out1, _ = run_cli(capsys, *args)
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == EXIT_OK and out1 == out2
+
+    def test_prints_the_trace_it_writes(self, capsys, tmp_path):
+        args = ("inspect-schedule", "--scheduler", "continual", "--B", "4", "--b0", "2",
+                "--epsilon", "1/3", "--lambda", "1", "--T", "20", "--standalone-base")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        code, written, _ = run_cli(capsys, *args, "--trace", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_OK and written == ""
+        assert out == (tmp_path / "t.jsonl").read_text()
+        assert json.loads(out.splitlines()[0]) == {
+            "scheduler": "continual", "eps_num": 1, "eps_den": 3,
+            "budgets": {"continual": [2, 3]}}
 
     def test_requires_horizon(self, capsys):
         code, out, err = run_cli(
@@ -258,9 +301,12 @@ class TestRun:
 
 
 class TestVerifyLedger:
+    HEADER = {"scheduler": "multires", "eps_num": 1, "eps_den": 1,
+              "budgets": {"multires": [1, 1]}}
+
     def make_trace(self, tmp_path, lines):
         p = tmp_path / "trace.jsonl"
-        p.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
+        p.write_text("".join(json.dumps(x) + "\n" for x in [self.HEADER, *lines]))
         return p
 
     def mr(self, t, k, a, b):
@@ -288,15 +334,42 @@ class TestVerifyLedger:
         p = tmp_path / "empty.jsonl"
         p.write_text("")
         code, out, err = run_cli(capsys, "verify-ledger", str(p), "--epsilon", "1")
-        assert code == EXIT_OK
-        assert "0" in out
+        assert code == EXIT_DATA
+        assert "line 1" in err
 
-    def test_malformed_line_reports_number(self, capsys, tmp_path):
+    def test_header_only_trace_verifies_with_max_0(self, capsys, tmp_path):
+        p = self.make_trace(tmp_path, [])
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_OK
+        assert out.splitlines() == ["max point loss: 0 at index None",
+                                    "multires: max 0 (budget 1) ok"]
+
+    def test_header_less_trace_exits_3_naming_line_1(self, capsys, tmp_path):
         p = tmp_path / "trace.jsonl"
-        p.write_text(json.dumps(self.mr(8, 0, 0, 7)) + "\nnot json\n")
+        p.write_text(json.dumps(self.mr(8, 0, 0, 7)) + "\n")
         code, out, err = run_cli(capsys, "verify-ledger", str(p), "--epsilon", "1")
         assert code == EXIT_DATA
-        assert "line 2" in err
+        assert "line 1" in err and out == ""
+
+    def test_mismatched_epsilon_exits_1(self, capsys, tmp_path):
+        p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7)])
+        code, out, err = run_cli(capsys, "verify-ledger", str(p), "--epsilon", "1/2")
+        assert code == EXIT_USAGE
+        assert "1/2" in err and "epsilon 1" in err and out == ""
+
+    def test_event_outside_the_header_budgets_is_malformed(self, capsys, tmp_path):
+        base = {**self.mr(8, 0, 0, 7), "kind": "Base"}
+        p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7), base])
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA
+        assert "line 3" in err and "continual" in err
+
+    def test_malformed_line_reports_number(self, capsys, tmp_path):
+        p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7)])
+        p.write_text(p.read_text() + "not json\n")
+        code, out, err = run_cli(capsys, "verify-ledger", str(p), "--epsilon", "1")
+        assert code == EXIT_DATA
+        assert "line 3" in err
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -304,3 +377,38 @@ class TestVerifyLedger:
             "--epsilon", "1",
         )
         assert code == EXIT_DATA
+
+
+class TestTraceRoundTrip:
+    """verify-ledger on run's trace, with no flag to restate, reports what run did."""
+
+    SMALL = ["--epsilon", "1", "--lambda", "1", "--synth-n", "128", "--synth-d", "4",
+             "--iters", "3", "--minibatch", "8"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--scheduler", "multires", "--B", "16"],
+        ["--scheduler", "multires-sample", "--B", "16"],
+        ["--scheduler", "continual", "--B", "16", "--b0", "4"],
+        ["--scheduler", "continual-sample", "--B", "16", "--b0", "4"],
+        ["--scheduler", "sliding", "--w", "7", "--w0", "1"],
+        ["--scheduler", "sliding-sample", "--w", "7", "--w0", "1"],
+        ["--scheduler", "baseline-independent", "--b0", "4"],
+        ["--scheduler", "baseline-basic", "--B", "16", "--b0", "4"],
+        # a standalone base doubles the continual budget
+        ["--scheduler", "continual", "--B", "64", "--b0", "16", "--standalone-base",
+         "--synth-n", "1024", "--iters", "5"],
+    ], ids=lambda flags: "-".join(f for f in flags if not f.startswith("-"))[:40])
+    def test_verify_reports_the_run(self, flags, capsys, tmp_path):
+        out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
+        code, ran, err = run_cli(capsys, "run", *self.SMALL, *flags,
+                                 "--output", str(out), "--trace", str(trace))
+        assert code == EXIT_OK, err
+        vcode, verified, err = run_cli(capsys, "verify-ledger", str(trace))
+        assert vcode == code, err
+        first, *budget_lines = verified.splitlines()
+        assert budget_lines == ran.splitlines()
+        last = dict(zip(CSV_HEADER.split(","), out.read_text().splitlines()[-1].split(",")))
+        eps_max = Fraction(int(last["eps_max_num"]), int(last["eps_max_den"]))
+        assert eps_max == Fraction(re.match(r"max point loss: (\S+) at", first).group(1))
+        if "--standalone-base" in flags:
+            assert "continual: max 19/16 (budget 2) ok" in budget_lines

@@ -290,6 +290,7 @@ class TestBatchedEvaluation:
         ev = EvalConfig(test=self.test, seeds=self.SEEDS, train=self.train)
         recs = replay(StreamSource(self.stream), sched, ev)
         schedule = build_schedule(sched, self.stream.n)
+        start_of = {e.model_id: e.a for e in schedule.events}
         short = 0
         for seed in self.SEEDS:
             result = execute(schedule, self.stream, replace(self.train, seed=seed))
@@ -297,7 +298,7 @@ class TestBatchedEvaluation:
             assert len(seed_recs) == len(result.releases)
             for r, (t, mid) in zip(seed_recs, result.releases):
                 model = result.models[mid]
-                a = model.meta.interval[0]
+                a = start_of[mid]
                 assert r.acc_recent == evaluate_accuracy(
                     model, self.stream.slice(max(0, t - 11), t))
                 assert r.acc_test == evaluate_accuracy(model, self.test)

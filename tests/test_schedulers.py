@@ -400,7 +400,6 @@ class TestLockstepExecute:
             assert run.models.keys() == alone.models.keys()
             for mid, w in alone.models.items():
                 np.testing.assert_array_equal(run.models[mid].w, w.w)
-                assert run.models[mid].meta == w.meta
             assert run.perturbed.keys() == alone.perturbed.keys()
             for mid, pm in alone.perturbed.items():
                 np.testing.assert_array_equal(run.perturbed[mid].weights.w, pm.weights.w)
@@ -458,10 +457,7 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
                         noise_seeds, train_seeds, member_rows)
             for i, pm in zip(members, pms):
                 run = runs[i]
-                run.models[mid] = pm.weights.with_meta(
-                    interval=e.interval, reg_source=e.reg_source, model_id=mid,
-                    noise_scale=scale,
-                )
+                run.models[mid] = pm.weights
                 run.perturbed[mid] = pm
     for run in runs:
         skipped_ids = {e.model_id for e in run.skipped}
@@ -513,11 +509,9 @@ class TestWaves:
             assert list(run.models) == list(ref.models)
             for mid, w in ref.models.items():
                 np.testing.assert_array_equal(run.models[mid].w, w.w)
-                assert run.models[mid].meta == w.meta
             assert list(run.perturbed) == list(ref.perturbed)
             for mid, pm in ref.perturbed.items():
                 np.testing.assert_array_equal(run.perturbed[mid].weights.w, pm.weights.w)
-                assert run.perturbed[mid].weights.meta == pm.weights.meta
                 assert run.perturbed[mid].spec == pm.spec
                 assert run.perturbed[mid].noise_l1 == pm.noise_l1
                 assert run.perturbed[mid].noise_l2 == pm.noise_l2
