@@ -266,6 +266,11 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     return models[0] if single else models
 
 
+def biased_erm_minimize(data: Dataset, bias, lam: float, cfg: TrainConfig, seeds, rows=None):
+    """`sgd_train` of seed i from bias[i], minimizing data loss + lam*||w - bias[i]||^2."""
+    return sgd_train(data, [RegularizerSpec(lam, b) for b in bias], cfg, seeds, rows)
+
+
 def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
     """Data-independent bound (k-1)/(2mk) * c * sqrt(m) under per-row norm <= c."""
     if m <= 0:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import erm
-from .erm import Dataset, ModelWeights, RegularizerSpec, TrainConfig
+from .erm import Dataset, ModelWeights, TrainConfig, biased_erm_minimize
 from .rng import make_rng, philox_random, stream_keys
 
 
@@ -156,18 +155,15 @@ def pberm(
     Laplace(scale) noise, the scale the caller's schedule calibrated;
     scale=0 is the explicit non-private escape hatch and releases the model
     unperturbed, and a negative scale is rejected. A zero bias model trains
-    toward 0. With seeds=None one model is trained with cfg.seed and
-    perturbed with noise_seed (default cfg.seed). Given a sequence of seeds,
-    `sgd_train` trains them in lockstep (seed i on the rows rows[i] of data,
-    if rows is given) and seed i, with bias[i], is perturbed with
-    Laplace(scale[i]) noise from noise_seed[i]; one PerturbedModel per seed
-    is returned, and the noise of all seeds is one `output_perturb` call.
+    toward 0. With seeds=None one model trains with cfg.seed and gets noise
+    from noise_seed (default cfg.seed). Given seeds, they train in lockstep
+    from bias[i] (on rows[i] of data, if given) and seed i gets
+    Laplace(scale[i]) noise from noise_seed[i]; one PerturbedModel per seed.
     """
     if seeds is None:
         noise_seed = cfg.seed if noise_seed is None else noise_seed
         return pberm([bias], data, lam, cfg, [scale], [noise_seed], [cfg.seed])[0]
-    # looked up on erm at each call, so that a wrapper put on erm.sgd_train sees it
-    models = erm.sgd_train(data, [RegularizerSpec(lam, b) for b in bias], cfg, seeds, rows)
+    models = biased_erm_minimize(data, bias, lam, cfg, seeds, rows)
     return output_perturb(models, [None if s == 0.0 else NoiseSpec(s, w.w.shape, seed)
                                    for w, s, seed in zip(models, scale, noise_seed)])
 
