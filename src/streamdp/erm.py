@@ -188,15 +188,17 @@ def loss_and_gradient(
 _INDEX_BLOCK_BYTES = 1 << 18
 
 
-def _minibatch_indices(seeds, rows, total, m):
-    """Yield each iteration's (S, m) row indices into the training data.
+def _minibatch_indices(seeds, rows, total, m, n):
+    """Yield each iteration's (S, m) row indices into training data of n rows.
 
     Seed s draws from its own "sgd" stream over its len(rows[s]) rows and
     maps the draws through rows[s]: a range adds its start, an index array
     is indexed. The streams are `make_rng(seed, "sgd")`'s generators, built
     from their keys, which one `rng.stream_keys` call derives for all seeds.
     Each is drawn in blocks of iterations, which gives the values of one
-    (total, m) draw, or of one size-m draw per iteration.
+    (total, m) draw, or of one size-m draw per iteration. A block holding
+    an index outside [0, n) raises ErmError, so that the gather, which
+    clips, never reads a row the rows do not name.
     """
     rngs = [np.random.Generator(np.random.Philox(key=key))
             for key in stream_keys(seeds, "sgd")]
@@ -207,6 +209,8 @@ def _minibatch_indices(seeds, rows, total, m):
         for s, (rng, r) in enumerate(zip(rngs, rows)):
             draws = rng.integers(0, len(r), size=(count, m))
             idx[:, s] = draws + r.start if isinstance(r, range) else r[draws]
+        if idx.min() < 0 or idx.max() >= n:
+            raise ErmError(f"training rows must lie in [0, {n})")
         yield from idx
 
 
@@ -223,7 +227,7 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     seed. reg is then one RegularizerSpec for every seed or a sequence with
     one per seed (all with the same lam), and rows, if given, holds each
     seed's rows of data: a range for a contiguous interval, or an array of
-    row indices. Each seed draws its minibatch indices ahead from its own
+    row indices; a drawn row outside data raises ErmError. Each seed draws its minibatch indices ahead from its own
     "sgd" stream (the values per-iteration draws would give), and every step
     applies the same floating-point operations to each slice of the stack,
     so a seed's weights do not depend on the other seeds. All seeds must
@@ -246,14 +250,18 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     m = min(cfg.minibatch, sizes[0])
     if any(min(cfg.minibatch, n) != m for n in sizes):
         raise ErmError("seeds trained in lockstep must share the minibatch size")
-    batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m)
+    batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m, data.n)
     # flat positions of each row's true-class entry in the (S, m, k) softmax
     row_start = np.arange(len(seeds) * m).reshape(len(seeds), m) * data.k
     lam = reg[0].lam
     wg = np.stack([r.bias_matrix(data.k, data.d) for r in reg])
     w = wg.copy()
+    # one minibatch buffer per call: a fresh one per iteration stays resident
+    # in a worker thread's malloc arena after the call
+    Xb = np.empty((len(seeds), m, data.d))
     for i, idx in enumerate(batches, start=1):
-        Xb = np.take(data.X, idx, axis=0)
+        # the indices are checked, and "raise" would gather through a temporary
+        np.take(data.X, idx, axis=0, out=Xb, mode="clip")
         _, _, probs = _softmax_terms(w, Xb)
         probs.reshape(-1)[row_start + data.y[idx]] -= 1.0
         g = (probs.swapaxes(-1, -2) @ Xb) / m

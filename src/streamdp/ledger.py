@@ -115,7 +115,11 @@ class Ledger:
         return best_idx, Fraction(best, den)
 
     def assert_budget(self) -> BudgetReport:
-        """Per-subsystem pass/fail with the witness point of maximal loss."""
+        """Per-subsystem pass/fail with the witness point of maximal loss.
+
+        A subsystem with charges but no budget is a violation: nothing
+        bounds what it may charge.
+        """
         entries = []
         present = {c.subsystem for c in self.charges}
         for sub in SUBSYSTEMS:
@@ -123,7 +127,7 @@ class Ledger:
                 continue
             budget = self.budgets.get(sub)
             witness, mx = self.max_point_loss(sub)
-            ok = budget is None or mx <= budget
+            ok = budget is not None and mx <= budget
             entries.append(BudgetEntry(sub, budget, mx, witness, ok))
         if "continual" in present and "multires" in present:
             budget = self.budgets.get("continual")

@@ -16,7 +16,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -422,7 +424,6 @@ def ledger_from_events(events, budgets) -> Ledger:
 
 @dataclass
 class RunResult:
-    schedule: Schedule
     models: dict  # model id -> weights; a skipped event maps to its bias model
     perturbed: dict
     releases: list  # (t, model_id)
@@ -433,8 +434,15 @@ class RunResult:
 # (members, k, d) weight stacks. A wave's members are stacked up to about
 # this many bytes of both, counted as members * (m + k) * d * 8; larger
 # stacks train no faster and raise the peak RSS. The seeds of one event are
-# never split, so an event above the cap is a call of its own.
+# never split, but a member above the cap alone is compute-bound: numpy's
+# gather, products and exponentials, which release the interpreter lock,
+# dominate its call, so it is a call of its own and may run in a thread.
 _STACK_BYTES = 160 << 10
+
+# Lanes a wave's compute-bound calls are spread over: the calling thread
+# and _WORKERS - 1 threads, one lane per CPU the process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def execute(
@@ -455,16 +463,22 @@ def execute(
     seed) members are grouped by minibatch size min(minibatch, n), and each
     group is trained in lockstep by `pberm` with the schedule's lambda
     toward each member's regularizer (the zero model without one), one call
-    per stack of at most `_STACK_BYTES` of minibatch and weights (never
-    splitting one event's seeds). Members read the whole stream: an interval
-    as a range, a subsample as its kept row indices. A seed's subsample, SGD
-    and noise streams derive from that seed and the model id alone, so its
+    per stack (`_stacks`). Members read the whole stream: an interval as a
+    range, a subsample as its kept row indices. A seed's subsample, SGD and
+    noise streams derive from that seed and the model id alone, so its
     result equals a run of that seed by itself, event by event; the
     subseeds of every (event, seed) are derived up front, one vectorised
-    call per label (`_subseeds`), and a stack's noise is one draw. Models,
-    perturbations, skipped events and releases are recorded in schedule
-    order. Nothing is charged here: the run's charges are the schedule's
-    (`ledger_from_events`).
+    call per label (`_subseeds`), and a stack's noise is one draw.
+
+    A stack's result depends on its own inputs alone, so the stacks of a
+    wave may train in any order. Compute-bound stacks (one member above
+    `_STACK_BYTES`) are dealt round-robin over `_WORKERS` lanes: lane 0 is
+    the calling thread, the others are the threads of one pool per call,
+    and they train concurrently, since their numpy work releases the
+    interpreter lock. Every other stack trains in the calling thread.
+    After each wave, models, perturbations and skipped events are recorded
+    in schedule order, bit for bit those of a serial run. Nothing is charged
+    here: the run's charges are the schedule's (`ledger_from_events`).
 
     A sampled event keeps each point with its `event_probability`. One whose
     subsample is empty is skipped for that seed: it is neither trained nor
@@ -474,7 +488,8 @@ def execute(
     covers subsample-then-release whatever the subsample.
 
     nonprivate=True forces all noise scales to zero. A DivergenceError names
-    the first diverged member's event and seed.
+    the event and seed of the first diverged member in wave order, whichever
+    lane finishes first.
     """
     single = seeds is None
     seeds = (train_cfg.seed,) if single else tuple(seeds)
@@ -493,41 +508,63 @@ def execute(
     def bias(i, e):
         return zero if e.reg_source is None else models[i][e.reg_source]
 
-    for wave in _waves(trained):
-        groups = {}  # minibatch size -> [(event, seed position, rows)]
-        for e in wave:
-            if e.sampled_rule is None:
-                event_rows = [range(e.a, e.b + 1)] * len(seeds)
-            else:
-                p = event_probability(e)
-                event_rows = [subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id]))
-                              + e.a for i in range(len(seeds))]
-            for i, rows in enumerate(event_rows):
-                if len(rows) == 0:
-                    models[i][e.model_id] = bias(i, e)  # skipped
+    def train(stack):
+        """pberm over one stack: its PerturbedModels, or a DivergenceError
+        naming its first diverged member."""
+        try:
+            return pberm([bias(i, e) for e, i, _ in stack], stream, schedule.lam, train_cfg,
+                         [0.0 if nonprivate else e.noise_scale for e, _, _ in stack],
+                         [int(noise_seeds[i, e.model_id]) for e, i, _ in stack],
+                         [int(train_seeds[i, e.model_id]) for e, i, _ in stack],
+                         [r for _, _, r in stack])
+        except DivergenceError as exc:
+            e, i, _ = stack[exc.member]
+            return DivergenceError(exc.iteration, exc.member,
+                                   f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}")
+
+    def train_lane(stacks):
+        return [train(stack) for stack in stacks]
+
+    with ThreadPoolExecutor(_WORKERS - 1) if _WORKERS > 1 else nullcontext() as pool:
+        for wave in _waves(trained):
+            groups = {}  # minibatch size -> [(event, seed position, rows)]
+            for e in wave:
+                if e.sampled_rule is None:
+                    event_rows = [range(e.a, e.b + 1)] * len(seeds)
                 else:
-                    groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append((e, i, rows))
-        for m, members in groups.items():
-            for stack in _stacks(members, (m + stream.k) * stream.d * 8):
-                scales = [0.0 if nonprivate else e.noise_scale for e, _, _ in stack]
-                try:
-                    pms = pberm([bias(i, e) for e, i, _ in stack], stream, schedule.lam,
-                                train_cfg, scales,
-                                [int(noise_seeds[i, e.model_id]) for e, i, _ in stack],
-                                [int(train_seeds[i, e.model_id]) for e, i, _ in stack],
-                                [r for _, _, r in stack])
-                except DivergenceError as exc:
-                    e, i, _ = stack[exc.member]
-                    raise DivergenceError(
-                        exc.iteration, exc.member,
-                        f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}") from None
-                for (e, i, _), pm in zip(stack, pms):
+                    p = event_probability(e)
+                    event_rows = [subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id]))
+                                  + e.a for i in range(len(seeds))]
+                for i, rows in enumerate(event_rows):
+                    if len(rows) == 0:
+                        models[i][e.model_id] = bias(i, e)  # skipped
+                    else:
+                        groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append(
+                            (e, i, rows))
+            # each lane lists its stacks' positions in the wave
+            stacks, lanes = [], [[] for _ in range(_WORKERS)]
+            deal = itertools.cycle(lanes)
+            for m, members in groups.items():
+                member_bytes = (m + stream.k) * stream.d * 8
+                for stack in _stacks(members, member_bytes):
+                    lane = next(deal) if member_bytes > _STACK_BYTES else lanes[0]
+                    lane.append(len(stacks))
+                    stacks.append(stack)
+            futures = [(lane, pool.submit(train_lane, [stacks[j] for j in lane]))
+                       for lane in lanes[1:] if lane]
+            results = dict(zip(lanes[0], train_lane([stacks[j] for j in lanes[0]])))
+            for lane, future in futures:
+                results.update(zip(lane, future.result()))
+            for j, stack in enumerate(stacks):
+                if isinstance(results[j], DivergenceError):
+                    raise results[j]
+                for (e, i, _), pm in zip(stack, results[j]):
                     models[i][e.model_id] = pm.weights
                     perturbed[i][e.model_id] = pm
 
     runs = []
     for i in range(len(seeds)):
-        run = RunResult(schedule, {}, {}, [])
+        run = RunResult({}, {}, [])
         for e in trained:
             run.models[e.model_id] = models[i][e.model_id]
             pm = perturbed[i].get(e.model_id)
@@ -558,7 +595,12 @@ def _waves(events):
 
 def _stacks(members, member_bytes):
     """Split members, in order, into stacks of at most _STACK_BYTES (one
-    member takes member_bytes); the members of one event share a stack."""
+    member takes member_bytes); the members of one event share a stack.
+    Members above the cap are compute-bound: stacking their seeds trains no
+    faster, so each is a stack of its own, free to train in its own lane."""
+    if member_bytes > _STACK_BYTES:
+        yield from ([member] for member in members)
+        return
     stack = []
     for _, event_members in itertools.groupby(members, key=lambda mem: mem[0].model_id):
         event_members = list(event_members)

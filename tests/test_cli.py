@@ -183,6 +183,15 @@ class TestRun:
         assert code == EXIT_BUDGET
         assert "VIOLATION" in out
 
+    def test_injected_charge_to_an_unbudgeted_subsystem_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "run", "--scheduler", "multires", "--B", "16", "--epsilon", "1",
+            "--lambda", "1", "--synth-n", "64", "--synth-d", "3", "--iters", "3",
+            "--output", str(tmp_path / "m.csv"), "--inject-charge", "baseline:0:0:5",
+        )
+        assert code == EXIT_BUDGET
+        assert "baseline: max 5 (budget None) VIOLATION" in out
+
     def test_builds_the_ledger_once_and_keeps_injected_charges_out_of_eps_max(
             self, capsys, tmp_path, monkeypatch):
         from streamdp import cli, harness

@@ -214,6 +214,18 @@ class TestLockstepKernel:
                                  replace(cfg, seed=seed))
             np.testing.assert_array_equal(got.w, want)
 
+    @pytest.mark.parametrize("bad", [90, 1000, -1])
+    def test_rows_outside_the_data_rejected(self, rng, bad):
+        # the gather clips, so an index outside [0, n) must be caught before it
+        data = random_dataset(rng, 90, 4, 3)
+        rows = [np.arange(10), np.array([5, bad, 7])]
+        with pytest.raises(ErmError, match=r"\[0, 90\)"):
+            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=30, minibatch=2),
+                      (1, 2), rows)
+        with pytest.raises(ErmError):
+            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=1, minibatch=8),
+                      (1,), [range(85, 95)])
+
     def test_unequal_minibatch_sizes_rejected(self, rng):
         data = random_dataset(rng, 20, 2, 2)
         with pytest.raises(ErmError):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from streamdp import (
-    Dataset,
     EvalConfig,
     HarnessError,
     MetricsRecord,

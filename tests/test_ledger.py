@@ -146,6 +146,15 @@ class TestBudgetReport:
         entry = report.entries[0]
         assert entry.witness == 4 and entry.max_eps == Fraction(3, 2)
 
+    def test_charges_without_a_budget_are_a_violation(self):
+        led = Ledger(budgets={"multires": Fraction(1)})
+        led.charge((0, 7), Fraction(1, 2), "multires", 8, "m")
+        led.charge((0, 0), Fraction(5), "baseline", -1, "injected")
+        report = led.assert_budget()
+        assert not report.ok
+        entry = next(e for e in report.entries if e.subsystem == "baseline")
+        assert entry.budget is None and entry.max_eps == Fraction(5) and not entry.ok
+
     def test_combined_continual_multires_entry(self):
         led = Ledger(budgets={"multires": Fraction(1), "continual": Fraction(1)})
         led.charge((0, 3), Fraction(1, 2), "multires", 4, "m")

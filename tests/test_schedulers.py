@@ -1,5 +1,7 @@
 import functools
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from streamdp import (
 )
 from streamdp import erm, schedulers
 from streamdp.cli import SCHEDULERS
-from streamdp.erm import ModelWeights, TrainConfig, lipschitz_public
+from streamdp.erm import DivergenceError, ModelWeights, TrainConfig, lipschitz_public
 from streamdp.mechanisms import pberm, sampling_probability, subsample
 from streamdp.rng import make_rng
 from streamdp.schedulers import RunResult, event_probability
@@ -427,7 +429,7 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
     per-event slice of the stream, with inclusion probabilities from the
     schedule's total eps."""
     feps = float(eps)
-    runs = [RunResult(schedule, {}, {}, []) for _ in seeds]
+    runs = [RunResult({}, {}, []) for _ in seeds]
     zero = ModelWeights(np.zeros((stream.k, stream.d)))
     for e in schedule.events:
         if e.adopt:
@@ -477,8 +479,10 @@ def _depths(schedule):
 class TestWaves:
     """execute's dependency waves against the per-event loop, bit for bit.
 
-    `stack_bytes` shrinks the cap on a stacked call, down to one event per
-    call, so that waves split into several calls.
+    `layout` shrinks the cap on a stacked call, down to 1 byte, where every
+    member is compute-bound and a call of its own, so that waves split into
+    several calls; at that cap it also spreads the calls over 1, 2 or 3
+    lanes.
     """
 
     SEEDS = (1, 2, 3, 2)
@@ -487,24 +491,36 @@ class TestWaves:
     def stream(self):
         return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6)).data
 
-    @pytest.fixture(params=[None, 1, 3000])
-    def stack_bytes(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(schedulers, "_STACK_BYTES", request.param)
+    @pytest.fixture(params=[(None, 1), (1, 1), (3000, 1), (1, 2), (1, 3)],
+                    ids=["None", "1", "3000", "1-workers2", "1-workers3"])
+    def layout(self, request, monkeypatch):
+        stack_bytes, workers = request.param
+        if stack_bytes is not None:
+            monkeypatch.setattr(schedulers, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(schedulers, "_WORKERS", workers)
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        """reference_execute's runs by (scheduler, nonprivate), each computed
+        once for every layout: the reference does not read the layout."""
+        return {}
 
     @pytest.mark.parametrize("nonprivate", [False, True])
     @pytest.mark.parametrize("name", [
         "multires", "multires-sample", "continual", "continual-sample",
         "sliding", "sliding-sample", "baseline-independent", "baseline-basic",
     ])
-    def test_matches_per_event_loop(self, stream, name, nonprivate, stack_bytes):
+    def test_matches_per_event_loop(self, stream, name, nonprivate, layout, references):
         # B=2 leaves sampled events with empty subsamples (skipped)
         B = 2 if name.endswith("sample") else 16
         sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
         cfg = TrainConfig(iterations=6, minibatch=8)
         runs = execute(sched, stream, cfg, nonprivate, self.SEEDS)
-        refs = reference_execute(sched, stream, 1.0, cfg, EPS, nonprivate, self.SEEDS)
+        if (name, nonprivate) not in references:
+            references[name, nonprivate] = reference_execute(sched, stream, 1.0, cfg, EPS,
+                                                             nonprivate, self.SEEDS)
+        refs = references[name, nonprivate]
         for run, ref in zip(runs, refs, strict=True):
             assert list(run.models) == list(ref.models)
             for mid, w in ref.models.items():
@@ -540,6 +556,68 @@ class TestWaves:
         chunks = 2 * T * (m + stream.k) * d * 8 // schedulers._STACK_BYTES + 1
         assert sum(calls) == len(trained)
         assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
+
+    @staticmethod
+    def threads_of_calls(monkeypatch, sched, stream, cfg, seeds):
+        """The (members, thread) of every SGD call execute makes."""
+        calls = []
+
+        def recorded(*args, _fn=erm.sgd_train, **kw):
+            calls.append((len(args[3]), threading.get_ident()))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "sgd_train", recorded)
+        execute(sched, stream, cfg, seeds=seeds)
+        return calls
+
+    def test_compute_bound_members_train_one_per_call_on_every_lane(self, stream, monkeypatch):
+        # a structural guard: stacking compute-bound seeds again, or training
+        # their calls on the caller's thread alone, fails it
+        monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
+        monkeypatch.setattr(schedulers, "_WORKERS", 2)
+        sched = multires_schedule(stream.n, 16, EPS, 1.0, 0.2)
+        calls = self.threads_of_calls(monkeypatch, sched, stream,
+                                      TrainConfig(iterations=4, minibatch=8), self.SEEDS)
+        assert len(calls) == len(sched.events) * len(self.SEEDS)
+        assert {members for members, _ in calls} == {1}
+        threads = {thread for _, thread in calls}
+        assert len(threads) == 2 and threading.get_ident() in threads
+
+    def test_small_stacks_train_on_the_callers_thread(self, monkeypatch):
+        # the continual-d20 shape: d=20, minibatch 256, 4 seeds, stacks of
+        # several members below the cap
+        monkeypatch.setattr(schedulers, "_WORKERS", 2)
+        stream = synth_stream(SynthConfig(d=20, k=3, n=2048, sigma=0.3, seed=3)).data
+        sched = continual_schedule(stream.n, 512, 256, EPS, 1.0, 0.2)
+        calls = self.threads_of_calls(monkeypatch, sched, stream,
+                                      TrainConfig(iterations=2, minibatch=256), (1, 2, 3, 4))
+        assert (256 + stream.k) * stream.d * 8 <= schedulers._STACK_BYTES
+        assert max(members for members, _ in calls) > 1
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("slow_lane", ["caller", "worker"])
+    def test_first_divergence_in_wave_order_wins(self, monkeypatch, slow_lane):
+        # multires B=8 on 32 points: one wave of events on [0, 7], [8, 15],
+        # [0, 15] and [16, 23], dealt to the caller, the worker, the caller
+        # and the worker. Rows from 8 on blow up, so every event but the
+        # first diverges: the earliest on the worker, the next on the caller.
+        monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
+        monkeypatch.setattr(schedulers, "_WORKERS", 2)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((32, 3)) * np.where(np.arange(32) >= 8, 1e200, 1.0)[:, None]
+        stream = Dataset(X, rng.integers(0, 3, size=32), 3)
+        sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
+        caller = threading.get_ident()
+
+        def delayed(*args, _fn=erm.sgd_train, **kw):
+            # hold one lane back, so the other lane's divergences come first
+            if (threading.get_ident() == caller) == (slow_lane == "caller"):
+                time.sleep(0.05)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "sgd_train", delayed)
+        with pytest.raises(DivergenceError, match=r"event at t=16 on \[8, 15\], seed 1$"):
+            execute(sched, stream, TrainConfig(iterations=20, minibatch=4), seeds=(1,))
 
 
     def test_per_event_cost_is_one_generator_and_one_noise_call_per_stack(self, monkeypatch):
