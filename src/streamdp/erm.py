@@ -7,7 +7,6 @@ and Lipschitz-constant computation for DP noise calibration.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,22 +145,6 @@ def _check_dims(w: np.ndarray, data: Dataset):
         raise ErmError(f"weight shape {w.shape} does not match (k={data.k}, d={data.d})")
 
 
-def _softmax_terms(w: np.ndarray, X: np.ndarray):
-    """Max-shifted scores X @ w.T, each row's sum of exponentials, and the softmax.
-
-    Leading axes of w and X are batch axes: a (S, k, d) weight stack with
-    (S, m, d) features gives (S, m, k) scores, slice by slice the 2-D result.
-    """
-    scores = X @ w.swapaxes(-1, -2)
-    # A running maximum over the class columns (the rows of scores.T) is
-    # exact, like max(axis=-1), and much faster when the class axis is short.
-    top = functools.reduce(np.maximum, scores.T).T
-    shifted = scores - top[..., None]
-    exp = np.exp(shifted)
-    total = exp.sum(axis=-1)
-    return shifted, total, exp / total[..., None]
-
-
 def loss_and_gradient(
     w: ModelWeights, batch: Dataset, reg: RegularizerSpec
 ) -> tuple[float, np.ndarray]:
@@ -170,15 +153,18 @@ def loss_and_gradient(
         raise ErmError("empty batch")
     _check_dims(w.w, batch)
     wg = reg.bias_matrix(batch.k, batch.d)
-    shifted, total, probs = _softmax_terms(w.w, batch.X)
+    scores = batch.X @ w.w.T
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    probs = exp / total[:, None]
     log_probs = shifted - np.log(total)[:, None]
     n = batch.n
     data_loss = -log_probs[np.arange(n), batch.y].mean()
     diff = w.w - wg
     loss = data_loss + reg.lam * float(np.sum(diff * diff))
-    resid = probs
-    resid[np.arange(n), batch.y] -= 1.0
-    grad = (resid.T @ batch.X) / n + 2.0 * reg.lam * diff
+    probs[np.arange(n), batch.y] -= 1.0
+    grad = (probs.T @ batch.X) / n + 2.0 * reg.lam * diff
     return float(loss), grad
 
 
@@ -188,30 +174,33 @@ def loss_and_gradient(
 _INDEX_BLOCK_BYTES = 1 << 18
 
 
-def _minibatch_indices(seeds, rows, total, m, n):
-    """Yield each iteration's (S, m) row indices into training data of n rows.
+def _minibatch_indices(seeds, rows, total, m, data: Dataset):
+    """Yield each iteration's (S, m) row indices into data, with the flat
+    position of each drawn row's true class in an (S, m, k) array.
 
     Seed s draws from its own "sgd" stream over its len(rows[s]) rows and
     maps the draws through rows[s]: a range adds its start, an index array
     is indexed. The streams are `make_rng(seed, "sgd")`'s generators, built
     from their keys, which one `rng.stream_keys` call derives for all seeds.
     Each is drawn in blocks of iterations, which gives the values of one
-    (total, m) draw, or of one size-m draw per iteration. A block holding
+    (total, m) draw, or of one size-m draw per iteration; a block's indices
+    and positions together take about _INDEX_BLOCK_BYTES. A block holding
     an index outside [0, n) raises ErmError, so that the gather, which
     clips, never reads a row the rows do not name.
     """
     rngs = [np.random.Generator(np.random.Philox(key=key))
             for key in stream_keys(seeds, "sgd")]
-    block = max(1, _INDEX_BLOCK_BYTES // (8 * len(seeds) * m))
+    row_start = np.arange(len(seeds) * m).reshape(len(seeds), m) * data.k
+    block = max(1, _INDEX_BLOCK_BYTES // (16 * len(seeds) * m))
     for start in range(0, total, block):
         count = min(block, total - start)
         idx = np.empty((count, len(seeds), m), dtype=np.int64)
         for s, (rng, r) in enumerate(zip(rngs, rows)):
             draws = rng.integers(0, len(r), size=(count, m))
             idx[:, s] = draws + r.start if isinstance(r, range) else r[draws]
-        if idx.min() < 0 or idx.max() >= n:
-            raise ErmError(f"training rows must lie in [0, {n})")
-        yield from idx
+        if idx.min() < 0 or idx.max() >= data.n:
+            raise ErmError(f"training rows must lie in [0, {data.n})")
+        yield from zip(idx, row_start + data.y[idx])
 
 
 def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
@@ -227,11 +216,16 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     seed. reg is then one RegularizerSpec for every seed or a sequence with
     one per seed (all with the same lam), and rows, if given, holds each
     seed's rows of data: a range for a contiguous interval, or an array of
-    row indices; a drawn row outside data raises ErmError. Each seed draws its minibatch indices ahead from its own
-    "sgd" stream (the values per-iteration draws would give), and every step
-    applies the same floating-point operations to each slice of the stack,
-    so a seed's weights do not depend on the other seeds. All seeds must
-    share the minibatch size min(minibatch, n_i).
+    row indices; a drawn row outside data raises ErmError. Each seed draws
+    its minibatch indices ahead from its own "sgd" stream (the values
+    per-iteration draws would give), and every step applies the same
+    floating-point operations to each slice of the stack, so a seed's
+    weights do not depend on the other seeds. All seeds must share the
+    minibatch size min(minibatch, n_i).
+
+    A step works class-major, on (S, k, m) scores in buffers allocated once
+    per call, yet performs the operations of a plain per-seed loop on
+    (m, k) scores in that loop's order, so the weights match it bit for bit.
     """
     single = seeds is None
     if single:
@@ -250,26 +244,52 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     m = min(cfg.minibatch, sizes[0])
     if any(min(cfg.minibatch, n) != m for n in sizes):
         raise ErmError("seeds trained in lockstep must share the minibatch size")
-    batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m, data.n)
-    # flat positions of each row's true-class entry in the (S, m, k) softmax
-    row_start = np.arange(len(seeds) * m).reshape(len(seeds), m) * data.k
+    batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m, data)
+    S, k, d = len(seeds), data.k, data.d
     lam = reg[0].lam
-    wg = np.stack([r.bias_matrix(data.k, data.d) for r in reg])
+    wg = np.stack([r.bias_matrix(k, d) for r in reg])
     w = wg.copy()
-    # one minibatch buffer per call: a fresh one per iteration stays resident
-    # in a worker thread's malloc arena after the call
-    Xb = np.empty((len(seeds), m, data.d))
-    for i, idx in enumerate(batches, start=1):
+    # Every step writes into these. One buffer per call also keeps a worker
+    # thread's malloc arena from holding one per iteration after the call.
+    Xb = np.empty((S, m, d))
+    Xb_t = Xb.swapaxes(-1, -2)
+    scores = np.empty((S, k, m))  # class-major: the class reductions run along m
+    top, total = np.empty((S, 1, m)), np.empty((S, 1, m))
+    # The softmax is written through the transposed view of an (S, m, k)
+    # array: the gradient product gives the reference loop's bits only with
+    # that operand, not with a contiguous (S, k, m) one.
+    probs = np.empty((S, m, k))
+    probs_t, probs_flat = probs.swapaxes(-1, -2), probs.reshape(-1)
+    g, pull = np.empty_like(w), np.empty_like(w)
+    finite = np.empty(w.shape, dtype=bool)
+    for i, (idx, true_class) in enumerate(batches, start=1):
         # the indices are checked, and "raise" would gather through a temporary
         np.take(data.X, idx, axis=0, out=Xb, mode="clip")
-        _, _, probs = _softmax_terms(w, Xb)
-        probs.reshape(-1)[row_start + data.y[idx]] -= 1.0
-        g = (probs.swapaxes(-1, -2) @ Xb) / m
+        np.matmul(w, Xb_t, out=scores)
+        np.maximum.reduce(scores, axis=1, out=top, keepdims=True)
+        np.subtract(scores, top, out=scores)
+        np.exp(scores, out=scores)
+        if k < 8:
+            # numpy sums fewer than 8 contiguous values in order, as this does
+            np.add.reduce(scores, axis=1, out=total, keepdims=True)
+            np.divide(scores, total, out=probs_t)
+        else:
+            # and more pairwise, so they are summed where the loop sums them
+            probs_t[...] = scores
+            np.add.reduce(probs, axis=2, out=total[:, 0])
+            np.divide(probs_t, total, out=probs_t)
+        probs_flat[true_class] -= 1.0
+        np.matmul(probs_t, Xb, out=g)
         eta = 1.0 / (cfg.gamma * i)
-        w = (w - eta * g + 2.0 * eta * lam * wg) / (1.0 + 2.0 * eta * lam)
-        if not np.isfinite(w).all():
-            finite = np.isfinite(w).all(axis=(1, 2))
-            raise DivergenceError(i, int(np.argmin(finite)))
+        # the loop's w = (w - eta * (g / m) + 2 * eta * lam * wg) / (1 + 2 * eta * lam)
+        np.divide(g, m, out=g)
+        np.multiply(eta, g, out=g)
+        np.subtract(w, g, out=w)
+        np.multiply(2.0 * eta * lam, wg, out=pull)
+        np.add(w, pull, out=w)
+        np.divide(w, 1.0 + 2.0 * eta * lam, out=w)
+        if not np.isfinite(w, out=finite).all():
+            raise DivergenceError(i, int(np.argmin(finite.all(axis=(1, 2)))))
     models = ModelWeights.checked_stack(w)
     return models[0] if single else models
 

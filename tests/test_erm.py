@@ -149,21 +149,46 @@ def reference_sgd(data, reg, cfg):
     return w
 
 
+# Benchmark-shaped problems: minibatch 256, and the d=784 of the image
+# workload, take BLAS paths that random_problem's small sizes never reach;
+# k=130 sums each row of class scores in numpy's blocked pairwise order.
+BENCHMARK_SHAPES = {
+    "k3-d20": dict(k=3, n=1024, d=20, iterations=60),
+    "k10-d784": dict(k=10, n=600, d=784, iterations=3),
+    "k130-d6": dict(k=130, n=512, d=6, iterations=4),
+}
+
+
 def random_problem(rng, case):
     """Case `case` of a fixed spread of sizes: minibatch above and below n,
-    one or more passes, zero or nonzero bias, k in {2, 3, 10}."""
-    k = (2, 3, 10)[case % 3]
-    n, d = int(rng.integers(1, 120)), int(rng.integers(1, 25))
+    one or more passes, zero or nonzero bias, k in {2, 3, 10}; or, for a
+    name in BENCHMARK_SHAPES, that shape with a bias, one pass of minibatch
+    256."""
+    shape = BENCHMARK_SHAPES.get(case)
+    if shape:
+        k, n, d = shape["k"], shape["n"], shape["d"]
+    else:
+        k = (2, 3, 10)[case % 3]
+        n, d = int(rng.integers(1, 120)), int(rng.integers(1, 25))
     data = Dataset(rng.standard_normal((n, d)) * rng.choice([0.3, 1.0, 4.0]),
                    rng.integers(0, k, size=n), k)
-    bias = ModelWeights(rng.standard_normal((k, d))) if case % 2 else None
+    bias = ModelWeights(rng.standard_normal((k, d))) if shape or case % 2 else None
     reg = RegularizerSpec(float(rng.choice([0.01, 1.0, 50.0])), bias)
     cfg = TrainConfig(
         gamma=float(rng.choice([1.0, 10.0])), iterations=int(rng.integers(1, 30)),
         minibatch=int(rng.choice([1, 7, 64, 500])), passes=int(rng.integers(1, 4)),
         seed=int(rng.integers(0, 2**31)),
     )
+    if shape:
+        cfg = replace(cfg, iterations=shape["iterations"], minibatch=256, passes=1)
     return data, reg, cfg
+
+
+def case_rng(case, offset=0):
+    """The generator case `case` draws its problem from."""
+    if case in BENCHMARK_SHAPES:
+        case = 1000 + list(BENCHMARK_SHAPES).index(case)
+    return np.random.default_rng(offset + case)
 
 
 class TestLockstepKernel:
@@ -178,14 +203,14 @@ class TestLockstepKernel:
         if request.param is not None:
             monkeypatch.setattr(erm, "_INDEX_BLOCK_BYTES", request.param)
 
-    @pytest.mark.parametrize("case", range(20))
+    @pytest.mark.parametrize("case", [*range(20), *BENCHMARK_SHAPES])
     def test_single_seed_matches_reference_loop(self, case, block_bytes):
-        data, reg, cfg = random_problem(np.random.default_rng(case), case)
+        data, reg, cfg = random_problem(case_rng(case), case)
         np.testing.assert_array_equal(sgd_train(data, reg, cfg).w, reference_sgd(data, reg, cfg))
 
-    @pytest.mark.parametrize("case", range(0, 20, 3))
+    @pytest.mark.parametrize("case", [*range(0, 20, 3), *BENCHMARK_SHAPES])
     def test_seed_stack_matches_single_seeds(self, case, block_bytes):
-        rng = np.random.default_rng(100 + case)
+        rng = case_rng(case, 100)
         data, _, cfg = random_problem(rng, case)
         seeds = (5, 2**40, 5, 2**64 - 1)  # seeds of two 32-bit entropy words, too
         regs = [RegularizerSpec(0.7, ModelWeights(rng.standard_normal((data.k, data.d))))
