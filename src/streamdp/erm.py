@@ -30,6 +30,12 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite weights at iteration {iteration}{at}")
         self.iteration = iteration
         self.member = member
+        self.where = where
+
+    def __reduce__(self):
+        # rebuilt from its fields, not from its message, so that it survives
+        # the pipe from a lane process
+        return type(self), (self.iteration, self.member, self.where)
 
 
 @dataclass(frozen=True)
@@ -249,8 +255,7 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     lam = reg[0].lam
     wg = np.stack([r.bias_matrix(k, d) for r in reg])
     w = wg.copy()
-    # Every step writes into these. One buffer per call also keeps a worker
-    # thread's malloc arena from holding one per iteration after the call.
+    # Every step writes into these, so that a step allocates no temporaries.
     Xb = np.empty((S, m, d))
     Xb_t = Xb.swapaxes(-1, -2)
     scores = np.empty((S, k, m))  # class-major: the class reductions run along m

@@ -17,8 +17,9 @@ import functools
 import itertools
 import json
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,8 @@ import numpy as np
 
 from .erm import Dataset, DivergenceError, ModelWeights, TrainConfig
 from .ledger import SUBSYSTEMS, Ledger, LedgerError
-from .mechanisms import laplace_scale, pberm, sampling_probability, subsample
+from .mechanisms import (PerturbedModel, laplace_scale, pberm, sampling_probability,
+                         subsample)
 from .rng import first_integers, stream_keys
 
 KIND_SUBSYSTEM = {
@@ -447,14 +449,15 @@ class RunResult:
 # takes about 23-26 us per member at 4 members, 18-23 at 8 and 20-25 at 16
 # (one BLAS thread, 2-vCPU VM). The seeds of one event are never split,
 # but a member above the cap alone is compute-bound: numpy's gather,
-# products and exponentials, which release the interpreter lock,
-# dominate its call, so it is a call of its own and may run in a thread.
+# products and exponentials dominate its call, and stacking its seeds
+# trains no faster, so it is a call of its own.
 _STACK_BYTES = 160 << 10
 
-# Lanes a wave's compute-bound calls are spread over: the calling thread
-# and _WORKERS - 1 threads, one lane per CPU the process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# Lanes a wave's stacks are dealt over: the calling process and
+# _WORKERS - 1 processes forked for the wave, one lane per CPU the process
+# may run on, and one lane where os.fork does not exist.
+_WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1) if hasattr(os, "fork") else 1)
 
 
 def execute(
@@ -483,14 +486,14 @@ def execute(
     call per label (`_subseeds`), and a stack's noise is one draw.
 
     A stack's result depends on its own inputs alone, so the stacks of a
-    wave may train in any order. Compute-bound stacks (one member above
-    `_STACK_BYTES`) are dealt round-robin over `_WORKERS` lanes: lane 0 is
-    the calling thread, the others are the threads of one pool per call,
-    and they train concurrently, since their numpy work releases the
-    interpreter lock. Every other stack trains in the calling thread.
-    After each wave, models, perturbations and skipped events are recorded
-    in schedule order, bit for bit those of a serial run. Nothing is charged
-    here: the run's charges are the schedule's (`ledger_from_events`).
+    wave may train in any order and in any process. They are dealt
+    round-robin over `_WORKERS` lanes (`_map_lanes`): lane 0 trains in the
+    calling process while each other lane trains in a process forked for
+    it, which sees every earlier wave's models through the fork and sends
+    back each stack's noisy weights as one array. After each wave, models,
+    perturbations and skipped events are recorded in schedule order, bit
+    for bit those of a serial run. Nothing is charged here: the run's
+    charges are the schedule's (`ledger_from_events`).
 
     A sampled event keeps each point with its `event_probability`. One whose
     subsample is empty is skipped for that seed: it is neither trained nor
@@ -521,58 +524,47 @@ def execute(
         return zero if e.reg_source is None else models[i][e.reg_source]
 
     def train(stack):
-        """pberm over one stack: its PerturbedModels, or a DivergenceError
-        naming its first diverged member."""
+        """pberm over one stack: its noisy (members, k, d) weights and each
+        member's (noise_l1, noise_l2, spec), or a DivergenceError naming its
+        first diverged member."""
         try:
-            return pberm([bias(i, e) for e, i, _ in stack], stream, schedule.lam, train_cfg,
-                         [0.0 if nonprivate else e.noise_scale for e, _, _ in stack],
-                         [int(noise_seeds[i, e.model_id]) for e, i, _ in stack],
-                         [int(train_seeds[i, e.model_id]) for e, i, _ in stack],
-                         [r for _, _, r in stack])
+            pms = pberm([bias(i, e) for e, i, _ in stack], stream, schedule.lam, train_cfg,
+                        [0.0 if nonprivate else e.noise_scale for e, _, _ in stack],
+                        [int(noise_seeds[i, e.model_id]) for e, i, _ in stack],
+                        [int(train_seeds[i, e.model_id]) for e, i, _ in stack],
+                        [r for _, _, r in stack])
         except DivergenceError as exc:
             e, i, _ = stack[exc.member]
             return DivergenceError(exc.iteration, exc.member,
                                    f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}")
+        return (np.stack([pm.weights.w for pm in pms]),
+                [(pm.noise_l1, pm.noise_l2, pm.spec) for pm in pms])
 
-    def train_lane(stacks):
-        return [train(stack) for stack in stacks]
-
-    with ThreadPoolExecutor(_WORKERS - 1) if _WORKERS > 1 else nullcontext() as pool:
-        for wave in _waves(trained):
-            groups = {}  # minibatch size -> [(event, seed position, rows)]
-            for e in wave:
-                if e.sampled_rule is None:
-                    event_rows = [range(e.a, e.b + 1)] * len(seeds)
+    for wave in _waves(trained):
+        groups = {}  # minibatch size -> [(event, seed position, rows)]
+        for e in wave:
+            if e.sampled_rule is None:
+                event_rows = [range(e.a, e.b + 1)] * len(seeds)
+            else:
+                p = event_probability(e)
+                event_rows = [subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id]))
+                              + e.a for i in range(len(seeds))]
+            for i, rows in enumerate(event_rows):
+                if len(rows) == 0:
+                    models[i][e.model_id] = bias(i, e)  # skipped
                 else:
-                    p = event_probability(e)
-                    event_rows = [subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id]))
-                                  + e.a for i in range(len(seeds))]
-                for i, rows in enumerate(event_rows):
-                    if len(rows) == 0:
-                        models[i][e.model_id] = bias(i, e)  # skipped
-                    else:
-                        groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append(
-                            (e, i, rows))
-            # each lane lists its stacks' positions in the wave
-            stacks, lanes = [], [[] for _ in range(_WORKERS)]
-            deal = itertools.cycle(lanes)
-            for m, members in groups.items():
-                member_bytes = (m + stream.k) * stream.d * 8
-                for stack in _stacks(members, member_bytes):
-                    lane = next(deal) if member_bytes > _STACK_BYTES else lanes[0]
-                    lane.append(len(stacks))
-                    stacks.append(stack)
-            futures = [(lane, pool.submit(train_lane, [stacks[j] for j in lane]))
-                       for lane in lanes[1:] if lane]
-            results = dict(zip(lanes[0], train_lane([stacks[j] for j in lanes[0]])))
-            for lane, future in futures:
-                results.update(zip(lane, future.result()))
-            for j, stack in enumerate(stacks):
-                if isinstance(results[j], DivergenceError):
-                    raise results[j]
-                for (e, i, _), pm in zip(stack, results[j]):
-                    models[i][e.model_id] = pm.weights
-                    perturbed[i][e.model_id] = pm
+                    groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append(
+                        (e, i, rows))
+        stacks = [stack for m, members in groups.items()
+                  for stack in _stacks(members, (m + stream.k) * stream.d * 8)]
+        for stack, result in zip(stacks, _map_lanes(train, stacks)):
+            if isinstance(result, DivergenceError):
+                raise result
+            weights, noise = result
+            for (e, i, _), w, (l1, l2, spec) in zip(
+                    stack, ModelWeights.checked_stack(weights), noise):
+                models[i][e.model_id] = w
+                perturbed[i][e.model_id] = PerturbedModel(w, l1, l2, spec)
 
     runs = []
     for i in range(len(seeds)):
@@ -588,6 +580,75 @@ def execute(
         run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
         runs.append(run)
     return runs[0] if single else runs
+
+
+def _map_lanes(fn, items) -> list:
+    """[fn(x) for x in items], with the items dealt round-robin over
+    `_WORKERS` lanes that run concurrently.
+
+    Lane 0 runs in this process. Each other non-empty lane runs in a child
+    forked for it, which sends its results back through a pipe, pickled,
+    and leaves through os._exit. The parent closes each write end before
+    the next fork, so that no later child holds it open and each read ends
+    at its child's EOF. An exception raised in a child is raised again here
+    with its type and message; a child that exits without sending its
+    results raises ChildProcessError naming the lane and its exit status.
+    Every child is reaped and every pipe closed before this returns or
+    raises: the children still running when this raises first are killed.
+    A fork copies the calling thread alone; execute starts no other.
+    """
+    lanes = [range(n, len(items), _WORKERS) for n in range(_WORKERS)]
+    results = [None] * len(items)
+    children = []  # (lane, pid, read end) of each child not yet reaped
+    try:
+        for n, lane in enumerate(lanes[1:], start=1):
+            if not lane:
+                continue
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: never returns
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        reply = (True, [fn(items[j]) for j in lane])
+                    except Exception as exc:
+                        reply = (False, exc)
+                    data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                    with open(w, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((n, pid, r))
+        for j in lanes[0]:
+            results[j] = fn(items[j])
+        while children:
+            n, pid, r = children.pop(0)
+            try:
+                with open(r, "rb") as fh:
+                    data = fh.read()
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise ChildProcessError(f"lane {n} exited with status {code} without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            for j, result in zip(lanes[n], value):
+                results[j] = result
+    finally:
+        for _, pid, r in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
 
 
 def _waves(events):
@@ -609,7 +670,7 @@ def _stacks(members, member_bytes):
     """Split members, in order, into stacks of at most _STACK_BYTES (one
     member takes member_bytes); the members of one event share a stack.
     Members above the cap are compute-bound: stacking their seeds trains no
-    faster, so each is a stack of its own, free to train in its own lane."""
+    faster, so each is a stack of its own."""
     if member_bytes > _STACK_BYTES:
         yield from ([member] for member in members)
         return

@@ -280,7 +280,8 @@ class TestRun:
         )
         assert code == EXIT_DATA and "training diverged" in err and "Traceback" not in err
         # the error names the first diverged member of the stack
-        assert "event at t=18 on [15, 18], seed 1" in err
+        assert re.fullmatch(r"error: training diverged: non-finite weights at iteration \d+ "
+                            r"in event at t=18 on \[15, 18\], seed 1\n", err)
 
     def test_sampled_schedule_with_skipped_regularizer_runs(self, capsys, tmp_path):
         # a sliding-sample update skipped on an empty subsample is later the

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,14 @@ class TestSgd:
         data = Dataset(X, y, 2)
         w = sgd_train(data, RegularizerSpec(0.01), TrainConfig(iterations=300, seed=3))
         assert evaluate_accuracy(w, data) > 0.95
+
+    @pytest.mark.parametrize("where", ["event at t=16 on [8, 15], seed 1", None])
+    def test_divergence_error_survives_pickling(self, where):
+        # execute's lane processes send it through a pipe
+        exc = DivergenceError(3, 1, where)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is DivergenceError and str(back) == str(exc)
+        assert (back.iteration, back.member, back.where) == (3, 1, where)
 
     def test_empty_dataset_rejected(self):
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)

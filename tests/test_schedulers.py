@@ -1,6 +1,7 @@
 import functools
 import math
-import threading
+import os
+import signal
 import time
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from streamdp import (
 )
 from streamdp import erm, schedulers
 from streamdp.cli import SCHEDULERS
-from streamdp.erm import DivergenceError, ModelWeights, TrainConfig, lipschitz_public
+from streamdp.erm import DivergenceError, ErmError, ModelWeights, TrainConfig, lipschitz_public
 from streamdp.mechanisms import pberm, sampling_probability, subsample
 from streamdp.rng import make_rng
 from streamdp.schedulers import RunResult, event_probability
@@ -393,6 +394,8 @@ class TestLockstepExecute:
         def spy(*args, _fn=schedulers.pberm):
             row_sets.append(args[-1])
             return _fn(*args)
+        # one lane: a lane process's calls would not reach row_sets
+        monkeypatch.setattr(schedulers, "_WORKERS", 1)
         monkeypatch.setattr(schedulers, "pberm", spy)
         runs = execute(sched, stream, cfg, seeds=self.SEEDS)
         monkeypatch.undo()
@@ -546,6 +549,7 @@ class TestWaves:
         def counted(*args, _fn=erm.sgd_train, **kw):
             calls.append(len(args[3]) if len(args) > 3 else 1)
             return _fn(*args, **kw)
+        monkeypatch.setattr(schedulers, "_WORKERS", 1)  # count every call here
         monkeypatch.setattr(erm, "sgd_train", counted)
         execute(sched, stream, TrainConfig(iterations=2, minibatch=m))
         trained = [e for e in sched.events if not e.adopt]
@@ -558,41 +562,45 @@ class TestWaves:
         assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
 
     @staticmethod
-    def threads_of_calls(monkeypatch, sched, stream, cfg, seeds):
-        """The (members, thread) of every SGD call execute makes."""
-        calls = []
+    def processes_of_calls(monkeypatch, tmp_path, sched, stream, cfg, seeds):
+        """The (process id, members) of every SGD call execute makes, in
+        whichever process makes it: each call appends a line to a file."""
+        log = tmp_path / "calls"
 
         def recorded(*args, _fn=erm.sgd_train, **kw):
-            calls.append((len(args[3]), threading.get_ident()))
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(args[3])}\n")
             return _fn(*args, **kw)
         monkeypatch.setattr(erm, "sgd_train", recorded)
         execute(sched, stream, cfg, seeds=seeds)
-        return calls
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
-    def test_compute_bound_members_train_one_per_call_on_every_lane(self, stream, monkeypatch):
+    def test_compute_bound_members_train_one_per_call_on_every_lane(self, stream, monkeypatch,
+                                                                    tmp_path):
         # a structural guard: stacking compute-bound seeds again, or training
-        # their calls on the caller's thread alone, fails it
+        # their calls in the caller's process alone, fails it
         monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
         monkeypatch.setattr(schedulers, "_WORKERS", 2)
         sched = multires_schedule(stream.n, 16, EPS, 1.0, 0.2)
-        calls = self.threads_of_calls(monkeypatch, sched, stream,
-                                      TrainConfig(iterations=4, minibatch=8), self.SEEDS)
+        calls = self.processes_of_calls(monkeypatch, tmp_path, sched, stream,
+                                        TrainConfig(iterations=4, minibatch=8), self.SEEDS)
         assert len(calls) == len(sched.events) * len(self.SEEDS)
-        assert {members for members, _ in calls} == {1}
-        threads = {thread for _, thread in calls}
-        assert len(threads) == 2 and threading.get_ident() in threads
+        assert {members for _, members in calls} == {1}
+        pids = {pid for pid, _ in calls}
+        assert len(pids) == 2 and os.getpid() in pids
 
-    def test_small_stacks_train_on_the_callers_thread(self, monkeypatch):
+    def test_small_stacks_train_in_every_lane(self, monkeypatch, tmp_path):
         # the continual-d20 shape: d=20, minibatch 256, 4 seeds, stacks of
-        # several members below the cap
+        # several members below the cap, dealt to the caller and a lane process
         monkeypatch.setattr(schedulers, "_WORKERS", 2)
         stream = synth_stream(SynthConfig(d=20, k=3, n=2048, sigma=0.3, seed=3)).data
         sched = continual_schedule(stream.n, 512, 256, EPS, 1.0, 0.2)
-        calls = self.threads_of_calls(monkeypatch, sched, stream,
-                                      TrainConfig(iterations=2, minibatch=256), (1, 2, 3, 4))
+        calls = self.processes_of_calls(monkeypatch, tmp_path, sched, stream,
+                                        TrainConfig(iterations=2, minibatch=256), (1, 2, 3, 4))
         assert (256 + stream.k) * stream.d * 8 <= schedulers._STACK_BYTES
-        assert max(members for members, _ in calls) > 1
-        assert {thread for _, thread in calls} == {threading.get_ident()}
+        # the caller, and a lane process forked for each wave of two or more stacks
+        pids = {pid for pid, members in calls if members > 1}
+        assert len(pids) > 1 and os.getpid() in pids
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -608,17 +616,17 @@ class TestWaves:
         X = rng.standard_normal((32, 3)) * np.where(np.arange(32) >= 8, 1e200, 1.0)[:, None]
         stream = Dataset(X, rng.integers(0, 3, size=32), 3)
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        caller = threading.get_ident()
+        caller = os.getpid()
 
         def delayed(*args, _fn=erm.sgd_train, **kw):
             # hold one lane back, so the other lane's divergences come first
-            if (threading.get_ident() == caller) == (slow_lane == "caller"):
+            if (os.getpid() == caller) == (slow_lane == "caller"):
                 time.sleep(0.05)
             return _fn(*args, **kw)
         monkeypatch.setattr(erm, "sgd_train", delayed)
-        with pytest.raises(DivergenceError, match=r"event at t=16 on \[8, 15\], seed 1$"):
+        with pytest.raises(DivergenceError, match=r"^non-finite weights at iteration \d+ in "
+                           r"event at t=16 on \[8, 15\], seed 1$"):
             execute(sched, stream, TrainConfig(iterations=20, minibatch=4), seeds=(1,))
-
 
     def test_per_event_cost_is_one_generator_and_one_noise_call_per_stack(self, monkeypatch):
         # a structural guard: building a generator per subseed or per Laplace
@@ -635,6 +643,7 @@ class TestWaves:
                 counts[name] += 1
                 return fn(*args, **kw)
             return counted
+        monkeypatch.setattr(schedulers, "_WORKERS", 1)  # count every call here
         for module in (erm, mechanisms, schedulers, harness, rng):
             if hasattr(module, "make_rng"):
                 monkeypatch.setattr(module, "make_rng", counting("make_rng", module.make_rng))
@@ -645,6 +654,78 @@ class TestWaves:
         trained = [e for e in sched.events if not e.adopt]
         assert counts["make_rng"] <= len(trained) * len(seeds)
         assert counts["output_perturb"] <= counts["sgd_train"] < len(trained) / 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="lane processes are forked")
+class TestLanes:
+    """How execute's lane processes fail: every failure reaches the caller,
+    and no child process or pipe outlives the call."""
+
+    @pytest.fixture
+    def stream(self):
+        return synth_stream(SynthConfig(d=4, k=3, n=64, sigma=0.3, seed=4)).data
+
+    @pytest.fixture(autouse=True)
+    def lanes(self, monkeypatch):
+        # one member a stack, four stacks a wave, dealt over three lanes
+        monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
+        monkeypatch.setattr(schedulers, "_WORKERS", 3)
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        # a lane that never reports would otherwise hang the test
+        def expire(signum, frame):
+            raise TimeoutError("execute did not return within 60 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def run(stream, monkeypatch, in_lanes=None, in_caller=None):
+        """execute on a multires schedule, calling in_lanes before each pberm
+        call in a lane process and in_caller before each one in the caller;
+        asserts that no child process or pipe outlives the call."""
+        caller = os.getpid()
+
+        def hooked(*args, _fn=schedulers.pberm):
+            hook = in_caller if os.getpid() == caller else in_lanes
+            if hook is not None:
+                hook()
+            return _fn(*args)
+        monkeypatch.setattr(schedulers, "pberm", hooked)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        sched = multires_schedule(stream.n, 16, EPS, 1.0, 0.2)
+        try:
+            return execute(sched, stream, TrainConfig(iterations=4, minibatch=8), seeds=(1, 2))
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            if fds is not None:
+                assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_run_leaves_no_child_or_pipe(self, stream, monkeypatch):
+        self.run(stream, monkeypatch)
+
+    def test_an_error_in_a_lane_is_raised_with_its_type_and_message(self, stream, monkeypatch):
+        def fail():
+            raise ErmError("bad lane input")
+        with pytest.raises(ErmError, match="^bad lane input$"):
+            self.run(stream, monkeypatch, in_lanes=fail)
+
+    def test_a_lane_that_exits_without_a_result_is_named(self, stream, monkeypatch):
+        with pytest.raises(ChildProcessError,
+                           match=r"^lane 1 exited with status 1 without a result$"):
+            self.run(stream, monkeypatch, in_lanes=lambda: os._exit(1))
+
+    def test_lanes_are_reaped_when_the_caller_fails_first(self, stream, monkeypatch):
+        def fail():
+            raise ErmError("bad caller input")
+        with pytest.raises(ErmError, match="^bad caller input$"):
+            self.run(stream, monkeypatch, in_lanes=lambda: time.sleep(5), in_caller=fail)
 
 
 class TestSkippedEvents:
