@@ -240,7 +240,7 @@ def replay(
     results = execute(schedule, stream, ev.train, nonprivate=ev.nonprivate, seeds=ev.seeds)
     if ledger is None and not ev.nonprivate:
         ledger = ledger_from_events(schedule.events, schedule.budgets)
-    running = RunningMax(() if ev.nonprivate else ledger.charges)
+    running = RunningMax(Ledger() if ev.nonprivate else ledger)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
     for seed, result in zip(ev.seeds, results):
         models = [result.models[mid] for _, mid in result.releases]

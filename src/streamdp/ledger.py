@@ -1,24 +1,43 @@
 """Exact per-datapoint privacy accounting.
 
 Every release charges an inclusive interval of stream indices with an exact
-rational epsilon, stored as a Fraction. Per-point totals and maxima are
-summed as integer numerators over the charges' common denominator, and a
-Fraction is formed only for the result, so the geometric-series budget
-assertions are exact rather than float-tolerant. `Ledger.max_point_loss`
-sweeps all charges at once; `RunningMax` keeps the maximum up to each release
-step as charges arrive in time order.
+rational epsilon. A `Ledger` stores its charges as parallel integer columns:
+the interval bounds a and b, the time, a subsystem code, a mechanism code,
+and each charge's numerator over one common denominator, the LCM of the
+charges' denominators. The numerators, and the sums a sweep forms of
+them, are int64 while a checked bound keeps them in range and Python ints
+otherwise, in the same code. A `Charge` is the record of one row:
+`Ledger.charges` builds them on demand and `Ledger(charges=...)` takes them.
+
+One sweep (`_sweep`) answers every maximum. Points between two consecutive
+distinct boundaries (the values of a and b + 1) always share their total,
+so the sweep works on these segments, in O(charges) memory rather than
+O(stream): each charge adds its numerator at its first segment and takes
+it off past its last, and a cumulative sum gives every segment's total.
+`Ledger.max_point_loss` and `assert_budget` sweep all their selections of
+subsystems at once, each on its own copy of the segments. `RunningMax`
+sweeps the same columns grouped by time; there each charge is expanded
+into the segments it covers, to keep the largest total after each step.
+A Fraction is formed only for a result, so the geometric-series budget
+assertions are exact rather than float-tolerant.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 SUBSYSTEMS = ("multires", "continual", "sliding", "baseline")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# (charge, segment) pairs a sweep by time expands at once. Each segment's
+# total is carried from one chunk to the next, so it holds O(charges + _PAIRS).
+_PAIRS = 1 << 16
 
 
 class LedgerError(ValueError):
@@ -43,10 +62,78 @@ class Charge:
             raise LedgerError(f"unknown subsystem {self.subsystem!r}")
 
 
-def _over_common_denominator(charges) -> tuple[int, list[int]]:
-    """The LCM of the charges' denominators and each charge's numerator over it."""
-    den = math.lcm(*{c.eps.denominator for c in charges})
-    return den, [c.eps.numerator * (den // c.eps.denominator) for c in charges]
+def _ints(values, what: str) -> np.ndarray:
+    """values, a sequence of integers, as int64, or as Python ints if one
+    does not fit."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise LedgerError(f"{what} must be integers")
+    if arr.dtype.kind == "i" or arr.size == 0:
+        return arr.astype(np.int64, copy=False)
+    items = arr.tolist()
+    if not all(isinstance(v, int) for v in items):
+        raise LedgerError(f"{what} must be integers")
+    return np.array(items, dtype=object)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for nonnegative x and y, exact: in int64 when the product of the
+    largest values fits, else in Python ints."""
+    if (x.dtype != object and y.dtype != object
+            and int(x.max(initial=0)) * int(y.max(initial=0)) <= _INT64_MAX):
+        return x * y
+    return x.astype(object) * y.astype(object)
+
+
+def _sweep(lo, hi, nums, size: int, firsts=None):
+    """Per-segment totals of charges over `size` segments and, given groups,
+    the largest total each group of charges leaves.
+
+    Charge i adds nums[i] > 0 to segments lo[i] .. hi[i] - 1. The totals
+    are the cumulative sum of each charge's +nums[i] at lo[i] and -nums[i]
+    at hi[i]; without firsts, (None, totals) is returned. Given firsts, the
+    charges form consecutive groups, group j starting at position firsts[j],
+    and (peaks, totals) is returned, peaks[j] the largest total any charge
+    of group j leaves on a segment. For these, each charge is expanded into
+    its (charge, segment) pairs, at most _PAIRS at a time (or one charge),
+    with every segment's total carried from chunk to chunk: a stable sort by
+    segment lines up each segment's pairs in charge order, so a cumulative
+    sum gives every pair its segment's total just after its charge.
+    """
+    n = len(lo)
+    lens = hi - lo
+    # a partial sum below is at most max(nums) * charges, or by time * (charges + pairs)
+    bound = n and int(nums.max()) * (n if firsts is None else n + int(lens.sum()))
+    if nums.dtype != object and bound > _INT64_MAX:
+        nums = nums.astype(object)
+    if firsts is None:
+        deltas = np.zeros(size + 1, dtype=nums.dtype)
+        np.add.at(deltas, lo, nums)
+        np.add.at(deltas, hi, -nums)
+        return None, deltas[:-1].cumsum()
+    ends = lens.cumsum()
+    totals = np.zeros(size, dtype=nums.dtype)
+    peaks = np.empty(n, dtype=nums.dtype)  # the largest total each charge leaves
+    c0 = 0
+    while c0 < n:
+        done = int(ends[c0 - 1]) if c0 else 0
+        c1 = max(c0 + 1, int(ends.searchsorted(done + _PAIRS, "right")))
+        pairs = int(ends[c1 - 1]) - done
+        starts = ends[c0:c1] - lens[c0:c1] - done  # each charge's first pair
+        seg = np.arange(pairs) - (starts - lo[c0:c1]).repeat(lens[c0:c1])
+        order = seg.argsort(kind="stable")
+        seg, val = seg[order], nums[c0:c1].repeat(lens[c0:c1])[order]
+        heads = np.concatenate(([True], seg[1:] != seg[:-1])).nonzero()[0]
+        tails = np.concatenate((heads[1:], [pairs])) - 1
+        run = val.cumsum()
+        # a pair's total: its segment's carried total plus the segment's pairs so far
+        run -= (run[heads] - val[heads] - totals[seg[heads]]).repeat(tails - heads + 1)
+        totals[seg[tails]] = run[tails]
+        pair_totals = np.empty_like(run)
+        pair_totals[order] = run
+        peaks[c0:c1] = np.maximum.reduceat(pair_totals, starts)
+        c0 = c1
+    return (np.maximum.reduceat(peaks, firsts) if n else peaks), totals
 
 
 @dataclass(frozen=True)
@@ -67,120 +154,222 @@ class BudgetReport:
         return all(e.ok for e in self.entries)
 
 
-@dataclass
-class Ledger:
-    """Append-only charge log with per-subsystem rational budgets."""
+# A Ledger's integer columns, the rows of one (5, capacity) int64 array:
+# interval bounds, time, subsystem code and mechanism code. Each charge's
+# numerator over the common denominator is a column of its own ("num"),
+# which holds Python ints past a checked bound.
+_COLUMNS = ("a", "b", "time", "sub", "mech")
 
-    budgets: dict[str, Fraction] = field(default_factory=dict)
-    charges: list[Charge] = field(default_factory=list)
+
+def _selection(subsystems) -> tuple:
+    """The subsystems a max_point_loss or point_loss argument selects:
+    None for all of them, a name or a sequence of names."""
+    if subsystems is None:
+        return SUBSYSTEMS
+    return (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
+
+
+class Ledger:
+    """Append-only charge log with per-subsystem rational budgets.
+
+    The charges live in `_COLUMNS` and "num" (read with `column`), arrays
+    with room to grow by doubling; `den` is the common denominator of
+    "num", and `mechanisms` names the mechanism codes.
+    """
+
+    def __init__(self, budgets: dict | None = None, charges=()):
+        self.budgets = {} if budgets is None else budgets
+        self.den = 1
+        self.mechanisms: list[str] = []
+        self._n = 0
+        self._rows = np.zeros((len(_COLUMNS), 0), dtype=np.int64)
+        self._num = np.zeros(0, dtype=np.int64)
+        self._swept = {}  # max_point_loss's results by the subsystems selected
+        charges = list(charges)
+        if charges:
+            self.extend([c.a for c in charges], [c.b for c in charges],
+                        [c.eps.numerator for c in charges], [c.eps.denominator for c in charges],
+                        [c.subsystem for c in charges], [c.time for c in charges],
+                        [c.mechanism for c in charges])
+
+    def column(self, name: str) -> np.ndarray:
+        """The live charges' values of "num" or one of `_COLUMNS`."""
+        if name == "num":
+            return self._num[: self._n]
+        return self._rows[_COLUMNS.index(name), : self._n]
+
+    @property
+    def charges(self) -> list[Charge]:
+        """The charges as records, in charge order, built on each access."""
+        rows = zip(*self._rows[:, : self._n].tolist(), self.column("num").tolist())
+        return [Charge(a, b, Fraction(num, self.den), SUBSYSTEMS[sub], time, self.mechanisms[mech])
+                for a, b, time, sub, mech, num in rows]
 
     def charge(self, interval, eps: Fraction, subsystem: str, time: int, mechanism: str):
         a, b = interval
-        self.charges.append(Charge(a, b, Fraction(eps), subsystem, time, mechanism))
+        eps = Fraction(eps)
+        self.extend([a], [b], [eps.numerator], [eps.denominator], [subsystem], [time],
+                    [mechanism])
+
+    def extend(self, a, b, eps_num, eps_den, subsystems, times, mechanisms):
+        """Append charges given as parallel sequences, charge i being eps_num[i] /
+        eps_den[i] on [a[i], b[i]]; raises LedgerError, appending nothing,
+        if one is malformed, not positive or of an unknown subsystem."""
+        code = {s: i for i, s in enumerate(SUBSYSTEMS)}
+        sub = [code.get(s, -1) for s in subsystems]
+        if -1 in sub:
+            raise LedgerError(f"unknown subsystem {subsystems[sub.index(-1)]!r}")
+        index = {m: i for i, m in enumerate(self.mechanisms)}
+        rows = np.asarray((a, b, times, sub, [index.setdefault(m, len(index)) for m in mechanisms]))
+        if rows.ndim != 2 or rows.size and rows.dtype.kind != "i":
+            raise LedgerError("interval bounds and times must be integers in the int64 range")
+        num, den = (_ints(v, "charges") for v in (eps_num, eps_den))
+        bad = (rows[0] > rows[1]).nonzero()[0]
+        if bad.size:
+            raise LedgerError(f"interval [{rows[0, bad[0]]}, {rows[1, bad[0]]}] is malformed")
+        if not (den > 0).all():
+            raise LedgerError("charge denominators must be positive")
+        bad = (num <= 0).nonzero()[0]
+        if bad.size:
+            eps = Fraction(int(num[bad[0]]), int(den[bad[0]]))
+            raise LedgerError(f"charge must be positive, got {eps}")
+
+        common = math.lcm(self.den, *set(den.tolist()))
+        num = _product(num, common // den if common <= _INT64_MAX
+                       else np.full(len(den), common, dtype=object) // den.astype(object))
+        n, m = self._n, len(num)
+        old = self.column("num")
+        if n and common != self.den:
+            old = _product(old, np.array([common // self.den]))
+        wide = object if object in (old.dtype, num.dtype) else np.int64
+        if n + m > len(self._num) or self._num.dtype != wide:
+            # room for as many charges again, so that single charges append in
+            # amortised constant time
+            self._rows = np.concatenate((self._rows[:, :n], rows, np.zeros((len(_COLUMNS), n),
+                                                                           dtype=np.int64)), axis=1)
+            self._num = np.concatenate((old, num, np.zeros(n, dtype=wide)))
+        else:
+            self._rows[:, n : n + m] = rows
+            if n and common != self.den:
+                self._num[:n] = old
+            self._num[n : n + m] = num
+        self.mechanisms = list(index)
+        self.den, self._n = common, n + m
+        self._swept.clear()
 
     def point_loss(self, index: int, subsystems=None) -> Fraction:
-        total = Fraction(0)
-        for c in self._selected(subsystems):
-            if c.a <= index <= c.b:
-                total += c.eps
-        return total
-
-    def _selected(self, subsystems):
-        if subsystems is None:
-            return self.charges
-        if isinstance(subsystems, str):
-            subsystems = (subsystems,)
-        return [c for c in self.charges if c.subsystem in subsystems]
+        selected = np.array([s in _selection(subsystems) for s in SUBSYSTEMS])[self.column("sub")]
+        hit = selected & (self.column("a") <= index) & (index <= self.column("b"))
+        return Fraction(sum(self.column("num")[hit].tolist()), self.den)
 
     def max_point_loss(self, subsystems=None) -> tuple[int | None, Fraction]:
-        """Maximum cumulative charge over all touched indices, by interval sweep.
+        """Maximum cumulative charge over all touched indices, by one sweep.
 
         Returns (witness index, exact total), the witness being the first
         index where the maximum is reached; (None, 0) for no charges.
         """
-        charges = self._selected(subsystems)
-        if not charges:
-            return None, Fraction(0)
-        den, nums = _over_common_denominator(charges)
-        deltas: dict[int, int] = {}
-        for c, num in zip(charges, nums):
-            deltas[c.a] = deltas.get(c.a, 0) + num
-            deltas[c.b + 1] = deltas.get(c.b + 1, 0) - num
-        best_idx, best = None, 0
-        running = 0
-        for x in sorted(deltas):
-            running += deltas[x]
-            if running > best:
-                best, best_idx = running, x
-        return best_idx, Fraction(best, den)
+        return self._maxima([_selection(subsystems)])[0]
+
+    def _present(self) -> set[str]:
+        """The subsystems charged."""
+        counts = np.bincount(self.column("sub"), minlength=len(SUBSYSTEMS)).tolist()
+        return {sub for sub, count in zip(SUBSYSTEMS, counts) if count}
+
+    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct boundaries (values of a and b + 1) and each charge's
+        segments between them, lo .. hi - 1: points of one segment always
+        share their total."""
+        edges = np.concatenate((self.column("a"), self.column("b") + 1))
+        bounds = np.unique(edges)
+        segs = bounds.searchsorted(edges)
+        return bounds, segs[: self._n], segs[self._n :]
+
+    def _maxima(self, selections) -> list[tuple[int | None, Fraction]]:
+        """`max_point_loss` of each selection of subsystems. A selection is
+        known by the subsystems it holds charges of, and those not swept
+        since the last charge are swept together: selection j's charges are
+        shifted by j times the segment count, so that no two share one."""
+        if not self._n:
+            return [(None, Fraction(0))] * len(selections)
+        present = self._present()
+        keys = [frozenset(s for s in sel if s in present) for sel in selections]
+        todo = [key for key in dict.fromkeys(keys) if key not in self._swept]
+        if todo:
+            bounds, lo, hi = self._segments()
+            size = len(bounds)
+            picked = np.array([[s in key for s in SUBSYSTEMS] for key in todo])
+            which, rows = picked[:, self.column("sub")].nonzero()
+            shift = which * size
+            _, totals = _sweep(lo[rows] + shift, hi[rows] + shift, self.column("num")[rows],
+                               len(todo) * size)
+            totals = totals.reshape(len(todo), size)
+            segs = totals.argmax(axis=1)
+            best = totals[np.arange(len(todo)), segs].tolist()
+            for key, seg, mx in zip(todo, segs.tolist(), best):
+                self._swept[key] = int(bounds[seg]) if mx else None, Fraction(mx, self.den)
+        return [self._swept[key] for key in keys]
 
     def assert_budget(self) -> BudgetReport:
         """Per-subsystem pass/fail with the witness point of maximal loss.
 
         A subsystem with charges but no budget is a violation: nothing
-        bounds what it may charge.
+        bounds what it may charge. Every selection is swept at once.
         """
-        entries = []
-        present = {c.subsystem for c in self.charges}
-        for sub in SUBSYSTEMS:
-            if sub not in present and sub not in self.budgets:
-                continue
-            budget = self.budgets.get(sub)
-            witness, mx = self.max_point_loss(sub)
-            ok = budget is not None and mx <= budget
-            entries.append(BudgetEntry(sub, budget, mx, witness, ok))
-        if "continual" in present and "multires" in present:
-            budget = self.budgets.get("continual")
-            witness, mx = self.max_point_loss(("continual", "multires"))
-            if budget is not None:
-                entries.append(
-                    BudgetEntry("continual+multires", 2 * budget, mx, witness, mx <= 2 * budget)
-                )
-        return BudgetReport(tuple(entries))
+        present = self._present()
+        selections = [(sub, self.budgets.get(sub), (sub,)) for sub in SUBSYSTEMS
+                      if sub in present or sub in self.budgets]
+        budget = self.budgets.get("continual")
+        if "continual" in present and "multires" in present and budget is not None:
+            selections.append(("continual+multires", 2 * budget, ("continual", "multires")))
+        maxima = self._maxima([subs for _, _, subs in selections])
+        return BudgetReport(tuple(
+            BudgetEntry(name, budget, mx, witness, budget is not None and mx <= budget)
+            for (name, budget, _), (witness, mx) in zip(selections, maxima)))
 
     def export_jsonl(self, path):
+        """Write one JSON object a charge, its eps in lowest terms."""
+        num = self.column("num")
+        den = np.full(len(num), self.den, dtype=num.dtype if self.den <= _INT64_MAX else object)
+        gcd = np.gcd(num, den)
+        names = [json.dumps(s) for s in SUBSYSTEMS]
+        mechs = [json.dumps(m) for m in self.mechanisms]
+        rows = zip(*(self.column(name).tolist() for name in ("time", "a", "b", "sub", "mech")),
+                   (num // gcd).tolist(), (den // gcd).tolist())
         with open(path, "w") as fh:
-            for c in self.charges:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": c.time,
-                            "a": c.a,
-                            "b": c.b,
-                            "eps_num": c.eps.numerator,
-                            "eps_den": c.eps.denominator,
-                            "subsystem": c.subsystem,
-                            "mechanism": c.mechanism,
-                        }
-                    )
-                    + "\n"
-                )
+            fh.writelines(
+                f'{{"t": {t}, "a": {a}, "b": {b}, "eps_num": {n}, "eps_den": {d}, '
+                f'"subsystem": {names[s]}, "mechanism": {mechs[m]}}}\n'
+                for t, a, b, s, m, n, d in rows
+            )
 
 
 class RunningMax:
-    """Exact maximum per-point loss over the charges with time <= t.
+    """Exact maximum per-point loss over a ledger's charges with time <= t.
 
     Charges are positive, so per-point totals only grow and the maximum is
-    monotone in t. Each charge, taken in time order, adds its numerator over
-    the common denominator to its slice of a per-point array of Python ints
-    and folds that slice's maximum into the best so far; the total work is
-    the sum of the charged lengths. `at` is meant for non-decreasing t: a
-    smaller t than one already seen returns the maximum at the largest t seen.
+    monotone in t. The constructor sweeps the ledger's columns once, grouped
+    by time in a stable order, and keeps the maximum after each distinct
+    time; `at` looks it up. Charges added to the ledger afterwards do not
+    reach it. `at` is meant for non-decreasing t: a smaller t than one
+    already seen returns the maximum at the largest t seen.
     """
 
-    def __init__(self, charges):
-        self._charges = sorted(charges, key=lambda c: c.time)
-        self._den, self._nums = _over_common_denominator(self._charges)
-        size = max((c.b for c in self._charges), default=-1) + 1
-        self._points = np.zeros(size, dtype=object)
-        self._pos = 0
-        self._best = 0
+    def __init__(self, ledger: Ledger):
+        bounds, lo, hi = ledger._segments()
+        order = ledger.column("time").argsort(kind="stable")
+        times = ledger.column("time")[order]
+        firsts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))[: len(times)]
+        peaks, _ = _sweep(lo[order], hi[order], ledger.column("num")[order], len(bounds), firsts)
+        self._times = times[firsts].tolist()
+        self._best = np.maximum.accumulate(peaks).tolist()
+        self._den = ledger.den
+        self._seen = None
+        self._last = (0, Fraction(0))  # the last maximum read, as numerator and Fraction
 
     def at(self, t: int) -> Fraction:
-        while self._pos < len(self._charges) and self._charges[self._pos].time <= t:
-            c = self._charges[self._pos]
-            seg = self._points[c.a : c.b + 1]
-            seg += self._nums[self._pos]
-            self._best = max(self._best, seg.max())
-            self._pos += 1
-        return Fraction(self._best, self._den)
+        self._seen = t if self._seen is None else max(self._seen, t)
+        steps = bisect.bisect_right(self._times, self._seen)
+        best = self._best[steps - 1] if steps else 0
+        if best != self._last[0]:
+            self._last = (best, Fraction(best, self._den))
+        return self._last[1]

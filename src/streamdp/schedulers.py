@@ -16,10 +16,12 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import pickle
 import signal
 import sys
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -426,11 +428,12 @@ def _decount(blocks: int) -> int:
 
 def ledger_from_events(events, budgets) -> Ledger:
     """Charge a fresh ledger from a schedule (dry run: no data, no RNG)."""
+    charged = [e for e in events if e.eps > 0]
     ledger = Ledger(budgets=dict(budgets))
-    for e in events:
-        if e.eps > 0:
-            mech = e.kind if e.side is None else f"{e.kind}/{e.side}"
-            ledger.charge(e.interval, e.eps, e.subsystem, e.t, mech)
+    ledger.extend([e.a for e in charged], [e.b for e in charged],
+                  [e.eps.numerator for e in charged], [e.eps.denominator for e in charged],
+                  [e.subsystem for e in charged], [e.t for e in charged],
+                  [e.kind if e.side is None else f"{e.kind}/{e.side}" for e in charged])
     return ledger
 
 
@@ -595,9 +598,12 @@ def _map_lanes(fn, items) -> list:
     results raises ChildProcessError naming the lane and its exit status.
     Every child is reaped and every pipe closed before this returns or
     raises: the children still running when this raises first are killed.
-    A fork copies the calling thread alone; execute starts no other.
+    A fork copies the calling thread alone, so a lock another thread holds
+    would stay held in the child forever: while the process runs any other
+    Python thread, every item runs here. execute starts none.
     """
-    lanes = [range(n, len(items), _WORKERS) for n in range(_WORKERS)]
+    workers = _WORKERS if threading.active_count() == 1 else 1
+    lanes = [range(n, len(items), workers) for n in range(workers)]
     results = [None] * len(items)
     children = []  # (lane, pid, read end) of each child not yet reaped
     try:
@@ -764,6 +770,10 @@ def export_trace(schedule: Schedule, path=None):
             fh.write(json.dumps(trace_record(e)) + "\n")
 
 
+# Event lines ledger_from_trace decodes per json.loads call.
+_TRACE_LINES = 4096
+
+
 def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     """The eps and the budgeted ledger of a trace `export_trace` wrote.
 
@@ -772,6 +782,11 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     zero charge is skipped. A line that does not parse, or an event of a
     subsystem the header has no budget for, raises LedgerError naming its
     line number.
+
+    The events are read in bulk: every `_TRACE_LINES` lines are joined into
+    one JSON array, which must hold one object a line, and their fields are
+    checked and charged as columns. If anything fails there, the events are
+    read again line by line to name the first bad line.
     """
     with open(path) as fh:
         try:
@@ -783,7 +798,16 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
         if eps <= 0 or not budgets or any(
                 sub not in SUBSYSTEMS or b <= 0 for sub, b in budgets.items()):
             raise LedgerError(f"trace line 1 has an invalid eps or budgets: {head}")
+        body = fh.tell()
         ledger = Ledger(budgets=budgets)
+        try:
+            for lines in iter(lambda: list(itertools.islice(fh, _TRACE_LINES)), []):
+                _charge_trace_lines(ledger, lines)
+            return eps, ledger
+        except (KeyError, ValueError, TypeError, ArithmeticError):
+            pass
+        ledger = Ledger(budgets=budgets)
+        fh.seek(body)
         for lineno, line in enumerate(fh, start=2):
             try:
                 rec = json.loads(line)
@@ -796,3 +820,19 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
             except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
                 raise LedgerError(f"malformed trace line {lineno}: {exc}") from exc
     return eps, ledger
+
+
+def _charge_trace_lines(ledger: Ledger, lines: list[str]):
+    """Charge the events of some trace lines to the ledger at once."""
+    recs = json.loads("[" + ",".join(lines) + "]")
+    if len(recs) != len(lines):
+        raise ValueError("a line does not hold exactly one value")
+    cols = list(zip(*map(operator.itemgetter("t", "a", "b", "eps_num", "eps_den", "kind"), recs)))
+    cols.append([KIND_SUBSYSTEM[kind] for kind in cols[5]])
+    if not set(cols[6]) <= ledger.budgets.keys() or 0 in cols[4]:
+        raise ValueError("an event has no budget or a zero denominator")
+    if 0 in cols[3]:  # a zero charge is skipped
+        keep = [num != 0 for num in cols[3]]
+        cols = [list(itertools.compress(col, keep)) for col in cols]
+    t, a, b, num, den, kinds, subs = cols
+    ledger.extend(a, b, num, den, subs, t, kinds)

@@ -381,6 +381,57 @@ class TestVerifyLedger:
         assert code == EXIT_DATA
         assert "line 3" in err
 
+    def long_trace(self, tmp_path, bad_lineno, bad_line):
+        """A 5,000-event trace whose line bad_lineno (the header is line 1) is bad_line."""
+        lines = [json.dumps(self.mr(8 * (i + 1), 0, 8 * i, 8 * i + 7)) for i in range(5000)]
+        lines[bad_lineno - 2] = bad_line
+        p = tmp_path / "trace.jsonl"
+        p.write_text(json.dumps(self.HEADER) + "\n" + "".join(x + "\n" for x in lines))
+        return p
+
+    @pytest.mark.parametrize("lineno", [4000, 4100, 5001])
+    @pytest.mark.parametrize("bad", [
+        "not json",
+        "",
+        '{"t": 8, "kind": "MultiRes"',
+        "{}{}",
+        "{}, {}",
+        "EVENT, EVENT",
+        "[1, 2]",
+    ], ids=["text", "blank", "truncated", "two-objects", "two-values", "two-events", "array"])
+    def test_a_bad_line_in_a_long_trace_is_named(self, capsys, tmp_path, lineno, bad):
+        # two well-formed events on one line decode as one array in bulk too
+        p = self.long_trace(tmp_path, lineno, bad.replace("EVENT", json.dumps(self.mr(8, 0, 0, 7))))
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert f"malformed trace line {lineno}:" in err
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"eps_num": -1}, "charge must be positive, got -1/2"),
+        ({"a": 9}, "interval [9, 7] is malformed"),
+        ({"eps_den": 0}, "Fraction(1, 0)"),
+        ({"kind": "Base"}, "the header has no continual budget"),
+        ({"kind": "Unknown"}, "'Unknown'"),
+        ({"a": 0.5}, "interval bounds and times must be integers in the int64 range"),
+        ({"eps_num": "1"}, "both arguments should be Rational instances"),
+    ], ids=["negative", "a-after-b", "zero-denominator", "no-budget", "unknown-kind",
+            "float-bound", "string-charge"])
+    def test_a_bad_event_is_named_with_its_fault(self, capsys, tmp_path, fields, message):
+        p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7), self.mr(16, 0, 8, 15),
+                                       {**self.mr(8, 0, 0, 7), **fields}, self.mr(24, 0, 16, 23)])
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert f"malformed trace line 4: {message}" in err
+
+    def test_zero_and_huge_charges_verify_exactly(self, capsys, tmp_path):
+        # a zero charge is skipped, and a denominator past 64 bits stays exact
+        p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7), {**self.mr(8, 0, 0, 7), "eps_num": 0},
+                                       {**self.mr(16, 0, 4, 15), "eps_den": 2**70}])
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_OK, err
+        mx = Fraction(1, 2) + Fraction(1, 2**70)
+        assert out.splitlines()[0] == f"max point loss: {mx} at index 4"
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "verify-ledger", str(tmp_path / "nope.jsonl"),

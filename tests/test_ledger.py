@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamdp import Charge, Ledger, LedgerError
+from streamdp import Charge, Ledger, LedgerError, ledger
 from streamdp.ledger import RunningMax
 
 
@@ -113,13 +114,13 @@ class TestMaxPointLoss:
 
 class TestRunningMax:
     def test_no_charges(self):
-        assert RunningMax(()).at(5) == 0
+        assert RunningMax(Ledger()).at(5) == 0
 
     @given(timed_charges, st.lists(st.integers(-1, 14), min_size=1, max_size=10))
     @settings(max_examples=150, deadline=None)
     def test_matches_sweep_over_each_time_prefix(self, raw, queries):
         led = ledger_of(raw)
-        running = RunningMax(led.charges)
+        running = RunningMax(led)
         seen = -1
         for t in queries:
             # a step earlier than one already seen keeps the later maximum
@@ -175,3 +176,94 @@ class TestJsonl:
         back = [json.loads(line) for line in path.read_text().splitlines()]
         assert [Charge(r["a"], r["b"], Fraction(r["eps_num"], r["eps_den"]), r["subsystem"],
                        r["t"], r["mechanism"]) for r in back] == led.charges
+
+
+class TestExactness:
+    """Sums past 64 bits stay exact: int64 only under a checked bound."""
+
+    # 1/2^70 and 1/3^45 have a common denominator above 2^141
+    huge_eps = st.sampled_from([Fraction(1, 2**70), Fraction(5, 3**45), Fraction(1, 2),
+                                Fraction(3, 2**70 * 3**45)])
+
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), huge_eps,
+                              st.integers(0, 8)), min_size=1, max_size=12),
+           st.lists(st.integers(-1, 10), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_huge_denominators_match_brute_force(self, raw, queries):
+        led = ledger_of(raw)
+        assert led.max_point_loss() == brute_force_max(led.charges)
+        running = RunningMax(led)
+        for t in sorted(queries):
+            prefix = [c for c in led.charges if c.time <= t]
+            assert running.at(t) == brute_force_max(prefix)[1]
+
+    def test_mixed_huge_denominators(self):
+        led = Ledger()
+        led.charge((0, 9), Fraction(1, 2**70), "sliding", 0, "m")
+        led.charge((5, 14), Fraction(1, 3**45), "sliding", 1, "m")
+        assert led.den == 2**70 * 3**45
+        assert led.max_point_loss() == (5, Fraction(1, 2**70) + Fraction(1, 3**45))
+        assert led.max_point_loss() == brute_force_max(led.charges)
+        running = RunningMax(led)
+        assert running.at(0) == Fraction(1, 2**70)
+        assert running.at(1) == Fraction(1, 2**70) + Fraction(1, 3**45)
+
+    def test_int64_numerators_whose_sum_overflows(self):
+        led = Ledger()
+        for t in range(4):
+            led.charge((t, 10), Fraction(2**62), "sliding", t, "m")
+        assert led.column("num").dtype == np.int64
+        assert led.max_point_loss() == (3, Fraction(2**64))
+        assert RunningMax(led).at(3) == Fraction(2**64)
+
+    def test_rescaling_past_64_bits_keeps_earlier_charges(self):
+        led = Ledger()
+        led.charge((0, 3), Fraction(2**62, 3), "sliding", 0, "m")
+        led.charge((0, 3), Fraction(1, 2**40), "sliding", 1, "m")
+        assert led.charges[0].eps == Fraction(2**62, 3)
+        assert led.max_point_loss()[1] == Fraction(2**62, 3) + Fraction(1, 2**40)
+
+
+    @given(timed_charges, st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_sweep_in_small_chunks_matches_brute_force(self, raw, pairs):
+        # segment totals carried from chunk to chunk, a chunk of `pairs` pairs
+        led = ledger_of(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ledger, "_PAIRS", pairs)
+            assert led.max_point_loss() == brute_force_max(led.charges)
+            running = RunningMax(led)
+            for t in range(-1, 14):
+                prefix = [c for c in led.charges if c.time <= t]
+                assert running.at(t) == brute_force_max(prefix)[1]
+
+
+class TestColumns:
+    def test_charges_round_trip_through_the_columns(self):
+        charges = [Charge(0, 7, Fraction(2, 4), "multires", 8, "m"),
+                   Charge(3, 3, Fraction(1, 3), "sliding", -1, "injected")]
+        led = Ledger(charges=charges)
+        assert led.charges == charges
+        assert led.charges[0].eps == Fraction(1, 2)
+
+    def test_a_bad_charge_appends_nothing(self):
+        led = Ledger()
+        led.charge((0, 1), Fraction(1, 2), "multires", 0, "m")
+        for interval, eps, sub in [((2, 1), Fraction(1), "multires"),
+                                   ((0, 1), Fraction(-1, 3), "multires"),
+                                   ((0, 1), Fraction(1), "other"),
+                                   ((0.5, 1), Fraction(1), "multires")]:
+            with pytest.raises(LedgerError):
+                led.charge(interval, eps, sub, 0, "m")
+        assert led.charges == [Charge(0, 1, Fraction(1, 2), "multires", 0, "m")]
+
+    def test_export_writes_each_charge_in_lowest_terms(self, tmp_path):
+        led = Ledger()
+        led.charge((0, 7), Fraction(1, 2), "multires", 8, "m")
+        led.charge((8, 15), Fraction(1, 3**45), "continual", -1, 'q"x')
+        path = tmp_path / "ledger.jsonl"
+        led.export_jsonl(path)
+        assert path.read_text() == "".join(json.dumps({
+            "t": c.time, "a": c.a, "b": c.b, "eps_num": c.eps.numerator,
+            "eps_den": c.eps.denominator, "subsystem": c.subsystem, "mechanism": c.mechanism,
+        }) + "\n" for c in led.charges)

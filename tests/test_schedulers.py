@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import signal
+import threading
 import time
 from fractions import Fraction
 
@@ -726,6 +727,35 @@ class TestLanes:
             raise ErmError("bad caller input")
         with pytest.raises(ErmError, match="^bad caller input$"):
             self.run(stream, monkeypatch, in_lanes=lambda: time.sleep(5), in_caller=fail)
+
+    def test_another_thread_keeps_every_stack_in_the_caller(self, stream, monkeypatch):
+        # a fork would copy the held lock into a child without its owner
+        monkeypatch.setattr(schedulers, "_WORKERS", 1)
+        one_lane = self.run(stream, monkeypatch)
+        monkeypatch.setattr(schedulers, "_WORKERS", 3)
+
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
+        monkeypatch.setattr(os, "fork", no_fork)
+        lock, started, done = threading.Lock(), threading.Event(), threading.Event()
+
+        def hold():
+            with lock:
+                started.set()
+                done.wait(60)
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            started.wait(60)
+            runs = self.run(stream, monkeypatch)
+        finally:
+            done.set()
+            holder.join()
+        for run, ref in zip(runs, one_lane):
+            assert run.releases == ref.releases
+            for mid, pm in ref.perturbed.items():
+                np.testing.assert_array_equal(run.models[mid].w, pm.weights.w)
+                assert run.perturbed[mid].noise_l2 == pm.noise_l2
 
 
 class TestSkippedEvents:
