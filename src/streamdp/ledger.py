@@ -9,22 +9,21 @@ them, are int64 while a checked bound keeps them in range and Python ints
 otherwise, in the same code. A `Charge` is the record of one row:
 `Ledger.charges` builds them on demand and `Ledger(charges=...)` takes them.
 
-One sweep (`_sweep`) answers every maximum. Points between two consecutive
-distinct boundaries (the values of a and b + 1) always share their total,
-so the sweep works on these segments, in O(charges) memory rather than
-O(stream): each charge adds its numerator at its first segment and takes
-it off past its last, and a cumulative sum gives every segment's total.
-`Ledger.max_point_loss` and `assert_budget` sweep all their selections of
-subsystems at once, each on its own copy of the segments. `RunningMax`
-sweeps the same columns grouped by time; there each charge is expanded
-into the segments it covers, to keep the largest total after each step.
-A Fraction is formed only for a result, so the geometric-series budget
-assertions are exact rather than float-tolerant.
+Points between two consecutive distinct boundaries (the values of a and
+b + 1) always share their total, so every maximum works on these segments,
+in O(charges) memory rather than O(stream). `Ledger.max_point_loss` (and
+`assert_budget`, one call per selection of subsystems) sweeps them once:
+each charge adds its numerator at its first segment and takes it off past
+its last, and a cumulative sum gives every segment's total. `RunningMax`
+adds the charges in time order to a list of the same segments' totals,
+one slice at a time, to keep the largest total after each step. A bound
+b must stay below 2**63 - 1, so that b + 1 is an int64 too. A Fraction is
+formed only for a result, so the geometric-series budget assertions are
+exact rather than float-tolerant.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -35,9 +34,6 @@ import numpy as np
 SUBSYSTEMS = ("multires", "continual", "sliding", "baseline")
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# (charge, segment) pairs a sweep by time expands at once. Each segment's
-# total is carried from one chunk to the next, so it holds O(charges + _PAIRS).
-_PAIRS = 1 << 16
 
 
 class LedgerError(ValueError):
@@ -85,55 +81,26 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.astype(object) * y.astype(object)
 
 
-def _sweep(lo, hi, nums, size: int, firsts=None):
-    """Per-segment totals of charges over `size` segments and, given groups,
-    the largest total each group of charges leaves.
+def _segments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct boundaries (values of a and b + 1) of charges on [a, b]
+    and each charge's segments between them, lo .. hi - 1: points of one
+    segment always share their total."""
+    edges = np.concatenate((a, b + 1))
+    bounds = np.unique(edges)
+    segs = bounds.searchsorted(edges)
+    return bounds, segs[: len(a)], segs[len(a) :]
 
-    Charge i adds nums[i] > 0 to segments lo[i] .. hi[i] - 1. The totals
-    are the cumulative sum of each charge's +nums[i] at lo[i] and -nums[i]
-    at hi[i]; without firsts, (None, totals) is returned. Given firsts, the
-    charges form consecutive groups, group j starting at position firsts[j],
-    and (peaks, totals) is returned, peaks[j] the largest total any charge
-    of group j leaves on a segment. For these, each charge is expanded into
-    its (charge, segment) pairs, at most _PAIRS at a time (or one charge),
-    with every segment's total carried from chunk to chunk: a stable sort by
-    segment lines up each segment's pairs in charge order, so a cumulative
-    sum gives every pair its segment's total just after its charge.
-    """
-    n = len(lo)
-    lens = hi - lo
-    # a partial sum below is at most max(nums) * charges, or by time * (charges + pairs)
-    bound = n and int(nums.max()) * (n if firsts is None else n + int(lens.sum()))
-    if nums.dtype != object and bound > _INT64_MAX:
-        nums = nums.astype(object)
-    if firsts is None:
-        deltas = np.zeros(size + 1, dtype=nums.dtype)
-        np.add.at(deltas, lo, nums)
-        np.add.at(deltas, hi, -nums)
-        return None, deltas[:-1].cumsum()
-    ends = lens.cumsum()
-    totals = np.zeros(size, dtype=nums.dtype)
-    peaks = np.empty(n, dtype=nums.dtype)  # the largest total each charge leaves
-    c0 = 0
-    while c0 < n:
-        done = int(ends[c0 - 1]) if c0 else 0
-        c1 = max(c0 + 1, int(ends.searchsorted(done + _PAIRS, "right")))
-        pairs = int(ends[c1 - 1]) - done
-        starts = ends[c0:c1] - lens[c0:c1] - done  # each charge's first pair
-        seg = np.arange(pairs) - (starts - lo[c0:c1]).repeat(lens[c0:c1])
-        order = seg.argsort(kind="stable")
-        seg, val = seg[order], nums[c0:c1].repeat(lens[c0:c1])[order]
-        heads = np.concatenate(([True], seg[1:] != seg[:-1])).nonzero()[0]
-        tails = np.concatenate((heads[1:], [pairs])) - 1
-        run = val.cumsum()
-        # a pair's total: its segment's carried total plus the segment's pairs so far
-        run -= (run[heads] - val[heads] - totals[seg[heads]]).repeat(tails - heads + 1)
-        totals[seg[tails]] = run[tails]
-        pair_totals = np.empty_like(run)
-        pair_totals[order] = run
-        peaks[c0:c1] = np.maximum.reduceat(pair_totals, starts)
-        c0 = c1
-    return (np.maximum.reduceat(peaks, firsts) if n else peaks), totals
+
+def _sweep(lo, hi, nums, size: int) -> np.ndarray:
+    """Per-segment totals of charges over `size` segments, charge i adding
+    nums[i] to segments lo[i] .. hi[i] - 1: the cumulative sum of each
+    charge's +nums[i] at lo[i] and -nums[i] at hi[i]."""
+    if nums.dtype != object and int(nums.max(initial=0)) * len(nums) > _INT64_MAX:
+        nums = nums.astype(object)  # a sum of the numerators could leave int64
+    deltas = np.zeros(size + 1, dtype=nums.dtype)
+    np.add.at(deltas, lo, nums)
+    np.add.at(deltas, hi, -nums)
+    return deltas[:-1].cumsum()
 
 
 @dataclass(frozen=True)
@@ -161,14 +128,6 @@ class BudgetReport:
 _COLUMNS = ("a", "b", "time", "sub", "mech")
 
 
-def _selection(subsystems) -> tuple:
-    """The subsystems a max_point_loss or point_loss argument selects:
-    None for all of them, a name or a sequence of names."""
-    if subsystems is None:
-        return SUBSYSTEMS
-    return (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
-
-
 class Ledger:
     """Append-only charge log with per-subsystem rational budgets.
 
@@ -184,7 +143,6 @@ class Ledger:
         self._n = 0
         self._rows = np.zeros((len(_COLUMNS), 0), dtype=np.int64)
         self._num = np.zeros(0, dtype=np.int64)
-        self._swept = {}  # max_point_loss's results by the subsystems selected
         charges = list(charges)
         if charges:
             self.extend([c.a for c in charges], [c.b for c in charges],
@@ -221,8 +179,10 @@ class Ledger:
             raise LedgerError(f"unknown subsystem {subsystems[sub.index(-1)]!r}")
         index = {m: i for i, m in enumerate(self.mechanisms)}
         rows = np.asarray((a, b, times, sub, [index.setdefault(m, len(index)) for m in mechanisms]))
-        if rows.ndim != 2 or rows.size and rows.dtype.kind != "i":
-            raise LedgerError("interval bounds and times must be integers in the int64 range")
+        # b + 1, a segment boundary, must stay in the int64 range as well
+        if rows.ndim != 2 or rows.size and (rows.dtype.kind != "i" or rows[1].max() == _INT64_MAX):
+            raise LedgerError("interval bounds and times must be integers in the int64 range, "
+                              f"b below {_INT64_MAX}")
         num, den = (_ints(v, "charges") for v in (eps_num, eps_den))
         bad = (rows[0] > rows[1]).nonzero()[0]
         if bad.size:
@@ -255,11 +215,18 @@ class Ledger:
             self._num[n : n + m] = num
         self.mechanisms = list(index)
         self.den, self._n = common, n + m
-        self._swept.clear()
+
+    def _picked(self, subsystems) -> np.ndarray:
+        """Which charges a max_point_loss or point_loss argument selects:
+        None for all subsystems, a name or a sequence of names."""
+        if subsystems is None:
+            subsystems = SUBSYSTEMS
+        elif isinstance(subsystems, str):
+            subsystems = (subsystems,)
+        return np.array([s in subsystems for s in SUBSYSTEMS])[self.column("sub")]
 
     def point_loss(self, index: int, subsystems=None) -> Fraction:
-        selected = np.array([s in _selection(subsystems) for s in SUBSYSTEMS])[self.column("sub")]
-        hit = selected & (self.column("a") <= index) & (index <= self.column("b"))
+        hit = self._picked(subsystems) & (self.column("a") <= index) & (index <= self.column("b"))
         return Fraction(sum(self.column("num")[hit].tolist()), self.den)
 
     def max_point_loss(self, subsystems=None) -> tuple[int | None, Fraction]:
@@ -268,63 +235,36 @@ class Ledger:
         Returns (witness index, exact total), the witness being the first
         index where the maximum is reached; (None, 0) for no charges.
         """
-        return self._maxima([_selection(subsystems)])[0]
-
-    def _present(self) -> set[str]:
-        """The subsystems charged."""
-        counts = np.bincount(self.column("sub"), minlength=len(SUBSYSTEMS)).tolist()
-        return {sub for sub, count in zip(SUBSYSTEMS, counts) if count}
-
-    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct boundaries (values of a and b + 1) and each charge's
-        segments between them, lo .. hi - 1: points of one segment always
-        share their total."""
-        edges = np.concatenate((self.column("a"), self.column("b") + 1))
-        bounds = np.unique(edges)
-        segs = bounds.searchsorted(edges)
-        return bounds, segs[: self._n], segs[self._n :]
-
-    def _maxima(self, selections) -> list[tuple[int | None, Fraction]]:
-        """`max_point_loss` of each selection of subsystems. A selection is
-        known by the subsystems it holds charges of, and those not swept
-        since the last charge are swept together: selection j's charges are
-        shifted by j times the segment count, so that no two share one."""
-        if not self._n:
-            return [(None, Fraction(0))] * len(selections)
-        present = self._present()
-        keys = [frozenset(s for s in sel if s in present) for sel in selections]
-        todo = [key for key in dict.fromkeys(keys) if key not in self._swept]
-        if todo:
-            bounds, lo, hi = self._segments()
-            size = len(bounds)
-            picked = np.array([[s in key for s in SUBSYSTEMS] for key in todo])
-            which, rows = picked[:, self.column("sub")].nonzero()
-            shift = which * size
-            _, totals = _sweep(lo[rows] + shift, hi[rows] + shift, self.column("num")[rows],
-                               len(todo) * size)
-            totals = totals.reshape(len(todo), size)
-            segs = totals.argmax(axis=1)
-            best = totals[np.arange(len(todo)), segs].tolist()
-            for key, seg, mx in zip(todo, segs.tolist(), best):
-                self._swept[key] = int(bounds[seg]) if mx else None, Fraction(mx, self.den)
-        return [self._swept[key] for key in keys]
+        picked = self._picked(subsystems)
+        a, b, num = (self.column(name)[picked] for name in ("a", "b", "num"))
+        if not len(num):
+            return None, Fraction(0)
+        bounds, lo, hi = _segments(a, b)
+        totals = _sweep(lo, hi, num, len(bounds))
+        seg = int(totals.argmax())
+        return int(bounds[seg]), Fraction(int(totals[seg]), self.den)
 
     def assert_budget(self) -> BudgetReport:
         """Per-subsystem pass/fail with the witness point of maximal loss.
 
         A subsystem with charges but no budget is a violation: nothing
-        bounds what it may charge. Every selection is swept at once.
+        bounds what it may charge.
         """
-        present = self._present()
-        selections = [(sub, self.budgets.get(sub), (sub,)) for sub in SUBSYSTEMS
-                      if sub in present or sub in self.budgets]
+        counts = np.bincount(self.column("sub"), minlength=len(SUBSYSTEMS)).tolist()
+        present = {sub for sub, count in zip(SUBSYSTEMS, counts) if count}
+        entries = []
+        for sub in SUBSYSTEMS:
+            if sub not in present and sub not in self.budgets:
+                continue
+            budget = self.budgets.get(sub)
+            witness, mx = self.max_point_loss(sub)
+            entries.append(BudgetEntry(sub, budget, mx, witness, budget is not None and mx <= budget))
         budget = self.budgets.get("continual")
         if "continual" in present and "multires" in present and budget is not None:
-            selections.append(("continual+multires", 2 * budget, ("continual", "multires")))
-        maxima = self._maxima([subs for _, _, subs in selections])
-        return BudgetReport(tuple(
-            BudgetEntry(name, budget, mx, witness, budget is not None and mx <= budget)
-            for (name, budget, _), (witness, mx) in zip(selections, maxima)))
+            witness, mx = self.max_point_loss(("continual", "multires"))
+            entries.append(BudgetEntry("continual+multires", 2 * budget, mx, witness,
+                                       mx <= 2 * budget))
+        return BudgetReport(tuple(entries))
 
     def export_jsonl(self, path):
         """Write one JSON object a charge, its eps in lowest terms."""
@@ -347,29 +287,32 @@ class RunningMax:
     """Exact maximum per-point loss over a ledger's charges with time <= t.
 
     Charges are positive, so per-point totals only grow and the maximum is
-    monotone in t. The constructor sweeps the ledger's columns once, grouped
-    by time in a stable order, and keeps the maximum after each distinct
-    time; `at` looks it up. Charges added to the ledger afterwards do not
-    reach it. `at` is meant for non-decreasing t: a smaller t than one
-    already seen returns the maximum at the largest t seen.
+    monotone in t. Each charge, taken in time order, adds its numerator to
+    its slice of the ledger's segment totals (see `_segments`), Python ints,
+    and folds that slice's maximum into the best so far; the total work is
+    the sum of the charges' segment counts. Charges added to the ledger
+    afterwards do not reach it. `at` is meant for non-decreasing t: a
+    smaller t than one already seen returns the maximum at the largest t seen.
     """
 
     def __init__(self, ledger: Ledger):
-        bounds, lo, hi = ledger._segments()
         order = ledger.column("time").argsort(kind="stable")
-        times = ledger.column("time")[order]
-        firsts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))[: len(times)]
-        peaks, _ = _sweep(lo[order], hi[order], ledger.column("num")[order], len(bounds), firsts)
-        self._times = times[firsts].tolist()
-        self._best = np.maximum.accumulate(peaks).tolist()
+        bounds, lo, hi = _segments(ledger.column("a"), ledger.column("b"))
+        cols = (ledger.column("time"), lo, hi, ledger.column("num"))
+        self._charges = list(zip(*(col[order].tolist() for col in cols)))
+        self._totals = [0] * len(bounds)
         self._den = ledger.den
-        self._seen = None
-        self._last = (0, Fraction(0))  # the last maximum read, as numerator and Fraction
+        self._pos = 0
+        self._best, self._eps = 0, Fraction(0)
 
     def at(self, t: int) -> Fraction:
-        self._seen = t if self._seen is None else max(self._seen, t)
-        steps = bisect.bisect_right(self._times, self._seen)
-        best = self._best[steps - 1] if steps else 0
-        if best != self._last[0]:
-            self._last = (best, Fraction(best, self._den))
-        return self._last[1]
+        charges, totals, pos, best = self._charges, self._totals, self._pos, self._best
+        while pos < len(charges) and charges[pos][0] <= t:
+            _, lo, hi, num = charges[pos]
+            totals[lo:hi] = seg = [total + num for total in totals[lo:hi]]
+            best = max(best, max(seg))
+            pos += 1
+        if best != self._best:
+            self._eps = Fraction(best, self._den)
+        self._pos, self._best = pos, best
+        return self._eps

@@ -823,16 +823,30 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
 
 
 def _charge_trace_lines(ledger: Ledger, lines: list[str]):
-    """Charge the events of some trace lines to the ledger at once."""
-    recs = json.loads("[" + ",".join(lines) + "]")
+    """Charge the events of some trace lines to the ledger at once, as the
+    line-by-line reader would; raise on anything it might not accept.
+
+    The lines are decoded as one JSON array. Each must end in "}", and the
+    text must hold one "{" a line and as many values as lines. A JSON
+    string holds no raw newline, so every "}" that ends a line closes an
+    event, and no event spans two lines or shares one.
+    """
+    text = ",".join(lines)
+    if (text.count("{") != len(lines) or text.count("}\n,") != len(lines) - 1
+            or not text.endswith(("}", "}\n"))):
+        raise ValueError("the lines do not hold one event each")
+    recs = json.loads("[" + text + "]")
     if len(recs) != len(lines):
-        raise ValueError("a line does not hold exactly one value")
+        raise ValueError("the lines do not hold one event each")
     cols = list(zip(*map(operator.itemgetter("t", "a", "b", "eps_num", "eps_den", "kind"), recs)))
     cols.append([KIND_SUBSYSTEM[kind] for kind in cols[5]])
-    if not set(cols[6]) <= ledger.budgets.keys() or 0 in cols[4]:
-        raise ValueError("an event has no budget or a zero denominator")
-    if 0 in cols[3]:  # a zero charge is skipped
-        keep = [num != 0 for num in cols[3]]
+    if not set(cols[6]) <= ledger.budgets.keys():
+        raise ValueError("an event has no budget")
+    if 0 in cols[3]:  # a zero charge is skipped, its denominator still checked
+        keep = [type(num) is not int or num != 0 for num in cols[3]]
+        if not all(type(den) is int and den != 0
+                   for den, kept in zip(cols[4], keep) if not kept):
+            raise ValueError("a zero charge has a bad denominator")
         cols = [list(itertools.compress(col, keep)) for col in cols]
     t, a, b, num, den, kinds, subs = cols
     ledger.extend(a, b, num, den, subs, t, kinds)

@@ -183,6 +183,13 @@ class TestRun:
         assert code == EXIT_BUDGET
         assert "VIOLATION" in out
 
+    def test_an_injected_charge_ending_at_the_int64_limit_is_rejected(self, capsys, tmp_path):
+        # its boundary b + 1 would wrap around in int64 and hide it from the sweep
+        code, out, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"),
+                                 "--inject-charge", f"continual:0:{2**63 - 1}:100/1")
+        assert code == EXIT_DATA and "b below 9223372036854775807" in err
+        assert "ok" not in out
+
     def test_injected_charge_to_an_unbudgeted_subsystem_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "run", "--scheduler", "multires", "--B", "16", "--epsilon", "1",
@@ -414,14 +421,42 @@ class TestVerifyLedger:
         ({"kind": "Unknown"}, "'Unknown'"),
         ({"a": 0.5}, "interval bounds and times must be integers in the int64 range"),
         ({"eps_num": "1"}, "both arguments should be Rational instances"),
+        ({"eps_num": 0.0}, "both arguments should be Rational instances"),
+        ({"eps_num": 0, "eps_den": 0.5}, "both arguments should be Rational instances"),
+        ({"eps_num": 0, "eps_den": 0}, "Fraction(0, 0)"),
+        ({"b": 2**63 - 1}, "interval bounds and times must be integers in the int64 range, "
+                           "b below 9223372036854775807"),
     ], ids=["negative", "a-after-b", "zero-denominator", "no-budget", "unknown-kind",
-            "float-bound", "string-charge"])
+            "float-bound", "string-charge", "float-zero-charge", "zero-charge-float-denominator",
+            "zero-charge-zero-denominator", "int64-limit"])
     def test_a_bad_event_is_named_with_its_fault(self, capsys, tmp_path, fields, message):
         p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7), self.mr(16, 0, 8, 15),
                                        {**self.mr(8, 0, 0, 7), **fields}, self.mr(24, 0, 16, 23)])
         code, out, err = run_cli(capsys, "verify-ledger", str(p))
         assert code == EXIT_DATA and out == ""
         assert f"malformed trace line 4: {message}" in err
+
+    @pytest.mark.parametrize("end", ["", ', "x": {"y": 1}'], ids=["flat", "nested"])
+    def test_an_event_across_two_lines_is_named(self, capsys, tmp_path, end):
+        # with a line of two events after it, the lines hold as many values as lines
+        event = json.dumps(self.mr(8, 0, 0, 7))
+        start, rest = event.split(', "b"')
+        p = self.long_trace(tmp_path, 4000, start + end)
+        lines = p.read_text().splitlines(keepends=True)
+        lines[4000] = '"b"' + rest + "\n"
+        lines[4001] = event + ", " + event + "\n"
+        p.write_text("".join(lines))
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert "malformed trace line 4000:" in err
+
+    def test_bool_charges_verify_as_the_integers_they_are(self, capsys, tmp_path):
+        plain = [self.mr(8, 0, 0, 7), {**self.mr(8, 0, 0, 7), "eps_num": 0}]
+        code, out, _ = run_cli(capsys, "verify-ledger", str(self.make_trace(tmp_path, plain)))
+        bools = [{**plain[0], "eps_num": True}, {**plain[1], "eps_num": False}]
+        assert (code, out) == run_cli(capsys, "verify-ledger",
+                                      str(self.make_trace(tmp_path, bools)))[:2]
+        assert code == EXIT_OK and out.startswith("max point loss: 1/2 at index 0\n")
 
     def test_zero_and_huge_charges_verify_exactly(self, capsys, tmp_path):
         # a zero charge is skipped, and a denominator past 64 bits stays exact

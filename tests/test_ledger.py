@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamdp import Charge, Ledger, LedgerError, ledger
+from streamdp import Charge, Ledger, LedgerError
 from streamdp.ledger import RunningMax
 
 
@@ -224,18 +224,16 @@ class TestExactness:
         assert led.max_point_loss()[1] == Fraction(2**62, 3) + Fraction(1, 2**40)
 
 
-    @given(timed_charges, st.integers(1, 6))
-    @settings(max_examples=100, deadline=None)
-    def test_a_sweep_in_small_chunks_matches_brute_force(self, raw, pairs):
-        # segment totals carried from chunk to chunk, a chunk of `pairs` pairs
-        led = ledger_of(raw)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ledger, "_PAIRS", pairs)
-            assert led.max_point_loss() == brute_force_max(led.charges)
-            running = RunningMax(led)
-            for t in range(-1, 14):
-                prefix = [c for c in led.charges if c.time <= t]
-                assert running.at(t) == brute_force_max(prefix)[1]
+    def test_the_largest_end_leaves_room_for_its_boundary(self):
+        # b + 1 bounds a segment, so b = 2**63 - 1 would wrap around in int64
+        led = Ledger(budgets={"sliding": Fraction(1)})
+        led.charge((0, 2**63 - 2), Fraction(100), "sliding", 0, "m")
+        assert led.max_point_loss() == (0, Fraction(100))
+        assert RunningMax(led).at(0) == Fraction(100)
+        assert not led.assert_budget().ok
+        with pytest.raises(LedgerError, match="b below 9223372036854775807"):
+            led.charge((0, 2**63 - 1), Fraction(100), "sliding", 0, "m")
+        assert len(led.charges) == 1
 
 
 class TestColumns:
@@ -252,7 +250,8 @@ class TestColumns:
         for interval, eps, sub in [((2, 1), Fraction(1), "multires"),
                                    ((0, 1), Fraction(-1, 3), "multires"),
                                    ((0, 1), Fraction(1), "other"),
-                                   ((0.5, 1), Fraction(1), "multires")]:
+                                   ((0.5, 1), Fraction(1), "multires"),
+                                   ((0, 2**63), Fraction(1), "multires")]:
             with pytest.raises(LedgerError):
                 led.charge(interval, eps, sub, 0, "m")
         assert led.charges == [Charge(0, 1, Fraction(1, 2), "multires", 0, "m")]

@@ -12,7 +12,8 @@ loss, not a proof.
 
 The calibration in `mechanisms.laplace_scale` fails this by factors of
 about 4 to 100 (ROADMAP item 1), so every case is a strict xfail until the
-calibration is fixed.
+calibration is fixed. Only the ratio's AssertionError is the expected
+failure: any other error fails the case.
 """
 
 from fractions import Fraction
@@ -58,8 +59,8 @@ def candidates(x, y):
     return X, np.full(3, (y + 1) % K)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the noise scale undercuts the "
-                                       "replace-one sensitivity")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the noise scale undercuts the replace-one sensitivity")
 @pytest.mark.parametrize("sched", CONFIGS, ids=lambda s: s.name)
 def test_noise_covers_a_replaced_point(sched):
     stream = clipped_stream()
@@ -84,7 +85,8 @@ def test_noise_covers_a_replaced_point(sched):
                            [seed] * members, [rows, *neighbours])
         realised = max(np.abs(m.w - models[0].w).sum() for m in models[1:]) / e.noise_scale
         worst.append((realised / float(e.eps), e.t, e.kind, e.a, e.b))
-    assert worst
+    if not worst:  # not an AssertionError: the expected failure is the calibration's alone
+        pytest.fail("no trained event to retrain")
     ratio, t, kind, a, b = max(worst)
     assert ratio <= 1, (f"{kind} at t={t} on [{a}, {b}] leaks {ratio:.1f}x its charge; "
                         f"ratios {min(worst)[0]:.1f}-{ratio:.1f}x over {len(worst)} events")
