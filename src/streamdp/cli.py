@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage or config error, 2 budget violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -439,10 +440,16 @@ def cmd_verify_ledger(trace_path: str, epsilon: str | None) -> int:
     return EXIT_OK if report.ok else EXIT_BUDGET
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of `main`, built once per process: parsing leaves no state
+    in it, and building it costs more than a `verify-ledger` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "verify-ledger":
             return cmd_verify_ledger(args.trace_path, args.epsilon)
         cfg = parse_config(args)

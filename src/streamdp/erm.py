@@ -7,6 +7,7 @@ and Lipschitz-constant computation for DP noise calibration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,23 +187,38 @@ def _minibatch_indices(seeds, rows, total, m, data: Dataset):
 
     Seed s draws from its own "sgd" stream over its len(rows[s]) rows and
     maps the draws through rows[s]: a range adds its start, an index array
-    is indexed. The streams are `make_rng(seed, "sgd")`'s generators, built
-    from their keys, which one `rng.stream_keys` call derives for all seeds.
-    Each is drawn in blocks of iterations, which gives the values of one
-    (total, m) draw, or of one size-m draw per iteration; a block's indices
-    and positions together take about _INDEX_BLOCK_BYTES. A block holding
-    an index outside [0, n) raises ErmError, so that the gather, which
-    clips, never reads a row the rows do not name.
+    is indexed. The streams are `make_rng(seed, "sgd")`'s, keyed by one
+    `rng.stream_keys` call for all seeds. One Philox generator draws them
+    all: it is re-keyed to a seed's stream before that seed's draws and its
+    state kept for the seed's next block, which gives what a generator per
+    seed would at a quarter of the cost of building one. A seed of one row
+    draws nothing, as numpy's integers(0, 1) draws nothing: its indices are
+    that row. Each stream is drawn in blocks of iterations, which gives the
+    values of one (total, m) draw, or of one size-m draw per iteration; a
+    block's indices and positions together take about _INDEX_BLOCK_BYTES. A
+    block holding an index outside [0, n) raises ErmError, so that the
+    gather, which clips, never reads a row the rows do not name.
     """
-    rngs = [np.random.Generator(np.random.Philox(key=key))
-            for key in stream_keys(seeds, "sgd")]
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    states = {s: {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+                  "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+              for s, key in enumerate(stream_keys(seeds, "sgd")) if len(rows[s]) > 1}
+    single = [s for s in range(len(seeds)) if s not in states]
+    single_rows = np.array([rows[s][0] for s in single], dtype=np.int64)[:, None]
     row_start = np.arange(len(seeds) * m).reshape(len(seeds), m) * data.k
     block = max(1, _INDEX_BLOCK_BYTES // (16 * len(seeds) * m))
     for start in range(0, total, block):
         count = min(block, total - start)
         idx = np.empty((count, len(seeds), m), dtype=np.int64)
-        for s, (rng, r) in enumerate(zip(rngs, rows)):
-            draws = rng.integers(0, len(r), size=(count, m))
+        idx[:, single] = single_rows
+        for s, state in states.items():
+            r = rows[s]
+            bitgen.state = state
+            draws = gen.integers(0, len(r), size=(count, m))
+            if start + count < total:
+                states[s] = bitgen.state
             idx[:, s] = draws + r.start if isinstance(r, range) else r[draws]
         if idx.min() < 0 or idx.max() >= data.n:
             raise ErmError(f"training rows must lie in [0, {data.n})")
@@ -312,7 +328,7 @@ def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
         raise ErmError("norm cap must be positive")
     if k <= 1:
         return 0.0
-    return (k - 1) / (2.0 * m * k) * norm_cap * np.sqrt(m)
+    return (k - 1) / (2.0 * m * k) * norm_cap * math.sqrt(m)
 
 
 def evaluate_accuracy(w, data: Dataset, per_model: bool = False):

@@ -2,8 +2,8 @@
 
 Streams come from IDX image/label files, numeric CSV, or a synthetic
 rotating-means generator. `replay` feeds a stream through a release schedule,
-evaluates every released model on recent, held-out and older data (a seed's
-models as stacks, in chunks), and emits flat metric records that export to
+evaluates every released model on recent, held-out and older data (as
+stacks of models, in chunks), and emits flat metric records that export to
 CSV or JSONL.
 """
 
@@ -27,6 +27,7 @@ from .schedulers import (
     _STACK_BYTES,
     Schedule,
     SchedulerConfig,
+    _map_lanes,
     build_schedule,
     execute,
     ledger_from_events,
@@ -218,16 +219,16 @@ def replay(
     dependency wave in lockstep; the records come seed by seed, each seed's
     releases in time order. acc_recent uses the trailing `batch` points at
     the release step, acc_test the fixed held-out set, acc_old the batch
-    preceding the model's training interval (None at the stream head). A
-    seed's released models are scored as (R, k, d) stacks by
+    preceding the model's training interval (None at the stream head).
+    The released models of every seed are scored as (R, k, d) stacks by
     `evaluate_accuracy`, against the test set and against their gathered
-    windows, in chunks of about `_STACK_BYTES`; each value equals the
-    model's own evaluation. eps_max is the exact maximum per-point loss over
-    the ledger's charges up to the release step, the same for every seed,
-    kept by `ledger.RunningMax` as integer numerators over one common
-    denominator and read before returning, so charges added to the ledger
-    afterwards do not reach it. In non-private mode nothing is charged and
-    eps_max stays 0.
+    windows, in chunks of about `_STACK_BYTES` dealt over the lanes; each
+    value equals the model's own evaluation. eps_max is the exact maximum
+    per-point loss over the ledger's charges up to the release step, the
+    same for every seed, kept by `ledger.RunningMax` as integer numerators
+    over one common denominator and read before returning, so charges added
+    to the ledger afterwards do not reach it. In non-private mode nothing is
+    charged and eps_max stays 0.
     """
     stream = source.data
     records = []
@@ -242,32 +243,35 @@ def replay(
         ledger = ledger_from_events(schedule.events, schedule.budgets)
     running = RunningMax(Ledger() if ev.nonprivate else ledger)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
-    for seed, result in zip(ev.seeds, results):
-        models = [result.models[mid] for _, mid in result.releases]
-        steps = np.array([t for t, _ in result.releases], dtype=np.int64)
-        starts = np.array([start_of[mid] for _, mid in result.releases], dtype=np.int64)
-        recent = np.maximum(0, steps - batch + 1)
-        acc_recent = _window_accuracy(models, stream, recent, steps - recent + 1)
-        acc_old = _window_accuracy(models, stream, starts - batch,
-                                   np.where(starts >= batch, batch, 0))
-        acc_test = _test_accuracy(models, ev.test)
-        for r, (t, mid) in enumerate(result.releases):
-            pm = result.perturbed.get(mid)
-            records.append(MetricsRecord(
-                t=t,
-                scheduler=sched.name,
-                kind=kind_of.get((t, mid), "release"),
-                eps=float(sched.eps),
-                lam=sched.lam,
-                batch=batch,
-                acc_recent=acc_recent[r],
-                acc_test=acc_test[r],
-                acc_old=acc_old[r],
-                noise_l2=pm.noise_l2 if pm is not None else 0.0,
-                eps_max=eps_max[t],
-                bound=None,
-                seed=seed,
-            ))
+    released = [(seed, result, t, mid) for seed, result in zip(ev.seeds, results)
+                for t, mid in result.releases]
+    models = [result.models[mid] for _, result, _, mid in released]
+    steps = np.array([t for _, _, t, _ in released], dtype=np.int64)
+    starts = np.array([start_of[mid] for *_, mid in released], dtype=np.int64)
+    recent = np.maximum(0, steps - batch + 1)
+    # the recent windows, then the old ones, scored in one call
+    acc_window = _window_accuracy(
+        models + models, stream, np.concatenate([recent, starts - batch]),
+        np.concatenate([steps - recent + 1, np.where(starts >= batch, batch, 0)]))
+    acc_recent, acc_old = acc_window[:len(models)], acc_window[len(models):]
+    acc_test = _test_accuracy(models, ev.test)
+    for r, (seed, result, t, mid) in enumerate(released):
+        pm = result.perturbed.get(mid)
+        records.append(MetricsRecord(
+            t=t,
+            scheduler=sched.name,
+            kind=kind_of.get((t, mid), "release"),
+            eps=float(sched.eps),
+            lam=sched.lam,
+            batch=batch,
+            acc_recent=acc_recent[r],
+            acc_test=acc_test[r],
+            acc_old=acc_old[r],
+            noise_l2=pm.noise_l2 if pm is not None else 0.0,
+            eps_max=eps_max[t],
+            bound=None,
+            seed=seed,
+        ))
     return records
 
 
@@ -276,40 +280,48 @@ def _window_accuracy(models, stream: Dataset, starts, lengths) -> list:
     or None where lengths[r] is 0.
 
     Windows of one length are scored in chunks of about _STACK_BYTES of
-    weights, gathered rows and scores; a chunk of one window reads its slice
-    in place, so a window above the cap is never copied.
+    weights, gathered rows and scores, dealt over the lanes (`_map_lanes`);
+    a chunk of one window reads its slice in place, so a window above the
+    cap is never copied.
     """
-    out = [None] * len(models)
+    chunks = []
     for n in sorted(set(lengths[lengths > 0].tolist())):  # np.unique would import numpy.ma
         members = np.flatnonzero(lengths == n)
         model_bytes = (n * (stream.d + stream.k) + stream.k * stream.d) * 8
         per_chunk = max(1, _STACK_BYTES // model_bytes)
-        for i in range(0, len(members), per_chunk):
-            chunk = members[i : i + per_chunk]
-            if len(chunk) == 1:
-                start = int(starts[chunk[0]])
-                data = stream.slice(start, start + n - 1)
-            else:
-                rows = (starts[chunk, None] + np.arange(n)).ravel()
-                data = Dataset(stream.X[rows], stream.y[rows], stream.k)
-            accs = evaluate_accuracy(np.stack([models[r].w for r in chunk]), data,
-                                     per_model=True)
-            for r, acc in zip(chunk.tolist(), accs.tolist()):
-                out[r] = acc
+        chunks.extend(members[i : i + per_chunk] for i in range(0, len(members), per_chunk))
+
+    def score(chunk):
+        n = int(lengths[chunk[0]])
+        if len(chunk) == 1:
+            start = int(starts[chunk[0]])
+            data = stream.slice(start, start + n - 1)
+        else:
+            rows = (starts[chunk, None] + np.arange(n)).ravel()
+            data = Dataset(stream.X[rows], stream.y[rows], stream.k)
+        return evaluate_accuracy(np.stack([models[r].w for r in chunk]), data,
+                                 per_model=True).tolist()
+
+    out = [None] * len(models)
+    for chunk, accs in zip(chunks, _map_lanes(score, chunks)):
+        for r, acc in zip(chunk.tolist(), accs):
+            out[r] = acc
     return out
 
 
 def _test_accuracy(models, test: Dataset | None) -> list:
     """Accuracy of each model on the test set (None without one), in chunks
-    of about _STACK_BYTES of weights and scores."""
+    of about _STACK_BYTES of weights and scores, dealt over the lanes
+    (`_map_lanes`)."""
     if test is None:
         return [None] * len(models)
     per_chunk = max(1, _STACK_BYTES // ((test.n * (test.k + 2) + test.k * test.d) * 8))
-    out = []
-    for i in range(0, len(models), per_chunk):
-        stack = np.stack([m.w for m in models[i : i + per_chunk]])
-        out.extend(evaluate_accuracy(stack, test).tolist())
-    return out
+    chunks = [models[i : i + per_chunk] for i in range(0, len(models), per_chunk)]
+
+    def score(chunk):
+        return evaluate_accuracy(np.stack([m.w for m in chunk]), test).tolist()
+
+    return [acc for accs in _map_lanes(score, chunks) for acc in accs]
 
 
 def _final_accuracy_by_seed(records, field_name="acc_test") -> dict[int, float]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 import pickle
@@ -128,15 +129,15 @@ class Schedule:
 
 
 def _event(lam, L, t, kind, level, a, b, eps, model_id, sampled_rule=None, adopt=False,
-           scale=None, **fields) -> EventSpec:
+           scale=None, reg_source=None, side=None) -> EventSpec:
     """An event on [a, b] charged eps, with the Laplace scale that charge
     buys (`laplace_scale`, unless the caller passes it as scale); an adopted
     model is not trained and has none."""
     if scale is None:
         scale = 0.0 if adopt else laplace_scale(
             L, lam, b - a + 1, eps, level if sampled_rule else None)
-    return EventSpec(t=t, kind=kind, level=level, a=a, b=b, eps=eps, noise_scale=scale,
-                     model_id=model_id, sampled_rule=sampled_rule, adopt=adopt, **fields)
+    return EventSpec(t, kind, level, a, b, eps, scale, model_id, reg_source, adopt, side,
+                     sampled_rule)
 
 
 def _is_pow2(x: int) -> bool:
@@ -324,11 +325,6 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
     base: _Bucket | None = None
     right: list[_Bucket] = []
 
-    def chain():
-        # descending size: base first, then side buckets (sizes are disjoint)
-        side = sorted(left + right, key=lambda bk: -bk.blocks)
-        return [base] + side
-
     # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule
     # and Laplace scale depend on j alone: each level's are worked out once.
     levels = []
@@ -337,38 +333,34 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
         levels.append((charge, rule, laplace_scale(L, lam, 2**j * w0, charge,
                                                    j if rule else None)))
 
-    def update_event(t, kind, bucket, reg_source):
-        j = bucket.blocks.bit_length() - 1
-        charge, rule, scale = levels[j]
-        bucket.model_id = next(ids)
-        return event(t, kind, j, bucket.a, bucket.b, charge, bucket.model_id, rule,
-                     scale=scale, reg_source=reg_source, side=bucket.side)
-
-    def train_cascade(t, kind, to_train):
+    def release(t, kind, to_train):
         """Train the given buckets in descending size order, regularizing each
-        on the next larger bucket's (possibly just retrained) model."""
-        new = []
-        ordered = chain()
+        on the next larger bucket's (possibly just retrained) model, then
+        release the smallest bucket's model."""
+        # descending size: base first, then side buckets (sizes are disjoint)
+        ordered = [base] + sorted(left + right, key=lambda bk: -bk.blocks)
         wanted = {id(bk) for bk in to_train}
+        new = []
         for idx, bucket in enumerate(ordered):
             if id(bucket) not in wanted:
                 continue
+            bucket.model_id = next(ids)
             if bucket is base:
-                bucket.model_id = next(ids)
                 new.append(event(t, kind, k - 1, bucket.a, bucket.b, eps / 3, bucket.model_id,
                                  side="base"))
             else:
-                new.append(update_event(t, kind, bucket, ordered[idx - 1].model_id))
-        return new
-
-    def snapshot(t, trained):
-        ordered = chain()
+                j = bucket.blocks.bit_length() - 1
+                charge, rule, scale = levels[j]
+                new.append(event(t, kind, j, bucket.a, bucket.b, charge, bucket.model_id, rule,
+                                 scale=scale, reg_source=ordered[idx - 1].model_id,
+                                 side=bucket.side))
+        events.extend(new)
         released = ordered[-1].model_id
         releases.append((t, released))
         states.append(ChainState(
             t=t,
             buckets=tuple((bk.a, bk.b, bk.side, bk.model_id) for bk in ordered),
-            trained=tuple(e.model_id for e in trained),
+            trained=tuple(e.model_id for e in new),
             released=released,
         ))
 
@@ -383,9 +375,7 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
             base = _Bucket(old_base.b + 1, t, base_blocks, "base")
             left = _decompose(old_base.b - cap * w0 + 1, old_base.b, w0)
         right = []
-        new = train_cascade(t, kind, [base] + left)
-        events.extend(new)
-        snapshot(t, new)
+        release(t, kind, [base] + left)
 
     first = w - 1
     if T <= first:
@@ -410,9 +400,7 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
             else:
                 left = _decompose(oldest.a + w0, oldest.b, w0) + left[1:]
                 to_train.extend(left[: _decount(oldest.blocks)])
-        new = train_cascade(t, "WindowAdvance", to_train)
-        events.extend(new)
-        snapshot(t, new)
+        release(t, "WindowAdvance", to_train)
     return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam,
                     tuple(states))
 
@@ -450,10 +438,10 @@ class RunResult:
 # this many bytes of both, counted as members * (m + k) * d * 8. Larger
 # stacks gain little and raise the peak RSS: at d=20, k=3, m=256 a step
 # takes about 23-26 us per member at 4 members, 18-23 at 8 and 20-25 at 16
-# (one BLAS thread, 2-vCPU VM). The seeds of one event are never split,
-# but a member above the cap alone is compute-bound: numpy's gather,
-# products and exponentials dominate its call, and stacking its seeds
-# trains no faster, so it is a call of its own.
+# (one BLAS thread, 2-vCPU VM). A member above the cap alone is
+# compute-bound: numpy's gather, products and exponentials dominate its
+# call, and stacking it with others trains no faster, so it is a call of
+# its own.
 _STACK_BYTES = 160 << 10
 
 # Lanes a wave's stacks are dealt over: the calling process and
@@ -673,22 +661,19 @@ def _waves(events):
 
 
 def _stacks(members, member_bytes):
-    """Split members, in order, into stacks of at most _STACK_BYTES (one
-    member takes member_bytes); the members of one event share a stack.
-    Members above the cap are compute-bound: stacking their seeds trains no
-    faster, so each is a stack of its own."""
-    if member_bytes > _STACK_BYTES:
-        yield from ([member] for member in members)
-        return
-    stack = []
-    for _, event_members in itertools.groupby(members, key=lambda mem: mem[0].model_id):
-        event_members = list(event_members)
-        if stack and (len(stack) + len(event_members)) * member_bytes > _STACK_BYTES:
-            yield stack
-            stack = []
-        stack.extend(event_members)
-    if stack:
-        yield stack
+    """Split members, in order, into near-equal stacks of about _STACK_BYTES
+    (one member takes member_bytes, so a member above the cap is a stack of
+    its own). Their count is the members' bytes over the cap, rounded up to
+    a multiple of _WORKERS, so that the lanes get equal shares, but never
+    more than one stack a member."""
+    count = -(-len(members) * member_bytes // _STACK_BYTES)
+    count = min(len(members), -(-count // _WORKERS) * _WORKERS)
+    size, extra = divmod(len(members), count)
+    start = 0
+    for j in range(count):
+        end = start + size + (j < extra)
+        yield members[start:end]
+        start = end
 
 
 def _subseeds(seeds, label: str, model_ids) -> np.ndarray:
@@ -760,14 +745,34 @@ def trace_header(schedule: Schedule) -> dict:
     }
 
 
+# One event's trace line: json.dumps(trace_record(e)), field for field.
+_TRACE_LINE = ('{{"t": {}, "kind": "{}", "level": {}, "a": {}, "b": {}, "reg_source": {}, '
+               '"noise_scale": {}, "sampled_p": {}, "eps_num": {}, "eps_den": {}, '
+               '"model_id": {}}}\n')
+
+
+def _json_scalar(v) -> str:
+    """json.dumps(v) for None, an int or a float, numpy's float64 included
+    (whose repr under numpy 2 is not the float's)."""
+    if v is None:
+        return "null"
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else json.dumps(float(v))
+    return int.__repr__(v)
+
+
 def export_trace(schedule: Schedule, path=None):
     """Write the schedule's trace to path, or to standard output without one:
     its `trace_header`, then one `trace_record` per event, one JSON object a
-    line. `ledger_from_trace` reads it back."""
+    line, written from a template with the bytes json.dumps gives.
+    `ledger_from_trace` reads it back."""
     with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(json.dumps(trace_header(schedule)) + "\n")
         for e in schedule.events:
-            fh.write(json.dumps(trace_record(e)) + "\n")
+            fh.write(_TRACE_LINE.format(
+                e.t, e.kind, _json_scalar(e.level), e.a, e.b, _json_scalar(e.reg_source),
+                _json_scalar(e.noise_scale), _json_scalar(event_probability(e)),
+                e.eps.numerator, e.eps.denominator, e.model_id))
 
 
 # Event lines ledger_from_trace decodes per json.loads call.

@@ -120,6 +120,31 @@ class TestParsing:
                                  "--inject-charge", spec)
         assert code == EXIT_USAGE and repr(spec) in err
 
+    def test_consecutive_calls_parse_only_their_own_arguments(self, capsys, tmp_path):
+        # main reuses one parser: nothing one call parsed may reach the next
+        trace = tmp_path / "t.jsonl"
+        base = ("--scheduler", "continual", "--B", "4", "--b0", "2", "--epsilon", "1/3",
+                "--lambda", "1", "--T", "20")
+        code, _, _ = run_cli(capsys, "inspect-schedule", *base, "--standalone-base",
+                             "--trace", str(trace))
+        assert code == EXIT_OK
+        code, _, err = run_cli(capsys, "verify-ledger", str(trace), "--epsilon", "1/2")
+        assert code == EXIT_USAGE and "1/2" in err
+        code, out, _ = run_cli(capsys, "verify-ledger", str(trace))
+        assert code == EXIT_OK and "continual: max 7/24 (budget 2/3) ok" in out
+        trace.unlink()
+        code, _, err = run_cli(capsys, "inspect-schedule", "--no-such-flag")
+        assert code == EXIT_USAGE and "--no-such-flag" in err
+        code, out, _ = run_cli(capsys, "inspect-schedule", *base)
+        assert code == EXIT_OK  # no standalone base, and the trace on standard output
+        assert json.loads(out.splitlines()[0])["budgets"] == {
+            "continual": [1, 3], "multires": [1, 3]}
+        code, _, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"))
+        assert code == EXIT_OK, err
+        assert (tmp_path / "m.csv").exists() and not trace.exists()
+        code, _, err = run_cli(capsys, "run", "--scheduler", "continual")
+        assert code == EXIT_USAGE and "--epsilon" in err
+
 
 class TestInspect:
     def test_multires_inclusive_horizon_example(self, capsys):

@@ -248,6 +248,24 @@ class TestLockstepKernel:
                                  replace(cfg, seed=seed))
             np.testing.assert_array_equal(got.w, want)
 
+    def test_single_row_members_train_like_their_row(self, rng, block_bytes):
+        # a one-row member draws no indices; it stacks with other one-row members
+        data = random_dataset(rng, 90, 4, 3)
+        cfg = TrainConfig(iterations=25, minibatch=8)
+        rows = [range(17, 18), np.array([42]), range(0, 1), np.array([89])]
+        stacked = sgd_train(data, RegularizerSpec(0.5), cfg, (1, 2, 3, 4), rows)
+        for seed, r, got in zip((1, 2, 3, 4), rows, stacked):
+            want = reference_sgd(data.slice(r[0], r[0]), RegularizerSpec(0.5),
+                                 replace(cfg, seed=seed))
+            np.testing.assert_array_equal(got.w, want)
+
+    @pytest.mark.parametrize("bad", [90, 1000, -1])
+    def test_a_single_row_outside_the_data_rejected(self, rng, bad, block_bytes):
+        data = random_dataset(rng, 90, 4, 3)
+        with pytest.raises(ErmError, match=r"\[0, 90\)"):
+            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=3, minibatch=8),
+                      (1, 2), [np.array([5]), np.array([bad])])
+
     @pytest.mark.parametrize("bad", [90, 1000, -1])
     def test_rows_outside_the_data_rejected(self, rng, bad):
         # the gather clips, so an index outside [0, n) must be caught before it

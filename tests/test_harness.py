@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -358,6 +360,53 @@ class TestReplayEpsMaxDifferential:
         ev = EvalConfig(seeds=(0,), nonprivate=True, train=self.train)
         recs = replay(StreamSource(self.stream), self.sched(name), ev)
         assert recs and all(r.eps_max == 0 for r in recs)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="lane processes are forked")
+class TestScoringLanes:
+    """replay's scoring chunks dealt over the lanes: every record is the one
+    a single lane gives, and another thread keeps every chunk in the caller."""
+
+    @pytest.mark.parametrize("sched", [
+        SchedulerConfig("sliding", Fraction(1), 1.0, 0.2, w=7, w0=1),
+        SchedulerConfig("continual", Fraction(1), 1.0, 0.2, B=24, b0=12),
+    ], ids=["sliding", "continual"])
+    def test_records_do_not_depend_on_the_lanes(self, sched, monkeypatch, tmp_path):
+        from streamdp import harness, schedulers
+
+        data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9)).data
+        stream, test = StreamSource(data.slice(0, 119)), data.slice(120, 159)
+        ev = EvalConfig(test=test, seeds=(0, 1), train=TrainConfig(iterations=3, minibatch=8))
+        monkeypatch.setattr(harness, "_STACK_BYTES", 2000)  # many chunks to deal
+        log = tmp_path / "pids"
+
+        def logged(*args, _fn=harness.evaluate_accuracy, **kw):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return _fn(*args, **kw)
+        monkeypatch.setattr(harness, "evaluate_accuracy", logged)
+
+        def scored(workers):
+            """replay's records, and the processes that scored them."""
+            monkeypatch.setattr(schedulers, "_WORKERS", workers)
+            log.write_text("")
+            return replay(stream, sched, ev), set(map(int, log.read_text().split()))
+
+        one, one_pids = scored(1)
+        three, three_pids = scored(3)
+        done = threading.Event()
+        holder = threading.Thread(target=done.wait, args=(60,))
+        holder.start()
+        try:
+            threaded, threaded_pids = scored(3)
+        finally:
+            done.set()
+            holder.join(60)
+        assert not holder.is_alive()
+        assert one == three == threaded
+        assert one_pids == threaded_pids == {os.getpid()}
+        # the caller, and the lane processes forked for each scoring call
+        assert os.getpid() in three_pids and len(three_pids) >= 3
 
 
 class TestExportMetrics:

@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import operator
 import os
 import signal
 import threading
@@ -902,3 +904,26 @@ class TestBuildSchedule:
         assert s.name == "sliding"
         s = build_schedule(SchedulerConfig("baseline-basic", EPS, 1.0, 1.0, B=4, b0=2), 20)
         assert s.name == "baseline-basic"
+
+
+class TestTraceLines:
+    """export_trace's template against json.dumps of each trace_record."""
+
+    @pytest.mark.parametrize("L", [
+        lipschitz_public(3, 1), lipschitz_public(10, 7), np.float64(lipschitz_public(3, 4)),
+        0.37, 2.0, math.inf, math.nan,
+    ], ids=["public-k3", "public-k10", "public-float64", "flag", "flag-int", "inf", "nan"])
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_every_line_is_json_dumps_and_reads_back(self, name, L, tmp_path):
+        sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, L, B=4, b0=2, w=7,
+                                               w0=1), 40)
+        path = tmp_path / "trace.jsonl"
+        schedulers.export_trace(sched, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == json.dumps(schedulers.trace_header(sched))
+        assert lines[1:] == [json.dumps(schedulers.trace_record(e)) for e in sched.events]
+        eps, ledger = schedulers.ledger_from_trace(path)
+        want = ledger_from_events(sched.events, sched.budgets)
+        assert eps == sched.eps and ledger.budgets == want.budgets
+        fields = operator.attrgetter("a", "b", "eps", "subsystem", "time")
+        assert list(map(fields, ledger.charges)) == list(map(fields, want.charges))
