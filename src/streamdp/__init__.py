@@ -30,6 +30,7 @@ from .mechanisms import (
     MechanismError,
     NoiseSpec,
     PerturbedModel,
+    laplace_noise,
     laplace_scale,
     laplace_stack,
     laplace_vector,
@@ -52,6 +53,7 @@ from .schedulers import (
     ledger_from_events,
     multires_events_at,
     multires_schedule,
+    sliding_chain,
     sliding_schedule,
     window_shape,
 )

@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .erm import Dataset, DivergenceError, ErmError, TrainConfig, clip_l1, lipschitz_public
 from .harness import (
     EvalConfig,
@@ -306,16 +308,18 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_source(spec: str, cfg: RunConfig) -> Dataset:
+def _load_source(spec: str, cfg: RunConfig, classes=None) -> Dataset:
+    """The data `spec` names; given `classes`, a stream's label values, a
+    file's labels are indexed among them."""
     if spec == "synth":
         return synth_stream(cfg.synth).data
     if spec.startswith("csv:"):
-        return load_csv(spec[4:])
+        return load_csv(spec[4:], classes=classes)
     if spec.startswith("idx:"):
         parts = spec[4:].split(",")
         if len(parts) != 2:
             raise UsageError("idx source needs idx:IMAGES,LABELS")
-        return load_idx(parts[0], parts[1])
+        return load_idx(parts[0], parts[1], classes=classes)
     raise UsageError(f"unknown source spec {spec!r}")
 
 
@@ -334,7 +338,8 @@ def _split_test(stream: Dataset, cfg: RunConfig):
         if cut < 1 or cut >= stream.n:
             raise UsageError("tail split leaves an empty stream or test set")
         return stream.slice(0, cut - 1), stream.slice(cut, stream.n - 1)
-    return stream, _load_source(cfg.test, cfg)
+    classes = np.arange(stream.k) if stream.classes is None else stream.classes
+    return stream, _load_source(cfg.test, cfg, classes)
 
 
 def _seed_path(output: str, seed: int, multi: bool) -> str:
@@ -380,6 +385,9 @@ def cmd_run(cfg: RunConfig) -> int:
     seeds = tuple(dict.fromkeys(cfg.seeds))
     ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate, train=train)
     schedule = build_schedule(sched, stream.n)
+    if not schedule.releases:
+        raise UsageError(f"the {sched.name} schedule releases no model on a stream of "
+                         f"{stream.n} points")
     ledger = ledger_from_events(schedule.events, schedule.budgets)
     all_records = replay(StreamSource(stream), sched, ev, schedule, ledger)
     for seed in seeds:

@@ -44,11 +44,15 @@ class Dataset:
     """Ordered labeled examples with shared dimension d and class count k.
 
     X has shape (n, d), y has shape (n,) with integer labels in [0, k).
+    classes, where a loader read the labels from a file, holds the label
+    value that each class index stands for, in increasing order; None means
+    the indices are the values.
     """
 
     X: np.ndarray
     y: np.ndarray
     k: int
+    classes: np.ndarray | None = None
 
     def __post_init__(self):
         # C order: SGD gathers minibatch rows with np.take, which copies a
@@ -61,6 +65,8 @@ class Dataset:
             raise ErmError(f"label shape {y.shape} does not match {X.shape[0]} examples")
         if len(y) and (y.min() < 0 or y.max() >= self.k):
             raise ErmError(f"labels must lie in [0, {self.k})")
+        if self.classes is not None and len(self.classes) != self.k:
+            raise ErmError(f"{len(self.classes)} class values for k={self.k} classes")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y.astype(np.int64))
 
@@ -76,10 +82,10 @@ class Dataset:
         """Examples with stream indices in the inclusive range [a, b]."""
         if a < 0 or b >= self.n or a > b:
             raise ErmError(f"interval [{a}, {b}] outside stream of length {self.n}")
-        return Dataset(self.X[a : b + 1], self.y[a : b + 1], self.k)
+        return Dataset(self.X[a : b + 1], self.y[a : b + 1], self.k, self.classes)
 
     def take(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.X[mask], self.y[mask], self.k)
+        return Dataset(self.X[mask], self.y[mask], self.k, self.classes)
 
 
 @dataclass(frozen=True)
@@ -129,10 +135,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """L2 penalty lam * ||w - bias||_F^2; bias=None regularizes toward 0."""
+    """L2 penalty lam * ||w - bias||_F^2; bias=None regularizes toward 0.
+
+    For a lockstep stack (`sgd_train` given seeds), bias may also be an
+    (S, k, d) array: seed i is then regularized toward bias[i].
+    """
 
     lam: float
-    bias: ModelWeights | None = None
+    bias: ModelWeights | np.ndarray | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -145,6 +155,14 @@ class RegularizerSpec:
         if wg.shape != (k, d):
             raise ErmError(f"bias shape {wg.shape} does not match ({k}, {d})")
         return wg
+
+    def bias_stack(self, S: int, k: int, d: int) -> np.ndarray:
+        """The (S, k, d) biases of a stack of S seeds under this penalty."""
+        if not isinstance(self.bias, np.ndarray):
+            return np.repeat(self.bias_matrix(k, d)[None], S, axis=0)
+        if self.bias.shape != (S, k, d):
+            raise ErmError(f"bias shape {self.bias.shape} does not match ({S}, {k}, {d})")
+        return self.bias
 
 
 def _check_dims(w: np.ndarray, data: Dataset):
@@ -236,11 +254,13 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     returns its ModelWeights. Given a sequence of seeds, it trains them in
     lockstep as one (S, k, d) weight stack and returns one ModelWeights per
     seed. reg is then one RegularizerSpec for every seed or a sequence with
-    one per seed (all with the same lam), and rows, if given, holds each
-    seed's rows of data: a range for a contiguous interval, or an array of
-    row indices; a drawn row outside data raises ErmError. Each seed draws
-    its minibatch indices ahead from its own "sgd" stream (the values
-    per-iteration draws would give), and every step applies the same
+    one per seed (all with the same lam); a RegularizerSpec whose bias is an
+    (S, k, d) array gives the trained (S, k, d) stack itself, as an array.
+    rows, if given, holds each seed's rows of data: a range for a
+    contiguous interval, or an array of row indices; a drawn row outside
+    data raises ErmError. Each seed draws its minibatch indices ahead from
+    its own "sgd" stream (the values per-iteration draws would give), and
+    every step applies the same
     floating-point operations to each slice of the stack, so a seed's
     weights do not depend on the other seeds. All seeds must share the
     minibatch size min(minibatch, n_i).
@@ -251,12 +271,11 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     """
     single = seeds is None
     if single:
-        seeds, reg = (cfg.seed,), (reg,)
-    elif isinstance(reg, RegularizerSpec):
-        reg = (reg,) * len(seeds)
-    if len(reg) != len(seeds) or (rows is not None and len(rows) != len(seeds)):
+        seeds = (cfg.seed,)
+    shared = isinstance(reg, RegularizerSpec)
+    if (not shared and len(reg) != len(seeds)) or (rows is not None and len(rows) != len(seeds)):
         raise ErmError("need one regularizer and one row set per seed")
-    if len({r.lam for r in reg}) != 1:
+    if not shared and len({r.lam for r in reg}) != 1:
         raise ErmError("seeds trained in lockstep must share lambda")
     if rows is None:
         rows = [range(data.n)] * len(seeds)
@@ -268,8 +287,10 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
         raise ErmError("seeds trained in lockstep must share the minibatch size")
     batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m, data)
     S, k, d = len(seeds), data.k, data.d
-    lam = reg[0].lam
-    wg = np.stack([r.bias_matrix(k, d) for r in reg])
+    if shared:
+        lam, wg = reg.lam, reg.bias_stack(S, k, d)
+    else:
+        lam, wg = reg[0].lam, np.stack([r.bias_matrix(k, d) for r in reg])
     w = wg.copy()
     # Every step writes into these, so that a step allocates no temporaries.
     Xb = np.empty((S, m, d))
@@ -311,13 +332,18 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
         np.divide(w, 1.0 + 2.0 * eta * lam, out=w)
         if not np.isfinite(w, out=finite).all():
             raise DivergenceError(i, int(np.argmin(finite.all(axis=(1, 2)))))
+    if shared and isinstance(reg.bias, np.ndarray):
+        return w  # every step checked it finite
     models = ModelWeights.checked_stack(w)
     return models[0] if single else models
 
 
 def biased_erm_minimize(data: Dataset, bias, lam: float, cfg: TrainConfig, seeds, rows=None):
-    """`sgd_train` of seed i from bias[i], minimizing data loss + lam*||w - bias[i]||^2."""
-    return sgd_train(data, [RegularizerSpec(lam, b) for b in bias], cfg, seeds, rows)
+    """`sgd_train` of seed i from bias[i] of an (S, k, d) bias array,
+    minimizing data loss + lam*||w - bias[i]||^2: the (S, k, d) trained
+    weights."""
+    return sgd_train(data, RegularizerSpec(lam, np.asarray(bias, dtype=np.float64)), cfg,
+                     seeds, rows)
 
 
 def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
@@ -331,33 +357,79 @@ def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
     return (k - 1) / (2.0 * m * k) * norm_cap * math.sqrt(m)
 
 
+# One (n, d) @ (d, R*k) product scores R models at once, and gives each
+# model's columns the bits of that model's own (n, d) @ (d, k) product for
+# the shapes `_one_product` admits (tests/test_erm.py checks them). Outside
+# them, OpenBLAS 0.3 picks other kernels for the two products (a gemv for one
+# row, small-matrix kernels at larger d, another block past 192 columns),
+# and the bits can differ.
+_ONE_PRODUCT_COLUMNS = 192
+_ONE_PRODUCT_MAX_D = 31
+
+
+def _one_product(n: int, d: int, columns: int) -> bool:
+    return n > 1 and d <= _ONE_PRODUCT_MAX_D and columns <= _ONE_PRODUCT_COLUMNS
+
+
+def _first_max(planes: np.ndarray) -> np.ndarray:
+    """np.argmax(planes, axis=0) over k class planes: the first class of
+    highest score, so ties go to the lowest class.
+
+    The planes are compared whole, which costs k passes over contiguous
+    arrays where np.argmax over a short last axis costs a call per row. A
+    class beats the best so far only when it is strictly higher, and the
+    last class to do so is the first maximum. np.maximum carries a NaN into
+    the running best, and a NaN anywhere falls back on np.argmax, which
+    takes the first NaN as the maximum.
+    """
+    planes = np.ascontiguousarray(planes)
+    best = planes[0].copy()
+    pred = np.zeros(best.shape, dtype=np.min_scalar_type(len(planes) - 1))
+    higher = np.empty(best.shape, dtype=bool)
+    for c in range(1, len(planes)):
+        np.greater(planes[c], best, out=higher)
+        np.maximum(best, planes[c], out=best)
+        np.maximum(pred, higher * pred.dtype.type(c), out=pred)
+    if np.isnan(best).any():
+        return np.argmax(planes, axis=0)
+    return pred
+
+
 def evaluate_accuracy(w, data: Dataset, per_model: bool = False):
     """Fraction of correct argmax predictions; ties go to the lowest class.
 
-    w is one ModelWeights, giving a float, or an (R, k, d) weight stack,
+    w is one ModelWeights, giving a float, or an (R, k, d) weight array,
     giving R accuracies: each model scored on all of data or, with
     per_model, model r on the r-th of R equal runs of consecutive rows.
-    Model r's scores come from its own (rows, d) @ (d, k) product, and an
-    accuracy is an exact hit count over the row count, so each model gets
-    the value it gets alone, bit for bit.
+    Scores on all of data come from one X @ w.reshape(R*k, d).T product
+    where `_one_product` admits its shape, and from one product per model
+    otherwise and with per_model; either way each model gets the bits of
+    its own (rows, d) @ (d, k) product. The prediction is the first maximum
+    over the class planes (`_first_max`), and an accuracy is an exact hit
+    count over the row count, so each model gets the value it gets alone,
+    bit for bit.
     """
     if data.n == 0:
         raise ErmError("cannot evaluate on an empty dataset")
     single = isinstance(w, ModelWeights)
-    w = w.w if single else np.asarray(w)
+    w = w.w[None] if single else np.asarray(w)
     _check_dims(w, data)
+    R, k, d = w.shape
     X, y = data.X, data.y
     if per_model:
-        if data.n % len(w):
-            raise ErmError(f"{data.n} rows do not split into {len(w)} equal runs")
-        X, y = X.reshape(len(w), -1, data.d), y.reshape(len(w), -1)
-    hits = np.count_nonzero(np.argmax(X @ w.swapaxes(-1, -2), axis=-1) == y, axis=-1)
-    acc = hits / y.shape[-1]
-    return float(acc) if single else acc
+        if data.n % R:
+            raise ErmError(f"{data.n} rows do not split into {R} equal runs")
+        X, y = X.reshape(R, -1, d), y.reshape(R, -1)
+    if not per_model and _one_product(data.n, d, R * k):
+        planes = (X @ w.reshape(R * k, d).T).reshape(-1, R, k).transpose(2, 1, 0)
+    else:
+        planes = (X @ w.swapaxes(-1, -2)).transpose(2, 0, 1)  # (k, R, rows)
+    acc = np.count_nonzero(_first_max(planes) == y, axis=-1) / y.shape[-1]
+    return float(acc[0]) if single else acc
 
 
 def clip_l1(data: Dataset) -> Dataset:
     """Scale each example so that its L1 norm is at most 1."""
     norms = np.abs(data.X).sum(axis=1)
     scale = np.where(norms > 1.0, norms, 1.0)
-    return Dataset(data.X / scale[:, None], data.y, data.k)
+    return Dataset(data.X / scale[:, None], data.y, data.k, data.classes)

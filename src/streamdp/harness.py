@@ -63,24 +63,33 @@ def _read_idx(path, expect_magic: int, ndims: int):
     return dims, np.frombuffer(buf, dtype=np.uint8, count=count, offset=header)
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse big-endian IDX image/label files into a flat [0,1]-scaled dataset."""
+def load_idx(images_path, labels_path, classes=None) -> Dataset:
+    """Parse big-endian IDX image/label files into a flat [0,1]-scaled dataset.
+
+    A label is its own class index, k the largest label plus one; given
+    `classes`, the label values of another dataset (a test set's stream),
+    labels are indexed among those instead (`_class_indices`).
+    """
     (n_img, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     (n_lab,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if n_img != n_lab:
         raise HarnessError(f"count mismatch: {n_img} images vs {n_lab} labels")
     X = pixels.reshape(n_img, rows * cols).astype(np.float64) / 255.0
     y = labels.astype(np.int64)
-    k = int(y.max()) + 1 if n_lab else 0
-    return Dataset(X, y, k)
+    if classes is None:
+        return Dataset(X, y, int(y.max()) + 1 if n_lab else 0)
+    return Dataset(X, _class_indices(labels_path, y, classes, 1), len(classes), classes)
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, classes=None) -> Dataset:
     """Numeric CSV, last column an integral label; header auto-detected.
 
     A non-numeric first cell in the first non-empty row marks a header.
     Blank lines are skipped, and errors name the row counting non-empty
-    rows from 1, the header included.
+    rows from 1, the header included. Labels are indexed among the file's
+    own distinct values, in increasing order, or given `classes`, the label
+    values of another dataset (a test set's stream), among those
+    (`_class_indices`).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -110,8 +119,26 @@ def load_csv(path) -> Dataset:
     if not np.all(raw_labels == np.round(raw_labels)):
         bad = int(np.argmax(raw_labels != np.round(raw_labels)))
         raise HarnessError(f"{path}: non-integral label in row {bad + start + 1}")
-    uniq, y = np.unique(raw_labels.astype(np.int64), return_inverse=True)
-    return Dataset(mat[:, :-1], y, len(uniq))
+    raw_labels = raw_labels.astype(np.int64)
+    if classes is None:
+        classes, y = np.unique(raw_labels, return_inverse=True)
+    else:
+        y = _class_indices(path, raw_labels, classes, start + 1)
+    return Dataset(mat[:, :-1], y, len(classes), classes)
+
+
+def _class_indices(path, labels: np.ndarray, classes: np.ndarray, first_row: int) -> np.ndarray:
+    """The index of each label among `classes`, the increasing label values
+    of a stream; a label the stream lacks raises HarnessError naming its row,
+    counting the first label's row as first_row."""
+    y = np.searchsorted(classes, labels)
+    known = y < len(classes)
+    known[known] = classes[y[known]] == labels[known]
+    if not known.all():
+        bad = int(np.argmin(known))
+        raise HarnessError(f"{path}: label {labels[bad]} in row {bad + first_row} "
+                           "is not a class of the stream")
+    return y
 
 
 def _csv_parse_error(path, msg: str, start: int) -> HarnessError:
@@ -164,7 +191,7 @@ class StreamSource:
     def shuffled(self, seed: int) -> "StreamSource":
         rng = make_rng(seed, "shuffle")
         perm = rng.permutation(self.data.n)
-        return StreamSource(Dataset(self.data.X[perm], self.data.y[perm], self.data.k))
+        return StreamSource(self.data.take(perm))
 
 
 def synth_stream(cfg: SynthConfig) -> StreamSource:
@@ -190,7 +217,7 @@ class EvalConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetricsRecord:
     t: int
     scheduler: str
@@ -220,10 +247,12 @@ def replay(
     releases in time order. acc_recent uses the trailing `batch` points at
     the release step, acc_test the fixed held-out set, acc_old the batch
     preceding the model's training interval (None at the stream head).
-    The released models of every seed are scored as (R, k, d) stacks by
-    `evaluate_accuracy`, against the test set and against their gathered
-    windows, in chunks of about `_STACK_BYTES` dealt over the lanes; each
-    value equals the model's own evaluation. eps_max is the exact maximum
+    The released models of every seed are gathered from the runs' weight
+    arrays into one (R, k, d) array, and noise_l2 from their noise-norm
+    columns. `evaluate_accuracy` scores slices of that array against the
+    test set, and gathered models against their gathered windows, in
+    chunks of about `_STACK_BYTES` dealt over the lanes; each value equals
+    the model's own evaluation. eps_max is the exact maximum
     per-point loss over the ledger's charges up to the release step, the
     same for every seed, kept by `ledger.RunningMax` as integer numerators
     over one common denominator and read before returning, so charges added
@@ -231,7 +260,6 @@ def replay(
     charged and eps_max stays 0.
     """
     stream = source.data
-    records = []
     if schedule is None:
         schedule = build_schedule(sched, stream.n)
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
@@ -243,41 +271,48 @@ def replay(
         ledger = ledger_from_events(schedule.events, schedule.budgets)
     running = RunningMax(Ledger() if ev.nonprivate else ledger)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
-    released = [(seed, result, t, mid) for seed, result in zip(ev.seeds, results)
-                for t, mid in result.releases]
-    models = [result.models[mid] for _, result, _, mid in released]
-    steps = np.array([t for _, _, t, _ in released], dtype=np.int64)
+    releases = [result.releases for result in results]
+    released = [(seed, t, mid) for seed, rel in zip(ev.seeds, releases) for t, mid in rel]
+    # the released models as one (R, k, d) array, gathered seed by seed
+    models = np.empty((len(released), stream.k, stream.d))
+    noise_l2 = []
+    end = 0
+    for result, rel in zip(results, releases):
+        mids = np.array([mid for _, mid in rel], dtype=np.intp)
+        np.take(result.weights, mids, axis=0, out=models[end : end + len(mids)])
+        noise_l2 += result.noise_l2[mids].tolist()
+        end += len(mids)
+    steps = np.array([t for _, t, _ in released], dtype=np.int64)
     starts = np.array([start_of[mid] for *_, mid in released], dtype=np.int64)
     recent = np.maximum(0, steps - batch + 1)
     # the recent windows, then the old ones, scored in one call
     acc_window = _window_accuracy(
-        models + models, stream, np.concatenate([recent, starts - batch]),
+        models, np.tile(np.arange(len(released)), 2), stream,
+        np.concatenate([recent, starts - batch]),
         np.concatenate([steps - recent + 1, np.where(starts >= batch, batch, 0)]))
-    acc_recent, acc_old = acc_window[:len(models)], acc_window[len(models):]
+    acc_recent, acc_old = acc_window[:len(released)], acc_window[len(released):]
     acc_test = _test_accuracy(models, ev.test)
-    for r, (seed, result, t, mid) in enumerate(released):
-        pm = result.perturbed.get(mid)
-        records.append(MetricsRecord(
-            t=t,
-            scheduler=sched.name,
-            kind=kind_of.get((t, mid), "release"),
-            eps=float(sched.eps),
-            lam=sched.lam,
-            batch=batch,
-            acc_recent=acc_recent[r],
-            acc_test=acc_test[r],
-            acc_old=acc_old[r],
-            noise_l2=pm.noise_l2 if pm is not None else 0.0,
-            eps_max=eps_max[t],
-            bound=None,
-            seed=seed,
-        ))
-    return records
+    eps = float(sched.eps)
+    return [MetricsRecord(
+        t=t,
+        scheduler=sched.name,
+        kind=kind_of.get((t, mid), "release"),
+        eps=eps,
+        lam=sched.lam,
+        batch=batch,
+        acc_recent=acc_recent[r],
+        acc_test=acc_test[r],
+        acc_old=acc_old[r],
+        noise_l2=noise_l2[r],
+        eps_max=eps_max[t],
+        bound=None,
+        seed=seed,
+    ) for r, (seed, t, mid) in enumerate(released)]
 
 
-def _window_accuracy(models, stream: Dataset, starts, lengths) -> list:
-    """Accuracy of models[r] on the lengths[r] stream rows from starts[r],
-    or None where lengths[r] is 0.
+def _window_accuracy(models: np.ndarray, which, stream: Dataset, starts, lengths) -> list:
+    """Accuracy of models[which[r]] on the lengths[r] stream rows from
+    starts[r], or None where lengths[r] is 0.
 
     Windows of one length are scored in chunks of about _STACK_BYTES of
     weights, gathered rows and scores, dealt over the lanes (`_map_lanes`);
@@ -299,27 +334,26 @@ def _window_accuracy(models, stream: Dataset, starts, lengths) -> list:
         else:
             rows = (starts[chunk, None] + np.arange(n)).ravel()
             data = Dataset(stream.X[rows], stream.y[rows], stream.k)
-        return evaluate_accuracy(np.stack([models[r].w for r in chunk]), data,
-                                 per_model=True).tolist()
+        return evaluate_accuracy(models[which[chunk]], data, per_model=True).tolist()
 
-    out = [None] * len(models)
+    out = [None] * len(which)
     for chunk, accs in zip(chunks, _map_lanes(score, chunks)):
         for r, acc in zip(chunk.tolist(), accs):
             out[r] = acc
     return out
 
 
-def _test_accuracy(models, test: Dataset | None) -> list:
-    """Accuracy of each model on the test set (None without one), in chunks
-    of about _STACK_BYTES of weights and scores, dealt over the lanes
-    (`_map_lanes`)."""
+def _test_accuracy(models: np.ndarray, test: Dataset | None) -> list:
+    """Accuracy of each of the (R, k, d) models on the test set (None
+    without one), scored in slices of about _STACK_BYTES of scores, dealt
+    over the lanes (`_map_lanes`)."""
     if test is None:
         return [None] * len(models)
-    per_chunk = max(1, _STACK_BYTES // ((test.n * (test.k + 2) + test.k * test.d) * 8))
+    per_chunk = max(1, _STACK_BYTES // (test.n * test.k * 8))
     chunks = [models[i : i + per_chunk] for i in range(0, len(models), per_chunk)]
 
     def score(chunk):
-        return evaluate_accuracy(np.stack([m.w for m in chunk]), test).tolist()
+        return evaluate_accuracy(chunk, test).tolist()
 
     return [acc for accs in _map_lanes(score, chunks) for acc in accs]
 

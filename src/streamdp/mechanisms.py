@@ -5,11 +5,12 @@ perturbation of trained weights, the Laplace scale of one release (one formula
 for every schedule, derived in `laplace_scale`), and independent-inclusion
 subsampling for amplification.
 
-Noise is drawn per stack: `pberm` trains a stack of models in lockstep and
-`output_perturb` perturbs them with one `laplace_stack` draw, whose uniforms
-for every member come from a few array operations (`rng.philox_random`)
-rather than one generator per member, with the values those generators
-would give.
+Noise is drawn per stack: `pberm` trains an (S, k, d) stack of models in
+lockstep and `output_perturb` perturbs it with one `laplace_noise` draw from
+the members' scales and noise seeds, whose uniforms for every member come
+from a few array operations (`rng.philox_random`) rather than one generator
+per member, with the values those generators would give. A stack stays
+arrays throughout: weights in, noisy weights and noise norms out.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erm import Dataset, ModelWeights, TrainConfig, biased_erm_minimize
+from .erm import Dataset, ErmError, ModelWeights, TrainConfig, biased_erm_minimize
 from .rng import make_rng, philox_random, stream_keys
 
 
@@ -61,21 +62,28 @@ def sampling_probability(rule: str, level: int, eps: float) -> float:
 
 def laplace_stack(specs) -> np.ndarray:
     """I.i.d. Laplace(0, spec.scale) noise for each of S specs of equal dims,
-    as one (S, *dims) array, by inverse CDF.
-
-    Spec i's uniforms are `make_rng(spec.seed, "laplace").random(dims)`,
-    computed for the whole stack at once (`rng.stream_keys` and
-    `rng.philox_random`), so the noise is a deterministic function of the
-    spec alone.
-    """
+    as one (S, *dims) array, by inverse CDF (`laplace_noise`)."""
     dims = specs[0].dims
     if any(s.dims != dims for s in specs):
         raise MechanismError("a noise stack needs equal dims")
-    keys = stream_keys([s.seed for s in specs], "laplace")
-    v = philox_random(keys, math.prod(dims)).reshape(len(specs), *dims) - 0.5
+    return laplace_noise([s.scale for s in specs], [s.seed for s in specs], dims)
+
+
+def laplace_noise(scales, seeds, dims) -> np.ndarray:
+    """I.i.d. Laplace(0, scales[i]) noise from seed seeds[i] for each i, as
+    one (S, *dims) array, by inverse CDF: the noise of
+    NoiseSpec(scales[i], dims, seeds[i]).
+
+    Member i's uniforms are `make_rng(seeds[i], "laplace").random(dims)`,
+    computed for the whole stack at once (`rng.stream_keys` and
+    `rng.philox_random`), so the noise is a deterministic function of the
+    scale and the seed alone.
+    """
+    keys = stream_keys(seeds, "laplace")
+    v = philox_random(keys, math.prod(dims)).reshape(len(keys), *dims) - 0.5
     # |v| = 0.5 exactly (u == 0.0) would map to -inf; nudge into the support.
     mag = np.maximum(1.0 - 2.0 * np.abs(v), np.finfo(np.float64).tiny)
-    scale = np.array([-s.scale for s in specs]).reshape(-1, *(1,) * len(dims))
+    scale = -np.asarray(scales, dtype=np.float64).reshape(-1, *(1,) * len(dims))
     return scale * np.sign(v) * np.log(mag)
 
 
@@ -111,32 +119,46 @@ def laplace_scale(L, lam, n: int, charge, sampled_level: int | None = None) -> f
     return 2.0 * L / (lam * n * float(eps))
 
 
-def output_perturb(w, spec):
+def output_perturb(w, spec, seeds=None):
     """Add Laplace noise to the weights, recording the noise norms.
 
-    w and spec are one model and its NoiseSpec, giving one PerturbedModel,
-    or equal-length sequences of models of one shape and their specs,
-    giving a list; a spec of None releases its model unperturbed. The noise
-    of a sequence is one `laplace_stack` draw, checked for finiteness once.
+    w and spec are one model and its NoiseSpec, giving one PerturbedModel;
+    a spec of None releases the model unperturbed. Given seeds, w is an
+    (S, k, d) weight stack and spec its S Laplace scales: member i gets the
+    noise of NoiseSpec(spec[i], (k, d), seeds[i]), or none where spec[i] is
+    0, and the result is the noisy (S, k, d) stack with the (S,) noise_l1
+    and noise_l2 arrays. The noise of a stack is one `laplace_noise` draw,
+    checked for finiteness once.
     """
-    if isinstance(w, ModelWeights):
-        return output_perturb([w], [spec])[0]
-    for model, s in zip(w, spec):
-        if s is not None and model.w.shape != s.dims:
-            raise MechanismError(
-                f"weight shape {model.w.shape} does not match noise dims {s.dims}")
-    out = [PerturbedModel(model, 0.0, 0.0, None) for model in w]
-    noisy = [i for i, s in enumerate(spec) if s is not None]
-    if not noisy:
-        return out
-    nu = laplace_stack([spec[i] for i in noisy])
-    weights = ModelWeights.checked_stack(np.stack([w[i].w for i in noisy]) + nu)
+    if seeds is None:
+        if spec is None:
+            return PerturbedModel(w, 0.0, 0.0, None)
+        if w.w.shape != spec.dims:
+            raise MechanismError(f"weight shape {w.w.shape} does not match noise dims {spec.dims}")
+        noisy, l1, l2 = output_perturb(w.w[None], [spec.scale], [spec.seed])
+        return PerturbedModel(ModelWeights(noisy[0]), float(l1[0]), float(l2[0]), spec)
+    w, scales = np.asarray(w), np.asarray(spec, dtype=np.float64)
+    bad = ~(np.isfinite(scales) & (scales >= 0))
+    if bad.any():
+        raise MechanismError(
+            f"Laplace scale must be positive and finite, got {scales[bad][0]}")
+    l1, l2 = np.zeros(len(w)), np.zeros(len(w))
+    noisy = np.flatnonzero(scales)
+    if not len(noisy):
+        return w, l1, l2
+    nu = laplace_noise(scales[noisy], np.asarray(seeds)[noisy], w.shape[1:])
+    if len(noisy) == len(w):
+        out = w + nu
+    else:
+        out = w.copy()
+        out[noisy] += nu
+    if not np.isfinite(out).all():
+        raise ErmError("weights contain non-finite entries")
     nu = nu.reshape(len(noisy), -1)
-    l1 = np.abs(nu).sum(axis=1).tolist()
-    for j, i in enumerate(noisy):
-        # the L2 norm as np.linalg.norm takes it: one BLAS dot per model
-        out[i] = PerturbedModel(weights[j], l1[j], math.sqrt(nu[j].dot(nu[j])), spec[i])
-    return out
+    l1[noisy] = np.abs(nu).sum(axis=1)
+    # the L2 norm as np.linalg.norm takes it: one BLAS dot per model
+    l2[noisy] = np.sqrt([row.dot(row) for row in nu])
+    return out, l1, l2
 
 
 def pberm(
@@ -155,17 +177,22 @@ def pberm(
     Laplace(scale) noise, the scale the caller's schedule calibrated;
     scale=0 is the explicit non-private escape hatch and releases the model
     unperturbed, and a negative scale is rejected. A zero bias model trains
-    toward 0. With seeds=None one model trains with cfg.seed and gets noise
-    from noise_seed (default cfg.seed). Given seeds, they train in lockstep
-    from bias[i] (on rows[i] of data, if given) and seed i gets
-    Laplace(scale[i]) noise from noise_seed[i]; one PerturbedModel per seed.
+    toward 0. With seeds=None one ModelWeights bias trains with cfg.seed and
+    gets noise from noise_seed (default cfg.seed): one PerturbedModel.
+
+    Given seeds, a stack trains in lockstep: bias is an (S, k, d) array,
+    seed i trains from bias[i] (on rows[i] of data, if given) and gets
+    Laplace(scale[i]) noise from noise_seed[i]. The result is the noisy
+    (S, k, d) weights with the (S,) noise_l1 and noise_l2 arrays
+    (`output_perturb`).
     """
     if seeds is None:
         noise_seed = cfg.seed if noise_seed is None else noise_seed
-        return pberm([bias], data, lam, cfg, [scale], [noise_seed], [cfg.seed])[0]
-    models = biased_erm_minimize(data, bias, lam, cfg, seeds, rows)
-    return output_perturb(models, [None if s == 0.0 else NoiseSpec(s, w.w.shape, seed)
-                                   for w, s, seed in zip(models, scale, noise_seed)])
+        w, l1, l2 = pberm(bias.w[None], data, lam, cfg, [scale], [noise_seed], [cfg.seed])
+        return PerturbedModel(ModelWeights(w[0]), float(l1[0]), float(l2[0]),
+                              NoiseSpec(scale, bias.w.shape, noise_seed) if scale else None)
+    return output_perturb(biased_erm_minimize(data, bias, lam, cfg, seeds, rows), scale,
+                          noise_seed)
 
 
 def subsample(n: int, p: float, seed: int) -> np.ndarray:

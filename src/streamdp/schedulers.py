@@ -24,15 +24,16 @@ import signal
 import sys
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 from .erm import Dataset, DivergenceError, ModelWeights, TrainConfig
 from .ledger import SUBSYSTEMS, Ledger, LedgerError
-from .mechanisms import (PerturbedModel, laplace_scale, pberm, sampling_probability,
-                         subsample)
+from .mechanisms import (NoiseSpec, PerturbedModel, laplace_scale, pberm,
+                         sampling_probability, subsample)
 from .rng import first_integers, stream_keys
 
 KIND_SUBSYSTEM = {
@@ -81,7 +82,7 @@ class SchedulerConfig:
         return 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EventSpec:
     """One model training/adoption with its interval, noise and exact charge."""
 
@@ -107,9 +108,9 @@ class EventSpec:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainState:
-    """Sliding-window dependency chain after one step."""
+    """Sliding-window dependency chain after one step (`sliding_chain`)."""
 
     t: int
     buckets: tuple  # ((a, b, side, model_id), ...) in descending size order
@@ -125,7 +126,6 @@ class Schedule:
     eps: Fraction  # the eps the schedule was built for
     budgets: dict  # subsystem -> the most one point may be charged in it
     lam: float  # the lambda the events' noise is calibrated for, and trained with
-    chain_states: tuple | None = None
 
 
 def _event(lam, L, t, kind, level, a, b, eps, model_id, sampled_rule=None, adopt=False,
@@ -309,60 +309,31 @@ def _decompose(a: int, b: int, w0: int) -> list[_Bucket]:
     return out
 
 
-def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
-    """Sliding-window release with a binary bucket structure on either side
-    of the base bucket; retrains exactly the buckets whose interval changed.
+def _sliding_steps(T, w, w0):
+    """The sliding window's release steps on a stream of length T.
+
+    Yields (t, kind, chain, trained) per step: chain is the window's
+    buckets after the step in descending size order (base first, sizes are
+    disjoint), and trained the (position in chain, bucket) pairs retrained
+    at it, exactly the buckets whose interval changed, each given the next
+    model id. The buckets are reused from step to step, so read each step
+    before the next.
     """
     k = window_shape(w, w0)
-    eps = Fraction(eps)
-    event = functools.partial(_event, lam, L)
     base_blocks = 2 ** (k - 1)
     cap = base_blocks - 1  # side capacity in w0-blocks
-
     ids = itertools.count()
-    events, releases, states = [], [], []
     left: list[_Bucket] = []
     base: _Bucket | None = None
     right: list[_Bucket] = []
 
-    # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule
-    # and Laplace scale depend on j alone: each level's are worked out once.
-    levels = []
-    for j in range(k - 1):
-        charge, rule = eps / (6 * 2**j), "reciprocal" if sampled and j > 0 else None
-        levels.append((charge, rule, laplace_scale(L, lam, 2**j * w0, charge,
-                                                   j if rule else None)))
-
-    def release(t, kind, to_train):
-        """Train the given buckets in descending size order, regularizing each
-        on the next larger bucket's (possibly just retrained) model, then
-        release the smallest bucket's model."""
-        # descending size: base first, then side buckets (sizes are disjoint)
-        ordered = [base] + sorted(left + right, key=lambda bk: -bk.blocks)
+    def step(t, kind, to_train):
+        chain = [base] + sorted(left + right, key=lambda bk: -bk.blocks)
         wanted = {id(bk) for bk in to_train}
-        new = []
-        for idx, bucket in enumerate(ordered):
-            if id(bucket) not in wanted:
-                continue
+        trained = [(idx, bk) for idx, bk in enumerate(chain) if id(bk) in wanted]
+        for _, bucket in trained:
             bucket.model_id = next(ids)
-            if bucket is base:
-                new.append(event(t, kind, k - 1, bucket.a, bucket.b, eps / 3, bucket.model_id,
-                                 side="base"))
-            else:
-                j = bucket.blocks.bit_length() - 1
-                charge, rule, scale = levels[j]
-                new.append(event(t, kind, j, bucket.a, bucket.b, charge, bucket.model_id, rule,
-                                 scale=scale, reg_source=ordered[idx - 1].model_id,
-                                 side=bucket.side))
-        events.extend(new)
-        released = ordered[-1].model_id
-        releases.append((t, released))
-        states.append(ChainState(
-            t=t,
-            buckets=tuple((bk.a, bk.b, bk.side, bk.model_id) for bk in ordered),
-            trained=tuple(e.model_id for e in new),
-            released=released,
-        ))
+        return t, kind, chain, trained
 
     def init_window(t, kind):
         nonlocal base, left, right
@@ -375,15 +346,15 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
             base = _Bucket(old_base.b + 1, t, base_blocks, "base")
             left = _decompose(old_base.b - cap * w0 + 1, old_base.b, w0)
         right = []
-        release(t, kind, [base] + left)
+        return step(t, kind, [base] + left)
 
     first = w - 1
     if T <= first:
-        return Schedule("sliding", (), (), eps, {"sliding": eps}, lam, ())
-    init_window(first, "WindowInit")
+        return
+    yield init_window(first, "WindowInit")
     for t in range(first + w0, T, w0):
         if _len_blocks(right) == cap:
-            init_window(t, "WindowRefresh")
+            yield init_window(t, "WindowRefresh")
             continue
         # binary increment on the right with the new w0 block
         carry = _Bucket(t - w0 + 1, t, 1, "right")
@@ -400,9 +371,49 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
             else:
                 left = _decompose(oldest.a + w0, oldest.b, w0) + left[1:]
                 to_train.extend(left[: _decount(oldest.blocks)])
-        release(t, "WindowAdvance", to_train)
-    return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam,
-                    tuple(states))
+        yield step(t, "WindowAdvance", to_train)
+
+
+def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
+    """Sliding-window release with a binary bucket structure on either side
+    of the base bucket; retrains exactly the buckets whose interval changed
+    (`_sliding_steps`), each regularized on the next larger bucket's
+    (possibly just retrained) model, and releases the smallest bucket's.
+    """
+    k = window_shape(w, w0)
+    eps = Fraction(eps)
+    event = functools.partial(_event, lam, L)
+    # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule
+    # and Laplace scale depend on j alone: each level's are worked out once.
+    levels = []
+    for j in range(k - 1):
+        charge, rule = eps / (6 * 2**j), "reciprocal" if sampled and j > 0 else None
+        levels.append((charge, rule, laplace_scale(L, lam, 2**j * w0, charge,
+                                                   j if rule else None)))
+    events, releases = [], []
+    for t, kind, chain, trained in _sliding_steps(T, w, w0):
+        for idx, bucket in trained:
+            if idx == 0:  # the base
+                events.append(event(t, kind, k - 1, bucket.a, bucket.b, eps / 3,
+                                    bucket.model_id, side="base"))
+            else:
+                j = bucket.blocks.bit_length() - 1
+                charge, rule, scale = levels[j]
+                events.append(event(t, kind, j, bucket.a, bucket.b, charge, bucket.model_id,
+                                    rule, scale=scale, reg_source=chain[idx - 1].model_id,
+                                    side=bucket.side))
+        releases.append((t, chain[-1].model_id))
+    return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam)
+
+
+def sliding_chain(T, w, w0) -> tuple:
+    """The sliding window's dependency chain after each release step of
+    `sliding_schedule(T, w, w0, ...)`, as ChainStates, from the same steps
+    (`_sliding_steps`)."""
+    return tuple(
+        ChainState(t, tuple((bk.a, bk.b, bk.side, bk.model_id) for bk in chain),
+                   tuple(bk.model_id for _, bk in trained), chain[-1].model_id)
+        for t, _, chain, trained in _sliding_steps(T, w, w0))
 
 
 def _len_blocks(buckets) -> int:
@@ -425,12 +436,59 @@ def ledger_from_events(events, budgets) -> Ledger:
     return ledger
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
-    models: dict  # model id -> weights; a skipped event maps to its bias model
-    perturbed: dict
-    releases: list  # (t, model_id)
-    skipped: list = field(default_factory=list)  # events skipped on empty subsample
+    """One seed's run of a schedule (`execute`), as arrays indexed by model id.
+
+    weights[mid] is model mid's released, noisy, weights, or for an event
+    skipped on an empty subsample its bias model; the last slot is the zero
+    model that an event without a regularizer trains toward. noise_l1,
+    noise_l2, noise_scale and noise_seed hold each model's noise norms, its
+    Laplace scale and its noise seed, zero norms and scale where it was
+    released unperturbed; skip marks the skipped events.
+
+    models, perturbed, skipped and releases are read-only views, their
+    records built on first access as `Ledger.charges` builds its records:
+    models maps the id of each trained event, in schedule order, to its
+    ModelWeights; perturbed maps the ids of those not skipped to their
+    PerturbedModel, with its NoiseSpec (None unperturbed); skipped lists the
+    skipped events; releases lists the schedule's (t, model id) releases,
+    less the skipped models.
+    """
+
+    events: tuple  # the trained (not adopted) events, in schedule order
+    weights: np.ndarray  # (M + 1, k, d)
+    noise_l1: np.ndarray
+    noise_l2: np.ndarray
+    noise_scale: np.ndarray
+    noise_seed: np.ndarray
+    skip: np.ndarray
+    schedule_releases: tuple
+
+    @functools.cached_property
+    def models(self) -> MappingProxyType:
+        return MappingProxyType({e.model_id: ModelWeights(self.weights[e.model_id])
+                                 for e in self.events})
+
+    @functools.cached_property
+    def perturbed(self) -> MappingProxyType:
+        return MappingProxyType({e.model_id: self._perturbed(e.model_id) for e in self.events
+                                 if not self.skip[e.model_id]})
+
+    def _perturbed(self, mid: int) -> PerturbedModel:
+        scale = float(self.noise_scale[mid])
+        spec = (NoiseSpec(scale, self.weights.shape[1:], int(self.noise_seed[mid]))
+                if scale else None)
+        return PerturbedModel(self.models[mid], float(self.noise_l1[mid]),
+                              float(self.noise_l2[mid]), spec)
+
+    @property
+    def skipped(self) -> list:
+        return [e for e in self.events if self.skip[e.model_id]]
+
+    @property
+    def releases(self) -> list:
+        return [(t, mid) for t, mid in self.schedule_releases if not self.skip[mid]]
 
 
 # A lockstep SGD call holds an (members, m, d) float64 minibatch and
@@ -476,14 +534,18 @@ def execute(
     subseeds of every (event, seed) are derived up front, one vectorised
     call per label (`_subseeds`), and a stack's noise is one draw.
 
-    A stack's result depends on its own inputs alone, so the stacks of a
-    wave may train in any order and in any process. They are dealt
-    round-robin over `_WORKERS` lanes (`_map_lanes`): lane 0 trains in the
-    calling process while each other lane trains in a process forked for
-    it, which sees every earlier wave's models through the fork and sends
-    back each stack's noisy weights as one array. After each wave, models,
-    perturbations and skipped events are recorded in schedule order, bit
-    for bit those of a serial run. Nothing is charged here: the run's
+    The run is kept as arrays: per seed, one (M + 1, k, d) weight array
+    indexed by model id, whose last slot is the zero model, and noise-norm
+    columns beside it. A stack gathers its members' biases from it with one
+    fancy index and trains as arrays from there (`pberm`). A stack's result
+    depends on its own inputs alone, so the stacks of a wave may train in
+    any order and in any process. They are dealt round-robin over
+    `_WORKERS` lanes (`_map_lanes`): lane 0 trains in the calling process
+    while each other lane trains in a process forked for it, which sees
+    every earlier wave's models through the fork and sends back each
+    stack's noisy weights, noise_l1 and noise_l2 as three arrays. After
+    each wave, each stack's reply is stored with one assignment, bit for
+    bit what a serial run stores. Nothing is charged here: the run's
     charges are the schedule's (`ledger_from_events`).
 
     A sampled event keeps each point with its `event_probability`. One whose
@@ -503,33 +565,33 @@ def execute(
     for e in trained:
         if e.b >= stream.n:
             raise ScheduleError(f"event at t={e.t} needs point {e.b} beyond stream end")
-    zero = ModelWeights(np.zeros((stream.k, stream.d)))
     ids = [e.model_id for e in trained]
     train_seeds = _subseeds(seeds, "train", ids)
     noise_seeds = _subseeds(seeds, "noise", ids)
     sample_seeds = _subseeds(seeds, "sample", [e.model_id for e in trained if e.sampled_rule])
-    models = [{} for _ in seeds]  # per seed: model id -> weights
-    perturbed = [{} for _ in seeds]  # per seed: model id -> PerturbedModel
-
-    def bias(i, e):
-        return zero if e.reg_source is None else models[i][e.reg_source]
+    zero = 1 + max((e.model_id for e in schedule.events), default=-1)  # the zero model's slot
+    weights = np.zeros((len(seeds), zero + 1, stream.k, stream.d))
+    noise_l1, noise_l2 = np.zeros((2, len(seeds), zero + 1))
+    skip = np.zeros((len(seeds), zero + 1), dtype=bool)
+    scale = np.zeros(zero + 1)
+    source = np.full(zero + 1, zero)  # each model's regularizer
+    for e in trained:
+        scale[e.model_id] = 0.0 if nonprivate else e.noise_scale
+        if e.reg_source is not None:
+            source[e.model_id] = e.reg_source
 
     def train(stack):
-        """pberm over one stack: its noisy (members, k, d) weights and each
-        member's (noise_l1, noise_l2, spec), or a DivergenceError naming its
-        first diverged member."""
+        """pberm over one stack: its noisy (members, k, d) weights, noise_l1
+        and noise_l2, or a DivergenceError naming its first diverged member."""
+        members, seat, mids = stack
         try:
-            pms = pberm([bias(i, e) for e, i, _ in stack], stream, schedule.lam, train_cfg,
-                        [0.0 if nonprivate else e.noise_scale for e, _, _ in stack],
-                        [int(noise_seeds[i, e.model_id]) for e, i, _ in stack],
-                        [int(train_seeds[i, e.model_id]) for e, i, _ in stack],
-                        [r for _, _, r in stack])
+            return pberm(weights[seat, source[mids]], stream, schedule.lam, train_cfg,
+                         scale[mids], noise_seeds[seat, mids], train_seeds[seat, mids],
+                         [rows for _, _, rows in members])
         except DivergenceError as exc:
-            e, i, _ = stack[exc.member]
+            e, i, _ = members[exc.member]
             return DivergenceError(exc.iteration, exc.member,
                                    f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}")
-        return (np.stack([pm.weights.w for pm in pms]),
-                [(pm.noise_l1, pm.noise_l2, pm.spec) for pm in pms])
 
     for wave in _waves(trained):
         groups = {}  # minibatch size -> [(event, seed position, rows)]
@@ -541,35 +603,24 @@ def execute(
                 event_rows = [subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id]))
                               + e.a for i in range(len(seeds))]
             for i, rows in enumerate(event_rows):
-                if len(rows) == 0:
-                    models[i][e.model_id] = bias(i, e)  # skipped
+                if len(rows) == 0:  # skipped
+                    skip[i, e.model_id] = True
+                    weights[i, e.model_id] = weights[i, source[e.model_id]]
                 else:
                     groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append(
                         (e, i, rows))
-        stacks = [stack for m, members in groups.items()
+        stacks = [(stack, np.array([i for _, i, _ in stack]),
+                   np.array([e.model_id for e, _, _ in stack]))
+                  for m, members in groups.items()
                   for stack in _stacks(members, (m + stream.k) * stream.d * 8)]
-        for stack, result in zip(stacks, _map_lanes(train, stacks)):
+        for (_, seat, mids), result in zip(stacks, _map_lanes(train, stacks)):
             if isinstance(result, DivergenceError):
                 raise result
-            weights, noise = result
-            for (e, i, _), w, (l1, l2, spec) in zip(
-                    stack, ModelWeights.checked_stack(weights), noise):
-                models[i][e.model_id] = w
-                perturbed[i][e.model_id] = PerturbedModel(w, l1, l2, spec)
+            weights[seat, mids], noise_l1[seat, mids], noise_l2[seat, mids] = result
 
-    runs = []
-    for i in range(len(seeds)):
-        run = RunResult({}, {}, [])
-        for e in trained:
-            run.models[e.model_id] = models[i][e.model_id]
-            pm = perturbed[i].get(e.model_id)
-            if pm is None:
-                run.skipped.append(e)
-            else:
-                run.perturbed[e.model_id] = pm
-        skipped_ids = {e.model_id for e in run.skipped}
-        run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
-        runs.append(run)
+    events = tuple(trained)
+    runs = [RunResult(events, weights[i], noise_l1[i], noise_l2[i], scale, noise_seeds[i],
+                      skip[i], schedule.releases) for i in range(len(seeds))]
     return runs[0] if single else runs
 
 

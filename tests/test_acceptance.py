@@ -38,6 +38,7 @@ from streamdp.schedulers import (
     continual_schedule,
     ledger_from_events,
     multires_schedule,
+    sliding_chain,
     sliding_schedule,
 )
 from conftest import random_dataset
@@ -61,10 +62,10 @@ def synth_data():
 
 def test_criterion_1_window_example_replay():
     start = time.time()
-    sched = sliding_schedule(11, 7, 1, EPS, 1.0, 1.0)
+    states = sliding_chain(11, 7, 1)
     got = [
         (st.t, tuple((a, b, side) for a, b, side, _ in st.buckets))
-        for st in sched.chain_states
+        for st in states
     ]
     want = [
         (6, ((3, 6, "base"), (1, 2, "left"), (0, 0, "left"))),
@@ -76,10 +77,10 @@ def test_criterion_1_window_example_replay():
     trained_ok = True
     # which buckets are retrained vs reused at each step
     want_trained = [3, 1, 2, 1, 3]
-    for st, n_trained in zip(sched.chain_states, want_trained):
+    for st, n_trained in zip(states, want_trained):
         trained_ok &= len(st.trained) == n_trained
     # the base survives steps 7..9 untouched, then is rebuilt at the refresh
-    base_ids = [st.buckets[0][3] for st in sched.chain_states]
+    base_ids = [st.buckets[0][3] for st in states]
     trained_ok &= base_ids[0] == base_ids[1] == base_ids[2] == base_ids[3]
     trained_ok &= base_ids[4] != base_ids[0]
     elapsed = time.time() - start
@@ -108,8 +109,7 @@ def test_criterion_2_schedule_oracle_equivalence():
                 ]
                 ok &= got == oracle_continual(T, B, b0)
     for w in (7, 15, 31):
-        sched = sliding_schedule(4096, w, 1, EPS, 1.0, 1.0)
-        for st in sched.chain_states:
+        for st in sliding_chain(4096, w, 1):
             got = sorted((a, b, side) for a, b, side, _ in st.buckets)
             ok &= got == sorted(oracle_sliding_buckets(st.t, w, 1))
     elapsed = time.time() - start

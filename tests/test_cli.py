@@ -2,6 +2,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from streamdp.cli import (
@@ -12,6 +13,7 @@ from streamdp.cli import (
     main,
 )
 from streamdp.harness import CSV_HEADER
+from conftest import idx_images_bytes, idx_labels_bytes
 
 
 def run_cli(capsys, *argv):
@@ -340,6 +342,88 @@ class TestRun:
         code, verified, _ = run_cli(capsys, "verify-ledger", str(trace), "--epsilon", "1")
         assert code == EXIT_OK
         assert eps_max == Fraction(re.search(r"max point loss: (\S+)", verified).group(1))
+
+
+def write_blobs_csv(path, labels, seed=0):
+    """Rows around unit means at angle v for each label v: linearly separable."""
+    rng = np.random.default_rng(seed)
+    labels = np.asarray(labels)
+    X = 0.1 * rng.standard_normal((len(labels), 2)) + np.column_stack(
+        [np.cos(labels), np.sin(labels)])
+    path.write_text("".join(f"{a!r},{b!r},{v}\n" for (a, b), v in zip(X.tolist(), labels)))
+
+
+def write_idx(root, name, labels, seed=0):
+    """2x2 images lighting pixel `label` of each row; the source spec."""
+    rng = np.random.default_rng(seed)
+    labels = np.asarray(labels)
+    images = rng.integers(0, 40, size=(len(labels), 4))
+    images[np.arange(len(labels)), labels] = 255
+    (root / f"{name}-images").write_bytes(idx_images_bytes(images.reshape(-1, 2, 2)))
+    (root / f"{name}-labels").write_bytes(idx_labels_bytes(labels))
+    return f"idx:{root}/{name}-images,{root}/{name}-labels"
+
+
+class TestTestLabels:
+    """A test set's labels are indexed among the stream's classes."""
+
+    RUN = ["run", "--scheduler", "multires", "--B", "16", "--epsilon", "1", "--lambda", "1",
+           "--nonprivate", "--iters", "50", "--minibatch", "16"]
+
+    def final_acc_test(self, path):
+        return float(path.read_text().splitlines()[-1].split(",")[7])
+
+    @pytest.mark.parametrize("stream_labels,test_labels", [
+        ([5, 7, 9], [7, 9]),  # the test set lacks the stream's first class
+        ([0, 1, 2], [0, 1]),  # and its last
+        ([1, 2, 3], [1, 2, 3]),
+    ])
+    def test_csv_test_set_is_scored_against_the_stream_classes(
+            self, capsys, tmp_path, stream_labels, test_labels):
+        write_blobs_csv(tmp_path / "s.csv", stream_labels * 32)
+        write_blobs_csv(tmp_path / "t.csv", test_labels * 20, seed=1)
+        out = tmp_path / "m.csv"
+        code, _, err = run_cli(capsys, *self.RUN, "--source", f"csv:{tmp_path}/s.csv",
+                               "--test", f"csv:{tmp_path}/t.csv", "--output", str(out))
+        assert code == EXIT_OK, err
+        assert self.final_acc_test(out) > 0.9
+
+    def test_csv_test_label_the_stream_lacks_exits_3_naming_its_row(self, capsys, tmp_path):
+        write_blobs_csv(tmp_path / "s.csv", [0, 1, 2] * 32)
+        write_blobs_csv(tmp_path / "t.csv", [1, 2, 3] * 20, seed=1)
+        out = tmp_path / "m.csv"
+        code, _, err = run_cli(capsys, *self.RUN, "--source", f"csv:{tmp_path}/s.csv",
+                               "--test", f"csv:{tmp_path}/t.csv", "--output", str(out))
+        assert code == EXIT_DATA and "label 3 in row 3 is not a class of the stream" in err
+        assert not out.exists()
+
+    def test_idx_test_set_without_the_top_class(self, capsys, tmp_path):
+        stream = write_idx(tmp_path, "s", [0, 1, 2, 3] * 24)
+        test = write_idx(tmp_path, "t", [0, 1, 2] * 20, seed=1)
+        out = tmp_path / "m.csv"
+        code, _, err = run_cli(capsys, *self.RUN, "--source", stream, "--test", test,
+                               "--output", str(out))
+        assert code == EXIT_OK, err
+        assert self.final_acc_test(out) > 0.9
+
+    def test_idx_test_label_the_stream_lacks_exits_3_naming_its_row(self, capsys, tmp_path):
+        stream = write_idx(tmp_path, "s", [0, 1, 2] * 32)
+        test = write_idx(tmp_path, "t", [0, 1, 2, 3] * 20, seed=1)
+        code, _, err = run_cli(capsys, *self.RUN, "--source", stream, "--test", test,
+                               "--output", str(tmp_path / "m.csv"))
+        assert code == EXIT_DATA and "label 3 in row 4 is not a class of the stream" in err
+
+
+class TestNoRelease:
+    @pytest.mark.parametrize("seeds", ["1", "1,2"])
+    def test_a_run_that_releases_nothing_is_a_usage_error(self, capsys, tmp_path, seeds):
+        code, _, err = run_cli(
+            capsys, "run", "--scheduler", "sliding", "--w", "255", "--w0", "1",
+            "--epsilon", "1", "--lambda", "1", "--synth-n", "100", "--test", "tail:0.25",
+            "--seeds", seeds, "--output", str(tmp_path / "m.csv"),
+            "--trace", str(tmp_path / "trace.jsonl"), "--ledger", str(tmp_path / "l.jsonl"))
+        assert code == EXIT_USAGE and "releases no model on a stream of 75 points" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyLedger:

@@ -343,3 +343,64 @@ class TestClip:
         X = np.array([row])
         out = clip_l1(Dataset(X, np.array([0]), 2))
         assert np.abs(out.X).sum() <= 1.0 + 1e-12
+
+
+class TestScoring:
+    """evaluate_accuracy's scores and first maxima against one product per
+    model and np.argmax."""
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("d", [4, 20, 784])
+    def test_one_product_gives_each_model_its_own_bits(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        for n in (1, 2, 7, 64, 750):
+            X = rng.standard_normal((n, d))
+            y = rng.integers(0, k, size=n)
+            for R in (1, 2, 5, 9, 17, 64):
+                W = rng.standard_normal((R, k, d))
+                if erm._one_product(n, d, R * k):
+                    scores = (X @ W.reshape(R * k, d).T).reshape(n, R, k)
+                    for r in range(R):
+                        assert np.array_equal(scores[:, r], X @ W[r].T), (n, R, r)
+                want = [np.count_nonzero(np.argmax(X @ w.T, axis=1) == y) / n for w in W]
+                assert evaluate_accuracy(W, Dataset(X, y, k)).tolist() == want
+
+    def test_small_models_take_one_product(self):
+        # the 9-model chunks of a 750-row test set at d=20, k=3
+        assert erm._one_product(750, 20, 9 * 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_first_max_is_argmax(self, k):
+        rng = np.random.default_rng(k)
+        planes = rng.integers(-2, 3, size=(k, 30, 40)).astype(float)  # many ties
+        assert np.array_equal(erm._first_max(planes), np.argmax(planes, axis=0))
+        planes[0, 4, :] = np.inf
+        planes[-1, 5, ::3] = -np.inf
+        assert np.array_equal(erm._first_max(planes), np.argmax(planes, axis=0))
+        planes[1, 6, 7] = planes[k - 1, 8, 9] = np.nan
+        assert np.array_equal(erm._first_max(planes), np.argmax(planes, axis=0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("d", [4, 20])
+    def test_ties_and_nans_score_as_argmax_in_every_form(self, d, k, nan):
+        rng = np.random.default_rng(10 * d + k)
+        R, m = 5, 24
+        X = rng.integers(-1, 2, size=(R * m, d)).astype(float)  # integer scores: ties
+        if nan:
+            X[::7, 0] = np.inf  # inf, -inf or NaN scores, as the weights' signs fall
+            X[::11, 1] = np.nan
+        y = rng.integers(0, k, size=R * m)
+        W = rng.integers(-1, 2, size=(R, k, d)).astype(float)
+        data = Dataset(X, y, k)
+
+        def argmax_accuracy(w, rows):
+            return np.count_nonzero(np.argmax(X[rows] @ w.T, axis=1) == y[rows]) / len(y[rows])
+
+        every = slice(None)
+        want = [argmax_accuracy(w, every) for w in W]
+        assert [evaluate_accuracy(ModelWeights(w), data) for w in W] == want
+        assert evaluate_accuracy(W, data).tolist() == want
+        runs = [argmax_accuracy(w, slice(r * m, (r + 1) * m)) for r, w in enumerate(W)]
+        assert evaluate_accuracy(W, data, per_model=True).tolist() == runs

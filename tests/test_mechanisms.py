@@ -77,18 +77,22 @@ class TestLaplaceBitExact:
 
     def test_perturbing_a_stack_equals_one_model_at_a_time(self):
         rng = np.random.default_rng(5)
-        models = [ModelWeights(rng.standard_normal((3, 4))) for _ in range(6)]
-        specs = [NoiseSpec(0.5 + i, (3, 4), 1000 + i) if i % 3 else None for i in range(6)]
-        out = output_perturb(models, specs)
-        for model, spec, pm in zip(models, specs, out):
-            if spec is None:
-                assert pm.weights is model and pm.noise_l1 == pm.noise_l2 == 0.0
+        stack = rng.standard_normal((6, 3, 4))
+        scales = [0.5 + i if i % 3 else 0.0 for i in range(6)]
+        seeds = [1000 + i for i in range(6)]
+        noisy, l1, l2 = output_perturb(stack, scales, seeds)
+        for w, scale, seed, out, n1, n2 in zip(stack, scales, seeds, noisy, l1, l2):
+            if scale == 0.0:
+                assert np.array_equal(out, w) and n1 == n2 == 0.0
                 continue
+            spec = NoiseSpec(scale, (3, 4), seed)
             nu = old_laplace(spec)
-            assert np.array_equal(pm.weights.w, model.w + nu)
-            assert pm.noise_l1 == float(np.abs(nu).sum())
-            assert pm.noise_l2 == float(np.linalg.norm(nu))
-            assert pm.spec == spec
+            assert np.array_equal(out, w + nu)
+            assert n1 == float(np.abs(nu).sum())
+            assert n2 == float(np.linalg.norm(nu))
+            pm = output_perturb(ModelWeights(w), spec)
+            assert np.array_equal(pm.weights.w, out)
+            assert (pm.noise_l1, pm.noise_l2, pm.spec) == (n1, n2, spec)
 
 
 class TestNoiseScale:

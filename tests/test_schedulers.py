@@ -7,6 +7,7 @@ import signal
 import threading
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from streamdp import (
 from streamdp import erm, schedulers
 from streamdp.cli import SCHEDULERS
 from streamdp.erm import DivergenceError, ErmError, ModelWeights, TrainConfig, lipschitz_public
-from streamdp.mechanisms import pberm, sampling_probability, subsample
+from streamdp.mechanisms import NoiseSpec, PerturbedModel, pberm, sampling_probability, subsample
 from streamdp.rng import make_rng
-from streamdp.schedulers import RunResult, event_probability
+from streamdp.schedulers import event_probability, sliding_chain
 
 EPS = Fraction(1)
 
@@ -109,10 +110,10 @@ def oracle_sliding_buckets(t, w, w0):
     return buckets
 
 
-def chain_signature(schedule):
+def chain_signature(states):
     return [
         (st.t, tuple((a, b, side) for a, b, side, _ in st.buckets))
-        for st in schedule.chain_states
+        for st in states
     ]
 
 
@@ -217,8 +218,7 @@ class TestSlidingSchedule:
     @pytest.mark.parametrize("w,w0", [(7, 1), (15, 1), (31, 1), (14, 2)])
     def test_buckets_match_closed_form_oracle(self, w, w0):
         T = 6 * w
-        sched = sliding_schedule(T, w, w0, EPS, 1.0, 1.0)
-        for state in sched.chain_states:
+        for state in sliding_chain(T, w, w0):
             got = sorted((a, b, side) for a, b, side, _ in state.buckets)
             want = sorted(oracle_sliding_buckets(state.t, w, w0))
             assert got == want, f"t={state.t}"
@@ -230,7 +230,7 @@ class TestSlidingSchedule:
         for e in sched.events:
             id_of[e.model_id] = (e.a, e.b)
         prev = None
-        for state in sched.chain_states:
+        for state in sliding_chain(100, w, w0):
             intervals = {(a, b) for a, b, _, _ in state.buckets}
             trained_intervals = {id_of[m] for m in state.trained}
             if prev is not None:
@@ -238,11 +238,21 @@ class TestSlidingSchedule:
             prev = intervals
 
     def test_released_model_is_smallest_bucket(self):
-        sched = sliding_schedule(60, 7, 1, EPS, 1.0, 1.0)
-        for state in sched.chain_states:
+        for state in sliding_chain(60, 7, 1):
             sizes = [(b - a, mid) for a, b, _, mid in state.buckets]
             smallest = min(sizes)[1]
             assert state.released == smallest
+
+    @pytest.mark.parametrize("T,w,w0", [(60, 7, 1), (100, 15, 1), (90, 14, 2), (6, 7, 1)])
+    def test_chain_follows_the_schedule(self, T, w, w0):
+        # the chain and the schedule are read from the same steps
+        sched = sliding_schedule(T, w, w0, EPS, 1.0, 1.0)
+        states = sliding_chain(T, w, w0)
+        assert [(st.t, st.released) for st in states] == list(sched.releases)
+        trained = {}
+        for e in sched.events:
+            trained.setdefault(e.t, []).append(e.model_id)
+        assert [list(st.trained) for st in states] == [trained[st.t] for st in states]
 
     def test_charges(self):
         sched = sliding_schedule(60, 7, 1, EPS, 1.0, 1.0)
@@ -255,7 +265,7 @@ class TestSlidingSchedule:
 
     def test_regularizer_is_next_larger_bucket(self):
         sched = sliding_schedule(60, 7, 1, EPS, 1.0, 1.0)
-        states = {st.t: st for st in sched.chain_states}
+        states = {st.t: st for st in sliding_chain(60, 7, 1)}
         for e in sched.events:
             if e.side == "base":
                 assert e.reg_source is None
@@ -357,6 +367,18 @@ class TestExecute:
             assert all(np.array_equal(run.models[mid].w, w.w)
                        for mid, w in ref.models.items()) == same
 
+    def test_run_is_read_through_views_of_its_arrays(self, stream):
+        sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
+        run = execute(sched, stream, self.cfg())
+        assert list(run.models) == list(run.perturbed) == [e.model_id for e in sched.events]
+        for mid, pm in run.perturbed.items():
+            assert np.array_equal(pm.weights.w, run.weights[mid])
+            assert pm.noise_l2 == run.noise_l2[mid] > 0
+        with pytest.raises(TypeError):
+            run.models[0] = run.models[1]
+        with pytest.raises(KeyError):
+            run.perturbed[len(sched.events)]  # the zero model's slot is no model
+
     def test_event_beyond_stream_rejected(self, stream):
         sched = multires_schedule(stream.n + 10, 8, EPS, 1.0, 0.2)
         with pytest.raises(ScheduleError):
@@ -435,7 +457,7 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
     per-event slice of the stream, with inclusion probabilities from the
     schedule's total eps."""
     feps = float(eps)
-    runs = [RunResult({}, {}, []) for _ in seeds]
+    runs = [SimpleNamespace(models={}, perturbed={}, releases=[], skipped=[]) for _ in seeds]
     zero = ModelWeights(np.zeros((stream.k, stream.d)))
     for e in schedule.events:
         if e.adopt:
@@ -461,12 +483,13 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
             noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
             member_rows = None if rows is None else [rows[i] for i in members]
             scales = [scale] * len(members)
-            pms = pberm([bias[i] for i in members], data, lam, cfg, scales,
-                        noise_seeds, train_seeds, member_rows)
-            for i, pm in zip(members, pms):
+            w, l1, l2 = pberm(np.stack([bias[i].w for i in members]), data, lam, cfg, scales,
+                              noise_seeds, train_seeds, member_rows)
+            for j, i in enumerate(members):
                 run = runs[i]
-                run.models[mid] = pm.weights
-                run.perturbed[mid] = pm
+                spec = NoiseSpec(scale, w[j].shape, noise_seeds[j]) if scale else None
+                run.models[mid] = ModelWeights(w[j])
+                run.perturbed[mid] = PerturbedModel(run.models[mid], l1[j], l2[j], spec)
     for run in runs:
         skipped_ids = {e.model_id for e in run.skipped}
         run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
