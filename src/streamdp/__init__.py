@@ -4,8 +4,6 @@ from .erm import (
     Dataset,
     DivergenceError,
     ErmError,
-    ModelWeights,
-    RegularizerSpec,
     TrainConfig,
     clip_l1,
     evaluate_accuracy,
@@ -28,12 +26,8 @@ from .harness import (
 from .ledger import BudgetReport, Charge, Ledger, LedgerError
 from .mechanisms import (
     MechanismError,
-    NoiseSpec,
-    PerturbedModel,
     laplace_noise,
     laplace_scale,
-    laplace_stack,
-    laplace_vector,
     output_perturb,
     pberm,
     sampling_probability,

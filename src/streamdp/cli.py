@@ -371,6 +371,8 @@ def cmd_run(cfg: RunConfig) -> int:
                          f"{ENV_PREFIX}T) is for inspect-schedule only")
     injected = _parse_charge(cfg.inject_charge) if cfg.inject_charge else None
     stream = _load_source(cfg.source, cfg)
+    if stream.k < 2:
+        raise HarnessError(f"need at least 2 classes, the stream has {stream.k}")
     if cfg.clip_l1:
         stream = clip_l1(stream)
     stream, test = _split_test(stream, cfg)

@@ -2,7 +2,9 @@
 
 Multiclass logistic (softmax cross-entropy) loss, exact gradients, SGD with a
 1/(gamma*i) step schedule, biased L2 regularization toward a reference model,
-and Lipschitz-constant computation for DP noise calibration.
+and Lipschitz-constant computation for DP noise calibration. A model is a
+(k, d) float64 weight array, and training and scoring take S models as one
+(S, k, d) stack.
 """
 
 from __future__ import annotations
@@ -89,34 +91,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ModelWeights:
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 2:
-            raise ErmError(f"weights must be a k x d matrix, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ErmError("weights contain non-finite entries")
-        object.__setattr__(self, "w", w)
-
-    @classmethod
-    def checked_stack(cls, stack: np.ndarray) -> list["ModelWeights"]:
-        """One model per slice of an (S, k, d) float64 stack.
-
-        The stack is checked once, as a whole, instead of slice by slice.
-        """
-        if not np.isfinite(stack).all():
-            raise ErmError("weights contain non-finite entries")
-        models = []
-        for w in stack:
-            model = object.__new__(cls)
-            object.__setattr__(model, "w", w)
-            models.append(model)
-        return models
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 10.0
     iterations: int = 500
@@ -125,60 +99,29 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ErmError("gamma must be > 0")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ErmError(f"gamma must be > 0 and finite, got {self.gamma}")
         if self.iterations < 1:
             raise ErmError("iterations must be >= 1")
         if self.minibatch < 1 or self.passes < 1:
             raise ErmError("minibatch and passes must be >= 1")
 
 
-@dataclass(frozen=True)
-class RegularizerSpec:
-    """L2 penalty lam * ||w - bias||_F^2; bias=None regularizes toward 0.
-
-    For a lockstep stack (`sgd_train` given seeds), bias may also be an
-    (S, k, d) array: seed i is then regularized toward bias[i].
-    """
-
-    lam: float
-    bias: ModelWeights | np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ErmError("lambda must be > 0")
-
-    def bias_matrix(self, k: int, d: int) -> np.ndarray:
-        if self.bias is None:
-            return np.zeros((k, d))
-        wg = self.bias.w
-        if wg.shape != (k, d):
-            raise ErmError(f"bias shape {wg.shape} does not match ({k}, {d})")
-        return wg
-
-    def bias_stack(self, S: int, k: int, d: int) -> np.ndarray:
-        """The (S, k, d) biases of a stack of S seeds under this penalty."""
-        if not isinstance(self.bias, np.ndarray):
-            return np.repeat(self.bias_matrix(k, d)[None], S, axis=0)
-        if self.bias.shape != (S, k, d):
-            raise ErmError(f"bias shape {self.bias.shape} does not match ({S}, {k}, {d})")
-        return self.bias
+def _check_dims(w: np.ndarray, data: Dataset, ndim: int):
+    if w.ndim != ndim or w.shape[-2:] != (data.k, data.d):
+        want = "(k, d)" if ndim == 2 else "(R, k, d)"
+        raise ErmError(f"weight shape {w.shape} is not {want} with k={data.k}, d={data.d}")
 
 
-def _check_dims(w: np.ndarray, data: Dataset):
-    if w.shape[-2:] != (data.k, data.d):
-        raise ErmError(f"weight shape {w.shape} does not match (k={data.k}, d={data.d})")
-
-
-def loss_and_gradient(
-    w: ModelWeights, batch: Dataset, reg: RegularizerSpec
-) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy plus lam*||w - w_g||_F^2 and its gradient."""
+def loss_and_gradient(w: np.ndarray, batch: Dataset, lam: float,
+                      bias: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of the (k, d) weights w plus
+    lam*||w - bias||_F^2 (bias None: the zero model), and its gradient."""
     if batch.n == 0:
         raise ErmError("empty batch")
-    _check_dims(w.w, batch)
-    wg = reg.bias_matrix(batch.k, batch.d)
-    scores = batch.X @ w.w.T
+    w = np.asarray(w, dtype=np.float64)
+    _check_dims(w, batch, 2)
+    scores = batch.X @ w.T
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
@@ -186,10 +129,10 @@ def loss_and_gradient(
     log_probs = shifted - np.log(total)[:, None]
     n = batch.n
     data_loss = -log_probs[np.arange(n), batch.y].mean()
-    diff = w.w - wg
-    loss = data_loss + reg.lam * float(np.sum(diff * diff))
+    diff = w if bias is None else w - bias
+    loss = data_loss + lam * float(np.sum(diff * diff))
     probs[np.arange(n), batch.y] -= 1.0
-    grad = (probs.T @ batch.X) / n + 2.0 * reg.lam * diff
+    grad = (probs.T @ batch.X) / n + 2.0 * lam * diff
     return float(loss), grad
 
 
@@ -243,42 +186,37 @@ def _minibatch_indices(seeds, rows, total, m, data: Dataset):
         yield from zip(idx, row_start + data.y[idx])
 
 
-def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
-    """SGD with step size 1/(gamma*i), deterministic in the seed.
+def sgd_train(data: Dataset, bias, cfg: TrainConfig, lam: float, seeds,
+              rows=None) -> np.ndarray:
+    """SGD with step size 1/(gamma*i), deterministic in the seed: the
+    trained (S, k, d) weights of S seeds, trained in lockstep as one stack.
 
-    The quadratic penalty is applied as a proximal (implicit) step each
-    iteration, which stays stable for arbitrarily large lam; the data term
-    uses the plain stochastic gradient. Initialized at the regularizer bias.
-
-    With seeds=None this trains seed cfg.seed on all of data against reg and
-    returns its ModelWeights. Given a sequence of seeds, it trains them in
-    lockstep as one (S, k, d) weight stack and returns one ModelWeights per
-    seed. reg is then one RegularizerSpec for every seed or a sequence with
-    one per seed (all with the same lam); a RegularizerSpec whose bias is an
-    (S, k, d) array gives the trained (S, k, d) stack itself, as an array.
-    rows, if given, holds each seed's rows of data: a range for a
-    contiguous interval, or an array of row indices; a drawn row outside
-    data raises ErmError. Each seed draws its minibatch indices ahead from
+    Seed i starts at bias[i] of the (S, k, d) bias array and minimizes the
+    data loss plus lam*||w - bias[i]||_F^2 over rows[i] of data, if given:
+    a range for a contiguous interval, or an array of row indices, all of
+    data without; a drawn row outside data raises ErmError. The quadratic
+    penalty is applied as a proximal (implicit) step each iteration, which
+    stays stable for arbitrarily large lam; the data term uses the plain
+    stochastic gradient. Each seed draws its minibatch indices ahead from
     its own "sgd" stream (the values per-iteration draws would give), and
-    every step applies the same
-    floating-point operations to each slice of the stack, so a seed's
-    weights do not depend on the other seeds. All seeds must share the
-    minibatch size min(minibatch, n_i).
+    every step applies the same floating-point operations to each slice of
+    the stack, so a seed's weights do not depend on the other seeds. All
+    seeds must share the minibatch size min(minibatch, n_i).
 
     A step works class-major, on (S, k, m) scores in buffers allocated once
     per call, yet performs the operations of a plain per-seed loop on
     (m, k) scores in that loop's order, so the weights match it bit for bit.
     """
-    single = seeds is None
-    if single:
-        seeds = (cfg.seed,)
-    shared = isinstance(reg, RegularizerSpec)
-    if (not shared and len(reg) != len(seeds)) or (rows is not None and len(rows) != len(seeds)):
-        raise ErmError("need one regularizer and one row set per seed")
-    if not shared and len({r.lam for r in reg}) != 1:
-        raise ErmError("seeds trained in lockstep must share lambda")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ErmError(f"lambda must be > 0 and finite, got {lam}")
+    S, k, d = len(seeds), data.k, data.d
+    wg = np.asarray(bias, dtype=np.float64)
+    if wg.shape != (S, k, d):
+        raise ErmError(f"bias shape {wg.shape} does not match ({S}, {k}, {d})")
     if rows is None:
-        rows = [range(data.n)] * len(seeds)
+        rows = [range(data.n)] * S
+    elif len(rows) != S:
+        raise ErmError("need one row set per seed")
     sizes = [len(r) for r in rows]
     if min(sizes) == 0:
         raise ErmError("empty training set")
@@ -286,11 +224,6 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
     if any(min(cfg.minibatch, n) != m for n in sizes):
         raise ErmError("seeds trained in lockstep must share the minibatch size")
     batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m, data)
-    S, k, d = len(seeds), data.k, data.d
-    if shared:
-        lam, wg = reg.lam, reg.bias_stack(S, k, d)
-    else:
-        lam, wg = reg[0].lam, np.stack([r.bias_matrix(k, d) for r in reg])
     w = wg.copy()
     # Every step writes into these, so that a step allocates no temporaries.
     Xb = np.empty((S, m, d))
@@ -332,18 +265,7 @@ def sgd_train(data: Dataset, reg, cfg: TrainConfig, seeds=None, rows=None):
         np.divide(w, 1.0 + 2.0 * eta * lam, out=w)
         if not np.isfinite(w, out=finite).all():
             raise DivergenceError(i, int(np.argmin(finite.all(axis=(1, 2)))))
-    if shared and isinstance(reg.bias, np.ndarray):
-        return w  # every step checked it finite
-    models = ModelWeights.checked_stack(w)
-    return models[0] if single else models
-
-
-def biased_erm_minimize(data: Dataset, bias, lam: float, cfg: TrainConfig, seeds, rows=None):
-    """`sgd_train` of seed i from bias[i] of an (S, k, d) bias array,
-    minimizing data loss + lam*||w - bias[i]||^2: the (S, k, d) trained
-    weights."""
-    return sgd_train(data, RegularizerSpec(lam, np.asarray(bias, dtype=np.float64)), cfg,
-                     seeds, rows)
+    return w  # every step checked it finite
 
 
 def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
@@ -395,25 +317,23 @@ def _first_max(planes: np.ndarray) -> np.ndarray:
     return pred
 
 
-def evaluate_accuracy(w, data: Dataset, per_model: bool = False):
-    """Fraction of correct argmax predictions; ties go to the lowest class.
+def evaluate_accuracy(w, data: Dataset, per_model: bool = False) -> np.ndarray:
+    """Fraction of correct argmax predictions of each of the (R, k, d)
+    weights w, as R accuracies; ties go to the lowest class.
 
-    w is one ModelWeights, giving a float, or an (R, k, d) weight array,
-    giving R accuracies: each model scored on all of data or, with
-    per_model, model r on the r-th of R equal runs of consecutive rows.
-    Scores on all of data come from one X @ w.reshape(R*k, d).T product
-    where `_one_product` admits its shape, and from one product per model
-    otherwise and with per_model; either way each model gets the bits of
-    its own (rows, d) @ (d, k) product. The prediction is the first maximum
-    over the class planes (`_first_max`), and an accuracy is an exact hit
-    count over the row count, so each model gets the value it gets alone,
-    bit for bit.
+    Each model is scored on all of data or, with per_model, model r on the
+    r-th of R equal runs of consecutive rows. Scores on all of data come
+    from one X @ w.reshape(R*k, d).T product where `_one_product` admits its
+    shape, and from one product per model otherwise and with per_model;
+    either way each model gets the bits of its own (rows, d) @ (d, k)
+    product. The prediction is the first maximum over the class planes
+    (`_first_max`), and an accuracy is an exact hit count over the row
+    count, so each model gets the value it gets alone, bit for bit.
     """
     if data.n == 0:
         raise ErmError("cannot evaluate on an empty dataset")
-    single = isinstance(w, ModelWeights)
-    w = w.w[None] if single else np.asarray(w)
-    _check_dims(w, data)
+    w = np.asarray(w)
+    _check_dims(w, data, 3)
     R, k, d = w.shape
     X, y = data.X, data.y
     if per_model:
@@ -424,8 +344,7 @@ def evaluate_accuracy(w, data: Dataset, per_model: bool = False):
         planes = (X @ w.reshape(R * k, d).T).reshape(-1, R, k).transpose(2, 1, 0)
     else:
         planes = (X @ w.swapaxes(-1, -2)).transpose(2, 0, 1)  # (k, R, rows)
-    acc = np.count_nonzero(_first_max(planes) == y, axis=-1) / y.shape[-1]
-    return float(acc[0]) if single else acc
+    return np.count_nonzero(_first_max(planes) == y, axis=-1) / y.shape[-1]
 
 
 def clip_l1(data: Dataset) -> Dataset:

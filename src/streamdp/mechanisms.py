@@ -16,35 +16,16 @@ arrays throughout: weights in, noisy weights and noise norms out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .erm import Dataset, ErmError, ModelWeights, TrainConfig, biased_erm_minimize
+from . import erm
+from .erm import Dataset, ErmError, TrainConfig
 from .rng import make_rng, philox_random, stream_keys
 
 
 class MechanismError(ValueError):
     """Invalid noise or sampling parameters."""
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    scale: float
-    dims: tuple[int, int]
-    seed: int
-
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise MechanismError(f"Laplace scale must be positive and finite, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class PerturbedModel:
-    weights: ModelWeights
-    noise_l1: float
-    noise_l2: float
-    spec: NoiseSpec | None
 
 
 def sampling_probability(rule: str, level: int, eps: float) -> float:
@@ -60,19 +41,9 @@ def sampling_probability(rule: str, level: int, eps: float) -> float:
     return p
 
 
-def laplace_stack(specs) -> np.ndarray:
-    """I.i.d. Laplace(0, spec.scale) noise for each of S specs of equal dims,
-    as one (S, *dims) array, by inverse CDF (`laplace_noise`)."""
-    dims = specs[0].dims
-    if any(s.dims != dims for s in specs):
-        raise MechanismError("a noise stack needs equal dims")
-    return laplace_noise([s.scale for s in specs], [s.seed for s in specs], dims)
-
-
 def laplace_noise(scales, seeds, dims) -> np.ndarray:
     """I.i.d. Laplace(0, scales[i]) noise from seed seeds[i] for each i, as
-    one (S, *dims) array, by inverse CDF: the noise of
-    NoiseSpec(scales[i], dims, seeds[i]).
+    one (S, *dims) array, by inverse CDF.
 
     Member i's uniforms are `make_rng(seeds[i], "laplace").random(dims)`,
     computed for the whole stack at once (`rng.stream_keys` and
@@ -85,11 +56,6 @@ def laplace_noise(scales, seeds, dims) -> np.ndarray:
     mag = np.maximum(1.0 - 2.0 * np.abs(v), np.finfo(np.float64).tiny)
     scale = -np.asarray(scales, dtype=np.float64).reshape(-1, *(1,) * len(dims))
     return scale * np.sign(v) * np.log(mag)
-
-
-def laplace_vector(spec: NoiseSpec) -> np.ndarray:
-    """I.i.d. Laplace(0, scale) matrix via inverse CDF; deterministic per seed."""
-    return laplace_stack([spec])[0]
 
 
 def laplace_scale(L, lam, n: int, charge, sampled_level: int | None = None) -> float:
@@ -109,35 +75,44 @@ def laplace_scale(L, lam, n: int, charge, sampled_level: int | None = None) -> f
     charge * 2^j down to the charge (Balle, Barthe & Gaboardi 2018), so it
     spends charge * 2^j: half the schedule's eps under exp_formula, a sixth
     under reciprocal.
+
+    The scale is a positive, finite float, or MechanismError says why not:
+    L or lam not positive and finite, a charge not positive, no points, or
+    a quotient that overflows or underflows.
     """
-    for name, v in (("L", L), ("lam", lam), ("charge", charge)):
-        if v is None or v <= 0:
-            raise MechanismError(f"parameter {name} must be positive, got {v}")
+    for name, v in (("L", L), ("lam", lam)):
+        if v is None or not (v > 0 and math.isfinite(v)):
+            raise MechanismError(f"parameter {name} must be positive and finite, got {v}")
+    if charge is None or charge <= 0:
+        raise MechanismError(f"parameter charge must be positive, got {charge}")
     if n < 1:
         raise MechanismError(f"a release needs at least one point, got n={n}")
     eps = charge if sampled_level is None else charge * 2**sampled_level
-    return 2.0 * L / (lam * n * float(eps))
+    try:
+        feps = float(eps)
+    except OverflowError:
+        raise MechanismError(f"a release's eps {eps} is too large for a float") from None
+    scale = 2.0 * L / (lam * n * feps) if feps > 0 else 0.0
+    if not (scale > 0 and math.isfinite(scale)):
+        raise MechanismError(f"the Laplace scale 2L/(lam*n*eps) is {scale} at L={L}, "
+                             f"lam={lam}, n={n}, eps={feps}: not positive and finite")
+    return scale
 
 
-def output_perturb(w, spec, seeds=None):
-    """Add Laplace noise to the weights, recording the noise norms.
+def output_perturb(w, scales, seeds):
+    """Add Laplace noise to an (S, k, d) weight stack, recording the noise
+    norms: the noisy (S, k, d) stack with the (S,) noise_l1 and noise_l2
+    arrays.
 
-    w and spec are one model and its NoiseSpec, giving one PerturbedModel;
-    a spec of None releases the model unperturbed. Given seeds, w is an
-    (S, k, d) weight stack and spec its S Laplace scales: member i gets the
-    noise of NoiseSpec(spec[i], (k, d), seeds[i]), or none where spec[i] is
-    0, and the result is the noisy (S, k, d) stack with the (S,) noise_l1
-    and noise_l2 arrays. The noise of a stack is one `laplace_noise` draw,
-    checked for finiteness once.
+    Member i gets Laplace(scales[i]) noise from seeds[i], or none where
+    scales[i] is 0, which releases it unperturbed. The noise of a stack is
+    one `laplace_noise` draw, checked for finiteness once.
     """
-    if seeds is None:
-        if spec is None:
-            return PerturbedModel(w, 0.0, 0.0, None)
-        if w.w.shape != spec.dims:
-            raise MechanismError(f"weight shape {w.w.shape} does not match noise dims {spec.dims}")
-        noisy, l1, l2 = output_perturb(w.w[None], [spec.scale], [spec.seed])
-        return PerturbedModel(ModelWeights(noisy[0]), float(l1[0]), float(l2[0]), spec)
-    w, scales = np.asarray(w), np.asarray(spec, dtype=np.float64)
+    w, scales = np.asarray(w), np.asarray(scales, dtype=np.float64)
+    if w.ndim != 3:
+        raise ErmError(f"weights must be an (S, k, d) stack, got shape {w.shape}")
+    if scales.shape != (len(w),):
+        raise MechanismError(f"need one scale per model of {len(w)}, got shape {scales.shape}")
     bad = ~(np.isfinite(scales) & (scales >= 0))
     if bad.any():
         raise MechanismError(
@@ -161,38 +136,27 @@ def output_perturb(w, spec, seeds=None):
     return out, l1, l2
 
 
-def pberm(
-    bias,
-    data: Dataset,
-    lam: float,
-    cfg: TrainConfig,
-    scale: float,
-    noise_seed=None,
-    seeds=None,
-    rows=None,
-):
+def biased_erm_minimize(data: Dataset, bias, cfg: TrainConfig, lam: float, seeds, rows=None):
+    """`erm.sgd_train`, looked up at each call. It has a name of its own
+    only for the benchmark tracer's erm.biased span."""
+    return erm.sgd_train(data, bias, cfg, lam, seeds, rows)
+
+
+def pberm(bias, data: Dataset, lam: float, cfg: TrainConfig, scales, noise_seeds, seeds,
+          rows=None):
     """Private biased regularized ERM: fine-tune toward bias, then perturb.
 
-    Minimizes the data loss plus lam*||w - bias||^2 from bias and adds
-    Laplace(scale) noise, the scale the caller's schedule calibrated;
-    scale=0 is the explicit non-private escape hatch and releases the model
-    unperturbed, and a negative scale is rejected. A zero bias model trains
-    toward 0. With seeds=None one ModelWeights bias trains with cfg.seed and
-    gets noise from noise_seed (default cfg.seed): one PerturbedModel.
-
-    Given seeds, a stack trains in lockstep: bias is an (S, k, d) array,
-    seed i trains from bias[i] (on rows[i] of data, if given) and gets
-    Laplace(scale[i]) noise from noise_seed[i]. The result is the noisy
-    (S, k, d) weights with the (S,) noise_l1 and noise_l2 arrays
-    (`output_perturb`).
+    Seed i of S trains in lockstep from bias[i] of the (S, k, d) bias
+    array, on rows[i] of data if given, minimizing the data loss plus
+    lam*||w - bias[i]||^2; a zero bias trains toward 0. It then gets
+    Laplace(scales[i]) noise from noise_seeds[i], the scale the caller's
+    schedule calibrated; a scale of 0 is the explicit non-private escape
+    hatch and releases it unperturbed, and a negative scale is rejected.
+    The result is the noisy (S, k, d) weights with the (S,) noise_l1 and
+    noise_l2 arrays (`output_perturb`).
     """
-    if seeds is None:
-        noise_seed = cfg.seed if noise_seed is None else noise_seed
-        w, l1, l2 = pberm(bias.w[None], data, lam, cfg, [scale], [noise_seed], [cfg.seed])
-        return PerturbedModel(ModelWeights(w[0]), float(l1[0]), float(l2[0]),
-                              NoiseSpec(scale, bias.w.shape, noise_seed) if scale else None)
-    return output_perturb(biased_erm_minimize(data, bias, lam, cfg, seeds, rows), scale,
-                          noise_seed)
+    return output_perturb(biased_erm_minimize(data, bias, cfg, lam, seeds, rows), scales,
+                          noise_seeds)
 
 
 def subsample(n: int, p: float, seed: int) -> np.ndarray:

@@ -26,14 +26,12 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
-from .erm import Dataset, DivergenceError, ModelWeights, TrainConfig
+from .erm import Dataset, DivergenceError, TrainConfig
 from .ledger import SUBSYSTEMS, Ledger, LedgerError
-from .mechanisms import (NoiseSpec, PerturbedModel, laplace_scale, pberm,
-                         sampling_probability, subsample)
+from .mechanisms import laplace_scale, pberm, sampling_probability, subsample
 from .rng import first_integers, stream_keys
 
 KIND_SUBSYSTEM = {
@@ -446,14 +444,6 @@ class RunResult:
     noise_l2, noise_scale and noise_seed hold each model's noise norms, its
     Laplace scale and its noise seed, zero norms and scale where it was
     released unperturbed; skip marks the skipped events.
-
-    models, perturbed, skipped and releases are read-only views, their
-    records built on first access as `Ledger.charges` builds its records:
-    models maps the id of each trained event, in schedule order, to its
-    ModelWeights; perturbed maps the ids of those not skipped to their
-    PerturbedModel, with its NoiseSpec (None unperturbed); skipped lists the
-    skipped events; releases lists the schedule's (t, model id) releases,
-    less the skipped models.
     """
 
     events: tuple  # the trained (not adopted) events, in schedule order
@@ -465,29 +455,9 @@ class RunResult:
     skip: np.ndarray
     schedule_releases: tuple
 
-    @functools.cached_property
-    def models(self) -> MappingProxyType:
-        return MappingProxyType({e.model_id: ModelWeights(self.weights[e.model_id])
-                                 for e in self.events})
-
-    @functools.cached_property
-    def perturbed(self) -> MappingProxyType:
-        return MappingProxyType({e.model_id: self._perturbed(e.model_id) for e in self.events
-                                 if not self.skip[e.model_id]})
-
-    def _perturbed(self, mid: int) -> PerturbedModel:
-        scale = float(self.noise_scale[mid])
-        spec = (NoiseSpec(scale, self.weights.shape[1:], int(self.noise_seed[mid]))
-                if scale else None)
-        return PerturbedModel(self.models[mid], float(self.noise_l1[mid]),
-                              float(self.noise_l2[mid]), spec)
-
-    @property
-    def skipped(self) -> list:
-        return [e for e in self.events if self.skip[e.model_id]]
-
     @property
     def releases(self) -> list:
+        """The schedule's (t, model id) releases, less the skipped models."""
         return [(t, mid) for t, mid in self.schedule_releases if not self.skip[mid]]
 
 

@@ -18,21 +18,15 @@ import streamdp as sd
 from streamdp import (
     EvalConfig,
     Ledger,
-    NoiseSpec,
     SchedulerConfig,
     StreamSource,
     SynthConfig,
-    laplace_vector,
+    laplace_noise,
     sampling_probability,
     subsample,
     synth_stream,
 )
-from streamdp.erm import (
-    ModelWeights,
-    RegularizerSpec,
-    lipschitz_public,
-    loss_and_gradient,
-)
+from streamdp.erm import lipschitz_public, loss_and_gradient
 from streamdp.harness import median_final_accuracy
 from streamdp.schedulers import (
     continual_schedule,
@@ -170,7 +164,7 @@ def test_criterion_3_privacy_budgets_exact():
 def test_criterion_4_noise_statistics():
     start = time.time()
     b = 1.7
-    x = laplace_vector(NoiseSpec(b, (1, 1_000_000), 42)).ravel()
+    x = laplace_noise([b], [42], (1, 1_000_000)).ravel()
     mad_ok = abs(np.mean(np.abs(x)) - b) / b <= 0.01
     var_ok = abs(np.var(x) - 2 * b * b) / (2 * b * b) <= 0.02
 
@@ -178,7 +172,7 @@ def test_criterion_4_noise_statistics():
     tail_ok = True
     trials = 10_000
     for d in (2, 8, 32):
-        noise = laplace_vector(NoiseSpec(b, (trials, d), 100 + d))
+        noise = laplace_noise([b], [100 + d], (trials, d))[0]
         norms = np.linalg.norm(noise, axis=1)
         for beta in (0.01, 0.05):
             threshold = math.log(d / beta) * d * b
@@ -198,19 +192,19 @@ def test_criterion_5_gradient_correctness():
         k = int(rng.integers(2, 5))
         n = int(rng.integers(1, 10))
         data = random_dataset(rng, n, d, k)
-        bias = ModelWeights(rng.standard_normal((k, d))) if rng.random() < 0.5 else None
-        reg = RegularizerSpec(float(rng.uniform(0.01, 3.0)), bias)
-        w = ModelWeights(rng.standard_normal((k, d)))
-        _, grad = loss_and_gradient(w, data, reg)
+        bias = rng.standard_normal((k, d)) if rng.random() < 0.5 else None
+        lam = float(rng.uniform(0.01, 3.0))
+        w = rng.standard_normal((k, d))
+        _, grad = loss_and_gradient(w, data, lam, bias)
         num = np.zeros_like(grad)
         h = 1e-6
         for i in range(k):
             for j in range(d):
-                wp, wm = w.w.copy(), w.w.copy()
+                wp, wm = w.copy(), w.copy()
                 wp[i, j] += h
                 wm[i, j] -= h
-                lp, _ = loss_and_gradient(ModelWeights(wp), data, reg)
-                lm, _ = loss_and_gradient(ModelWeights(wm), data, reg)
+                lp, _ = loss_and_gradient(wp, data, lam, bias)
+                lm, _ = loss_and_gradient(wm, data, lam, bias)
                 num[i, j] = (lp - lm) / (2 * h)
         rel = np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12)
         worst = max(worst, rel)

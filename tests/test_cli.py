@@ -426,6 +426,53 @@ class TestNoRelease:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnusableNumbers:
+    """Numbers that would give a noise scale that is not positive and finite,
+    or a step size that is not finite, are usage errors before training."""
+
+    RUN = ["run", "--scheduler", "continual", "--epsilon", "1", "--lambda", "1", "--B", "64",
+           "--b0", "16", "--synth-n", "300", "--iters", "5"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "1e308"],  # the scale underflows to 0
+        ["--lambda", "nan"],
+        ["--lambda", "inf"],
+        ["--lambda", "nan", "--nonprivate"],
+        ["--epsilon", "1/1" + "0" * 400],  # no float holds eps's charges but 0.0
+        ["--epsilon", "1" + "0" * 400],  # nor these
+        ["--lipschitz", "nan"],
+        ["--lipschitz", "inf"],
+        ["--gamma", "nan"],
+        ["--gamma", "inf"],
+    ], ids=["lambda-underflow", "lambda-nan", "lambda-inf", "lambda-nan-nonprivate",
+            "epsilon-tiny", "epsilon-huge", "lipschitz-nan", "lipschitz-inf", "gamma-nan",
+            "gamma-inf"])
+    def test_run_exits_1_and_writes_nothing(self, flags, capsys, tmp_path):
+        code, _, err = run_cli(capsys, *self.RUN, *flags, "--output", str(tmp_path / "m.csv"),
+                               "--trace", str(tmp_path / "trace.jsonl"))
+        assert code == EXIT_USAGE and err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_inspect_schedule_exits_1_on_a_lipschitz_constant_that_is_not_positive_and_finite(
+            self, value, capsys):
+        code, out, err = run_cli(capsys, "inspect-schedule", "--scheduler", "multires",
+                                 "--B", "4", "--epsilon", "1", "--lambda", "1", "--T", "20",
+                                 "--lipschitz", value)
+        assert code == EXIT_USAGE and "parameter L must be positive and finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--lipschitz", "1"]])
+    def test_a_one_class_stream_exits_3_naming_the_class_count(self, flags, capsys, tmp_path):
+        write_blobs_csv(tmp_path / "s.csv", [2] * 64)
+        code, _, err = run_cli(capsys, "run", "--scheduler", "multires", "--B", "16",
+                               "--epsilon", "1", "--lambda", "1", *flags,
+                               "--source", f"csv:{tmp_path}/s.csv",
+                               "--output", str(tmp_path / "m.csv"))
+        assert code == EXIT_DATA and "need at least 2 classes, the stream has 1" in err
+        assert not (tmp_path / "m.csv").exists()
+
+
 class TestVerifyLedger:
     HEADER = {"scheduler": "multires", "eps_num": 1, "eps_den": 1,
               "budgets": {"multires": [1, 1]}}

@@ -9,8 +9,6 @@ from streamdp import (
     Dataset,
     DivergenceError,
     ErmError,
-    ModelWeights,
-    RegularizerSpec,
     TrainConfig,
     clip_l1,
     evaluate_accuracy,
@@ -23,18 +21,30 @@ from streamdp.rng import make_rng
 from conftest import random_dataset
 
 
-def numeric_gradient(w, data, reg, h=1e-6):
-    grad = np.zeros_like(w.w)
-    for i in range(w.w.shape[0]):
-        for j in range(w.w.shape[1]):
-            wp = w.w.copy()
+def numeric_gradient(w, data, lam, bias=None, h=1e-6):
+    grad = np.zeros_like(w)
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            wp = w.copy()
             wp[i, j] += h
-            lp, _ = loss_and_gradient(ModelWeights(wp), data, reg)
-            wm = w.w.copy()
+            lp, _ = loss_and_gradient(wp, data, lam, bias)
+            wm = w.copy()
             wm[i, j] -= h
-            lm, _ = loss_and_gradient(ModelWeights(wm), data, reg)
+            lm, _ = loss_and_gradient(wm, data, lam, bias)
             grad[i, j] = (lp - lm) / (2 * h)
     return grad
+
+
+def zeros(data, S):
+    """The biases of S seeds that train toward the zero model."""
+    return np.zeros((S, data.k, data.d))
+
+
+def train_one(data, cfg, lam, bias=None):
+    """sgd_train of seed cfg.seed alone on all of data, from the (k, d)
+    bias (the zero model without one): its (k, d) weights."""
+    bias = zeros(data, 1) if bias is None else bias[None]
+    return sgd_train(data, bias, cfg, lam, (cfg.seed,))[0]
 
 
 class TestDataset:
@@ -66,28 +76,27 @@ class TestGradient:
             k = int(rng.integers(2, 5))
             n = int(rng.integers(1, 12))
             data = random_dataset(rng, n, d, k)
-            reg = RegularizerSpec(float(rng.uniform(0.01, 2.0)))
-            w = ModelWeights(rng.standard_normal((k, d)))
-            _, grad = loss_and_gradient(w, data, reg)
-            num = numeric_gradient(w, data, reg)
+            lam = float(rng.uniform(0.01, 2.0))
+            w = rng.standard_normal((k, d))
+            _, grad = loss_and_gradient(w, data, lam)
+            num = numeric_gradient(w, data, lam)
             denom = max(np.linalg.norm(num), 1e-12)
             assert np.linalg.norm(grad - num) / denom <= 1e-5
 
     def test_gradient_with_bias_reference(self, rng):
         data = random_dataset(rng, 8, 3, 3)
-        bias = ModelWeights(rng.standard_normal((3, 3)))
-        reg = RegularizerSpec(0.5, bias)
-        w = ModelWeights(rng.standard_normal((3, 3)))
-        _, grad = loss_and_gradient(w, data, reg)
-        num = numeric_gradient(w, data, reg)
+        bias = rng.standard_normal((3, 3))
+        w = rng.standard_normal((3, 3))
+        _, grad = loss_and_gradient(w, data, 0.5, bias)
+        num = numeric_gradient(w, data, 0.5, bias)
         assert np.linalg.norm(grad - num) / np.linalg.norm(num) <= 1e-5
 
     def test_loss_at_bias_has_pure_data_gradient(self, rng):
         # at w = bias the penalty term and its gradient contribution vanish
         data = random_dataset(rng, 6, 2, 2)
-        bias = ModelWeights(rng.standard_normal((2, 2)))
-        with_pen, g_pen = loss_and_gradient(bias, data, RegularizerSpec(3.0, bias))
-        no_pen, g_free = loss_and_gradient(bias, data, RegularizerSpec(1e-12, bias))
+        bias = rng.standard_normal((2, 2))
+        with_pen, g_pen = loss_and_gradient(bias, data, 3.0, bias)
+        no_pen, g_free = loss_and_gradient(bias, data, 1e-12, bias)
         assert with_pen == pytest.approx(no_pen, abs=1e-9)
         np.testing.assert_allclose(g_pen, g_free, atol=1e-9)
 
@@ -96,23 +105,23 @@ class TestSgd:
     def test_deterministic_per_seed(self, rng):
         data = random_dataset(rng, 50, 3, 2)
         cfg = TrainConfig(iterations=50, seed=7)
-        w1 = sgd_train(data, RegularizerSpec(0.1), cfg)
-        w2 = sgd_train(data, RegularizerSpec(0.1), cfg)
-        np.testing.assert_array_equal(w1.w, w2.w)
+        w1 = train_one(data, cfg, 0.1)
+        w2 = train_one(data, cfg, 0.1)
+        np.testing.assert_array_equal(w1, w2)
 
     def test_seed_changes_trajectory(self, rng):
         data = random_dataset(rng, 50, 3, 2)
-        w1 = sgd_train(data, RegularizerSpec(0.1), TrainConfig(iterations=50, seed=1))
-        w2 = sgd_train(data, RegularizerSpec(0.1), TrainConfig(iterations=50, seed=2))
-        assert not np.array_equal(w1.w, w2.w)
+        w1 = train_one(data, TrainConfig(iterations=50, seed=1), 0.1)
+        w2 = train_one(data, TrainConfig(iterations=50, seed=2), 0.1)
+        assert not np.array_equal(w1, w2)
 
     def test_huge_lambda_pins_weights_to_bias(self, rng):
         data = random_dataset(rng, 40, 3, 3)
-        bias = ModelWeights(rng.standard_normal((3, 3)))
+        bias = rng.standard_normal((3, 3))
         cfg = TrainConfig(iterations=200, seed=0)
-        w = sgd_train(data, RegularizerSpec(1e6, bias), cfg)
-        assert np.all(np.isfinite(w.w))
-        assert np.linalg.norm(w.w - bias.w) < 1e-3
+        w = train_one(data, cfg, 1e6, bias)
+        assert np.all(np.isfinite(w))
+        assert np.linalg.norm(w - bias) < 1e-3
 
     def test_separable_problem_learns(self, rng):
         n, d = 400, 4
@@ -120,8 +129,8 @@ class TestSgd:
         X = rng.standard_normal((n, d)) * 0.1
         X[:, 0] += np.where(y == 0, 1.0, -1.0)
         data = Dataset(X, y, 2)
-        w = sgd_train(data, RegularizerSpec(0.01), TrainConfig(iterations=300, seed=3))
-        assert evaluate_accuracy(w, data) > 0.95
+        w = train_one(data, TrainConfig(iterations=300, seed=3), 0.01)
+        assert evaluate_accuracy(w[None], data)[0] > 0.95
 
     @pytest.mark.parametrize("where", ["event at t=16 on [8, 15], seed 1", None])
     def test_divergence_error_survives_pickling(self, where):
@@ -134,13 +143,32 @@ class TestSgd:
     def test_empty_dataset_rejected(self):
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ErmError):
-            sgd_train(data, RegularizerSpec(0.1), TrainConfig(iterations=5))
+            train_one(data, TrainConfig(iterations=5), 0.1)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("inf"), float("nan")])
+    def test_lambda_must_be_positive_and_finite(self, rng, lam):
+        data = random_dataset(rng, 10, 2, 2)
+        with pytest.raises(ErmError, match="lambda must be > 0 and finite"):
+            train_one(data, TrainConfig(iterations=2), lam)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ErmError, match="gamma must be > 0 and finite"):
+            TrainConfig(gamma=gamma)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 3), (3, 3, 2), (2, 3, 2, 1)])
+    def test_bias_must_be_one_model_per_seed(self, rng, shape):
+        # two seeds on data of k=3 classes, d=2 features: the bias is (2, 3, 2)
+        data = random_dataset(rng, 10, 2, 3)
+        with pytest.raises(ErmError, match=r"bias shape .* does not match \(2, 3, 2\)"):
+            sgd_train(data, np.zeros(shape), TrainConfig(iterations=2), 0.5, (1, 2))
 
 
-def reference_sgd(data, reg, cfg):
+def reference_sgd(data, lam, cfg, bias=None):
     """The per-iteration SGD loop sgd_train replaced: one minibatch draw and
-    one (m, d) step per iteration, for a single seed."""
-    wg = reg.bias_matrix(data.k, data.d)
+    one (m, d) step per iteration, for a single seed, from bias (the zero
+    model without one)."""
+    wg = np.zeros((data.k, data.d)) if bias is None else bias
     w = wg.copy()
     rng = make_rng(cfg.seed, "sgd")
     for i in range(1, cfg.iterations * cfg.passes + 1):
@@ -152,7 +180,7 @@ def reference_sgd(data, reg, cfg):
         probs[np.arange(len(idx)), yb] -= 1.0
         g = (probs.T @ Xb) / len(idx)
         eta = 1.0 / (cfg.gamma * i)
-        w = (w - eta * g + 2.0 * eta * reg.lam * wg) / (1.0 + 2.0 * eta * reg.lam)
+        w = (w - eta * g + 2.0 * eta * lam * wg) / (1.0 + 2.0 * eta * lam)
         if not np.all(np.isfinite(w)):
             raise DivergenceError(i)
     return w
@@ -181,8 +209,8 @@ def random_problem(rng, case):
         n, d = int(rng.integers(1, 120)), int(rng.integers(1, 25))
     data = Dataset(rng.standard_normal((n, d)) * rng.choice([0.3, 1.0, 4.0]),
                    rng.integers(0, k, size=n), k)
-    bias = ModelWeights(rng.standard_normal((k, d))) if shape or case % 2 else None
-    reg = RegularizerSpec(float(rng.choice([0.01, 1.0, 50.0])), bias)
+    bias = rng.standard_normal((k, d)) if shape or case % 2 else None
+    lam = float(rng.choice([0.01, 1.0, 50.0]))
     cfg = TrainConfig(
         gamma=float(rng.choice([1.0, 10.0])), iterations=int(rng.integers(1, 30)),
         minibatch=int(rng.choice([1, 7, 64, 500])), passes=int(rng.integers(1, 4)),
@@ -190,7 +218,7 @@ def random_problem(rng, case):
     )
     if shape:
         cfg = replace(cfg, iterations=shape["iterations"], minibatch=256, passes=1)
-    return data, reg, cfg
+    return data, lam, bias, cfg
 
 
 def case_rng(case, offset=0):
@@ -214,56 +242,54 @@ class TestLockstepKernel:
 
     @pytest.mark.parametrize("case", [*range(20), *BENCHMARK_SHAPES])
     def test_single_seed_matches_reference_loop(self, case, block_bytes):
-        data, reg, cfg = random_problem(case_rng(case), case)
-        np.testing.assert_array_equal(sgd_train(data, reg, cfg).w, reference_sgd(data, reg, cfg))
+        data, lam, bias, cfg = random_problem(case_rng(case), case)
+        np.testing.assert_array_equal(train_one(data, cfg, lam, bias),
+                                      reference_sgd(data, lam, cfg, bias))
 
     @pytest.mark.parametrize("case", [*range(0, 20, 3), *BENCHMARK_SHAPES])
     def test_seed_stack_matches_single_seeds(self, case, block_bytes):
         rng = case_rng(case, 100)
-        data, _, cfg = random_problem(rng, case)
+        data, _, _, cfg = random_problem(rng, case)
         seeds = (5, 2**40, 5, 2**64 - 1)  # seeds of two 32-bit entropy words, too
-        regs = [RegularizerSpec(0.7, ModelWeights(rng.standard_normal((data.k, data.d))))
-                for _ in seeds]
-        stacked = sgd_train(data, regs, cfg, seeds)
-        for seed, reg, got in zip(seeds, regs, stacked):
-            want = reference_sgd(data, reg, replace(cfg, seed=seed))
-            np.testing.assert_array_equal(got.w, want)
+        biases = rng.standard_normal((len(seeds), data.k, data.d))
+        stacked = sgd_train(data, biases, cfg, 0.7, seeds)
+        for seed, bias, got in zip(seeds, biases, stacked):
+            want = reference_sgd(data, 0.7, replace(cfg, seed=seed), bias)
+            np.testing.assert_array_equal(got, want)
 
     def test_rows_train_like_the_subset(self, rng, block_bytes):
         data = random_dataset(rng, 90, 4, 3)
         cfg = TrainConfig(iterations=25, minibatch=8)
         rows = [np.arange(0, 90, 3), np.arange(40, 90), np.arange(90)]
-        stacked = sgd_train(data, RegularizerSpec(0.5), cfg, (1, 2, 3), rows)
+        stacked = sgd_train(data, zeros(data, 3), cfg, 0.5, (1, 2, 3), rows)
         for seed, r, got in zip((1, 2, 3), rows, stacked):
-            want = reference_sgd(data.take(r), RegularizerSpec(0.5), replace(cfg, seed=seed))
-            np.testing.assert_array_equal(got.w, want)
+            want = reference_sgd(data.take(r), 0.5, replace(cfg, seed=seed))
+            np.testing.assert_array_equal(got, want)
 
     def test_range_rows_train_like_the_slice(self, rng, block_bytes):
         data = random_dataset(rng, 90, 4, 3)
         cfg = TrainConfig(iterations=25, minibatch=8)
         rows = [range(10, 50), range(90), range(70, 78)]
-        stacked = sgd_train(data, RegularizerSpec(0.5), cfg, (1, 2, 3), rows)
+        stacked = sgd_train(data, zeros(data, 3), cfg, 0.5, (1, 2, 3), rows)
         for seed, r, got in zip((1, 2, 3), rows, stacked):
-            want = reference_sgd(data.slice(r.start, r.stop - 1), RegularizerSpec(0.5),
-                                 replace(cfg, seed=seed))
-            np.testing.assert_array_equal(got.w, want)
+            want = reference_sgd(data.slice(r.start, r.stop - 1), 0.5, replace(cfg, seed=seed))
+            np.testing.assert_array_equal(got, want)
 
     def test_single_row_members_train_like_their_row(self, rng, block_bytes):
         # a one-row member draws no indices; it stacks with other one-row members
         data = random_dataset(rng, 90, 4, 3)
         cfg = TrainConfig(iterations=25, minibatch=8)
         rows = [range(17, 18), np.array([42]), range(0, 1), np.array([89])]
-        stacked = sgd_train(data, RegularizerSpec(0.5), cfg, (1, 2, 3, 4), rows)
+        stacked = sgd_train(data, zeros(data, 4), cfg, 0.5, (1, 2, 3, 4), rows)
         for seed, r, got in zip((1, 2, 3, 4), rows, stacked):
-            want = reference_sgd(data.slice(r[0], r[0]), RegularizerSpec(0.5),
-                                 replace(cfg, seed=seed))
-            np.testing.assert_array_equal(got.w, want)
+            want = reference_sgd(data.slice(r[0], r[0]), 0.5, replace(cfg, seed=seed))
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [90, 1000, -1])
     def test_a_single_row_outside_the_data_rejected(self, rng, bad, block_bytes):
         data = random_dataset(rng, 90, 4, 3)
         with pytest.raises(ErmError, match=r"\[0, 90\)"):
-            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=3, minibatch=8),
+            sgd_train(data, zeros(data, 2), TrainConfig(iterations=3, minibatch=8), 0.5,
                       (1, 2), [np.array([5]), np.array([bad])])
 
     @pytest.mark.parametrize("bad", [90, 1000, -1])
@@ -272,16 +298,16 @@ class TestLockstepKernel:
         data = random_dataset(rng, 90, 4, 3)
         rows = [np.arange(10), np.array([5, bad, 7])]
         with pytest.raises(ErmError, match=r"\[0, 90\)"):
-            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=30, minibatch=2),
+            sgd_train(data, zeros(data, 2), TrainConfig(iterations=30, minibatch=2), 0.5,
                       (1, 2), rows)
         with pytest.raises(ErmError):
-            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=1, minibatch=8),
+            sgd_train(data, zeros(data, 1), TrainConfig(iterations=1, minibatch=8), 0.5,
                       (1,), [range(85, 95)])
 
     def test_unequal_minibatch_sizes_rejected(self, rng):
         data = random_dataset(rng, 20, 2, 2)
         with pytest.raises(ErmError):
-            sgd_train(data, RegularizerSpec(0.5), TrainConfig(iterations=2, minibatch=8),
+            sgd_train(data, zeros(data, 2), TrainConfig(iterations=2, minibatch=8), 0.5,
                       (1, 2), [np.arange(4), np.arange(20)])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -291,15 +317,15 @@ class TestLockstepKernel:
         huge = Dataset(data.X * 1e200, data.y, 3)
         cfg = TrainConfig(iterations=10, minibatch=8, seed=4)
         with pytest.raises(DivergenceError) as ref:
-            reference_sgd(huge, RegularizerSpec(0.5), cfg)
+            reference_sgd(huge, 0.5, cfg)
         with pytest.raises(DivergenceError) as got:
-            sgd_train(huge, RegularizerSpec(0.5), cfg)
+            train_one(huge, cfg, 0.5)
         assert got.value.iteration == ref.value.iteration
         # in a stack, one diverging seed stops the call at its iteration
         mixed = Dataset(np.vstack([data.X, huge.X]), np.concatenate([data.y, data.y]), 3)
         rows = [np.arange(40), np.arange(40, 80)]
         with pytest.raises(DivergenceError) as stacked:
-            sgd_train(mixed, RegularizerSpec(0.5), cfg, (4, 4), rows)
+            sgd_train(mixed, zeros(mixed, 2), cfg, 0.5, (4, 4), rows)
         assert stacked.value.iteration == ref.value.iteration
         assert stacked.value.member == 1  # the first non-finite member
 
@@ -318,16 +344,22 @@ class TestLipschitz:
 
 class TestEvaluate:
     def test_tie_breaks_to_lowest_class(self):
-        w = ModelWeights(np.zeros((3, 2)))
+        w = np.zeros((1, 3, 2))
         data = Dataset(np.ones((4, 2)), np.zeros(4, dtype=int), 3)
-        assert evaluate_accuracy(w, data) == 1.0
+        assert evaluate_accuracy(w, data).tolist() == [1.0]
 
     def test_perfect_and_zero(self):
-        w = ModelWeights(np.array([[1.0], [-1.0]]))
+        w = np.array([[[1.0], [-1.0]]])
         data = Dataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
-        assert evaluate_accuracy(w, data) == 1.0
+        assert evaluate_accuracy(w, data).tolist() == [1.0]
         flipped = Dataset(data.X, np.array([1, 0]), 2)
-        assert evaluate_accuracy(w, flipped) == 0.0
+        assert evaluate_accuracy(w, flipped).tolist() == [0.0]
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1, 3, 2), (1, 2, 2)])
+    def test_weights_must_be_an_rkd_stack(self, shape):
+        data = Dataset(np.ones((4, 2)), np.zeros(4, dtype=int), 3)
+        with pytest.raises(ErmError, match=r"is not \(R, k, d\)"):
+            evaluate_accuracy(np.zeros(shape), data)
 
 
 class TestClip:
@@ -400,7 +432,7 @@ class TestScoring:
 
         every = slice(None)
         want = [argmax_accuracy(w, every) for w in W]
-        assert [evaluate_accuracy(ModelWeights(w), data) for w in W] == want
+        assert [evaluate_accuracy(w[None], data)[0] for w in W] == want
         assert evaluate_accuracy(W, data).tolist() == want
         runs = [argmax_accuracy(w, slice(r * m, (r + 1) * m)) for r, w in enumerate(W)]
         assert evaluate_accuracy(W, data, per_model=True).tolist() == runs

@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdp import (
+    ErmError,
     MechanismError,
-    ModelWeights,
-    NoiseSpec,
-    RegularizerSpec,
     TrainConfig,
+    laplace_noise,
     laplace_scale,
-    laplace_stack,
-    laplace_vector,
     output_perturb,
     pberm,
     sampling_probability,
@@ -23,57 +20,53 @@ from streamdp.rng import make_rng
 from conftest import random_dataset
 
 
-class TestNoiseSpec:
-    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
-    def test_bad_scales_rejected(self, scale):
-        with pytest.raises(MechanismError):
-            NoiseSpec(scale, (2, 2), 0)
+def laplace_one(scale, dims, seed):
+    """One member's Laplace(scale) noise of shape dims from seed."""
+    return laplace_noise([scale], [seed], dims)[0]
 
 
 class TestLaplace:
     def test_deterministic_per_seed(self):
-        spec = NoiseSpec(1.0, (3, 4), 99)
-        np.testing.assert_array_equal(laplace_vector(spec), laplace_vector(spec))
+        np.testing.assert_array_equal(laplace_one(1.0, (3, 4), 99), laplace_one(1.0, (3, 4), 99))
 
     def test_seed_changes_noise(self):
-        a = laplace_vector(NoiseSpec(1.0, (3, 4), 1))
-        b = laplace_vector(NoiseSpec(1.0, (3, 4), 2))
+        a = laplace_one(1.0, (3, 4), 1)
+        b = laplace_one(1.0, (3, 4), 2)
         assert not np.array_equal(a, b)
 
     def test_moments_small_sample(self):
         b = 2.5
-        x = laplace_vector(NoiseSpec(b, (1, 200_000), 7)).ravel()
+        x = laplace_one(b, (1, 200_000), 7).ravel()
         assert np.mean(np.abs(x)) == pytest.approx(b, rel=0.02)
         assert np.var(x) == pytest.approx(2 * b * b, rel=0.05)
 
     def test_scale_is_linear(self):
-        a = laplace_vector(NoiseSpec(1.0, (2, 2), 5))
-        c = laplace_vector(NoiseSpec(3.0, (2, 2), 5))
+        a = laplace_one(1.0, (2, 2), 5)
+        c = laplace_one(3.0, (2, 2), 5)
         np.testing.assert_allclose(c, 3.0 * a)
 
 
-def old_laplace(spec):
-    """The per-spec formula: one generator, inverse CDF."""
-    u = make_rng(spec.seed, "laplace").random(spec.dims)
+def old_laplace(scale, dims, seed):
+    """The per-model formula: one generator, inverse CDF."""
+    u = make_rng(seed, "laplace").random(dims)
     v = u - 0.5
     mag = np.maximum(1.0 - 2.0 * np.abs(v), np.finfo(np.float64).tiny)
-    return -spec.scale * np.sign(v) * np.log(mag)
+    return -scale * np.sign(v) * np.log(mag)
 
 
 class TestLaplaceBitExact:
     @pytest.mark.parametrize("dims", [(1, 1), (3, 5), (2, 20), (10, 78), (1, 1001)])
     def test_vector_equals_per_spec_generator(self, dims):
         for seed in (0, 1, 2**32 - 1, 2**32, 2**62 + 12345):
-            spec = NoiseSpec(0.37, dims, seed)
-            assert np.array_equal(laplace_vector(spec), old_laplace(spec))
+            assert np.array_equal(laplace_one(0.37, dims, seed), old_laplace(0.37, dims, seed))
 
     def test_stack_equals_each_spec(self):
         rng = np.random.default_rng(4)
-        specs = [NoiseSpec(float(s), (3, 7), int(x)) for s, x in
-                 zip(rng.uniform(0.01, 5, size=40), rng.integers(0, 2**63 - 1, size=40))]
-        stack = laplace_stack(specs)
-        for nu, spec in zip(stack, specs):
-            assert np.array_equal(nu, old_laplace(spec))
+        scales = rng.uniform(0.01, 5, size=40)
+        seeds = rng.integers(0, 2**63 - 1, size=40)
+        stack = laplace_noise(scales, seeds, (3, 7))
+        for nu, scale, seed in zip(stack, scales, seeds):
+            assert np.array_equal(nu, old_laplace(float(scale), (3, 7), int(seed)))
 
     def test_perturbing_a_stack_equals_one_model_at_a_time(self):
         rng = np.random.default_rng(5)
@@ -85,14 +78,13 @@ class TestLaplaceBitExact:
             if scale == 0.0:
                 assert np.array_equal(out, w) and n1 == n2 == 0.0
                 continue
-            spec = NoiseSpec(scale, (3, 4), seed)
-            nu = old_laplace(spec)
+            nu = old_laplace(scale, (3, 4), seed)
             assert np.array_equal(out, w + nu)
             assert n1 == float(np.abs(nu).sum())
             assert n2 == float(np.linalg.norm(nu))
-            pm = output_perturb(ModelWeights(w), spec)
-            assert np.array_equal(pm.weights.w, out)
-            assert (pm.noise_l1, pm.noise_l2, pm.spec) == (n1, n2, spec)
+            alone = output_perturb(w[None], [scale], [seed])
+            assert np.array_equal(alone[0][0], out)
+            assert (alone[1][0], alone[2][0]) == (n1, n2)
 
 
 class TestNoiseScale:
@@ -129,6 +121,18 @@ class TestNoiseScale:
             laplace_scale(0.0, 1.0, 8, Fraction(1, 2))
         with pytest.raises(MechanismError):
             laplace_scale(1.0, 1.0, 8, Fraction(0))
+        for L, lam in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+                       (np.float64(math.nan), 1.0)):
+            with pytest.raises(MechanismError, match="must be positive and finite"):
+                laplace_scale(L, lam, 8, Fraction(1, 2))
+        # a quotient that underflows to 0 or overflows to inf, and an eps no float holds
+        for L, lam, charge in ((0.1, 1e308, Fraction(1, 2)), (1.0, 1.0, Fraction(1, 10**400)),
+                               (1e308, 1e-308, Fraction(1, 2)), (1.0, 1.0, Fraction(10**400)),
+                               (1.0, 1.0, Fraction(10**308))):
+            with pytest.raises(MechanismError):
+                laplace_scale(L, lam, 8, charge)
+        with pytest.raises(MechanismError, match="too large for a float"):
+            laplace_scale(1.0, 1.0, 8, Fraction(10**300), sampled_level=40)
 
 
 class TestSampling:
@@ -182,18 +186,33 @@ class TestSampling:
 
 class TestOutputPerturb:
     def test_records_noise_norms(self):
-        w = ModelWeights(np.zeros((2, 3)))
-        pm = output_perturb(w, NoiseSpec(0.5, (2, 3), 21))
-        assert pm.noise_l1 == pytest.approx(np.abs(pm.weights.w).sum())
-        assert pm.noise_l2 == pytest.approx(np.linalg.norm(pm.weights.w))
+        noisy, l1, l2 = output_perturb(np.zeros((1, 2, 3)), [0.5], [21])
+        assert l1[0] == pytest.approx(np.abs(noisy[0]).sum())
+        assert l2[0] == pytest.approx(np.linalg.norm(noisy[0]))
 
     def test_shape_mismatch(self):
+        with pytest.raises(ErmError, match=r"\(S, k, d\) stack"):
+            output_perturb(np.zeros((2, 3)), [1.0, 1.0], [0, 1])
+        with pytest.raises(MechanismError, match="one scale per model"):
+            output_perturb(np.zeros((2, 2, 3)), [1.0], [0])
+
+    @pytest.mark.parametrize("scale", [-1.0, float("inf"), float("nan")])
+    def test_bad_scales_rejected(self, scale):
         with pytest.raises(MechanismError):
-            output_perturb(ModelWeights(np.zeros((2, 2))), NoiseSpec(1.0, (2, 3), 0))
+            output_perturb(np.zeros((2, 2, 2)), [1.0, scale], [0, 1])
 
 
 def zero_model(data):
-    return ModelWeights(np.zeros((data.k, data.d)))
+    """One model's bias toward the zero model, as a stack of one."""
+    return np.zeros((1, data.k, data.d))
+
+
+def pberm_one(bias, data, lam, cfg, scale, noise_seed=None):
+    """pberm of seed cfg.seed alone, with noise from noise_seed (default
+    cfg.seed): its noisy (k, d) weights, noise_l1 and noise_l2."""
+    noise_seed = cfg.seed if noise_seed is None else noise_seed
+    w, l1, l2 = pberm(bias, data, lam, cfg, [scale], [noise_seed], [cfg.seed])
+    return w[0], l1[0], l2[0]
 
 
 class TestPsgdPberm:
@@ -201,45 +220,40 @@ class TestPsgdPberm:
     def test_psgd_zero_delta_is_nonprivate_escape(self, rng):
         data = random_dataset(rng, 60, 3, 2)
         cfg = TrainConfig(iterations=40, seed=5)
-        pm = pberm(zero_model(data), data, 0.5, cfg, 0.0)
+        w, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.0)
         from streamdp import sgd_train
 
-        np.testing.assert_array_equal(pm.weights.w, sgd_train(data, RegularizerSpec(0.5), cfg).w)
-        assert pm.noise_l2 == 0.0 and pm.spec is None
+        np.testing.assert_array_equal(w, sgd_train(data, zero_model(data), cfg, 0.5, (5,))[0])
+        assert l1 == l2 == 0.0
 
     def test_psgd_negative_delta_rejected(self, rng):
         data = random_dataset(rng, 20, 2, 2)
         with pytest.raises(MechanismError):
-            pberm(zero_model(data), data, 0.5, TrainConfig(iterations=5), -1.0)
+            pberm_one(zero_model(data), data, 0.5, TrainConfig(iterations=5), -1.0)
 
     def test_psgd_noise_actually_added(self, rng):
         data = random_dataset(rng, 60, 3, 2)
         cfg = TrainConfig(iterations=40, seed=5)
-        clean = pberm(zero_model(data), data, 0.5, cfg, 0.0)
-        noisy = pberm(zero_model(data), data, 0.5, cfg, 0.3, noise_seed=77)
-        assert noisy.noise_l2 > 0
-        np.testing.assert_allclose(
-            noisy.weights.w - clean.weights.w,
-            noisy.weights.w - clean.weights.w,
-        )
-        assert np.linalg.norm(noisy.weights.w - clean.weights.w) == pytest.approx(
-            noisy.noise_l2
-        )
+        clean, _, _ = pberm_one(zero_model(data), data, 0.5, cfg, 0.0)
+        noisy, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.3, noise_seed=77)
+        assert l2 > 0
+        np.testing.assert_array_equal(noisy - clean, laplace_one(0.3, clean.shape, 77))
+        assert np.linalg.norm(noisy - clean) == pytest.approx(l2)
+        assert np.abs(noisy - clean).sum() == pytest.approx(l1)
 
     def test_pberm_applies_given_scale(self, rng):
         data = random_dataset(rng, 30, 2, 2)
-        bias = ModelWeights(np.zeros((2, 2)))
+        bias = np.zeros((1, 2, 2))
         cfg = TrainConfig(iterations=10)
-        clean = pberm(bias, data, 2.0, cfg, 0.0)
-        noisy = pberm(bias, data, 2.0, cfg, 0.4, noise_seed=9)
-        assert clean.spec is None and noisy.spec.scale == 0.4
-        assert np.linalg.norm(noisy.weights.w - clean.weights.w) == pytest.approx(
-            noisy.noise_l2
-        )
+        clean, _, clean_l2 = pberm_one(bias, data, 2.0, cfg, 0.0)
+        noisy, _, noisy_l2 = pberm_one(bias, data, 2.0, cfg, 0.4, noise_seed=9)
+        assert clean_l2 == 0.0
+        np.testing.assert_allclose(noisy - clean, laplace_one(0.4, (2, 2), 9))
+        assert np.linalg.norm(noisy - clean) == pytest.approx(noisy_l2)
 
     def test_pberm_empty_data_rejected(self):
         from streamdp import Dataset, ErmError
 
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ErmError):
-            pberm(ModelWeights(np.zeros((2, 2))), data, 1.0, TrainConfig(iterations=5), 1.0)
+            pberm_one(np.zeros((1, 2, 2)), data, 1.0, TrainConfig(iterations=5), 1.0)

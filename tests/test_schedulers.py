@@ -34,8 +34,8 @@ from streamdp import (
 )
 from streamdp import erm, schedulers
 from streamdp.cli import SCHEDULERS
-from streamdp.erm import DivergenceError, ErmError, ModelWeights, TrainConfig, lipschitz_public
-from streamdp.mechanisms import NoiseSpec, PerturbedModel, pberm, sampling_probability, subsample
+from streamdp.erm import DivergenceError, ErmError, TrainConfig, lipschitz_public
+from streamdp.mechanisms import pberm, sampling_probability, subsample
 from streamdp.rng import make_rng
 from streamdp.schedulers import event_probability, sliding_chain
 
@@ -336,14 +336,14 @@ class TestExecute:
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
         r1 = execute(sched, stream, self.cfg())
         r2 = execute(sched, stream, self.cfg())
-        for mid in r1.models:
-            np.testing.assert_array_equal(r1.models[mid].w, r2.models[mid].w)
+        np.testing.assert_array_equal(r1.weights, r2.weights)
+        np.testing.assert_array_equal(r1.noise_l1, r2.noise_l1)
 
     def test_distinct_models_get_distinct_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
         r = execute(sched, stream, self.cfg())
-        norms = [r.perturbed[m].noise_l2 for m in r.perturbed]
-        assert len(set(norms)) == len(norms)
+        norms = [r.noise_l2[e.model_id] for e in r.events]
+        assert len(set(norms)) == len(norms) == len(sched.events)
 
     def test_ledger_matches_dry_run(self, stream):
         # execute charges nothing; a run's eps_max comes from the dry run's charges
@@ -357,27 +357,26 @@ class TestExecute:
     def test_nonprivate_disables_ledger_and_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
         r = execute(sched, stream, self.cfg(), nonprivate=True)
-        assert all(pm.noise_l2 == 0.0 for pm in r.perturbed.values())
+        assert not r.noise_l1.any() and not r.noise_l2.any() and not r.noise_scale.any()
 
     def test_trains_with_the_schedules_lambda(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 7.0, 0.2)
         run = execute(sched, stream, self.cfg())
         for lam, same in ((7.0, True), (1.0, False)):
             ref = reference_execute(sched, stream, lam, self.cfg(), EPS, False, (0,))[0]
-            assert all(np.array_equal(run.models[mid].w, w.w)
-                       for mid, w in ref.models.items()) == same
+            assert all(np.array_equal(run.weights[mid], w)
+                       for mid, w in ref.trained.items()) == same
 
-    def test_run_is_read_through_views_of_its_arrays(self, stream):
+    def test_run_is_kept_as_arrays_indexed_by_model_id(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
         run = execute(sched, stream, self.cfg())
-        assert list(run.models) == list(run.perturbed) == [e.model_id for e in sched.events]
-        for mid, pm in run.perturbed.items():
-            assert np.array_equal(pm.weights.w, run.weights[mid])
-            assert pm.noise_l2 == run.noise_l2[mid] > 0
-        with pytest.raises(TypeError):
-            run.models[0] = run.models[1]
-        with pytest.raises(KeyError):
-            run.perturbed[len(sched.events)]  # the zero model's slot is no model
+        M = len(sched.events)
+        assert [e.model_id for e in run.events] == list(range(M))
+        assert run.weights.shape == (M + 1, stream.k, stream.d)
+        assert not run.weights[M].any()  # the last slot is the zero model
+        assert (run.noise_l2[:M] > 0).all() and run.noise_l2[M] == 0
+        assert run.noise_scale.tolist() == [e.noise_scale for e in sched.events] + [0.0]
+        assert not run.skip.any() and run.releases == list(sched.releases)
 
     def test_event_beyond_stream_rejected(self, stream):
         sched = multires_schedule(stream.n + 10, 8, EPS, 1.0, 0.2)
@@ -391,7 +390,7 @@ class TestExecute:
         released_ids = {mid for _, mid in r.releases}
         for b in bases:
             assert b.model_id in released_ids
-            assert b.model_id in r.models  # produced by the multires event
+            assert b.model_id in {e.model_id for e in r.events}  # the multires event's
 
 
 class TestLockstepExecute:
@@ -427,20 +426,14 @@ class TestLockstepExecute:
         assert len(runs) == len(self.SEEDS)
         for seed, run in zip(self.SEEDS, runs):
             alone = execute(sched, stream, TrainConfig(iterations=6, minibatch=8, seed=seed))
-            assert run.models.keys() == alone.models.keys()
-            for mid, w in alone.models.items():
-                np.testing.assert_array_equal(run.models[mid].w, w.w)
-            assert run.perturbed.keys() == alone.perturbed.keys()
-            for mid, pm in alone.perturbed.items():
-                np.testing.assert_array_equal(run.perturbed[mid].weights.w, pm.weights.w)
-                assert run.perturbed[mid].spec == pm.spec
-                assert run.perturbed[mid].noise_l2 == pm.noise_l2
-            assert run.skipped == alone.skipped
+            assert run.events == alone.events
+            for field in ("weights", "noise_l1", "noise_l2", "noise_scale", "noise_seed", "skip"):
+                np.testing.assert_array_equal(getattr(run, field), getattr(alone, field))
             assert run.releases == alone.releases
         trained = [e for e in sched.events
-                   if not e.adopt and any(e not in run.skipped for run in runs)]
+                   if not e.adopt and any(not run.skip[e.model_id] for run in runs)]
         if name.endswith("sample"):
-            assert any(run.skipped for run in runs)
+            assert any(run.skip.any() for run in runs)
             assert any(len(r) < cfg.minibatch for rows in row_sets for r in rows)
         # each call stacks the members of a wave: fewer calls than events
         assert len(row_sets) < len(trained)
@@ -451,20 +444,38 @@ def _subseed(seed: int, label: str, model_id: int) -> int:
     return int(make_rng(seed, label, model_id).integers(0, 2**63 - 1))
 
 
+def records(run):
+    """A RunResult read as reference_execute's records: trained maps each
+    trained event's model id, in schedule order, to its (k, d) weights;
+    noise maps those not skipped to (noise_l1, noise_l2, Laplace scale,
+    noise seed), the seed None where the model was released unperturbed;
+    skipped_events lists the skipped events."""
+    def noise(mid):
+        scale = run.noise_scale[mid]
+        return (run.noise_l1[mid], run.noise_l2[mid], scale,
+                int(run.noise_seed[mid]) if scale else None)
+    return SimpleNamespace(
+        trained={e.model_id: run.weights[e.model_id] for e in run.events},
+        noise={e.model_id: noise(e.model_id) for e in run.events if not run.skip[e.model_id]},
+        skipped_events=[e for e in run.events if run.skip[e.model_id]],
+        releases=run.releases)
+
+
 def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
     """The per-event loop execute replaced: events in schedule order, each
     event's seeds in lockstep, one pberm call per minibatch size, on a
     per-event slice of the stream, with inclusion probabilities from the
-    schedule's total eps."""
+    schedule's total eps. Each seed's run is recorded as `records` reads a
+    RunResult."""
     feps = float(eps)
-    runs = [SimpleNamespace(models={}, perturbed={}, releases=[], skipped=[]) for _ in seeds]
-    zero = ModelWeights(np.zeros((stream.k, stream.d)))
+    runs = [SimpleNamespace(trained={}, noise={}, releases=[], skipped_events=[]) for _ in seeds]
+    zero = np.zeros((stream.k, stream.d))
     for e in schedule.events:
         if e.adopt:
             continue
         data = stream.slice(e.a, e.b)
         mid = e.model_id
-        bias = [zero if e.reg_source is None else run.models[e.reg_source] for run in runs]
+        bias = [zero if e.reg_source is None else run.trained[e.reg_source] for run in runs]
         rows, sizes = None, [data.n] * len(seeds)
         if e.sampled_rule is not None:
             p = sampling_probability(e.sampled_rule, e.level, feps)
@@ -473,8 +484,8 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
         groups = {}
         for i, n in enumerate(sizes):
             if n == 0:
-                runs[i].skipped.append(e)
-                runs[i].models[mid] = bias[i]
+                runs[i].skipped_events.append(e)
+                runs[i].trained[mid] = bias[i]
             else:
                 groups.setdefault(min(cfg.minibatch, n), []).append(i)
         scale = 0.0 if nonprivate else e.noise_scale
@@ -483,15 +494,13 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
             noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
             member_rows = None if rows is None else [rows[i] for i in members]
             scales = [scale] * len(members)
-            w, l1, l2 = pberm(np.stack([bias[i].w for i in members]), data, lam, cfg, scales,
+            w, l1, l2 = pberm(np.stack([bias[i] for i in members]), data, lam, cfg, scales,
                               noise_seeds, train_seeds, member_rows)
             for j, i in enumerate(members):
-                run = runs[i]
-                spec = NoiseSpec(scale, w[j].shape, noise_seeds[j]) if scale else None
-                run.models[mid] = ModelWeights(w[j])
-                run.perturbed[mid] = PerturbedModel(run.models[mid], l1[j], l2[j], spec)
+                runs[i].trained[mid] = w[j]
+                runs[i].noise[mid] = (l1[j], l2[j], scale, noise_seeds[j] if scale else None)
     for run in runs:
-        skipped_ids = {e.model_id for e in run.skipped}
+        skipped_ids = {e.model_id for e in run.skipped_events}
         run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
     return runs
 
@@ -550,20 +559,15 @@ class TestWaves:
             references[name, nonprivate] = reference_execute(sched, stream, 1.0, cfg, EPS,
                                                              nonprivate, self.SEEDS)
         refs = references[name, nonprivate]
-        for run, ref in zip(runs, refs, strict=True):
-            assert list(run.models) == list(ref.models)
-            for mid, w in ref.models.items():
-                np.testing.assert_array_equal(run.models[mid].w, w.w)
-            assert list(run.perturbed) == list(ref.perturbed)
-            for mid, pm in ref.perturbed.items():
-                np.testing.assert_array_equal(run.perturbed[mid].weights.w, pm.weights.w)
-                assert run.perturbed[mid].spec == pm.spec
-                assert run.perturbed[mid].noise_l1 == pm.noise_l1
-                assert run.perturbed[mid].noise_l2 == pm.noise_l2
-            assert run.skipped == ref.skipped
+        for run, ref in zip(map(records, runs), refs, strict=True):
+            assert list(run.trained) == list(ref.trained)
+            for mid, w in ref.trained.items():
+                np.testing.assert_array_equal(run.trained[mid], w)
+            assert run.noise == ref.noise
+            assert run.skipped_events == ref.skipped_events
             assert run.releases == ref.releases
         if name.endswith("sample"):
-            assert any(run.skipped for run in runs)
+            assert any(run.skip.any() for run in runs)
 
     def test_sliding_trains_in_few_stacked_calls(self, monkeypatch):
         # a structural guard: a return to one SGD call per event fails it
@@ -573,7 +577,7 @@ class TestWaves:
         calls = []
 
         def counted(*args, _fn=erm.sgd_train, **kw):
-            calls.append(len(args[3]) if len(args) > 3 else 1)
+            calls.append(len(args[4]))  # the seeds
             return _fn(*args, **kw)
         monkeypatch.setattr(schedulers, "_WORKERS", 1)  # count every call here
         monkeypatch.setattr(erm, "sgd_train", counted)
@@ -595,7 +599,7 @@ class TestWaves:
 
         def recorded(*args, _fn=erm.sgd_train, **kw):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(args[3])}\n")
+                fh.write(f"{os.getpid()} {len(args[4])}\n")
             return _fn(*args, **kw)
         monkeypatch.setattr(erm, "sgd_train", recorded)
         execute(sched, stream, cfg, seeds=seeds)
@@ -778,9 +782,8 @@ class TestLanes:
             holder.join()
         for run, ref in zip(runs, one_lane):
             assert run.releases == ref.releases
-            for mid, pm in ref.perturbed.items():
-                np.testing.assert_array_equal(run.models[mid].w, pm.weights.w)
-                assert run.perturbed[mid].noise_l2 == pm.noise_l2
+            np.testing.assert_array_equal(run.weights, ref.weights)
+            np.testing.assert_array_equal(run.noise_l2, ref.noise_l2)
 
 
 class TestSkippedEvents:
@@ -795,21 +798,24 @@ class TestSkippedEvents:
                        seeds=(0, 1, 2, 3, 4))
         for run in runs:
             released = {mid for _, mid in run.releases}
-            for e in run.skipped:
-                # resolved to its bias model: not trained or released
+            for e in sched.events:
+                if e.adopt or not run.skip[e.model_id]:
+                    continue
+                # resolved to its bias model: not trained, perturbed or released
                 assert e.sampled_rule is not None and e.reg_source is not None
-                np.testing.assert_array_equal(run.models[e.model_id].w,
-                                              run.models[e.reg_source].w)
-                assert e.model_id not in run.perturbed and e.model_id not in released
-        assert any(run.skipped for run in runs)
+                np.testing.assert_array_equal(run.weights[e.model_id],
+                                              run.weights[e.reg_source])
+                assert run.noise_l2[e.model_id] == 0 and e.model_id not in released
+        assert any(run.skip.any() for run in runs)
 
     def test_skipped_psgd_event_resolves_to_zero_model(self):
         stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1)).data
         sched = multires_schedule(stream.n, 2, EPS, 1.0, 0.2, sampled=True)
         run = execute(sched, stream, TrainConfig(iterations=3, minibatch=8, seed=0))
-        assert run.skipped
-        for e in run.skipped:
-            assert not run.models[e.model_id].w.any()
+        assert run.skip.any()
+        for e in sched.events:
+            if run.skip[e.model_id]:
+                assert not run.weights[e.model_id].any()
 
 
 def reference_noise_scale(kind: str, **params) -> float:
@@ -938,8 +944,12 @@ class TestTraceLines:
     ], ids=["public-k3", "public-k10", "public-float64", "flag", "flag-int", "inf", "nan"])
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_every_line_is_json_dumps_and_reads_back(self, name, L, tmp_path):
-        sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, L, B=4, b0=2, w=7,
-                                               w0=1), 40)
+        # laplace_scale refuses a non-finite L, so an inf or nan scale is set by hand
+        sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, L if math.isfinite(L)
+                                               else 1.0, B=4, b0=2, w=7, w0=1), 40)
+        if not math.isfinite(L):
+            for e in sched.events:
+                e.noise_scale = L
         path = tmp_path / "trace.jsonl"
         schedulers.export_trace(sched, path)
         lines = path.read_text().splitlines()

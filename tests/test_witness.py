@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from streamdp import Dataset, SchedulerConfig
-from streamdp.erm import ModelWeights, RegularizerSpec, TrainConfig, lipschitz_public, sgd_train
+from streamdp.erm import TrainConfig, lipschitz_public, sgd_train
 from streamdp.rng import make_rng
 from streamdp.schedulers import build_schedule, execute
 
@@ -69,7 +69,6 @@ def test_noise_covers_a_replaced_point(sched):
                             w=sched.w, w0=sched.w0)
     schedule = build_schedule(sched, N)
     run = execute(schedule, stream, TRAIN)
-    zero = ModelWeights(np.zeros((K, D)))
     worst = []
     for e in schedule.events:
         if e.adopt or e.eps == 0:
@@ -78,12 +77,13 @@ def test_noise_covers_a_replaced_point(sched):
         data = Dataset(np.vstack([stream.X, cand_X]), np.concatenate([stream.y, cand_y]), K)
         rows = np.arange(e.a, e.b + 1)
         neighbours = [np.concatenate([[N + j], rows[1:]]) for j in range(len(cand_y))]
-        bias = zero if e.reg_source is None else run.models[e.reg_source]
+        # the run's weights hold the zero model in their last slot
+        bias = run.weights[-1 if e.reg_source is None else e.reg_source]
         seed = int(make_rng(SEED, "train", e.model_id).integers(0, 2**63 - 1))
         members = 1 + len(neighbours)
-        models = sgd_train(data, [RegularizerSpec(schedule.lam, bias)] * members, TRAIN,
+        models = sgd_train(data, np.repeat(bias[None], members, axis=0), TRAIN, schedule.lam,
                            [seed] * members, [rows, *neighbours])
-        realised = max(np.abs(m.w - models[0].w).sum() for m in models[1:]) / e.noise_scale
+        realised = max(np.abs(m - models[0]).sum() for m in models[1:]) / e.noise_scale
         worst.append((realised / float(e.eps), e.t, e.kind, e.a, e.b))
     if not worst:  # not an AssertionError: the expected failure is the calibration's alone
         pytest.fail("no trained event to retrain")
