@@ -174,10 +174,12 @@ class SynthConfig:
     def __post_init__(self):
         if self.k < 2:
             raise HarnessError("need at least 2 classes")
-        if self.sigma <= 0:
-            raise HarnessError("sigma must be positive")
-        if self.drift_rate < 0:
-            raise HarnessError("drift_rate must be nonnegative")
+        if self.n < 0:
+            raise HarnessError(f"n must be >= 0, got {self.n}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise HarnessError(f"sigma must be finite and positive, got {self.sigma}")
+        if not (math.isfinite(self.drift_rate) and self.drift_rate >= 0):
+            raise HarnessError(f"drift_rate must be finite and nonnegative, got {self.drift_rate}")
         if self.d < 2:
             raise HarnessError("need d >= 2 for rotating class means")
 
@@ -230,7 +232,6 @@ class MetricsRecord:
     acc_old: float | None
     noise_l2: float
     eps_max: Fraction
-    bound: float | None
     seed: int
 
 
@@ -305,7 +306,6 @@ def replay(
         acc_old=acc_old[r],
         noise_l2=noise_l2[r],
         eps_max=eps_max[t],
-        bound=None,
         seed=seed,
     ) for r, (seed, t, mid) in enumerate(released)]
 
@@ -385,7 +385,7 @@ def accuracy_quartiles(records, field_name="acc_test"):
 
 CSV_HEADER = (
     "t,scheduler,kind,eps,lambda,batch,acc_recent,acc_test,acc_old,"
-    "noise_l2,eps_max_num,eps_max_den,bound,seed"
+    "noise_l2,eps_max_num,eps_max_den,seed"
 )
 
 
@@ -396,7 +396,7 @@ def _record_row(r: MetricsRecord):
     return [
         r.t, r.scheduler, r.kind, repr(r.eps), repr(r.lam), r.batch,
         opt(r.acc_recent), opt(r.acc_test), opt(r.acc_old), repr(r.noise_l2),
-        r.eps_max.numerator, r.eps_max.denominator, opt(r.bound), r.seed,
+        r.eps_max.numerator, r.eps_max.denominator, r.seed,
     ]
 
 
@@ -417,8 +417,7 @@ def export_metrics(records, path, format: str = "csv"):
                     "acc_recent": r.acc_recent, "acc_test": r.acc_test,
                     "acc_old": r.acc_old, "noise_l2": r.noise_l2,
                     "eps_max_num": r.eps_max.numerator,
-                    "eps_max_den": r.eps_max.denominator,
-                    "bound": r.bound, "seed": r.seed,
+                    "eps_max_den": r.eps_max.denominator, "seed": r.seed,
                 }
                 fh.write(json.dumps(rec) + "\n")
     else:

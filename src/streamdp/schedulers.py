@@ -277,15 +277,6 @@ def baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L) -> Schedule:
     )
 
 
-@dataclass
-class _Bucket:
-    a: int
-    b: int
-    blocks: int  # size in units of w0
-    side: str
-    model_id: int | None = None
-
-
 def window_shape(w: int, w0: int) -> int:
     """Validate w = (2^k - 1) * w0 with k >= 2 and return k."""
     if w0 < 1 or w % w0:
@@ -296,87 +287,60 @@ def window_shape(w: int, w0: int) -> int:
     return blocks.bit_length() - 1
 
 
-def _decompose(a: int, b: int, w0: int) -> list[_Bucket]:
-    """Split [a, b] (holding 2^m - 1 blocks) oldest-to-newest into sizes 1,2,4,..."""
-    out = []
-    pos, size = a, 1
-    while pos <= b:
-        out.append(_Bucket(pos, pos + size * w0 - 1, size, "left"))
-        pos += size * w0
-        size *= 2
-    return out
-
-
 def _sliding_steps(T, w, w0):
-    """The sliding window's release steps on a stream of length T.
+    """The sliding window's release steps on a stream of length T, in closed
+    form.
 
-    Yields (t, kind, chain, trained) per step: chain is the window's
-    buckets after the step in descending size order (base first, sizes are
-    disjoint), and trained the (position in chain, bucket) pairs retrained
-    at it, exactly the buckets whose interval changed, each given the next
-    model id. The buckets are reused from step to step, so read each step
-    before the next.
+    Step n fires at t = w - 1 + n*w0 and covers the window [t - w + 1, t] of
+    2^k - 1 blocks of w0 points, k = `window_shape(w, w0)`. With
+    r = n mod 2^(k-1), the base bucket holds 2^(k-1) blocks, the left side
+    the binary decomposition of the 2^(k-1) - 1 - r blocks before it,
+    smallest oldest, and the right side that of the r blocks after it,
+    largest next to the base. Yields (t, kind, chain, trained) per step:
+    chain is the window's buckets as (a, b, side, blocks, model_id) tuples,
+    base first, then by descending size with a left bucket before a right
+    one of the same size; trained holds the chain positions of the buckets
+    whose interval was not in the previous step's chain, each given the
+    next model id in chain order. The others keep their model ids. The kind
+    is WindowInit at n = 0, WindowRefresh where r = 0 and WindowAdvance
+    otherwise.
     """
     k = window_shape(w, w0)
-    base_blocks = 2 ** (k - 1)
-    cap = base_blocks - 1  # side capacity in w0-blocks
+    cycle = 2 ** (k - 1)
     ids = itertools.count()
-    left: list[_Bucket] = []
-    base: _Bucket | None = None
-    right: list[_Bucket] = []
-
-    def step(t, kind, to_train):
-        chain = [base] + sorted(left + right, key=lambda bk: -bk.blocks)
-        wanted = {id(bk) for bk in to_train}
-        trained = [(idx, bk) for idx, bk in enumerate(chain) if id(bk) in wanted]
-        for _, bucket in trained:
-            bucket.model_id = next(ids)
-        return t, kind, chain, trained
-
-    def init_window(t, kind):
-        nonlocal base, left, right
+    prev = {}  # (a, b) -> model id, of the previous step's chain
+    for n, t in enumerate(range(w - 1, T, w0)):
+        r = n % cycle
+        left = cycle - 1 - r
         start = t - w + 1
-        if kind == "WindowInit":
-            base = _Bucket(start + cap * w0, t, base_blocks, "base")
-            left = _decompose(start, start + cap * w0 - 1, w0)
-        else:  # refresh: new base from the right region plus the new block
-            old_base = base
-            base = _Bucket(old_base.b + 1, t, base_blocks, "base")
-            left = _decompose(old_base.b - cap * w0 + 1, old_base.b, w0)
-        right = []
-        return step(t, kind, [base] + left)
-
-    first = w - 1
-    if T <= first:
-        return
-    yield init_window(first, "WindowInit")
-    for t in range(first + w0, T, w0):
-        if _len_blocks(right) == cap:
-            yield init_window(t, "WindowRefresh")
-            continue
-        # binary increment on the right with the new w0 block
-        carry = _Bucket(t - w0 + 1, t, 1, "right")
-        while right and right[-1].blocks == carry.blocks:
-            prev = right.pop()
-            carry = _Bucket(prev.a, carry.b, prev.blocks * 2, "right")
-        right.append(carry)
-        to_train = [carry]
-        # binary decrement on the left: the oldest w0 block leaves the window
-        if left:
-            oldest = left[0]
-            if oldest.blocks == 1:
-                left.pop(0)
-            else:
-                left = _decompose(oldest.a + w0, oldest.b, w0) + left[1:]
-                to_train.extend(left[: _decount(oldest.blocks)])
-        yield step(t, "WindowAdvance", to_train)
+        a = start + left * w0
+        spans = [(a, a + cycle * w0 - 1, "base", cycle)]
+        for j in reversed(range(k - 1)):
+            size = 1 << j
+            if left & size:
+                a = start + (left & (size - 1)) * w0
+                spans.append((a, a + size * w0 - 1, "left", size))
+            if r & size:
+                a = t + 1 - (r & (2 * size - 1)) * w0
+                spans.append((a, a + size * w0 - 1, "right", size))
+        chain, trained = [], []
+        for idx, (a, b, side, blocks) in enumerate(spans):
+            mid = prev.get((a, b))
+            if mid is None:
+                mid = next(ids)
+                trained.append(idx)
+            chain.append((a, b, side, blocks, mid))
+        prev = {(a, b): mid for a, b, _, _, mid in chain}
+        kind = "WindowInit" if n == 0 else "WindowAdvance" if r else "WindowRefresh"
+        yield t, kind, chain, trained
 
 
 def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
     """Sliding-window release with a binary bucket structure on either side
-    of the base bucket; retrains exactly the buckets whose interval changed
-    (`_sliding_steps`), each regularized on the next larger bucket's
-    (possibly just retrained) model, and releases the smallest bucket's.
+    of the base bucket, computed per step from the step number
+    (`_sliding_steps`): retrains exactly the buckets whose interval is new,
+    each regularized on the next larger bucket's (possibly just retrained)
+    model, and releases the smallest bucket's.
     """
     k = window_shape(w, w0)
     eps = Fraction(eps)
@@ -390,37 +354,27 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
                                                    j if rule else None)))
     events, releases = [], []
     for t, kind, chain, trained in _sliding_steps(T, w, w0):
-        for idx, bucket in trained:
+        for idx in trained:
+            a, b, side, blocks, mid = chain[idx]
             if idx == 0:  # the base
-                events.append(event(t, kind, k - 1, bucket.a, bucket.b, eps / 3,
-                                    bucket.model_id, side="base"))
+                events.append(event(t, kind, k - 1, a, b, eps / 3, mid, side="base"))
             else:
-                j = bucket.blocks.bit_length() - 1
+                j = blocks.bit_length() - 1
                 charge, rule, scale = levels[j]
-                events.append(event(t, kind, j, bucket.a, bucket.b, charge, bucket.model_id,
-                                    rule, scale=scale, reg_source=chain[idx - 1].model_id,
-                                    side=bucket.side))
-        releases.append((t, chain[-1].model_id))
+                events.append(event(t, kind, j, a, b, charge, mid, rule, scale=scale,
+                                    reg_source=chain[idx - 1][4], side=side))
+        releases.append((t, chain[-1][4]))
     return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam)
 
 
 def sliding_chain(T, w, w0) -> tuple:
     """The sliding window's dependency chain after each release step of
-    `sliding_schedule(T, w, w0, ...)`, as ChainStates, from the same steps
-    (`_sliding_steps`)."""
+    `sliding_schedule(T, w, w0, ...)`, as ChainStates, from the same
+    closed-form steps (`_sliding_steps`)."""
     return tuple(
-        ChainState(t, tuple((bk.a, bk.b, bk.side, bk.model_id) for bk in chain),
-                   tuple(bk.model_id for _, bk in trained), chain[-1].model_id)
+        ChainState(t, tuple((a, b, side, mid) for a, b, side, _, mid in chain),
+                   tuple(chain[idx][4] for idx in trained), chain[-1][4])
         for t, _, chain, trained in _sliding_steps(T, w, w0))
-
-
-def _len_blocks(buckets) -> int:
-    return sum(bk.blocks for bk in buckets)
-
-
-def _decount(blocks: int) -> int:
-    """Number of buckets produced when a bucket of `blocks` loses one block."""
-    return (blocks - 1).bit_length()
 
 
 def ledger_from_events(events, budgets) -> Ledger:

@@ -428,7 +428,8 @@ class TestNoRelease:
 
 class TestUnusableNumbers:
     """Numbers that would give a noise scale that is not positive and finite,
-    or a step size that is not finite, are usage errors before training."""
+    a step size that is not finite, or a synthetic stream that cannot be
+    drawn, are usage errors before training."""
 
     RUN = ["run", "--scheduler", "continual", "--epsilon", "1", "--lambda", "1", "--B", "64",
            "--b0", "16", "--synth-n", "300", "--iters", "5"]
@@ -444,9 +445,15 @@ class TestUnusableNumbers:
         ["--lipschitz", "inf"],
         ["--gamma", "nan"],
         ["--gamma", "inf"],
+        ["--synth-sigma", "nan"],
+        ["--synth-sigma", "inf"],
+        ["--synth-drift", "nan"],
+        ["--synth-drift", "inf"],
+        ["--synth-n", "-5"],
     ], ids=["lambda-underflow", "lambda-nan", "lambda-inf", "lambda-nan-nonprivate",
             "epsilon-tiny", "epsilon-huge", "lipschitz-nan", "lipschitz-inf", "gamma-nan",
-            "gamma-inf"])
+            "gamma-inf", "synth-sigma-nan", "synth-sigma-inf", "synth-drift-nan",
+            "synth-drift-inf", "synth-n-negative"])
     def test_run_exits_1_and_writes_nothing(self, flags, capsys, tmp_path):
         code, _, err = run_cli(capsys, *self.RUN, *flags, "--output", str(tmp_path / "m.csv"),
                                "--trace", str(tmp_path / "trace.jsonl"))

@@ -201,6 +201,17 @@ class TestSynthStream:
         with pytest.raises(HarnessError):
             SynthConfig(d=5, k=2, n=10, sigma=0.1, drift_rate=-1.0)
 
+    @pytest.mark.parametrize("setting,kwargs", [
+        ("sigma", {"sigma": math.nan}),
+        ("sigma", {"sigma": math.inf}),
+        ("drift_rate", {"drift_rate": math.nan}),
+        ("drift_rate", {"drift_rate": math.inf}),
+        ("n", {"n": -5}),
+    ])
+    def test_unusable_settings_are_refused_by_name(self, setting, kwargs):
+        with pytest.raises(HarnessError, match=rf"^{setting} must be"):
+            SynthConfig(**{"d": 5, "k": 2, "n": 10, "sigma": 0.1, **kwargs})
+
     def test_shuffled_preserves_pairs(self):
         src = synth_stream(SynthConfig(d=3, k=2, n=50, sigma=0.2, seed=1))
         shuf = src.shuffled(3)
@@ -409,7 +420,7 @@ class TestExportMetrics:
         return MetricsRecord(
             t=t, scheduler="continual", kind="SmallUpdate", eps=1.0, lam=1.0,
             batch=8, acc_recent=0.5, acc_test=0.75, acc_old=None, noise_l2=0.1,
-            eps_max=Fraction(3, 4), bound=None, seed=seed,
+            eps_max=Fraction(3, 4), seed=seed,
         )
 
     def test_empty_records_header_only(self, tmp_path):
@@ -437,8 +448,8 @@ class TestExportMetrics:
             t=r["t"], scheduler=r["scheduler"], kind=r["kind"], eps=r["eps"], lam=r["lambda"],
             batch=r["batch"], acc_recent=r["acc_recent"], acc_test=r["acc_test"],
             acc_old=r["acc_old"], noise_l2=r["noise_l2"],
-            eps_max=Fraction(r["eps_max_num"], r["eps_max_den"]), bound=r["bound"],
-            seed=r["seed"]) for r in parsed] == records
+            eps_max=Fraction(r["eps_max_num"], r["eps_max_den"]), seed=r["seed"])
+            for r in parsed] == records
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(HarnessError):

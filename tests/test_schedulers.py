@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -224,18 +225,22 @@ class TestSlidingSchedule:
             assert got == want, f"t={state.t}"
 
     def test_trained_buckets_are_exactly_the_changed_ones(self):
-        w, w0 = 15, 1
-        sched = sliding_schedule(100, w, w0, EPS, 1.0, 1.0)
-        id_of = {}
-        for e in sched.events:
-            id_of[e.model_id] = (e.a, e.b)
-        prev = None
-        for state in sliding_chain(100, w, w0):
-            intervals = {(a, b) for a, b, _, _ in state.buckets}
-            trained_intervals = {id_of[m] for m in state.trained}
-            if prev is not None:
-                assert trained_intervals == intervals - prev, f"t={state.t}"
-            prev = intervals
+        # T = 4w spans at least three refresh cycles of 2^(k-1) * w0 points
+        for T, w, w0 in [(100, 15, 1), (4 * 14, 14, 2), (4 * 42, 42, 6)]:
+            sched = sliding_schedule(T, w, w0, EPS, 1.0, 1.0)
+            id_of = {}
+            for e in sched.events:
+                id_of[e.model_id] = (e.a, e.b)
+            prev = None
+            states = sliding_chain(T, w, w0)
+            refreshes = sum(st.t > w - 1 and len(st.trained) == len(st.buckets) for st in states)
+            assert refreshes >= 3, f"w={w}, w0={w0}"
+            for state in states:
+                intervals = {(a, b) for a, b, _, _ in state.buckets}
+                trained_intervals = {id_of[m] for m in state.trained}
+                if prev is not None:
+                    assert trained_intervals == intervals - prev, f"w={w}, w0={w0}, t={state.t}"
+                prev = intervals
 
     def test_released_model_is_smallest_bucket(self):
         for state in sliding_chain(60, 7, 1):
@@ -278,6 +283,28 @@ class TestSlidingSchedule:
     def test_short_stream_has_no_events(self):
         sched = sliding_schedule(6, 7, 1, EPS, 1.0, 1.0)
         assert sched.events == () and sched.releases == ()
+
+    # SHA-256 of each event's structure and of the releases, as the
+    # step-by-step bucket simulation built them before the chain was computed
+    # in closed form. noise_scale is left out: it follows from the structure
+    # and the calibration, which may change on its own.
+    @pytest.mark.parametrize("sampled,T,w,w0,digest", [
+        (False, 8000, 255, 1, "a9d00c049b48d4357defacf86599f42551a3b09688c3310873cfe079d5918283"),
+        (False, 1000, 42, 6, "ebd7efff480d582031ace7b078dda12f14efad5cb87b1a09d6e034c93c9949db"),
+        (False, 200, 7, 1, "13ce9e175844296b80babcef5d62dc14a7d2804c15c4b25c669b728e6dd8ef2b"),
+        (True, 8000, 255, 1, "8f33013f51d6be1bebf929f949a8d2557757ade72f3513ee1a7b92a7bea04dde"),
+        (True, 1000, 42, 6, "405c408b5906b37aa537123a6bb9b84fd713792f671cda1d44f3733712d1ef25"),
+        (True, 200, 7, 1, "5a04b133d31448dab53865d8a84d12437429ca2c4efe3b19e16e395412bc87b2"),
+    ], ids=["sliding-255", "sliding-42x6", "sliding-7", "sliding-sample-255",
+            "sliding-sample-42x6", "sliding-sample-7"])
+    def test_structure_is_pinned(self, sampled, T, w, w0, digest):
+        sched = sliding_schedule(T, w, w0, EPS, 1.0, 1.0, sampled)
+        h = hashlib.sha256()
+        for e in sched.events:
+            h.update(repr((e.t, e.kind, e.level, e.a, e.b, str(e.eps), e.model_id, e.reg_source,
+                           e.side, e.sampled_rule)).encode())
+        h.update(repr(sched.releases).encode())
+        assert h.hexdigest() == digest
 
 
 class TestBaselines:
