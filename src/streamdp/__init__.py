@@ -15,7 +15,6 @@ from .harness import (
     EvalConfig,
     HarnessError,
     MetricsRecord,
-    StreamSource,
     SynthConfig,
     export_metrics,
     load_csv,

@@ -29,7 +29,6 @@ from .erm import Dataset, DivergenceError, ErmError, TrainConfig, clip_l1, lipsc
 from .harness import (
     EvalConfig,
     HarnessError,
-    StreamSource,
     SynthConfig,
     accuracy_quartiles,
     export_metrics,
@@ -312,7 +311,7 @@ def _load_source(spec: str, cfg: RunConfig, classes=None) -> Dataset:
     """The data `spec` names; given `classes`, a stream's label values, a
     file's labels are indexed among them."""
     if spec == "synth":
-        return synth_stream(cfg.synth).data
+        return synth_stream(cfg.synth)
     if spec.startswith("csv:"):
         return load_csv(spec[4:], classes=classes)
     if spec.startswith("idx:"):
@@ -359,6 +358,15 @@ def _parse_charge(spec: str):
             f"invalid --inject-charge {spec!r}: expected subsystem:a:b:num/den") from exc
 
 
+def _check_output_dirs(**paths):
+    """Raise a UsageError naming the flag of the first of `paths`, a {flag:
+    path or None} map, whose directory does not exist, before anything is
+    computed or written."""
+    for flag, path in paths.items():
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"--{flag} {path}: directory {Path(path).parent} does not exist")
+
+
 def _print_report(report):
     for entry in report.entries:
         status = "ok" if entry.ok else "VIOLATION"
@@ -369,6 +377,8 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.T is not None:
         raise UsageError("run takes its length from the stream: T (--T, config key T or "
                          f"{ENV_PREFIX}T) is for inspect-schedule only")
+    # the per-seed and summary files sit beside --output
+    _check_output_dirs(output=cfg.output, trace=cfg.trace, ledger=cfg.ledger_out)
     injected = _parse_charge(cfg.inject_charge) if cfg.inject_charge else None
     stream = _load_source(cfg.source, cfg)
     if stream.k < 2:
@@ -391,7 +401,7 @@ def cmd_run(cfg: RunConfig) -> int:
         raise UsageError(f"the {sched.name} schedule releases no model on a stream of "
                          f"{stream.n} points")
     ledger = ledger_from_events(schedule.events, schedule.budgets)
-    all_records = replay(StreamSource(stream), sched, ev, schedule, ledger)
+    all_records = replay(stream, sched, ev, schedule, ledger)
     for seed in seeds:
         records = [r for r in all_records if r.seed == seed]
         export_metrics(records, _seed_path(cfg.output, seed, multi), cfg.format)
@@ -425,6 +435,7 @@ def _summary_path(output: str) -> str:
 def cmd_inspect_schedule(cfg: RunConfig) -> int:
     if cfg.T is None:
         raise UsageError("inspect-schedule requires --T")
+    _check_output_dirs(trace=cfg.trace)
     # no stream to bound L from: L=1 unless --lipschitz is given
     sched = cfg.sched if cfg.sched.L is not None else replace(cfg.sched, L=1.0)
     schedule = build_schedule(sched, cfg.T)

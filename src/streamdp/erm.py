@@ -96,7 +96,6 @@ class TrainConfig:
     iterations: int = 500
     minibatch: int = 256
     passes: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.gamma > 0 and math.isfinite(self.gamma)):

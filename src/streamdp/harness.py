@@ -28,9 +28,7 @@ from .schedulers import (
     Schedule,
     SchedulerConfig,
     _map_lanes,
-    build_schedule,
     execute,
-    ledger_from_events,
 )
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -184,19 +182,7 @@ class SynthConfig:
             raise HarnessError("need d >= 2 for rotating class means")
 
 
-@dataclass(frozen=True)
-class StreamSource:
-    """A materialized stream, optionally reshuffled for randomized ordering."""
-
-    data: Dataset
-
-    def shuffled(self, seed: int) -> "StreamSource":
-        rng = make_rng(seed, "shuffle")
-        perm = rng.permutation(self.data.n)
-        return StreamSource(self.data.take(perm))
-
-
-def synth_stream(cfg: SynthConfig) -> StreamSource:
+def synth_stream(cfg: SynthConfig) -> Dataset:
     """Example t: uniform class c, features = mean_c(t) + sigma * gaussian,
     where mean_c(t) sits on the unit circle in coordinates (0, 1) at angle
     2*pi*c/k + drift_rate*t. Deterministic per seed.
@@ -208,7 +194,7 @@ def synth_stream(cfg: SynthConfig) -> StreamSource:
     X = cfg.sigma * rng.standard_normal((cfg.n, cfg.d))
     X[:, 0] += np.cos(angles)
     X[:, 1] += np.sin(angles)
-    return StreamSource(Dataset(X, classes, cfg.k))
+    return Dataset(X, classes, cfg.k)
 
 
 @dataclass(frozen=True)
@@ -236,18 +222,19 @@ class MetricsRecord:
 
 
 def replay(
-    source: StreamSource, sched: SchedulerConfig, ev: EvalConfig,
-    schedule: Schedule | None = None, ledger: Ledger | None = None,
+    stream: Dataset, sched: SchedulerConfig, ev: EvalConfig,
+    schedule: Schedule, ledger: Ledger,
 ) -> list[MetricsRecord]:
     """Run the schedule over the stream for every seed and score every release.
 
-    `schedule` is the one built from `sched` for this stream and `ledger`
-    holds its charges (`ledger_from_events`); each is built here when not
-    given. `execute` trains all seeds and the independent events of each
-    dependency wave in lockstep; the records come seed by seed, each seed's
-    releases in time order. acc_recent uses the trailing `batch` points at
-    the release step, acc_test the fixed held-out set, acc_old the batch
-    preceding the model's training interval (None at the stream head).
+    `schedule` is the one `build_schedule` builds from `sched` for this
+    stream, and `ledger` holds its charges (`ledger_from_events`); in
+    non-private mode the ledger is not read. `execute` trains all seeds
+    and the independent events of each dependency wave in lockstep; the
+    records come seed by seed, each seed's releases in time order.
+    acc_recent uses the trailing `batch` points at the release step,
+    acc_test the fixed held-out set, acc_old the batch preceding the
+    model's training interval (None at the stream head).
     The released models of every seed are gathered from the runs' weight
     arrays into one (R, k, d) array, and noise_l2 from their noise-norm
     columns. `evaluate_accuracy` scores slices of that array against the
@@ -260,16 +247,11 @@ def replay(
     to the ledger afterwards do not reach it. In non-private mode nothing is
     charged and eps_max stays 0.
     """
-    stream = source.data
-    if schedule is None:
-        schedule = build_schedule(sched, stream.n)
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
     # an adopted continual base is its multires model, trained on [0, t - 1]
     start_of = {e.model_id: e.a for e in schedule.events}
     batch = sched.batch
     results = execute(schedule, stream, ev.train, nonprivate=ev.nonprivate, seeds=ev.seeds)
-    if ledger is None and not ev.nonprivate:
-        ledger = ledger_from_events(schedule.events, schedule.budgets)
     running = RunningMax(Ledger() if ev.nonprivate else ledger)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
     releases = [result.releases for result in results]
@@ -358,28 +340,16 @@ def _test_accuracy(models: np.ndarray, test: Dataset | None) -> list:
     return [acc for accs in _map_lanes(score, chunks) for acc in accs]
 
 
-def _final_accuracy_by_seed(records, field_name="acc_test") -> dict[int, float]:
-    """Accuracy of the last release in each seed's run."""
-    out = {}
+def accuracy_quartiles(records):
+    """The quartiles of the seeds' final acc_test: each seed's acc_test at
+    its last release scored on a test set."""
+    final = {}
     for r in records:
-        v = getattr(r, field_name)
-        if v is not None:
-            out[r.seed] = v  # records are in (seed, t) order; last write wins
-    return out
-
-
-def median_final_accuracy(records, field_name="acc_test") -> float:
-    vals = list(_final_accuracy_by_seed(records, field_name).values())
-    if not vals:
+        if r.acc_test is not None:
+            final[r.seed] = r.acc_test  # records are in (seed, t) order; last write wins
+    if not final:
         raise HarnessError("no evaluated releases to aggregate")
-    return float(np.median(vals))
-
-
-def accuracy_quartiles(records, field_name="acc_test"):
-    vals = list(_final_accuracy_by_seed(records, field_name).values())
-    if not vals:
-        raise HarnessError("no evaluated releases to aggregate")
-    q25, q50, q75 = np.percentile(vals, [25, 50, 75])
+    q25, q50, q75 = np.percentile(list(final.values()), [25, 50, 75])
     return float(q25), float(q50), float(q75)
 
 

@@ -438,15 +438,15 @@ def execute(
     stream: Dataset,
     train_cfg: TrainConfig,
     nonprivate: bool = False,
-    seeds=None,
-):
-    """Run a schedule against a stream: train and perturb its models.
+    *,
+    seeds,
+) -> list[RunResult]:
+    """Run a schedule against a stream: train and perturb its models for
+    each of `seeds`, a sequence, returning one RunResult per seed.
 
-    With seeds=None this runs train_cfg.seed and returns its RunResult;
-    given a sequence of seeds it returns one RunResult per seed. The
-    schedule is RNG-free, so every seed trains the same events on the same
-    slices, and events are trained in dependency waves: an event's wave is
-    one more than its `reg_source`'s, and events without one are wave 1, so
+    The schedule is RNG-free, so every seed trains the same events on the
+    same slices, and events are trained in dependency waves: an event's wave
+    is one more than its `reg_source`'s, and events without one are wave 1, so
     the events of a wave are independent of each other. Each wave's (event,
     seed) members are grouped by minibatch size min(minibatch, n), and each
     group is trained in lockstep by `pberm` with the schedule's lambda
@@ -483,8 +483,7 @@ def execute(
     the event and seed of the first diverged member in wave order, whichever
     lane finishes first.
     """
-    single = seeds is None
-    seeds = (train_cfg.seed,) if single else tuple(seeds)
+    seeds = tuple(seeds)
     trained = [e for e in schedule.events if not e.adopt]
     for e in trained:
         if e.b >= stream.n:
@@ -543,9 +542,8 @@ def execute(
             weights[seat, mids], noise_l1[seat, mids], noise_l2[seat, mids] = result
 
     events = tuple(trained)
-    runs = [RunResult(events, weights[i], noise_l1[i], noise_l2[i], scale, noise_seeds[i],
+    return [RunResult(events, weights[i], noise_l1[i], noise_l2[i], scale, noise_seeds[i],
                       skip[i], schedule.releases) for i in range(len(seeds))]
-    return runs[0] if single else runs
 
 
 def _map_lanes(fn, items) -> list:

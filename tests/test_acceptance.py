@@ -19,7 +19,6 @@ from streamdp import (
     EvalConfig,
     Ledger,
     SchedulerConfig,
-    StreamSource,
     SynthConfig,
     laplace_noise,
     sampling_probability,
@@ -27,7 +26,8 @@ from streamdp import (
     synth_stream,
 )
 from streamdp.erm import lipschitz_public, loss_and_gradient
-from streamdp.harness import median_final_accuracy
+from streamdp.harness import accuracy_quartiles
+from streamdp.rng import make_rng
 from streamdp.schedulers import (
     continual_schedule,
     ledger_from_events,
@@ -35,7 +35,7 @@ from streamdp.schedulers import (
     sliding_chain,
     sliding_schedule,
 )
-from conftest import random_dataset
+from conftest import random_dataset, replay_run
 from test_schedulers import oracle_continual, oracle_multires, oracle_sliding_buckets
 
 
@@ -50,7 +50,7 @@ EPS = Fraction(1)
 
 @pytest.fixture(scope="module")
 def synth_data():
-    data = synth_stream(SynthConfig(d=20, k=3, n=25000, sigma=0.5, seed=0)).data
+    data = synth_stream(SynthConfig(d=20, k=3, n=25000, sigma=0.5, seed=0))
     return data.slice(0, 19999), data.slice(20000, 24999)
 
 
@@ -222,13 +222,11 @@ def test_criterion_6_utility_trend(synth_data):
     medians = {}
     for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1)):
         sched = SchedulerConfig("continual", eps, 1.0, L, B=4096, b0=512)
-        recs = sd.replay(StreamSource(stream), sched, EvalConfig(test=test, seeds=seeds))
-        medians[eps] = median_final_accuracy(recs)
+        recs = replay_run(stream, sched, EvalConfig(test=test, seeds=seeds))
+        medians[eps] = accuracy_quartiles(recs)[1]
     sched = SchedulerConfig("continual", Fraction(1), 1.0, L, B=4096, b0=512)
-    recs = sd.replay(
-        StreamSource(stream), sched, EvalConfig(test=test, seeds=seeds, nonprivate=True)
-    )
-    nonpriv = median_final_accuracy(recs)
+    recs = replay_run(stream, sched, EvalConfig(test=test, seeds=seeds, nonprivate=True))
+    nonpriv = accuracy_quartiles(recs)[1]
     ordered = [medians[Fraction(1, 100)], medians[Fraction(1, 10)], medians[Fraction(1)]]
     trend_ok = ordered[0] <= ordered[1] <= ordered[2]
     close_ok = abs(medians[Fraction(1)] - nonpriv) <= 0.03
@@ -244,16 +242,16 @@ def test_criterion_7_continual_beats_independent_baseline(synth_data):
     L = lipschitz_public(3, 512)
     seeds = (1, 2, 3, 4)
     eps = Fraction(1, 10)
-    cont = median_final_accuracy(sd.replay(
-        StreamSource(stream),
+    cont = accuracy_quartiles(replay_run(
+        stream,
         SchedulerConfig("continual", eps, 1.0, L, B=4096, b0=512),
         EvalConfig(test=test, seeds=seeds),
-    ))
-    base = median_final_accuracy(sd.replay(
-        StreamSource(stream),
+    ))[1]
+    base = accuracy_quartiles(replay_run(
+        stream,
         SchedulerConfig("baseline-independent", eps, 1.0, L, b0=512),
         EvalConfig(test=test, seeds=seeds),
-    ))
+    ))[1]
     elapsed = time.time() - start
     check(7, f"continual {cont:.4f} >= independent baseline {base:.4f} ({elapsed:.0f}s)",
           cont >= base and elapsed < 600)
@@ -277,19 +275,18 @@ def test_criterion_8_image_stream_reproduction():
     images, labels, t_images, t_labels = _mnist_paths()
     train = sd.load_idx(images, labels)
     test = sd.load_idx(t_images, t_labels)
-    stream = StreamSource(train).shuffled(0).data.slice(0, 19999)
+    stream = train.take(make_rng(0, "shuffle").permutation(train.n)).slice(0, 19999)
     L = lipschitz_public(stream.k, 1024)
     seeds = (1, 2, 3, 4)
     results = {}
     for eps in (Fraction(1, 10), Fraction(1)):
         sched = SchedulerConfig("continual", eps, 1.0, L, B=8192, b0=1024)
-        recs = sd.replay(StreamSource(stream), sched, EvalConfig(test=test, seeds=seeds))
-        results[eps] = median_final_accuracy(recs)
+        recs = replay_run(stream, sched, EvalConfig(test=test, seeds=seeds))
+        results[eps] = accuracy_quartiles(recs)[1]
     sched = SchedulerConfig("continual", Fraction(1), 1.0, L, B=8192, b0=1024)
-    nonpriv = median_final_accuracy(sd.replay(
-        StreamSource(stream), sched,
-        EvalConfig(test=test, seeds=seeds, nonprivate=True),
-    ))
+    nonpriv = accuracy_quartiles(replay_run(
+        stream, sched, EvalConfig(test=test, seeds=seeds, nonprivate=True),
+    ))[1]
     ok = all(abs(results[eps] - nonpriv) <= 0.03 for eps in results)
     elapsed = time.time() - start
     check(8, f"image stream: private {results} vs nonprivate {nonpriv:.4f} "

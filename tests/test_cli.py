@@ -228,15 +228,14 @@ class TestRun:
 
     def test_builds_the_ledger_once_and_keeps_injected_charges_out_of_eps_max(
             self, capsys, tmp_path, monkeypatch):
-        from streamdp import cli, harness
+        from streamdp import cli
 
         calls = []
 
         def counted(*args, _fn=cli.ledger_from_events):
             calls.append(args)
             return _fn(*args)
-        for module in (cli, harness):
-            monkeypatch.setattr(module, "ledger_from_events", counted)
+        monkeypatch.setattr(cli, "ledger_from_events", counted)
         metrics = {}
         for inject in (False, True):
             out_path = tmp_path / f"m{inject}.csv"
@@ -424,6 +423,34 @@ class TestNoRelease:
             "--trace", str(tmp_path / "trace.jsonl"), "--ledger", str(tmp_path / "l.jsonl"))
         assert code == EXIT_USAGE and "releases no model on a stream of 75 points" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputDirectories:
+    """An output path whose directory does not exist is a usage error naming
+    its flag, raised before any data is loaded, trained or written."""
+
+    @pytest.mark.parametrize("seeds", ["1", "1,2"])
+    @pytest.mark.parametrize("flag", ["--output", "--trace", "--ledger"])
+    def test_run_exits_1_before_loading_data(self, flag, seeds, capsys, tmp_path, monkeypatch):
+        from streamdp import cli
+
+        def no_load(*args):
+            raise AssertionError("data loaded")
+        monkeypatch.setattr(cli, "_load_source", no_load)
+        paths = {"--output": "m.csv", "--trace": "t.jsonl", "--ledger": "l.jsonl"}
+        argv = [*BASE_RUN, "--seeds", seeds]
+        for f, name in paths.items():
+            argv += [f, str(tmp_path / "missing" / name if f == flag else tmp_path / name)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and flag in err and "missing" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_inspect_schedule_exits_1_on_a_missing_trace_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "inspect-schedule", "--scheduler", "multires", "--B", "2", "--T", "9",
+            "--epsilon", "1", "--lambda", "1", "--trace", str(tmp_path / "missing" / "x.jsonl"))
+        assert code == EXIT_USAGE and "--trace" in err and "missing" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestUnusableNumbers:

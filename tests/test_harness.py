@@ -2,7 +2,6 @@ import json
 import math
 import os
 import threading
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,22 +12,20 @@ from streamdp import (
     HarnessError,
     MetricsRecord,
     SchedulerConfig,
-    StreamSource,
     SynthConfig,
     TrainConfig,
     evaluate_accuracy,
     export_metrics,
     load_csv,
     load_idx,
-    replay,
     sgd_train,
     synth_stream,
 )
 from streamdp.cli import SCHEDULERS
-from streamdp.harness import CSV_HEADER
+from streamdp.harness import CSV_HEADER, accuracy_quartiles
 from streamdp.ledger import Ledger
 from streamdp.schedulers import build_schedule, execute, ledger_from_events
-from conftest import idx_images_bytes, idx_labels_bytes
+from conftest import idx_images_bytes, idx_labels_bytes, replay_run
 
 
 class TestLoadIdx:
@@ -173,14 +170,14 @@ class TestLoadCsv:
 class TestSynthStream:
     def test_same_seed_identical(self):
         cfg = SynthConfig(d=5, k=3, n=100, sigma=0.2, seed=9)
-        a = synth_stream(cfg).data
-        b = synth_stream(cfg).data
+        a = synth_stream(cfg)
+        b = synth_stream(cfg)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_stationary_stream_is_learnable(self):
         cfg = SynthConfig(d=5, k=3, n=2000, sigma=0.1, drift_rate=0.0, seed=4)
-        data = synth_stream(cfg).data
+        data = synth_stream(cfg)
         w = sgd_train(data.slice(0, 999), np.zeros((1, 3, 5)), TrainConfig(iterations=300),
                       0.01, (0,))
         assert evaluate_accuracy(w, data.slice(1000, 1999))[0] >= 0.95
@@ -188,7 +185,7 @@ class TestSynthStream:
     def test_full_rotation_flips_the_classes(self):
         n = 2000
         cfg = SynthConfig(d=4, k=2, n=n, sigma=0.1, drift_rate=math.pi / n, seed=5)
-        data = synth_stream(cfg).data
+        data = synth_stream(cfg)
         w = sgd_train(data.slice(0, 399), np.zeros((1, 2, 4)), TrainConfig(iterations=300),
                       0.01, (0,))
         assert evaluate_accuracy(w, data.slice(n - 400, n - 1))[0] < 0.5
@@ -212,19 +209,11 @@ class TestSynthStream:
         with pytest.raises(HarnessError, match=rf"^{setting} must be"):
             SynthConfig(**{"d": 5, "k": 2, "n": 10, "sigma": 0.1, **kwargs})
 
-    def test_shuffled_preserves_pairs(self):
-        src = synth_stream(SynthConfig(d=3, k=2, n=50, sigma=0.2, seed=1))
-        shuf = src.shuffled(3)
-        order = np.lexsort(src.data.X.T)
-        order2 = np.lexsort(shuf.data.X.T)
-        np.testing.assert_array_equal(src.data.X[order], shuf.data.X[order2])
-        np.testing.assert_array_equal(src.data.y[order], shuf.data.y[order2])
-
 
 class TestReplay:
     def setup_method(self):
-        data = synth_stream(SynthConfig(d=4, k=2, n=300, sigma=0.3, seed=8)).data
-        self.stream = StreamSource(data.slice(0, 199))
+        data = synth_stream(SynthConfig(d=4, k=2, n=300, sigma=0.3, seed=8))
+        self.stream = data.slice(0, 199)
         self.test = data.slice(200, 299)
         self.sched = SchedulerConfig(
             "continual", Fraction(1), 1.0, 0.2, B=32, b0=8
@@ -233,38 +222,36 @@ class TestReplay:
 
     def test_records_cover_all_releases(self):
         ev = EvalConfig(test=self.test, seeds=(0,), train=self.train)
-        recs = replay(self.stream, self.sched, ev)
+        recs = replay_run(self.stream, self.sched, ev)
         assert recs
         assert all(0.0 <= r.acc_test <= 1.0 for r in recs)
         assert all(r.scheduler == "continual" for r in recs)
 
     def test_eps_max_nondecreasing(self):
         ev = EvalConfig(test=self.test, seeds=(0,), train=self.train)
-        recs = replay(self.stream, self.sched, ev)
+        recs = replay_run(self.stream, self.sched, ev)
         for a, b in zip(recs, recs[1:]):
             assert b.eps_max >= a.eps_max
 
     def test_nonprivate_matches_plain_pipeline_bitwise(self):
         ev = EvalConfig(test=self.test, seeds=(0,), nonprivate=True, train=self.train)
-        r1 = replay(self.stream, self.sched, ev)
-        r2 = replay(self.stream, self.sched, ev)
+        r1 = replay_run(self.stream, self.sched, ev)
+        r2 = replay_run(self.stream, self.sched, ev)
         assert r1 == r2
         assert all(r.noise_l2 == 0.0 and r.eps_max == 0 for r in r1)
 
     def test_median_is_seed_order_independent(self):
         ev_a = EvalConfig(test=self.test, seeds=(1, 2, 3), train=self.train)
         ev_b = EvalConfig(test=self.test, seeds=(3, 1, 2), train=self.train)
-        from streamdp.harness import median_final_accuracy
-
-        ra = replay(self.stream, self.sched, ev_a)
-        rb = replay(self.stream, self.sched, ev_b)
-        assert median_final_accuracy(ra) == median_final_accuracy(rb)
+        ra = replay_run(self.stream, self.sched, ev_a)
+        rb = replay_run(self.stream, self.sched, ev_b)
+        assert accuracy_quartiles(ra) == accuracy_quartiles(rb)
 
     def test_reevaluating_stored_model_reproduces_metrics(self):
         ev = EvalConfig(test=self.test, seeds=(0,), train=self.train)
-        recs = replay(self.stream, self.sched, ev)
-        schedule = build_schedule(self.sched, self.stream.data.n)
-        result = execute(schedule, self.stream.data, self.train)
+        recs = replay_run(self.stream, self.sched, ev)
+        schedule = build_schedule(self.sched, self.stream.n)
+        [result] = execute(schedule, self.stream, self.train, seeds=(0,))
         by_t = {r.t: r for r in recs}
         for t, mid in result.releases:
             assert by_t[t].acc_test == evaluate_accuracy(result.weights[[mid]], self.test)[0]
@@ -277,7 +264,7 @@ class TestBatchedEvaluation:
     SEEDS = (0, 1)
 
     def setup_method(self):
-        data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9)).data
+        data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9))
         self.stream, self.test = data.slice(0, 119), data.slice(120, 159)
         self.train = TrainConfig(iterations=3, minibatch=8)
 
@@ -295,12 +282,12 @@ class TestBatchedEvaluation:
         sched = SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=4 if name.startswith(
             ("multires", "sliding")) else 24, b0=12, w=7, w0=1)
         ev = EvalConfig(test=self.test, seeds=self.SEEDS, train=self.train)
-        recs = replay(StreamSource(self.stream), sched, ev)
+        recs = replay_run(self.stream, sched, ev)
         schedule = build_schedule(sched, self.stream.n)
         start_of = {e.model_id: e.a for e in schedule.events}
         short = 0
         for seed in self.SEEDS:
-            result = execute(schedule, self.stream, replace(self.train, seed=seed))
+            [result] = execute(schedule, self.stream, self.train, seeds=(seed,))
             seed_recs = [r for r in recs if r.seed == seed]
             assert len(seed_recs) == len(result.releases)
             for r, (t, mid) in zip(seed_recs, result.releases):
@@ -326,7 +313,7 @@ class TestReplayEpsMaxDifferential:
     SEEDS = (0, 1)
 
     def setup_method(self):
-        self.stream = synth_stream(SynthConfig(d=4, k=2, n=96, sigma=0.3, seed=3)).data
+        self.stream = synth_stream(SynthConfig(d=4, k=2, n=96, sigma=0.3, seed=3))
         self.train = TrainConfig(iterations=3, minibatch=8)
 
     def sched(self, name):
@@ -344,12 +331,12 @@ class TestReplayEpsMaxDifferential:
     def test_matches_brute_force_point_loss(self, name):
         sched = self.sched(name)
         ev = EvalConfig(seeds=self.SEEDS, train=self.train)
-        recs = replay(StreamSource(self.stream), sched, ev)
+        recs = replay_run(self.stream, sched, ev)
         schedule = build_schedule(sched, self.stream.n)
         # a sampled release's charge stands when its subsample is empty
         charged = ledger_from_events(schedule.events, schedule.budgets)
         for seed in self.SEEDS:
-            result = execute(schedule, self.stream, replace(self.train, seed=seed))
+            [result] = execute(schedule, self.stream, self.train, seeds=(seed,))
             if name == "multires-sample":
                 assert result.skip.any()
             seed_recs = [r for r in recs if r.seed == seed]
@@ -364,7 +351,7 @@ class TestReplayEpsMaxDifferential:
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_nonprivate_eps_max_is_zero(self, name):
         ev = EvalConfig(seeds=(0,), nonprivate=True, train=self.train)
-        recs = replay(StreamSource(self.stream), self.sched(name), ev)
+        recs = replay_run(self.stream, self.sched(name), ev)
         assert recs and all(r.eps_max == 0 for r in recs)
 
 
@@ -380,8 +367,8 @@ class TestScoringLanes:
     def test_records_do_not_depend_on_the_lanes(self, sched, monkeypatch, tmp_path):
         from streamdp import harness, schedulers
 
-        data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9)).data
-        stream, test = StreamSource(data.slice(0, 119)), data.slice(120, 159)
+        data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9))
+        stream, test = data.slice(0, 119), data.slice(120, 159)
         ev = EvalConfig(test=test, seeds=(0, 1), train=TrainConfig(iterations=3, minibatch=8))
         monkeypatch.setattr(harness, "_STACK_BYTES", 2000)  # many chunks to deal
         log = tmp_path / "pids"
@@ -396,7 +383,7 @@ class TestScoringLanes:
             """replay's records, and the processes that scored them."""
             monkeypatch.setattr(schedulers, "_WORKERS", workers)
             log.write_text("")
-            return replay(stream, sched, ev), set(map(int, log.read_text().split()))
+            return replay_run(stream, sched, ev), set(map(int, log.read_text().split()))
 
         one, one_pids = scored(1)
         three, three_pids = scored(3)

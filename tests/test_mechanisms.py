@@ -207,11 +207,11 @@ def zero_model(data):
     return np.zeros((1, data.k, data.d))
 
 
-def pberm_one(bias, data, lam, cfg, scale, noise_seed=None):
-    """pberm of seed cfg.seed alone, with noise from noise_seed (default
-    cfg.seed): its noisy (k, d) weights, noise_l1 and noise_l2."""
-    noise_seed = cfg.seed if noise_seed is None else noise_seed
-    w, l1, l2 = pberm(bias, data, lam, cfg, [scale], [noise_seed], [cfg.seed])
+def pberm_one(bias, data, lam, cfg, scale, seed, noise_seed=None):
+    """pberm of seed alone, with noise from noise_seed (default seed): its
+    noisy (k, d) weights, noise_l1 and noise_l2."""
+    noise_seed = seed if noise_seed is None else noise_seed
+    w, l1, l2 = pberm(bias, data, lam, cfg, [scale], [noise_seed], [seed])
     return w[0], l1[0], l2[0]
 
 
@@ -219,8 +219,8 @@ class TestPsgdPberm:
     # private SGD (psgd) is pberm on the zero model: regularized toward 0
     def test_psgd_zero_delta_is_nonprivate_escape(self, rng):
         data = random_dataset(rng, 60, 3, 2)
-        cfg = TrainConfig(iterations=40, seed=5)
-        w, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.0)
+        cfg = TrainConfig(iterations=40)
+        w, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.0, 5)
         from streamdp import sgd_train
 
         np.testing.assert_array_equal(w, sgd_train(data, zero_model(data), cfg, 0.5, (5,))[0])
@@ -229,13 +229,13 @@ class TestPsgdPberm:
     def test_psgd_negative_delta_rejected(self, rng):
         data = random_dataset(rng, 20, 2, 2)
         with pytest.raises(MechanismError):
-            pberm_one(zero_model(data), data, 0.5, TrainConfig(iterations=5), -1.0)
+            pberm_one(zero_model(data), data, 0.5, TrainConfig(iterations=5), -1.0, 0)
 
     def test_psgd_noise_actually_added(self, rng):
         data = random_dataset(rng, 60, 3, 2)
-        cfg = TrainConfig(iterations=40, seed=5)
-        clean, _, _ = pberm_one(zero_model(data), data, 0.5, cfg, 0.0)
-        noisy, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.3, noise_seed=77)
+        cfg = TrainConfig(iterations=40)
+        clean, _, _ = pberm_one(zero_model(data), data, 0.5, cfg, 0.0, 5)
+        noisy, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.3, 5, noise_seed=77)
         assert l2 > 0
         np.testing.assert_array_equal(noisy - clean, laplace_one(0.3, clean.shape, 77))
         assert np.linalg.norm(noisy - clean) == pytest.approx(l2)
@@ -245,8 +245,8 @@ class TestPsgdPberm:
         data = random_dataset(rng, 30, 2, 2)
         bias = np.zeros((1, 2, 2))
         cfg = TrainConfig(iterations=10)
-        clean, _, clean_l2 = pberm_one(bias, data, 2.0, cfg, 0.0)
-        noisy, _, noisy_l2 = pberm_one(bias, data, 2.0, cfg, 0.4, noise_seed=9)
+        clean, _, clean_l2 = pberm_one(bias, data, 2.0, cfg, 0.0, 0)
+        noisy, _, noisy_l2 = pberm_one(bias, data, 2.0, cfg, 0.4, 0, noise_seed=9)
         assert clean_l2 == 0.0
         np.testing.assert_allclose(noisy - clean, laplace_one(0.4, (2, 2), 9))
         assert np.linalg.norm(noisy - clean) == pytest.approx(noisy_l2)
@@ -256,4 +256,4 @@ class TestPsgdPberm:
 
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ErmError):
-            pberm_one(np.zeros((1, 2, 2)), data, 1.0, TrainConfig(iterations=5), 1.0)
+            pberm_one(np.zeros((1, 2, 2)), data, 1.0, TrainConfig(iterations=5), 1.0, 0)

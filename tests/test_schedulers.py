@@ -18,7 +18,6 @@ from streamdp import (
     EvalConfig,
     ScheduleError,
     SchedulerConfig,
-    StreamSource,
     SynthConfig,
     baseline_basic_cumulative_schedule,
     baseline_independent_schedule,
@@ -354,41 +353,45 @@ class TestSampledVariants:
 class TestExecute:
     @pytest.fixture
     def stream(self):
-        return synth_stream(SynthConfig(d=4, k=2, n=80, sigma=0.3, seed=2)).data
+        return synth_stream(SynthConfig(d=4, k=2, n=80, sigma=0.3, seed=2))
 
     def cfg(self):
-        return TrainConfig(iterations=15, minibatch=16, seed=0)
+        return TrainConfig(iterations=15, minibatch=16)
+
+    def run(self, sched, stream, nonprivate=False):
+        """execute of seed 0 alone: its RunResult."""
+        return execute(sched, stream, self.cfg(), nonprivate, seeds=(0,))[0]
 
     def test_deterministic(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        r1 = execute(sched, stream, self.cfg())
-        r2 = execute(sched, stream, self.cfg())
+        r1 = self.run(sched, stream)
+        r2 = self.run(sched, stream)
         np.testing.assert_array_equal(r1.weights, r2.weights)
         np.testing.assert_array_equal(r1.noise_l1, r2.noise_l1)
 
     def test_distinct_models_get_distinct_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        r = execute(sched, stream, self.cfg())
+        r = self.run(sched, stream)
         norms = [r.noise_l2[e.model_id] for e in r.events]
         assert len(set(norms)) == len(norms) == len(sched.events)
 
     def test_ledger_matches_dry_run(self, stream):
         # execute charges nothing; a run's eps_max comes from the dry run's charges
         sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
-        assert not hasattr(execute(sched, stream, self.cfg()), "ledger")
-        recs = replay(StreamSource(stream), SchedulerConfig("continual", EPS, 1.0, 0.2, B=8, b0=2),
-                      EvalConfig(seeds=(0,), train=self.cfg()), sched)
+        assert not hasattr(self.run(sched, stream), "ledger")
         dry = ledger_from_events(sched.events, sched.budgets)
+        recs = replay(stream, SchedulerConfig("continual", EPS, 1.0, 0.2, B=8, b0=2),
+                      EvalConfig(seeds=(0,), train=self.cfg()), sched, dry)
         assert recs[-1].eps_max == dry.max_point_loss()[1]
 
     def test_nonprivate_disables_ledger_and_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        r = execute(sched, stream, self.cfg(), nonprivate=True)
+        r = self.run(sched, stream, nonprivate=True)
         assert not r.noise_l1.any() and not r.noise_l2.any() and not r.noise_scale.any()
 
     def test_trains_with_the_schedules_lambda(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 7.0, 0.2)
-        run = execute(sched, stream, self.cfg())
+        run = self.run(sched, stream)
         for lam, same in ((7.0, True), (1.0, False)):
             ref = reference_execute(sched, stream, lam, self.cfg(), EPS, False, (0,))[0]
             assert all(np.array_equal(run.weights[mid], w)
@@ -396,7 +399,7 @@ class TestExecute:
 
     def test_run_is_kept_as_arrays_indexed_by_model_id(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        run = execute(sched, stream, self.cfg())
+        run = self.run(sched, stream)
         M = len(sched.events)
         assert [e.model_id for e in run.events] == list(range(M))
         assert run.weights.shape == (M + 1, stream.k, stream.d)
@@ -408,11 +411,11 @@ class TestExecute:
     def test_event_beyond_stream_rejected(self, stream):
         sched = multires_schedule(stream.n + 10, 8, EPS, 1.0, 0.2)
         with pytest.raises(ScheduleError):
-            execute(sched, stream, self.cfg())
+            self.run(sched, stream)
 
     def test_adopted_base_is_released_not_retrained(self, stream):
         sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
-        r = execute(sched, stream, self.cfg())
+        r = self.run(sched, stream)
         bases = [e for e in sched.events if e.kind == "Base"]
         released_ids = {mid for _, mid in r.releases}
         for b in bases:
@@ -427,7 +430,7 @@ class TestLockstepExecute:
 
     @pytest.fixture(scope="class")
     def stream(self):
-        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6)).data
+        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6))
 
     @pytest.mark.parametrize("name", [
         "multires", "multires-sample", "continual", "continual-sample",
@@ -452,7 +455,7 @@ class TestLockstepExecute:
         monkeypatch.undo()
         assert len(runs) == len(self.SEEDS)
         for seed, run in zip(self.SEEDS, runs):
-            alone = execute(sched, stream, TrainConfig(iterations=6, minibatch=8, seed=seed))
+            [alone] = execute(sched, stream, cfg, seeds=(seed,))
             assert run.events == alone.events
             for field in ("weights", "noise_l1", "noise_l2", "noise_scale", "noise_seed", "skip"):
                 np.testing.assert_array_equal(getattr(run, field), getattr(alone, field))
@@ -554,7 +557,7 @@ class TestWaves:
 
     @pytest.fixture(scope="class")
     def stream(self):
-        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6)).data
+        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6))
 
     @pytest.fixture(params=[(None, 1), (1, 1), (3000, 1), (1, 2), (1, 3)],
                     ids=["None", "1", "3000", "1-workers2", "1-workers3"])
@@ -581,7 +584,7 @@ class TestWaves:
         sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
         cfg = TrainConfig(iterations=6, minibatch=8)
-        runs = execute(sched, stream, cfg, nonprivate, self.SEEDS)
+        runs = execute(sched, stream, cfg, nonprivate, seeds=self.SEEDS)
         if (name, nonprivate) not in references:
             references[name, nonprivate] = reference_execute(sched, stream, 1.0, cfg, EPS,
                                                              nonprivate, self.SEEDS)
@@ -599,7 +602,7 @@ class TestWaves:
     def test_sliding_trains_in_few_stacked_calls(self, monkeypatch):
         # a structural guard: a return to one SGD call per event fails it
         T, d, m = 600, 4, 32
-        stream = synth_stream(SynthConfig(d=d, k=3, n=T, sigma=0.3, seed=2)).data
+        stream = synth_stream(SynthConfig(d=d, k=3, n=T, sigma=0.3, seed=2))
         sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
         calls = []
 
@@ -608,7 +611,7 @@ class TestWaves:
             return _fn(*args, **kw)
         monkeypatch.setattr(schedulers, "_WORKERS", 1)  # count every call here
         monkeypatch.setattr(erm, "sgd_train", counted)
-        execute(sched, stream, TrainConfig(iterations=2, minibatch=m))
+        execute(sched, stream, TrainConfig(iterations=2, minibatch=m), seeds=(0,))
         trained = [e for e in sched.events if not e.adopt]
         waves = max(_depths(sched).values())
         sizes = {min(m, e.b - e.a + 1) for e in trained}
@@ -650,7 +653,7 @@ class TestWaves:
         # the continual-d20 shape: d=20, minibatch 256, 4 seeds, stacks of
         # several members below the cap, dealt to the caller and a lane process
         monkeypatch.setattr(schedulers, "_WORKERS", 2)
-        stream = synth_stream(SynthConfig(d=20, k=3, n=2048, sigma=0.3, seed=3)).data
+        stream = synth_stream(SynthConfig(d=20, k=3, n=2048, sigma=0.3, seed=3))
         sched = continual_schedule(stream.n, 512, 256, EPS, 1.0, 0.2)
         calls = self.processes_of_calls(monkeypatch, tmp_path, sched, stream,
                                         TrainConfig(iterations=2, minibatch=256), (1, 2, 3, 4))
@@ -691,7 +694,7 @@ class TestWaves:
         from streamdp import harness, mechanisms, rng
 
         T, seeds = 600, (1, 2)
-        stream = synth_stream(SynthConfig(d=4, k=3, n=T, sigma=0.3, seed=2)).data
+        stream = synth_stream(SynthConfig(d=4, k=3, n=T, sigma=0.3, seed=2))
         sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
         counts = {"make_rng": 0, "sgd_train": 0, "output_perturb": 0}
 
@@ -720,7 +723,7 @@ class TestLanes:
 
     @pytest.fixture
     def stream(self):
-        return synth_stream(SynthConfig(d=4, k=3, n=64, sigma=0.3, seed=4)).data
+        return synth_stream(SynthConfig(d=4, k=3, n=64, sigma=0.3, seed=4))
 
     @pytest.fixture(autouse=True)
     def lanes(self, monkeypatch):
@@ -819,7 +822,7 @@ class TestSkippedEvents:
     @pytest.mark.parametrize("B,b0", [(2, 1), (2, 2), (4, 1), (4, 2)])
     @pytest.mark.parametrize("n", [64, 80, 96])
     def test_continual_sample_runs(self, B, b0, n):
-        stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n)).data
+        stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n))
         sched = continual_schedule(n, B, b0, EPS, 1.0, 0.2, sampled=True)
         runs = execute(sched, stream, TrainConfig(iterations=3, minibatch=8),
                        seeds=(0, 1, 2, 3, 4))
@@ -836,9 +839,9 @@ class TestSkippedEvents:
         assert any(run.skip.any() for run in runs)
 
     def test_skipped_psgd_event_resolves_to_zero_model(self):
-        stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1)).data
+        stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1))
         sched = multires_schedule(stream.n, 2, EPS, 1.0, 0.2, sampled=True)
-        run = execute(sched, stream, TrainConfig(iterations=3, minibatch=8, seed=0))
+        [run] = execute(sched, stream, TrainConfig(iterations=3, minibatch=8), seeds=(0,))
         assert run.skip.any()
         for e in sched.events:
             if run.skip[e.model_id]:

@@ -27,7 +27,7 @@ from streamdp.rng import make_rng
 from streamdp.schedulers import build_schedule, execute
 
 N, D, K, SEED = 512, 20, 3, 7
-TRAIN = TrainConfig(iterations=60, minibatch=64, seed=SEED)
+TRAIN = TrainConfig(iterations=60, minibatch=64)
 
 CONFIGS = [
     SchedulerConfig("multires", Fraction(1), 1.0, None, B=64),
@@ -68,7 +68,7 @@ def test_noise_covers_a_replaced_point(sched):
                             lipschitz_public(K, sched.batch), B=sched.B, b0=sched.b0,
                             w=sched.w, w0=sched.w0)
     schedule = build_schedule(sched, N)
-    run = execute(schedule, stream, TRAIN)
+    [run] = execute(schedule, stream, TRAIN, seeds=(SEED,))
     worst = []
     for e in schedule.events:
         if e.adopt or e.eps == 0:
