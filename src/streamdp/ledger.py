@@ -11,8 +11,9 @@ otherwise, in the same code. A `Charge` is the record of one row:
 
 Points between two consecutive distinct boundaries (the values of a and
 b + 1) always share their total, so every maximum works on these segments,
-in O(charges) memory rather than O(stream). `Ledger.max_point_loss` (and
-`assert_budget`, one call per selection of subsystems) sweeps them once:
+in O(charges) memory rather than O(stream). A ledger forms the segments of
+all its charges once. `Ledger.max_point_loss` (and `assert_budget`, one call
+per selection of subsystems) sweeps them once:
 each charge adds its numerator at its first segment and takes it off past
 its last, and a cumulative sum gives every segment's total. `RunningMax`
 adds the charges in time order to a list of the same segments' totals,
@@ -81,16 +82,6 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.astype(object) * y.astype(object)
 
 
-def _segments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct boundaries (values of a and b + 1) of charges on [a, b]
-    and each charge's segments between them, lo .. hi - 1: points of one
-    segment always share their total."""
-    edges = np.concatenate((a, b + 1))
-    bounds = np.unique(edges)
-    segs = bounds.searchsorted(edges)
-    return bounds, segs[: len(a)], segs[len(a) :]
-
-
 def _sweep(lo, hi, nums, size: int) -> np.ndarray:
     """Per-segment totals of charges over `size` segments, charge i adding
     nums[i] to segments lo[i] .. hi[i] - 1: the cumulative sum of each
@@ -143,6 +134,7 @@ class Ledger:
         self._n = 0
         self._rows = np.zeros((len(_COLUMNS), 0), dtype=np.int64)
         self._num = np.zeros(0, dtype=np.int64)
+        self._segs = None  # _segmented's arrays, until the next extend
         charges = list(charges)
         if charges:
             self.extend([c.a for c in charges], [c.b for c in charges],
@@ -170,9 +162,9 @@ class Ledger:
                     [mechanism])
 
     def extend(self, a, b, eps_num, eps_den, subsystems, times, mechanisms):
-        """Append charges given as parallel sequences, charge i being eps_num[i] /
-        eps_den[i] on [a[i], b[i]]; raises LedgerError, appending nothing,
-        if one is malformed, not positive or of an unknown subsystem."""
+        """Append charges given as parallel sequences or arrays, charge i being
+        eps_num[i] / eps_den[i] on [a[i], b[i]]; raises LedgerError, appending
+        nothing, if one is malformed, not positive or of an unknown subsystem."""
         code = {s: i for i, s in enumerate(SUBSYSTEMS)}
         sub = [code.get(s, -1) for s in subsystems]
         if -1 in sub:
@@ -215,6 +207,16 @@ class Ledger:
             self._num[n : n + m] = num
         self.mechanisms = list(index)
         self.den, self._n = common, n + m
+        self._segs = None
+
+    def _segmented(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct boundaries (values of a and b + 1) and each charge's segments
+        lo .. hi - 1 between them, formed once: a selection's are unions of these."""
+        if self._segs is None:
+            a, b = self.column("a"), self.column("b")
+            bounds, segs = np.unique(np.concatenate((a, b + 1)), return_inverse=True)
+            self._segs = bounds, segs[: len(a)], segs[len(a) :]
+        return self._segs
 
     def _picked(self, subsystems) -> np.ndarray:
         """Which charges a max_point_loss or point_loss argument selects:
@@ -236,11 +238,11 @@ class Ledger:
         index where the maximum is reached; (None, 0) for no charges.
         """
         picked = self._picked(subsystems)
-        a, b, num = (self.column(name)[picked] for name in ("a", "b", "num"))
+        num = self.column("num")[picked]
         if not len(num):
             return None, Fraction(0)
-        bounds, lo, hi = _segments(a, b)
-        totals = _sweep(lo, hi, num, len(bounds))
+        bounds, lo, hi = self._segmented()
+        totals = _sweep(lo[picked], hi[picked], num, len(bounds))
         seg = int(totals.argmax())
         return int(bounds[seg]), Fraction(int(totals[seg]), self.den)
 
@@ -288,7 +290,7 @@ class RunningMax:
 
     Charges are positive, so per-point totals only grow and the maximum is
     monotone in t. Each charge, taken in time order, adds its numerator to
-    its slice of the ledger's segment totals (see `_segments`), Python ints,
+    its slice of the ledger's segment totals (see `Ledger._segmented`), Python ints,
     and folds that slice's maximum into the best so far; the total work is
     the sum of the charges' segment counts. Charges added to the ledger
     afterwards do not reach it. `at` is meant for non-decreasing t: a
@@ -297,7 +299,7 @@ class RunningMax:
 
     def __init__(self, ledger: Ledger):
         order = ledger.column("time").argsort(kind="stable")
-        bounds, lo, hi = _segments(ledger.column("a"), ledger.column("b"))
+        bounds, lo, hi = ledger._segmented()
         cols = (ledger.column("time"), lo, hi, ledger.column("num"))
         self._charges = list(zip(*(col[order].tolist() for col in cols)))
         self._totals = [0] * len(bounds)

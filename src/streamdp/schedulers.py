@@ -17,10 +17,11 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import pickle
+import re
 import signal
+import string
 import sys
 import threading
 from contextlib import nullcontext
@@ -748,8 +749,19 @@ def export_trace(schedule: Schedule, path=None):
                 e.eps.numerator, e.eps.denominator, e.model_id))
 
 
-# Event lines ledger_from_trace decodes per json.loads call.
-_TRACE_LINES = 4096
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_JSON_FLOAT = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity"
+# Each field's JSON grammar as export_trace writes it, captured for the columns
+# a ledger is charged from; and whole event lines, `_TRACE_LINE` with each
+# placeholder made its field's grammar: json.loads takes a line it matches.
+_TRACE_FIELDS = {name: f"({_JSON_INT})" for name in ("t", "a", "b", "eps_num", "eps_den")} | {
+    "kind": f"({'|'.join(KIND_SUBSYSTEM)})", "level": f"{_JSON_INT}|null",
+    "reg_source": f"{_JSON_INT}|null", "noise_scale": _JSON_FLOAT,
+    "sampled_p": f"{_JSON_FLOAT}|null", "model_id": _JSON_INT}
+_TRACE_PATTERN = re.compile("^" + "".join(
+    re.escape(lit) + ("(?:%s)" % _TRACE_FIELDS[re.findall(r"\w+", lit)[-1]] if field == "" else "")
+    for lit, field, _, _ in string.Formatter().parse(_TRACE_LINE)), re.MULTILINE)
+_TRACE_CHUNK = 1 << 20  # characters of trace lines ledger_from_trace matches at once
 
 
 def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
@@ -761,10 +773,10 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     subsystem the header has no budget for, raises LedgerError naming its
     line number.
 
-    The events are read in bulk: every `_TRACE_LINES` lines are joined into
-    one JSON array, which must hold one object a line, and their fields are
-    checked and charged as columns. If anything fails there, the events are
-    read again line by line to name the first bad line.
+    The events are matched by `_TRACE_PATTERN`, the writer's own template, in
+    chunks of `_TRACE_CHUNK` characters and charged as columns. If a line does
+    not match or the ledger refuses a chunk, `_ledger_by_lines` reads them all
+    again.
     """
     with open(path) as fh:
         try:
@@ -776,55 +788,54 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
         if eps <= 0 or not budgets or any(
                 sub not in SUBSYSTEMS or b <= 0 for sub, b in budgets.items()):
             raise LedgerError(f"trace line 1 has an invalid eps or budgets: {head}")
-        body = fh.tell()
-        ledger = Ledger(budgets=budgets)
         try:
-            for lines in iter(lambda: list(itertools.islice(fh, _TRACE_LINES)), []):
-                _charge_trace_lines(ledger, lines)
-            return eps, ledger
-        except (KeyError, ValueError, TypeError, ArithmeticError):
+            return eps, _ledger_by_template(fh, budgets)
+        except (ValueError, ArithmeticError):
             pass
-        ledger = Ledger(budgets=budgets)
-        fh.seek(body)
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                rec = json.loads(line)
-                sub = KIND_SUBSYSTEM[rec["kind"]]
-                if sub not in budgets:
-                    raise LedgerError(f"the header has no {sub} budget")
-                charge = Fraction(rec["eps_num"], rec["eps_den"])
-                if charge != 0:
-                    ledger.charge((rec["a"], rec["b"]), charge, sub, rec["t"], rec["kind"])
-            except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-                raise LedgerError(f"malformed trace line {lineno}: {exc}") from exc
-    return eps, ledger
+        fh.seek(0)
+        fh.readline()
+        return eps, _ledger_by_lines(fh, budgets)
 
 
-def _charge_trace_lines(ledger: Ledger, lines: list[str]):
-    """Charge the events of some trace lines to the ledger at once, as the
-    line-by-line reader would; raise on anything it might not accept.
+def _ledger_by_template(fh, budgets) -> Ledger:
+    """The ledger of the event lines left in fh. Raises ValueError or
+    ArithmeticError on a line `_TRACE_PATTERN` does not match, a value past
+    int64, a zero denominator or an event without a budget."""
+    ledger = Ledger(budgets=budgets)
+    tail = ""
+    for chunk in iter(functools.partial(fh.read, _TRACE_CHUNK), ""):
+        text, _, tail = (tail + chunk).rpartition("\n")
+        text += "\n"  # an empty line if no line ends in the chunk
+        rows = _TRACE_PATTERN.findall(text)
+        if len(rows) != text.count("\n"):
+            raise ValueError("a line does not match the trace template")
+        t, kinds, a, b, num, den = zip(*rows)
+        cols = np.array((t, a, b, num, den), dtype=np.int64)
+        if not cols[4].all() or not {KIND_SUBSYSTEM[k] for k in set(kinds)} <= budgets.keys():
+            raise ValueError("an event has a zero denominator or no budget")
+        if not cols[3].all():  # a zero charge is skipped
+            keep = cols[3] != 0
+            cols, kinds = cols[:, keep], list(itertools.compress(kinds, keep))
+        t, a, b, num, den = cols
+        ledger.extend(a, b, num, den, [KIND_SUBSYSTEM[kind] for kind in kinds], t, kinds)
+    if tail:
+        raise ValueError("the last line does not end in a newline")
+    return ledger
 
-    The lines are decoded as one JSON array. Each must end in "}", and the
-    text must hold one "{" a line and as many values as lines. A JSON
-    string holds no raw newline, so every "}" that ends a line closes an
-    event, and no event spans two lines or shares one.
-    """
-    text = ",".join(lines)
-    if (text.count("{") != len(lines) or text.count("}\n,") != len(lines) - 1
-            or not text.endswith(("}", "}\n"))):
-        raise ValueError("the lines do not hold one event each")
-    recs = json.loads("[" + text + "]")
-    if len(recs) != len(lines):
-        raise ValueError("the lines do not hold one event each")
-    cols = list(zip(*map(operator.itemgetter("t", "a", "b", "eps_num", "eps_den", "kind"), recs)))
-    cols.append([KIND_SUBSYSTEM[kind] for kind in cols[5]])
-    if not set(cols[6]) <= ledger.budgets.keys():
-        raise ValueError("an event has no budget")
-    if 0 in cols[3]:  # a zero charge is skipped, its denominator still checked
-        keep = [type(num) is not int or num != 0 for num in cols[3]]
-        if not all(type(den) is int and den != 0
-                   for den, kept in zip(cols[4], keep) if not kept):
-            raise ValueError("a zero charge has a bad denominator")
-        cols = [list(itertools.compress(col, keep)) for col in cols]
-    t, a, b, num, den, kinds, subs = cols
-    ledger.extend(a, b, num, den, subs, t, kinds)
+
+def _ledger_by_lines(fh, budgets) -> Ledger:
+    """Charge each event line left in fh on its own; a LedgerError names the
+    first bad line."""
+    ledger = Ledger(budgets=budgets)
+    for lineno, line in enumerate(fh, start=2):
+        try:
+            rec = json.loads(line)
+            sub = KIND_SUBSYSTEM[rec["kind"]]
+            if sub not in budgets:
+                raise LedgerError(f"the header has no {sub} budget")
+            charge = Fraction(rec["eps_num"], rec["eps_den"])
+            if charge != 0:
+                ledger.charge((rec["a"], rec["b"]), charge, sub, rec["t"], rec["kind"])
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+            raise LedgerError(f"malformed trace line {lineno}: {exc}") from exc
+    return ledger

@@ -1,5 +1,8 @@
+import contextlib
 import json
+import os
 import re
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from streamdp.cli import (
     EXIT_USAGE,
     main,
 )
+from streamdp import schedulers
 from streamdp.harness import CSV_HEADER
 from conftest import idx_images_bytes, idx_labels_bytes
 
@@ -586,7 +590,7 @@ class TestVerifyLedger:
         p.write_text(json.dumps(self.HEADER) + "\n" + "".join(x + "\n" for x in lines))
         return p
 
-    @pytest.mark.parametrize("lineno", [4000, 4100, 5001])
+    @pytest.mark.parametrize("lineno", [2, 4000, 4100, 5001])
     @pytest.mark.parametrize("bad", [
         "not json",
         "",
@@ -602,6 +606,17 @@ class TestVerifyLedger:
         code, out, err = run_cli(capsys, "verify-ledger", str(p))
         assert code == EXIT_DATA and out == ""
         assert f"malformed trace line {lineno}:" in err
+
+    @pytest.mark.parametrize("old,new", [('"t": 8', '"t": 08'), ('"a": 0', '"a": +0'),
+                                         ('"level": 0', '"level": 0.'), ("null", "None")],
+                             ids=["leading-zero", "plus-sign", "bare-point", "python-none"])
+    def test_a_value_json_refuses_is_named(self, capsys, tmp_path, old, new):
+        # the other lines are in the writer's layout, and its pattern takes no
+        # value that json.loads refuses
+        p = self.long_trace(tmp_path, 4000, json.dumps(self.mr(8, 0, 0, 7)).replace(old, new, 1))
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert "malformed trace line 4000:" in err
 
     @pytest.mark.parametrize("fields,message", [
         ({"eps_num": -1}, "charge must be positive, got -1/2"),
@@ -656,6 +671,65 @@ class TestVerifyLedger:
         assert code == EXIT_OK, err
         mx = Fraction(1, 2) + Fraction(1, 2**70)
         assert out.splitlines()[0] == f"max point loss: {mx} at index 4"
+
+    @pytest.mark.parametrize("rewrite,fallbacks", [
+        (lambda recs: "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs), 1),
+        (lambda recs: "".join(json.dumps(rec, separators=(" ,  ", " :  ")) + " \n"
+                              for rec in recs), 1),
+        (lambda recs: "".join(json.dumps({**rec, "eps_num": True} if rec.get("eps_num") == 1
+                                         else rec) + "\n" for rec in recs), 1),
+        # text mode reads any line end as "\n", for the template as for json.loads
+        (lambda recs: "".join(json.dumps(rec) + "\r\n" for rec in recs), 0),
+        (lambda recs: "".join(json.dumps(rec) + ("\r" if i == 0 else "\n")
+                              for i, rec in enumerate(recs)), 0),
+    ], ids=["sorted-keys", "spaces", "true-charges", "crlf", "cr-after-header"])
+    def test_a_rewritten_trace_verifies_like_the_written_one(self, rewrite, fallbacks, capsys,
+                                                              tmp_path, monkeypatch):
+        # another layout is read line by line, to the same ledger and report
+        written = tmp_path / "trace.jsonl"
+        code, _, err = run_cli(capsys, "inspect-schedule", "--scheduler", "continual-sample",
+                               "--B", "16", "--b0", "4", "--epsilon", "1", "--lambda", "1",
+                               "--T", "300", "--trace", str(written))
+        assert code == EXIT_OK, err
+        recs = [json.loads(line) for line in written.read_text().splitlines()]
+        assert any(rec.get("eps_num") == 1 for rec in recs[1:])
+        rewritten = tmp_path / "rewritten.jsonl"
+        rewritten.write_bytes(rewrite(recs).encode())
+        by_lines, reference = [], schedulers._ledger_by_lines
+        monkeypatch.setattr(schedulers, "_ledger_by_lines",
+                            lambda fh, budgets: by_lines.append(fh) or reference(fh, budgets))
+        want = run_cli(capsys, "verify-ledger", str(written))
+        assert by_lines == [] and want[0] == EXIT_OK
+        assert run_cli(capsys, "verify-ledger", str(rewritten)) == want
+        assert len(by_lines) == fallbacks
+        charges = [schedulers.ledger_from_trace(p)[1].charges for p in (written, rewritten)]
+        charged = sum(rec["eps_num"] != 0 for rec in recs[1:])  # zero charges are skipped
+        assert charges[0] == charges[1] and len(charges[0]) == charged < len(recs) - 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_piped_trace_verifies_in_one_pass(self, capsys, tmp_path):
+        # the header and the events come from one handle, read once: a second
+        # open of a pipe would start past the events the first one buffered
+        trace, fifo = tmp_path / "trace.jsonl", tmp_path / "fifo"
+        code, _, err = run_cli(capsys, "inspect-schedule", "--scheduler", "sliding", "--w", "255",
+                               "--w0", "1", "--epsilon", "1", "--lambda", "1", "--T", "8000",
+                               "--trace", str(trace))
+        assert code == EXIT_OK and trace.stat().st_size > 2 * schedulers._TRACE_CHUNK, err
+        want = run_cli(capsys, "verify-ledger", str(trace))
+        os.mkfifo(fifo)
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError):
+                fifo.write_bytes(trace.read_bytes())
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = run_cli(capsys, "verify-ledger", str(fifo))
+        finally:
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
+            writer.join()
+        assert got == want and want[0] == EXIT_OK
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, out, err = run_cli(

@@ -7,6 +7,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -966,14 +967,24 @@ class TestBuildSchedule:
 
 
 class TestTraceLines:
-    """export_trace's template against json.dumps of each trace_record."""
+    """export_trace's template against json.dumps of each trace_record, and
+    ledger_from_trace's pattern built from it."""
+
+    @pytest.fixture
+    def template_only(self, monkeypatch):
+        """Make the line-by-line reader fail, so that a trace passes only if
+        the template path reads every line."""
+        def refuse(fh, budgets):
+            raise AssertionError("the trace was read line by line")
+        monkeypatch.setattr(schedulers, "_ledger_by_lines", refuse)
 
     @pytest.mark.parametrize("L", [
         lipschitz_public(3, 1), lipschitz_public(10, 7), np.float64(lipschitz_public(3, 4)),
-        0.37, 2.0, math.inf, math.nan,
-    ], ids=["public-k3", "public-k10", "public-float64", "flag", "flag-int", "inf", "nan"])
+        0.37, 2.0, 1e-05, 1e300, math.inf, -math.inf, math.nan,
+    ], ids=["public-k3", "public-k10", "public-float64", "flag", "flag-int", "tiny", "huge",
+            "inf", "-inf", "nan"])
     @pytest.mark.parametrize("name", SCHEDULERS)
-    def test_every_line_is_json_dumps_and_reads_back(self, name, L, tmp_path):
+    def test_every_line_is_json_dumps_and_reads_back(self, name, L, tmp_path, template_only):
         # laplace_scale refuses a non-finite L, so an inf or nan scale is set by hand
         sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, L if math.isfinite(L)
                                                else 1.0, B=4, b0=2, w=7, w0=1), 40)
@@ -990,3 +1001,29 @@ class TestTraceLines:
         assert eps == sched.eps and ledger.budgets == want.budgets
         fields = operator.attrgetter("a", "b", "eps", "subsystem", "time")
         assert list(map(fields, ledger.charges)) == list(map(fields, want.charges))
+
+    @pytest.mark.slow
+    def test_a_long_trace_is_read_in_chunks(self, tmp_path, template_only):
+        # 200,000 events, 36 MB: a whole-file read would hold all of it as
+        # text before matching a line
+        path = tmp_path / "trace.jsonl"
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"scheduler": "multires", "eps_num": 1, "eps_den": 1,
+                                 "budgets": {"multires": [1, 1]}}) + "\n")
+            fh.writelines(schedulers._TRACE_LINE.format(
+                8 * i + 8, "MultiRes", 0, 8 * i, 8 * i + 7, "null", 0.125, "null", 1, 2, i)
+                for i in range(200_000))
+        tracemalloc.start()
+        try:
+            eps, ledger = schedulers.ledger_from_trace(path)
+            witness, mx = ledger.max_point_loss()
+            report = ledger.assert_budget()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (witness, mx, report.ok) == (0, Fraction(1, 2), True)
+        assert len(ledger.column("a")) == 200_000
+        # the ledger's arrays, a copy of them as they grow, a sweep's arrays of
+        # about their size, and a few chunks
+        held = ledger._rows.nbytes + ledger._num.nbytes
+        assert peak < 3 * held + 4 * schedulers._TRACE_CHUNK
