@@ -19,9 +19,10 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .schedulers import (
     export_trace,
     ledger_from_events,
     ledger_from_trace,
+    window_shape,
 )
 
 EXIT_OK = 0
@@ -70,86 +72,83 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_INT_KEYS = (
-    "B", "b0", "w", "w0", "T", "iters", "minibatch", "passes",
-    "synth_d", "synth_k", "synth_n", "synth_seed",
-)
-_FLOAT_KEYS = ("lam", "gamma", "lipschitz", "synth_sigma", "synth_drift")
-_BOOL_KEYS = ("clip_l1", "nonprivate", "standalone_base", "first_base_at_2b")
+class _Key(NamedTuple):
+    """A setting of `run` and `inspect-schedule`: the subcommands whose flag
+    sets it, its type (str, int, float or bool), its default (None: unset),
+    its flag's help and the values it may take."""
+
+    commands: tuple
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    sched: SchedulerConfig  # L=None: the public bound for the stream
-    T: int | None
-    gamma: float
-    iters: int
-    minibatch: int
-    passes: int
-    seeds: tuple
-    source: str
-    test: str | None
-    synth: SynthConfig | None
-    clip_l1: bool
-    nonprivate: bool
-    output: str
-    format: str
-    trace: str | None
-    ledger_out: str | None
-    inject_charge: str | None
+_BOTH = ("run", "inspect-schedule")
+_RUN = ("run",)
+
+# Every setting, in flag order. A setting is a flag, a `--config` key and a
+# STREAMDP_<KEY> variable; the unset TrainConfig and SynthConfig settings
+# take those dataclasses' defaults.
+_KEYS = {
+    "scheduler": _Key(_BOTH, str, choices=SCHEDULERS),
+    "epsilon": _Key(_BOTH, str, help="privacy budget, exact (e.g. 1 or 1/10)"),
+    "lam": _Key(_BOTH, float),
+    "lipschitz": _Key(_BOTH, float, help="Lipschitz constant L; default from the public bound"),
+    "B": _Key(_BOTH, int),
+    "b0": _Key(_BOTH, int),
+    "w": _Key(_BOTH, int),
+    "w0": _Key(_BOTH, int),
+    "standalone_base": _Key(_BOTH, bool, False),
+    "first_base_at_2b": _Key(_BOTH, bool, False),
+    "T": _Key(("inspect-schedule",), int, help="stream length (schedule horizon)"),
+    "gamma": _Key(_RUN, float),
+    "iters": _Key(_RUN, int),
+    "minibatch": _Key(_RUN, int),
+    "passes": _Key(_RUN, int),
+    "seeds": _Key(_RUN, str, "0", "comma-separated seed list"),
+    "source": _Key(_RUN, str, "synth", "synth | csv:PATH | idx:IMAGES,LABELS"),
+    "test": _Key(_RUN, str, help="csv:PATH | idx:IMAGES,LABELS | tail:FRACTION"),
+    "synth_d": _Key(_RUN, int, 20),
+    "synth_k": _Key(_RUN, int, 3),
+    "synth_n": _Key(_RUN, int, 4096),
+    "synth_sigma": _Key(_RUN, float, 0.5),
+    "synth_drift": _Key(_RUN, float),
+    "synth_seed": _Key(_RUN, int),
+    "clip_l1": _Key(_RUN, bool, False),
+    "nonprivate": _Key(_RUN, bool, False),
+    "output": _Key(_RUN, str, "metrics.csv", "metrics file path"),
+    "format": _Key(_RUN, str, "csv", choices=("csv", "jsonl")),
+    "trace": _Key(_BOTH, str, help="event trace JSONL path (inspect-schedule: stdout without one)"),
+    "ledger_out": _Key(_RUN, str, help="ledger JSONL path"),
+    "inject_charge": _Key(_RUN, str, help=argparse.SUPPRESS),  # test hook: subsystem:a:b:num/den
+}
+# The flags not spelled --<key with dashes>.
+_FLAGS = {"lam": "--lambda", "ledger_out": "--ledger"}
+# The keys each scheduler, sampled or not, cannot do without.
+_REQUIRES = {"multires": ("B",), "continual": ("B", "b0"), "sliding": ("w", "w0"),
+             "baseline-independent": ("b0",), "baseline-basic": ("B", "b0")}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="flat key=value config file")
-    sub.add_argument("--scheduler", default=None, choices=SCHEDULERS)
-    sub.add_argument("--epsilon", default=None, help="privacy budget, exact (e.g. 1 or 1/10)")
-    sub.add_argument("--lambda", dest="lam", default=None, type=float)
-    sub.add_argument("--lipschitz", default=None, type=float,
-                     help="Lipschitz constant L; default from the public bound")
-    sub.add_argument("--B", default=None, type=int)
-    sub.add_argument("--b0", default=None, type=int)
-    sub.add_argument("--w", default=None, type=int)
-    sub.add_argument("--w0", default=None, type=int)
-    sub.add_argument("--standalone-base", dest="standalone_base",
-                     action="store_true", default=None)
-    sub.add_argument("--first-base-at-2b", dest="first_base_at_2b",
-                     action="store_true", default=None)
+def _flag(key: str) -> str:
+    return _FLAGS.get(key, "--" + key.replace("_", "-"))
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="streamdp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="train over a stream and export metrics")
-    _add_common(run)
-    run.add_argument("--gamma", default=None, type=float)
-    run.add_argument("--iters", default=None, type=int)
-    run.add_argument("--minibatch", default=None, type=int)
-    run.add_argument("--passes", default=None, type=int)
-    run.add_argument("--seeds", default=None, help="comma-separated seed list")
-    run.add_argument("--source", default=None,
-                     help="synth | csv:PATH | idx:IMAGES,LABELS")
-    run.add_argument("--test", default=None,
-                     help="csv:PATH | idx:IMAGES,LABELS | tail:FRACTION")
-    run.add_argument("--synth-d", dest="synth_d", default=None, type=int)
-    run.add_argument("--synth-k", dest="synth_k", default=None, type=int)
-    run.add_argument("--synth-n", dest="synth_n", default=None, type=int)
-    run.add_argument("--synth-sigma", dest="synth_sigma", default=None, type=float)
-    run.add_argument("--synth-drift", dest="synth_drift", default=None, type=float)
-    run.add_argument("--synth-seed", dest="synth_seed", default=None, type=int)
-    run.add_argument("--clip-l1", dest="clip_l1", action="store_true", default=None)
-    run.add_argument("--nonprivate", action="store_true", default=None)
-    run.add_argument("--output", default=None, help="metrics file path")
-    run.add_argument("--format", default=None, choices=("csv", "jsonl"))
-    run.add_argument("--trace", default=None, help="event trace JSONL path")
-    run.add_argument("--ledger", dest="ledger_out", default=None, help="ledger JSONL path")
-    run.add_argument("--inject-charge", dest="inject_charge", default=None,
-                     help=argparse.SUPPRESS)  # test hook: subsystem:a:b:num/den
-
-    ins = sub.add_parser("inspect-schedule", help="dry-run event trace, no data, no RNG")
-    _add_common(ins)
-    ins.add_argument("--T", default=None, type=int, help="stream length (schedule horizon)")
-    ins.add_argument("--trace", default=None, help="write trace here instead of stdout")
+    subs = {name: sub.add_parser(name, help=text) for name, text in (
+        ("run", "train over a stream and export metrics"),
+        ("inspect-schedule", "dry-run event trace, no data, no RNG"))}
+    for s in subs.values():
+        s.add_argument("--config", default=None, help="flat key=value config file")
+    for key, spec in _KEYS.items():
+        kind = ({"action": "store_true"} if spec.type is bool
+                else {"type": spec.type, "choices": spec.choices})
+        for name in spec.commands:
+            subs[name].add_argument(_flag(key), dest=key, default=None, help=spec.help, **kind)
 
     ver = sub.add_parser("verify-ledger",
                          help="check a trace's charges against the budgets in its header")
@@ -159,32 +158,19 @@ def build_parser() -> _Parser:
     return p
 
 
-_DEFAULTS = {
-    "scheduler": None, "epsilon": None, "lam": None, "lipschitz": None,
-    "B": None, "b0": None, "w": None, "w0": None, "T": None,
-    "gamma": 10.0, "iters": 500, "minibatch": 256, "passes": 1,
-    "seeds": "0", "source": "synth", "test": None,
-    "synth_d": 20, "synth_k": 3, "synth_n": 4096, "synth_sigma": 0.5,
-    "synth_drift": 0.0, "synth_seed": 0,
-    "clip_l1": False, "nonprivate": False,
-    "standalone_base": False, "first_base_at_2b": False,
-    "output": "metrics.csv", "format": "csv", "trace": None, "ledger_out": None,
-    "inject_charge": None,
-}
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"boolean key {key} has non-boolean value {value!r}")
-    return value
+def _coerce(key: str, value: str, where: str):
+    """The string `value` of `key`, read at `where` (a config file line or an
+    environment variable), as the key's type; a UsageError names both."""
+    spec = _KEYS[key]
+    try:
+        out = _BOOLEANS[value.lower()] if spec.type is bool else spec.type(value)
+    except (KeyError, ValueError):
+        raise UsageError(f"{where}: invalid {spec.type.__name__} value for {key}: "
+                         f"{value!r}") from None
+    if spec.choices is not None and out not in spec.choices:
+        raise UsageError(f"{where}: invalid {key} {value!r} "
+                         f"(choose from {', '.join(spec.choices)})")
+    return out
 
 
 def _read_config_file(path) -> dict:
@@ -203,19 +189,16 @@ def _read_config_file(path) -> dict:
         key = key.strip().replace("-", "_")
         if key == "lambda":
             key = "lam"
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{i}: unknown config key {key!r}")
-        out[key] = _coerce(key, value.strip())
+        out[key] = _coerce(key, value.strip(), f"{path}:{i}")
     return out
 
 
 def _env_overrides() -> dict:
-    out = {}
-    for key in _DEFAULTS:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            out[key] = _coerce(key, env)
-    return out
+    names = {key: ENV_PREFIX + key.upper() for key in _KEYS}
+    return {key: _coerce(key, os.environ[name], name)
+            for key, name in names.items() if name in os.environ}
 
 
 def _parse_epsilon(value) -> Fraction:
@@ -228,86 +211,61 @@ def _parse_epsilon(value) -> Fraction:
     return eps
 
 
-def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, environment and flags (flags win)."""
-    merged = dict(_DEFAULTS)
+def _given(**fields) -> dict:
+    """`fields` but the unset (None) ones, which take their dataclass's defaults."""
+    return {name: v for name, v in fields.items() if v is not None}
+
+
+def parse_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge defaults, config file, environment and flags (flags win) into one
+    namespace of every `_KEYS` setting, with `seeds` a tuple of ints, and
+    add `sched`, their SchedulerConfig (L=None: the public bound for the
+    stream), and `synth`, their SynthConfig for a synth source, else None."""
+    merged = {key: spec.default for key, spec in _KEYS.items()}
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
     merged.update(_env_overrides())
-    for key in _DEFAULTS:
-        v = getattr(args, key, None)
-        if v is not None:
-            merged[key] = v
+    merged.update((key, v) for key in _KEYS if (v := getattr(args, key, None)) is not None)
+    cfg = argparse.Namespace(**merged)
 
-    if merged["scheduler"] is None:
-        raise UsageError("missing required flag --scheduler")
-    if merged["epsilon"] is None:
-        raise UsageError("missing required flag --epsilon")
-    eps = _parse_epsilon(merged["epsilon"])
-    if merged["lam"] is None:
-        raise UsageError("missing required flag --lambda")
-
-    name = merged["scheduler"]
-    if name.startswith("sliding"):
-        for f in ("w", "w0"):
-            if merged[f] is None:
-                raise UsageError(f"scheduler {name} requires --{f}")
-        from .schedulers import window_shape
-
+    for key in ("scheduler", "epsilon", "lam"):
+        if merged[key] is None:
+            raise UsageError(f"missing required flag {_flag(key)}")
+    eps = _parse_epsilon(cfg.epsilon)
+    for key in _REQUIRES[cfg.scheduler.removesuffix("-sample")]:
+        if merged[key] is None:
+            raise UsageError(f"scheduler {cfg.scheduler} requires {_flag(key)}")
+    if cfg.scheduler.startswith("sliding"):
         try:
-            window_shape(merged["w"], merged["w0"])
+            window_shape(cfg.w, cfg.w0)
         except ScheduleError as exc:
             raise UsageError(str(exc)) from exc
-    elif name.startswith("multires"):
-        if merged["B"] is None:
-            raise UsageError(f"scheduler {name} requires --B")
-    elif name == "baseline-independent":
-        if merged["b0"] is None:
-            raise UsageError(f"scheduler {name} requires --b0")
-    else:
-        for f in ("B", "b0"):
-            if merged[f] is None:
-                raise UsageError(f"scheduler {name} requires --{f}")
 
-    synth = None
-    if merged["source"] == "synth":
+    cfg.synth = None
+    if cfg.source == "synth":
         try:
-            synth = SynthConfig(
-                d=merged["synth_d"], k=merged["synth_k"], n=merged["synth_n"],
-                sigma=merged["synth_sigma"], drift_rate=merged["synth_drift"],
-                seed=merged["synth_seed"],
-            )
+            cfg.synth = SynthConfig(**_given(
+                d=cfg.synth_d, k=cfg.synth_k, n=cfg.synth_n, sigma=cfg.synth_sigma,
+                drift_rate=cfg.synth_drift, seed=cfg.synth_seed))
         except HarnessError as exc:
             raise UsageError(str(exc)) from exc
 
-    seeds = merged["seeds"]
-    if isinstance(seeds, str):
-        try:
-            seeds = tuple(int(s) for s in seeds.split(",") if s.strip())
-        except ValueError as exc:
-            raise UsageError(f"invalid --seeds: {exc}") from exc
-    if not seeds:
+    try:
+        cfg.seeds = tuple(int(s) for s in cfg.seeds.split(",") if s.strip())
+    except ValueError as exc:
+        raise UsageError(f"invalid --seeds: {exc}") from exc
+    if not cfg.seeds:
         raise UsageError("need at least one seed")
 
-    sched = SchedulerConfig(
-        name=name, eps=eps, lam=float(merged["lam"]), L=merged["lipschitz"],
-        B=merged["B"], b0=merged["b0"], w=merged["w"], w0=merged["w0"],
-        standalone_base=bool(merged["standalone_base"]),
-        first_base_at_2B=bool(merged["first_base_at_2b"]),
+    cfg.sched = SchedulerConfig(
+        name=cfg.scheduler, eps=eps, lam=cfg.lam, L=cfg.lipschitz,
+        B=cfg.B, b0=cfg.b0, w=cfg.w, w0=cfg.w0, standalone_base=cfg.standalone_base,
+        first_base_at_2B=cfg.first_base_at_2b,
     )
-    return RunConfig(
-        sched=sched, T=merged["T"], gamma=float(merged["gamma"]), iters=int(merged["iters"]),
-        minibatch=int(merged["minibatch"]), passes=int(merged["passes"]),
-        seeds=tuple(seeds), source=merged["source"], test=merged["test"],
-        synth=synth, clip_l1=bool(merged["clip_l1"]),
-        nonprivate=bool(merged["nonprivate"]),
-        output=merged["output"], format=merged["format"],
-        trace=merged["trace"], ledger_out=merged["ledger_out"],
-        inject_charge=merged["inject_charge"],
-    )
+    return cfg
 
 
-def _load_source(spec: str, cfg: RunConfig, classes=None) -> Dataset:
+def _load_source(spec: str, cfg: argparse.Namespace, classes=None) -> Dataset:
     """The data `spec` names; given `classes`, a stream's label values, a
     file's labels are indexed among them."""
     if spec == "synth":
@@ -322,7 +280,7 @@ def _load_source(spec: str, cfg: RunConfig, classes=None) -> Dataset:
     raise UsageError(f"unknown source spec {spec!r}")
 
 
-def _split_test(stream: Dataset, cfg: RunConfig):
+def _split_test(stream: Dataset, cfg: argparse.Namespace):
     if cfg.test is None:
         return stream, None
     if cfg.test.startswith("tail:"):
@@ -373,7 +331,7 @@ def _print_report(report):
         print(f"{entry.subsystem}: max {entry.max_eps} (budget {entry.budget}) {status}")
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(cfg: argparse.Namespace) -> int:
     if cfg.T is not None:
         raise UsageError("run takes its length from the stream: T (--T, config key T or "
                          f"{ENV_PREFIX}T) is for inspect-schedule only")
@@ -389,9 +347,8 @@ def cmd_run(cfg: RunConfig) -> int:
     sched = cfg.sched
     if sched.L is None:
         sched = replace(sched, L=lipschitz_public(stream.k, max(1, sched.batch)))
-    train = TrainConfig(
-        gamma=cfg.gamma, iterations=cfg.iters, minibatch=cfg.minibatch, passes=cfg.passes
-    )
+    train = TrainConfig(**_given(
+        gamma=cfg.gamma, iterations=cfg.iters, minibatch=cfg.minibatch, passes=cfg.passes))
     multi = len(cfg.seeds) > 1
     # a repeated seed reruns identically, so it is replayed and exported once
     seeds = tuple(dict.fromkeys(cfg.seeds))
@@ -432,7 +389,7 @@ def _summary_path(output: str) -> str:
     return str(p.with_name(f"{p.stem}.summary.json"))
 
 
-def cmd_inspect_schedule(cfg: RunConfig) -> int:
+def cmd_inspect_schedule(cfg: argparse.Namespace) -> int:
     if cfg.T is None:
         raise UsageError("inspect-schedule requires --T")
     _check_output_dirs(trace=cfg.trace)

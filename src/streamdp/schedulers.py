@@ -771,16 +771,17 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     an event, charged to its kind's subsystem with the kind as mechanism; a
     zero charge is skipped. A line that does not parse, or an event of a
     subsystem the header has no budget for, raises LedgerError naming its
-    line number.
+    line number. A byte that is not UTF-8 is read as a lone surrogate, which
+    no field's grammar takes and json.loads refuses once the line is encoded.
 
     The events are matched by `_TRACE_PATTERN`, the writer's own template, in
     chunks of `_TRACE_CHUNK` characters and charged as columns. If a line does
     not match or the ledger refuses a chunk, `_ledger_by_lines` reads them all
     again.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
-            head = json.loads(fh.readline())
+            head = json.loads(fh.readline().encode())
             eps = Fraction(head["eps_num"], head["eps_den"])
             budgets = {sub: Fraction(num, den) for sub, (num, den) in head["budgets"].items()}
         except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
@@ -829,7 +830,7 @@ def _ledger_by_lines(fh, budgets) -> Ledger:
     ledger = Ledger(budgets=budgets)
     for lineno, line in enumerate(fh, start=2):
         try:
-            rec = json.loads(line)
+            rec = json.loads(line.encode())
             sub = KIND_SUBSYSTEM[rec["kind"]]
             if sub not in budgets:
                 raise LedgerError(f"the header has no {sub} budget")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -15,7 +16,7 @@ from streamdp.cli import (
     EXIT_USAGE,
     main,
 )
-from streamdp import schedulers
+from streamdp import cli, schedulers
 from streamdp.harness import CSV_HEADER
 from conftest import idx_images_bytes, idx_labels_bytes
 
@@ -150,6 +151,123 @@ class TestParsing:
         assert (tmp_path / "m.csv").exists() and not trace.exists()
         code, _, err = run_cli(capsys, "run", "--scheduler", "continual")
         assert code == EXIT_USAGE and "--epsilon" in err
+
+
+# A value of each setting unlike its default, as a flag, config line or
+# environment variable gives it.
+SETTING_SAMPLES = {
+    "scheduler": "continual-sample", "epsilon": "1/3", "lam": "0.25", "lipschitz": "2.5",
+    "B": "8", "b0": "3", "w": "7", "w0": "2", "standalone_base": "true",
+    "first_base_at_2b": "true", "T": "9", "gamma": "0.5", "iters": "7", "minibatch": "5",
+    "passes": "2", "seeds": "3,1", "source": "csv:data.csv", "test": "tail:0.5",
+    "synth_d": "4", "synth_k": "5", "synth_n": "100", "synth_sigma": "0.75",
+    "synth_drift": "0.01", "synth_seed": "9", "clip_l1": "true", "nonprivate": "true",
+    "output": "o.csv", "format": "jsonl", "trace": "t.jsonl", "ledger_out": "l.jsonl",
+    "inject_charge": "continual:0:1:1/2",
+}
+# The flags each subcommand accepts: a dropped or renamed flag fails here.
+SUBCOMMAND_FLAGS = {
+    "run": ["--config", "--scheduler", "--epsilon", "--lambda", "--lipschitz", "--B", "--b0",
+            "--w", "--w0", "--standalone-base", "--first-base-at-2b", "--gamma", "--iters",
+            "--minibatch", "--passes", "--seeds", "--source", "--test", "--synth-d",
+            "--synth-k", "--synth-n", "--synth-sigma", "--synth-drift", "--synth-seed",
+            "--clip-l1", "--nonprivate", "--output", "--format", "--trace", "--ledger",
+            "--inject-charge"],
+    "inspect-schedule": ["--config", "--scheduler", "--epsilon", "--lambda", "--lipschitz",
+                         "--B", "--b0", "--w", "--w0", "--standalone-base",
+                         "--first-base-at-2b", "--T", "--trace"],
+    "verify-ledger": ["--epsilon"],
+}
+
+
+class TestSettingSources:
+    """A flag, a config line and a STREAMDP_* variable set a setting alike."""
+
+    REQUIRED = {"scheduler": "continual", "epsilon": "1", "lam": "1", "B": "4", "b0": "2",
+                "T": "8"}
+
+    def parse(self, tmp_path, monkeypatch, key, value, source, config=""):
+        """parse_config's settings with `key` set to the string `value` by
+        `source`, the other required settings by flags, and `config` the
+        config file's text before any line `source` adds."""
+        command = cli._KEYS[key].commands[0]
+        argv = [command, "--config", str(tmp_path / "cfg")]
+        for k, v in self.REQUIRED.items():
+            if k != key and command in cli._KEYS[k].commands:
+                argv += [cli._flag(k), v]
+        if source == "flag":
+            argv += [cli._flag(key)] + ([] if cli._KEYS[key].type is bool else [value])
+        elif source == "config":
+            config += f"{key}={value}\n"
+        else:
+            monkeypatch.setenv("STREAMDP_" + key.upper(), value)
+        (tmp_path / "cfg").write_text(config)
+        return cli.parse_config(cli._parser().parse_args(argv))
+
+    def test_every_setting_has_a_sample(self):
+        assert SETTING_SAMPLES.keys() == cli._KEYS.keys()
+
+    @pytest.mark.parametrize("key", list(cli._KEYS))
+    def test_each_source_sets_the_same_value(self, key, tmp_path, monkeypatch):
+        value, kind = SETTING_SAMPLES[key], cli._KEYS[key].type
+        got = []
+        for source in ("flag", "config", "env"):
+            with monkeypatch.context() as m:
+                got.append(getattr(self.parse(tmp_path, m, key, value, source), key))
+        want = (3, 1) if key == "seeds" else True if kind is bool else kind(value)
+        assert got == [want] * 3 and want != cli._KEYS[key].default
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("spelling,value", [
+        ("1", True), ("true", True), ("yes", True), ("on", True), ("TRUE", True), ("On", True),
+        ("0", False), ("false", False), ("no", False), ("off", False), ("False", False),
+        ("NO", False)])
+    def test_a_boolean_reads_in_every_spelling(self, source, spelling, value, tmp_path,
+                                               monkeypatch):
+        # a variable overrides a config line saying the opposite, so a false shows
+        opposite = "" if source == "config" else f"nonprivate={'off' if value else 'on'}\n"
+        cfg = self.parse(tmp_path, monkeypatch, "nonprivate", spelling, source, opposite)
+        assert cfg.nonprivate is value
+
+    def test_lambda_in_a_config_file_is_lam(self, tmp_path, monkeypatch):
+        cfg = self.parse(tmp_path, monkeypatch, "lam", "2.5", "config", "lambda=0.5\n")
+        assert cfg.lam == 2.5 and cfg.sched.lam == 2.5  # one key: the later line wins
+        (tmp_path / "cfg").write_text("lambda=0.5\n")
+        args = cli._parser().parse_args(["inspect-schedule", "--config", str(tmp_path / "cfg"),
+                                         "--scheduler", "multires", "--B", "2", "--epsilon", "1"])
+        assert cli.parse_config(args).lam == 0.5
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+    def test_each_subcommand_keeps_its_flags(self, command):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = [flag for action in subparsers.choices[command]._actions
+                 for flag in action.option_strings if flag not in ("-h", "--help")]
+        assert flags == SUBCOMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("env,config,argv,named", [
+        ({"STREAMDP_B": "abc"}, "", ["inspect-schedule", "--scheduler", "multires",
+                                     "--epsilon", "1", "--lambda", "1", "--T", "8"],
+         ["STREAMDP_B", "invalid int value for B: 'abc'"]),
+        ({}, "# a comment\nlambda=x\n", ["inspect-schedule", "--scheduler", "multires",
+                                          "--B", "2", "--epsilon", "1", "--T", "8"],
+         ["cfg:2", "invalid float value for lam: 'x'"]),
+        ({"STREAMDP_FORMAT": "xml"}, "", [*BASE_RUN, "--source", "csv:missing.csv"],
+         ["STREAMDP_FORMAT", "invalid format 'xml' (choose from csv, jsonl)"]),
+        ({"STREAMDP_SCHEDULER": "nope"}, "", [*BASE_RUN],
+         ["STREAMDP_SCHEDULER", "invalid scheduler 'nope' (choose from multires,"]),
+    ], ids=["int-from-env", "float-from-config", "format-from-env", "scheduler-from-env"])
+    def test_a_bad_value_from_a_file_or_the_environment_is_a_usage_error(
+            self, env, config, argv, named, capsys, tmp_path, monkeypatch):
+        # checked before any data is read (a missing csv would exit 3) or file written
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        (tmp_path / "cfg").write_text(config)
+        code, out, err = run_cli(capsys, *argv, "--config", str(tmp_path / "cfg"),
+                                 *(["--output", str(tmp_path / "m.csv")] if argv[0] == "run"
+                                   else []))
+        assert code == EXIT_USAGE and out == "" and all(text in err for text in named), err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg"]
 
 
 class TestInspect:
@@ -617,6 +735,21 @@ class TestVerifyLedger:
         code, out, err = run_cli(capsys, "verify-ledger", str(p))
         assert code == EXIT_DATA and out == ""
         assert "malformed trace line 4000:" in err
+
+    @pytest.mark.parametrize("lineno,old,new,message", [
+        (1, b'"multires",', b'"multi\xe9res",', "trace line 1 is not a trace header"),
+        (2, b'"MultiRes"', b'"Multi\xe9Res"', "malformed trace line 2:"),
+        (4000, b'"level"', b'"lev\xe9l"', "malformed trace line 4000:"),  # a key not read
+    ], ids=["line-1", "line-2", "line-4000"])
+    def test_a_byte_that_is_not_utf8_is_named_with_its_line(self, capsys, tmp_path, lineno, old,
+                                                              new, message):
+        p = self.long_trace(tmp_path, 2, json.dumps(self.mr(8, 0, 0, 7)))  # line 2 as it is
+        lines = p.read_bytes().split(b"\n")
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+        p.write_bytes(b"\n".join(lines))
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert message in err and "\\udce9" in err
 
     @pytest.mark.parametrize("fields,message", [
         ({"eps_num": -1}, "charge must be positive, got -1/2"),
