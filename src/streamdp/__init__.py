@@ -1,6 +1,7 @@
 """Streaming differentially private ERM: training, noise, schedules, accounting."""
 
 from .erm import (
+    CertificateError,
     Dataset,
     DivergenceError,
     ErmError,
@@ -10,6 +11,7 @@ from .erm import (
     lipschitz_public,
     loss_and_gradient,
     sgd_train,
+    solve,
 )
 from .harness import (
     EvalConfig,
@@ -30,6 +32,7 @@ from .mechanisms import (
     output_perturb,
     pberm,
     sampling_probability,
+    solve_tolerance,
     subsample,
 )
 from .schedulers import (

@@ -9,7 +9,8 @@ budgets) and then one line per event; `run --trace` and `inspect-schedule`
 write it, and `verify-ledger` needs nothing else to check it.
 
 Exit codes: 0 success, 1 usage or config error, 2 budget violation,
-3 data error (unreadable or non-finite input, or training that diverged).
+3 data error (unreadable or non-finite input, or a model whose solve could
+not be certified).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .erm import Dataset, DivergenceError, ErmError, TrainConfig, clip_l1, lipschitz_public
+from .erm import CertificateError, Dataset, ErmError, clip_l1, lipschitz_public
 from .harness import (
     EvalConfig,
     HarnessError,
@@ -88,8 +89,8 @@ _BOTH = ("run", "inspect-schedule")
 _RUN = ("run",)
 
 # Every setting, in flag order. A setting is a flag, a `--config` key and a
-# STREAMDP_<KEY> variable; the unset TrainConfig and SynthConfig settings
-# take those dataclasses' defaults.
+# STREAMDP_<KEY> variable; the unset SynthConfig settings take that
+# dataclass's defaults.
 _KEYS = {
     "scheduler": _Key(_BOTH, str, choices=SCHEDULERS),
     "epsilon": _Key(_BOTH, str, help="privacy budget, exact (e.g. 1 or 1/10)"),
@@ -102,10 +103,10 @@ _KEYS = {
     "standalone_base": _Key(_BOTH, bool, False),
     "first_base_at_2b": _Key(_BOTH, bool, False),
     "T": _Key(("inspect-schedule",), int, help="stream length (schedule horizon)"),
-    "gamma": _Key(_RUN, float),
-    "iters": _Key(_RUN, int),
-    "minibatch": _Key(_RUN, int),
-    "passes": _Key(_RUN, int),
+    "gamma": _Key(_RUN, float, help=argparse.SUPPRESS),
+    "iters": _Key(_RUN, int, help=argparse.SUPPRESS),
+    "minibatch": _Key(_RUN, int, help=argparse.SUPPRESS),
+    "passes": _Key(_RUN, int, help=argparse.SUPPRESS),
     "seeds": _Key(_RUN, str, "0", "comma-separated seed list"),
     "source": _Key(_RUN, str, "synth", "synth | csv:PATH | idx:IMAGES,LABELS"),
     "test": _Key(_RUN, str, help="csv:PATH | idx:IMAGES,LABELS | tail:FRACTION"),
@@ -123,6 +124,9 @@ _KEYS = {
     "ledger_out": _Key(_RUN, str, help="ledger JSONL path"),
     "inject_charge": _Key(_RUN, str, help=argparse.SUPPRESS),  # test hook: subsystem:a:b:num/den
 }
+# The SGD settings of earlier versions: still accepted, they no longer affect
+# a run, which solves each event to its certificate, and `run` says so.
+_RETIRED = ("gamma", "iters", "minibatch", "passes")
 # The flags not spelled --<key with dashes>.
 _FLAGS = {"lam": "--lambda", "ledger_out": "--ledger"}
 # The keys each scheduler, sampled or not, cannot do without.
@@ -220,7 +224,7 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     """Merge defaults, config file, environment and flags (flags win) into one
     namespace of every `_KEYS` setting, with `seeds` a tuple of ints, and
     add `sched`, their SchedulerConfig (L=None: the public bound for the
-    stream), and `synth`, their SynthConfig for a synth source, else None."""
+    stream)."""
     merged = {key: spec.default for key, spec in _KEYS.items()}
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
@@ -239,15 +243,6 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
         try:
             window_shape(cfg.w, cfg.w0)
         except ScheduleError as exc:
-            raise UsageError(str(exc)) from exc
-
-    cfg.synth = None
-    if cfg.source == "synth":
-        try:
-            cfg.synth = SynthConfig(**_given(
-                d=cfg.synth_d, k=cfg.synth_k, n=cfg.synth_n, sigma=cfg.synth_sigma,
-                drift_rate=cfg.synth_drift, seed=cfg.synth_seed))
-        except HarnessError as exc:
             raise UsageError(str(exc)) from exc
 
     try:
@@ -269,7 +264,13 @@ def _load_source(spec: str, cfg: argparse.Namespace, classes=None) -> Dataset:
     """The data `spec` names; given `classes`, a stream's label values, a
     file's labels are indexed among them."""
     if spec == "synth":
-        return synth_stream(cfg.synth)
+        try:
+            synth = SynthConfig(**_given(
+                d=cfg.synth_d, k=cfg.synth_k, n=cfg.synth_n, sigma=cfg.synth_sigma,
+                drift_rate=cfg.synth_drift, seed=cfg.synth_seed))
+        except HarnessError as exc:
+            raise UsageError(str(exc)) from exc
+        return synth_stream(synth)
     if spec.startswith("csv:"):
         return load_csv(spec[4:], classes=classes)
     if spec.startswith("idx:"):
@@ -337,6 +338,10 @@ def cmd_run(cfg: argparse.Namespace) -> int:
                          f"{ENV_PREFIX}T) is for inspect-schedule only")
     # the per-seed and summary files sit beside --output
     _check_output_dirs(output=cfg.output, trace=cfg.trace, ledger=cfg.ledger_out)
+    for key in _RETIRED:
+        if getattr(cfg, key) is not None:
+            print(f"note: {_flag(key)} no longer affects a run: each release is solved to "
+                  "its certificate", file=sys.stderr)
     injected = _parse_charge(cfg.inject_charge) if cfg.inject_charge else None
     stream = _load_source(cfg.source, cfg)
     if stream.k < 2:
@@ -347,12 +352,10 @@ def cmd_run(cfg: argparse.Namespace) -> int:
     sched = cfg.sched
     if sched.L is None:
         sched = replace(sched, L=lipschitz_public(stream.k, max(1, sched.batch)))
-    train = TrainConfig(**_given(
-        gamma=cfg.gamma, iterations=cfg.iters, minibatch=cfg.minibatch, passes=cfg.passes))
     multi = len(cfg.seeds) > 1
     # a repeated seed reruns identically, so it is replayed and exported once
     seeds = tuple(dict.fromkeys(cfg.seeds))
-    ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate, train=train)
+    ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate)
     schedule = build_schedule(sched, stream.n)
     if not schedule.releases:
         raise UsageError(f"the {sched.name} schedule releases no model on a stream of "
@@ -440,8 +443,8 @@ def main(argv=None) -> int:
     except (ScheduleError, MechanismError, ErmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergenceError as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
+    except CertificateError as exc:
+        print(f"error: release refused: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (HarnessError, LedgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,17 @@
 """Non-private convex ERM machinery.
 
-Multiclass logistic (softmax cross-entropy) loss, exact gradients, SGD with a
-1/(gamma*i) step schedule, biased L2 regularization toward a reference model,
-and Lipschitz-constant computation for DP noise calibration. A model is a
-(k, d) float64 weight array, and training and scoring take S models as one
-(S, k, d) stack.
+Multiclass logistic (softmax cross-entropy) loss, exact gradients, biased L2
+regularization toward a reference model, the certified solve that training
+uses (`solve`: full-batch L-BFGS until the gradient norm is at most a public
+tolerance), SGD with a 1/(gamma*i) step schedule (library code, which no run
+calls), and Lipschitz-constant computation for DP noise calibration. A model
+is a (k, d) float64 weight array, and training and scoring take S models as
+one (S, k, d) stack.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +38,6 @@ class DivergenceError(RuntimeError):
         self.member = member
         self.where = where
 
-    def __reduce__(self):
-        # rebuilt from its fields, not from its message, so that it survives
-        # the pipe from a lane process
-        return type(self), (self.iteration, self.member, self.where)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -57,8 +55,9 @@ class Dataset:
     classes: np.ndarray | None = None
 
     def __post_init__(self):
-        # C order: SGD gathers minibatch rows with np.take, which copies a
-        # non-contiguous source in full on every call
+        # C order: `solve` reads an interval's rows as one contiguous view,
+        # and np.take (SGD's minibatch gather) copies a non-contiguous source
+        # in full on every call
         X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.asarray(self.y)
         if X.ndim != 2:
@@ -265,6 +264,197 @@ def sgd_train(data: Dataset, bias, cfg: TrainConfig, lam: float, seeds,
         if not np.isfinite(w, out=finite).all():
             raise DivergenceError(i, int(np.argmin(finite.all(axis=(1, 2)))))
     return w  # every step checked it finite
+
+
+class CertificateError(RuntimeError):
+    """Raised when `solve` cannot certify a member: its gradient norm is
+    still above its tolerance when it reaches the iteration cap, when its
+    line search finds no acceptable step, or when its gradient is not
+    finite.
+
+    `member` is the member's position in its stack; `where` names what it
+    was training.
+    """
+
+    def __init__(self, iterations: int, grad_norm: float, member: int = 0,
+                 where: str | None = None):
+        at = f" in {where}" if where else ""
+        super().__init__(f"no certificate after {iterations} iterations: gradient norm "
+                         f"{grad_norm:.6g} above the tolerance{at}")
+        self.iterations = iterations
+        self.grad_norm = grad_norm
+        self.member = member
+        self.where = where
+
+
+# The settings of `solve`, public and the same for every run: the curvature
+# pairs L-BFGS keeps, the iterations after which a member is refused, the
+# Armijo constant, and the step halvings one iteration may take.
+SOLVE_MEMORY = 10
+SOLVE_CAP = 500
+_ARMIJO = 1e-4
+_HALVINGS = 60
+# `_objective` reads a member's rows in chunks of this many, so that its
+# temporaries stay a few hundred kB a member however long the interval.
+_CHUNK_ROWS = 2048
+
+
+def _objective(X, y, w, bias, lam):
+    """F and ∇F of each model of the (S, k, d) stack w: the mean softmax
+    cross-entropy over its rows plus lam*||w[s] - bias[s]||_F^2, as (S,)
+    values and an (S, k, d) gradient.
+
+    X is (n, d), read by every model, or (S, n, d), one block per model,
+    and y the rows' classes, (1, n) or (S, n). Rows are read in chunks of
+    _CHUNK_ROWS, whose loss sums and gradient products are added in order.
+    Scores are class-major, (S, k, rows), so that the class reductions run
+    over whole rows of scores. Every operation acts on each model's slice
+    alone (a BLAS product per slice, reductions within it), so a model's
+    values do not depend on the others in the stack.
+    """
+    S, k, _ = w.shape
+    n = X.shape[-2]
+    loss, grad = np.zeros(S), np.zeros_like(w)
+    for start in range(0, n, _CHUNK_ROWS):
+        Xc, yc = X[..., start : start + _CHUNK_ROWS, :], y[:, start : start + _CHUNK_ROWS]
+        c = Xc.shape[-2]
+        true = yc * c + (np.arange(S) * (k * c))[:, None] + np.arange(c)  # in (S, k, c)
+        scores = np.matmul(w, Xc.swapaxes(-1, -2))
+        scores -= scores.max(axis=1, keepdims=True)
+        shifted_true = scores.reshape(-1)[true]
+        np.exp(scores, out=scores)
+        total = scores.sum(axis=1, keepdims=True)
+        scores /= total
+        scores.reshape(-1)[true] -= 1.0
+        loss += (np.log(total[:, 0]) - shifted_true).sum(axis=-1)
+        grad += np.matmul(scores, Xc)
+    diff = w - bias
+    f = loss / n + lam * _dot(diff, diff)
+    return f, grad / n + 2.0 * lam * diff
+
+
+def _dot(a, b):
+    """Each member's inner product of two (S, ...) stacks, as (S,) values."""
+    return np.einsum("ij,ij->i", a.reshape(len(a), -1), b.reshape(len(b), -1))
+
+
+def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
+    """Certified minimisers: the (S, k, d) weights of S members, each solved
+    until the gradient norm of its objective is at most its tolerance.
+
+    Member i minimises F_i(w), the mean softmax cross-entropy over rows[i]
+    of data (all of data without rows) plus lam*||w - bias[i]||_F^2, and
+    stops at the first iterate with ||∇F_i(w)||_2 <= tau[i]. F_i is
+    2*lam-strongly convex, so that iterate lies within tau[i]/(2*lam) of
+    F_i's minimiser, in L2. A member that does not get there within
+    SOLVE_CAP iterations, whose line search finds no step, or whose
+    gradient is not finite raises CertificateError naming its position: it
+    is refused, not released.
+
+    The method is full-batch L-BFGS with SOLVE_MEMORY curvature pairs: the
+    initial inverse Hessian is 1/(2*lam) times the identity until the first
+    pair, then the usual s.y/y.y scaling, and a backtracking line search
+    from step 1 halves the step until the Armijo condition holds or the
+    trial is certified. Each member starts at its bias and keeps its own
+    step sizes and curvature pairs; a pair without positive curvature is
+    kept with weight 0. The members run in lockstep, and a certified member
+    leaves the stack, whose arrays shrink to the members left.
+
+    rows holds one row set per member, a range or an array of row indices,
+    all of one size. Members whose rows are one and the same range read one
+    view of data.X; otherwise each member's rows are gathered into a block
+    of its own. Either way every operation acts on each member's slice
+    alone, so a member's weights do not depend on the other members of its
+    stack: solved alone, it gets the same bits.
+    """
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ErmError(f"lambda must be > 0 and finite, got {lam}")
+    k, d = data.k, data.d
+    bias = np.asarray(bias, dtype=np.float64)
+    S = len(bias)
+    if bias.shape != (S, k, d):
+        raise ErmError(f"bias shape {bias.shape} is not (S, {k}, {d})")
+    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (S,))
+    if not (np.isfinite(tau) & (tau > 0)).all():
+        raise ErmError("tolerances must be positive and finite")
+    if rows is None:
+        rows = [range(data.n)] * S
+    elif len(rows) != S:
+        raise ErmError("need one row set per member")
+    r0 = rows[0]
+    if len(r0) == 0 or any(len(r) != len(r0) for r in rows):
+        raise ErmError("the members of a stack need equal, non-empty row sets")
+    if isinstance(r0, range) and r0.step == 1 and all(
+            isinstance(r, range) and r == r0 for r in rows):
+        if r0.start < 0 or r0.stop > data.n:
+            raise ErmError(f"training rows must lie in [0, {data.n})")
+        X, y = data.X[r0.start : r0.stop], data.y[None, r0.start : r0.stop]
+    else:
+        idx = np.array([np.asarray(r) for r in rows], dtype=np.int64)
+        if idx.min() < 0 or idx.max() >= data.n:
+            raise ErmError(f"training rows must lie in [0, {data.n})")
+        X, y = data.X[idx], data.y[idx]
+    out = np.empty_like(bias)
+    at = np.arange(S)  # each member's position in the stack
+    w = bias.copy()
+    f, g = _objective(X, y, w, bias, lam)
+    pairs = []  # (s, y, 1/s.y) of the last SOLVE_MEMORY steps, oldest first
+    gamma = np.full(S, 0.5 / lam)
+    for it in itertools.count():
+        norm = np.sqrt(_dot(g, g))
+        done = norm <= tau
+        bad = ~done if it == SOLVE_CAP else ~np.isfinite(norm)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise CertificateError(it, float(norm[j]), int(at[j]))
+        if done.any():
+            out[at[done]] = w[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            at, w, f, g, norm = at[keep], w[keep], f[keep], g[keep], norm[keep]
+            bias, tau, gamma = bias[keep], tau[keep], gamma[keep]
+            pairs = [(ps[keep], py[keep], rho[keep]) for ps, py, rho in pairs]
+            if X.ndim == 3:
+                X, y = X[keep], y[keep]
+        # the two-loop recursion over the stored pairs, newest first
+        q, alpha = -g.reshape(len(g), -1), []
+        for ps, py, rho in reversed(pairs):
+            alpha.append(rho * _dot(ps, q))
+            q = q - alpha[-1][:, None] * py
+        q = gamma[:, None] * q
+        for (ps, py, rho), a in zip(pairs, reversed(alpha)):
+            q = q + (a - rho * _dot(py, q))[:, None] * ps
+        p = q.reshape(g.shape)
+        slope = _dot(g, p)
+        # backtracking: the pending members' trials are evaluated together
+        step = np.ones(len(w))
+        w_new, f_new, g_new = np.empty_like(w), np.empty_like(f), np.empty_like(g)
+        pending = np.arange(len(w))
+        for _ in range(_HALVINGS):
+            whole = len(pending) == len(w)
+            trial = w[pending] + step[pending, None, None] * p[pending]
+            ft, gt = _objective(X if X.ndim == 2 or whole else X[pending],
+                                y if len(y) == 1 or whole else y[pending],
+                                trial, bias[pending], lam)
+            ok = ((ft <= f[pending] + _ARMIJO * step[pending] * slope[pending])
+                  | (np.sqrt(_dot(gt, gt)) <= tau[pending]))
+            took = pending[ok]
+            w_new[took], f_new[took], g_new[took] = trial[ok], ft[ok], gt[ok]
+            pending = pending[~ok]
+            if not len(pending):
+                break
+            step[pending] *= 0.5
+        else:
+            j = int(pending[0])
+            raise CertificateError(it, float(norm[j]), int(at[j]))
+        ps, py = (w_new - w).reshape(len(w), -1), (g_new - g).reshape(len(w), -1)
+        sy = _dot(ps, py)
+        curved = sy > 0
+        rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+        pairs = (pairs + [(ps, py, rho)])[-SOLVE_MEMORY:]
+        gamma = np.divide(sy, _dot(py, py), out=gamma, where=curved)
+        w, f, g = w_new, f_new, g_new
 
 
 def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:

@@ -14,20 +14,19 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .erm import Dataset, TrainConfig, evaluate_accuracy
+from .erm import Dataset, evaluate_accuracy
 from .ledger import Ledger, RunningMax
 from .rng import make_rng
 from .schedulers import (
     _STACK_BYTES,
     Schedule,
     SchedulerConfig,
-    _map_lanes,
     execute,
 )
 
@@ -202,7 +201,6 @@ class EvalConfig:
     test: Dataset | None = None
     seeds: tuple = (0,)
     nonprivate: bool = False
-    train: TrainConfig = field(default_factory=TrainConfig)
 
 
 @dataclass(slots=True)
@@ -239,7 +237,7 @@ def replay(
     arrays into one (R, k, d) array, and noise_l2 from their noise-norm
     columns. `evaluate_accuracy` scores slices of that array against the
     test set, and gathered models against their gathered windows, in
-    chunks of about `_STACK_BYTES` dealt over the lanes; each value equals
+    chunks of about `_STACK_BYTES`; each value equals
     the model's own evaluation. eps_max is the exact maximum
     per-point loss over the ledger's charges up to the release step, the
     same for every seed, kept by `ledger.RunningMax` as integer numerators
@@ -251,7 +249,7 @@ def replay(
     # an adopted continual base is its multires model, trained on [0, t - 1]
     start_of = {e.model_id: e.a for e in schedule.events}
     batch = sched.batch
-    results = execute(schedule, stream, ev.train, nonprivate=ev.nonprivate, seeds=ev.seeds)
+    results = execute(schedule, stream, nonprivate=ev.nonprivate, seeds=ev.seeds)
     running = RunningMax(Ledger() if ev.nonprivate else ledger)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
     releases = [result.releases for result in results]
@@ -297,47 +295,35 @@ def _window_accuracy(models: np.ndarray, which, stream: Dataset, starts, lengths
     starts[r], or None where lengths[r] is 0.
 
     Windows of one length are scored in chunks of about _STACK_BYTES of
-    weights, gathered rows and scores, dealt over the lanes (`_map_lanes`);
-    a chunk of one window reads its slice in place, so a window above the
-    cap is never copied.
+    weights, gathered rows and scores; a chunk of one window reads its
+    slice in place, so a window above the cap is never copied.
     """
-    chunks = []
+    out = [None] * len(which)
     for n in sorted(set(lengths[lengths > 0].tolist())):  # np.unique would import numpy.ma
         members = np.flatnonzero(lengths == n)
         model_bytes = (n * (stream.d + stream.k) + stream.k * stream.d) * 8
         per_chunk = max(1, _STACK_BYTES // model_bytes)
-        chunks.extend(members[i : i + per_chunk] for i in range(0, len(members), per_chunk))
-
-    def score(chunk):
-        n = int(lengths[chunk[0]])
-        if len(chunk) == 1:
-            start = int(starts[chunk[0]])
-            data = stream.slice(start, start + n - 1)
-        else:
-            rows = (starts[chunk, None] + np.arange(n)).ravel()
-            data = Dataset(stream.X[rows], stream.y[rows], stream.k)
-        return evaluate_accuracy(models[which[chunk]], data, per_model=True).tolist()
-
-    out = [None] * len(which)
-    for chunk, accs in zip(chunks, _map_lanes(score, chunks)):
-        for r, acc in zip(chunk.tolist(), accs):
-            out[r] = acc
+        for chunk in (members[i : i + per_chunk] for i in range(0, len(members), per_chunk)):
+            if len(chunk) == 1:
+                start = int(starts[chunk[0]])
+                data = stream.slice(start, start + n - 1)
+            else:
+                rows = (starts[chunk, None] + np.arange(n)).ravel()
+                data = Dataset(stream.X[rows], stream.y[rows], stream.k)
+            accs = evaluate_accuracy(models[which[chunk]], data, per_model=True)
+            for r, acc in zip(chunk.tolist(), accs.tolist()):
+                out[r] = acc
     return out
 
 
 def _test_accuracy(models: np.ndarray, test: Dataset | None) -> list:
     """Accuracy of each of the (R, k, d) models on the test set (None
-    without one), scored in slices of about _STACK_BYTES of scores, dealt
-    over the lanes (`_map_lanes`)."""
+    without one), scored in slices of about _STACK_BYTES of scores."""
     if test is None:
         return [None] * len(models)
     per_chunk = max(1, _STACK_BYTES // (test.n * test.k * 8))
-    chunks = [models[i : i + per_chunk] for i in range(0, len(models), per_chunk)]
-
-    def score(chunk):
-        return evaluate_accuracy(chunk, test).tolist()
-
-    return [acc for accs in _map_lanes(score, chunks) for acc in accs]
+    return [acc for i in range(0, len(models), per_chunk)
+            for acc in evaluate_accuracy(models[i : i + per_chunk], test).tolist()]
 
 
 def accuracy_quartiles(records):

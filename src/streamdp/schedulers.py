@@ -17,22 +17,19 @@ import functools
 import itertools
 import json
 import math
-import os
-import pickle
 import re
-import signal
 import string
 import sys
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .erm import Dataset, DivergenceError, TrainConfig
-from .ledger import SUBSYSTEMS, Ledger, LedgerError
-from .mechanisms import laplace_scale, pberm, sampling_probability, subsample
+from .erm import SOLVE_MEMORY, CertificateError, Dataset
+from .ledger import Ledger, LedgerError
+from .mechanisms import (TAU_SHARE, laplace_scale, pberm, sampling_probability,
+                         solve_tolerance, subsample)
 from .rng import first_integers, stream_keys
 
 KIND_SUBSYSTEM = {
@@ -83,7 +80,8 @@ class SchedulerConfig:
 
 @dataclass(slots=True)
 class EventSpec:
-    """One model training/adoption with its interval, noise and exact charge."""
+    """One model training/adoption with its interval, noise and exact charge,
+    and the gradient norm tau its solve stops at (`mechanisms.solve_tolerance`)."""
 
     t: int
     kind: str
@@ -92,6 +90,7 @@ class EventSpec:
     b: int
     eps: Fraction
     noise_scale: float
+    tau: float
     model_id: int
     reg_source: int | None = None  # None: trained toward the zero model
     adopt: bool = False  # released, not trained: a continual base adopts a multires model
@@ -125,17 +124,21 @@ class Schedule:
     eps: Fraction  # the eps the schedule was built for
     budgets: dict  # subsystem -> the most one point may be charged in it
     lam: float  # the lambda the events' noise is calibrated for, and trained with
+    L: float  # the Lipschitz constant the events' noise and tolerances are calibrated for
 
 
 def _event(lam, L, t, kind, level, a, b, eps, model_id, sampled_rule=None, adopt=False,
-           scale=None, reg_source=None, side=None) -> EventSpec:
+           scale=None, tau=None, reg_source=None, side=None) -> EventSpec:
     """An event on [a, b] charged eps, with the Laplace scale that charge
-    buys (`laplace_scale`, unless the caller passes it as scale); an adopted
-    model is not trained and has none."""
-    if scale is None:
-        scale = 0.0 if adopt else laplace_scale(
-            L, lam, b - a + 1, eps, level if sampled_rule else None)
-    return EventSpec(t, kind, level, a, b, eps, scale, model_id, reg_source, adopt, side,
+    buys and the tolerance of its solve (`laplace_scale`, `solve_tolerance`,
+    unless the caller passes them as scale and tau); an adopted model is
+    not trained and has neither."""
+    if adopt:
+        scale = tau = 0.0
+    elif scale is None:
+        scale = laplace_scale(L, lam, b - a + 1, eps, level if sampled_rule else None)
+        tau = solve_tolerance(L, lam, b - a + 1)
+    return EventSpec(t, kind, level, a, b, eps, scale, tau, model_id, reg_source, adopt, side,
                      sampled_rule)
 
 
@@ -167,7 +170,7 @@ def multires_schedule(T, B, eps, lam, L, sampled=False, _ids=None) -> Schedule:
         for t in range(B, T, B) for k, (a, b) in multires_events_at(t, B)
     ]
     releases = tuple((e.t, e.model_id) for e in events)
-    return Schedule("multires", tuple(events), releases, eps, {"multires": eps}, lam)
+    return Schedule("multires", tuple(events), releases, eps, {"multires": eps}, lam, L)
 
 
 def continual_schedule(
@@ -230,7 +233,7 @@ def continual_schedule(
     # merge the embedded multires releases into time order; an adopted base
     # is the multires model released at the same step, so it is listed once
     releases = sorted(dict.fromkeys(releases), key=lambda r: r[0])
-    return Schedule("continual", tuple(events), tuple(releases), eps, budgets, lam)
+    return Schedule("continual", tuple(events), tuple(releases), eps, budgets, lam, L)
 
 
 def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
@@ -245,7 +248,7 @@ def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
               for t in range(b0, T, b0)]
     return Schedule(
         "baseline-independent", tuple(events),
-        tuple((e.t, e.model_id) for e in events), eps, {"baseline": eps}, lam,
+        tuple((e.t, e.model_id) for e in events), eps, {"baseline": eps}, lam, L,
     )
 
 
@@ -274,7 +277,7 @@ def baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L) -> Schedule:
         prev = ev.model_id
     return Schedule(
         "baseline-basic", tuple(events),
-        tuple((e.t, e.model_id) for e in events), eps, {"baseline": 2 * eps}, lam,
+        tuple((e.t, e.model_id) for e in events), eps, {"baseline": 2 * eps}, lam, L,
     )
 
 
@@ -346,13 +349,14 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
     k = window_shape(w, w0)
     eps = Fraction(eps)
     event = functools.partial(_event, lam, L)
-    # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule
-    # and Laplace scale depend on j alone: each level's are worked out once.
+    # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule,
+    # Laplace scale and tolerance depend on j alone: each level's are worked
+    # out once.
     levels = []
     for j in range(k - 1):
         charge, rule = eps / (6 * 2**j), "reciprocal" if sampled and j > 0 else None
-        levels.append((charge, rule, laplace_scale(L, lam, 2**j * w0, charge,
-                                                   j if rule else None)))
+        levels.append((charge, rule, laplace_scale(L, lam, 2**j * w0, charge, j if rule else None),
+                       solve_tolerance(L, lam, 2**j * w0)))
     events, releases = [], []
     for t, kind, chain, trained in _sliding_steps(T, w, w0):
         for idx in trained:
@@ -361,11 +365,11 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
                 events.append(event(t, kind, k - 1, a, b, eps / 3, mid, side="base"))
             else:
                 j = blocks.bit_length() - 1
-                charge, rule, scale = levels[j]
-                events.append(event(t, kind, j, a, b, charge, mid, rule, scale=scale,
+                charge, rule, scale, tau = levels[j]
+                events.append(event(t, kind, j, a, b, charge, mid, rule, scale=scale, tau=tau,
                                     reg_source=chain[idx - 1][4], side=side))
         releases.append((t, chain[-1][4]))
-    return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam)
+    return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam, L)
 
 
 def sliding_chain(T, w, w0) -> tuple:
@@ -416,28 +420,25 @@ class RunResult:
         return [(t, mid) for t, mid in self.schedule_releases if not self.skip[mid]]
 
 
-# A lockstep SGD call holds an (members, m, d) float64 minibatch and
-# (members, k, d) weight stacks. A wave's members are stacked up to about
-# this many bytes of both, counted as members * (m + k) * d * 8. Larger
-# stacks gain little and raise the peak RSS: at d=20, k=3, m=256 a step
-# takes about 23-26 us per member at 4 members, 18-23 at 8 and 20-25 at 16
-# (one BLAS thread, 2-vCPU VM). A member above the cap alone is
-# compute-bound: numpy's gather, products and exponentials dominate its
-# call, and stacking it with others trains no faster, so it is a call of
-# its own.
+# Release scoring works in chunks of about this many bytes (`harness`), and
+# `execute` gathers copies of an interval's rows for its seeds only up to it.
 _STACK_BYTES = 160 << 10
 
-# Lanes a wave's stacks are dealt over: the calling process and
-# _WORKERS - 1 processes forked for the wave, one lane per CPU the process
-# may run on, and one lane where os.fork does not exist.
-_WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1) if hasattr(os, "fork") else 1)
+# A solve holds, per member of n rows, its rows where they are gathered, its
+# (k, n) scores, and about _SOLVE_ARRAYS arrays the size of its weights: the
+# iterate, its gradient, the direction, the trial and their temporaries, and
+# the 2 * SOLVE_MEMORY vectors of its curvature pairs. `execute` stacks
+# members up to about _SOLVE_BYTES of these: stacking spreads the per-call
+# cost of the solver's and the noise draw's numpy operations over many
+# small members. Sliding-w255's 5,473 tiny events ran in 260, 224, 194 and
+# 204 ms at caps of 1, 2, 4 and 8 MiB, at one peak RSS.
+_SOLVE_BYTES = 4 << 20
+_SOLVE_ARRAYS = 2 * SOLVE_MEMORY + 8
 
 
 def execute(
     schedule: Schedule,
     stream: Dataset,
-    train_cfg: TrainConfig,
     nonprivate: bool = False,
     *,
     seeds,
@@ -449,29 +450,30 @@ def execute(
     same slices, and events are trained in dependency waves: an event's wave
     is one more than its `reg_source`'s, and events without one are wave 1, so
     the events of a wave are independent of each other. Each wave's (event,
-    seed) members are grouped by minibatch size min(minibatch, n), and each
-    group is trained in lockstep by `pberm` with the schedule's lambda
-    toward each member's regularizer (the zero model without one), one call
-    per stack (`_stacks`). Members read the whole stream: an interval as a
-    range, a subsample as its kept row indices. A seed's subsample, SGD and
-    noise streams derive from that seed and the model id alone, so its
-    result equals a run of that seed by itself, event by event; the
-    subseeds of every (event, seed) are derived up front, one vectorised
-    call per label (`_subseeds`), and a stack's noise is one draw.
+    seed) members are grouped by the number of rows they train on, and each
+    group is solved in lockstep by `pberm` with the schedule's lambda toward
+    each member's regularizer (the zero model without one), to each event's
+    tolerance tau, one call per stack (`_stacks`). The seeds of an unsampled
+    event read one range of the stream: where copies of it for every seed
+    would take more than _STACK_BYTES, they are stacks of their own, each of
+    which reads the range in place. Otherwise, and for a sampled event's
+    (event, seed) members, each member reads its own gathered rows, and the
+    members of one row count are pooled into stacks of about _SOLVE_BYTES.
+    Solving is deterministic, and a seed's subsample and noise streams
+    derive from that seed and the model id alone, so its result equals a
+    run of that seed by itself, event by event; the subseeds of every
+    (event, seed) are derived up front, one vectorised call per label
+    (`_subseeds`), and a stack's noise is one draw.
 
     The run is kept as arrays: per seed, one (M + 1, k, d) weight array
     indexed by model id, whose last slot is the zero model, and noise-norm
     columns beside it. A stack gathers its members' biases from it with one
-    fancy index and trains as arrays from there (`pberm`). A stack's result
-    depends on its own inputs alone, so the stacks of a wave may train in
-    any order and in any process. They are dealt round-robin over
-    `_WORKERS` lanes (`_map_lanes`): lane 0 trains in the calling process
-    while each other lane trains in a process forked for it, which sees
-    every earlier wave's models through the fork and sends back each
-    stack's noisy weights, noise_l1 and noise_l2 as three arrays. After
-    each wave, each stack's reply is stored with one assignment, bit for
-    bit what a serial run stores. Nothing is charged here: the run's
-    charges are the schedule's (`ledger_from_events`).
+    fancy index and trains as arrays from there (`pberm`), in this process,
+    and its noisy weights, noise_l1 and noise_l2 are stored with one
+    assignment each. A stack's result depends on its own inputs alone, and
+    its biases come from earlier waves, so the order of a wave's stacks
+    does not matter. Nothing is charged here: the run's charges are the
+    schedule's (`ledger_from_events`).
 
     A sampled event keeps each point with its `event_probability`. One whose
     subsample is empty is skipped for that seed: it is neither trained nor
@@ -480,9 +482,9 @@ def execute(
     post-processing. Its charge still stands, since the amplified charge
     covers subsample-then-release whatever the subsample.
 
-    nonprivate=True forces all noise scales to zero. A DivergenceError names
-    the event and seed of the first diverged member in wave order, whichever
-    lane finishes first.
+    nonprivate=True forces all noise scales to zero. A member that cannot
+    be certified raises CertificateError naming its event and seed: the
+    first such member in wave order.
     """
     seeds = tuple(seeds)
     trained = [e for e in schedule.events if not e.adopt]
@@ -490,133 +492,64 @@ def execute(
         if e.b >= stream.n:
             raise ScheduleError(f"event at t={e.t} needs point {e.b} beyond stream end")
     ids = [e.model_id for e in trained]
-    train_seeds = _subseeds(seeds, "train", ids)
     noise_seeds = _subseeds(seeds, "noise", ids)
     sample_seeds = _subseeds(seeds, "sample", [e.model_id for e in trained if e.sampled_rule])
     zero = 1 + max((e.model_id for e in schedule.events), default=-1)  # the zero model's slot
     weights = np.zeros((len(seeds), zero + 1, stream.k, stream.d))
     noise_l1, noise_l2 = np.zeros((2, len(seeds), zero + 1))
     skip = np.zeros((len(seeds), zero + 1), dtype=bool)
-    scale = np.zeros(zero + 1)
+    scale, tau = np.zeros((2, zero + 1))
     source = np.full(zero + 1, zero)  # each model's regularizer
     for e in trained:
         scale[e.model_id] = 0.0 if nonprivate else e.noise_scale
+        tau[e.model_id] = e.tau
         if e.reg_source is not None:
             source[e.model_id] = e.reg_source
 
-    def train(stack):
-        """pberm over one stack: its noisy (members, k, d) weights, noise_l1
-        and noise_l2, or a DivergenceError naming its first diverged member."""
-        members, seat, mids = stack
-        try:
-            return pberm(weights[seat, source[mids]], stream, schedule.lam, train_cfg,
-                         scale[mids], noise_seeds[seat, mids], train_seeds[seat, mids],
-                         [rows for _, _, rows in members])
-        except DivergenceError as exc:
-            e, i, _ = members[exc.member]
-            return DivergenceError(exc.iteration, exc.member,
-                                   f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}")
+    def member_bytes(n, gathered):
+        """What a solve holds for one member of n rows (see _SOLVE_BYTES)."""
+        rows = n * (stream.d + stream.k) if gathered else n * stream.k
+        return (rows + _SOLVE_ARRAYS * stream.k * stream.d) * 8
 
     for wave in _waves(trained):
-        groups = {}  # minibatch size -> [(event, seed position, rows)]
+        groups = {}  # row count -> [(event, seed position, rows)] of the pooled members
+        stacks = []
         for e in wave:
             if e.sampled_rule is None:
-                event_rows = [range(e.a, e.b + 1)] * len(seeds)
-            else:
-                p = event_probability(e)
-                event_rows = [subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id]))
-                              + e.a for i in range(len(seeds))]
-            for i, rows in enumerate(event_rows):
+                n, rows = e.b - e.a + 1, range(e.a, e.b + 1)
+                members = [(e, i, rows) for i in range(len(seeds))]
+                if len(seeds) * n * stream.d * 8 > _STACK_BYTES:  # read in place
+                    stacks += _stacks(members, member_bytes(n, False))
+                else:
+                    groups.setdefault(n, []).extend(members)
+                continue
+            p = event_probability(e)
+            for i in range(len(seeds)):
+                rows = subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id])) + e.a
                 if len(rows) == 0:  # skipped
                     skip[i, e.model_id] = True
                     weights[i, e.model_id] = weights[i, source[e.model_id]]
                 else:
-                    groups.setdefault(min(train_cfg.minibatch, len(rows)), []).append(
-                        (e, i, rows))
-        stacks = [(stack, np.array([i for _, i, _ in stack]),
-                   np.array([e.model_id for e, _, _ in stack]))
-                  for m, members in groups.items()
-                  for stack in _stacks(members, (m + stream.k) * stream.d * 8)]
-        for (_, seat, mids), result in zip(stacks, _map_lanes(train, stacks)):
-            if isinstance(result, DivergenceError):
-                raise result
+                    groups.setdefault(len(rows), []).append((e, i, rows))
+        stacks += [stack for n, members in groups.items()
+                   for stack in _stacks(members, member_bytes(n, True))]
+        for members in stacks:
+            seat = np.array([i for _, i, _ in members])
+            mids = np.array([e.model_id for e, _, _ in members])
+            try:
+                result = pberm(weights[seat, source[mids]], stream, schedule.lam, tau[mids],
+                               scale[mids], noise_seeds[seat, mids],
+                               [rows for _, _, rows in members])
+            except CertificateError as exc:
+                e, i, _ = members[exc.member]
+                raise CertificateError(exc.iterations, exc.grad_norm, exc.member,
+                                       f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}"
+                                       ) from None
             weights[seat, mids], noise_l1[seat, mids], noise_l2[seat, mids] = result
 
     events = tuple(trained)
     return [RunResult(events, weights[i], noise_l1[i], noise_l2[i], scale, noise_seeds[i],
                       skip[i], schedule.releases) for i in range(len(seeds))]
-
-
-def _map_lanes(fn, items) -> list:
-    """[fn(x) for x in items], with the items dealt round-robin over
-    `_WORKERS` lanes that run concurrently.
-
-    Lane 0 runs in this process. Each other non-empty lane runs in a child
-    forked for it, which sends its results back through a pipe, pickled,
-    and leaves through os._exit. The parent closes each write end before
-    the next fork, so that no later child holds it open and each read ends
-    at its child's EOF. An exception raised in a child is raised again here
-    with its type and message; a child that exits without sending its
-    results raises ChildProcessError naming the lane and its exit status.
-    Every child is reaped and every pipe closed before this returns or
-    raises: the children still running when this raises first are killed.
-    A fork copies the calling thread alone, so a lock another thread holds
-    would stay held in the child forever: while the process runs any other
-    Python thread, every item runs here. execute starts none.
-    """
-    workers = _WORKERS if threading.active_count() == 1 else 1
-    lanes = [range(n, len(items), workers) for n in range(workers)]
-    results = [None] * len(items)
-    children = []  # (lane, pid, read end) of each child not yet reaped
-    try:
-        for n, lane in enumerate(lanes[1:], start=1):
-            if not lane:
-                continue
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:  # the child: never returns
-                status = 1
-                try:
-                    os.close(r)
-                    try:
-                        reply = (True, [fn(items[j]) for j in lane])
-                    except Exception as exc:
-                        reply = (False, exc)
-                    data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-                    with open(w, "wb") as fh:
-                        fh.write(data)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((n, pid, r))
-        for j in lanes[0]:
-            results[j] = fn(items[j])
-        while children:
-            n, pid, r = children.pop(0)
-            try:
-                with open(r, "rb") as fh:
-                    data = fh.read()
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code != 0:
-                raise ChildProcessError(f"lane {n} exited with status {code} without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            for j, result in zip(lanes[n], value):
-                results[j] = result
-    finally:
-        for _, pid, r in children:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return results
 
 
 def _waves(events):
@@ -635,13 +568,10 @@ def _waves(events):
 
 
 def _stacks(members, member_bytes):
-    """Split members, in order, into near-equal stacks of about _STACK_BYTES
+    """Split members, in order, into near-equal stacks of about _SOLVE_BYTES
     (one member takes member_bytes, so a member above the cap is a stack of
-    its own). Their count is the members' bytes over the cap, rounded up to
-    a multiple of _WORKERS, so that the lanes get equal shares, but never
-    more than one stack a member."""
-    count = -(-len(members) * member_bytes // _STACK_BYTES)
-    count = min(len(members), -(-count // _WORKERS) * _WORKERS)
+    its own): as many as the members' bytes over the cap, rounded up."""
+    count = min(len(members), -(-len(members) * member_bytes // _SOLVE_BYTES))
     size, extra = divmod(len(members), count)
     start = 0
     for j in range(count):
@@ -654,8 +584,8 @@ def _subseeds(seeds, label: str, model_ids) -> np.ndarray:
     """make_rng(seed, label, model_id).integers(0, 2**63 - 1) for every seed
     and model id, derived in one vectorised call (`rng.stream_keys`,
     `rng.first_integers`), as an int64 array indexed [seed position, model
-    id]. Each label's 63-bit subseeds seed an independent stream (train,
-    noise, sample) per (seed, model)."""
+    id]. Each label's 63-bit subseeds seed an independent stream (noise,
+    sample) per (seed, model)."""
     ids = np.array(model_ids, dtype=np.int64)
     out = np.zeros((len(seeds), ids.max(initial=-1) + 1), dtype=np.int64)
     keys = stream_keys([seed for seed in seeds for _ in ids], label, np.tile(ids, len(seeds)))
@@ -709,14 +639,30 @@ def trace_record(e: EventSpec) -> dict:
 
 def trace_header(schedule: Schedule) -> dict:
     """The first line of a trace: the scheduler, its eps (as eps_num and
-    eps_den, like an event's charge) and its budgets, each an exact
-    [numerator, denominator] pair."""
+    eps_den, like an event's charge), its budgets, each an exact
+    [numerator, denominator] pair, and the lambda, Lipschitz constant and
+    tolerance share (`mechanisms.TAU_SHARE`) its events are calibrated
+    with."""
     return {
         "scheduler": schedule.name,
         "eps_num": schedule.eps.numerator,
         "eps_den": schedule.eps.denominator,
         "budgets": {sub: [b.numerator, b.denominator] for sub, b in schedule.budgets.items()},
+        "lam": schedule.lam,
+        "L": schedule.L,
+        "tau_share": TAU_SHARE,
     }
+
+
+# The budget subsystems a header of each schedule name may hold: a continual
+# schedule with standalone bases charges no multires subsystem.
+SCHEDULE_BUDGETS = {
+    "multires": ({"multires"},),
+    "continual": ({"continual", "multires"}, {"continual"}),
+    "sliding": ({"sliding"},),
+    "baseline-independent": ({"baseline"},),
+    "baseline-basic": ({"baseline"},),
+}
 
 
 # One event's trace line: json.dumps(trace_record(e)), field for field.
@@ -767,7 +713,9 @@ _TRACE_CHUNK = 1 << 20  # characters of trace lines ledger_from_trace matches at
 def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     """The eps and the budgeted ledger of a trace `export_trace` wrote.
 
-    Line 1 must be the header, which gives the budgets. Each later line is
+    Line 1 must be the header, which gives the budgets: it must name a
+    schedule of `SCHEDULE_BUDGETS` and hold that schedule's budget
+    subsystems, or LedgerError says it does not. Each later line is
     an event, charged to its kind's subsystem with the kind as mechanism; a
     zero charge is skipped. A line that does not parse, or an event of a
     subsystem the header has no budget for, raises LedgerError naming its
@@ -782,12 +730,17 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
             head = json.loads(fh.readline().encode())
+            allowed = SCHEDULE_BUDGETS.get(head["scheduler"])
             eps = Fraction(head["eps_num"], head["eps_den"])
             budgets = {sub: Fraction(num, den) for sub, (num, den) in head["budgets"].items()}
         except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise LedgerError(f"trace line 1 is not a trace header: {exc!r}") from exc
-        if eps <= 0 or not budgets or any(
-                sub not in SUBSYSTEMS or b <= 0 for sub, b in budgets.items()):
+        if allowed is None:
+            raise LedgerError(f"trace line 1 names no schedule: {head['scheduler']!r}")
+        if budgets.keys() not in allowed:
+            raise LedgerError(f"trace line 1 budgets {sorted(budgets)} are not those of a "
+                              f"{head['scheduler']} schedule")
+        if eps <= 0 or any(b <= 0 for b in budgets.values()):
             raise LedgerError(f"trace line 1 has an invalid eps or budgets: {head}")
         try:
             return eps, _ledger_by_template(fh, budgets)

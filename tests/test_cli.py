@@ -34,7 +34,41 @@ BASE_RUN = [
 ]
 
 
+# The SGD settings `run` still accepts, each with a value of its type.
+RETIRED = {"gamma": "0.5", "iters": "7", "minibatch": "5", "passes": "2"}
+
+
 class TestParsing:
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_retired_sgd_settings_are_accepted_and_change_nothing(self, source, capsys,
+                                                                  tmp_path, monkeypatch):
+        plain = [a for a in BASE_RUN if a not in ("--iters", "5", "--minibatch", "8")]
+        assert run_cli(capsys, *plain, "--output", str(tmp_path / "a.csv"))[0] == EXIT_OK
+        extra = []
+        if source == "flag":
+            extra = [f for key, v in RETIRED.items() for f in (cli._flag(key), v)]
+        elif source == "config":
+            (tmp_path / "cfg").write_text("".join(f"{k}={v}\n" for k, v in RETIRED.items()))
+            extra = ["--config", str(tmp_path / "cfg")]
+        else:
+            for key, v in RETIRED.items():
+                monkeypatch.setenv("STREAMDP_" + key.upper(), v)
+        code, _, err = run_cli(capsys, *plain, *extra, "--output", str(tmp_path / "b.csv"))
+        assert code == EXIT_OK
+        assert err.splitlines() == [
+            f"note: {cli._flag(key)} no longer affects a run: each release is solved to its "
+            "certificate" for key in RETIRED]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_inspect_schedule_builds_no_synthetic_stream(self, capsys, monkeypatch):
+        # it reads no data, so a synth setting that could not be drawn is not its concern
+        monkeypatch.setenv("STREAMDP_SYNTH_SIGMA", "-1")
+        code, out, err = run_cli(capsys, "inspect-schedule", "--scheduler", "multires",
+                                 "--B", "2", "--epsilon", "1", "--lambda", "1", "--T", "8")
+        assert code == EXIT_OK and "sigma" not in err
+        code, _, err = run_cli(capsys, *BASE_RUN, "--output", "m.csv")
+        assert code == EXIT_USAGE and "sigma must be finite and positive" in err
+
     def test_valid_sliding_config(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "inspect-schedule", "--scheduler", "sliding", "--w", "7",
@@ -301,7 +335,7 @@ class TestInspect:
         assert out == (tmp_path / "t.jsonl").read_text()
         assert json.loads(out.splitlines()[0]) == {
             "scheduler": "continual", "eps_num": 1, "eps_den": 3,
-            "budgets": {"continual": [2, 3]}}
+            "budgets": {"continual": [2, 3]}, "lam": 1.0, "L": 1.0, "tau_share": 0.01}
 
     def test_requires_horizon(self, capsys):
         code, out, err = run_cli(
@@ -418,7 +452,7 @@ class TestRun:
             "--B", "4", "--iters", "20", "--source", f"csv:{tmp_path}/d.csv",
             "--output", str(tmp_path / "m.csv"),
         )
-        assert code == EXIT_DATA and "training diverged" in err and "Traceback" not in err
+        assert code == EXIT_DATA and "release refused" in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -429,14 +463,26 @@ class TestRun:
         self.write_csv(tmp_path / "d.csv", [[s * (i % 5 - 2), s] for i, s in enumerate(scale)])
         code, out, err = run_cli(
             capsys, "run", "--scheduler", "sliding", "--w", "7", "--w0", "1",
-            "--epsilon", "1", "--lambda", "1", "--iters", "20", "--minibatch", "4",
+            "--epsilon", "1", "--lambda", "1",
             "--seeds", "1,2", "--source", f"csv:{tmp_path}/d.csv",
             "--output", str(tmp_path / "m.csv"),
         )
-        assert code == EXIT_DATA and "training diverged" in err and "Traceback" not in err
-        # the error names the first diverged member of the stack
-        assert re.fullmatch(r"error: training diverged: non-finite weights at iteration \d+ "
+        assert code == EXIT_DATA and "release refused" in err and "Traceback" not in err
+        # the error names the first refused member of the stack
+        assert re.fullmatch(r"error: release refused: no certificate after 0 iterations: "
+                            r"gradient norm inf above the tolerance "
                             r"in event at t=18 on \[15, 18\], seed 1\n", err)
+
+    def test_a_solve_that_reaches_the_cap_exits_3(self, capsys, tmp_path, monkeypatch):
+        from streamdp import erm
+
+        monkeypatch.setattr(erm, "SOLVE_CAP", 1)
+        code, out, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"))
+        assert code == EXIT_DATA and "Traceback" not in err
+        assert re.search(r"error: release refused: no certificate after 1 iterations: gradient "
+                         r"norm \S+ above the tolerance in event at t=\d+ on \[\d+, \d+\], "
+                         r"seed 0\n$", err)
+        assert not (tmp_path / "m.csv").exists()
 
     def test_sampled_schedule_with_skipped_regularizer_runs(self, capsys, tmp_path):
         # a sliding-sample update skipped on an empty subsample is later the
@@ -577,11 +623,11 @@ class TestOutputDirectories:
 
 class TestUnusableNumbers:
     """Numbers that would give a noise scale that is not positive and finite,
-    a step size that is not finite, or a synthetic stream that cannot be
-    drawn, are usage errors before training."""
+    or a synthetic stream that cannot be drawn, are usage errors before
+    training."""
 
     RUN = ["run", "--scheduler", "continual", "--epsilon", "1", "--lambda", "1", "--B", "64",
-           "--b0", "16", "--synth-n", "300", "--iters", "5"]
+           "--b0", "16", "--synth-n", "300"]
 
     @pytest.mark.parametrize("flags", [
         ["--lambda", "1e308"],  # the scale underflows to 0
@@ -592,17 +638,15 @@ class TestUnusableNumbers:
         ["--epsilon", "1" + "0" * 400],  # nor these
         ["--lipschitz", "nan"],
         ["--lipschitz", "inf"],
-        ["--gamma", "nan"],
-        ["--gamma", "inf"],
         ["--synth-sigma", "nan"],
         ["--synth-sigma", "inf"],
         ["--synth-drift", "nan"],
         ["--synth-drift", "inf"],
         ["--synth-n", "-5"],
     ], ids=["lambda-underflow", "lambda-nan", "lambda-inf", "lambda-nan-nonprivate",
-            "epsilon-tiny", "epsilon-huge", "lipschitz-nan", "lipschitz-inf", "gamma-nan",
-            "gamma-inf", "synth-sigma-nan", "synth-sigma-inf", "synth-drift-nan",
-            "synth-drift-inf", "synth-n-negative"])
+            "epsilon-tiny", "epsilon-huge", "lipschitz-nan", "lipschitz-inf",
+            "synth-sigma-nan", "synth-sigma-inf", "synth-drift-nan", "synth-drift-inf",
+            "synth-n-negative"])
     def test_run_exits_1_and_writes_nothing(self, flags, capsys, tmp_path):
         code, _, err = run_cli(capsys, *self.RUN, *flags, "--output", str(tmp_path / "m.csv"),
                                "--trace", str(tmp_path / "trace.jsonl"))
@@ -672,6 +716,27 @@ class TestVerifyLedger:
         assert code == EXIT_OK
         assert out.splitlines() == ["max point loss: 0 at index None",
                                     "multires: max 0 (budget 1) ok"]
+
+    @pytest.mark.parametrize("header,message", [
+        ({"scheduler": "nonsense", "eps_num": 1, "eps_den": 1, "budgets": {"multires": [1, 1]}},
+         "trace line 1 names no schedule: 'nonsense'"),
+        ({"scheduler": "sliding", "eps_num": 1, "eps_den": 1, "budgets": {"multires": [1, 1]}},
+         "trace line 1 budgets ['multires'] are not those of a sliding schedule"),
+        ({"scheduler": "continual", "eps_num": 1, "eps_den": 1,
+          "budgets": {"multires": [1, 1]}},
+         "trace line 1 budgets ['multires'] are not those of a continual schedule"),
+        ({"scheduler": "multires", "eps_num": 1, "eps_den": 1,
+          "budgets": {"multires": [1, 1], "sliding": [1, 1]}},
+         "trace line 1 budgets ['multires', 'sliding'] are not those of a multires schedule"),
+    ], ids=["no-such-scheduler", "other-schedulers-budget", "continual-without-its-own",
+            "an-extra-budget"])
+    def test_a_header_that_names_no_schedule_or_its_budgets_exits_3(self, header, message,
+                                                                    capsys, tmp_path):
+        p = tmp_path / "trace.jsonl"
+        p.write_text(json.dumps(header) + "\n")
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert err == f"error: {message}\n"
 
     def test_header_less_trace_exits_3_naming_line_1(self, capsys, tmp_path):
         p = tmp_path / "trace.jsonl"

@@ -1,4 +1,3 @@
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdp import (
+    CertificateError,
     Dataset,
     DivergenceError,
     ErmError,
@@ -15,6 +15,7 @@ from streamdp import (
     lipschitz_public,
     loss_and_gradient,
     sgd_train,
+    solve,
 )
 from streamdp import erm
 from streamdp.rng import make_rng
@@ -101,6 +102,99 @@ class TestGradient:
         np.testing.assert_allclose(g_pen, g_free, atol=1e-9)
 
 
+def blobs(rng, n, d, k, scale=1.0):
+    """Gaussian blobs around k class means, as the synthetic streams are."""
+    y = rng.integers(0, k, size=n)
+    X = 0.5 * rng.standard_normal((n, d))
+    X[:, 0] += np.cos(2 * np.pi * y / k)
+    X[:, 1] += np.sin(2 * np.pi * y / k)
+    return Dataset(scale * X, y, k)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 30.0])
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_every_member_is_within_its_tolerance(self, rng, lam, n):
+        data = blobs(rng, 400, 5, 3)
+        bias = 0.3 * rng.standard_normal((3, 3, 5))
+        tau = np.array([1e-3, 1e-6, 1e-9])
+        rows = [range(0, n), np.sort(rng.choice(400, n, replace=False)), range(400 - n, 400)]
+        w = solve(data, bias, lam, tau, rows)
+        for i in range(3):
+            r = np.asarray(rows[i])
+            _, grad = loss_and_gradient(w[i], Dataset(data.X[r], data.y[r], 3), lam, bias[i])
+            assert np.linalg.norm(grad) <= tau[i]
+
+    @pytest.mark.parametrize("d,k", [(4, 3), (20, 3), (40, 10)])
+    @pytest.mark.parametrize("n", [1, 5, 64, 3000])
+    def test_a_member_in_a_stack_equals_the_member_alone(self, rng, d, k, n):
+        # shared rows read in place, several ranges and index arrays gathered,
+        # each with its own bias and tolerance
+        data = blobs(rng, 3 * n + 7, d, k, scale=2.0)
+        S = 5
+        bias = 0.2 * rng.standard_normal((S, k, d))
+        tau = 10.0 ** -rng.integers(4, 9, size=S)
+        layouts = {
+            "shared": [range(3, 3 + n)] * S,
+            "ranges": [range(i, i + n) for i in range(S)],
+            "indices": [np.sort(rng.choice(data.n, n, replace=False)) for _ in range(S)],
+        }
+        for rows in layouts.values():
+            stacked = solve(data, bias, 0.5, tau, rows)
+            for i in range(S):
+                alone = solve(data, bias[i : i + 1], 0.5, tau[i : i + 1], rows[i : i + 1])
+                np.testing.assert_array_equal(stacked[i], alone[0])
+
+    def test_huge_lambda_pins_weights_to_bias(self, rng):
+        data = random_dataset(rng, 40, 3, 3)
+        bias = rng.standard_normal((1, 3, 3))
+        w = solve(data, bias, 1e6, 1e-9)
+        assert np.all(np.isfinite(w))
+        assert np.linalg.norm(w - bias) < 1e-3
+
+    def test_the_cap_refuses_the_first_uncertified_member(self, rng, monkeypatch):
+        data = blobs(rng, 200, 4, 3)
+        bias = np.zeros((3, 3, 4))
+        # member 0 is certified at its bias's gradient; the others need steps
+        _, g0 = loss_and_gradient(bias[0], data.slice(0, 49), 0.5)
+        tau = [2 * np.linalg.norm(g0), 1e-9, 1e-9]
+        monkeypatch.setattr(erm, "SOLVE_CAP", 1)
+        with pytest.raises(CertificateError, match=r"^no certificate after 1 iterations: "
+                           r"gradient norm \S+ above the tolerance$") as exc:
+            solve(data, bias, 0.5, tau, [range(0, 50), range(50, 100), range(100, 150)])
+        assert exc.value.member == 1 and exc.value.iterations == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_gradient_that_is_not_finite_is_refused_at_once(self, rng):
+        X = rng.standard_normal((20, 3))
+        X[12] = 1e200
+        data = Dataset(X, rng.integers(0, 2, size=20), 2)
+        with pytest.raises(CertificateError, match="after 0 iterations: gradient norm inf") \
+                as exc:
+            solve(data, np.zeros((2, 2, 3)), 1.0, 1e-6, [range(0, 10), range(10, 20)])
+        assert exc.value.member == 1
+
+    @pytest.mark.parametrize("args,message", [
+        ((0.0, 1e-6, None), "lambda must be > 0 and finite"),
+        ((float("nan"), 1e-6, None), "lambda must be > 0 and finite"),
+        ((1.0, 0.0, None), "tolerances must be positive and finite"),
+        ((1.0, float("inf"), None), "tolerances must be positive and finite"),
+        ((1.0, 1e-6, [range(0, 3)]), "need one row set per member"),
+        ((1.0, 1e-6, [range(0, 3), range(0, 4)]), "equal, non-empty row sets"),
+        ((1.0, 1e-6, [range(0, 0), range(0, 0)]), "equal, non-empty row sets"),
+        ((1.0, 1e-6, [range(8, 11), range(8, 11)]), r"training rows must lie in \[0, 10\)"),
+        ((1.0, 1e-6, [np.array([0, 10]), np.array([1, 2])]),
+         r"training rows must lie in \[0, 10\)"),
+    ], ids=["lambda-0", "lambda-nan", "tau-0", "tau-inf", "one-row-set", "unequal-sizes",
+            "empty", "range-past-the-end", "index-past-the-end"])
+    def test_bad_arguments_raise_erm_error(self, rng, args, message):
+        data = random_dataset(rng, 10, 2, 2)
+        lam, tau, rows = args
+        with pytest.raises(ErmError, match=message):
+            solve(data, np.zeros((2, 2, 2)), lam, tau, rows)
+
+
 class TestSgd:
     def test_deterministic_per_seed(self, rng):
         data = random_dataset(rng, 50, 3, 2)
@@ -115,13 +209,6 @@ class TestSgd:
         w2 = train_one(data, TrainConfig(iterations=50), 0.1, 2)
         assert not np.array_equal(w1, w2)
 
-    def test_huge_lambda_pins_weights_to_bias(self, rng):
-        data = random_dataset(rng, 40, 3, 3)
-        bias = rng.standard_normal((3, 3))
-        w = train_one(data, TrainConfig(iterations=200), 1e6, 0, bias)
-        assert np.all(np.isfinite(w))
-        assert np.linalg.norm(w - bias) < 1e-3
-
     def test_separable_problem_learns(self, rng):
         n, d = 400, 4
         y = rng.integers(0, 2, size=n)
@@ -130,14 +217,6 @@ class TestSgd:
         data = Dataset(X, y, 2)
         w = train_one(data, TrainConfig(iterations=300), 0.01, 3)
         assert evaluate_accuracy(w[None], data)[0] > 0.95
-
-    @pytest.mark.parametrize("where", ["event at t=16 on [8, 15], seed 1", None])
-    def test_divergence_error_survives_pickling(self, where):
-        # execute's lane processes send it through a pipe
-        exc = DivergenceError(3, 1, where)
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is DivergenceError and str(back) == str(exc)
-        assert (back.iteration, back.member, back.where) == (3, 1, where)
 
     def test_empty_dataset_rejected(self):
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)

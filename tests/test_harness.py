@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -218,40 +216,39 @@ class TestReplay:
         self.sched = SchedulerConfig(
             "continual", Fraction(1), 1.0, 0.2, B=32, b0=8
         )
-        self.train = TrainConfig(iterations=20, minibatch=16)
 
     def test_records_cover_all_releases(self):
-        ev = EvalConfig(test=self.test, seeds=(0,), train=self.train)
+        ev = EvalConfig(test=self.test, seeds=(0,))
         recs = replay_run(self.stream, self.sched, ev)
         assert recs
         assert all(0.0 <= r.acc_test <= 1.0 for r in recs)
         assert all(r.scheduler == "continual" for r in recs)
 
     def test_eps_max_nondecreasing(self):
-        ev = EvalConfig(test=self.test, seeds=(0,), train=self.train)
+        ev = EvalConfig(test=self.test, seeds=(0,))
         recs = replay_run(self.stream, self.sched, ev)
         for a, b in zip(recs, recs[1:]):
             assert b.eps_max >= a.eps_max
 
     def test_nonprivate_matches_plain_pipeline_bitwise(self):
-        ev = EvalConfig(test=self.test, seeds=(0,), nonprivate=True, train=self.train)
+        ev = EvalConfig(test=self.test, seeds=(0,), nonprivate=True)
         r1 = replay_run(self.stream, self.sched, ev)
         r2 = replay_run(self.stream, self.sched, ev)
         assert r1 == r2
         assert all(r.noise_l2 == 0.0 and r.eps_max == 0 for r in r1)
 
     def test_median_is_seed_order_independent(self):
-        ev_a = EvalConfig(test=self.test, seeds=(1, 2, 3), train=self.train)
-        ev_b = EvalConfig(test=self.test, seeds=(3, 1, 2), train=self.train)
+        ev_a = EvalConfig(test=self.test, seeds=(1, 2, 3))
+        ev_b = EvalConfig(test=self.test, seeds=(3, 1, 2))
         ra = replay_run(self.stream, self.sched, ev_a)
         rb = replay_run(self.stream, self.sched, ev_b)
         assert accuracy_quartiles(ra) == accuracy_quartiles(rb)
 
     def test_reevaluating_stored_model_reproduces_metrics(self):
-        ev = EvalConfig(test=self.test, seeds=(0,), train=self.train)
+        ev = EvalConfig(test=self.test, seeds=(0,))
         recs = replay_run(self.stream, self.sched, ev)
         schedule = build_schedule(self.sched, self.stream.n)
-        [result] = execute(schedule, self.stream, self.train, seeds=(0,))
+        [result] = execute(schedule, self.stream, seeds=(0,))
         by_t = {r.t: r for r in recs}
         for t, mid in result.releases:
             assert by_t[t].acc_test == evaluate_accuracy(result.weights[[mid]], self.test)[0]
@@ -266,7 +263,6 @@ class TestBatchedEvaluation:
     def setup_method(self):
         data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9))
         self.stream, self.test = data.slice(0, 119), data.slice(120, 159)
-        self.train = TrainConfig(iterations=3, minibatch=8)
 
     @pytest.fixture(params=[None, 1, 2000])
     def stack_bytes(self, request, monkeypatch):
@@ -281,13 +277,13 @@ class TestBatchedEvaluation:
         # have arrived (a short recent window) and at the stream head (no old window)
         sched = SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=4 if name.startswith(
             ("multires", "sliding")) else 24, b0=12, w=7, w0=1)
-        ev = EvalConfig(test=self.test, seeds=self.SEEDS, train=self.train)
+        ev = EvalConfig(test=self.test, seeds=self.SEEDS)
         recs = replay_run(self.stream, sched, ev)
         schedule = build_schedule(sched, self.stream.n)
         start_of = {e.model_id: e.a for e in schedule.events}
         short = 0
         for seed in self.SEEDS:
-            [result] = execute(schedule, self.stream, self.train, seeds=(seed,))
+            [result] = execute(schedule, self.stream, seeds=(seed,))
             seed_recs = [r for r in recs if r.seed == seed]
             assert len(seed_recs) == len(result.releases)
             for r, (t, mid) in zip(seed_recs, result.releases):
@@ -314,7 +310,6 @@ class TestReplayEpsMaxDifferential:
 
     def setup_method(self):
         self.stream = synth_stream(SynthConfig(d=4, k=2, n=96, sigma=0.3, seed=3))
-        self.train = TrainConfig(iterations=3, minibatch=8)
 
     def sched(self, name):
         # B=2 gives multires-sample empty subsamples, so some events are skipped
@@ -330,13 +325,13 @@ class TestReplayEpsMaxDifferential:
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_matches_brute_force_point_loss(self, name):
         sched = self.sched(name)
-        ev = EvalConfig(seeds=self.SEEDS, train=self.train)
+        ev = EvalConfig(seeds=self.SEEDS)
         recs = replay_run(self.stream, sched, ev)
         schedule = build_schedule(sched, self.stream.n)
         # a sampled release's charge stands when its subsample is empty
         charged = ledger_from_events(schedule.events, schedule.budgets)
         for seed in self.SEEDS:
-            [result] = execute(schedule, self.stream, self.train, seeds=(seed,))
+            [result] = execute(schedule, self.stream, seeds=(seed,))
             if name == "multires-sample":
                 assert result.skip.any()
             seed_recs = [r for r in recs if r.seed == seed]
@@ -350,56 +345,9 @@ class TestReplayEpsMaxDifferential:
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_nonprivate_eps_max_is_zero(self, name):
-        ev = EvalConfig(seeds=(0,), nonprivate=True, train=self.train)
+        ev = EvalConfig(seeds=(0,), nonprivate=True)
         recs = replay_run(self.stream, self.sched(name), ev)
         assert recs and all(r.eps_max == 0 for r in recs)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="lane processes are forked")
-class TestScoringLanes:
-    """replay's scoring chunks dealt over the lanes: every record is the one
-    a single lane gives, and another thread keeps every chunk in the caller."""
-
-    @pytest.mark.parametrize("sched", [
-        SchedulerConfig("sliding", Fraction(1), 1.0, 0.2, w=7, w0=1),
-        SchedulerConfig("continual", Fraction(1), 1.0, 0.2, B=24, b0=12),
-    ], ids=["sliding", "continual"])
-    def test_records_do_not_depend_on_the_lanes(self, sched, monkeypatch, tmp_path):
-        from streamdp import harness, schedulers
-
-        data = synth_stream(SynthConfig(d=4, k=3, n=160, sigma=0.6, seed=9))
-        stream, test = data.slice(0, 119), data.slice(120, 159)
-        ev = EvalConfig(test=test, seeds=(0, 1), train=TrainConfig(iterations=3, minibatch=8))
-        monkeypatch.setattr(harness, "_STACK_BYTES", 2000)  # many chunks to deal
-        log = tmp_path / "pids"
-
-        def logged(*args, _fn=harness.evaluate_accuracy, **kw):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return _fn(*args, **kw)
-        monkeypatch.setattr(harness, "evaluate_accuracy", logged)
-
-        def scored(workers):
-            """replay's records, and the processes that scored them."""
-            monkeypatch.setattr(schedulers, "_WORKERS", workers)
-            log.write_text("")
-            return replay_run(stream, sched, ev), set(map(int, log.read_text().split()))
-
-        one, one_pids = scored(1)
-        three, three_pids = scored(3)
-        done = threading.Event()
-        holder = threading.Thread(target=done.wait, args=(60,))
-        holder.start()
-        try:
-            threaded, threaded_pids = scored(3)
-        finally:
-            done.set()
-            holder.join(60)
-        assert not holder.is_alive()
-        assert one == three == threaded
-        assert one_pids == threaded_pids == {os.getpid()}
-        # the caller, and the lane processes forked for each scoring call
-        assert os.getpid() in three_pids and len(three_pids) >= 3
 
 
 class TestExportMetrics:

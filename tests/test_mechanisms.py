@@ -8,16 +8,21 @@ from hypothesis import given, settings, strategies as st
 from streamdp import (
     ErmError,
     MechanismError,
-    TrainConfig,
     laplace_noise,
     laplace_scale,
     output_perturb,
     pberm,
     sampling_probability,
+    solve,
+    solve_tolerance,
     subsample,
 )
+from streamdp.mechanisms import TAU_SHARE
 from streamdp.rng import make_rng
 from conftest import random_dataset
+
+
+TAU = 1e-6  # the solve tolerance of the pberm tests
 
 
 def laplace_one(scale, dims, seed):
@@ -92,23 +97,35 @@ class TestNoiseScale:
         # each former catalogue entry, as an event's interval size n, charge
         # and sampled level
         L, lam, eps = 0.5, 2.0, Fraction(1, 4)
+        # the calibrated bound is Delta + tau/lam = (1 + 2 * TAU_SHARE) * Delta
+        c = 1 + 2 * TAU_SHARE
         # multires level 3 (B=8): n = 8B, charge eps/16
-        assert laplace_scale(L, lam, 64, eps / 16) == pytest.approx(4 * L / (lam * 8 * eps))
+        assert laplace_scale(L, lam, 64, eps / 16) == pytest.approx(c * 4 * L / (lam * 8 * eps))
         # pberm small update (b0=4): charge eps/2
-        assert laplace_scale(L, lam, 4, eps / 2) == pytest.approx(4 * L / (lam * 4 * eps))
+        assert laplace_scale(L, lam, 4, eps / 2) == pytest.approx(c * 4 * L / (lam * 4 * eps))
         # multires_sampled level 3 (B=8)
         assert laplace_scale(L, lam, 64, eps / 16, 3) == pytest.approx(
-            4 * L / (lam * 8 * 8 * eps))
+            c * 4 * L / (lam * 8 * 8 * eps))
         # pberm_sampled level 2 (b0=4)
         assert laplace_scale(L, lam, 16, eps / 8, 2) == pytest.approx(
-            4 * L / (lam * 4 * 4 * eps))
+            c * 4 * L / (lam * 4 * 4 * eps))
         # sliding_base (base size 16): charge eps/3
-        assert laplace_scale(L, lam, 16, eps / 3) == pytest.approx(6 * L / (lam * eps * 16))
+        assert laplace_scale(L, lam, 16, eps / 3) == pytest.approx(c * 6 * L / (lam * eps * 16))
         # sliding_update level 1 (w0=2): n = 2 w0, charge eps/12
-        assert laplace_scale(L, lam, 4, eps / 12) == pytest.approx(12 * L / (lam * 2 * eps))
+        assert laplace_scale(L, lam, 4, eps / 12) == pytest.approx(c * 12 * L / (lam * 2 * eps))
         # sliding_update_sampled level 2 (w0=2)
         assert laplace_scale(L, lam, 8, eps / 24, 2) == pytest.approx(
-            12 * L / (lam * 4 * 2 * eps))
+            c * 12 * L / (lam * 4 * 2 * eps))
+
+    def test_tolerance_and_scale_share_one_sensitivity(self):
+        L, lam, n, charge = 0.5, 2.0, 64, Fraction(1, 3)
+        delta = 2 * L / (lam * n)
+        tau = solve_tolerance(L, lam, n)
+        assert tau == pytest.approx(TAU_SHARE * 2 * lam * delta)
+        assert laplace_scale(L, lam, n, charge) == pytest.approx((delta + tau / lam) / charge)
+        for bad in ((L, lam, 0), (0.0, lam, n), (L, math.inf, n)):
+            with pytest.raises(MechanismError):
+                solve_tolerance(*bad)
 
     def test_missing_or_invalid_params(self):
         with pytest.raises(MechanismError):
@@ -207,11 +224,10 @@ def zero_model(data):
     return np.zeros((1, data.k, data.d))
 
 
-def pberm_one(bias, data, lam, cfg, scale, seed, noise_seed=None):
-    """pberm of seed alone, with noise from noise_seed (default seed): its
+def pberm_one(bias, data, lam, scale, noise_seed, tau=TAU):
+    """pberm of one member solved to tau, with noise from noise_seed: its
     noisy (k, d) weights, noise_l1 and noise_l2."""
-    noise_seed = seed if noise_seed is None else noise_seed
-    w, l1, l2 = pberm(bias, data, lam, cfg, [scale], [noise_seed], [seed])
+    w, l1, l2 = pberm(bias, data, lam, [tau], [scale], [noise_seed])
     return w[0], l1[0], l2[0]
 
 
@@ -219,23 +235,19 @@ class TestPsgdPberm:
     # private SGD (psgd) is pberm on the zero model: regularized toward 0
     def test_psgd_zero_delta_is_nonprivate_escape(self, rng):
         data = random_dataset(rng, 60, 3, 2)
-        cfg = TrainConfig(iterations=40)
-        w, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.0, 5)
-        from streamdp import sgd_train
-
-        np.testing.assert_array_equal(w, sgd_train(data, zero_model(data), cfg, 0.5, (5,))[0])
+        w, l1, l2 = pberm_one(zero_model(data), data, 0.5, 0.0, 5)
+        np.testing.assert_array_equal(w, solve(data, zero_model(data), 0.5, [TAU])[0])
         assert l1 == l2 == 0.0
 
     def test_psgd_negative_delta_rejected(self, rng):
         data = random_dataset(rng, 20, 2, 2)
         with pytest.raises(MechanismError):
-            pberm_one(zero_model(data), data, 0.5, TrainConfig(iterations=5), -1.0, 0)
+            pberm_one(zero_model(data), data, 0.5, -1.0, 0)
 
     def test_psgd_noise_actually_added(self, rng):
         data = random_dataset(rng, 60, 3, 2)
-        cfg = TrainConfig(iterations=40)
-        clean, _, _ = pberm_one(zero_model(data), data, 0.5, cfg, 0.0, 5)
-        noisy, l1, l2 = pberm_one(zero_model(data), data, 0.5, cfg, 0.3, 5, noise_seed=77)
+        clean, _, _ = pberm_one(zero_model(data), data, 0.5, 0.0, 5)
+        noisy, l1, l2 = pberm_one(zero_model(data), data, 0.5, 0.3, 77)
         assert l2 > 0
         np.testing.assert_array_equal(noisy - clean, laplace_one(0.3, clean.shape, 77))
         assert np.linalg.norm(noisy - clean) == pytest.approx(l2)
@@ -244,9 +256,8 @@ class TestPsgdPberm:
     def test_pberm_applies_given_scale(self, rng):
         data = random_dataset(rng, 30, 2, 2)
         bias = np.zeros((1, 2, 2))
-        cfg = TrainConfig(iterations=10)
-        clean, _, clean_l2 = pberm_one(bias, data, 2.0, cfg, 0.0, 0)
-        noisy, _, noisy_l2 = pberm_one(bias, data, 2.0, cfg, 0.4, 0, noise_seed=9)
+        clean, _, clean_l2 = pberm_one(bias, data, 2.0, 0.0, 0)
+        noisy, _, noisy_l2 = pberm_one(bias, data, 2.0, 0.4, 9)
         assert clean_l2 == 0.0
         np.testing.assert_allclose(noisy - clean, laplace_one(0.4, (2, 2), 9))
         assert np.linalg.norm(noisy - clean) == pytest.approx(noisy_l2)
@@ -256,4 +267,4 @@ class TestPsgdPberm:
 
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ErmError):
-            pberm_one(np.zeros((1, 2, 2)), data, 1.0, TrainConfig(iterations=5), 1.0, 0)
+            pberm_one(np.zeros((1, 2, 2)), data, 1.0, 1.0, 0)

@@ -3,10 +3,6 @@ import hashlib
 import json
 import math
 import operator
-import os
-import signal
-import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -33,10 +29,10 @@ from streamdp import (
     synth_stream,
     window_shape,
 )
-from streamdp import erm, schedulers
+from streamdp import erm, mechanisms, schedulers
 from streamdp.cli import SCHEDULERS
-from streamdp.erm import DivergenceError, ErmError, TrainConfig, lipschitz_public
-from streamdp.mechanisms import pberm, sampling_probability, subsample
+from streamdp.erm import CertificateError, ErmError, lipschitz_public
+from streamdp.mechanisms import TAU_SHARE, pberm, sampling_probability, subsample
 from streamdp.rng import make_rng
 from streamdp.schedulers import event_probability, sliding_chain
 
@@ -356,12 +352,9 @@ class TestExecute:
     def stream(self):
         return synth_stream(SynthConfig(d=4, k=2, n=80, sigma=0.3, seed=2))
 
-    def cfg(self):
-        return TrainConfig(iterations=15, minibatch=16)
-
     def run(self, sched, stream, nonprivate=False):
         """execute of seed 0 alone: its RunResult."""
-        return execute(sched, stream, self.cfg(), nonprivate, seeds=(0,))[0]
+        return execute(sched, stream, nonprivate, seeds=(0,))[0]
 
     def test_deterministic(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
@@ -382,7 +375,7 @@ class TestExecute:
         assert not hasattr(self.run(sched, stream), "ledger")
         dry = ledger_from_events(sched.events, sched.budgets)
         recs = replay(stream, SchedulerConfig("continual", EPS, 1.0, 0.2, B=8, b0=2),
-                      EvalConfig(seeds=(0,), train=self.cfg()), sched, dry)
+                      EvalConfig(seeds=(0,)), sched, dry)
         assert recs[-1].eps_max == dry.max_point_loss()[1]
 
     def test_nonprivate_disables_ledger_and_noise(self, stream):
@@ -394,7 +387,7 @@ class TestExecute:
         sched = multires_schedule(stream.n, 8, EPS, 7.0, 0.2)
         run = self.run(sched, stream)
         for lam, same in ((7.0, True), (1.0, False)):
-            ref = reference_execute(sched, stream, lam, self.cfg(), EPS, False, (0,))[0]
+            ref = reference_execute(sched, stream, lam, EPS, False, (0,))[0]
             assert all(np.array_equal(run.weights[mid], w)
                        for mid, w in ref.trained.items()) == same
 
@@ -439,24 +432,21 @@ class TestLockstepExecute:
     ])
     def test_each_seed_matches_its_own_run(self, stream, name, monkeypatch):
         # B=2 leaves sampled events with empty subsamples (skipped) and with
-        # subsamples smaller than the minibatch (separate kernel calls)
+        # subsamples of several sizes (separate stacks)
         B = 2 if name.endswith("sample") else 16
         sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
-        cfg = TrainConfig(iterations=6, minibatch=8)
         row_sets = []  # the per-seed rows of every lockstep pberm call
 
         def spy(*args, _fn=schedulers.pberm):
             row_sets.append(args[-1])
             return _fn(*args)
-        # one lane: a lane process's calls would not reach row_sets
-        monkeypatch.setattr(schedulers, "_WORKERS", 1)
         monkeypatch.setattr(schedulers, "pberm", spy)
-        runs = execute(sched, stream, cfg, seeds=self.SEEDS)
+        runs = execute(sched, stream, seeds=self.SEEDS)
         monkeypatch.undo()
         assert len(runs) == len(self.SEEDS)
         for seed, run in zip(self.SEEDS, runs):
-            [alone] = execute(sched, stream, cfg, seeds=(seed,))
+            [alone] = execute(sched, stream, seeds=(seed,))
             assert run.events == alone.events
             for field in ("weights", "noise_l1", "noise_l2", "noise_scale", "noise_seed", "skip"):
                 np.testing.assert_array_equal(getattr(run, field), getattr(alone, field))
@@ -465,7 +455,7 @@ class TestLockstepExecute:
                    if not e.adopt and any(not run.skip[e.model_id] for run in runs)]
         if name.endswith("sample"):
             assert any(run.skip.any() for run in runs)
-            assert any(len(r) < cfg.minibatch for rows in row_sets for r in rows)
+            assert len({len(r) for rows in row_sets for r in rows}) > 1
         # each call stacks the members of a wave: fewer calls than events
         assert len(row_sets) < len(trained)
 
@@ -492,12 +482,11 @@ def records(run):
         releases=run.releases)
 
 
-def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
+def reference_execute(schedule, stream, lam, eps, nonprivate, seeds):
     """The per-event loop execute replaced: events in schedule order, each
-    event's seeds in lockstep, one pberm call per minibatch size, on a
-    per-event slice of the stream, with inclusion probabilities from the
-    schedule's total eps. Each seed's run is recorded as `records` reads a
-    RunResult."""
+    event's seeds in lockstep, one pberm call per row count, on a per-event
+    slice of the stream, with inclusion probabilities from the schedule's
+    total eps. Each seed's run is recorded as `records` reads a RunResult."""
     feps = float(eps)
     runs = [SimpleNamespace(trained={}, noise={}, releases=[], skipped_events=[]) for _ in seeds]
     zero = np.zeros((stream.k, stream.d))
@@ -518,15 +507,14 @@ def reference_execute(schedule, stream, lam, cfg, eps, nonprivate, seeds):
                 runs[i].skipped_events.append(e)
                 runs[i].trained[mid] = bias[i]
             else:
-                groups.setdefault(min(cfg.minibatch, n), []).append(i)
+                groups.setdefault(n, []).append(i)
         scale = 0.0 if nonprivate else e.noise_scale
         for members in groups.values():
-            train_seeds = [_subseed(seeds[i], "train", mid) for i in members]
             noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
             member_rows = None if rows is None else [rows[i] for i in members]
-            scales = [scale] * len(members)
-            w, l1, l2 = pberm(np.stack([bias[i] for i in members]), data, lam, cfg, scales,
-                              noise_seeds, train_seeds, member_rows)
+            w, l1, l2 = pberm(np.stack([bias[i] for i in members]), data, lam,
+                              [e.tau] * len(members), [scale] * len(members), noise_seeds,
+                              member_rows)
             for j, i in enumerate(members):
                 runs[i].trained[mid] = w[j]
                 runs[i].noise[mid] = (l1[j], l2[j], scale, noise_seeds[j] if scale else None)
@@ -548,10 +536,9 @@ def _depths(schedule):
 class TestWaves:
     """execute's dependency waves against the per-event loop, bit for bit.
 
-    `layout` shrinks the cap on a stacked call, down to 1 byte, where every
-    member is compute-bound and a call of its own, so that waves split into
-    several calls; at that cap it also spreads the calls over 1, 2 or 3
-    lanes.
+    `layout` shrinks the caps on a stacked call, down to 1 byte, where every
+    member is a call of its own and reads its rows in place, so that waves
+    split into several calls.
     """
 
     SEEDS = (1, 2, 3, 2)
@@ -560,13 +547,11 @@ class TestWaves:
     def stream(self):
         return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6))
 
-    @pytest.fixture(params=[(None, 1), (1, 1), (3000, 1), (1, 2), (1, 3)],
-                    ids=["None", "1", "3000", "1-workers2", "1-workers3"])
+    @pytest.fixture(params=[None, 1, 3000], ids=["None", "1", "3000"])
     def layout(self, request, monkeypatch):
-        stack_bytes, workers = request.param
-        if stack_bytes is not None:
-            monkeypatch.setattr(schedulers, "_STACK_BYTES", stack_bytes)
-        monkeypatch.setattr(schedulers, "_WORKERS", workers)
+        if request.param is not None:
+            monkeypatch.setattr(schedulers, "_STACK_BYTES", request.param)
+            monkeypatch.setattr(schedulers, "_SOLVE_BYTES", request.param)
 
     @pytest.fixture(scope="class")
     def references(self):
@@ -584,10 +569,9 @@ class TestWaves:
         B = 2 if name.endswith("sample") else 16
         sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
-        cfg = TrainConfig(iterations=6, minibatch=8)
-        runs = execute(sched, stream, cfg, nonprivate, seeds=self.SEEDS)
+        runs = execute(sched, stream, nonprivate, seeds=self.SEEDS)
         if (name, nonprivate) not in references:
-            references[name, nonprivate] = reference_execute(sched, stream, 1.0, cfg, EPS,
+            references[name, nonprivate] = reference_execute(sched, stream, 1.0, EPS,
                                                              nonprivate, self.SEEDS)
         refs = references[name, nonprivate]
         for run, ref in zip(map(records, runs), refs, strict=True):
@@ -601,93 +585,57 @@ class TestWaves:
             assert any(run.skip.any() for run in runs)
 
     def test_sliding_trains_in_few_stacked_calls(self, monkeypatch):
-        # a structural guard: a return to one SGD call per event fails it
-        T, d, m = 600, 4, 32
-        stream = synth_stream(SynthConfig(d=d, k=3, n=T, sigma=0.3, seed=2))
+        # a structural guard: a return to one solve per event fails it
+        T, d, k = 600, 4, 3
+        stream = synth_stream(SynthConfig(d=d, k=k, n=T, sigma=0.3, seed=2))
         sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
         calls = []
 
-        def counted(*args, _fn=erm.sgd_train, **kw):
-            calls.append(len(args[4]))  # the seeds
+        def counted(*args, _fn=erm.solve, **kw):
+            calls.append(len(args[1]))  # the members
             return _fn(*args, **kw)
-        monkeypatch.setattr(schedulers, "_WORKERS", 1)  # count every call here
-        monkeypatch.setattr(erm, "sgd_train", counted)
-        execute(sched, stream, TrainConfig(iterations=2, minibatch=m), seeds=(0,))
+        monkeypatch.setattr(erm, "solve", counted)
+        execute(sched, stream, seeds=(0,))
         trained = [e for e in sched.events if not e.adopt]
         waves = max(_depths(sched).values())
-        sizes = {min(m, e.b - e.a + 1) for e in trained}
+        sizes = {e.b - e.a + 1 for e in trained}
         # a stack and the next event exceed the cap, so a group of g bytes
         # needs fewer than 2g/cap + 1 stacks; no group holds more than T events
-        chunks = 2 * T * (m + stream.k) * d * 8 // schedulers._STACK_BYTES + 1
+        member = (max(sizes) * (d + k) + schedulers._SOLVE_ARRAYS * k * d) * 8
+        chunks = 2 * T * member // schedulers._SOLVE_BYTES + 1
         assert sum(calls) == len(trained)
         assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
 
-    @staticmethod
-    def processes_of_calls(monkeypatch, tmp_path, sched, stream, cfg, seeds):
-        """The (process id, members) of every SGD call execute makes, in
-        whichever process makes it: each call appends a line to a file."""
-        log = tmp_path / "calls"
-
-        def recorded(*args, _fn=erm.sgd_train, **kw):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(args[4])}\n")
-            return _fn(*args, **kw)
-        monkeypatch.setattr(erm, "sgd_train", recorded)
-        execute(sched, stream, cfg, seeds=seeds)
-        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-
-    def test_compute_bound_members_train_one_per_call_on_every_lane(self, stream, monkeypatch,
-                                                                    tmp_path):
-        # a structural guard: stacking compute-bound seeds again, or training
-        # their calls in the caller's process alone, fails it
+    def test_compute_bound_members_train_one_per_call(self, stream, monkeypatch):
+        # a structural guard: stacking members above the cap again fails it
         monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
-        monkeypatch.setattr(schedulers, "_WORKERS", 2)
+        monkeypatch.setattr(schedulers, "_SOLVE_BYTES", 1)
         sched = multires_schedule(stream.n, 16, EPS, 1.0, 0.2)
-        calls = self.processes_of_calls(monkeypatch, tmp_path, sched, stream,
-                                        TrainConfig(iterations=4, minibatch=8), self.SEEDS)
-        assert len(calls) == len(sched.events) * len(self.SEEDS)
-        assert {members for _, members in calls} == {1}
-        pids = {pid for pid, _ in calls}
-        assert len(pids) == 2 and os.getpid() in pids
+        calls = []
 
-    def test_small_stacks_train_in_every_lane(self, monkeypatch, tmp_path):
-        # the continual-d20 shape: d=20, minibatch 256, 4 seeds, stacks of
-        # several members below the cap, dealt to the caller and a lane process
-        monkeypatch.setattr(schedulers, "_WORKERS", 2)
-        stream = synth_stream(SynthConfig(d=20, k=3, n=2048, sigma=0.3, seed=3))
-        sched = continual_schedule(stream.n, 512, 256, EPS, 1.0, 0.2)
-        calls = self.processes_of_calls(monkeypatch, tmp_path, sched, stream,
-                                        TrainConfig(iterations=2, minibatch=256), (1, 2, 3, 4))
-        assert (256 + stream.k) * stream.d * 8 <= schedulers._STACK_BYTES
-        # the caller, and a lane process forked for each wave of two or more stacks
-        pids = {pid for pid, members in calls if members > 1}
-        assert len(pids) > 1 and os.getpid() in pids
+        def counted(*args, _fn=erm.solve, **kw):
+            calls.append(len(args[1]))  # the members
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "solve", counted)
+        execute(sched, stream, seeds=self.SEEDS)
+        assert calls == [1] * (len(sched.events) * len(self.SEEDS))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("slow_lane", ["caller", "worker"])
-    def test_first_divergence_in_wave_order_wins(self, monkeypatch, slow_lane):
+    def test_first_refusal_in_wave_order_wins(self, monkeypatch):
         # multires B=8 on 32 points: one wave of events on [0, 7], [8, 15],
-        # [0, 15] and [16, 23], dealt to the caller, the worker, the caller
-        # and the worker. Rows from 8 on blow up, so every event but the
-        # first diverges: the earliest on the worker, the next on the caller.
+        # [0, 15] and [16, 23], one call each. Rows from 8 on blow up, so
+        # every event but the first is refused, the one on [8, 15] first.
         monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
-        monkeypatch.setattr(schedulers, "_WORKERS", 2)
+        monkeypatch.setattr(schedulers, "_SOLVE_BYTES", 1)
         rng = np.random.default_rng(0)
         X = rng.standard_normal((32, 3)) * np.where(np.arange(32) >= 8, 1e200, 1.0)[:, None]
         stream = Dataset(X, rng.integers(0, 3, size=32), 3)
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        caller = os.getpid()
-
-        def delayed(*args, _fn=erm.sgd_train, **kw):
-            # hold one lane back, so the other lane's divergences come first
-            if (os.getpid() == caller) == (slow_lane == "caller"):
-                time.sleep(0.05)
-            return _fn(*args, **kw)
-        monkeypatch.setattr(erm, "sgd_train", delayed)
-        with pytest.raises(DivergenceError, match=r"^non-finite weights at iteration \d+ in "
+        with pytest.raises(CertificateError, match=r"^no certificate after 0 iterations: "
+                           r"gradient norm inf above the tolerance in "
                            r"event at t=16 on \[8, 15\], seed 1$"):
-            execute(sched, stream, TrainConfig(iterations=20, minibatch=4), seeds=(1,))
+            execute(sched, stream, seeds=(1,))
 
     def test_per_event_cost_is_one_generator_and_one_noise_call_per_stack(self, monkeypatch):
         # a structural guard: building a generator per subseed or per Laplace
@@ -697,124 +645,23 @@ class TestWaves:
         T, seeds = 600, (1, 2)
         stream = synth_stream(SynthConfig(d=4, k=3, n=T, sigma=0.3, seed=2))
         sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
-        counts = {"make_rng": 0, "sgd_train": 0, "output_perturb": 0}
+        counts = {"make_rng": 0, "solve": 0, "output_perturb": 0}
 
         def counting(name, fn):
             def counted(*args, **kw):
                 counts[name] += 1
                 return fn(*args, **kw)
             return counted
-        monkeypatch.setattr(schedulers, "_WORKERS", 1)  # count every call here
         for module in (erm, mechanisms, schedulers, harness, rng):
             if hasattr(module, "make_rng"):
                 monkeypatch.setattr(module, "make_rng", counting("make_rng", module.make_rng))
-        monkeypatch.setattr(erm, "sgd_train", counting("sgd_train", erm.sgd_train))
+        monkeypatch.setattr(erm, "solve", counting("solve", erm.solve))
         monkeypatch.setattr(mechanisms, "output_perturb",
                             counting("output_perturb", mechanisms.output_perturb))
-        execute(sched, stream, TrainConfig(iterations=2, minibatch=32), seeds=seeds)
+        execute(sched, stream, seeds=seeds)
         trained = [e for e in sched.events if not e.adopt]
         assert counts["make_rng"] <= len(trained) * len(seeds)
-        assert counts["output_perturb"] <= counts["sgd_train"] < len(trained) / 2
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="lane processes are forked")
-class TestLanes:
-    """How execute's lane processes fail: every failure reaches the caller,
-    and no child process or pipe outlives the call."""
-
-    @pytest.fixture
-    def stream(self):
-        return synth_stream(SynthConfig(d=4, k=3, n=64, sigma=0.3, seed=4))
-
-    @pytest.fixture(autouse=True)
-    def lanes(self, monkeypatch):
-        # one member a stack, four stacks a wave, dealt over three lanes
-        monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
-        monkeypatch.setattr(schedulers, "_WORKERS", 3)
-
-    @pytest.fixture(autouse=True)
-    def time_bound(self):
-        # a lane that never reports would otherwise hang the test
-        def expire(signum, frame):
-            raise TimeoutError("execute did not return within 60 s")
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 60)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-
-    @staticmethod
-    def run(stream, monkeypatch, in_lanes=None, in_caller=None):
-        """execute on a multires schedule, calling in_lanes before each pberm
-        call in a lane process and in_caller before each one in the caller;
-        asserts that no child process or pipe outlives the call."""
-        caller = os.getpid()
-
-        def hooked(*args, _fn=schedulers.pberm):
-            hook = in_caller if os.getpid() == caller else in_lanes
-            if hook is not None:
-                hook()
-            return _fn(*args)
-        monkeypatch.setattr(schedulers, "pberm", hooked)
-        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        sched = multires_schedule(stream.n, 16, EPS, 1.0, 0.2)
-        try:
-            return execute(sched, stream, TrainConfig(iterations=4, minibatch=8), seeds=(1, 2))
-        finally:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-            if fds is not None:
-                assert len(os.listdir("/proc/self/fd")) == fds
-
-    def test_a_run_leaves_no_child_or_pipe(self, stream, monkeypatch):
-        self.run(stream, monkeypatch)
-
-    def test_an_error_in_a_lane_is_raised_with_its_type_and_message(self, stream, monkeypatch):
-        def fail():
-            raise ErmError("bad lane input")
-        with pytest.raises(ErmError, match="^bad lane input$"):
-            self.run(stream, monkeypatch, in_lanes=fail)
-
-    def test_a_lane_that_exits_without_a_result_is_named(self, stream, monkeypatch):
-        with pytest.raises(ChildProcessError,
-                           match=r"^lane 1 exited with status 1 without a result$"):
-            self.run(stream, monkeypatch, in_lanes=lambda: os._exit(1))
-
-    def test_lanes_are_reaped_when_the_caller_fails_first(self, stream, monkeypatch):
-        def fail():
-            raise ErmError("bad caller input")
-        with pytest.raises(ErmError, match="^bad caller input$"):
-            self.run(stream, monkeypatch, in_lanes=lambda: time.sleep(5), in_caller=fail)
-
-    def test_another_thread_keeps_every_stack_in_the_caller(self, stream, monkeypatch):
-        # a fork would copy the held lock into a child without its owner
-        monkeypatch.setattr(schedulers, "_WORKERS", 1)
-        one_lane = self.run(stream, monkeypatch)
-        monkeypatch.setattr(schedulers, "_WORKERS", 3)
-
-        def no_fork():
-            raise AssertionError("forked while another thread ran")
-        monkeypatch.setattr(os, "fork", no_fork)
-        lock, started, done = threading.Lock(), threading.Event(), threading.Event()
-
-        def hold():
-            with lock:
-                started.set()
-                done.wait(60)
-        holder = threading.Thread(target=hold)
-        holder.start()
-        try:
-            started.wait(60)
-            runs = self.run(stream, monkeypatch)
-        finally:
-            done.set()
-            holder.join()
-        for run, ref in zip(runs, one_lane):
-            assert run.releases == ref.releases
-            np.testing.assert_array_equal(run.weights, ref.weights)
-            np.testing.assert_array_equal(run.noise_l2, ref.noise_l2)
+        assert counts["output_perturb"] <= counts["solve"] < len(trained) / 2
 
 
 class TestSkippedEvents:
@@ -825,8 +672,7 @@ class TestSkippedEvents:
     def test_continual_sample_runs(self, B, b0, n):
         stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n))
         sched = continual_schedule(n, B, b0, EPS, 1.0, 0.2, sampled=True)
-        runs = execute(sched, stream, TrainConfig(iterations=3, minibatch=8),
-                       seeds=(0, 1, 2, 3, 4))
+        runs = execute(sched, stream, seeds=(0, 1, 2, 3, 4))
         for run in runs:
             released = {mid for _, mid in run.releases}
             for e in sched.events:
@@ -842,7 +688,7 @@ class TestSkippedEvents:
     def test_skipped_psgd_event_resolves_to_zero_model(self):
         stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1))
         sched = multires_schedule(stream.n, 2, EPS, 1.0, 0.2, sampled=True)
-        [run] = execute(sched, stream, TrainConfig(iterations=3, minibatch=8), seeds=(0,))
+        [run] = execute(sched, stream, seeds=(0,))
         assert run.skip.any()
         for e in sched.events:
             if run.skip[e.model_id]:
@@ -886,8 +732,14 @@ def reference_noise_scale(kind: str, **params) -> float:
 
 
 def reference_scale(e, cfg) -> float:
-    """An event's scale by the catalogue: its kind from the event's kind,
-    side and sampling, its parameters from the schedule's config."""
+    """An event's scale by the catalogue, times the 1 + 2 * TAU_SHARE that
+    covers the distance of a certified solve from the minimiser: its kind
+    from the event's kind, side and sampling, its parameters from the
+    schedule's config."""
+    return (1 + 2 * TAU_SHARE) * _catalogue_scale(e, cfg)
+
+
+def _catalogue_scale(e, cfg) -> float:
     ref = functools.partial(reference_noise_scale, L=cfg.L, lam=cfg.lam, eps=float(cfg.eps))
     if e.adopt:
         return 0.0
@@ -922,10 +774,9 @@ class TestCalibration:
     catalogue the schedules used before, over a sweep of configurations."""
 
     @pytest.mark.parametrize("name", SCHEDULERS)
-    def test_scales_within_two_ulps_of_catalogue(self, name):
-        # each side rounds four times (eps or eps/3 to a float, two products
-        # and a quotient), so they may differ by 2 ulps; some sliding events
-        # with eps 3/5, 9/7 or 18/7 do
+    def test_scales_within_eight_ulps_of_catalogue(self, name):
+        # the catalogue rounds four times and its factor twice, and the
+        # scale's Delta + tau/lam nine times, so they may differ by a few ulps
         rng = np.random.default_rng(sum(name.encode()))
         events = 0
         for _ in range(40):
@@ -933,7 +784,7 @@ class TestCalibration:
             sched = build_schedule(cfg, int(rng.integers(10, 400)))
             for e in sched.events:
                 want = reference_scale(e, cfg)
-                assert abs(e.noise_scale - want) <= 2 * math.ulp(want), (cfg, e)
+                assert abs(e.noise_scale - want) <= 8 * math.ulp(want), (cfg, e)
                 if e.sampled_rule is not None:
                     assert event_probability(e) == sampling_probability(
                         e.sampled_rule, e.level, float(cfg.eps))
@@ -948,10 +799,20 @@ class TestCalibration:
         (SchedulerConfig("sliding", Fraction(1), 1.0, lipschitz_public(3, 1), w=255, w0=1),
          3_000),
     ], ids=["continual-d20", "image-d784", "sliding-w255"])
-    def test_benchmark_shapes_bit_equal(self, cfg, T):
+    def test_benchmark_shapes_are_delta_plus_tau_over_lambda(self, cfg, T):
+        # Delta = 2L/(lam * n), tau = TAU_SHARE * 2 * lam * Delta, and the
+        # scale (Delta + tau/lam) / eps, bit for bit
         sched = build_schedule(cfg, T)
-        assert [e.noise_scale for e in sched.events] == [
-            reference_scale(e, cfg) for e in sched.events]
+        for e in sched.events:
+            if e.adopt:  # released, not trained: no noise and no solve
+                assert (e.noise_scale, e.tau) == (0.0, 0.0)
+                continue
+            n, lam = e.b - e.a + 1, cfg.lam
+            delta = 2.0 * cfg.L / (lam * n)
+            tau = TAU_SHARE * 2.0 * lam * delta
+            eps = float(e.eps * 2**e.level if e.sampled_rule else e.eps)
+            assert (e.noise_scale, e.tau) == ((delta + tau / lam) / eps, tau)
+            assert e.noise_scale == pytest.approx(reference_scale(e, cfg), rel=1e-14)
 
 
 class TestBuildSchedule:
@@ -964,6 +825,64 @@ class TestBuildSchedule:
         assert s.name == "sliding"
         s = build_schedule(SchedulerConfig("baseline-basic", EPS, 1.0, 1.0, B=4, b0=2), 20)
         assert s.name == "baseline-basic"
+
+
+class TestCertificates:
+    """Every trained member of a run is a certified solve of its event."""
+
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_each_release_is_within_its_tolerance_before_noise(self, name, monkeypatch):
+        # B=2 leaves sampled events with subsamples of several sizes
+        stream = synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6))
+        B = 2 if name.endswith("sample") else 16
+        sched = build_schedule(SchedulerConfig(name, EPS, 0.5, 0.2, B=B, b0=2 if B == 2 else 4,
+                                               w=7, w0=1), stream.n)
+        solved = []  # (bias, lam, tau, rows, weights) of every member, before noise
+
+        def recorded(data, bias, lam, tau, rows, _fn=mechanisms.biased_erm_minimize):
+            w = _fn(data, bias, lam, tau, rows)
+            solved.extend(zip(bias, [lam] * len(w), tau, rows, w))
+            return w
+        monkeypatch.setattr(mechanisms, "biased_erm_minimize", recorded)
+        seeds = (1, 2, 3)
+        runs = execute(sched, stream, seeds=seeds)
+        trained = sum(not run.skip[e.model_id] for run in runs for e in run.events)
+        assert len(solved) == trained and trained > 0
+        taus = {e.tau for e in sched.events if not e.adopt}
+        for bias, lam, tau, rows, w in solved:
+            assert tau in taus and lam == 0.5
+            data = Dataset(stream.X[np.asarray(rows)], stream.y[np.asarray(rows)], stream.k)
+            _, grad = erm.loss_and_gradient(w, data, lam, bias)
+            assert np.linalg.norm(grad) <= tau
+
+
+class TestTraceHeader:
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_header_reads_back_and_each_scale_is_delta_plus_tau_over_lambda(self, name,
+                                                                           tmp_path):
+        sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, 0.37, B=4, b0=2,
+                                               w=7, w0=1), 40)
+        path = tmp_path / "trace.jsonl"
+        schedulers.export_trace(sched, path)
+        head, *events = map(json.loads, path.read_text().splitlines())
+        assert head == {
+            "scheduler": sched.name, "eps_num": 2, "eps_den": 3,
+            "budgets": {sub: [b.numerator, b.denominator] for sub, b in sched.budgets.items()},
+            "lam": 0.7, "L": 0.37, "tau_share": TAU_SHARE}
+        lam, L = head["lam"], head["L"]
+        for rec, e in zip(events, sched.events, strict=True):
+            if e.adopt:  # a released multires model: no noise of its own
+                assert rec["noise_scale"] == 0.0
+                continue
+            delta = 2.0 * L / (lam * (rec["b"] - rec["a"] + 1))
+            tau = head["tau_share"] * 2.0 * lam * delta
+            eps = Fraction(rec["eps_num"], rec["eps_den"])
+            if rec["sampled_p"] is not None:  # the release spends its amplified eps
+                eps *= 2 ** rec["level"]
+            assert rec["noise_scale"] == (delta + tau / lam) / float(eps) == e.noise_scale
+            assert tau == e.tau
+        eps, ledger = schedulers.ledger_from_trace(path)
+        assert eps == Fraction(2, 3) and ledger.budgets == sched.budgets
 
 
 class TestTraceLines:

@@ -1,14 +1,14 @@
 """Replace-one witness: does each event's noise cover what one point moves?
 
-Training is a function of (data, seed). With an event's bias model and SGD
-seed fixed, its pre-noise weights on two neighbouring streams differ only
-through the data, and Laplace noise of scale b per coordinate covers a
-difference Δw at ε = ‖Δw‖₁ / b. For every trained event of a run, the event
-is retrained alone, once on its interval and once per neighbour that
-replaces the interval's first row by a norm-1 candidate with a moved label,
-in one lockstep `sgd_train` call; the realised ε of each neighbour must be
-at most the ε the event is charged. A witness is a lower bound on the true
-loss, not a proof.
+Training is a function of the data: each event is solved to its certificate
+(`erm.solve`). With an event's bias model fixed, its pre-noise weights on
+two neighbouring streams differ only through the data, and Laplace noise of
+scale b per coordinate covers a difference Δw at ε = ‖Δw‖₁ / b. For every
+trained event of a run, the event is solved again, once on its interval and
+once per neighbour that replaces the interval's first row by a norm-1
+candidate with a moved label, in one lockstep `solve` call; the realised ε
+of each neighbour must be at most the ε the event is charged. A witness is a
+lower bound on the true loss, not a proof.
 
 The calibration in `mechanisms.laplace_scale` fails this by factors of
 about 4 to 100 (ROADMAP item 1), so every case is a strict xfail until the
@@ -22,12 +22,10 @@ import numpy as np
 import pytest
 
 from streamdp import Dataset, SchedulerConfig
-from streamdp.erm import TrainConfig, lipschitz_public, sgd_train
-from streamdp.rng import make_rng
+from streamdp.erm import lipschitz_public, solve
 from streamdp.schedulers import build_schedule, execute
 
 N, D, K, SEED = 512, 20, 3, 7
-TRAIN = TrainConfig(iterations=60, minibatch=64)
 
 CONFIGS = [
     SchedulerConfig("multires", Fraction(1), 1.0, None, B=64),
@@ -68,7 +66,7 @@ def test_noise_covers_a_replaced_point(sched):
                             lipschitz_public(K, sched.batch), B=sched.B, b0=sched.b0,
                             w=sched.w, w0=sched.w0)
     schedule = build_schedule(sched, N)
-    [run] = execute(schedule, stream, TRAIN, seeds=(SEED,))
+    [run] = execute(schedule, stream, seeds=(SEED,))
     worst = []
     for e in schedule.events:
         if e.adopt or e.eps == 0:
@@ -79,10 +77,9 @@ def test_noise_covers_a_replaced_point(sched):
         neighbours = [np.concatenate([[N + j], rows[1:]]) for j in range(len(cand_y))]
         # the run's weights hold the zero model in their last slot
         bias = run.weights[-1 if e.reg_source is None else e.reg_source]
-        seed = int(make_rng(SEED, "train", e.model_id).integers(0, 2**63 - 1))
         members = 1 + len(neighbours)
-        models = sgd_train(data, np.repeat(bias[None], members, axis=0), TRAIN, schedule.lam,
-                           [seed] * members, [rows, *neighbours])
+        models = solve(data, np.repeat(bias[None], members, axis=0), schedule.lam,
+                       [e.tau] * members, [rows, *neighbours])
         realised = max(np.abs(m - models[0]).sum() for m in models[1:]) / e.noise_scale
         worst.append((realised / float(e.eps), e.t, e.kind, e.a, e.b))
     if not worst:  # not an AssertionError: the expected failure is the calibration's alone
