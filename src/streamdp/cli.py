@@ -122,7 +122,6 @@ _KEYS = {
     "format": _Key(_RUN, str, "csv", choices=("csv", "jsonl")),
     "trace": _Key(_BOTH, str, help="event trace JSONL path (inspect-schedule: stdout without one)"),
     "ledger_out": _Key(_RUN, str, help="ledger JSONL path"),
-    "inject_charge": _Key(_RUN, str, help=argparse.SUPPRESS),  # test hook: subsystem:a:b:num/den
 }
 # The SGD settings of earlier versions: still accepted, they no longer affect
 # a run, which solves each event to its certificate, and `run` says so.
@@ -307,16 +306,6 @@ def _seed_path(output: str, seed: int, multi: bool) -> str:
     return str(p.with_name(f"{p.stem}.seed{seed}{p.suffix}"))
 
 
-def _parse_charge(spec: str):
-    """subsystem:a:b:num/den as (subsystem, (a, b), eps)."""
-    try:
-        sub_name, a, b, frac = spec.split(":")
-        return sub_name, (int(a), int(b)), Fraction(frac)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(
-            f"invalid --inject-charge {spec!r}: expected subsystem:a:b:num/den") from exc
-
-
 def _check_output_dirs(**paths):
     """Raise a UsageError naming the flag of the first of `paths`, a {flag:
     path or None} map, whose directory does not exist, before anything is
@@ -342,7 +331,6 @@ def cmd_run(cfg: argparse.Namespace) -> int:
         if getattr(cfg, key) is not None:
             print(f"note: {_flag(key)} no longer affects a run: each release is solved to "
                   "its certificate", file=sys.stderr)
-    injected = _parse_charge(cfg.inject_charge) if cfg.inject_charge else None
     stream = _load_source(cfg.source, cfg)
     if stream.k < 2:
         raise HarnessError(f"need at least 2 classes, the stream has {stream.k}")
@@ -368,10 +356,6 @@ def cmd_run(cfg: argparse.Namespace) -> int:
 
     if cfg.trace:
         export_trace(schedule, cfg.trace)
-    # replay has read its eps_max, so the injected charge reaches only the report
-    if injected:
-        sub_name, interval, eps = injected
-        ledger.charge(interval, eps, sub_name, -1, "injected")
     if cfg.ledger_out:
         ledger.export_jsonl(cfg.ledger_out)
     report = ledger.assert_budget()

@@ -233,45 +233,40 @@ def replay(
     acc_recent uses the trailing `batch` points at the release step,
     acc_test the fixed held-out set, acc_old the batch preceding the
     model's training interval (None at the stream head).
-    The released models of every seed are gathered from the runs' weight
-    arrays into one (R, k, d) array, and noise_l2 from their noise-norm
-    columns. `evaluate_accuracy` scores slices of that array against the
-    test set, and gathered models against their gathered windows, in
-    chunks of about `_STACK_BYTES`; each value equals
-    the model's own evaluation. eps_max is the exact maximum
-    per-point loss over the ledger's charges up to the release step, the
-    same for every seed, kept by `ledger.RunningMax` as integer numerators
-    over one common denominator and read before returning, so charges added
-    to the ledger afterwards do not reach it. In non-private mode nothing is
-    charged and eps_max stays 0.
+    Every (seed, release) pair whose model was not skipped is picked at
+    once from the run's skip column, and the released models are gathered
+    from its (S, M + 1, k, d) weight array into one (R, k, d) array with one
+    fancy index, as noise_l2 is from its noise-norm column.
+    `evaluate_accuracy` scores slices of that array against the test set,
+    and gathered models against their gathered windows, in chunks of about
+    `_STACK_BYTES`; each value equals the model's own evaluation. eps_max is
+    the exact maximum per-point loss over the ledger's charges up to the
+    release step, the same for every seed, kept by `ledger.RunningMax` as
+    integer numerators over one common denominator and read before
+    returning, so charges added to the ledger afterwards do not reach it. In
+    non-private mode nothing is charged and eps_max stays 0.
     """
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
     # an adopted continual base is its multires model, trained on [0, t - 1]
     start_of = {e.model_id: e.a for e in schedule.events}
     batch = sched.batch
-    results = execute(schedule, stream, nonprivate=ev.nonprivate, seeds=ev.seeds)
+    run = execute(schedule, stream, nonprivate=ev.nonprivate, seeds=ev.seeds)
     running = RunningMax(Ledger() if ev.nonprivate else ledger)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
-    releases = [result.releases for result in results]
-    released = [(seed, t, mid) for seed, rel in zip(ev.seeds, releases) for t, mid in rel]
-    # the released models as one (R, k, d) array, gathered seed by seed
-    models = np.empty((len(released), stream.k, stream.d))
-    noise_l2 = []
-    end = 0
-    for result, rel in zip(results, releases):
-        mids = np.array([mid for _, mid in rel], dtype=np.intp)
-        np.take(result.weights, mids, axis=0, out=models[end : end + len(mids)])
-        noise_l2 += result.noise_l2[mids].tolist()
-        end += len(mids)
-    steps = np.array([t for _, t, _ in released], dtype=np.int64)
-    starts = np.array([start_of[mid] for *_, mid in released], dtype=np.int64)
+    steps, mids = np.array(schedule.releases, dtype=np.int64).reshape(-1, 2).T
+    # every seed's releases but its skipped models, seed-major, each seed's in time order
+    seat, which = np.nonzero(~run.skip[:, mids])
+    steps, mids = steps[which], mids[which]
+    models = run.weights[seat, mids]
+    noise_l2 = run.noise_l2[seat, mids].tolist()
+    starts = np.array([start_of[mid] for mid in mids.tolist()], dtype=np.int64)
     recent = np.maximum(0, steps - batch + 1)
     # the recent windows, then the old ones, scored in one call
     acc_window = _window_accuracy(
-        models, np.tile(np.arange(len(released)), 2), stream,
+        models, np.tile(np.arange(len(models)), 2), stream,
         np.concatenate([recent, starts - batch]),
         np.concatenate([steps - recent + 1, np.where(starts >= batch, batch, 0)]))
-    acc_recent, acc_old = acc_window[:len(released)], acc_window[len(released):]
+    acc_recent, acc_old = acc_window[:len(models)], acc_window[len(models):]
     acc_test = _test_accuracy(models, ev.test)
     eps = float(sched.eps)
     return [MetricsRecord(
@@ -286,8 +281,8 @@ def replay(
         acc_old=acc_old[r],
         noise_l2=noise_l2[r],
         eps_max=eps_max[t],
-        seed=seed,
-    ) for r, (seed, t, mid) in enumerate(released)]
+        seed=ev.seeds[i],
+    ) for r, (i, t, mid) in enumerate(zip(seat.tolist(), steps.tolist(), mids.tolist()))]
 
 
 def _window_accuracy(models: np.ndarray, which, stream: Dataset, starts, lengths) -> list:

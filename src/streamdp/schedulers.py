@@ -242,6 +242,8 @@ def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
     No regularization lineage: every batch model is biased toward zero, so
     each release depends on exactly one batch of data.
     """
+    if b0 < 1:
+        raise ScheduleError(f"b0 must be >= 1, got {b0}")
     eps = Fraction(eps)
     ids = itertools.count()
     events = [_event(lam, L, t, "BaselineIndependent", None, t - b0, t - 1, eps / 2, next(ids))
@@ -395,29 +397,20 @@ def ledger_from_events(events, budgets) -> Ledger:
 
 @dataclass(eq=False)
 class RunResult:
-    """One seed's run of a schedule (`execute`), as arrays indexed by model id.
+    """A run of a schedule for a tuple of seeds (`execute`), as arrays
+    indexed by [seed position, model id].
 
-    weights[mid] is model mid's released, noisy, weights, or for an event
-    skipped on an empty subsample its bias model; the last slot is the zero
-    model that an event without a regularizer trains toward. noise_l1,
-    noise_l2, noise_scale and noise_seed hold each model's noise norms, its
-    Laplace scale and its noise seed, zero norms and scale where it was
-    released unperturbed; skip marks the skipped events.
+    weights[i, mid] is model mid's released, noisy, weights for seed i, or
+    for an event skipped on an empty subsample its bias model; the last
+    slot is the zero model that an event without a regularizer trains
+    toward. noise_l1 and noise_l2 hold each model's noise norms, zero where
+    it was released unperturbed; skip marks the skipped (seed, event) pairs.
     """
 
-    events: tuple  # the trained (not adopted) events, in schedule order
-    weights: np.ndarray  # (M + 1, k, d)
-    noise_l1: np.ndarray
-    noise_l2: np.ndarray
-    noise_scale: np.ndarray
-    noise_seed: np.ndarray
-    skip: np.ndarray
-    schedule_releases: tuple
-
-    @property
-    def releases(self) -> list:
-        """The schedule's (t, model id) releases, less the skipped models."""
-        return [(t, mid) for t, mid in self.schedule_releases if not self.skip[mid]]
+    weights: np.ndarray  # (S, M + 1, k, d)
+    noise_l1: np.ndarray  # (S, M + 1)
+    noise_l2: np.ndarray  # (S, M + 1)
+    skip: np.ndarray  # (S, M + 1)
 
 
 # Release scoring works in chunks of about this many bytes (`harness`), and
@@ -442,9 +435,9 @@ def execute(
     nonprivate: bool = False,
     *,
     seeds,
-) -> list[RunResult]:
+) -> RunResult:
     """Run a schedule against a stream: train and perturb its models for
-    each of `seeds`, a sequence, returning one RunResult per seed.
+    each of `seeds`, a sequence, returning one RunResult of them all.
 
     The schedule is RNG-free, so every seed trains the same events on the
     same slices, and events are trained in dependency waves: an event's wave
@@ -465,9 +458,10 @@ def execute(
     (event, seed) are derived up front, one vectorised call per label
     (`_subseeds`), and a stack's noise is one draw.
 
-    The run is kept as arrays: per seed, one (M + 1, k, d) weight array
-    indexed by model id, whose last slot is the zero model, and noise-norm
-    columns beside it. A stack gathers its members' biases from it with one
+    The run is kept as arrays with a leading seed axis: one (S, M + 1, k, d)
+    weight array indexed by seed position and model id, whose last model
+    slot is the zero model, and (S, M + 1) noise-norm and skip columns
+    beside it. A stack gathers its members' biases from it with one
     fancy index and trains as arrays from there (`pberm`), in this process,
     and its noisy weights, noise_l1 and noise_l2 are stored with one
     assignment each. A stack's result depends on its own inputs alone, and
@@ -547,9 +541,7 @@ def execute(
                                        ) from None
             weights[seat, mids], noise_l1[seat, mids], noise_l2[seat, mids] = result
 
-    events = tuple(trained)
-    return [RunResult(events, weights[i], noise_l1[i], noise_l2[i], scale, noise_seeds[i],
-                      skip[i], schedule.releases) for i in range(len(seeds))]
+    return RunResult(weights, noise_l1, noise_l2, skip)
 
 
 def _waves(events):

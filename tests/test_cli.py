@@ -155,12 +155,6 @@ class TestParsing:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and "'tail:abc'" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("spec", ["foo", "continual:0:x:1", "continual:0:0:1/0"])
-    def test_malformed_injected_charge_names_value(self, spec, capsys, tmp_path):
-        code, out, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"),
-                                 "--inject-charge", spec)
-        assert code == EXIT_USAGE and repr(spec) in err
-
     def test_consecutive_calls_parse_only_their_own_arguments(self, capsys, tmp_path):
         # main reuses one parser: nothing one call parsed may reach the next
         trace = tmp_path / "t.jsonl"
@@ -197,7 +191,6 @@ SETTING_SAMPLES = {
     "synth_d": "4", "synth_k": "5", "synth_n": "100", "synth_sigma": "0.75",
     "synth_drift": "0.01", "synth_seed": "9", "clip_l1": "true", "nonprivate": "true",
     "output": "o.csv", "format": "jsonl", "trace": "t.jsonl", "ledger_out": "l.jsonl",
-    "inject_charge": "continual:0:1:1/2",
 }
 # The flags each subcommand accepts: a dropped or renamed flag fails here.
 SUBCOMMAND_FLAGS = {
@@ -205,8 +198,7 @@ SUBCOMMAND_FLAGS = {
             "--w", "--w0", "--standalone-base", "--first-base-at-2b", "--gamma", "--iters",
             "--minibatch", "--passes", "--seeds", "--source", "--test", "--synth-d",
             "--synth-k", "--synth-n", "--synth-sigma", "--synth-drift", "--synth-seed",
-            "--clip-l1", "--nonprivate", "--output", "--format", "--trace", "--ledger",
-            "--inject-charge"],
+            "--clip-l1", "--nonprivate", "--output", "--format", "--trace", "--ledger"],
     "inspect-schedule": ["--config", "--scheduler", "--epsilon", "--lambda", "--lipschitz",
                          "--B", "--b0", "--w", "--w0", "--standalone-base",
                          "--first-base-at-2b", "--T", "--trace"],
@@ -358,56 +350,48 @@ class TestRun:
         assert out_path.exists() and trace.exists() and ledger.exists()
         assert len(out_path.read_text().splitlines()) > 1
 
-    def test_injected_budget_violation_exits_2(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"),
-            "--inject-charge", "continual:0:0:2/1",
-        )
+    @pytest.fixture
+    def inject(self, monkeypatch):
+        """inject(subsystem, a, b, eps) has every ledger `run` builds carry
+        one more charge; returns the list of the built ledgers."""
+        built = []
+
+        def inject(subsystem, a, b, eps):
+            def with_charge(*args, _fn=cli.ledger_from_events):
+                ledger = _fn(*args)
+                ledger.charge((a, b), Fraction(eps), subsystem, -1, "injected")
+                built.append(ledger)
+                return ledger
+            monkeypatch.setattr(cli, "ledger_from_events", with_charge)
+            return built
+        return inject
+
+    def test_budget_violation_exits_2(self, capsys, tmp_path, inject):
+        inject("continual", 0, 0, 2)
+        code, out, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"))
         assert code == EXIT_BUDGET
         assert "VIOLATION" in out
 
-    def test_an_injected_charge_ending_at_the_int64_limit_is_rejected(self, capsys, tmp_path):
-        # its boundary b + 1 would wrap around in int64 and hide it from the sweep
-        code, out, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"),
-                                 "--inject-charge", f"continual:0:{2**63 - 1}:100/1")
-        assert code == EXIT_DATA and "b below 9223372036854775807" in err
-        assert "ok" not in out
-
-    def test_injected_charge_to_an_unbudgeted_subsystem_exits_2(self, capsys, tmp_path):
+    def test_charge_to_an_unbudgeted_subsystem_exits_2(self, capsys, tmp_path, inject):
+        inject("baseline", 0, 0, 5)
         code, out, err = run_cli(
             capsys, "run", "--scheduler", "multires", "--B", "16", "--epsilon", "1",
             "--lambda", "1", "--synth-n", "64", "--synth-d", "3", "--iters", "3",
-            "--output", str(tmp_path / "m.csv"), "--inject-charge", "baseline:0:0:5",
+            "--output", str(tmp_path / "m.csv"),
         )
         assert code == EXIT_BUDGET
         assert "baseline: max 5 (budget None) VIOLATION" in out
 
-    def test_builds_the_ledger_once_and_keeps_injected_charges_out_of_eps_max(
-            self, capsys, tmp_path, monkeypatch):
-        from streamdp import cli
-
-        calls = []
-
-        def counted(*args, _fn=cli.ledger_from_events):
-            calls.append(args)
-            return _fn(*args)
-        monkeypatch.setattr(cli, "ledger_from_events", counted)
-        metrics = {}
-        for inject in (False, True):
-            out_path = tmp_path / f"m{inject}.csv"
-            ledger_path = tmp_path / f"ledger{inject}.jsonl"
-            extra = ["--inject-charge", "continual:0:0:2/1"] if inject else []
-            code, _, _ = run_cli(capsys, *BASE_RUN, "--output", str(out_path),
-                                 "--ledger", str(ledger_path), *extra)
-            assert code == (EXIT_BUDGET if inject else EXIT_OK)
-            assert len(calls) == 1
-            calls.clear()
-            metrics[inject] = out_path.read_text()
-            injected = [line for line in ledger_path.read_text().splitlines()
-                        if json.loads(line)["mechanism"] == "injected"]
-            assert len(injected) == inject
-        # the injected charge reaches the ledger file and the report, not eps_max
-        assert metrics[True] == metrics[False]
+    def test_builds_the_ledger_once_and_writes_that_ledger(self, capsys, tmp_path, inject):
+        built = inject("continual", 0, 0, 2)
+        ledger_path = tmp_path / "ledger.jsonl"
+        code, out, _ = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"),
+                               "--ledger", str(ledger_path))
+        assert code == EXIT_BUDGET and "VIOLATION" in out
+        assert len(built) == 1
+        injected = [line for line in ledger_path.read_text().splitlines()
+                    if json.loads(line)["mechanism"] == "injected"]
+        assert len(injected) == 1
 
     def test_multi_seed_writes_per_seed_files_and_summary(self, capsys, tmp_path):
         out_path = tmp_path / "metrics.csv"
@@ -652,6 +636,18 @@ class TestUnusableNumbers:
                                "--trace", str(tmp_path / "trace.jsonl"))
         assert code == EXIT_USAGE and err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--synth-n", "64", "--output", "m.csv"], ["inspect-schedule", "--T", "64"]],
+        ids=["run", "inspect-schedule"])
+    @pytest.mark.parametrize("b0", ["0", "-4"])
+    def test_baseline_independent_exits_1_on_a_block_below_one(self, command, b0, capsys,
+                                                               tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *command, "--scheduler", "baseline-independent",
+                                 "--b0", b0, "--epsilon", "1", "--lambda", "1")
+        assert code == EXIT_USAGE and f"b0 must be >= 1, got {b0}" in err
+        assert "Traceback" not in err and out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_inspect_schedule_exits_1_on_a_lipschitz_constant_that_is_not_positive_and_finite(

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -310,6 +311,11 @@ class TestBaselines:
         assert all(e.eps == Fraction(1, 2) for e in sched.events)
         assert all(e.reg_source is None for e in sched.events)
 
+    @pytest.mark.parametrize("b0", [0, -4])
+    def test_independent_refuses_a_block_below_one(self, b0):
+        with pytest.raises(ScheduleError, match=f"b0 must be >= 1, got {b0}"):
+            baseline_independent_schedule(20, b0, EPS, 1.0, 1.0)
+
     def test_basic_cumulative_retrain_times(self):
         # inclusive horizon {8,16,32,64} needs T=65 under arrival indexing
         sched = baseline_basic_cumulative_schedule(65, 8, 8, EPS, 1.0, 1.0)
@@ -353,8 +359,8 @@ class TestExecute:
         return synth_stream(SynthConfig(d=4, k=2, n=80, sigma=0.3, seed=2))
 
     def run(self, sched, stream, nonprivate=False):
-        """execute of seed 0 alone: its RunResult."""
-        return execute(sched, stream, nonprivate, seeds=(0,))[0]
+        """execute of seed 0 alone: its RunResult, of one seed."""
+        return execute(sched, stream, nonprivate, seeds=(0,))
 
     def test_deterministic(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
@@ -366,7 +372,7 @@ class TestExecute:
     def test_distinct_models_get_distinct_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
         r = self.run(sched, stream)
-        norms = [r.noise_l2[e.model_id] for e in r.events]
+        norms = [r.noise_l2[0, e.model_id] for e in sched.events]
         assert len(set(norms)) == len(norms) == len(sched.events)
 
     def test_ledger_matches_dry_run(self, stream):
@@ -381,26 +387,29 @@ class TestExecute:
     def test_nonprivate_disables_ledger_and_noise(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
         r = self.run(sched, stream, nonprivate=True)
-        assert not r.noise_l1.any() and not r.noise_l2.any() and not r.noise_scale.any()
+        assert not r.noise_l1.any() and not r.noise_l2.any()
 
     def test_trains_with_the_schedules_lambda(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 7.0, 0.2)
         run = self.run(sched, stream)
         for lam, same in ((7.0, True), (1.0, False)):
             ref = reference_execute(sched, stream, lam, EPS, False, (0,))[0]
-            assert all(np.array_equal(run.weights[mid], w)
+            assert all(np.array_equal(run.weights[0, mid], w)
                        for mid, w in ref.trained.items()) == same
 
     def test_run_is_kept_as_arrays_indexed_by_model_id(self, stream):
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
         run = self.run(sched, stream)
         M = len(sched.events)
-        assert [e.model_id for e in run.events] == list(range(M))
-        assert run.weights.shape == (M + 1, stream.k, stream.d)
-        assert not run.weights[M].any()  # the last slot is the zero model
-        assert (run.noise_l2[:M] > 0).all() and run.noise_l2[M] == 0
-        assert run.noise_scale.tolist() == [e.noise_scale for e in sched.events] + [0.0]
-        assert not run.skip.any() and run.releases == list(sched.releases)
+        assert [e.model_id for e in sched.events] == list(range(M))
+        # four arrays, each with a leading seed axis
+        assert list(vars(run)) == ["weights", "noise_l1", "noise_l2", "skip"]
+        assert run.weights.shape == (1, M + 1, stream.k, stream.d)
+        assert run.noise_l1.shape == run.noise_l2.shape == run.skip.shape == (1, M + 1)
+        assert not run.weights[0, M].any()  # the last slot is the zero model
+        assert (run.noise_l1[0, :M] > 0).all() and run.noise_l1[0, M] == 0
+        assert (run.noise_l2[0, :M] > 0).all() and run.noise_l2[0, M] == 0
+        assert not run.skip.any()
 
     def test_event_beyond_stream_rejected(self, stream):
         sched = multires_schedule(stream.n + 10, 8, EPS, 1.0, 0.2)
@@ -411,10 +420,13 @@ class TestExecute:
         sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
         r = self.run(sched, stream)
         bases = [e for e in sched.events if e.kind == "Base"]
-        released_ids = {mid for _, mid in r.releases}
+        released_ids = {mid for _, mid in sched.releases}
+        trained_ids = [e.model_id for e in sched.events if not e.adopt]
+        assert bases and all(b.adopt for b in bases)
         for b in bases:
             assert b.model_id in released_ids
-            assert b.model_id in {e.model_id for e in r.events}  # the multires event's
+            assert trained_ids.count(b.model_id) == 1  # the multires event's
+            assert not r.skip[0, b.model_id] and r.noise_l2[0, b.model_id] > 0
 
 
 class TestLockstepExecute:
@@ -444,17 +456,15 @@ class TestLockstepExecute:
         monkeypatch.setattr(schedulers, "pberm", spy)
         runs = execute(sched, stream, seeds=self.SEEDS)
         monkeypatch.undo()
-        assert len(runs) == len(self.SEEDS)
-        for seed, run in zip(self.SEEDS, runs):
-            [alone] = execute(sched, stream, seeds=(seed,))
-            assert run.events == alone.events
-            for field in ("weights", "noise_l1", "noise_l2", "noise_scale", "noise_seed", "skip"):
-                np.testing.assert_array_equal(getattr(run, field), getattr(alone, field))
-            assert run.releases == alone.releases
+        assert len(runs.skip) == len(self.SEEDS)
+        for i, seed in enumerate(self.SEEDS):
+            alone = execute(sched, stream, seeds=(seed,))
+            for field in ("weights", "noise_l1", "noise_l2", "skip"):
+                np.testing.assert_array_equal(getattr(runs, field)[i], getattr(alone, field)[0])
         trained = [e for e in sched.events
-                   if not e.adopt and any(not run.skip[e.model_id] for run in runs)]
+                   if not e.adopt and not runs.skip[:, e.model_id].all()]
         if name.endswith("sample"):
-            assert any(run.skip.any() for run in runs)
+            assert runs.skip.any()
             assert len({len(r) for rows in row_sets for r in rows}) > 1
         # each call stacks the members of a wave: fewer calls than events
         assert len(row_sets) < len(trained)
@@ -465,21 +475,18 @@ def _subseed(seed: int, label: str, model_id: int) -> int:
     return int(make_rng(seed, label, model_id).integers(0, 2**63 - 1))
 
 
-def records(run):
-    """A RunResult read as reference_execute's records: trained maps each
-    trained event's model id, in schedule order, to its (k, d) weights;
-    noise maps those not skipped to (noise_l1, noise_l2, Laplace scale,
-    noise seed), the seed None where the model was released unperturbed;
-    skipped_events lists the skipped events."""
-    def noise(mid):
-        scale = run.noise_scale[mid]
-        return (run.noise_l1[mid], run.noise_l2[mid], scale,
-                int(run.noise_seed[mid]) if scale else None)
-    return SimpleNamespace(
-        trained={e.model_id: run.weights[e.model_id] for e in run.events},
-        noise={e.model_id: noise(e.model_id) for e in run.events if not run.skip[e.model_id]},
-        skipped_events=[e for e in run.events if run.skip[e.model_id]],
-        releases=run.releases)
+def records(run, schedule):
+    """A RunResult of a schedule read as reference_execute's records, one
+    per seed: trained maps each trained event's model id, in schedule
+    order, to its (k, d) weights; noise maps those not skipped to
+    (noise_l1, noise_l2); skipped_events lists the skipped events."""
+    trained = [e for e in schedule.events if not e.adopt]
+    return [SimpleNamespace(
+        trained={e.model_id: w[e.model_id] for e in trained},
+        noise={e.model_id: (l1[e.model_id], l2[e.model_id]) for e in trained
+               if not skip[e.model_id]},
+        skipped_events=[e for e in trained if skip[e.model_id]],
+    ) for w, l1, l2, skip in zip(run.weights, run.noise_l1, run.noise_l2, run.skip)]
 
 
 def reference_execute(schedule, stream, lam, eps, nonprivate, seeds):
@@ -488,7 +495,7 @@ def reference_execute(schedule, stream, lam, eps, nonprivate, seeds):
     slice of the stream, with inclusion probabilities from the schedule's
     total eps. Each seed's run is recorded as `records` reads a RunResult."""
     feps = float(eps)
-    runs = [SimpleNamespace(trained={}, noise={}, releases=[], skipped_events=[]) for _ in seeds]
+    runs = [SimpleNamespace(trained={}, noise={}, skipped_events=[]) for _ in seeds]
     zero = np.zeros((stream.k, stream.d))
     for e in schedule.events:
         if e.adopt:
@@ -517,10 +524,7 @@ def reference_execute(schedule, stream, lam, eps, nonprivate, seeds):
                               member_rows)
             for j, i in enumerate(members):
                 runs[i].trained[mid] = w[j]
-                runs[i].noise[mid] = (l1[j], l2[j], scale, noise_seeds[j] if scale else None)
-    for run in runs:
-        skipped_ids = {e.model_id for e in run.skipped_events}
-        run.releases = [(t, mid) for t, mid in schedule.releases if mid not in skipped_ids]
+                runs[i].noise[mid] = (l1[j], l2[j])
     return runs
 
 
@@ -574,15 +578,14 @@ class TestWaves:
             references[name, nonprivate] = reference_execute(sched, stream, 1.0, EPS,
                                                              nonprivate, self.SEEDS)
         refs = references[name, nonprivate]
-        for run, ref in zip(map(records, runs), refs, strict=True):
+        for run, ref in zip(records(runs, sched), refs, strict=True):
             assert list(run.trained) == list(ref.trained)
             for mid, w in ref.trained.items():
                 np.testing.assert_array_equal(run.trained[mid], w)
             assert run.noise == ref.noise
             assert run.skipped_events == ref.skipped_events
-            assert run.releases == ref.releases
         if name.endswith("sample"):
-            assert any(run.skip.any() for run in runs)
+            assert runs.skip.any()
 
     def test_sliding_trains_in_few_stacked_calls(self, monkeypatch):
         # a structural guard: a return to one solve per event fails it
@@ -672,27 +675,25 @@ class TestSkippedEvents:
     def test_continual_sample_runs(self, B, b0, n):
         stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n))
         sched = continual_schedule(n, B, b0, EPS, 1.0, 0.2, sampled=True)
-        runs = execute(sched, stream, seeds=(0, 1, 2, 3, 4))
-        for run in runs:
-            released = {mid for _, mid in run.releases}
-            for e in sched.events:
-                if e.adopt or not run.skip[e.model_id]:
-                    continue
-                # resolved to its bias model: not trained, perturbed or released
-                assert e.sampled_rule is not None and e.reg_source is not None
-                np.testing.assert_array_equal(run.weights[e.model_id],
-                                              run.weights[e.reg_source])
-                assert run.noise_l2[e.model_id] == 0 and e.model_id not in released
-        assert any(run.skip.any() for run in runs)
+        run = execute(sched, stream, seeds=(0, 1, 2, 3, 4))
+        for i, e in itertools.product(range(5), sched.events):
+            if e.adopt or not run.skip[i, e.model_id]:
+                continue
+            # resolved to its bias model: not trained or perturbed
+            assert e.sampled_rule is not None and e.reg_source is not None
+            np.testing.assert_array_equal(run.weights[i, e.model_id],
+                                          run.weights[i, e.reg_source])
+            assert run.noise_l1[i, e.model_id] == run.noise_l2[i, e.model_id] == 0
+        assert run.skip.any()
 
     def test_skipped_psgd_event_resolves_to_zero_model(self):
         stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1))
         sched = multires_schedule(stream.n, 2, EPS, 1.0, 0.2, sampled=True)
-        [run] = execute(sched, stream, seeds=(0,))
+        run = execute(sched, stream, seeds=(0,))
         assert run.skip.any()
         for e in sched.events:
-            if run.skip[e.model_id]:
-                assert not run.weights[e.model_id].any()
+            if run.skip[0, e.model_id]:
+                assert not run.weights[0, e.model_id].any()
 
 
 def reference_noise_scale(kind: str, **params) -> float:
@@ -845,8 +846,8 @@ class TestCertificates:
             return w
         monkeypatch.setattr(mechanisms, "biased_erm_minimize", recorded)
         seeds = (1, 2, 3)
-        runs = execute(sched, stream, seeds=seeds)
-        trained = sum(not run.skip[e.model_id] for run in runs for e in run.events)
+        run = execute(sched, stream, seeds=seeds)
+        trained = int((~run.skip[:, [e.model_id for e in sched.events if not e.adopt]]).sum())
         assert len(solved) == trained and trained > 0
         taus = {e.tau for e in sched.events if not e.adopt}
         for bias, lam, tau, rows, w in solved:

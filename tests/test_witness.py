@@ -66,7 +66,7 @@ def test_noise_covers_a_replaced_point(sched):
                             lipschitz_public(K, sched.batch), B=sched.B, b0=sched.b0,
                             w=sched.w, w0=sched.w0)
     schedule = build_schedule(sched, N)
-    [run] = execute(schedule, stream, seeds=(SEED,))
+    weights = execute(schedule, stream, seeds=(SEED,)).weights[0]
     worst = []
     for e in schedule.events:
         if e.adopt or e.eps == 0:
@@ -76,7 +76,7 @@ def test_noise_covers_a_replaced_point(sched):
         rows = np.arange(e.a, e.b + 1)
         neighbours = [np.concatenate([[N + j], rows[1:]]) for j in range(len(cand_y))]
         # the run's weights hold the zero model in their last slot
-        bias = run.weights[-1 if e.reg_source is None else e.reg_source]
+        bias = weights[-1 if e.reg_source is None else e.reg_source]
         members = 1 + len(neighbours)
         models = solve(data, np.repeat(bias[None], members, axis=0), schedule.lam,
                        [e.tau] * members, [rows, *neighbours])
