@@ -5,12 +5,13 @@ perturbation of trained weights, the Laplace scale of one release and the
 tolerance its solve stops at (one formula each for every schedule, derived in
 `laplace_scale`), and independent-inclusion subsampling for amplification.
 
-Noise is drawn per stack: `pberm` solves an (S, k, d) stack of models in
-lockstep and `output_perturb` perturbs it with one `laplace_noise` draw from
-the members' scales and noise seeds, whose uniforms for every member come
-from a few array operations (`rng.philox_random`) rather than one generator
-per member, with the values those generators would give. A stack stays
-arrays throughout: weights in, noisy weights and noise norms out.
+Noise is drawn per stack: `pberm` solves a stack of models in lockstep,
+fans each out to the releases it serves, and `output_perturb` perturbs
+them with one `laplace_noise` draw from the releases' scales and noise
+seeds, whose uniforms for every release come from a few array operations
+(`rng.philox_random`) rather than one generator per release, with the
+values those generators would give. A stack stays arrays throughout:
+weights in, noisy weights and noise norms out.
 """
 
 from __future__ import annotations
@@ -175,20 +176,22 @@ def biased_erm_minimize(data: Dataset, bias, lam: float, tau, rows=None):
     return erm.solve(data, bias, lam, tau, rows)
 
 
-def pberm(bias, data: Dataset, lam: float, tau, scales, noise_seeds, rows=None):
+def pberm(bias, data: Dataset, lam: float, tau, scales, noise_seeds, rows=None, fan=None):
     """Private biased regularized ERM: fine-tune toward bias, then perturb.
 
-    Member i of S is solved in lockstep from bias[i] of the (S, k, d) bias
+    Member i of M is solved in lockstep from bias[i] of the (M, k, d) bias
     array, on rows[i] of data if given, minimizing the data loss plus
     lam*||w - bias[i]||^2 until its gradient norm is at most tau[i]
-    (`erm.solve`); a zero bias trains toward 0. It then gets
-    Laplace(scales[i]) noise from noise_seeds[i], the scale the caller's
-    schedule calibrated for that tolerance; a scale of 0 is the explicit
-    non-private escape hatch and releases it unperturbed, and a negative
-    scale is rejected. The result is the noisy (S, k, d) weights with the
-    (S,) noise_l1 and noise_l2 arrays (`output_perturb`).
+    (`erm.solve`); a zero bias trains toward 0. Release j of R is then
+    solved member fan[j] (member j without fan), which one index fans out,
+    with Laplace(scales[j]) noise from noise_seeds[j], the scale the
+    caller's schedule calibrated for that tolerance; a scale of 0 is the
+    explicit non-private escape hatch and releases it unperturbed, and a
+    negative scale is rejected. The result is the noisy (R, k, d) weights
+    with the (R,) noise_l1 and noise_l2 arrays (`output_perturb`).
     """
-    return output_perturb(biased_erm_minimize(data, bias, lam, tau, rows), scales, noise_seeds)
+    w = biased_erm_minimize(data, bias, lam, tau, rows)
+    return output_perturb(w if fan is None else w[fan], scales, noise_seeds)
 
 
 def subsample(n: int, p: float, seed: int) -> np.ndarray:

@@ -417,14 +417,15 @@ class RunResult:
 # `execute` gathers copies of an interval's rows for its seeds only up to it.
 _STACK_BYTES = 160 << 10
 
-# A solve holds, per member of n rows, its rows where they are gathered, its
-# (k, n) scores, and about _SOLVE_ARRAYS arrays the size of its weights: the
-# iterate, its gradient, the direction, the trial and their temporaries, and
-# the 2 * SOLVE_MEMORY vectors of its curvature pairs. `execute` stacks
-# members up to about _SOLVE_BYTES of these: stacking spreads the per-call
-# cost of the solver's and the noise draw's numpy operations over many
-# small members. Sliding-w255's 5,473 tiny events ran in 260, 224, 194 and
-# 204 ms at caps of 1, 2, 4 and 8 MiB, at one peak RSS.
+# A solve holds, per member of n rows (an event solved once for one or
+# more seeds), its rows where they are gathered, its (k, n) scores, and
+# about _SOLVE_ARRAYS arrays the size of its weights: the iterate, its
+# gradient, the direction, the trial and their temporaries, and the
+# 2 * SOLVE_MEMORY vectors of its curvature pairs. `execute` stacks members
+# up to about _SOLVE_BYTES of these: stacking spreads the per-call cost of
+# the solver's and the noise draw's numpy operations over many small
+# members. Sliding-w255's 5,473 tiny events ran in 260, 224, 194 and 204 ms
+# at caps of 1, 2, 4 and 8 MiB, at one peak RSS.
 _SOLVE_BYTES = 4 << 20
 _SOLVE_ARRAYS = 2 * SOLVE_MEMORY + 8
 
@@ -442,21 +443,31 @@ def execute(
     The schedule is RNG-free, so every seed trains the same events on the
     same slices, and events are trained in dependency waves: an event's wave
     is one more than its `reg_source`'s, and events without one are wave 1, so
-    the events of a wave are independent of each other. Each wave's (event,
-    seed) members are grouped by the number of rows they train on, and each
-    group is solved in lockstep by `pberm` with the schedule's lambda toward
-    each member's regularizer (the zero model without one), to each event's
-    tolerance tau, one call per stack (`_stacks`). The seeds of an unsampled
-    event read one range of the stream: where copies of it for every seed
-    would take more than _STACK_BYTES, they are stacks of their own, each of
-    which reads the range in place. Otherwise, and for a sampled event's
-    (event, seed) members, each member reads its own gathered rows, and the
-    members of one row count are pooled into stacks of about _SOLVE_BYTES.
-    Solving is deterministic, and a seed's subsample and noise streams
+    the events of a wave are independent of each other. A wave is solved as
+    members (event, seat positions, rows), where the seat positions are the
+    places in `seeds` that one solve serves. An unsampled event's seeds train
+    on one range with one lambda and tau, so where their biases are
+    bit-equal (one comparison per wave, as int64, so that -0.0 is not 0.0)
+    the event is one member serving every seat: in a private run, the
+    events trained toward the zero model; in a nonprivate one, every
+    unsampled event. Otherwise, and for a sampled event, whose seeds draw
+    their own rows, each seed is a member of one seat. The members are
+    grouped by the number of rows they train on, and each group is solved
+    in lockstep by `pberm` with the schedule's lambda toward each member's
+    regularizer (the zero model without one), to each event's tolerance
+    tau, one call per stack (`_stacks`). Where copies of an unsampled
+    event's range for each of its members would take more than
+    _STACK_BYTES, its members are stacks of their own, each of which reads
+    the range in place. Otherwise, and for a sampled event's members, each
+    member reads its own gathered rows, and the members of one row count
+    are pooled into stacks of about _SOLVE_BYTES. `pberm` fans each solved
+    member out to its (seed, event) releases with one index and perturbs
+    them in one draw. Solving is deterministic and a member's result does
+    not depend on its stack-mates, and a seed's subsample and noise streams
     derive from that seed and the model id alone, so its result equals a
     run of that seed by itself, event by event; the subseeds of every
     (event, seed) are derived up front, one vectorised call per label
-    (`_subseeds`), and a stack's noise is one draw.
+    (`_subseeds`).
 
     The run is kept as arrays with a leading seed axis: one (S, M + 1, k, d)
     weight array indexed by seed position and model id, whose last model
@@ -477,10 +488,13 @@ def execute(
     covers subsample-then-release whatever the subsample.
 
     nonprivate=True forces all noise scales to zero. A member that cannot
-    be certified raises CertificateError naming its event and seed: the
-    first such member in wave order.
+    be certified raises CertificateError naming its event and its first
+    seed: the first such member in wave order. An empty `seeds` raises
+    ScheduleError.
     """
     seeds = tuple(seeds)
+    if not seeds:
+        raise ScheduleError("need at least one seed")
     trained = [e for e in schedule.events if not e.adopt]
     for e in trained:
         if e.b >= stream.n:
@@ -499,6 +513,7 @@ def execute(
         tau[e.model_id] = e.tau
         if e.reg_source is not None:
             source[e.model_id] = e.reg_source
+    every = tuple(range(len(seeds)))  # the seats of a member that serves every seed
 
     def member_bytes(n, gathered):
         """What a solve holds for one member of n rows (see _SOLVE_BYTES)."""
@@ -506,40 +521,49 @@ def execute(
         return (rows + _SOLVE_ARRAYS * stream.k * stream.d) * 8
 
     for wave in _waves(trained):
-        groups = {}  # row count -> [(event, seed position, rows)] of the pooled members
+        # whether each unsampled event's seeds have bit-equal biases
+        shared = itertools.repeat(True)
+        if len(seeds) > 1:
+            plain = [e.model_id for e in wave if e.sampled_rule is None]
+            biases = weights[:, source[plain]].view(np.int64)
+            shared = iter((biases == biases[:1]).all(axis=(0, 2, 3)).tolist())
+        groups = {}  # row count -> [(event, seat positions, rows)] of the pooled members
         stacks = []
         for e in wave:
             if e.sampled_rule is None:
                 n, rows = e.b - e.a + 1, range(e.a, e.b + 1)
-                members = [(e, i, rows) for i in range(len(seeds))]
-                if len(seeds) * n * stream.d * 8 > _STACK_BYTES:  # read in place
+                members = [(e, every, rows)] if next(shared) else [(e, (i,), rows) for i in every]
+                if len(members) * n * stream.d * 8 > _STACK_BYTES:  # read in place
                     stacks += _stacks(members, member_bytes(n, False))
                 else:
                     groups.setdefault(n, []).extend(members)
                 continue
             p = event_probability(e)
-            for i in range(len(seeds)):
+            for i in every:
                 rows = subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id])) + e.a
                 if len(rows) == 0:  # skipped
                     skip[i, e.model_id] = True
                     weights[i, e.model_id] = weights[i, source[e.model_id]]
                 else:
-                    groups.setdefault(len(rows), []).append((e, i, rows))
+                    groups.setdefault(len(rows), []).append((e, (i,), rows))
         stacks += [stack for n, members in groups.items()
                    for stack in _stacks(members, member_bytes(n, True))]
         for members in stacks:
-            seat = np.array([i for _, i, _ in members])
             mids = np.array([e.model_id for e, _, _ in members])
+            first = np.array([seats[0] for _, seats, _ in members])
+            # each (seed, event) release: its seat and the member it is a release of
+            seat = np.array([i for _, seats, _ in members for i in seats])
+            fan = np.array([j for j, (_, seats, _) in enumerate(members) for _ in seats])
+            released = mids[fan]
             try:
-                result = pberm(weights[seat, source[mids]], stream, schedule.lam, tau[mids],
-                               scale[mids], noise_seeds[seat, mids],
-                               [rows for _, _, rows in members])
+                result = pberm(weights[first, source[mids]], stream, schedule.lam, tau[mids],
+                               scale[released], noise_seeds[seat, released],
+                               [rows for _, _, rows in members], fan)
             except CertificateError as exc:
-                e, i, _ = members[exc.member]
-                raise CertificateError(exc.iterations, exc.grad_norm, exc.member,
-                                       f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[i]}"
-                                       ) from None
-            weights[seat, mids], noise_l1[seat, mids], noise_l2[seat, mids] = result
+                e, seats, _ = members[exc.member]
+                where = f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[seats[0]]}"
+                raise CertificateError(exc.iterations, exc.grad_norm, exc.member, where) from None
+            weights[seat, released], noise_l1[seat, released], noise_l2[seat, released] = result
 
     return RunResult(weights, noise_l1, noise_l2, skip)
 

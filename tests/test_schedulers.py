@@ -416,6 +416,16 @@ class TestExecute:
         with pytest.raises(ScheduleError):
             self.run(sched, stream)
 
+    @pytest.mark.parametrize("name", ["multires", "sliding", "continual-sample"])
+    def test_an_empty_seed_tuple_is_refused(self, stream, name):
+        cfg = SchedulerConfig(name, EPS, 1.0, 0.2, B=8, b0=2, w=7, w0=1)
+        sched = build_schedule(cfg, stream.n)
+        with pytest.raises(ScheduleError, match="^need at least one seed$"):
+            execute(sched, stream, seeds=())
+        with pytest.raises(ScheduleError, match="^need at least one seed$"):
+            replay(stream, cfg, EvalConfig(seeds=()), sched,
+                   ledger_from_events(sched.events, sched.budgets))
+
     def test_adopted_base_is_released_not_retrained(self, stream):
         sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
         r = self.run(sched, stream)
@@ -448,11 +458,11 @@ class TestLockstepExecute:
         B = 2 if name.endswith("sample") else 16
         sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
-        row_sets = []  # the per-seed rows of every lockstep pberm call
+        row_sets = []  # the per-member rows of every lockstep pberm call
 
-        def spy(*args, _fn=schedulers.pberm):
-            row_sets.append(args[-1])
-            return _fn(*args)
+        def spy(bias, data, lam, tau, scales, noise_seeds, rows, fan, _fn=schedulers.pberm):
+            row_sets.append(rows)
+            return _fn(bias, data, lam, tau, scales, noise_seeds, rows, fan)
         monkeypatch.setattr(schedulers, "pberm", spy)
         runs = execute(sched, stream, seeds=self.SEEDS)
         monkeypatch.undo()
@@ -610,10 +620,12 @@ class TestWaves:
         assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
 
     def test_compute_bound_members_train_one_per_call(self, stream, monkeypatch):
-        # a structural guard: stacking members above the cap again fails it
+        # a structural guard: stacking members above the cap again fails it.
+        # The multires events train toward zero, one member each for every
+        # seed; the updates toward noisy models, one member per seed.
         monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
         monkeypatch.setattr(schedulers, "_SOLVE_BYTES", 1)
-        sched = multires_schedule(stream.n, 16, EPS, 1.0, 0.2)
+        sched = continual_schedule(stream.n, 16, 4, EPS, 1.0, 0.2)
         calls = []
 
         def counted(*args, _fn=erm.solve, **kw):
@@ -621,24 +633,37 @@ class TestWaves:
             return _fn(*args, **kw)
         monkeypatch.setattr(erm, "solve", counted)
         execute(sched, stream, seeds=self.SEEDS)
-        assert calls == [1] * (len(sched.events) * len(self.SEEDS))
+        multires = sum(e.kind == "MultiRes" for e in sched.events)
+        updates = sum(e.kind.endswith("Update") for e in sched.events)
+        assert multires and updates
+        assert calls == [1] * (multires + updates * len(self.SEEDS))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_first_refusal_in_wave_order_wins(self, monkeypatch):
         # multires B=8 on 32 points: one wave of events on [0, 7], [8, 15],
-        # [0, 15] and [16, 23], one call each. Rows from 8 on blow up, so
-        # every event but the first is refused, the one on [8, 15] first.
+        # [0, 15] and [16, 23], one call each, each event one member shared
+        # by every seed. Rows from 8 on blow up, so every event but the
+        # first is refused, the one on [8, 15] first, named by its first seed.
         monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
         monkeypatch.setattr(schedulers, "_SOLVE_BYTES", 1)
         rng = np.random.default_rng(0)
         X = rng.standard_normal((32, 3)) * np.where(np.arange(32) >= 8, 1e200, 1.0)[:, None]
         stream = Dataset(X, rng.integers(0, 3, size=32), 3)
         sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
-        with pytest.raises(CertificateError, match=r"^no certificate after 0 iterations: "
-                           r"gradient norm inf above the tolerance in "
-                           r"event at t=16 on \[8, 15\], seed 1$"):
-            execute(sched, stream, seeds=(1,))
+        calls = []
+
+        def counted(*args, _fn=erm.solve, **kw):
+            calls.append(len(args[1]))  # the members
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "solve", counted)
+        for seeds in ((1,), (1, 2, 3, 2)):
+            calls.clear()
+            with pytest.raises(CertificateError, match=r"^no certificate after 0 iterations: "
+                               r"gradient norm inf above the tolerance in "
+                               r"event at t=16 on \[8, 15\], seed 1$"):
+                execute(sched, stream, seeds=seeds)
+            assert calls == [1, 1], seeds
 
     def test_per_event_cost_is_one_generator_and_one_noise_call_per_stack(self, monkeypatch):
         # a structural guard: building a generator per subseed or per Laplace
@@ -665,6 +690,70 @@ class TestWaves:
         trained = [e for e in sched.events if not e.adopt]
         assert counts["make_rng"] <= len(trained) * len(seeds)
         assert counts["output_perturb"] <= counts["solve"] < len(trained) / 2
+
+
+class TestSharedSolves:
+    """An unsampled event whose seeds have bit-equal biases is solved once
+    for every seed; each seed's run still equals that seed run alone."""
+
+    SEEDS = (1, 2, 3, 2)
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6))
+
+    def members(self, sched, stream, nonprivate, monkeypatch):
+        """Run execute on SEEDS, spying on pberm: the run, and per trained
+        model id its number of solve members and of releases."""
+        mid_of = {_subseed(seed, "noise", e.model_id): e.model_id
+                  for seed in self.SEEDS for e in sched.events if not e.adopt}
+        members, releases = {}, {}
+
+        def spy(bias, data, lam, tau, scales, noise_seeds, rows, fan, _fn=schedulers.pberm):
+            owner = {}  # solve member -> the model ids of its releases
+            for j, subseed in zip(fan.tolist(), noise_seeds.tolist()):
+                owner.setdefault(j, set()).add(mid_of[subseed])
+                releases[mid_of[subseed]] = releases.get(mid_of[subseed], 0) + 1
+            assert sorted(owner) == list(range(len(bias)))
+            for mids in owner.values():
+                (mid,) = mids
+                members[mid] = members.get(mid, 0) + 1
+            return _fn(bias, data, lam, tau, scales, noise_seeds, rows, fan)
+        monkeypatch.setattr(schedulers, "pberm", spy)
+        run = execute(sched, stream, nonprivate, seeds=self.SEEDS)
+        monkeypatch.undo()
+        for i, seed in enumerate(self.SEEDS):
+            alone = execute(sched, stream, nonprivate, seeds=(seed,))
+            for field in ("weights", "noise_l1", "noise_l2", "skip"):
+                np.testing.assert_array_equal(getattr(run, field)[i], getattr(alone, field)[0])
+        trained = [e.model_id for e in sched.events if not e.adopt]
+        assert sorted(releases) == sorted(trained)
+        assert set(releases.values()) == {len(self.SEEDS)}
+        return run, members
+
+    @pytest.mark.parametrize("name", ["multires", "baseline-independent"])
+    def test_zero_bias_events_are_one_member_each(self, stream, name, monkeypatch):
+        sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=16, b0=4), stream.n)
+        _, members = self.members(sched, stream, False, monkeypatch)
+        assert len(members) == len(sched.events) and set(members.values()) == {1}
+
+    def test_continual_updates_are_one_member_per_seed(self, stream, monkeypatch):
+        sched = continual_schedule(stream.n, 16, 4, EPS, 1.0, 0.2)
+        _, members = self.members(sched, stream, False, monkeypatch)
+        updates = {e.model_id for e in sched.events if e.kind.endswith("Update")}
+        multires = {e.model_id for e in sched.events if e.kind == "MultiRes"}
+        assert updates and multires and len(members) == len(updates | multires)
+        assert {members[mid] for mid in updates} == {len(self.SEEDS)}
+        assert {members[mid] for mid in multires} == {1}
+
+    @pytest.mark.parametrize("name", [n for n in SCHEDULERS if not n.endswith("-sample")])
+    def test_nonprivate_unsampled_events_are_one_member_each(self, stream, name, monkeypatch):
+        sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=16, b0=4, w=7, w0=1),
+                               stream.n)
+        run, members = self.members(sched, stream, True, monkeypatch)
+        trained = [e.model_id for e in sched.events if not e.adopt]
+        assert sorted(members) == sorted(trained) and set(members.values()) == {1}
+        assert not run.noise_l1.any()
 
 
 class TestSkippedEvents:
@@ -829,7 +918,7 @@ class TestBuildSchedule:
 
 
 class TestCertificates:
-    """Every trained member of a run is a certified solve of its event."""
+    """Every trained (seed, event) pair of a run is a certified solve of its event."""
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_each_release_is_within_its_tolerance_before_noise(self, name, monkeypatch):
@@ -838,23 +927,33 @@ class TestCertificates:
         B = 2 if name.endswith("sample") else 16
         sched = build_schedule(SchedulerConfig(name, EPS, 0.5, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
-        solved = []  # (bias, lam, tau, rows, weights) of every member, before noise
-
-        def recorded(data, bias, lam, tau, rows, _fn=mechanisms.biased_erm_minimize):
-            w = _fn(data, bias, lam, tau, rows)
-            solved.extend(zip(bias, [lam] * len(w), tau, rows, w))
-            return w
-        monkeypatch.setattr(mechanisms, "biased_erm_minimize", recorded)
         seeds = (1, 2, 3)
+        trained = [e for e in sched.events if not e.adopt]
+        pair_of = {_subseed(seed, "noise", e.model_id): (i, e)
+                   for i, seed in enumerate(seeds) for e in trained}
+        released = []  # (noise seed, weights) of every release, before noise
+
+        def recorded(w, scales, noise_seeds, _fn=mechanisms.output_perturb):
+            released.extend(zip(noise_seeds.tolist(), w))
+            return _fn(w, scales, noise_seeds)
+        monkeypatch.setattr(mechanisms, "output_perturb", recorded)
         run = execute(sched, stream, seeds=seeds)
-        trained = int((~run.skip[:, [e.model_id for e in sched.events if not e.adopt]]).sum())
-        assert len(solved) == trained and trained > 0
-        taus = {e.tau for e in sched.events if not e.adopt}
-        for bias, lam, tau, rows, w in solved:
-            assert tau in taus and lam == 0.5
-            data = Dataset(stream.X[np.asarray(rows)], stream.y[np.asarray(rows)], stream.k)
-            _, grad = erm.loss_and_gradient(w, data, lam, bias)
-            assert np.linalg.norm(grad) <= tau
+        # every trained (seed, event) pair is released once, checked against
+        # its own seed's bias, rows and tolerance
+        pairs = [pair_of[subseed] for subseed, _ in released]
+        once = {(i, e.model_id) for i, e in pairs}
+        assert len(once) == len(pairs) == int((~run.skip[:, [e.model_id for e in trained]]).sum())
+        assert len(pairs) > 0
+        zero = np.zeros((stream.k, stream.d))
+        for (i, e), (_, w) in zip(pairs, released):
+            bias = zero if e.reg_source is None else run.weights[i, e.reg_source]
+            rows = np.arange(e.a, e.b + 1)
+            if e.sampled_rule is not None:
+                rows = subsample(len(rows), event_probability(e),
+                                 _subseed(seeds[i], "sample", e.model_id)) + e.a
+            data = Dataset(stream.X[rows], stream.y[rows], stream.k)
+            _, grad = erm.loss_and_gradient(w, data, 0.5, bias)
+            assert np.linalg.norm(grad) <= e.tau
 
 
 class TestTraceHeader:
