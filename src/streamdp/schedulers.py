@@ -414,7 +414,7 @@ class RunResult:
 
 
 # Release scoring works in chunks of about this many bytes (`harness`), and
-# `execute` gathers copies of an interval's rows for its seeds only up to it.
+# `execute` gathers copies of an interval's rows for its members only up to it.
 _STACK_BYTES = 160 << 10
 
 # A solve holds, per member of n rows (an event solved once for one or
@@ -521,12 +521,12 @@ def execute(
         return (rows + _SOLVE_ARRAYS * stream.k * stream.d) * 8
 
     for wave in _waves(trained):
-        # whether each unsampled event's seeds have bit-equal biases
-        shared = itertools.repeat(True)
-        if len(seeds) > 1:
-            plain = [e.model_id for e in wave if e.sampled_rule is None]
-            biases = weights[:, source[plain]].view(np.int64)
-            shared = iter((biases == biases[:1]).all(axis=(0, 2, 3)).tolist())
+        # whether each unsampled event's seeds have bit-equal biases, each
+        # distinct regularizer compared once
+        distinct, which = np.unique(source[[e.model_id for e in wave if e.sampled_rule is None]],
+                                    return_inverse=True)
+        biases = weights[:, distinct].view(np.int64)
+        shared = iter((biases == biases[:1]).all(axis=(0, 2, 3))[which].tolist())
         groups = {}  # row count -> [(event, seat positions, rows)] of the pooled members
         stacks = []
         for e in wave:

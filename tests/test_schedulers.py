@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -448,29 +449,60 @@ class TestLockstepExecute:
     def stream(self):
         return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6))
 
+    @pytest.mark.parametrize("nonprivate", [False, True])
     @pytest.mark.parametrize("name", [
         "multires", "multires-sample", "continual", "continual-sample",
         "sliding", "sliding-sample", "baseline-independent", "baseline-basic",
     ])
-    def test_each_seed_matches_its_own_run(self, stream, name, monkeypatch):
+    def test_each_seed_matches_its_own_run(self, stream, name, nonprivate, monkeypatch):
         # B=2 leaves sampled events with empty subsamples (skipped) and with
         # subsamples of several sizes (separate stacks)
         B = 2 if name.endswith("sample") else 16
         sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
+        mid_of = {_subseed(seed, "noise", e.model_id): e.model_id
+                  for seed in self.SEEDS for e in sched.events if not e.adopt}
         row_sets = []  # the per-member rows of every lockstep pberm call
+        members, releases = Counter(), Counter()  # per model id
 
         def spy(bias, data, lam, tau, scales, noise_seeds, rows, fan, _fn=schedulers.pberm):
             row_sets.append(rows)
+            owner = {}  # solve member -> the model ids of the releases it is fanned out to
+            for j, subseed in zip(fan.tolist(), noise_seeds.tolist()):
+                owner.setdefault(j, set()).add(mid_of[subseed])
+                releases[mid_of[subseed]] += 1
+            assert sorted(owner) == list(range(len(bias)))
+            for mids in owner.values():
+                (mid,) = mids  # a member serves one event
+                members[mid] += 1
             return _fn(bias, data, lam, tau, scales, noise_seeds, rows, fan)
         monkeypatch.setattr(schedulers, "pberm", spy)
-        runs = execute(sched, stream, seeds=self.SEEDS)
+        runs = execute(sched, stream, nonprivate, seeds=self.SEEDS)
         monkeypatch.undo()
         assert len(runs.skip) == len(self.SEEDS)
         for i, seed in enumerate(self.SEEDS):
-            alone = execute(sched, stream, seeds=(seed,))
+            alone = execute(sched, stream, nonprivate, seeds=(seed,))
             for field in ("weights", "noise_l1", "noise_l2", "skip"):
                 np.testing.assert_array_equal(getattr(runs, field)[i], getattr(alone, field)[0])
+        # an unsampled event toward a model that is the same for every seed
+        # is one member for every seed; any other event is one member per
+        # seed it trains. The zero model is the same for every seed, and so
+        # is a model trained toward one on the same rows for every seed,
+        # without noise or skipped on every seed
+        same = set()  # model ids
+        for e in sched.events:
+            if e.adopt:
+                continue
+            kept = len(self.SEEDS) - int(runs.skip[:, e.model_id].sum())
+            assert releases[e.model_id] == kept
+            toward_same = e.reg_source is None or e.reg_source in same
+            assert members[e.model_id] == (1 if e.sampled_rule is None and toward_same else kept)
+            drawn = {()} if e.sampled_rule is None else {
+                tuple(subsample(e.b - e.a + 1, event_probability(e),
+                                _subseed(seed, "sample", e.model_id))) for seed in self.SEEDS}
+            if toward_same and len(drawn) == 1 and (nonprivate or kept == 0):
+                same.add(e.model_id)
+        assert runs.noise_l1.any() != nonprivate
         trained = [e for e in sched.events
                    if not e.adopt and not runs.skip[:, e.model_id].all()]
         if name.endswith("sample"):
@@ -690,70 +722,6 @@ class TestWaves:
         trained = [e for e in sched.events if not e.adopt]
         assert counts["make_rng"] <= len(trained) * len(seeds)
         assert counts["output_perturb"] <= counts["solve"] < len(trained) / 2
-
-
-class TestSharedSolves:
-    """An unsampled event whose seeds have bit-equal biases is solved once
-    for every seed; each seed's run still equals that seed run alone."""
-
-    SEEDS = (1, 2, 3, 2)
-
-    @pytest.fixture(scope="class")
-    def stream(self):
-        return synth_stream(SynthConfig(d=4, k=3, n=96, sigma=0.3, seed=6))
-
-    def members(self, sched, stream, nonprivate, monkeypatch):
-        """Run execute on SEEDS, spying on pberm: the run, and per trained
-        model id its number of solve members and of releases."""
-        mid_of = {_subseed(seed, "noise", e.model_id): e.model_id
-                  for seed in self.SEEDS for e in sched.events if not e.adopt}
-        members, releases = {}, {}
-
-        def spy(bias, data, lam, tau, scales, noise_seeds, rows, fan, _fn=schedulers.pberm):
-            owner = {}  # solve member -> the model ids of its releases
-            for j, subseed in zip(fan.tolist(), noise_seeds.tolist()):
-                owner.setdefault(j, set()).add(mid_of[subseed])
-                releases[mid_of[subseed]] = releases.get(mid_of[subseed], 0) + 1
-            assert sorted(owner) == list(range(len(bias)))
-            for mids in owner.values():
-                (mid,) = mids
-                members[mid] = members.get(mid, 0) + 1
-            return _fn(bias, data, lam, tau, scales, noise_seeds, rows, fan)
-        monkeypatch.setattr(schedulers, "pberm", spy)
-        run = execute(sched, stream, nonprivate, seeds=self.SEEDS)
-        monkeypatch.undo()
-        for i, seed in enumerate(self.SEEDS):
-            alone = execute(sched, stream, nonprivate, seeds=(seed,))
-            for field in ("weights", "noise_l1", "noise_l2", "skip"):
-                np.testing.assert_array_equal(getattr(run, field)[i], getattr(alone, field)[0])
-        trained = [e.model_id for e in sched.events if not e.adopt]
-        assert sorted(releases) == sorted(trained)
-        assert set(releases.values()) == {len(self.SEEDS)}
-        return run, members
-
-    @pytest.mark.parametrize("name", ["multires", "baseline-independent"])
-    def test_zero_bias_events_are_one_member_each(self, stream, name, monkeypatch):
-        sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=16, b0=4), stream.n)
-        _, members = self.members(sched, stream, False, monkeypatch)
-        assert len(members) == len(sched.events) and set(members.values()) == {1}
-
-    def test_continual_updates_are_one_member_per_seed(self, stream, monkeypatch):
-        sched = continual_schedule(stream.n, 16, 4, EPS, 1.0, 0.2)
-        _, members = self.members(sched, stream, False, monkeypatch)
-        updates = {e.model_id for e in sched.events if e.kind.endswith("Update")}
-        multires = {e.model_id for e in sched.events if e.kind == "MultiRes"}
-        assert updates and multires and len(members) == len(updates | multires)
-        assert {members[mid] for mid in updates} == {len(self.SEEDS)}
-        assert {members[mid] for mid in multires} == {1}
-
-    @pytest.mark.parametrize("name", [n for n in SCHEDULERS if not n.endswith("-sample")])
-    def test_nonprivate_unsampled_events_are_one_member_each(self, stream, name, monkeypatch):
-        sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=16, b0=4, w=7, w0=1),
-                               stream.n)
-        run, members = self.members(sched, stream, True, monkeypatch)
-        trained = [e.model_id for e in sched.events if not e.adopt]
-        assert sorted(members) == sorted(trained) and set(members.values()) == {1}
-        assert not run.noise_l1.any()
 
 
 class TestSkippedEvents:
