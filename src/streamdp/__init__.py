@@ -14,7 +14,6 @@ from .erm import (
     solve,
 )
 from .harness import (
-    EvalConfig,
     HarnessError,
     MetricsRecord,
     SynthConfig,
@@ -41,16 +40,11 @@ from .schedulers import (
     Schedule,
     ScheduleError,
     SchedulerConfig,
-    baseline_basic_cumulative_schedule,
-    baseline_independent_schedule,
     build_schedule,
-    continual_schedule,
     execute,
     ledger_from_events,
     multires_events_at,
-    multires_schedule,
     sliding_chain,
-    sliding_schedule,
     window_shape,
 )
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .erm import CertificateError, Dataset, ErmError, clip_l1, lipschitz_public
 from .harness import (
-    EvalConfig,
     HarnessError,
     SynthConfig,
     accuracy_quartiles,
@@ -42,6 +41,7 @@ from .harness import (
 from .ledger import LedgerError
 from .mechanisms import MechanismError
 from .schedulers import (
+    SCHEDULERS,
     ScheduleError,
     SchedulerConfig,
     build_schedule,
@@ -57,12 +57,6 @@ EXIT_BUDGET = 2
 EXIT_DATA = 3
 
 ENV_PREFIX = "STREAMDP_"
-
-SCHEDULERS = (
-    "multires", "multires-sample", "continual", "continual-sample",
-    "sliding", "sliding-sample", "baseline-independent", "baseline-basic",
-)
-
 
 class UsageError(ValueError):
     pass
@@ -343,15 +337,17 @@ def cmd_run(cfg: argparse.Namespace) -> int:
     multi = len(cfg.seeds) > 1
     # a repeated seed reruns identically, so it is replayed and exported once
     seeds = tuple(dict.fromkeys(cfg.seeds))
-    ev = EvalConfig(test=test, seeds=seeds, nonprivate=cfg.nonprivate)
     schedule = build_schedule(sched, stream.n)
     if not schedule.releases:
         raise UsageError(f"the {sched.name} schedule releases no model on a stream of "
                          f"{stream.n} points")
     ledger = ledger_from_events(schedule.events, schedule.budgets)
-    all_records = replay(stream, sched, ev, schedule, ledger)
-    for seed in seeds:
-        records = [r for r in all_records if r.seed == seed]
+    all_records = replay(stream, schedule, ledger, test=test, seeds=seeds,
+                         nonprivate=cfg.nonprivate)
+    by_seed = {seed: [] for seed in seeds}  # a seed whose every release is skipped has none
+    for r in all_records:
+        by_seed[r.seed].append(r)
+    for seed, records in by_seed.items():
         export_metrics(records, _seed_path(cfg.output, seed, multi), cfg.format)
 
     if cfg.trace:

@@ -3,8 +3,9 @@
 Streams come from IDX image/label files, numeric CSV, or a synthetic
 rotating-means generator. `replay` feeds a stream through a release schedule,
 evaluates every released model on recent, held-out and older data (as
-stacks of models, in chunks), and emits flat metric records that export to
-CSV or JSONL.
+stacks of models, in chunks), and emits flat metric records, whose
+scheduler, eps, lambda and batch are the schedule's config's, that export
+to CSV or JSONL.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ import numpy as np
 from .erm import Dataset, evaluate_accuracy
 from .ledger import Ledger, RunningMax
 from .rng import make_rng
-from .schedulers import (
-    _STACK_BYTES,
-    Schedule,
-    SchedulerConfig,
-    execute,
-)
+from .schedulers import _STACK_BYTES, Schedule, execute
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -196,13 +192,6 @@ def synth_stream(cfg: SynthConfig) -> Dataset:
     return Dataset(X, classes, cfg.k)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    test: Dataset | None = None
-    seeds: tuple = (0,)
-    nonprivate: bool = False
-
-
 @dataclass(slots=True)
 class MetricsRecord:
     t: int
@@ -220,16 +209,17 @@ class MetricsRecord:
 
 
 def replay(
-    stream: Dataset, sched: SchedulerConfig, ev: EvalConfig,
-    schedule: Schedule, ledger: Ledger,
+    stream: Dataset, schedule: Schedule, ledger: Ledger, *,
+    test: Dataset | None = None, seeds=(0,), nonprivate: bool = False,
 ) -> list[MetricsRecord]:
-    """Run the schedule over the stream for every seed and score every release.
+    """Run the schedule over the stream for each of `seeds` and score every
+    release, on the `test` set too if one is given.
 
-    `schedule` is the one `build_schedule` builds from `sched` for this
-    stream, and `ledger` holds its charges (`ledger_from_events`); in
-    non-private mode the ledger is not read. `execute` trains all seeds
-    and the independent events of each dependency wave in lockstep; the
-    records come seed by seed, each seed's releases in time order.
+    `ledger` holds the schedule's charges (`ledger_from_events`); with
+    nonprivate=True it is not read. `execute` trains all seeds and the
+    independent events of each dependency wave in lockstep; the records
+    come seed by seed, each seed's releases in time order, and carry the
+    scheduler name, eps, lambda and batch of `schedule.config`.
     acc_recent uses the trailing `batch` points at the release step,
     acc_test the fixed held-out set, acc_old the batch preceding the
     model's training interval (None at the stream head).
@@ -249,9 +239,10 @@ def replay(
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
     # an adopted continual base is its multires model, trained on [0, t - 1]
     start_of = {e.model_id: e.a for e in schedule.events}
-    batch = sched.batch
-    run = execute(schedule, stream, nonprivate=ev.nonprivate, seeds=ev.seeds)
-    running = RunningMax(Ledger() if ev.nonprivate else ledger)
+    cfg = schedule.config
+    batch = cfg.batch
+    run = execute(schedule, stream, nonprivate=nonprivate, seeds=seeds)
+    running = RunningMax(Ledger() if nonprivate else ledger)
     eps_max = {t: running.at(t) for t, _ in schedule.releases}
     steps, mids = np.array(schedule.releases, dtype=np.int64).reshape(-1, 2).T
     # every seed's releases but its skipped models, seed-major, each seed's in time order
@@ -267,21 +258,21 @@ def replay(
         np.concatenate([recent, starts - batch]),
         np.concatenate([steps - recent + 1, np.where(starts >= batch, batch, 0)]))
     acc_recent, acc_old = acc_window[:len(models)], acc_window[len(models):]
-    acc_test = _test_accuracy(models, ev.test)
-    eps = float(sched.eps)
+    acc_test = _test_accuracy(models, test)
+    eps = float(cfg.eps)
     return [MetricsRecord(
         t=t,
-        scheduler=sched.name,
+        scheduler=cfg.name,
         kind=kind_of.get((t, mid), "release"),
         eps=eps,
-        lam=sched.lam,
+        lam=cfg.lam,
         batch=batch,
         acc_recent=acc_recent[r],
         acc_test=acc_test[r],
         acc_old=acc_old[r],
         noise_l2=noise_l2[r],
         eps_max=eps_max[t],
-        seed=ev.seeds[i],
+        seed=seeds[i],
     ) for r, (i, t, mid) in enumerate(zip(seat.tolist(), steps.tolist(), mids.tolist()))]
 
 
@@ -338,38 +329,28 @@ CSV_HEADER = (
     "t,scheduler,kind,eps,lambda,batch,acc_recent,acc_test,acc_old,"
     "noise_l2,eps_max_num,eps_max_den,seed"
 )
+_COLUMNS = CSV_HEADER.split(",")
 
 
-def _record_row(r: MetricsRecord):
-    def opt(v):
-        return "" if v is None else repr(v)
-
-    return [
-        r.t, r.scheduler, r.kind, repr(r.eps), repr(r.lam), r.batch,
-        opt(r.acc_recent), opt(r.acc_test), opt(r.acc_old), repr(r.noise_l2),
-        r.eps_max.numerator, r.eps_max.denominator, r.seed,
-    ]
+def _record_row(r: MetricsRecord) -> dict:
+    """A record's value in each CSV_HEADER column, in that order: eps_max
+    as its exact numerator and denominator."""
+    return dict(zip(_COLUMNS, (
+        r.t, r.scheduler, r.kind, r.eps, r.lam, r.batch, r.acc_recent, r.acc_test, r.acc_old,
+        r.noise_l2, r.eps_max.numerator, r.eps_max.denominator, r.seed)))
 
 
 def export_metrics(records, path, format: str = "csv"):
-    """Write records as CSV (fixed column order) or JSONL (round-trippable)."""
+    """Write records as CSV (fixed column order; a float as its repr, None
+    as an empty cell) or JSONL (round-trippable), one `_record_row` each."""
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER.split(","))
-            for r in records:
-                writer.writerow(_record_row(r))
+            writer.writerow(_COLUMNS)
+            writer.writerows(["" if v is None else repr(v) if isinstance(v, float) else v
+                              for v in _record_row(r).values()] for r in records)
     elif format == "jsonl":
         with open(path, "w") as fh:
-            for r in records:
-                rec = {
-                    "t": r.t, "scheduler": r.scheduler, "kind": r.kind,
-                    "eps": r.eps, "lambda": r.lam, "batch": r.batch,
-                    "acc_recent": r.acc_recent, "acc_test": r.acc_test,
-                    "acc_old": r.acc_old, "noise_l2": r.noise_l2,
-                    "eps_max_num": r.eps_max.numerator,
-                    "eps_max_den": r.eps_max.denominator, "seed": r.seed,
-                }
-                fh.write(json.dumps(rec) + "\n")
+            fh.writelines(json.dumps(_record_row(r)) + "\n" for r in records)
     else:
         raise HarnessError(f"unknown metrics format {format!r}")

@@ -1,8 +1,11 @@
 """Release schedules: multi-resolution, continual cumulative, sliding window.
 
-Schedules are generated as pure, RNG-free event lists (so they can be
-inspected, diffed and charged to a ledger without touching data), then
-executed against a stream by `execute`, which trains and perturbs models.
+A schedule is built from one `SchedulerConfig` by `build_schedule`, which
+keeps that config as `Schedule.config`. Schedules are pure, RNG-free event
+lists (so they can be inspected, diffed and charged to a ledger without
+touching data), each event carrying its charge, Laplace scale, solve
+tolerance and, if sampled, inclusion probability; `execute` trains and
+perturbs their models against a stream.
 
 Time convention: stream points are 0-indexed. An event at step t fires on the
 arrival of point index t. Multi-resolution, continual and baseline releases
@@ -21,7 +24,7 @@ import re
 import string
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,7 +84,8 @@ class SchedulerConfig:
 @dataclass(slots=True)
 class EventSpec:
     """One model training/adoption with its interval, noise and exact charge,
-    and the gradient norm tau its solve stops at (`mechanisms.solve_tolerance`)."""
+    the gradient norm tau its solve stops at (`mechanisms.solve_tolerance`)
+    and, for a sampled event, the probability p each point is kept with."""
 
     t: int
     kind: str
@@ -96,6 +100,7 @@ class EventSpec:
     adopt: bool = False  # released, not trained: a continual base adopts a multires model
     side: str | None = None  # sliding: base | left | right
     sampled_rule: str | None = None  # exp_formula | reciprocal, at this event's level
+    p: float | None = None  # None: not sampled
 
     @property
     def subsystem(self) -> str:
@@ -118,28 +123,42 @@ class ChainState:
 
 @dataclass(frozen=True)
 class Schedule:
-    name: str
+    """The events and releases `build_schedule` builds from config, the
+    SchedulerConfig whose eps, lambda and L (resolved) they are calibrated
+    for, and trained with."""
+
+    config: SchedulerConfig
     events: tuple
     releases: tuple  # (t, model_id) pairs in time order, each once
-    eps: Fraction  # the eps the schedule was built for
     budgets: dict  # subsystem -> the most one point may be charged in it
-    lam: float  # the lambda the events' noise is calibrated for, and trained with
-    L: float  # the Lipschitz constant the events' noise and tolerances are calibrated for
 
 
-def _event(lam, L, t, kind, level, a, b, eps, model_id, sampled_rule=None, adopt=False,
-           scale=None, tau=None, reg_source=None, side=None) -> EventSpec:
-    """An event on [a, b] charged eps, with the Laplace scale that charge
-    buys and the tolerance of its solve (`laplace_scale`, `solve_tolerance`,
-    unless the caller passes them as scale and tau); an adopted model is
-    not trained and has neither."""
+def _calibration(cfg, n, eps, level, rule) -> tuple:
+    """The Laplace scale an event of n points charged eps buys, the tolerance
+    of its solve and, sampled under rule at level, the probability each
+    point is kept with (`laplace_scale`, `solve_tolerance`,
+    `sampling_probability`: an exp_formula level spends the schedule's eps)."""
+    return (laplace_scale(cfg.L, cfg.lam, n, eps, level if rule else None),
+            solve_tolerance(cfg.L, cfg.lam, n),
+            None if rule is None else sampling_probability(rule, level, float(cfg.eps)))
+
+
+def _event(cfg, t, kind, level, a, b, eps, model_id, rule=None, adopt=False,
+           reg_source=None, side=None, calibration=None) -> EventSpec:
+    """An event of the schedule cfg on [a, b] charged eps, with its
+    `_calibration` unless the caller passes it; an adopted model is not
+    trained and has none."""
     if adopt:
-        scale = tau = 0.0
-    elif scale is None:
-        scale = laplace_scale(L, lam, b - a + 1, eps, level if sampled_rule else None)
-        tau = solve_tolerance(L, lam, b - a + 1)
+        scale, tau, p = 0.0, 0.0, None
+    else:
+        scale, tau, p = calibration or _calibration(cfg, b - a + 1, eps, level, rule)
     return EventSpec(t, kind, level, a, b, eps, scale, tau, model_id, reg_source, adopt, side,
-                     sampled_rule)
+                     rule, p)
+
+
+def _rule(cfg, rule: str) -> str | None:
+    """rule for a sampled scheduler's (`-sample`) events, else None."""
+    return rule if cfg.name.endswith("-sample") else None
 
 
 def _is_pow2(x: int) -> bool:
@@ -159,56 +178,50 @@ def multires_events_at(t: int, B: int):
     return out
 
 
-def multires_schedule(T, B, eps, lam, L, sampled=False, _ids=None) -> Schedule:
-    if B < 1:
+def _multires_events(cfg, T, ids, rule) -> list:
+    if cfg.B < 1:
         raise ScheduleError("B must be >= 1")
-    eps = Fraction(eps)
-    ids = _ids if _ids is not None else itertools.count()
-    rule = "exp_formula" if sampled else None
-    events = [
-        _event(lam, L, t, "MultiRes", k, a, b, eps / (2 * 2**k), next(ids), rule)
-        for t in range(B, T, B) for k, (a, b) in multires_events_at(t, B)
-    ]
+    return [_event(cfg, t, "MultiRes", k, a, b, cfg.eps / (2 * 2**k), next(ids), rule)
+            for t in range(cfg.B, T, cfg.B) for k, (a, b) in multires_events_at(t, cfg.B)]
+
+
+def _multires(cfg, T) -> Schedule:
+    events = _multires_events(cfg, T, itertools.count(), _rule(cfg, "exp_formula"))
     releases = tuple((e.t, e.model_id) for e in events)
-    return Schedule("multires", tuple(events), releases, eps, {"multires": eps}, lam, L)
+    return Schedule(cfg, tuple(events), releases, {"multires": cfg.eps})
 
 
-def continual_schedule(
-    T, B, b0, eps, lam, L, sampled=False, standalone_base=False, first_base_at_2B=False
-) -> Schedule:
+def _continual(cfg, T) -> Schedule:
     """Continual cumulative updates riding on an embedded multi-res schedule.
 
     Base steps at t = 2^k*B adopt the multi-res model over the prefix (no
     continual charge); large updates at t - t_g = 2^j*b0 retrain on the whole
     gap against the base model; other multiples of b0 are small updates
-    against the latest checkpoint. With standalone_base=True the bases are
+    against the latest checkpoint. With standalone_base the bases are
     trained directly (multi-res-style fixed noise, charged under continual)
-    and no multi-res events are emitted.
+    and no multi-res events are emitted. The embedded multi-res events are
+    never sampled.
     """
+    B, b0, eps = cfg.B, cfg.b0, cfg.eps
     if b0 < 1 or B < b0 or B % b0:
         raise ScheduleError("need 1 <= b0 <= B with B a multiple of b0")
-    eps = Fraction(eps)
-    event = functools.partial(_event, lam, L)
+    event = functools.partial(_event, cfg)
     ids = itertools.count()
     events = []
-    releases = []
     multires_prefix = {}  # base time -> adopted model id
-    if not standalone_base:
-        mr = multires_schedule(T, B, eps, lam, L, sampled=False, _ids=ids)
-        events.extend(mr.events)
-        releases.extend(mr.releases)
-        for e in mr.events:
-            if e.a == 0 and e.t == e.b + 1:
-                multires_prefix[e.t] = e.model_id
+    if not cfg.standalone_base:
+        events = _multires_events(cfg, T, ids, None)
+        multires_prefix = {e.t: e.model_id for e in events if e.a == 0 and e.t == e.b + 1}
+    releases = [(e.t, e.model_id) for e in events]
 
     t_g = None
     f_g = f_c = None
-    min_ratio = 2 if first_base_at_2B else 1
+    min_ratio = 2 if cfg.first_base_at_2B else 1
     for t in range(B, T):
         ratio = t // B
         if t % B == 0 and _is_pow2(ratio) and ratio >= min_ratio:
             k = ratio.bit_length() - 1
-            if standalone_base:
+            if cfg.standalone_base:
                 ev = event(t, "Base", k, 0, t - 1, eps / (2 * 2**k), next(ids))
             else:
                 ev = event(t, "Base", k, 0, t - 1, Fraction(0), multires_prefix[t], adopt=True)
@@ -220,46 +233,44 @@ def continual_schedule(
             if _is_pow2(blocks) and blocks >= 2:
                 j = blocks.bit_length() - 1
                 ev = event(t, "LargeUpdate", j, t_g, t - 1, eps / (2 * 2**j), next(ids),
-                           "exp_formula" if sampled else None, reg_source=f_g)
+                           _rule(cfg, "exp_formula"), reg_source=f_g)
                 f_c = ev.model_id
             else:
                 ev = event(t, "SmallUpdate", None, t - b0, t - 1, eps / 2, next(ids),
                            reg_source=f_c)
             events.append(ev)
             releases.append((t, ev.model_id))
-    budgets = {"continual": 2 * eps if standalone_base else eps}
-    if not standalone_base:
+    budgets = {"continual": 2 * eps if cfg.standalone_base else eps}
+    if not cfg.standalone_base:
         budgets["multires"] = eps
     # merge the embedded multires releases into time order; an adopted base
     # is the multires model released at the same step, so it is listed once
     releases = sorted(dict.fromkeys(releases), key=lambda r: r[0])
-    return Schedule("continual", tuple(events), tuple(releases), eps, budgets, lam, L)
+    return Schedule(cfg, tuple(events), tuple(releases), budgets)
 
 
-def baseline_independent_schedule(T, b0, eps, lam, L) -> Schedule:
+def _baseline_independent(cfg, T) -> Schedule:
     """Each disjoint b0 batch trained and sanitized on its own, eps/2 apiece.
 
     No regularization lineage: every batch model is biased toward zero, so
     each release depends on exactly one batch of data.
     """
+    b0 = cfg.b0
     if b0 < 1:
         raise ScheduleError(f"b0 must be >= 1, got {b0}")
-    eps = Fraction(eps)
     ids = itertools.count()
-    events = [_event(lam, L, t, "BaselineIndependent", None, t - b0, t - 1, eps / 2, next(ids))
+    events = [_event(cfg, t, "BaselineIndependent", None, t - b0, t - 1, cfg.eps / 2, next(ids))
               for t in range(b0, T, b0)]
-    return Schedule(
-        "baseline-independent", tuple(events),
-        tuple((e.t, e.model_id) for e in events), eps, {"baseline": eps}, lam, L,
-    )
+    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events),
+                    {"baseline": cfg.eps})
 
 
-def baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L) -> Schedule:
+def _baseline_basic(cfg, T) -> Schedule:
     """Cumulative retrain at t = 2^k*B, small b0 updates against the previous model."""
+    B, b0, eps = cfg.B, cfg.b0, cfg.eps
     if b0 < 1 or B < b0 or B % b0:
         raise ScheduleError("need 1 <= b0 <= B with B a multiple of b0")
-    eps = Fraction(eps)
-    event = functools.partial(_event, lam, L)
+    event = functools.partial(_event, cfg)
     events = []
     prev = None
     t_g = None
@@ -277,10 +288,8 @@ def baseline_basic_cumulative_schedule(T, B, b0, eps, lam, L) -> Schedule:
             continue
         events.append(ev)
         prev = ev.model_id
-    return Schedule(
-        "baseline-basic", tuple(events),
-        tuple((e.t, e.model_id) for e in events), eps, {"baseline": 2 * eps}, lam, L,
-    )
+    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events),
+                    {"baseline": 2 * eps})
 
 
 def window_shape(w: int, w0: int) -> int:
@@ -341,24 +350,22 @@ def _sliding_steps(T, w, w0):
         yield t, kind, chain, trained
 
 
-def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
+def _sliding(cfg, T) -> Schedule:
     """Sliding-window release with a binary bucket structure on either side
     of the base bucket, computed per step from the step number
     (`_sliding_steps`): retrains exactly the buckets whose interval is new,
     each regularized on the next larger bucket's (possibly just retrained)
     model, and releases the smallest bucket's.
     """
+    w, w0, eps = cfg.w, cfg.w0, cfg.eps
     k = window_shape(w, w0)
-    eps = Fraction(eps)
-    event = functools.partial(_event, lam, L)
-    # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule,
-    # Laplace scale and tolerance depend on j alone: each level's are worked
-    # out once.
+    event = functools.partial(_event, cfg)
+    # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule
+    # and calibration depend on j alone: each level's are worked out once.
     levels = []
     for j in range(k - 1):
-        charge, rule = eps / (6 * 2**j), "reciprocal" if sampled and j > 0 else None
-        levels.append((charge, rule, laplace_scale(L, lam, 2**j * w0, charge, j if rule else None),
-                       solve_tolerance(L, lam, 2**j * w0)))
+        charge, rule = eps / (6 * 2**j), _rule(cfg, "reciprocal") if j > 0 else None
+        levels.append((charge, rule, _calibration(cfg, 2**j * w0, charge, j, rule)))
     events, releases = [], []
     for t, kind, chain, trained in _sliding_steps(T, w, w0):
         for idx in trained:
@@ -367,17 +374,17 @@ def sliding_schedule(T, w, w0, eps, lam, L, sampled=False) -> Schedule:
                 events.append(event(t, kind, k - 1, a, b, eps / 3, mid, side="base"))
             else:
                 j = blocks.bit_length() - 1
-                charge, rule, scale, tau = levels[j]
-                events.append(event(t, kind, j, a, b, charge, mid, rule, scale=scale, tau=tau,
+                charge, rule, calibration = levels[j]
+                events.append(event(t, kind, j, a, b, charge, mid, rule, calibration=calibration,
                                     reg_source=chain[idx - 1][4], side=side))
         releases.append((t, chain[-1][4]))
-    return Schedule("sliding", tuple(events), tuple(releases), eps, {"sliding": eps}, lam, L)
+    return Schedule(cfg, tuple(events), tuple(releases), {"sliding": eps})
 
 
 def sliding_chain(T, w, w0) -> tuple:
-    """The sliding window's dependency chain after each release step of
-    `sliding_schedule(T, w, w0, ...)`, as ChainStates, from the same
-    closed-form steps (`_sliding_steps`)."""
+    """The sliding window's dependency chain after each release step of a
+    sliding schedule of w and w0 on a stream of length T, as ChainStates,
+    from the same closed-form steps (`_sliding_steps`)."""
     return tuple(
         ChainState(t, tuple((a, b, side, mid) for a, b, side, _, mid in chain),
                    tuple(chain[idx][4] for idx in trained), chain[-1][4])
@@ -453,7 +460,7 @@ def execute(
     unsampled event. Otherwise, and for a sampled event, whose seeds draw
     their own rows, each seed is a member of one seat. The members are
     grouped by the number of rows they train on, and each group is solved
-    in lockstep by `pberm` with the schedule's lambda toward each member's
+    in lockstep by `pberm` with its config's lambda toward each member's
     regularizer (the zero model without one), to each event's tolerance
     tau, one call per stack (`_stacks`). Where copies of an unsampled
     event's range for each of its members would take more than
@@ -480,7 +487,7 @@ def execute(
     does not matter. Nothing is charged here: the run's charges are the
     schedule's (`ledger_from_events`).
 
-    A sampled event keeps each point with its `event_probability`. One whose
+    A sampled event keeps each point with its probability p. One whose
     subsample is empty is skipped for that seed: it is neither trained nor
     released, and later events regularized on it use its bias model, which
     minimises the empty-data objective lam*||w - bias||^2, so that is
@@ -514,6 +521,7 @@ def execute(
         if e.reg_source is not None:
             source[e.model_id] = e.reg_source
     every = tuple(range(len(seeds)))  # the seats of a member that serves every seed
+    lam = schedule.config.lam
 
     def member_bytes(n, gathered):
         """What a solve holds for one member of n rows (see _SOLVE_BYTES)."""
@@ -538,9 +546,8 @@ def execute(
                 else:
                     groups.setdefault(n, []).extend(members)
                 continue
-            p = event_probability(e)
             for i in every:
-                rows = subsample(e.b - e.a + 1, p, int(sample_seeds[i, e.model_id])) + e.a
+                rows = subsample(e.b - e.a + 1, e.p, int(sample_seeds[i, e.model_id])) + e.a
                 if len(rows) == 0:  # skipped
                     skip[i, e.model_id] = True
                     weights[i, e.model_id] = weights[i, source[e.model_id]]
@@ -556,7 +563,7 @@ def execute(
             fan = np.array([j for j, (_, seats, _) in enumerate(members) for _ in seats])
             released = mids[fan]
             try:
-                result = pberm(weights[first, source[mids]], stream, schedule.lam, tau[mids],
+                result = pberm(weights[first, source[mids]], stream, lam, tau[mids],
                                scale[released], noise_seeds[seat, released],
                                [rows for _, _, rows in members], fan)
             except CertificateError as exc:
@@ -609,32 +616,23 @@ def _subseeds(seeds, label: str, model_ids) -> np.ndarray:
     return out
 
 
+# Each scheduler name's builder, a function of its config and the stream length T.
+_BUILDERS = {
+    "multires": _multires, "multires-sample": _multires,
+    "continual": _continual, "continual-sample": _continual,
+    "sliding": _sliding, "sliding-sample": _sliding,
+    "baseline-independent": _baseline_independent, "baseline-basic": _baseline_basic,
+}
+SCHEDULERS = tuple(_BUILDERS)
+
+
 def build_schedule(cfg: SchedulerConfig, T: int) -> Schedule:
-    """Construct the schedule cfg names for a stream of length T."""
-    sampled = cfg.name.endswith("-sample")
-    if cfg.name in ("multires", "multires-sample"):
-        return multires_schedule(T, cfg.B, cfg.eps, cfg.lam, cfg.L, sampled)
-    if cfg.name in ("continual", "continual-sample"):
-        return continual_schedule(
-            T, cfg.B, cfg.b0, cfg.eps, cfg.lam, cfg.L, sampled,
-            standalone_base=cfg.standalone_base, first_base_at_2B=cfg.first_base_at_2B,
-        )
-    if cfg.name in ("sliding", "sliding-sample"):
-        return sliding_schedule(T, cfg.w, cfg.w0, cfg.eps, cfg.lam, cfg.L, sampled)
-    if cfg.name == "baseline-independent":
-        return baseline_independent_schedule(T, cfg.b0, cfg.eps, cfg.lam, cfg.L)
-    if cfg.name == "baseline-basic":
-        return baseline_basic_cumulative_schedule(T, cfg.B, cfg.b0, cfg.eps, cfg.lam, cfg.L)
-    raise ScheduleError(f"unknown scheduler {cfg.name!r}")
-
-
-def event_probability(e: EventSpec) -> float | None:
-    """Inclusion probability of a sampled event's points, else None."""
-    if e.sampled_rule is None:
-        return None
-    # an exp_formula event is charged the schedule's eps / (2 * 2^level);
-    # reciprocal does not read eps
-    return sampling_probability(e.sampled_rule, e.level, float(e.eps * 2 * 2**e.level))
+    """Construct the schedule cfg names for a stream of length T, from cfg
+    alone: cfg.L must already be resolved (see SchedulerConfig)."""
+    builder = _BUILDERS.get(cfg.name)
+    if builder is None:
+        raise ScheduleError(f"unknown scheduler {cfg.name!r}")
+    return builder(replace(cfg, eps=Fraction(cfg.eps)), T)
 
 
 def trace_record(e: EventSpec) -> dict:
@@ -646,7 +644,7 @@ def trace_record(e: EventSpec) -> dict:
         "b": e.b,
         "reg_source": e.reg_source,
         "noise_scale": e.noise_scale,
-        "sampled_p": event_probability(e),
+        "sampled_p": e.p,
         "eps_num": e.eps.numerator,
         "eps_den": e.eps.denominator,
         "model_id": e.model_id,
@@ -654,18 +652,20 @@ def trace_record(e: EventSpec) -> dict:
 
 
 def trace_header(schedule: Schedule) -> dict:
-    """The first line of a trace: the scheduler, its eps (as eps_num and
+    """The first line of a trace: the scheduler (its config's name without
+    `-sample`), its eps (as eps_num and
     eps_den, like an event's charge), its budgets, each an exact
     [numerator, denominator] pair, and the lambda, Lipschitz constant and
     tolerance share (`mechanisms.TAU_SHARE`) its events are calibrated
     with."""
+    cfg = schedule.config
     return {
-        "scheduler": schedule.name,
-        "eps_num": schedule.eps.numerator,
-        "eps_den": schedule.eps.denominator,
+        "scheduler": cfg.name.removesuffix("-sample"),
+        "eps_num": cfg.eps.numerator,
+        "eps_den": cfg.eps.denominator,
         "budgets": {sub: [b.numerator, b.denominator] for sub, b in schedule.budgets.items()},
-        "lam": schedule.lam,
-        "L": schedule.L,
+        "lam": cfg.lam,
+        "L": cfg.L,
         "tau_share": TAU_SHARE,
     }
 
@@ -707,7 +707,7 @@ def export_trace(schedule: Schedule, path=None):
         for e in schedule.events:
             fh.write(_TRACE_LINE.format(
                 e.t, e.kind, _json_scalar(e.level), e.a, e.b, _json_scalar(e.reg_source),
-                _json_scalar(e.noise_scale), _json_scalar(event_probability(e)),
+                _json_scalar(e.noise_scale), _json_scalar(e.p),
                 e.eps.numerator, e.eps.denominator, e.model_id))
 
 

@@ -1,21 +1,13 @@
 import numpy as np
 import pytest
 
-from streamdp import Dataset, build_schedule, ledger_from_events, replay
+from streamdp import Dataset
 
 
 def random_dataset(rng, n, d, k):
     X = rng.standard_normal((n, d))
     y = rng.integers(0, k, size=n)
     return Dataset(X, y, k)
-
-
-def replay_run(stream, sched, ev):
-    """replay over the schedule that sched builds for the stream, with that
-    schedule's ledger, as `streamdp run` calls it: the metric records."""
-    schedule = build_schedule(sched, stream.n)
-    ledger = ledger_from_events(schedule.events, schedule.budgets)
-    return replay(stream, sched, ev, schedule, ledger)
 
 
 @pytest.fixture

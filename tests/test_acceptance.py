@@ -16,27 +16,22 @@ import pytest
 
 import streamdp as sd
 from streamdp import (
-    EvalConfig,
     Ledger,
     SchedulerConfig,
     SynthConfig,
     laplace_noise,
     sampling_probability,
+    replay,
     subsample,
     synth_stream,
 )
 from streamdp.erm import lipschitz_public, loss_and_gradient
 from streamdp.harness import accuracy_quartiles
 from streamdp.rng import make_rng
-from streamdp.schedulers import (
-    continual_schedule,
-    ledger_from_events,
-    multires_schedule,
-    sliding_chain,
-    sliding_schedule,
-)
-from conftest import random_dataset, replay_run
-from test_schedulers import oracle_continual, oracle_multires, oracle_sliding_buckets
+from streamdp.schedulers import build_schedule, ledger_from_events, sliding_chain
+from conftest import random_dataset
+from test_schedulers import (oracle_continual, oracle_multires, oracle_sliding_buckets,
+                             schedule_of)
 
 
 def check(criterion, description, condition):
@@ -46,6 +41,15 @@ def check(criterion, description, condition):
 
 
 EPS = Fraction(1)
+
+
+def median_final_acc(stream, cfg, test, seeds, nonprivate=False):
+    """The median over seeds of the final acc_test of cfg's schedule
+    replayed on stream with its own ledger, as `streamdp run` reports it."""
+    schedule = build_schedule(cfg, stream.n)
+    ledger = ledger_from_events(schedule.events, schedule.budgets)
+    recs = replay(stream, schedule, ledger, test=test, seeds=seeds, nonprivate=nonprivate)
+    return accuracy_quartiles(recs)[1]
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +91,7 @@ def test_criterion_2_schedule_oracle_equivalence():
     ok = True
     for B in (1, 2, 8):
         for T in (1, 100, 4096):
-            sched = multires_schedule(T, B, EPS, 1.0, 1.0)
+            sched = schedule_of("multires", T, B=B)
             got = [(e.t, e.level, e.a, e.b, e.eps) for e in sched.events]
             ok &= got == oracle_multires(T, B)
     for B in (1, 2, 8):
@@ -95,7 +99,7 @@ def test_criterion_2_schedule_oracle_equivalence():
             if b0 > B or B % b0:
                 continue
             for T in (100, 4096):
-                sched = continual_schedule(T, B, b0, EPS, 1.0, 1.0)
+                sched = schedule_of("continual", T, B=B, b0=b0)
                 got = [
                     (e.t, e.kind, e.a, e.b, e.eps)
                     for e in sched.events
@@ -114,13 +118,13 @@ def test_criterion_2_schedule_oracle_equivalence():
 def test_criterion_3_privacy_budgets_exact():
     start = time.time()
     # multi-resolution: B=8, T=1024 points, max loss exactly 127/128
-    mr = multires_schedule(1024, 8, EPS, 1.0, 1.0)
+    mr = schedule_of("multires", 1024, B=8)
     led = ledger_from_events(mr.events, mr.budgets)
     _, mx = led.max_point_loss()
     mr_ok = mx == Fraction(127, 128)
 
     # continual: within eps, every point's charge is a subset of eps/2 + eps/4 + ...
-    co = continual_schedule(1024, 8, 2, EPS, 1.0, 1.0)
+    co = schedule_of("continual", 1024, B=8, b0=2)
     led = ledger_from_events(co.events, co.budgets)
     _, cmx = led.max_point_loss("continual")
     pattern_ok = cmx <= EPS
@@ -143,7 +147,7 @@ def test_criterion_3_privacy_budgets_exact():
     combined_ok = combined and combined[0].max_eps <= 2 * EPS and combined[0].ok
 
     # sliding: >= 10 refreshes, total within eps, side groups within eps/3
-    sl = sliding_schedule(1200, 31, 1, EPS, 1.0, 1.0)
+    sl = schedule_of("sliding", 1200, w=31, w0=1)
     refreshes = sum(1 for e in sl.events if e.kind == "WindowRefresh" and e.side == "base")
     sled = ledger_from_events(sl.events, sl.budgets)
     _, smx = sled.max_point_loss()
@@ -222,11 +226,9 @@ def test_criterion_6_utility_trend(synth_data):
     medians = {}
     for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1)):
         sched = SchedulerConfig("continual", eps, 1.0, L, B=4096, b0=512)
-        recs = replay_run(stream, sched, EvalConfig(test=test, seeds=seeds))
-        medians[eps] = accuracy_quartiles(recs)[1]
+        medians[eps] = median_final_acc(stream, sched, test, seeds)
     sched = SchedulerConfig("continual", Fraction(1), 1.0, L, B=4096, b0=512)
-    recs = replay_run(stream, sched, EvalConfig(test=test, seeds=seeds, nonprivate=True))
-    nonpriv = accuracy_quartiles(recs)[1]
+    nonpriv = median_final_acc(stream, sched, test, seeds, nonprivate=True)
     ordered = [medians[Fraction(1, 100)], medians[Fraction(1, 10)], medians[Fraction(1)]]
     trend_ok = ordered[0] <= ordered[1] <= ordered[2]
     close_ok = abs(medians[Fraction(1)] - nonpriv) <= 0.03
@@ -242,16 +244,10 @@ def test_criterion_7_continual_beats_independent_baseline(synth_data):
     L = lipschitz_public(3, 512)
     seeds = (1, 2, 3, 4)
     eps = Fraction(1, 10)
-    cont = accuracy_quartiles(replay_run(
-        stream,
-        SchedulerConfig("continual", eps, 1.0, L, B=4096, b0=512),
-        EvalConfig(test=test, seeds=seeds),
-    ))[1]
-    base = accuracy_quartiles(replay_run(
-        stream,
-        SchedulerConfig("baseline-independent", eps, 1.0, L, b0=512),
-        EvalConfig(test=test, seeds=seeds),
-    ))[1]
+    cont = median_final_acc(
+        stream, SchedulerConfig("continual", eps, 1.0, L, B=4096, b0=512), test, seeds)
+    base = median_final_acc(
+        stream, SchedulerConfig("baseline-independent", eps, 1.0, L, b0=512), test, seeds)
     elapsed = time.time() - start
     check(7, f"continual {cont:.4f} >= independent baseline {base:.4f} ({elapsed:.0f}s)",
           cont >= base and elapsed < 600)
@@ -281,12 +277,9 @@ def test_criterion_8_image_stream_reproduction():
     results = {}
     for eps in (Fraction(1, 10), Fraction(1)):
         sched = SchedulerConfig("continual", eps, 1.0, L, B=8192, b0=1024)
-        recs = replay_run(stream, sched, EvalConfig(test=test, seeds=seeds))
-        results[eps] = accuracy_quartiles(recs)[1]
+        results[eps] = median_final_acc(stream, sched, test, seeds)
     sched = SchedulerConfig("continual", Fraction(1), 1.0, L, B=8192, b0=1024)
-    nonpriv = accuracy_quartiles(replay_run(
-        stream, sched, EvalConfig(test=test, seeds=seeds, nonprivate=True),
-    ))[1]
+    nonpriv = median_final_acc(stream, sched, test, seeds, nonprivate=True)
     ok = all(abs(results[eps] - nonpriv) <= 0.03 for eps in results)
     elapsed = time.time() - start
     check(8, f"image stream: private {results} vs nonprivate {nonpriv:.4f} "
@@ -313,13 +306,13 @@ def test_criterion_9_sampling_variants():
 
     # sampled schedulers carry the same exact charges as the plain ones
     budget_ok = True
-    mr = multires_schedule(1024, 8, EPS, 1.0, 1.0, sampled=True)
+    mr = schedule_of("multires-sample", 1024, B=8)
     _, mx = ledger_from_events(mr.events, mr.budgets).max_point_loss()
     budget_ok &= mx == Fraction(127, 128)
-    co = continual_schedule(1024, 8, 2, EPS, 1.0, 1.0, sampled=True)
+    co = schedule_of("continual-sample", 1024, B=8, b0=2)
     rep = ledger_from_events(co.events, co.budgets).assert_budget()
     budget_ok &= rep.ok
-    sl = sliding_schedule(1200, 31, 1, EPS, 1.0, 1.0, sampled=True)
+    sl = schedule_of("sliding-sample", 1200, w=31, w0=1)
     _, smx = ledger_from_events(sl.events, sl.budgets).max_point_loss()
     budget_ok &= smx <= EPS
     elapsed = time.time() - start

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from streamdp import (
-    EvalConfig,
     HarnessError,
     MetricsRecord,
     SchedulerConfig,
@@ -16,14 +15,15 @@ from streamdp import (
     export_metrics,
     load_csv,
     load_idx,
+    replay,
     sgd_train,
     synth_stream,
 )
 from streamdp.cli import SCHEDULERS
 from streamdp.harness import CSV_HEADER, accuracy_quartiles
 from streamdp.ledger import Ledger
-from streamdp.schedulers import build_schedule, execute, ledger_from_events
-from conftest import idx_images_bytes, idx_labels_bytes, replay_run
+from streamdp.schedulers import build_schedule, execute, export_trace, ledger_from_events
+from conftest import idx_images_bytes, idx_labels_bytes
 
 
 def run_alone(schedule, stream, seed):
@@ -220,42 +220,48 @@ class TestReplay:
         data = synth_stream(SynthConfig(d=4, k=2, n=300, sigma=0.3, seed=8))
         self.stream = data.slice(0, 199)
         self.test = data.slice(200, 299)
-        self.sched = SchedulerConfig(
-            "continual", Fraction(1), 1.0, 0.2, B=32, b0=8
-        )
+        self.schedule = build_schedule(
+            SchedulerConfig("continual", Fraction(1), 1.0, 0.2, B=32, b0=8), self.stream.n)
+        self.ledger = ledger_from_events(self.schedule.events, self.schedule.budgets)
 
     def test_records_cover_all_releases(self):
-        ev = EvalConfig(test=self.test, seeds=(0,))
-        recs = replay_run(self.stream, self.sched, ev)
+        recs = replay(self.stream, self.schedule, self.ledger, test=self.test)
         assert recs
         assert all(0.0 <= r.acc_test <= 1.0 for r in recs)
         assert all(r.scheduler == "continual" for r in recs)
 
+    def test_records_and_trace_header_read_the_schedules_config(self, tmp_path):
+        # the records name the config's scheduler, sampled or not, and the
+        # header its base scheduler; both give the lambda it was built at
+        schedule = build_schedule(
+            SchedulerConfig("continual-sample", Fraction(1), 7.0, 0.2, B=32, b0=8), self.stream.n)
+        recs = replay(self.stream, schedule,
+                      ledger_from_events(schedule.events, schedule.budgets), seeds=(0, 1))
+        assert recs and all((r.scheduler, r.eps, r.lam, r.batch) == ("continual-sample", 1.0, 7, 8)
+                            for r in recs)
+        export_trace(schedule, tmp_path / "trace.jsonl")
+        head = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
+        assert (head["scheduler"], head["lam"]) == ("continual", 7)
+
     def test_eps_max_nondecreasing(self):
-        ev = EvalConfig(test=self.test, seeds=(0,))
-        recs = replay_run(self.stream, self.sched, ev)
+        recs = replay(self.stream, self.schedule, self.ledger, test=self.test)
         for a, b in zip(recs, recs[1:]):
             assert b.eps_max >= a.eps_max
 
     def test_nonprivate_matches_plain_pipeline_bitwise(self):
-        ev = EvalConfig(test=self.test, seeds=(0,), nonprivate=True)
-        r1 = replay_run(self.stream, self.sched, ev)
-        r2 = replay_run(self.stream, self.sched, ev)
+        r1 = replay(self.stream, self.schedule, self.ledger, test=self.test, nonprivate=True)
+        r2 = replay(self.stream, self.schedule, self.ledger, test=self.test, nonprivate=True)
         assert r1 == r2
         assert all(r.noise_l2 == 0.0 and r.eps_max == 0 for r in r1)
 
     def test_median_is_seed_order_independent(self):
-        ev_a = EvalConfig(test=self.test, seeds=(1, 2, 3))
-        ev_b = EvalConfig(test=self.test, seeds=(3, 1, 2))
-        ra = replay_run(self.stream, self.sched, ev_a)
-        rb = replay_run(self.stream, self.sched, ev_b)
+        ra = replay(self.stream, self.schedule, self.ledger, test=self.test, seeds=(1, 2, 3))
+        rb = replay(self.stream, self.schedule, self.ledger, test=self.test, seeds=(3, 1, 2))
         assert accuracy_quartiles(ra) == accuracy_quartiles(rb)
 
     def test_reevaluating_stored_model_reproduces_metrics(self):
-        ev = EvalConfig(test=self.test, seeds=(0,))
-        recs = replay_run(self.stream, self.sched, ev)
-        schedule = build_schedule(self.sched, self.stream.n)
-        weights, releases = run_alone(schedule, self.stream, 0)
+        recs = replay(self.stream, self.schedule, self.ledger, test=self.test)
+        weights, releases = run_alone(self.schedule, self.stream, 0)
         by_t = {r.t: r for r in recs}
         for t, mid in releases:
             assert by_t[t].acc_test == evaluate_accuracy(weights[[mid]], self.test)[0]
@@ -284,9 +290,9 @@ class TestBatchedEvaluation:
         # have arrived (a short recent window) and at the stream head (no old window)
         sched = SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=4 if name.startswith(
             ("multires", "sliding")) else 24, b0=12, w=7, w0=1)
-        ev = EvalConfig(test=self.test, seeds=self.SEEDS)
-        recs = replay_run(self.stream, sched, ev)
         schedule = build_schedule(sched, self.stream.n)
+        recs = replay(self.stream, schedule, ledger_from_events(schedule.events, schedule.budgets),
+                      test=self.test, seeds=self.SEEDS)
         start_of = {e.model_id: e.a for e in schedule.events}
         short = 0
         for seed in self.SEEDS:
@@ -331,12 +337,10 @@ class TestReplayEpsMaxDifferential:
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_matches_brute_force_point_loss(self, name):
-        sched = self.sched(name)
-        ev = EvalConfig(seeds=self.SEEDS)
-        recs = replay_run(self.stream, sched, ev)
-        schedule = build_schedule(sched, self.stream.n)
+        schedule = build_schedule(self.sched(name), self.stream.n)
         # a sampled release's charge stands when its subsample is empty
         charged = ledger_from_events(schedule.events, schedule.budgets)
+        recs = replay(self.stream, schedule, charged, seeds=self.SEEDS)
         for seed in self.SEEDS:
             _, releases = run_alone(schedule, self.stream, seed)
             if name == "multires-sample":
@@ -352,8 +356,9 @@ class TestReplayEpsMaxDifferential:
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_nonprivate_eps_max_is_zero(self, name):
-        ev = EvalConfig(seeds=(0,), nonprivate=True)
-        recs = replay_run(self.stream, self.sched(name), ev)
+        schedule = build_schedule(self.sched(name), self.stream.n)
+        recs = replay(self.stream, schedule, ledger_from_events(schedule.events, schedule.budgets),
+                      nonprivate=True)
         assert recs and all(r.eps_max == 0 for r in recs)
 
 

@@ -14,20 +14,14 @@ import pytest
 
 from streamdp import (
     Dataset,
-    EvalConfig,
     ScheduleError,
     SchedulerConfig,
     SynthConfig,
-    baseline_basic_cumulative_schedule,
-    baseline_independent_schedule,
     build_schedule,
-    continual_schedule,
     execute,
     ledger_from_events,
     multires_events_at,
-    multires_schedule,
     replay,
-    sliding_schedule,
     synth_stream,
     window_shape,
 )
@@ -36,9 +30,14 @@ from streamdp.cli import SCHEDULERS
 from streamdp.erm import CertificateError, ErmError, lipschitz_public
 from streamdp.mechanisms import TAU_SHARE, pberm, sampling_probability, subsample
 from streamdp.rng import make_rng
-from streamdp.schedulers import event_probability, sliding_chain
+from streamdp.schedulers import sliding_chain
 
 EPS = Fraction(1)
+
+
+def schedule_of(name, T, lam=1.0, L=1.0, **sizes):
+    """The schedule of the named scheduler at eps EPS on a stream of length T."""
+    return build_schedule(SchedulerConfig(name, EPS, lam, L, **sizes), T)
 
 
 # Brute-force oracles: re-derive events directly from the release conditions,
@@ -133,12 +132,12 @@ class TestMultiresSchedule:
     @pytest.mark.parametrize("B", [1, 2, 8])
     @pytest.mark.parametrize("T", [1, 5, 64, 257])
     def test_matches_oracle(self, T, B):
-        sched = multires_schedule(T, B, EPS, 1.0, 1.0)
+        sched = schedule_of("multires", T, B=B)
         got = [(e.t, e.level, e.a, e.b, e.eps) for e in sched.events]
         assert got == oracle_multires(T, B)
 
     def test_intervals_tile_each_level(self):
-        sched = multires_schedule(129, 4, EPS, 1.0, 1.0)
+        sched = schedule_of("multires", 129, B=4)
         for k in {e.level for e in sched.events}:
             level = sorted((e.a, e.b) for e in sched.events if e.level == k)
             for (a1, b1), (a2, b2) in zip(level, level[1:]):
@@ -146,14 +145,14 @@ class TestMultiresSchedule:
 
     def test_invalid_b(self):
         with pytest.raises(ScheduleError):
-            multires_schedule(10, 0, EPS, 1.0, 1.0)
+            schedule_of("multires", 10, B=0)
 
 
 class TestContinualSchedule:
     @pytest.mark.parametrize("B,b0", [(8, 2), (8, 1), (4, 2), (16, 2)])
     def test_matches_oracle(self, B, b0):
         T = 200
-        sched = continual_schedule(T, B, b0, EPS, 1.0, 1.0)
+        sched = schedule_of("continual", T, B=B, b0=b0)
         got = [
             (e.t, e.kind, e.a, e.b, e.eps)
             for e in sched.events
@@ -164,7 +163,7 @@ class TestContinualSchedule:
     def test_worked_example(self):
         # B=8, b0=2: after the base at t=8, t=10 small, t=12 large j=1,
         # t=14 small against the large model, t=16 next base
-        sched = continual_schedule(17, 8, 2, EPS, 1.0, 1.0)
+        sched = schedule_of("continual", 17, B=8, b0=2)
         ev = {e.t: e for e in sched.events if e.kind != "MultiRes"}
         assert ev[8].kind == "Base"
         assert ev[10].kind == "SmallUpdate" and ev[10].interval == (8, 9)
@@ -176,7 +175,7 @@ class TestContinualSchedule:
         assert ev[16].kind == "Base"
 
     def test_base_adopts_multires_model(self):
-        sched = continual_schedule(33, 8, 2, EPS, 1.0, 1.0)
+        sched = schedule_of("continual", 33, B=8, b0=2)
         bases = [e for e in sched.events if e.kind == "Base"]
         prefixes = {
             e.t: e.model_id
@@ -188,7 +187,7 @@ class TestContinualSchedule:
             assert b.model_id == prefixes[b.t]
 
     def test_standalone_bases_are_trained_and_charged(self):
-        sched = continual_schedule(33, 8, 2, EPS, 1.0, 1.0, standalone_base=True)
+        sched = schedule_of("continual", 33, B=8, b0=2, standalone_base=True)
         assert not any(e.kind == "MultiRes" for e in sched.events)
         bases = [e for e in sched.events if e.kind == "Base"]
         assert all(not b.adopt and b.reg_source is None for b in bases)
@@ -196,9 +195,9 @@ class TestContinualSchedule:
 
     def test_invalid_block_sizes(self):
         with pytest.raises(ScheduleError):
-            continual_schedule(10, 4, 3, EPS, 1.0, 1.0)
+            schedule_of("continual", 10, B=4, b0=3)
         with pytest.raises(ScheduleError):
-            continual_schedule(10, 2, 4, EPS, 1.0, 1.0)
+            schedule_of("continual", 10, B=2, b0=4)
 
 
 class TestSlidingSchedule:
@@ -225,7 +224,7 @@ class TestSlidingSchedule:
     def test_trained_buckets_are_exactly_the_changed_ones(self):
         # T = 4w spans at least three refresh cycles of 2^(k-1) * w0 points
         for T, w, w0 in [(100, 15, 1), (4 * 14, 14, 2), (4 * 42, 42, 6)]:
-            sched = sliding_schedule(T, w, w0, EPS, 1.0, 1.0)
+            sched = schedule_of("sliding", T, w=w, w0=w0)
             id_of = {}
             for e in sched.events:
                 id_of[e.model_id] = (e.a, e.b)
@@ -249,7 +248,7 @@ class TestSlidingSchedule:
     @pytest.mark.parametrize("T,w,w0", [(60, 7, 1), (100, 15, 1), (90, 14, 2), (6, 7, 1)])
     def test_chain_follows_the_schedule(self, T, w, w0):
         # the chain and the schedule are read from the same steps
-        sched = sliding_schedule(T, w, w0, EPS, 1.0, 1.0)
+        sched = schedule_of("sliding", T, w=w, w0=w0)
         states = sliding_chain(T, w, w0)
         assert [(st.t, st.released) for st in states] == list(sched.releases)
         trained = {}
@@ -258,7 +257,7 @@ class TestSlidingSchedule:
         assert [list(st.trained) for st in states] == [trained[st.t] for st in states]
 
     def test_charges(self):
-        sched = sliding_schedule(60, 7, 1, EPS, 1.0, 1.0)
+        sched = schedule_of("sliding", 60, w=7, w0=1)
         for e in sched.events:
             blocks = (e.b - e.a + 1) // 1
             if e.side == "base":
@@ -267,7 +266,7 @@ class TestSlidingSchedule:
                 assert e.eps == Fraction(1, 6 * blocks)
 
     def test_regularizer_is_next_larger_bucket(self):
-        sched = sliding_schedule(60, 7, 1, EPS, 1.0, 1.0)
+        sched = schedule_of("sliding", 60, w=7, w0=1)
         states = {st.t: st for st in sliding_chain(60, 7, 1)}
         for e in sched.events:
             if e.side == "base":
@@ -279,7 +278,7 @@ class TestSlidingSchedule:
             assert e.reg_source == chain[idx - 1][3]
 
     def test_short_stream_has_no_events(self):
-        sched = sliding_schedule(6, 7, 1, EPS, 1.0, 1.0)
+        sched = schedule_of("sliding", 6, w=7, w0=1)
         assert sched.events == () and sched.releases == ()
 
     # SHA-256 of each event's structure and of the releases, as the
@@ -296,7 +295,7 @@ class TestSlidingSchedule:
     ], ids=["sliding-255", "sliding-42x6", "sliding-7", "sliding-sample-255",
             "sliding-sample-42x6", "sliding-sample-7"])
     def test_structure_is_pinned(self, sampled, T, w, w0, digest):
-        sched = sliding_schedule(T, w, w0, EPS, 1.0, 1.0, sampled)
+        sched = schedule_of("sliding-sample" if sampled else "sliding", T, w=w, w0=w0)
         h = hashlib.sha256()
         for e in sched.events:
             h.update(repr((e.t, e.kind, e.level, e.a, e.b, str(e.eps), e.model_id, e.reg_source,
@@ -307,7 +306,7 @@ class TestSlidingSchedule:
 
 class TestBaselines:
     def test_independent_batches_have_no_lineage(self):
-        sched = baseline_independent_schedule(20, 4, EPS, 1.0, 1.0)
+        sched = schedule_of("baseline-independent", 20, b0=4)
         assert [e.t for e in sched.events] == [4, 8, 12, 16]
         assert all(e.eps == Fraction(1, 2) for e in sched.events)
         assert all(e.reg_source is None for e in sched.events)
@@ -315,16 +314,16 @@ class TestBaselines:
     @pytest.mark.parametrize("b0", [0, -4])
     def test_independent_refuses_a_block_below_one(self, b0):
         with pytest.raises(ScheduleError, match=f"b0 must be >= 1, got {b0}"):
-            baseline_independent_schedule(20, b0, EPS, 1.0, 1.0)
+            schedule_of("baseline-independent", 20, b0=b0)
 
     def test_basic_cumulative_retrain_times(self):
         # inclusive horizon {8,16,32,64} needs T=65 under arrival indexing
-        sched = baseline_basic_cumulative_schedule(65, 8, 8, EPS, 1.0, 1.0)
+        sched = schedule_of("baseline-basic", 65, B=8, b0=8)
         retrains = [e.t for e in sched.events if e.a == 0]
         assert retrains == [8, 16, 32, 64]
 
     def test_basic_cumulative_small_updates_between(self):
-        sched = baseline_basic_cumulative_schedule(33, 8, 2, EPS, 1.0, 1.0)
+        sched = schedule_of("baseline-basic", 33, B=8, b0=2)
         smalls = [e for e in sched.events if e.a != 0]
         assert all(e.eps == Fraction(1, 2) for e in smalls)
         assert all(e.b - e.a + 1 == 2 for e in smalls)
@@ -332,7 +331,7 @@ class TestBaselines:
 
 class TestSampledVariants:
     def test_sampled_multires_scales_shrink_with_level(self):
-        sched = multires_schedule(65, 8, EPS, 1.0, 1.0, sampled=True)
+        sched = schedule_of("multires-sample", 65, B=8)
         by_level = {}
         for e in sched.events:
             by_level[e.level] = e.noise_scale
@@ -341,14 +340,14 @@ class TestSampledVariants:
         assert all(by_level[a] > by_level[b] for a, b in zip(levels, levels[1:]))
 
     def test_sampled_charges_match_unsampled(self):
-        plain = multires_schedule(129, 8, EPS, 1.0, 1.0)
-        sampled = multires_schedule(129, 8, EPS, 1.0, 1.0, sampled=True)
+        plain = schedule_of("multires", 129, B=8)
+        sampled = schedule_of("multires-sample", 129, B=8)
         assert [(e.t, e.eps) for e in plain.events] == [
             (e.t, e.eps) for e in sampled.events
         ]
 
     def test_sliding_sampled_uses_reciprocal(self):
-        sched = sliding_schedule(60, 7, 1, EPS, 1.0, 1.0, sampled=True)
+        sched = schedule_of("sliding-sample", 60, w=7, w0=1)
         for e in sched.events:
             if e.side != "base" and e.level and e.level > 0:
                 assert e.sampled_rule == "reciprocal"
@@ -364,34 +363,33 @@ class TestExecute:
         return execute(sched, stream, nonprivate, seeds=(0,))
 
     def test_deterministic(self, stream):
-        sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
+        sched = schedule_of("multires", stream.n, L=0.2, B=8)
         r1 = self.run(sched, stream)
         r2 = self.run(sched, stream)
         np.testing.assert_array_equal(r1.weights, r2.weights)
         np.testing.assert_array_equal(r1.noise_l1, r2.noise_l1)
 
     def test_distinct_models_get_distinct_noise(self, stream):
-        sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
+        sched = schedule_of("multires", stream.n, L=0.2, B=8)
         r = self.run(sched, stream)
         norms = [r.noise_l2[0, e.model_id] for e in sched.events]
         assert len(set(norms)) == len(norms) == len(sched.events)
 
     def test_ledger_matches_dry_run(self, stream):
         # execute charges nothing; a run's eps_max comes from the dry run's charges
-        sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
+        sched = schedule_of("continual", stream.n, L=0.2, B=8, b0=2)
         assert not hasattr(self.run(sched, stream), "ledger")
         dry = ledger_from_events(sched.events, sched.budgets)
-        recs = replay(stream, SchedulerConfig("continual", EPS, 1.0, 0.2, B=8, b0=2),
-                      EvalConfig(seeds=(0,)), sched, dry)
+        recs = replay(stream, sched, dry)
         assert recs[-1].eps_max == dry.max_point_loss()[1]
 
     def test_nonprivate_disables_ledger_and_noise(self, stream):
-        sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
+        sched = schedule_of("multires", stream.n, L=0.2, B=8)
         r = self.run(sched, stream, nonprivate=True)
         assert not r.noise_l1.any() and not r.noise_l2.any()
 
     def test_trains_with_the_schedules_lambda(self, stream):
-        sched = multires_schedule(stream.n, 8, EPS, 7.0, 0.2)
+        sched = schedule_of("multires", stream.n, lam=7.0, L=0.2, B=8)
         run = self.run(sched, stream)
         for lam, same in ((7.0, True), (1.0, False)):
             ref = reference_execute(sched, stream, lam, EPS, False, (0,))[0]
@@ -399,7 +397,7 @@ class TestExecute:
                        for mid, w in ref.trained.items()) == same
 
     def test_run_is_kept_as_arrays_indexed_by_model_id(self, stream):
-        sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
+        sched = schedule_of("multires", stream.n, L=0.2, B=8)
         run = self.run(sched, stream)
         M = len(sched.events)
         assert [e.model_id for e in sched.events] == list(range(M))
@@ -413,7 +411,7 @@ class TestExecute:
         assert not run.skip.any()
 
     def test_event_beyond_stream_rejected(self, stream):
-        sched = multires_schedule(stream.n + 10, 8, EPS, 1.0, 0.2)
+        sched = schedule_of("multires", stream.n + 10, L=0.2, B=8)
         with pytest.raises(ScheduleError):
             self.run(sched, stream)
 
@@ -424,11 +422,10 @@ class TestExecute:
         with pytest.raises(ScheduleError, match="^need at least one seed$"):
             execute(sched, stream, seeds=())
         with pytest.raises(ScheduleError, match="^need at least one seed$"):
-            replay(stream, cfg, EvalConfig(seeds=()), sched,
-                   ledger_from_events(sched.events, sched.budgets))
+            replay(stream, sched, ledger_from_events(sched.events, sched.budgets), seeds=())
 
     def test_adopted_base_is_released_not_retrained(self, stream):
-        sched = continual_schedule(stream.n, 8, 2, EPS, 1.0, 0.2)
+        sched = schedule_of("continual", stream.n, L=0.2, B=8, b0=2)
         r = self.run(sched, stream)
         bases = [e for e in sched.events if e.kind == "Base"]
         released_ids = {mid for _, mid in sched.releases}
@@ -498,7 +495,7 @@ class TestLockstepExecute:
             toward_same = e.reg_source is None or e.reg_source in same
             assert members[e.model_id] == (1 if e.sampled_rule is None and toward_same else kept)
             drawn = {()} if e.sampled_rule is None else {
-                tuple(subsample(e.b - e.a + 1, event_probability(e),
+                tuple(subsample(e.b - e.a + 1, e.p,
                                 _subseed(seed, "sample", e.model_id))) for seed in self.SEEDS}
             if toward_same and len(drawn) == 1 and (nonprivate or kept == 0):
                 same.add(e.model_id)
@@ -633,7 +630,7 @@ class TestWaves:
         # a structural guard: a return to one solve per event fails it
         T, d, k = 600, 4, 3
         stream = synth_stream(SynthConfig(d=d, k=k, n=T, sigma=0.3, seed=2))
-        sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
+        sched = schedule_of("sliding", T, L=0.2, w=63, w0=1)
         calls = []
 
         def counted(*args, _fn=erm.solve, **kw):
@@ -657,7 +654,7 @@ class TestWaves:
         # seed; the updates toward noisy models, one member per seed.
         monkeypatch.setattr(schedulers, "_STACK_BYTES", 1)
         monkeypatch.setattr(schedulers, "_SOLVE_BYTES", 1)
-        sched = continual_schedule(stream.n, 16, 4, EPS, 1.0, 0.2)
+        sched = schedule_of("continual", stream.n, L=0.2, B=16, b0=4)
         calls = []
 
         def counted(*args, _fn=erm.solve, **kw):
@@ -682,7 +679,7 @@ class TestWaves:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((32, 3)) * np.where(np.arange(32) >= 8, 1e200, 1.0)[:, None]
         stream = Dataset(X, rng.integers(0, 3, size=32), 3)
-        sched = multires_schedule(stream.n, 8, EPS, 1.0, 0.2)
+        sched = schedule_of("multires", stream.n, L=0.2, B=8)
         calls = []
 
         def counted(*args, _fn=erm.solve, **kw):
@@ -704,7 +701,7 @@ class TestWaves:
 
         T, seeds = 600, (1, 2)
         stream = synth_stream(SynthConfig(d=4, k=3, n=T, sigma=0.3, seed=2))
-        sched = sliding_schedule(T, 63, 1, EPS, 1.0, 0.2)
+        sched = schedule_of("sliding", T, L=0.2, w=63, w0=1)
         counts = {"make_rng": 0, "solve": 0, "output_perturb": 0}
 
         def counting(name, fn):
@@ -731,7 +728,7 @@ class TestSkippedEvents:
     @pytest.mark.parametrize("n", [64, 80, 96])
     def test_continual_sample_runs(self, B, b0, n):
         stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n))
-        sched = continual_schedule(n, B, b0, EPS, 1.0, 0.2, sampled=True)
+        sched = schedule_of("continual-sample", n, L=0.2, B=B, b0=b0)
         run = execute(sched, stream, seeds=(0, 1, 2, 3, 4))
         for i, e in itertools.product(range(5), sched.events):
             if e.adopt or not run.skip[i, e.model_id]:
@@ -745,7 +742,7 @@ class TestSkippedEvents:
 
     def test_skipped_psgd_event_resolves_to_zero_model(self):
         stream = synth_stream(SynthConfig(d=3, k=2, n=64, sigma=0.3, seed=1))
-        sched = multires_schedule(stream.n, 2, EPS, 1.0, 0.2, sampled=True)
+        sched = schedule_of("multires-sample", stream.n, L=0.2, B=2)
         run = execute(sched, stream, seeds=(0,))
         assert run.skip.any()
         for e in sched.events:
@@ -844,8 +841,7 @@ class TestCalibration:
                 want = reference_scale(e, cfg)
                 assert abs(e.noise_scale - want) <= 8 * math.ulp(want), (cfg, e)
                 if e.sampled_rule is not None:
-                    assert event_probability(e) == sampling_probability(
-                        e.sampled_rule, e.level, float(cfg.eps))
+                    assert e.p == sampling_probability(e.sampled_rule, e.level, float(cfg.eps))
             events += len(sched.events)
         assert events > 500
 
@@ -874,15 +870,23 @@ class TestCalibration:
 
 
 class TestBuildSchedule:
-    def test_unknown_name(self):
-        with pytest.raises(ScheduleError):
-            build_schedule(SchedulerConfig("nope", EPS, 1.0, 1.0), 10)
+    @pytest.mark.parametrize("name", ["nope", "baseline-independent-sample",
+                                      "baseline-basic-sample"])
+    def test_a_name_without_a_builder_is_refused(self, name):
+        cfg = SchedulerConfig(name, EPS, 1.0, 1.0, B=4, b0=2, w=7, w0=1)
+        with pytest.raises(ScheduleError, match=f"^unknown scheduler '{name}'$"):
+            build_schedule(cfg, 20)
 
-    def test_dispatch(self):
-        s = build_schedule(SchedulerConfig("sliding", EPS, 1.0, 1.0, w=7, w0=1), 20)
-        assert s.name == "sliding"
-        s = build_schedule(SchedulerConfig("baseline-basic", EPS, 1.0, 1.0, B=4, b0=2), 20)
-        assert s.name == "baseline-basic"
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    def test_dispatch(self, name):
+        # each name builds its own scheduler's events, sampled where it says so
+        cfg = SchedulerConfig(name, EPS, 1.0, 1.0, B=4, b0=2, w=7, w0=1)
+        s = build_schedule(cfg, 20)
+        assert s.config == cfg
+        assert set(s.budgets) in schedulers.SCHEDULE_BUDGETS[name.removesuffix("-sample")]
+        assert {e.subsystem for e in s.events} == set(s.budgets)
+        sampled = [e.p for e in s.events if e.sampled_rule is not None]
+        assert bool(sampled) == name.endswith("-sample") and None not in sampled
 
 
 class TestCertificates:
@@ -917,7 +921,7 @@ class TestCertificates:
             bias = zero if e.reg_source is None else run.weights[i, e.reg_source]
             rows = np.arange(e.a, e.b + 1)
             if e.sampled_rule is not None:
-                rows = subsample(len(rows), event_probability(e),
+                rows = subsample(len(rows), e.p,
                                  _subseed(seeds[i], "sample", e.model_id)) + e.a
             data = Dataset(stream.X[rows], stream.y[rows], stream.k)
             _, grad = erm.loss_and_gradient(w, data, 0.5, bias)
@@ -934,7 +938,7 @@ class TestTraceHeader:
         schedulers.export_trace(sched, path)
         head, *events = map(json.loads, path.read_text().splitlines())
         assert head == {
-            "scheduler": sched.name, "eps_num": 2, "eps_den": 3,
+            "scheduler": name.removesuffix("-sample"), "eps_num": 2, "eps_den": 3,
             "budgets": {sub: [b.numerator, b.denominator] for sub, b in sched.budgets.items()},
             "lam": 0.7, "L": 0.37, "tau_share": TAU_SHARE}
         lam, L = head["lam"], head["L"]
@@ -985,7 +989,7 @@ class TestTraceLines:
         assert lines[1:] == [json.dumps(schedulers.trace_record(e)) for e in sched.events]
         eps, ledger = schedulers.ledger_from_trace(path)
         want = ledger_from_events(sched.events, sched.budgets)
-        assert eps == sched.eps and ledger.budgets == want.budgets
+        assert eps == sched.config.eps and ledger.budgets == want.budgets
         fields = operator.attrgetter("a", "b", "eps", "subsystem", "time")
         assert list(map(fields, ledger.charges)) == list(map(fields, want.charges))
 

@@ -78,7 +78,7 @@ def test_noise_covers_a_replaced_point(sched):
         # the run's weights hold the zero model in their last slot
         bias = weights[-1 if e.reg_source is None else e.reg_source]
         members = 1 + len(neighbours)
-        models = solve(data, np.repeat(bias[None], members, axis=0), schedule.lam,
+        models = solve(data, np.repeat(bias[None], members, axis=0), schedule.config.lam,
                        [e.tau] * members, [rows, *neighbours])
         realised = max(np.abs(m - models[0]).sum() for m in models[1:]) / e.noise_scale
         worst.append((realised / float(e.eps), e.t, e.kind, e.a, e.b))
