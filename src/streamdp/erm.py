@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_keys
+from .rng import philox_state, stream_keys
 
 
 class ErmError(ValueError):
@@ -160,9 +160,7 @@ def _minibatch_indices(seeds, rows, total, m, data: Dataset):
     """
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    zero = np.zeros(4, dtype=np.uint64)
-    states = {s: {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-                  "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    states = {s: philox_state(key)
               for s, key in enumerate(stream_keys(seeds, "sgd")) if len(rows[s]) > 1}
     single = [s for s in range(len(seeds)) if s not in states]
     single_rows = np.array([rows[s][0] for s in single], dtype=np.int64)[:, None]
@@ -308,18 +306,28 @@ def _objective(X, y, w, bias, lam):
     and y the rows' classes, (1, n) or (S, n). Rows are read in chunks of
     _CHUNK_ROWS, whose loss sums and gradient products are added in order.
     Scores are class-major, (S, k, rows), so that the class reductions run
-    over whole rows of scores. Every operation acts on each model's slice
-    alone (a BLAS product per slice, reductions within it), so a model's
-    values do not depend on the others in the stack.
+    over whole rows of scores. Every operation gives each model's slice the
+    bits it gets alone, so a model's values do not depend on the others in
+    the stack: reductions run within a slice, and the products are a BLAS
+    product per slice, except that where every model reads one (n, d) X and
+    `_stacked_product` admits a chunk of c rows, its scores are one
+    (S*k, d) @ (d, c) product and its gradient one (S*k, c) @ (c, d)
+    product. At d = 784, k = 10 (28x28 images, ten classes) the rule admits
+    the gradient of every chunk of 128 rows or more, and the scores of
+    those whose row count is a multiple of 8; at d = 20, k = 3 it admits
+    nothing.
     """
-    S, k, _ = w.shape
+    S, k, d = w.shape
     n = X.shape[-2]
     loss, grad = np.zeros(S), np.zeros_like(w)
     for start in range(0, n, _CHUNK_ROWS):
         Xc, yc = X[..., start : start + _CHUNK_ROWS, :], y[:, start : start + _CHUNK_ROWS]
         c = Xc.shape[-2]
         true = yc * c + (np.arange(S) * (k * c))[:, None] + np.arange(c)  # in (S, k, c)
-        scores = np.matmul(w, Xc.swapaxes(-1, -2))
+        if X.ndim == 2 and _stacked_product(k, c, d):
+            scores = (w.reshape(S * k, d) @ Xc.T).reshape(S, k, c)
+        else:
+            scores = np.matmul(w, Xc.swapaxes(-1, -2))
         scores -= scores.max(axis=1, keepdims=True)
         shifted_true = scores.reshape(-1)[true]
         np.exp(scores, out=scores)
@@ -327,7 +335,10 @@ def _objective(X, y, w, bias, lam):
         scores /= total
         scores.reshape(-1)[true] -= 1.0
         loss += (np.log(total[:, 0]) - shifted_true).sum(axis=-1)
-        grad += np.matmul(scores, Xc)
+        if X.ndim == 2 and _stacked_product(k, d, c):
+            grad += (scores.reshape(S * k, c) @ Xc).reshape(S, k, d)
+        else:
+            grad += np.matmul(scores, Xc)
     diff = w - bias
     f = loss / n + lam * _dot(diff, diff)
     return f, grad / n + 2.0 * lam * diff
@@ -362,10 +373,12 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
 
     rows holds one row set per member, a range or an array of row indices,
     all of one size. Members whose rows are one and the same range read one
-    view of data.X; otherwise each member's rows are gathered into a block
-    of its own. Either way every operation acts on each member's slice
-    alone, so a member's weights do not depend on the other members of its
-    stack: solved alone, it gets the same bits.
+    view of data.X, and their products are one product for the stack where
+    `_stacked_product` admits the shapes (see `_objective`); otherwise each
+    member's rows are gathered into a block of its own. Either way every
+    operation gives each member's slice the bits it gets alone, so a
+    member's weights do not depend on the other members of its stack:
+    solved alone, it gets the same bits.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ErmError(f"lambda must be > 0 and finite, got {lam}")
@@ -480,6 +493,20 @@ _ONE_PRODUCT_MAX_D = 31
 
 def _one_product(n: int, d: int, columns: int) -> bool:
     return n > 1 and d <= _ONE_PRODUCT_MAX_D and columns <= _ONE_PRODUCT_COLUMNS
+
+
+# One (S*k, K) @ (K, N) product of S stacked models gives each model's k rows
+# the bits of that model's own (k, K) @ (K, N) product for the shapes
+# `_stacked_product` admits (tests/test_erm.py checks them, up to S*k = 400).
+# Outside them the bits can differ: OpenBLAS 0.3 takes its small-matrix
+# kernels for the model's own product up to M*N*K = 10**6 (M = k), and past
+# that the two products often differed where N was not a multiple of 8.
+_STACKED_PRODUCT_MIN_MNK = 10**6
+_STACKED_PRODUCT_N_STEP = 8
+
+
+def _stacked_product(k: int, n: int, inner: int) -> bool:
+    return k * n * inner > _STACKED_PRODUCT_MIN_MNK and n % _STACKED_PRODUCT_N_STEP == 0
 
 
 def _first_max(planes: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ tolerance its solve stops at (one formula each for every schedule, derived in
 Noise is drawn per stack: `pberm` solves a stack of models in lockstep,
 fans each out to the releases it serves, and `output_perturb` perturbs
 them with one `laplace_noise` draw from the releases' scales and noise
-seeds, whose uniforms for every release come from a few array operations
-(`rng.philox_random`) rather than one generator per release, with the
-values those generators would give. A stack stays arrays throughout:
-weights in, noisy weights and noise norms out.
+seeds, whose uniforms for every release come from one generator re-keyed
+to each release's stream (`rng.philox_random`) rather than one generator
+per release, with the values those generators would give. A stack stays
+arrays throughout: weights in, noisy weights and noise norms out.
 """
 
 from __future__ import annotations
@@ -33,7 +33,11 @@ class MechanismError(ValueError):
 def sampling_probability(rule: str, level: int, eps: float) -> float:
     """Inclusion probability that makes subsampled release level-equivalent."""
     if rule == "exp_formula":
-        p = math.expm1(eps / (2.0 * 2**level)) / math.expm1(eps / 2.0)
+        try:
+            p = math.expm1(eps / (2.0 * 2**level)) / math.expm1(eps / 2.0)
+        except OverflowError:
+            raise MechanismError(f"eps {eps} is too large for the exp_formula sampling rule: "
+                                 "exp(eps / 2) overflows a float") from None
     elif rule == "reciprocal":
         p = 1.0 / 2**level
     else:
@@ -48,9 +52,9 @@ def laplace_noise(scales, seeds, dims) -> np.ndarray:
     one (S, *dims) array, by inverse CDF.
 
     Member i's uniforms are `make_rng(seeds[i], "laplace").random(dims)`,
-    computed for the whole stack at once (`rng.stream_keys` and
-    `rng.philox_random`), so the noise is a deterministic function of the
-    scale and the seed alone.
+    keyed for the whole stack at once (`rng.stream_keys`) and drawn by one
+    re-keyed generator (`rng.philox_random`), so the noise is a
+    deterministic function of the scale and the seed alone.
     """
     keys = stream_keys(seeds, "laplace")
     v = philox_random(keys, math.prod(dims)).reshape(len(keys), *dims) - 0.5

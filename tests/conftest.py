@@ -1,7 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 
 from streamdp import Dataset
+
+
+def pytest_report_header():
+    """The numpy, BLAS and thread settings of the run: the BLAS shape rules
+    in `erm` (`_one_product`, `_stacked_product`) were measured on one
+    build, so a failure log names the build it ran on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{k}={v}" for k, v in sorted(os.environ.items())
+                       if k.endswith("_NUM_THREADS")) or "none set"
+    return [f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}",
+            f"*_NUM_THREADS: {threads}"]
 
 
 def random_dataset(rng, n, d, k):

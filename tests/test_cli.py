@@ -649,6 +649,16 @@ class TestUnusableNumbers:
         assert code == EXIT_USAGE and f"b0 must be >= 1, got {b0}" in err
         assert "Traceback" not in err and out == "" and list(tmp_path.iterdir()) == []
 
+    def test_inspect_schedule_exits_1_on_a_sampling_probability_that_overflows(
+            self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "inspect-schedule", "--scheduler", "multires-sample",
+                                 "--epsilon", "10000", "--lambda", "1", "--B", "4", "--T", "20",
+                                 "--trace", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: eps 10000.0 is too large for the exp_formula sampling rule: "
+                       "exp(eps / 2) overflows a float\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_inspect_schedule_exits_1_on_a_lipschitz_constant_that_is_not_positive_and_finite(
             self, value, capsys):

@@ -145,6 +145,21 @@ class TestSolve:
                 alone = solve(data, bias[i : i + 1], 0.5, tau[i : i + 1], rows[i : i + 1])
                 np.testing.assert_array_equal(stacked[i], alone[0])
 
+    @pytest.mark.parametrize("n", [3000, 2051])
+    def test_an_image_member_in_a_shared_stack_equals_the_member_alone(self, rng, n):
+        # d=784, k=10 on shared rows: the 2,048-row chunk takes the stacked
+        # product, and so does the 952-row tail at n=3000; the 3-row tail at
+        # n=2051 does not
+        d, k, S = 784, 10, 3
+        data = blobs(rng, n + 5, d, k)
+        bias = 0.01 * rng.standard_normal((S, k, d))
+        tau = 10.0 ** -rng.integers(5, 8, size=S)
+        rows = [range(5, 5 + n)] * S
+        stacked = solve(data, bias, 0.01, tau, rows)
+        for i in range(S):
+            alone = solve(data, bias[i : i + 1], 0.01, tau[i : i + 1], rows[i : i + 1])
+            np.testing.assert_array_equal(stacked[i], alone[0])
+
     def test_huge_lambda_pins_weights_to_bias(self, rng):
         data = random_dataset(rng, 40, 3, 3)
         bias = rng.standard_normal((1, 3, 3))
@@ -456,8 +471,9 @@ class TestClip:
 
 
 class TestScoring:
-    """evaluate_accuracy's scores and first maxima against one product per
-    model and np.argmax."""
+    """The BLAS shape rules (`_one_product` for evaluate_accuracy's scores,
+    `_stacked_product` for solve's) against one product per model, and
+    evaluate_accuracy's first maxima against np.argmax."""
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     @pytest.mark.parametrize("d", [4, 20, 784])
@@ -474,6 +490,48 @@ class TestScoring:
                         assert np.array_equal(scores[:, r], X @ W[r].T), (n, R, r)
                 want = [np.count_nonzero(np.argmax(X @ w.T, axis=1) == y) / n for w in W]
                 assert evaluate_accuracy(W, Dataset(X, y, k)).tolist() == want
+
+    # d=784 and c=2048, 952 and 3 are the image workload's shapes. Outside the
+    # rule, stacking changes the bits at a small product (k=2, d=784, c=512),
+    # at N = c not a multiple of 8 (k=10, d=784, c=700, 1500, 2047) and at
+    # N = d not a multiple of 8 (d=300), which is why the grid holds them.
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("d", [20, 300, 784])
+    def test_stacked_product_gives_each_member_its_own_bits(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        for c in (3, 512, 700, 952, 1500, 2047, 2048):
+            Xc = rng.standard_normal((c, d))
+            for S in (2, 40):  # S*k up to 400
+                if erm._stacked_product(k, c, d):  # the scores
+                    W = rng.standard_normal((S, k, d))
+                    scores = (W.reshape(S * k, d) @ Xc.T).reshape(S, k, c)
+                    for s in range(S):
+                        assert np.array_equal(scores[s], W[s] @ Xc.T), (c, S, s)
+                if erm._stacked_product(k, d, c):  # the gradient
+                    P = rng.standard_normal((S, k, c))
+                    grad = (P.reshape(S * k, c) @ Xc).reshape(S, k, d)
+                    for s in range(S):
+                        assert np.array_equal(grad[s], P[s] @ Xc), (c, S, s)
+
+    def test_only_an_image_shaped_shared_stack_takes_the_stacked_product(self, rng,
+                                                                         monkeypatch):
+        taken = []
+        rule = erm._stacked_product
+
+        def spy(k, n, inner):
+            taken.append(rule(k, n, inner))
+            return taken[-1]
+
+        monkeypatch.setattr(erm, "_stacked_product", spy)
+        image, small = blobs(rng, 2100, 784, 10), blobs(rng, 3000, 20, 3)
+        for data, rows, want in [
+                (image, [range(0, 2048)] * 2, {True}),  # shared rows: one product
+                (small, [range(0, 3000)] * 4, {False}),  # d=20: never admitted
+                (image, [range(0, 2048), range(52, 2100)], set()),  # gathered, 3-D
+        ]:
+            taken.clear()
+            solve(data, np.zeros((len(rows), data.k, data.d)), 1.0, 1e-3, rows)
+            assert set(taken) == want, (data.d, rows)
 
     def test_small_models_take_one_product(self):
         # the 9-model chunks of a 750-row test set at d=20, k=3

@@ -170,6 +170,12 @@ class TestSampling:
         with pytest.raises(MechanismError):
             sampling_probability("bogus", 1, 0.1)
 
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_an_epsilon_whose_exponential_overflows_is_refused(self, level):
+        with pytest.raises(MechanismError, match=r"^eps 10000.0 is too large for the "
+                           r"exp_formula sampling rule: exp\(eps / 2\) overflows a float$"):
+            sampling_probability("exp_formula", level, 10000.0)
+
     def test_subsample_preserves_order(self, rng):
         data = random_dataset(rng, 200, 2, 2)
         p = sampling_probability("reciprocal", 1, 1.0)
