@@ -4,9 +4,9 @@ Multiclass logistic (softmax cross-entropy) loss, exact gradients, biased L2
 regularization toward a reference model, the certified solve that training
 uses (`solve`: full-batch L-BFGS until the gradient norm is at most a public
 tolerance), SGD with a 1/(gamma*i) step schedule (library code, which no run
-calls), and Lipschitz-constant computation for DP noise calibration. A model
-is a (k, d) float64 weight array, and training and scoring take S models as
-one (S, k, d) stack.
+calls: `sgd_train`, a plain per-seed loop), and Lipschitz-constant
+computation for DP noise calibration. A model is a (k, d) float64 weight
+array, and training and scoring take S models as one (S, k, d) stack.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import philox_state, stream_keys
+from .rng import make_rng
 
 
 class ErmError(ValueError):
@@ -27,16 +27,14 @@ class ErmError(ValueError):
 class DivergenceError(RuntimeError):
     """Raised when training produces non-finite weights.
 
-    `member` is the position, in a lockstep stack, of the first seed whose
-    weights are non-finite; `where` names what that member was training.
+    `member` is the position, in its stack, of the seed whose weights are
+    non-finite.
     """
 
-    def __init__(self, iteration: int, member: int = 0, where: str | None = None):
-        at = f" in {where}" if where else ""
-        super().__init__(f"non-finite weights at iteration {iteration}{at}")
+    def __init__(self, iteration: int, member: int = 0):
+        super().__init__(f"non-finite weights at iteration {iteration}")
         self.iteration = iteration
         self.member = member
-        self.where = where
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,7 @@ class Dataset:
     classes: np.ndarray | None = None
 
     def __post_init__(self):
-        # C order: `solve` reads an interval's rows as one contiguous view,
-        # and np.take (SGD's minibatch gather) copies a non-contiguous source
-        # in full on every call
+        # C order: `solve` reads an interval's rows as one contiguous view
         X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.asarray(self.y)
         if X.ndim != 2:
@@ -134,74 +130,21 @@ def loss_and_gradient(w: np.ndarray, batch: Dataset, lam: float,
     return float(loss), grad
 
 
-# Indices are drawn ahead in blocks of about this many bytes. A block large
-# enough to move glibc's dynamic mmap threshold would leave later allocations
-# of a few MB (such as a CSV load) resident, raising the peak RSS.
-_INDEX_BLOCK_BYTES = 1 << 18
-
-
-def _minibatch_indices(seeds, rows, total, m, data: Dataset):
-    """Yield each iteration's (S, m) row indices into data, with the flat
-    position of each drawn row's true class in an (S, m, k) array.
-
-    Seed s draws from its own "sgd" stream over its len(rows[s]) rows and
-    maps the draws through rows[s]: a range adds its start, an index array
-    is indexed. The streams are `make_rng(seed, "sgd")`'s, keyed by one
-    `rng.stream_keys` call for all seeds. One Philox generator draws them
-    all: it is re-keyed to a seed's stream before that seed's draws and its
-    state kept for the seed's next block, which gives what a generator per
-    seed would at a quarter of the cost of building one. A seed of one row
-    draws nothing, as numpy's integers(0, 1) draws nothing: its indices are
-    that row. Each stream is drawn in blocks of iterations, which gives the
-    values of one (total, m) draw, or of one size-m draw per iteration; a
-    block's indices and positions together take about _INDEX_BLOCK_BYTES. A
-    block holding an index outside [0, n) raises ErmError, so that the
-    gather, which clips, never reads a row the rows do not name.
-    """
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    states = {s: philox_state(key)
-              for s, key in enumerate(stream_keys(seeds, "sgd")) if len(rows[s]) > 1}
-    single = [s for s in range(len(seeds)) if s not in states]
-    single_rows = np.array([rows[s][0] for s in single], dtype=np.int64)[:, None]
-    row_start = np.arange(len(seeds) * m).reshape(len(seeds), m) * data.k
-    block = max(1, _INDEX_BLOCK_BYTES // (16 * len(seeds) * m))
-    for start in range(0, total, block):
-        count = min(block, total - start)
-        idx = np.empty((count, len(seeds), m), dtype=np.int64)
-        idx[:, single] = single_rows
-        for s, state in states.items():
-            r = rows[s]
-            bitgen.state = state
-            draws = gen.integers(0, len(r), size=(count, m))
-            if start + count < total:
-                states[s] = bitgen.state
-            idx[:, s] = draws + r.start if isinstance(r, range) else r[draws]
-        if idx.min() < 0 or idx.max() >= data.n:
-            raise ErmError(f"training rows must lie in [0, {data.n})")
-        yield from zip(idx, row_start + data.y[idx])
-
-
 def sgd_train(data: Dataset, bias, cfg: TrainConfig, lam: float, seeds,
               rows=None) -> np.ndarray:
     """SGD with step size 1/(gamma*i), deterministic in the seed: the
-    trained (S, k, d) weights of S seeds, trained in lockstep as one stack.
+    trained (S, k, d) weights of S seeds, each trained on its own.
 
     Seed i starts at bias[i] of the (S, k, d) bias array and minimizes the
-    data loss plus lam*||w - bias[i]||_F^2 over rows[i] of data, if given:
-    a range for a contiguous interval, or an array of row indices, all of
-    data without; a drawn row outside data raises ErmError. The quadratic
-    penalty is applied as a proximal (implicit) step each iteration, which
-    stays stable for arbitrarily large lam; the data term uses the plain
-    stochastic gradient. Each seed draws its minibatch indices ahead from
-    its own "sgd" stream (the values per-iteration draws would give), and
-    every step applies the same floating-point operations to each slice of
-    the stack, so a seed's weights do not depend on the other seeds. All
-    seeds must share the minibatch size min(minibatch, n_i).
-
-    A step works class-major, on (S, k, m) scores in buffers allocated once
-    per call, yet performs the operations of a plain per-seed loop on
-    (m, k) scores in that loop's order, so the weights match it bit for bit.
+    data loss plus lam*||w - bias[i]||_F^2 over rows[i] of data, if given
+    (a range or an array of row indices), all of data without; a row
+    outside data raises ErmError. Each iteration draws min(minibatch, n_i)
+    positions in rows[i] from the seed's own stream, `make_rng(seed,
+    "sgd")`, and takes the plain stochastic gradient of the data term on
+    those rows. The quadratic penalty is applied as a proximal (implicit)
+    step, which stays stable for arbitrarily large lam. The seeds train in
+    stack order, and the first whose weights turn non-finite raises
+    DivergenceError at its own iteration.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ErmError(f"lambda must be > 0 and finite, got {lam}")
@@ -213,55 +156,30 @@ def sgd_train(data: Dataset, bias, cfg: TrainConfig, lam: float, seeds,
         rows = [range(data.n)] * S
     elif len(rows) != S:
         raise ErmError("need one row set per seed")
-    sizes = [len(r) for r in rows]
-    if min(sizes) == 0:
+    rows = [np.asarray(r) for r in rows]
+    if min(len(r) for r in rows) == 0:
         raise ErmError("empty training set")
-    m = min(cfg.minibatch, sizes[0])
-    if any(min(cfg.minibatch, n) != m for n in sizes):
-        raise ErmError("seeds trained in lockstep must share the minibatch size")
-    batches = _minibatch_indices(seeds, rows, cfg.iterations * cfg.passes, m, data)
-    w = wg.copy()
-    # Every step writes into these, so that a step allocates no temporaries.
-    Xb = np.empty((S, m, d))
-    Xb_t = Xb.swapaxes(-1, -2)
-    scores = np.empty((S, k, m))  # class-major: the class reductions run along m
-    top, total = np.empty((S, 1, m)), np.empty((S, 1, m))
-    # The softmax is written through the transposed view of an (S, m, k)
-    # array: the gradient product gives the reference loop's bits only with
-    # that operand, not with a contiguous (S, k, m) one.
-    probs = np.empty((S, m, k))
-    probs_t, probs_flat = probs.swapaxes(-1, -2), probs.reshape(-1)
-    g, pull = np.empty_like(w), np.empty_like(w)
-    finite = np.empty(w.shape, dtype=bool)
-    for i, (idx, true_class) in enumerate(batches, start=1):
-        # the indices are checked, and "raise" would gather through a temporary
-        np.take(data.X, idx, axis=0, out=Xb, mode="clip")
-        np.matmul(w, Xb_t, out=scores)
-        np.maximum.reduce(scores, axis=1, out=top, keepdims=True)
-        np.subtract(scores, top, out=scores)
-        np.exp(scores, out=scores)
-        if k < 8:
-            # numpy sums fewer than 8 contiguous values in order, as this does
-            np.add.reduce(scores, axis=1, out=total, keepdims=True)
-            np.divide(scores, total, out=probs_t)
-        else:
-            # and more pairwise, so they are summed where the loop sums them
-            probs_t[...] = scores
-            np.add.reduce(probs, axis=2, out=total[:, 0])
-            np.divide(probs_t, total, out=probs_t)
-        probs_flat[true_class] -= 1.0
-        np.matmul(probs_t, Xb, out=g)
-        eta = 1.0 / (cfg.gamma * i)
-        # the loop's w = (w - eta * (g / m) + 2 * eta * lam * wg) / (1 + 2 * eta * lam)
-        np.divide(g, m, out=g)
-        np.multiply(eta, g, out=g)
-        np.subtract(w, g, out=w)
-        np.multiply(2.0 * eta * lam, wg, out=pull)
-        np.add(w, pull, out=w)
-        np.divide(w, 1.0 + 2.0 * eta * lam, out=w)
-        if not np.isfinite(w, out=finite).all():
-            raise DivergenceError(i, int(np.argmin(finite.all(axis=(1, 2)))))
-    return w  # every step checked it finite
+    if any(r.min() < 0 or r.max() >= data.n for r in rows):
+        raise ErmError(f"training rows must lie in [0, {data.n})")
+    out = np.empty_like(wg)
+    for s, (seed, r, w0) in enumerate(zip(seeds, rows, wg)):
+        rng = make_rng(seed, "sgd")
+        m = min(cfg.minibatch, len(r))
+        w = w0
+        for i in range(1, cfg.iterations * cfg.passes + 1):
+            idx = r[rng.integers(0, len(r), size=m)]
+            Xb = data.X[idx]
+            scores = Xb @ w.T
+            exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+            probs = exp / exp.sum(axis=1)[:, None]
+            probs[np.arange(m), data.y[idx]] -= 1.0
+            g = (probs.T @ Xb) / m
+            eta = 1.0 / (cfg.gamma * i)
+            w = (w - eta * g + 2.0 * eta * lam * w0) / (1.0 + 2.0 * eta * lam)
+            if not np.isfinite(w).all():
+                raise DivergenceError(i, s)
+        out[s] = w
+    return out
 
 
 class CertificateError(RuntimeError):

@@ -14,10 +14,10 @@ few array operations: a numpy port of `SeedSequence`'s mixing (uint32
 hashmix, pool size 4) and of Philox4x64-10 (Salmon et al. 2011, "Parallel
 random numbers: as easy as 1, 2, 3"). Philox is counter-based: output
 block j of a stream is its key pushed through ten rounds with counter
-j + 1, so any block comes straight from (key, j). `philox_random`, whose
-streams are few and each draws many values, re-keys one numpy Philox to
-each stream in turn (`philox_state`). The results are numpy's own, bit for
-bit; tests check them against numpy.
+j + 1, so a stream's first output comes straight from its key.
+`philox_random`, whose streams are few and each draws many values, re-keys
+one numpy Philox to each stream in turn by setting its state. The results
+are numpy's own, bit for bit; tests check them against numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _ROUNDS = 10
 
-# Philox blocks (4 outputs each) computed per array operation; bounds the
+# Keys whose first Philox block is computed per array operation; bounds the
 # generator's working set at about a dozen arrays of this many uint64s.
 _CHUNK_BLOCKS = 1 << 12
 
@@ -141,52 +141,38 @@ def _mulhilo(a: np.ndarray, m: int):
     return hi, a * np.uint64(m)
 
 
-def _philox_blocks(counter: np.ndarray, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of the counters (c, 0, 0, 0) under keys (k0, k1): an
-    (n, 4) uint64 array of output blocks."""
-    zero = np.zeros_like(counter)
-    c0, c1, c2, c3 = counter, zero, zero, zero
-    for r in range(_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
-
-
-def philox_uint64(keys: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` raw outputs of `Philox(key=k)` for each row k of an
-    (N, 2) uint64 key array, as an (N, count) uint64 array. numpy's Philox
-    starts at counter 0 and increments it before each block, so block j
-    uses counter j + 1."""
-    n, blocks = len(keys), -(-count // 4)
-    out = np.empty((n * blocks, 4), dtype=np.uint64)
-    for start in range(0, n * blocks, _CHUNK_BLOCKS):
-        pos = np.arange(start, min(start + _CHUNK_BLOCKS, n * blocks))
-        row, block = np.divmod(pos, blocks)
-        out[start:start + len(pos)] = _philox_blocks(
-            (block + 1).astype(np.uint64), keys[row, 0], keys[row, 1])
-    return out.reshape(n, 4 * blocks)[:, :count]
-
-
-def philox_state(key: np.ndarray) -> dict:
-    """The state of `Philox(key=key)` before its first draw. Setting it on a
-    Philox re-keys that generator, at a tenth of the cost of building one."""
-    zero = np.zeros(4, dtype=np.uint64)
-    return {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def philox_uint64(keys: np.ndarray) -> np.ndarray:
+    """The first raw output of `Philox(key=k)` for each row k of an (N, 2)
+    uint64 key array, as an (N,) uint64 array: the first word of
+    Philox4x64-10 of the counter (1, 0, 0, 0), as numpy's Philox starts at
+    counter 0 and increments it before each block."""
+    out = np.empty(len(keys), dtype=np.uint64)
+    for start in range(0, len(keys), _CHUNK_BLOCKS):
+        k0, k1 = keys[start:start + _CHUNK_BLOCKS].T
+        zero = np.zeros_like(k0)
+        c0, c1, c2, c3 = np.ones_like(k0), zero, zero, zero
+        for r in range(_ROUNDS):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        out[start:start + len(c0)] = c0
+    return out
 
 
 def philox_random(keys: np.ndarray, count: int) -> np.ndarray:
     """`Generator(Philox(key=k)).random(count)` for each key row, as an (N,
     count) float64 array. One numpy Philox draws them all, re-keyed to each
-    key in turn: at the few hundred keys of a stack's noise that costs less
+    key in turn by setting its state, which costs a tenth of building a
+    generator; at the few hundred keys of a stack's noise that costs less
     than the ten array rounds of `philox_uint64`."""
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     out = np.empty((len(keys), count))
-    state = philox_state(None)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": None},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for key, row in zip(keys, out):
         state["state"]["key"] = key
         bitgen.state = state
@@ -197,7 +183,7 @@ def philox_random(keys: np.ndarray, count: int) -> np.ndarray:
 def first_integers(keys: np.ndarray) -> np.ndarray:
     """`Generator(Philox(key=k)).integers(0, 2**63 - 1)` for each key row,
     as an int64 array."""
-    return _lemire63(philox_uint64(keys, 1)[:, 0], keys)
+    return _lemire63(philox_uint64(keys), keys)
 
 
 def _lemire63(u: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -88,11 +88,9 @@ class TestAgainstNumpy:
         from streamdp import rng as rng_module
 
         monkeypatch.setattr(rng_module, "_CHUNK_BLOCKS", 3)
-        keys = stream_keys([5, 2**40, 0], "laplace")
-        out = philox_uint64(keys, 22)
-        for row, key in zip(out, keys):
-            bits = np.random.Philox(key=key)
-            assert np.array_equal(row, bits.random_raw(22))
+        keys = stream_keys([5, 2**40, 0, 7, 2**64 - 1, 11, 12], "laplace")  # 3 chunks
+        assert philox_uint64(keys).tolist() == [
+            np.random.Philox(key=key).random_raw() for key in keys]
 
     @pytest.mark.parametrize("seed,labels", [
         (7, ("laplace",)), (2**33, ("sgd",)), (0, ("train", 2**32 + 5)), (-3, ("noise", 12)),
