@@ -41,11 +41,12 @@ def zeros(data, S):
     return np.zeros((S, data.k, data.d))
 
 
-def train_one(data, cfg, lam, seed, bias=None):
+def train_one(data, cfg, lam, seed, bias=None, rows=None):
     """sgd_train of seed alone on all of data, from the (k, d) bias (the
-    zero model without one): its (k, d) weights."""
+    zero model without one): its (k, d) weights. rows, if given, is its
+    one-member row-set list."""
     bias = zeros(data, 1) if bias is None else bias[None]
-    return sgd_train(data, bias, cfg, lam, (seed,))[0]
+    return sgd_train(data, bias, cfg, lam, (seed,), rows)[0]
 
 
 class TestDataset:
@@ -321,21 +322,34 @@ def case_rng(case, offset=0):
 
 
 class TestSgdAgainstReference:
-    """sgd_train against reference_sgd on each seed's rows, bit for bit."""
+    """sgd_train against reference_sgd on each seed's rows, bit for bit.
+
+    `all_rows(n, S)` names every row of the data for each of S seeds in one
+    of the forms a caller may give them in: rows=None (the default), a
+    range, a list, or an int32 index array.
+    """
+
+    @pytest.fixture(params=["none", "range", "list", "int32"])
+    def all_rows(self, request):
+        forms = {"range": range, "list": lambda n: list(range(n)),
+                 "int32": lambda n: np.arange(n, dtype=np.int32)}
+        if request.param == "none":
+            return lambda n, S: None
+        return lambda n, S: [forms[request.param](n)] * S
 
     @pytest.mark.parametrize("case", [*range(20), *BENCHMARK_SHAPES])
-    def test_single_seed_matches_reference_loop(self, case):
+    def test_single_seed_matches_reference_loop(self, case, all_rows):
         data, lam, bias, cfg, seed = random_problem(case_rng(case), case)
-        np.testing.assert_array_equal(train_one(data, cfg, lam, seed, bias),
+        np.testing.assert_array_equal(train_one(data, cfg, lam, seed, bias, all_rows(data.n, 1)),
                                       reference_sgd(data, lam, cfg, seed, bias))
 
     @pytest.mark.parametrize("case", [*range(0, 20, 3), *BENCHMARK_SHAPES])
-    def test_seed_stack_matches_single_seeds(self, case):
+    def test_seed_stack_matches_single_seeds(self, case, all_rows):
         rng = case_rng(case, 100)
         data, _, _, cfg, _ = random_problem(rng, case)
         seeds = (5, 2**40, 5, 2**64 - 1)  # seeds of two 32-bit entropy words, too
         biases = rng.standard_normal((len(seeds), data.k, data.d))
-        stacked = sgd_train(data, biases, cfg, 0.7, seeds)
+        stacked = sgd_train(data, biases, cfg, 0.7, seeds, all_rows(data.n, len(seeds)))
         for seed, bias, got in zip(seeds, biases, stacked):
             want = reference_sgd(data, 0.7, cfg, seed, bias)
             np.testing.assert_array_equal(got, want)
