@@ -2,7 +2,7 @@
 
 Subcommands: `run` (train over a stream and export metrics, trace and ledger),
 `inspect-schedule` (dry-run event trace: no data, no RNG), and `verify-ledger`
-(replay a trace's charges and check them against the budgets in its header).
+(replay a trace's charges and check them against its scheduler's budgets).
 
 A trace is one header line (the scheduler, its eps and its per-subsystem
 budgets) and then one line per event; `run --trace` and `inspect-schedule`
@@ -41,6 +41,7 @@ from .harness import (
 from .ledger import LedgerError
 from .mechanisms import MechanismError
 from .schedulers import (
+    REQUIRES,
     SCHEDULERS,
     ScheduleError,
     SchedulerConfig,
@@ -122,9 +123,6 @@ _KEYS = {
 _RETIRED = ("gamma", "iters", "minibatch", "passes")
 # The flags not spelled --<key with dashes>.
 _FLAGS = {"lam": "--lambda", "ledger_out": "--ledger"}
-# The keys each scheduler, sampled or not, cannot do without.
-_REQUIRES = {"multires": ("B",), "continual": ("B", "b0"), "sliding": ("w", "w0"),
-             "baseline-independent": ("b0",), "baseline-basic": ("B", "b0")}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -148,7 +146,7 @@ def build_parser() -> _Parser:
             subs[name].add_argument(_flag(key), dest=key, default=None, help=spec.help, **kind)
 
     ver = sub.add_parser("verify-ledger",
-                         help="check a trace's charges against the budgets in its header")
+                         help="check a trace's charges against its scheduler's budgets")
     ver.add_argument("trace_path")
     ver.add_argument("--epsilon", default=None,
                      help="optional: the eps the trace must have been built for")
@@ -229,7 +227,7 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
         if merged[key] is None:
             raise UsageError(f"missing required flag {_flag(key)}")
     eps = _parse_epsilon(cfg.epsilon)
-    for key in _REQUIRES[cfg.scheduler.removesuffix("-sample")]:
+    for key in REQUIRES[cfg.scheduler.removesuffix("-sample")]:
         if merged[key] is None:
             raise UsageError(f"scheduler {cfg.scheduler} requires {_flag(key)}")
     if cfg.scheduler.startswith("sliding"):
@@ -341,7 +339,7 @@ def cmd_run(cfg: argparse.Namespace) -> int:
     if not schedule.releases:
         raise UsageError(f"the {sched.name} schedule releases no model on a stream of "
                          f"{stream.n} points")
-    ledger = ledger_from_events(schedule.events, schedule.budgets)
+    ledger = ledger_from_events(schedule)
     all_records = replay(stream, schedule, ledger, test=test, seeds=seeds,
                          nonprivate=cfg.nonprivate)
     by_seed = {seed: [] for seed in seeds}  # a seed whose every release is skipped has none
@@ -380,7 +378,7 @@ def cmd_inspect_schedule(cfg: argparse.Namespace) -> int:
     sched = cfg.sched if cfg.sched.L is not None else replace(cfg.sched, L=1.0)
     schedule = build_schedule(sched, cfg.T)
     export_trace(schedule, cfg.trace)
-    ledger = ledger_from_events(schedule.events, schedule.budgets)
+    ledger = ledger_from_events(schedule)
     witness, mx = ledger.max_point_loss()
     print(f"# events: {len(schedule.events)}", file=sys.stderr)
     print(f"# max point loss: {mx} at index {witness}", file=sys.stderr)
@@ -388,8 +386,8 @@ def cmd_inspect_schedule(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify_ledger(trace_path: str, epsilon: str | None) -> int:
-    """Rebuild a trace's ledger and check each subsystem against the budget
-    its header records; --epsilon, if given, must be the header's eps."""
+    """Rebuild a trace's ledger and check each subsystem against its scheduler's
+    budget (`ledger_from_trace`); --epsilon, if given, must be the header's eps."""
     expected = None if epsilon is None else _parse_epsilon(epsilon)
     eps, ledger = ledger_from_trace(trace_path)
     if expected is not None and expected != eps:

@@ -4,23 +4,26 @@ Every release charges an inclusive interval of stream indices with an exact
 rational epsilon. A `Ledger` stores its charges as parallel integer columns:
 the interval bounds a and b, the time, a subsystem code, a mechanism code,
 and each charge's numerator over one common denominator, the LCM of the
-charges' denominators. The numerators, and the sums a sweep forms of
-them, are int64 while a checked bound keeps them in range and Python ints
-otherwise, in the same code. A `Charge` is the record of one row:
-`Ledger.charges` builds them on demand and `Ledger(charges=...)` takes them.
+charges' denominators. Subsystem and mechanism names are interned, each
+code indexing the names charged so far in first-charge order. The
+numerators, and the sums a sweep forms of them, are int64 while a checked
+bound keeps them in range and Python ints otherwise, in the same code. A
+`Charge` is a plain record of one row: `Ledger.charges` builds them on
+demand and `Ledger(charges=...)` takes them, checked like any charge. The
+ledger holds no schedule policy: its budgets are its caller's
+(`schedulers.schedule_budgets`), one per subsystem.
 
 Points between two consecutive distinct boundaries (the values of a and
 b + 1) always share their total, so every maximum works on these segments,
 in O(charges) memory rather than O(stream). A ledger forms the segments of
 all its charges once. `Ledger.max_point_loss` (and `assert_budget`, one call
-per selection of subsystems) sweeps them once:
-each charge adds its numerator at its first segment and takes it off past
-its last, and a cumulative sum gives every segment's total. `RunningMax`
-adds the charges in time order to a list of the same segments' totals,
-one slice at a time, to keep the largest total after each step. A bound
-b must stay below 2**63 - 1, so that b + 1 is an int64 too. A Fraction is
-formed only for a result, so the geometric-series budget assertions are
-exact rather than float-tolerant.
+per subsystem) sweeps them once: each charge adds its numerator at its first
+segment and takes it off past its last, and a cumulative sum gives every
+segment's total. `RunningMax` adds the charges in time order to a list of
+the same segments' totals, one slice at a time, to keep the largest total
+after each step. A bound b must stay below 2**63 - 1, so that b + 1 is an
+int64 too. A Fraction is formed only for a result, so the geometric-series
+budget assertions are exact rather than float-tolerant.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-SUBSYSTEMS = ("multires", "continual", "sliding", "baseline")
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -49,14 +50,6 @@ class Charge:
     subsystem: str
     time: int
     mechanism: str
-
-    def __post_init__(self):
-        if self.a > self.b:
-            raise LedgerError(f"interval [{self.a}, {self.b}] is malformed")
-        if self.eps <= 0:
-            raise LedgerError(f"charge must be positive, got {self.eps}")
-        if self.subsystem not in SUBSYSTEMS:
-            raise LedgerError(f"unknown subsystem {self.subsystem!r}")
 
 
 def _ints(values, what: str) -> np.ndarray:
@@ -124,12 +117,13 @@ class Ledger:
 
     The charges live in `_COLUMNS` and "num" (read with `column`), arrays
     with room to grow by doubling; `den` is the common denominator of
-    "num", and `mechanisms` names the mechanism codes.
+    "num", and `subsystems` and `mechanisms` name the "sub" and "mech" codes.
     """
 
     def __init__(self, budgets: dict | None = None, charges=()):
         self.budgets = {} if budgets is None else budgets
         self.den = 1
+        self.subsystems: list[str] = []
         self.mechanisms: list[str] = []
         self._n = 0
         self._rows = np.zeros((len(_COLUMNS), 0), dtype=np.int64)
@@ -152,7 +146,8 @@ class Ledger:
     def charges(self) -> list[Charge]:
         """The charges as records, in charge order, built on each access."""
         rows = zip(*self._rows[:, : self._n].tolist(), self.column("num").tolist())
-        return [Charge(a, b, Fraction(num, self.den), SUBSYSTEMS[sub], time, self.mechanisms[mech])
+        return [Charge(a, b, Fraction(num, self.den), self.subsystems[sub], time,
+                       self.mechanisms[mech])
                 for a, b, time, sub, mech, num in rows]
 
     def charge(self, interval, eps: Fraction, subsystem: str, time: int, mechanism: str):
@@ -164,13 +159,11 @@ class Ledger:
     def extend(self, a, b, eps_num, eps_den, subsystems, times, mechanisms):
         """Append charges given as parallel sequences or arrays, charge i being
         eps_num[i] / eps_den[i] on [a[i], b[i]]; raises LedgerError, appending
-        nothing, if one is malformed, not positive or of an unknown subsystem."""
-        code = {s: i for i, s in enumerate(SUBSYSTEMS)}
-        sub = [code.get(s, -1) for s in subsystems]
-        if -1 in sub:
-            raise LedgerError(f"unknown subsystem {subsystems[sub.index(-1)]!r}")
+        nothing, if one is malformed or not positive."""
+        names = {s: i for i, s in enumerate(self.subsystems)}
         index = {m: i for i, m in enumerate(self.mechanisms)}
-        rows = np.asarray((a, b, times, sub, [index.setdefault(m, len(index)) for m in mechanisms]))
+        rows = np.asarray((a, b, times, [names.setdefault(s, len(names)) for s in subsystems],
+                           [index.setdefault(m, len(index)) for m in mechanisms]))
         # b + 1, a segment boundary, must stay in the int64 range as well
         if rows.ndim != 2 or rows.size and (rows.dtype.kind != "i" or rows[1].max() == _INT64_MAX):
             raise LedgerError("interval bounds and times must be integers in the int64 range, "
@@ -205,7 +198,7 @@ class Ledger:
             if n and common != self.den:
                 self._num[:n] = old
             self._num[n : n + m] = num
-        self.mechanisms = list(index)
+        self.subsystems, self.mechanisms = list(names), list(index)
         self.den, self._n = common, n + m
         self._segs = None
 
@@ -222,10 +215,10 @@ class Ledger:
         """Which charges a max_point_loss or point_loss argument selects:
         None for all subsystems, a name or a sequence of names."""
         if subsystems is None:
-            subsystems = SUBSYSTEMS
+            subsystems = self.subsystems
         elif isinstance(subsystems, str):
             subsystems = (subsystems,)
-        return np.array([s in subsystems for s in SUBSYSTEMS])[self.column("sub")]
+        return np.array([s in subsystems for s in self.subsystems], dtype=bool)[self.column("sub")]
 
     def point_loss(self, index: int, subsystems=None) -> Fraction:
         hit = self._picked(subsystems) & (self.column("a") <= index) & (index <= self.column("b"))
@@ -247,25 +240,16 @@ class Ledger:
         return int(bounds[seg]), Fraction(int(totals[seg]), self.den)
 
     def assert_budget(self) -> BudgetReport:
-        """Per-subsystem pass/fail with the witness point of maximal loss.
-
-        A subsystem with charges but no budget is a violation: nothing
-        bounds what it may charge.
-        """
-        counts = np.bincount(self.column("sub"), minlength=len(SUBSYSTEMS)).tolist()
-        present = {sub for sub, count in zip(SUBSYSTEMS, counts) if count}
+        """Per-subsystem pass/fail with the witness point of maximal loss, for
+        the subsystems charged, in first-charge order, then the other budgeted
+        ones. A subsystem with charges but no budget is a violation: nothing
+        bounds what it may charge. No entry combines subsystems: within their
+        budgets, a point's total (`max_point_loss()`) is within their sum."""
         entries = []
-        for sub in SUBSYSTEMS:
-            if sub not in present and sub not in self.budgets:
-                continue
+        for sub in dict.fromkeys([*self.subsystems, *self.budgets]):
             budget = self.budgets.get(sub)
             witness, mx = self.max_point_loss(sub)
             entries.append(BudgetEntry(sub, budget, mx, witness, budget is not None and mx <= budget))
-        budget = self.budgets.get("continual")
-        if "continual" in present and "multires" in present and budget is not None:
-            witness, mx = self.max_point_loss(("continual", "multires"))
-            entries.append(BudgetEntry("continual+multires", 2 * budget, mx, witness,
-                                       mx <= 2 * budget))
         return BudgetReport(tuple(entries))
 
     def export_jsonl(self, path):
@@ -273,7 +257,7 @@ class Ledger:
         num = self.column("num")
         den = np.full(len(num), self.den, dtype=num.dtype if self.den <= _INT64_MAX else object)
         gcd = np.gcd(num, den)
-        names = [json.dumps(s) for s in SUBSYSTEMS]
+        names = [json.dumps(s) for s in self.subsystems]
         mechs = [json.dumps(m) for m in self.mechanisms]
         rows = zip(*(self.column(name).tolist() for name in ("time", "a", "b", "sub", "mech")),
                    (num // gcd).tolist(), (den // gcd).tolist())

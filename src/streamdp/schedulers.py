@@ -121,6 +121,25 @@ class ChainState:
     released: int
 
 
+# Per scheduler name without `-sample`: the block sizes of SchedulerConfig
+# it reads, and the most one point may be charged in each of its
+# subsystems, as a multiple of eps (`schedule_budgets`).
+REQUIRES = {"multires": ("B",), "continual": ("B", "b0"), "sliding": ("w", "w0"),
+            "baseline-independent": ("b0",), "baseline-basic": ("B", "b0")}
+_BUDGETS = {"multires": {"multires": 1}, "continual": {"continual": 1, "multires": 1},
+            "sliding": {"sliding": 1}, "baseline-independent": {"baseline": 1},
+            "baseline-basic": {"baseline": 2}}
+
+
+def schedule_budgets(name: str, eps: Fraction, standalone_base: bool = False) -> dict:
+    """subsystem -> the most one point may be charged in it, for a schedule of
+    `name` (without `-sample`) and total eps. Continual with standalone
+    bases charges them to continual, within 2 eps, and has no multires."""
+    if name == "continual" and standalone_base:
+        return {"continual": 2 * eps}
+    return {sub: times * eps for sub, times in _BUDGETS[name].items()}
+
+
 @dataclass(frozen=True)
 class Schedule:
     """The events and releases `build_schedule` builds from config, the
@@ -130,7 +149,12 @@ class Schedule:
     config: SchedulerConfig
     events: tuple
     releases: tuple  # (t, model_id) pairs in time order, each once
-    budgets: dict  # subsystem -> the most one point may be charged in it
+
+    @property
+    def budgets(self) -> dict:
+        """The config's `schedule_budgets`, a fresh dict on each access."""
+        cfg = self.config
+        return schedule_budgets(cfg.name.removesuffix("-sample"), cfg.eps, cfg.standalone_base)
 
 
 def _calibration(cfg, n, eps, level, rule) -> tuple:
@@ -188,7 +212,7 @@ def _multires_events(cfg, T, ids, rule) -> list:
 def _multires(cfg, T) -> Schedule:
     events = _multires_events(cfg, T, itertools.count(), _rule(cfg, "exp_formula"))
     releases = tuple((e.t, e.model_id) for e in events)
-    return Schedule(cfg, tuple(events), releases, {"multires": cfg.eps})
+    return Schedule(cfg, tuple(events), releases)
 
 
 def _continual(cfg, T) -> Schedule:
@@ -240,13 +264,10 @@ def _continual(cfg, T) -> Schedule:
                            reg_source=f_c)
             events.append(ev)
             releases.append((t, ev.model_id))
-    budgets = {"continual": 2 * eps if cfg.standalone_base else eps}
-    if not cfg.standalone_base:
-        budgets["multires"] = eps
     # merge the embedded multires releases into time order; an adopted base
     # is the multires model released at the same step, so it is listed once
     releases = sorted(dict.fromkeys(releases), key=lambda r: r[0])
-    return Schedule(cfg, tuple(events), tuple(releases), budgets)
+    return Schedule(cfg, tuple(events), tuple(releases))
 
 
 def _baseline_independent(cfg, T) -> Schedule:
@@ -261,8 +282,7 @@ def _baseline_independent(cfg, T) -> Schedule:
     ids = itertools.count()
     events = [_event(cfg, t, "BaselineIndependent", None, t - b0, t - 1, cfg.eps / 2, next(ids))
               for t in range(b0, T, b0)]
-    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events),
-                    {"baseline": cfg.eps})
+    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events))
 
 
 def _baseline_basic(cfg, T) -> Schedule:
@@ -288,8 +308,7 @@ def _baseline_basic(cfg, T) -> Schedule:
             continue
         events.append(ev)
         prev = ev.model_id
-    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events),
-                    {"baseline": 2 * eps})
+    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events))
 
 
 def window_shape(w: int, w0: int) -> int:
@@ -378,7 +397,7 @@ def _sliding(cfg, T) -> Schedule:
                 events.append(event(t, kind, j, a, b, charge, mid, rule, calibration=calibration,
                                     reg_source=chain[idx - 1][4], side=side))
         releases.append((t, chain[-1][4]))
-    return Schedule(cfg, tuple(events), tuple(releases), {"sliding": eps})
+    return Schedule(cfg, tuple(events), tuple(releases))
 
 
 def sliding_chain(T, w, w0) -> tuple:
@@ -391,10 +410,11 @@ def sliding_chain(T, w, w0) -> tuple:
         for t, _, chain, trained in _sliding_steps(T, w, w0))
 
 
-def ledger_from_events(events, budgets) -> Ledger:
-    """Charge a fresh ledger from a schedule (dry run: no data, no RNG)."""
-    charged = [e for e in events if e.eps > 0]
-    ledger = Ledger(budgets=dict(budgets))
+def ledger_from_events(schedule: Schedule) -> Ledger:
+    """A fresh ledger of the schedule's budgets, charged with its events (dry
+    run: no data, no RNG)."""
+    charged = [e for e in schedule.events if e.eps > 0]
+    ledger = Ledger(budgets=schedule.budgets)
     ledger.extend([e.a for e in charged], [e.b for e in charged],
                   [e.eps.numerator for e in charged], [e.eps.denominator for e in charged],
                   [e.subsystem for e in charged], [e.t for e in charged],
@@ -628,10 +648,14 @@ SCHEDULERS = tuple(_BUILDERS)
 
 def build_schedule(cfg: SchedulerConfig, T: int) -> Schedule:
     """Construct the schedule cfg names for a stream of length T, from cfg
-    alone: cfg.L must already be resolved (see SchedulerConfig)."""
+    alone: cfg.L must already be resolved (see SchedulerConfig), and each
+    block size the scheduler reads (`REQUIRES`) given."""
     builder = _BUILDERS.get(cfg.name)
     if builder is None:
         raise ScheduleError(f"unknown scheduler {cfg.name!r}")
+    for field in REQUIRES[cfg.name.removesuffix("-sample")]:
+        if getattr(cfg, field) is None:
+            raise ScheduleError(f"scheduler {cfg.name} requires {field}")
     return builder(replace(cfg, eps=Fraction(cfg.eps)), T)
 
 
@@ -668,17 +692,6 @@ def trace_header(schedule: Schedule) -> dict:
         "L": cfg.L,
         "tau_share": TAU_SHARE,
     }
-
-
-# The budget subsystems a header of each schedule name may hold: a continual
-# schedule with standalone bases charges no multires subsystem.
-SCHEDULE_BUDGETS = {
-    "multires": ({"multires"},),
-    "continual": ({"continual", "multires"}, {"continual"}),
-    "sliding": ({"sliding"},),
-    "baseline-independent": ({"baseline"},),
-    "baseline-basic": ({"baseline"},),
-}
 
 
 # One event's trace line: json.dumps(trace_record(e)), field for field.
@@ -729,11 +742,11 @@ _TRACE_CHUNK = 1 << 20  # characters of trace lines ledger_from_trace matches at
 def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     """The eps and the budgeted ledger of a trace `export_trace` wrote.
 
-    Line 1 must be the header, which gives the budgets: it must name a
-    schedule of `SCHEDULE_BUDGETS` and hold that schedule's budget
-    subsystems, or LedgerError says it does not. Each later line is
-    an event, charged to its kind's subsystem with the kind as mechanism; a
-    zero charge is skipped. A line that does not parse, or an event of a
+    Line 1 must be the header. Its budgets are checked by value: they must
+    be the `schedule_budgets` of the scheduler it names at its eps (for
+    continual, with or without standalone bases), or a LedgerError naming
+    line 1 says they are not. Each later line is an event, charged to its
+    kind's subsystem with the kind as mechanism; a zero charge is skipped. A line that does not parse, or an event of a
     subsystem the header has no budget for, raises LedgerError naming its
     line number. A byte that is not UTF-8 is read as a lone surrogate, which
     no field's grammar takes and json.loads refuses once the line is encoded.
@@ -746,18 +759,21 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
             head = json.loads(fh.readline().encode())
-            allowed = SCHEDULE_BUDGETS.get(head["scheduler"])
+            name = head["scheduler"]
             eps = Fraction(head["eps_num"], head["eps_den"])
             budgets = {sub: Fraction(num, den) for sub, (num, den) in head["budgets"].items()}
         except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise LedgerError(f"trace line 1 is not a trace header: {exc!r}") from exc
-        if allowed is None:
-            raise LedgerError(f"trace line 1 names no schedule: {head['scheduler']!r}")
-        if budgets.keys() not in allowed:
-            raise LedgerError(f"trace line 1 budgets {sorted(budgets)} are not those of a "
-                              f"{head['scheduler']} schedule")
-        if eps <= 0 or any(b <= 0 for b in budgets.values()):
-            raise LedgerError(f"trace line 1 has an invalid eps or budgets: {head}")
+        if not isinstance(name, str) or name not in _BUDGETS:
+            raise LedgerError(f"trace line 1 names no schedule: {name!r}")
+        if eps <= 0:
+            raise LedgerError(f"trace line 1 has an invalid eps: {eps}")
+        rules = [schedule_budgets(name, eps, standalone) for standalone in (False, True)]
+        if budgets not in rules:
+            shown = ["{" + ", ".join(f"{sub}: {b}" for sub, b in rule.items()) + "}"
+                     for rule in (budgets, *rules)]
+            raise LedgerError(f"trace line 1 budgets {shown[0]} are not those of a {name} "
+                              f"schedule of eps {eps}: {' or '.join(dict.fromkeys(shown[1:]))}")
         try:
             return eps, _ledger_by_template(fh, budgets)
         except (ValueError, ArithmeticError):

@@ -47,7 +47,7 @@ def median_final_acc(stream, cfg, test, seeds, nonprivate=False):
     """The median over seeds of the final acc_test of cfg's schedule
     replayed on stream with its own ledger, as `streamdp run` reports it."""
     schedule = build_schedule(cfg, stream.n)
-    ledger = ledger_from_events(schedule.events, schedule.budgets)
+    ledger = ledger_from_events(schedule)
     recs = replay(stream, schedule, ledger, test=test, seeds=seeds, nonprivate=nonprivate)
     return accuracy_quartiles(recs)[1]
 
@@ -119,13 +119,13 @@ def test_criterion_3_privacy_budgets_exact():
     start = time.time()
     # multi-resolution: B=8, T=1024 points, max loss exactly 127/128
     mr = schedule_of("multires", 1024, B=8)
-    led = ledger_from_events(mr.events, mr.budgets)
+    led = ledger_from_events(mr)
     _, mx = led.max_point_loss()
     mr_ok = mx == Fraction(127, 128)
 
     # continual: within eps, every point's charge is a subset of eps/2 + eps/4 + ...
     co = schedule_of("continual", 1024, B=8, b0=2)
-    led = ledger_from_events(co.events, co.budgets)
+    led = ledger_from_events(co)
     _, cmx = led.max_point_loss("continual")
     pattern_ok = cmx <= EPS
     per_point = {}
@@ -142,14 +142,14 @@ def test_criterion_3_privacy_budgets_exact():
             t.numerator == 1 and (t.denominator & (t.denominator - 1)) == 0
             for t in terms
         )
-    report = led.assert_budget()
-    combined = [e for e in report.entries if e.subsystem == "continual+multires"]
-    combined_ok = combined and combined[0].max_eps <= 2 * EPS and combined[0].ok
+    # continual and its embedded multires together: within 2 eps
+    _, combined = led.max_point_loss(("continual", "multires"))
+    combined_ok = 0 < combined <= 2 * EPS
 
     # sliding: >= 10 refreshes, total within eps, side groups within eps/3
     sl = schedule_of("sliding", 1200, w=31, w0=1)
     refreshes = sum(1 for e in sl.events if e.kind == "WindowRefresh" and e.side == "base")
-    sled = ledger_from_events(sl.events, sl.budgets)
+    sled = ledger_from_events(sl)
     _, smx = sled.max_point_loss()
     sl_ok = refreshes >= 10 and smx <= EPS
     for side in ("base", "left", "right"):
@@ -307,13 +307,13 @@ def test_criterion_9_sampling_variants():
     # sampled schedulers carry the same exact charges as the plain ones
     budget_ok = True
     mr = schedule_of("multires-sample", 1024, B=8)
-    _, mx = ledger_from_events(mr.events, mr.budgets).max_point_loss()
+    _, mx = ledger_from_events(mr).max_point_loss()
     budget_ok &= mx == Fraction(127, 128)
     co = schedule_of("continual-sample", 1024, B=8, b0=2)
-    rep = ledger_from_events(co.events, co.budgets).assert_budget()
+    rep = ledger_from_events(co).assert_budget()
     budget_ok &= rep.ok
     sl = schedule_of("sliding-sample", 1200, w=31, w0=1)
-    _, smx = ledger_from_events(sl.events, sl.budgets).max_point_loss()
+    _, smx = ledger_from_events(sl).max_point_loss()
     budget_ok &= smx <= EPS
     elapsed = time.time() - start
     check(9, f"sampling variants (mean size {np.mean(sizes):.1f} vs B={B}; "

@@ -89,7 +89,8 @@ class TestParsing:
             capsys, "inspect-schedule", "--scheduler", "multires",
             "--epsilon", "1", "--lambda", "1", "--T", "10",
         )
-        assert code == EXIT_USAGE and "--B" in err
+        # the flag, not the SchedulerConfig field build_schedule would name
+        assert code == EXIT_USAGE and err == "error: scheduler multires requires --B\n"
 
     def test_flag_overrides_config_file(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg"
@@ -726,16 +727,39 @@ class TestVerifyLedger:
     @pytest.mark.parametrize("header,message", [
         ({"scheduler": "nonsense", "eps_num": 1, "eps_den": 1, "budgets": {"multires": [1, 1]}},
          "trace line 1 names no schedule: 'nonsense'"),
+        ({"scheduler": ["multires"], "eps_num": 1, "eps_den": 1,
+          "budgets": {"multires": [1, 1]}},
+         "trace line 1 names no schedule: ['multires']"),
+        ({"scheduler": 1, "eps_num": 1, "eps_den": 1, "budgets": {"multires": [1, 1]}},
+         "trace line 1 names no schedule: 1"),
         ({"scheduler": "sliding", "eps_num": 1, "eps_den": 1, "budgets": {"multires": [1, 1]}},
-         "trace line 1 budgets ['multires'] are not those of a sliding schedule"),
+         "trace line 1 budgets {multires: 1} are not those of a sliding schedule of eps 1: "
+         "{sliding: 1}"),
         ({"scheduler": "continual", "eps_num": 1, "eps_den": 1,
           "budgets": {"multires": [1, 1]}},
-         "trace line 1 budgets ['multires'] are not those of a continual schedule"),
+         "trace line 1 budgets {multires: 1} are not those of a continual schedule of eps 1: "
+         "{continual: 1, multires: 1} or {continual: 2}"),
         ({"scheduler": "multires", "eps_num": 1, "eps_den": 1,
           "budgets": {"multires": [1, 1], "sliding": [1, 1]}},
-         "trace line 1 budgets ['multires', 'sliding'] are not those of a multires schedule"),
-    ], ids=["no-such-scheduler", "other-schedulers-budget", "continual-without-its-own",
-            "an-extra-budget"])
+         "trace line 1 budgets {multires: 1, sliding: 1} are not those of a multires schedule "
+         "of eps 1: {multires: 1}"),
+        ({"scheduler": "sliding", "eps_num": 1, "eps_den": 1, "budgets": {"sliding": [100, 1]}},
+         "trace line 1 budgets {sliding: 100} are not those of a sliding schedule of eps 1: "
+         "{sliding: 1}"),
+        ({"scheduler": "baseline-basic", "eps_num": 1, "eps_den": 3,
+          "budgets": {"baseline": [1, 3]}},
+         "trace line 1 budgets {baseline: 1/3} are not those of a baseline-basic schedule of "
+         "eps 1/3: {baseline: 2/3}"),
+        ({"scheduler": "continual", "eps_num": 1, "eps_den": 2,
+          "budgets": {"continual": [1, 1], "multires": [1, 2]}},
+         "trace line 1 budgets {continual: 1, multires: 1/2} are not those of a continual "
+         "schedule of eps 1/2: {continual: 1/2, multires: 1/2} or {continual: 1}"),
+        ({"scheduler": "multires", "eps_num": 0, "eps_den": 1, "budgets": {"multires": [0, 1]}},
+         "trace line 1 has an invalid eps: 0"),
+    ], ids=["no-such-scheduler", "a-list-scheduler", "an-int-scheduler",
+            "other-schedulers-budget", "continual-without-its-own", "an-extra-budget",
+            "a-scaled-budget", "another-schedulers-multiple", "continual-mixing-both-rules",
+            "a-zero-eps"])
     def test_a_header_that_names_no_schedule_or_its_budgets_exits_3(self, header, message,
                                                                     capsys, tmp_path):
         p = tmp_path / "trace.jsonl"
@@ -743,6 +767,55 @@ class TestVerifyLedger:
         code, out, err = run_cli(capsys, "verify-ledger", str(p))
         assert code == EXIT_DATA and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("budget", [["1", 1], [1.5, 1], [None, 1], 1, [1, 1, 1]],
+                             ids=["a-string", "a-float", "null", "a-bare-number", "a-triple"])
+    def test_a_budget_that_is_not_a_ratio_of_integers_exits_3(self, budget, capsys, tmp_path):
+        p = tmp_path / "trace.jsonl"
+        p.write_text(json.dumps({**self.HEADER, "budgets": {"multires": budget}}) + "\n")
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error: trace line 1 is not a trace header: ")
+
+    def test_a_trace_with_inflated_budgets_and_charges_exits_3_naming_line_1(self, capsys,
+                                                                               tmp_path):
+        # budgets and charges scaled up alike: every point stays within the
+        # header's budget, which is not the scheduler's
+        p = tmp_path / "sliding.jsonl"
+        code, _, err = run_cli(capsys, "inspect-schedule", "--scheduler", "sliding", "--w", "7",
+                               "--w0", "1", "--epsilon", "1", "--lambda", "1", "--T", "40",
+                               "--trace", str(p))
+        assert code == EXIT_OK, err
+        head, *events = map(json.loads, p.read_text().splitlines())
+        head["budgets"] = {"sliding": [100, 1]}
+        p = tmp_path / "tampered.jsonl"
+        p.write_text("".join(json.dumps(rec) + "\n" for rec in
+                             [head, *({**e, "eps_num": 50 * e["eps_num"]} for e in events)]))
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert err == ("error: trace line 1 budgets {sliding: 100} are not those of a sliding "
+                       "schedule of eps 1: {sliding: 1}\n")
+
+    @pytest.mark.parametrize("flags,budgets", [
+        ((), {"continual": Fraction(1, 3), "multires": Fraction(1, 3)}),
+        (("--standalone-base",), {"continual": Fraction(2, 3)}),
+    ], ids=["embedded-multires", "standalone-base"])
+    def test_both_continual_headers_verify(self, flags, budgets, capsys, tmp_path):
+        p = tmp_path / "trace.jsonl"
+        code, _, err = run_cli(capsys, "inspect-schedule", "--scheduler", "continual", "--B", "4",
+                               "--b0", "2", "--epsilon", "1/3", "--lambda", "1", "--T", "40",
+                               *flags, "--trace", str(p))
+        assert code == EXIT_OK, err
+        head = json.loads(p.read_text().splitlines()[0])
+        assert head["budgets"] == {sub: [b.numerator, b.denominator]
+                                   for sub, b in budgets.items()}
+        code, out, err = run_cli(capsys, "verify-ledger", str(p), "--epsilon", "1/3")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()[1:]
+        assert sorted(line.split(":")[0] for line in lines) == sorted(budgets)
+        for line in lines:
+            sub = line.split(":")[0]
+            assert line.endswith(f"(budget {budgets[sub]}) ok")
 
     def test_header_less_trace_exits_3_naming_line_1(self, capsys, tmp_path):
         p = tmp_path / "trace.jsonl"

@@ -222,7 +222,7 @@ class TestReplay:
         self.test = data.slice(200, 299)
         self.schedule = build_schedule(
             SchedulerConfig("continual", Fraction(1), 1.0, 0.2, B=32, b0=8), self.stream.n)
-        self.ledger = ledger_from_events(self.schedule.events, self.schedule.budgets)
+        self.ledger = ledger_from_events(self.schedule)
 
     def test_records_cover_all_releases(self):
         recs = replay(self.stream, self.schedule, self.ledger, test=self.test)
@@ -236,7 +236,7 @@ class TestReplay:
         schedule = build_schedule(
             SchedulerConfig("continual-sample", Fraction(1), 7.0, 0.2, B=32, b0=8), self.stream.n)
         recs = replay(self.stream, schedule,
-                      ledger_from_events(schedule.events, schedule.budgets), seeds=(0, 1))
+                      ledger_from_events(schedule), seeds=(0, 1))
         assert recs and all((r.scheduler, r.eps, r.lam, r.batch) == ("continual-sample", 1.0, 7, 8)
                             for r in recs)
         export_trace(schedule, tmp_path / "trace.jsonl")
@@ -291,7 +291,7 @@ class TestBatchedEvaluation:
         sched = SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=4 if name.startswith(
             ("multires", "sliding")) else 24, b0=12, w=7, w0=1)
         schedule = build_schedule(sched, self.stream.n)
-        recs = replay(self.stream, schedule, ledger_from_events(schedule.events, schedule.budgets),
+        recs = replay(self.stream, schedule, ledger_from_events(schedule),
                       test=self.test, seeds=self.SEEDS)
         start_of = {e.model_id: e.a for e in schedule.events}
         short = 0
@@ -339,7 +339,7 @@ class TestReplayEpsMaxDifferential:
     def test_matches_brute_force_point_loss(self, name):
         schedule = build_schedule(self.sched(name), self.stream.n)
         # a sampled release's charge stands when its subsample is empty
-        charged = ledger_from_events(schedule.events, schedule.budgets)
+        charged = ledger_from_events(schedule)
         recs = replay(self.stream, schedule, charged, seeds=self.SEEDS)
         for seed in self.SEEDS:
             _, releases = run_alone(schedule, self.stream, seed)
@@ -357,7 +357,7 @@ class TestReplayEpsMaxDifferential:
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_nonprivate_eps_max_is_zero(self, name):
         schedule = build_schedule(self.sched(name), self.stream.n)
-        recs = replay(self.stream, schedule, ledger_from_events(schedule.events, schedule.budgets),
+        recs = replay(self.stream, schedule, ledger_from_events(schedule),
                       nonprivate=True)
         assert recs and all(r.eps_max == 0 for r in recs)
 

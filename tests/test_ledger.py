@@ -42,17 +42,24 @@ def ledger_of(raw):
 
 
 class TestCharge:
+    """A Charge is a plain record; a ledger checks it when it takes it."""
+
     def test_malformed_interval(self):
-        with pytest.raises(LedgerError):
-            Charge(5, 4, Fraction(1, 2), "multires", 0, "x")
+        with pytest.raises(LedgerError, match=r"^interval \[5, 4\] is malformed$"):
+            Ledger(charges=[Charge(5, 4, Fraction(1, 2), "multires", 0, "x")])
 
     def test_nonpositive_eps(self):
-        with pytest.raises(LedgerError):
-            Charge(0, 1, Fraction(0), "multires", 0, "x")
+        with pytest.raises(LedgerError, match="^charge must be positive, got 0$"):
+            Ledger(charges=[Charge(0, 1, Fraction(0), "multires", 0, "x")])
 
-    def test_unknown_subsystem(self):
-        with pytest.raises(LedgerError):
-            Charge(0, 1, Fraction(1), "other", 0, "x")
+    def test_unknown_subsystem_is_a_violation_with_budget_none(self):
+        led = Ledger(budgets={"multires": Fraction(1)},
+                     charges=[Charge(0, 1, Fraction(1), "other", 0, "x")])
+        assert led.subsystems == ["other"]
+        report = led.assert_budget()
+        assert not report.ok
+        assert [(e.subsystem, e.budget, e.max_eps, e.ok) for e in report.entries] == [
+            ("other", None, Fraction(1), False), ("multires", Fraction(1), Fraction(0), True)]
 
 
 class TestPointLoss:
@@ -156,14 +163,16 @@ class TestBudgetReport:
         entry = next(e for e in report.entries if e.subsystem == "baseline")
         assert entry.budget is None and entry.max_eps == Fraction(5) and not entry.ok
 
-    def test_combined_continual_multires_entry(self):
+    def test_continual_and_multires_together_within_2eps(self):
+        # the report has one entry per subsystem, none combining them; the
+        # two together are bounded by the sum of their budgets
         led = Ledger(budgets={"multires": Fraction(1), "continual": Fraction(1)})
         led.charge((0, 3), Fraction(1, 2), "multires", 4, "m")
         led.charge((0, 3), Fraction(1, 2), "continual", 4, "c")
         report = led.assert_budget()
-        combined = [e for e in report.entries if e.subsystem == "continual+multires"]
-        assert len(combined) == 1
-        assert combined[0].budget == Fraction(2) and combined[0].max_eps == Fraction(1)
+        assert [e.subsystem for e in report.entries] == ["multires", "continual"]
+        assert led.max_point_loss(("continual", "multires")) == (0, Fraction(1))
+        assert led.max_point_loss(("continual", "multires"))[1] <= 2 * Fraction(1)
 
 
 class TestJsonl:
@@ -249,12 +258,13 @@ class TestColumns:
         led.charge((0, 1), Fraction(1, 2), "multires", 0, "m")
         for interval, eps, sub in [((2, 1), Fraction(1), "multires"),
                                    ((0, 1), Fraction(-1, 3), "multires"),
-                                   ((0, 1), Fraction(1), "other"),
+                                   ((2, 1), Fraction(1), "other"),
                                    ((0.5, 1), Fraction(1), "multires"),
                                    ((0, 2**63), Fraction(1), "multires")]:
             with pytest.raises(LedgerError):
                 led.charge(interval, eps, sub, 0, "m")
         assert led.charges == [Charge(0, 1, Fraction(1, 2), "multires", 0, "m")]
+        assert led.subsystems == ["multires"]  # a refused charge interns no name
 
     def test_export_writes_each_charge_in_lowest_terms(self, tmp_path):
         led = Ledger()

@@ -379,7 +379,7 @@ class TestExecute:
         # execute charges nothing; a run's eps_max comes from the dry run's charges
         sched = schedule_of("continual", stream.n, L=0.2, B=8, b0=2)
         assert not hasattr(self.run(sched, stream), "ledger")
-        dry = ledger_from_events(sched.events, sched.budgets)
+        dry = ledger_from_events(sched)
         recs = replay(stream, sched, dry)
         assert recs[-1].eps_max == dry.max_point_loss()[1]
 
@@ -422,7 +422,7 @@ class TestExecute:
         with pytest.raises(ScheduleError, match="^need at least one seed$"):
             execute(sched, stream, seeds=())
         with pytest.raises(ScheduleError, match="^need at least one seed$"):
-            replay(stream, sched, ledger_from_events(sched.events, sched.budgets), seeds=())
+            replay(stream, sched, ledger_from_events(sched), seeds=())
 
     def test_adopted_base_is_released_not_retrained(self, stream):
         sched = schedule_of("continual", stream.n, L=0.2, B=8, b0=2)
@@ -883,10 +883,49 @@ class TestBuildSchedule:
         cfg = SchedulerConfig(name, EPS, 1.0, 1.0, B=4, b0=2, w=7, w0=1)
         s = build_schedule(cfg, 20)
         assert s.config == cfg
-        assert set(s.budgets) in schedulers.SCHEDULE_BUDGETS[name.removesuffix("-sample")]
         assert {e.subsystem for e in s.events} == set(s.budgets)
         sampled = [e.p for e in s.events if e.sampled_rule is not None]
         assert bool(sampled) == name.endswith("-sample") and None not in sampled
+
+
+# Each scheduler's budgets as the paper states them, at eps = 2/3: 2 eps for
+# continual release (eps for its updates, eps for the embedded multires, or
+# 2 eps for updates and standalone bases together), eps for the sliding window.
+STATED_BUDGETS = {
+    ("multires", False): {"multires": Fraction(2, 3)},
+    ("continual", False): {"continual": Fraction(2, 3), "multires": Fraction(2, 3)},
+    ("continual", True): {"continual": Fraction(4, 3)},
+    ("sliding", False): {"sliding": Fraction(2, 3)},
+    ("baseline-independent", False): {"baseline": Fraction(2, 3)},
+    ("baseline-basic", False): {"baseline": Fraction(4, 3)},
+}
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("name", SCHEDULERS)
+    @pytest.mark.parametrize("standalone", [False, True])
+    def test_a_schedule_has_its_schedulers_stated_budgets(self, name, standalone):
+        base = name.removesuffix("-sample")
+        want = STATED_BUDGETS[base, standalone and base == "continual"]
+        assert schedulers.schedule_budgets(base, Fraction(2, 3), standalone) == want
+        cfg = SchedulerConfig(name, Fraction(2, 3), 1.0, 1.0, B=4, b0=2, w=7, w0=1,
+                              standalone_base=standalone)
+        sched = build_schedule(cfg, 40)
+        # header order too: a trace header lists the budgets in this order
+        assert list(sched.budgets.items()) == list(want.items())
+        report = ledger_from_events(sched).assert_budget()
+        assert report.ok and [e.subsystem for e in report.entries] == sorted(
+            want, key=["multires", "continual", "sliding", "baseline"].index)
+
+    @pytest.mark.parametrize("name,missing", [
+        (name, missing) for name in SCHEDULERS
+        for missing in [(f,) for f in schedulers.REQUIRES[name.removesuffix("-sample")]]
+        + [("B", "b0", "w", "w0")]])
+    def test_a_missing_block_size_is_named(self, name, missing):
+        sizes = {f: v for f, v in {"B": 4, "b0": 2, "w": 7, "w0": 1}.items() if f not in missing}
+        field = next(f for f in schedulers.REQUIRES[name.removesuffix("-sample")] if f in missing)
+        with pytest.raises(ScheduleError, match=f"^scheduler {name} requires {field}$"):
+            build_schedule(SchedulerConfig(name, Fraction(1), 1.0, 1.0, **sizes), 20)
 
 
 class TestCertificates:
@@ -988,7 +1027,7 @@ class TestTraceLines:
         assert lines[0] == json.dumps(schedulers.trace_header(sched))
         assert lines[1:] == [json.dumps(schedulers.trace_record(e)) for e in sched.events]
         eps, ledger = schedulers.ledger_from_trace(path)
-        want = ledger_from_events(sched.events, sched.budgets)
+        want = ledger_from_events(sched)
         assert eps == sched.config.eps and ledger.budgets == want.budgets
         fields = operator.attrgetter("a", "b", "eps", "subsystem", "time")
         assert list(map(fields, ledger.charges)) == list(map(fields, want.charges))
