@@ -215,51 +215,76 @@ _HALVINGS = 60
 _CHUNK_ROWS = 2048
 
 
-def _objective(X, y, w, bias, lam):
+def _objective(X, y, w, bias, lam, spans=None):
     """F and ∇F of each model of the (S, k, d) stack w: the mean softmax
     cross-entropy over its rows plus lam*||w[s] - bias[s]||_F^2, as (S,)
     values and an (S, k, d) gradient.
 
-    X is (n, d), read by every model, or (S, n, d), one block per model,
-    and y the rows' classes, (1, n) or (S, n). Rows are read in chunks of
-    _CHUNK_ROWS, whose loss sums and gradient products are added in order.
+    Without spans, X is (S, n, d), one gathered block per model, and y
+    (S, n) their classes. With spans, X and y are all of the data's rows and
+    classes, and model s reads the spans[s, 1] rows from row spans[s, 0] in
+    place. A model reads its rows in chunks of _CHUNK_ROWS counted from its
+    first row, and adds each chunk's loss sum and gradient product into its
+    own, in its own chunk order. In place, a chunk that several models read
+    (one start and length, `_shared_chunks`) is read once for all of them.
     Scores are class-major, (S, k, rows), so that the class reductions run
     over whole rows of scores. Every operation gives each model's slice the
     bits it gets alone, so a model's values do not depend on the others in
     the stack: reductions run within a slice, and the products are a BLAS
-    product per slice, except that where every model reads one (n, d) X and
-    `_stacked_product` admits a chunk of c rows, its scores are one
-    (S*k, d) @ (d, c) product and its gradient one (S*k, c) @ (c, d)
-    product. At d = 784, k = 10 (28x28 images, ten classes) the rule admits
-    the gradient of every chunk of 128 rows or more, and the scores of
-    those whose row count is a multiple of 8; at d = 20, k = 3 it admits
-    nothing.
+    product per slice, except that where `_stacked_product` admits a shared
+    chunk of c rows, the scores of the M models that read it are one
+    (M*k, d) @ (d, c) product and their gradient one (M*k, c) @ (c, d)
+    product. The rule asks the shape alone, so a model takes the same
+    product in a stack as alone. At d = 784, k = 10 (28x28 images, ten
+    classes) it admits the gradient of every chunk of 128 rows or more, and
+    the scores of those whose row count is a multiple of 8; at d = 20, k = 3
+    it admits nothing.
     """
     S, k, d = w.shape
-    n = X.shape[-2]
+    if spans is None:
+        n = X.shape[1]
+        chunks = [(slice(None), X[:, a : a + _CHUNK_ROWS], y[:, a : a + _CHUNK_ROWS])
+                  for a in range(0, n, _CHUNK_ROWS)]
+    else:
+        n = spans[:, 1]
+        chunks = [(slice(None) if len(m) == S else np.array(m), X[a : a + c], y[None, a : a + c])
+                  for (a, c), m in _shared_chunks(spans)]
     loss, grad = np.zeros(S), np.zeros_like(w)
-    for start in range(0, n, _CHUNK_ROWS):
-        Xc, yc = X[..., start : start + _CHUNK_ROWS, :], y[:, start : start + _CHUNK_ROWS]
-        c = Xc.shape[-2]
-        true = yc * c + (np.arange(S) * (k * c))[:, None] + np.arange(c)  # in (S, k, c)
-        if X.ndim == 2 and _stacked_product(k, c, d):
-            scores = (w.reshape(S * k, d) @ Xc.T).reshape(S, k, c)
+    for m, Xc, yc in chunks:
+        wm = w[m]
+        M, c = len(wm), Xc.shape[-2]
+        true = yc * c + (np.arange(M) * (k * c))[:, None] + np.arange(c)  # in (M, k, c)
+        if Xc.ndim == 2 and _stacked_product(k, c, d):
+            scores = (wm.reshape(M * k, d) @ Xc.T).reshape(M, k, c)
         else:
-            scores = np.matmul(w, Xc.swapaxes(-1, -2))
+            scores = np.matmul(wm, Xc.swapaxes(-1, -2))
         scores -= scores.max(axis=1, keepdims=True)
         shifted_true = scores.reshape(-1)[true]
         np.exp(scores, out=scores)
         total = scores.sum(axis=1, keepdims=True)
         scores /= total
         scores.reshape(-1)[true] -= 1.0
-        loss += (np.log(total[:, 0]) - shifted_true).sum(axis=-1)
-        if X.ndim == 2 and _stacked_product(k, d, c):
-            grad += (scores.reshape(S * k, c) @ Xc).reshape(S, k, d)
+        loss[m] += (np.log(total[:, 0]) - shifted_true).sum(axis=-1)
+        if Xc.ndim == 2 and _stacked_product(k, d, c):
+            grad[m] += (scores.reshape(M * k, c) @ Xc).reshape(M, k, d)
         else:
-            grad += np.matmul(scores, Xc)
+            grad[m] += np.matmul(scores, Xc)
     diff = w - bias
     f = loss / n + lam * _dot(diff, diff)
-    return f, grad / n + 2.0 * lam * diff
+    return f, grad / np.reshape(n, (-1, 1, 1)) + 2.0 * lam * diff
+
+
+def _shared_chunks(spans):
+    """The distinct chunks that models reading spans[s, 1] rows from row
+    spans[s, 0] read, _CHUNK_ROWS rows at a time from their first row, as
+    ((start, length), models) pairs in order of start: each model's chunks
+    come in its own order, and each chunk names the models that read it, in
+    stack order."""
+    readers = {}
+    for s, (a, n) in enumerate(spans.tolist()):
+        for off in range(0, n, _CHUNK_ROWS):
+            readers.setdefault((a + off, min(_CHUNK_ROWS, n - off)), []).append(s)
+    return sorted(readers.items())
 
 
 def _dot(a, b):
@@ -289,14 +314,17 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
     kept with weight 0. The members run in lockstep, and a certified member
     leaves the stack, whose arrays shrink to the members left.
 
-    rows holds one row set per member, a range or an array of row indices,
-    all of one size. Members whose rows are one and the same range read one
-    view of data.X, and their products are one product for the stack where
-    `_stacked_product` admits the shapes (see `_objective`); otherwise each
-    member's rows are gathered into a block of its own. Either way every
-    operation gives each member's slice the bits it gets alone, so a
-    member's weights do not depend on the other members of its stack:
-    solved alone, it gets the same bits.
+    rows holds one row set per member, a range or an array of row indices.
+    Where every set is a range of step 1, each member reads its range of
+    data.X in place, in chunks of _CHUNK_ROWS rows from its own start, and
+    the ranges may differ in size: a chunk that several members have (one
+    start and length) is read once for all of them, with one product for
+    them all where `_stacked_product` admits its shape (see `_objective`).
+    Otherwise the sets must all be of one size, and each member's rows are
+    gathered into a block of its own. Either way every operation gives each
+    member's slice the bits it gets alone, so a member's weights do not
+    depend on the other members of its stack: solved alone, it gets the
+    same bits.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ErmError(f"lambda must be > 0 and finite, got {lam}")
@@ -312,23 +340,31 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
         rows = [range(data.n)] * S
     elif len(rows) != S:
         raise ErmError("need one row set per member")
-    r0 = rows[0]
-    if len(r0) == 0 or any(len(r) != len(r0) for r in rows):
+    if min(map(len, rows)) == 0:
         raise ErmError("the members of a stack need equal, non-empty row sets")
-    if isinstance(r0, range) and r0.step == 1 and all(
-            isinstance(r, range) and r == r0 for r in rows):
-        if r0.start < 0 or r0.stop > data.n:
+    if all(isinstance(r, range) and r.step == 1 for r in rows):
+        spans = np.array([(r.start, len(r)) for r in rows], dtype=np.int64)
+        if spans[:, 0].min() < 0 or spans.sum(axis=1).max() > data.n:
             raise ErmError(f"training rows must lie in [0, {data.n})")
-        X, y = data.X[r0.start : r0.stop], data.y[None, r0.start : r0.stop]
+        X, y = data.X, data.y
     else:
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ErmError("the members of a stack need equal, non-empty row sets")
         idx = np.array([np.asarray(r) for r in rows], dtype=np.int64)
         if idx.min() < 0 or idx.max() >= data.n:
             raise ErmError(f"training rows must lie in [0, {data.n})")
-        X, y = data.X[idx], data.y[idx]
+        X, y, spans = data.X[idx], data.y[idx], None
+
+    def objective(w, bias, members=slice(None)):
+        """_objective of the members of the stack, all of them by default."""
+        if spans is not None:
+            return _objective(X, y, w, bias, lam, spans[members])
+        return _objective(X[members], y[members], w, bias, lam)
+
     out = np.empty_like(bias)
     at = np.arange(S)  # each member's position in the stack
     w = bias.copy()
-    f, g = _objective(X, y, w, bias, lam)
+    f, g = objective(w, bias)
     pairs = []  # (s, y, 1/s.y) of the last SOLVE_MEMORY steps, oldest first
     gamma = np.full(S, 0.5 / lam)
     for it in itertools.count():
@@ -346,8 +382,10 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
             at, w, f, g, norm = at[keep], w[keep], f[keep], g[keep], norm[keep]
             bias, tau, gamma = bias[keep], tau[keep], gamma[keep]
             pairs = [(ps[keep], py[keep], rho[keep]) for ps, py, rho in pairs]
-            if X.ndim == 3:
+            if spans is None:
                 X, y = X[keep], y[keep]
+            else:
+                spans = spans[keep]
         # the two-loop recursion over the stored pairs, newest first
         q, alpha = -g.reshape(len(g), -1), []
         for ps, py, rho in reversed(pairs):
@@ -363,11 +401,9 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
         w_new, f_new, g_new = np.empty_like(w), np.empty_like(f), np.empty_like(g)
         pending = np.arange(len(w))
         for _ in range(_HALVINGS):
-            whole = len(pending) == len(w)
             trial = w[pending] + step[pending, None, None] * p[pending]
-            ft, gt = _objective(X if X.ndim == 2 or whole else X[pending],
-                                y if len(y) == 1 or whole else y[pending],
-                                trial, bias[pending], lam)
+            ft, gt = objective(trial, bias[pending],
+                               slice(None) if len(pending) == len(w) else pending)
             ok = ((ft <= f[pending] + _ARMIJO * step[pending] * slope[pending])
                   | (np.sqrt(_dot(gt, gt)) <= tau[pending]))
             took = pending[ok]
@@ -403,14 +439,20 @@ def lipschitz_public(k: int, m: int, norm_cap: float = 1.0) -> float:
 # model's columns the bits of that model's own (n, d) @ (d, k) product for
 # the shapes `_one_product` admits (tests/test_erm.py checks them). Outside
 # them, OpenBLAS 0.3 picks other kernels for the two products (a gemv for one
-# row, small-matrix kernels at larger d, another block past 192 columns),
-# and the bits can differ.
+# row, another block past 192 columns), and the bits can differ. Past
+# d = 31 it also takes its small-matrix kernels for the model's own product
+# up to n*k*d = 10**6, and with two threads products of 128 to 160 rows at
+# d = 784, k = 10 lost bits at column counts that are not a multiple of 8.
 _ONE_PRODUCT_COLUMNS = 192
 _ONE_PRODUCT_MAX_D = 31
 
 
-def _one_product(n: int, d: int, columns: int) -> bool:
-    return n > 1 and d <= _ONE_PRODUCT_MAX_D and columns <= _ONE_PRODUCT_COLUMNS
+def _one_product(n: int, k: int, d: int, models: int) -> bool:
+    columns = models * k
+    if n <= 1 or columns > _ONE_PRODUCT_COLUMNS:
+        return False
+    return d <= _ONE_PRODUCT_MAX_D or (
+        n * k * d > _STACKED_PRODUCT_MIN_MNK and columns % _STACKED_PRODUCT_N_STEP == 0)
 
 
 # One (S*k, K) @ (K, N) product of S stacked models gives each model's k rows
@@ -451,34 +493,65 @@ def _first_max(planes: np.ndarray) -> np.ndarray:
     return pred
 
 
+# evaluate_accuracy scores all of a data set in tiles of at most this many
+# rows, in near-equal runs, by at most this many score columns: a run of 250
+# rows or more is above the small-matrix size of a 784-wide, ten-class
+# model's product, and a tile's scores take at most 192 kB.
+_SCORE_ROWS = 256
+_SCORE_COLUMNS = 96
+
+
 def evaluate_accuracy(w, data: Dataset, per_model: bool = False) -> np.ndarray:
     """Fraction of correct argmax predictions of each of the (R, k, d)
     weights w, as R accuracies; ties go to the lowest class.
 
     Each model is scored on all of data or, with per_model, model r on the
-    r-th of R equal runs of consecutive rows. Scores on all of data come
-    from one X @ w.reshape(R*k, d).T product where `_one_product` admits its
-    shape, and from one product per model otherwise and with per_model;
-    either way each model gets the bits of its own (rows, d) @ (d, k)
-    product. The prediction is the first maximum over the class planes
-    (`_first_max`), and an accuracy is an exact hit count over the row
-    count, so each model gets the value it gets alone, bit for bit.
+    r-th of R equal runs of consecutive rows, with one product per model.
+    All of data is scored in tiles of rows × models: near-equal runs of at
+    most _SCORE_ROWS rows, the same for every stack, and on each run groups
+    of as many models as one X @ W.reshape(G*k, d).T product takes where
+    `_one_product` admits it. A last group of fewer models is padded with
+    zero models up to a count the rule admits; where it admits none, each
+    model takes its own product. So each model gets the bits of its own
+    (rows, d) @ (d, k) product on each run of rows, whatever the other
+    models are. The prediction is the first maximum over the class planes
+    (`_first_max`), and an accuracy is an exact hit count, summed over the
+    runs, over the row count, so each model gets the value it gets alone,
+    bit for bit.
     """
     if data.n == 0:
         raise ErmError("cannot evaluate on an empty dataset")
     w = np.asarray(w)
     _check_dims(w, data, 3)
     R, k, d = w.shape
-    X, y = data.X, data.y
     if per_model:
         if data.n % R:
             raise ErmError(f"{data.n} rows do not split into {R} equal runs")
-        X, y = X.reshape(R, -1, d), y.reshape(R, -1)
-    if not per_model and _one_product(data.n, d, R * k):
-        planes = (X @ w.reshape(R * k, d).T).reshape(-1, R, k).transpose(2, 1, 0)
-    else:
+        X, y = data.X.reshape(R, -1, d), data.y.reshape(R, -1)
         planes = (X @ w.swapaxes(-1, -2)).transpose(2, 0, 1)  # (k, R, rows)
-    return np.count_nonzero(_first_max(planes) == y, axis=-1) / y.shape[-1]
+        return np.count_nonzero(_first_max(planes) == y, axis=-1) / y.shape[-1]
+    hits = np.zeros(R, dtype=np.int64)
+    runs = -(-data.n // _SCORE_ROWS)
+    bounds = [data.n * i // runs for i in range(runs + 1)]
+    rows = None
+    for a, b in zip(bounds, bounds[1:]):
+        X, y = data.X[a:b], data.y[a:b]
+        if b - a != rows:  # the model counts one product takes on a run this long
+            rows = b - a
+            sizes = [g for g in range(1, _SCORE_COLUMNS // k + 1) if _one_product(rows, k, d, g)]
+            group = sizes[-1] if sizes else max(1, _SCORE_COLUMNS // k)
+        for g in range(0, R, group):
+            W = w[g : g + group]
+            m = len(W)
+            padded = next((size for size in sizes if size >= m), 0)
+            if padded:
+                W = np.concatenate([W, np.zeros((padded - m, k, d))]) if padded > m else W
+                planes = (X @ W.reshape(padded * k, d).T).reshape(rows, padded, k)
+                planes = planes.transpose(2, 1, 0)[:, :m]
+            else:
+                planes = (X @ W.swapaxes(-1, -2)).transpose(2, 0, 1)  # (k, m, rows)
+            hits[g : g + m] += np.count_nonzero(_first_max(planes) == y, axis=-1)
+    return hits / data.n
 
 
 def clip_l1(data: Dataset) -> Dataset:

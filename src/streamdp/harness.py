@@ -3,7 +3,7 @@
 Streams come from IDX image/label files, numeric CSV, or a synthetic
 rotating-means generator. `replay` feeds a stream through a release schedule,
 evaluates every released model on recent, held-out and older data (as
-stacks of models, in chunks), and emits flat metric records, whose
+stacks of models, in tiles and chunks), and emits flat metric records, whose
 scheduler, eps, lambda and batch are the schedule's config's, that export
 to CSV or JSONL.
 """
@@ -227,9 +227,12 @@ def replay(
     once from the run's skip column, and the released models are gathered
     from its (S, M + 1, k, d) weight array into one (R, k, d) array with one
     fancy index, as noise_l2 is from its noise-norm column.
-    `evaluate_accuracy` scores slices of that array against the test set,
-    and gathered models against their gathered windows, in chunks of about
-    `_STACK_BYTES`; each value equals the model's own evaluation. eps_max is
+    `evaluate_accuracy` scores that array against the test set, in tiles of
+    rows × models, and the models against their recent and old windows: a
+    window whose copies for each of its models would exceed `_STACK_BYTES`
+    is read in place once for all of them, and the other windows are
+    gathered in chunks of about `_STACK_BYTES`. Each value equals the
+    model's own evaluation. eps_max is
     the exact maximum per-point loss over the ledger's charges up to the
     release step, the same for every seed, kept by `ledger.RunningMax` as
     integer numerators over one common denominator and read before
@@ -258,7 +261,7 @@ def replay(
         np.concatenate([recent, starts - batch]),
         np.concatenate([steps - recent + 1, np.where(starts >= batch, batch, 0)]))
     acc_recent, acc_old = acc_window[:len(models)], acc_window[len(models):]
-    acc_test = _test_accuracy(models, test)
+    acc_test = [None] * len(models) if test is None else evaluate_accuracy(models, test).tolist()
     eps = float(cfg.eps)
     return [MetricsRecord(
         t=t,
@@ -280,36 +283,40 @@ def _window_accuracy(models: np.ndarray, which, stream: Dataset, starts, lengths
     """Accuracy of models[which[r]] on the lengths[r] stream rows from
     starts[r], or None where lengths[r] is 0.
 
-    Windows of one length are scored in chunks of about _STACK_BYTES of
-    weights, gathered rows and scores; a chunk of one window reads its
-    slice in place, so a window above the cap is never copied.
+    Where copies of a window for each of the models scored on it would
+    exceed _STACK_BYTES, as `execute` reads a range in place, the window is
+    read in place, once for all those models. The other windows of one
+    length are scored in chunks of about _STACK_BYTES of weights, gathered
+    rows and scores; a chunk of one window reads its slice in place.
     """
     out = [None] * len(which)
     for n in sorted(set(lengths[lengths > 0].tolist())):  # np.unique would import numpy.ma
         members = np.flatnonzero(lengths == n)
+        members = members[np.argsort(starts[members], kind="stable")]
+        bounds = np.flatnonzero(np.diff(starts[members], prepend=-1, append=-1))
+        shared = np.diff(bounds) * n * stream.d * 8 > _STACK_BYTES
+        for a, b in zip(bounds[:-1][shared].tolist(), bounds[1:][shared].tolist()):
+            start = int(starts[members[a]])
+            _score(out, members[a:b], models[which[members[a:b]]],
+                   stream.slice(start, start + n - 1), False)
+        rest = np.sort(members[~np.repeat(shared, np.diff(bounds))])
         model_bytes = (n * (stream.d + stream.k) + stream.k * stream.d) * 8
         per_chunk = max(1, _STACK_BYTES // model_bytes)
-        for chunk in (members[i : i + per_chunk] for i in range(0, len(members), per_chunk)):
+        for chunk in (rest[i : i + per_chunk] for i in range(0, len(rest), per_chunk)):
             if len(chunk) == 1:
                 start = int(starts[chunk[0]])
                 data = stream.slice(start, start + n - 1)
             else:
                 rows = (starts[chunk, None] + np.arange(n)).ravel()
                 data = Dataset(stream.X[rows], stream.y[rows], stream.k)
-            accs = evaluate_accuracy(models[which[chunk]], data, per_model=True)
-            for r, acc in zip(chunk.tolist(), accs.tolist()):
-                out[r] = acc
+            _score(out, chunk, models[which[chunk]], data, True)
     return out
 
 
-def _test_accuracy(models: np.ndarray, test: Dataset | None) -> list:
-    """Accuracy of each of the (R, k, d) models on the test set (None
-    without one), scored in slices of about _STACK_BYTES of scores."""
-    if test is None:
-        return [None] * len(models)
-    per_chunk = max(1, _STACK_BYTES // (test.n * test.k * 8))
-    return [acc for i in range(0, len(models), per_chunk)
-            for acc in evaluate_accuracy(models[i : i + per_chunk], test).tolist()]
+def _score(out: list, at, models, data: Dataset, per_model: bool):
+    """Set out[at[r]] to the accuracy of models[r] (`evaluate_accuracy`)."""
+    for r, acc in zip(at.tolist(), evaluate_accuracy(models, data, per_model).tolist()):
+        out[r] = acc
 
 
 def accuracy_quartiles(records):

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import erm
 from .erm import SOLVE_MEMORY, CertificateError, Dataset
 from .ledger import Ledger, LedgerError
 from .mechanisms import (TAU_SHARE, laplace_scale, pberm, sampling_probability,
@@ -440,13 +441,15 @@ class RunResult:
     skip: np.ndarray  # (S, M + 1)
 
 
-# Release scoring works in chunks of about this many bytes (`harness`), and
-# `execute` gathers copies of an interval's rows for its members only up to it.
+# `execute` gathers copies of an interval's rows for its members, and
+# `harness` copies of a window's rows for the models scored on it, only up to
+# about this many bytes; past it they read the rows in place.
 _STACK_BYTES = 160 << 10
 
 # A solve holds, per member of n rows (an event solved once for one or
-# more seeds), its rows where they are gathered, its (k, n) scores, and
-# about _SOLVE_ARRAYS arrays the size of its weights: the iterate, its
+# more seeds), its rows where they are gathered, its scores ((k, n)
+# gathered; in place, a chunk's at a time, (k, min(n, erm._CHUNK_ROWS))),
+# and about _SOLVE_ARRAYS arrays the size of its weights: the iterate, its
 # gradient, the direction, the trial and their temporaries, and the
 # 2 * SOLVE_MEMORY vectors of its curvature pairs. `execute` stacks members
 # up to about _SOLVE_BYTES of these: stacking spreads the per-call cost of
@@ -478,16 +481,21 @@ def execute(
     the event is one member serving every seat: in a private run, the
     events trained toward the zero model; in a nonprivate one, every
     unsampled event. Otherwise, and for a sampled event, whose seeds draw
-    their own rows, each seed is a member of one seat. The members are
-    grouped by the number of rows they train on, and each group is solved
-    in lockstep by `pberm` with its config's lambda toward each member's
-    regularizer (the zero model without one), to each event's tolerance
-    tau, one call per stack (`_stacks`). Where copies of an unsampled
-    event's range for each of its members would take more than
-    _STACK_BYTES, its members are stacks of their own, each of which reads
-    the range in place. Otherwise, and for a sampled event's members, each
-    member reads its own gathered rows, and the members of one row count
-    are pooled into stacks of about _SOLVE_BYTES. `pberm` fans each solved
+    their own rows, each seed is a member of one seat. A stack of members
+    is solved in lockstep by `pberm` with its config's lambda toward each
+    member's regularizer (the zero model without one), to each event's
+    tolerance tau, one call per stack (`_stacks`). Where copies of an
+    unsampled event's range for each of its members would take more than
+    _STACK_BYTES, its members read the range in place, in chunks of
+    `erm._CHUNK_ROWS` rows from its start, and the wave's members that read
+    a common chunk, joined transitively, are stacked together
+    (`_chunk_sharing`), in order of start, longest first, so that a split
+    under _SOLVE_BYTES keeps members that share chunks together: the solve
+    reads each shared chunk once for all of them. Otherwise, and for a
+    sampled event's members, each member reads its own rows as an index
+    array that the solve gathers, and the members of one row count are
+    pooled. Either way a set of members is split into near-equal stacks of
+    about _SOLVE_BYTES. `pberm` fans each solved
     member out to its (seed, event) releases with one index and perturbs
     them in one draw. Solving is deterministic and a member's result does
     not depend on its stack-mates, and a seed's subsample and noise streams
@@ -516,8 +524,9 @@ def execute(
 
     nonprivate=True forces all noise scales to zero. A member that cannot
     be certified raises CertificateError naming its event and its first
-    seed: the first such member in wave order. An empty `seeds` raises
-    ScheduleError.
+    seed: the first refused in the first stack that refuses one, where a
+    wave's in-place stacks come first, in order of their sets' first events,
+    then the pooled ones. An empty `seeds` raises ScheduleError.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -545,7 +554,7 @@ def execute(
 
     def member_bytes(n, gathered):
         """What a solve holds for one member of n rows (see _SOLVE_BYTES)."""
-        rows = n * (stream.d + stream.k) if gathered else n * stream.k
+        rows = n * (stream.d + stream.k) if gathered else min(n, erm._CHUNK_ROWS) * stream.k
         return (rows + _SOLVE_ARRAYS * stream.k * stream.d) * 8
 
     for wave in _waves(trained):
@@ -556,13 +565,13 @@ def execute(
         biases = weights[:, distinct].view(np.int64)
         shared = iter((biases == biases[:1]).all(axis=(0, 2, 3))[which].tolist())
         groups = {}  # row count -> [(event, seat positions, rows)] of the pooled members
-        stacks = []
+        in_place = []  # the members that read their range in place
         for e in wave:
             if e.sampled_rule is None:
                 n, rows = e.b - e.a + 1, range(e.a, e.b + 1)
                 members = [(e, every, rows)] if next(shared) else [(e, (i,), rows) for i in every]
-                if len(members) * n * stream.d * 8 > _STACK_BYTES:  # read in place
-                    stacks += _stacks(members, member_bytes(n, False))
+                if len(members) * n * stream.d * 8 > _STACK_BYTES:
+                    in_place += members
                 else:
                     groups.setdefault(n, []).extend(members)
                 continue
@@ -573,9 +582,15 @@ def execute(
                     weights[i, e.model_id] = weights[i, source[e.model_id]]
                 else:
                     groups.setdefault(len(rows), []).append((e, (i,), rows))
-        stacks += [stack for n, members in groups.items()
-                   for stack in _stacks(members, member_bytes(n, True))]
-        for members in stacks:
+        stacks = [(stack, False) for members in _chunk_sharing(in_place)
+                  for stack in _stacks(members, sum(member_bytes(len(rows), False)
+                                                    for _, _, rows in members))]
+        stacks += [(stack, True) for n, members in groups.items()
+                   for stack in _stacks(members, len(members) * member_bytes(n, True))]
+        for members, gathered in stacks:
+            rows = [r for _, _, r in members]
+            if gathered:  # as index arrays, which solve gathers into blocks
+                rows = [np.arange(r.start, r.stop) if isinstance(r, range) else r for r in rows]
             mids = np.array([e.model_id for e, _, _ in members])
             first = np.array([seats[0] for _, seats, _ in members])
             # each (seed, event) release: its seat and the member it is a release of
@@ -584,8 +599,7 @@ def execute(
             released = mids[fan]
             try:
                 result = pberm(weights[first, source[mids]], stream, lam, tau[mids],
-                               scale[released], noise_seeds[seat, released],
-                               [rows for _, _, rows in members], fan)
+                               scale[released], noise_seeds[seat, released], rows, fan)
             except CertificateError as exc:
                 e, seats, _ = members[exc.member]
                 where = f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[seats[0]]}"
@@ -610,11 +624,36 @@ def _waves(events):
     return waves
 
 
-def _stacks(members, member_bytes):
-    """Split members, in order, into near-equal stacks of about _SOLVE_BYTES
-    (one member takes member_bytes, so a member above the cap is a stack of
-    its own): as many as the members' bytes over the cap, rounded up."""
-    count = min(len(members), -(-len(members) * member_bytes // _SOLVE_BYTES))
+def _chunk_sharing(members):
+    """Members that read their ranges in place, in sets that share a chunk
+    (`erm._CHUNK_ROWS` rows counted from a member's own start, one start
+    and length), joined transitively: each set in order of start, longest
+    first, and the sets in order of their first member in members."""
+    root = list(range(len(members)))  # union-find over the members' positions
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    first = {}  # chunk -> the first member that reads it
+    for i, (_, _, rows) in enumerate(members):
+        for off in range(0, len(rows), erm._CHUNK_ROWS):
+            j = first.setdefault((rows.start + off, min(erm._CHUNK_ROWS, len(rows) - off)), i)
+            a, b = sorted((find(i), find(j)))
+            root[b] = a
+    sets = {}
+    for i, member in enumerate(members):
+        sets.setdefault(find(i), []).append(member)
+    return [sorted(m, key=lambda member: (member[2].start, -len(member[2])))
+            for m in sets.values()]
+
+
+def _stacks(members, total_bytes):
+    """Split members, in order, into near-equal stacks of about _SOLVE_BYTES,
+    the members holding total_bytes in all: as many stacks as total_bytes
+    over the cap, rounded up, and at most one per member."""
+    count = min(len(members), -(-total_bytes // _SOLVE_BYTES))
     size, extra = divmod(len(members), count)
     start = 0
     for j in range(count):
@@ -760,8 +799,8 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
         try:
             head = json.loads(fh.readline().encode())
             name = head["scheduler"]
-            eps = Fraction(head["eps_num"], head["eps_den"])
-            budgets = {sub: Fraction(num, den) for sub, (num, den) in head["budgets"].items()}
+            eps = _ratio(head["eps_num"], head["eps_den"])
+            budgets = {sub: _ratio(num, den) for sub, (num, den) in head["budgets"].items()}
         except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise LedgerError(f"trace line 1 is not a trace header: {exc!r}") from exc
         if not isinstance(name, str) or name not in _BUDGETS:
@@ -781,6 +820,14 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
         fh.seek(0)
         fh.readline()
         return eps, _ledger_by_lines(fh, budgets)
+
+
+def _ratio(num, den) -> Fraction:
+    """Fraction(num, den) of a header's two integers. A bool, which Fraction
+    takes as 0 or 1, raises TypeError."""
+    if isinstance(num, bool) or isinstance(den, bool):
+        raise TypeError(f"{num!r}/{den!r} is not a ratio of integers")
+    return Fraction(num, den)
 
 
 def _ledger_by_template(fh, budgets) -> Ledger:

@@ -777,6 +777,21 @@ class TestVerifyLedger:
         assert code == EXIT_DATA and out == ""
         assert err.startswith("error: trace line 1 is not a trace header: ")
 
+    @pytest.mark.parametrize("eps,budget", [
+        ('"eps_num": true, "eps_den": 1', "[true, true]"),
+        ('"eps_num": true, "eps_den": 1', "[1, 1]"),
+        ('"eps_num": 1, "eps_den": true', "[1, 1]"),
+        ('"eps_num": 1, "eps_den": 1', "[true, 1]"),
+        ('"eps_num": 1, "eps_den": 1', "[1, true]"),
+    ], ids=["every-integer", "eps-num", "eps-den", "budget-num", "budget-den"])
+    def test_a_bool_for_an_integer_exits_3(self, eps, budget, capsys, tmp_path):
+        # Fraction takes true as 1, so each of these read as multires at eps 1
+        p = tmp_path / "trace.jsonl"
+        p.write_text(f'{{"scheduler": "multires", {eps}, "budgets": {{"multires": {budget}}}}}\n')
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error: trace line 1 is not a trace header: TypeError(")
+
     def test_a_trace_with_inflated_budgets_and_charges_exits_3_naming_line_1(self, capsys,
                                                                                tmp_path):
         # budgets and charges scaled up alike: every point stays within the
@@ -953,8 +968,9 @@ class TestVerifyLedger:
         (lambda recs: "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs), 1),
         (lambda recs: "".join(json.dumps(rec, separators=(" ,  ", " :  ")) + " \n"
                               for rec in recs), 1),
-        (lambda recs: "".join(json.dumps({**rec, "eps_num": True} if rec.get("eps_num") == 1
-                                         else rec) + "\n" for rec in recs), 1),
+        # an event's charge of true reads as 1; a header's would be refused
+        (lambda recs: "".join(json.dumps({**rec, "eps_num": True} if i and rec["eps_num"] == 1
+                                         else rec) + "\n" for i, rec in enumerate(recs)), 1),
         # text mode reads any line end as "\n", for the template as for json.loads
         (lambda recs: "".join(json.dumps(rec) + "\r\n" for rec in recs), 0),
         (lambda recs: "".join(json.dumps(rec) + ("\r" if i == 0 else "\n")

@@ -290,30 +290,44 @@ class TestBatchedEvaluation:
         # have arrived (a short recent window) and at the stream head (no old window)
         sched = SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=4 if name.startswith(
             ("multires", "sliding")) else 24, b0=12, w=7, w0=1)
-        schedule = build_schedule(sched, self.stream.n)
-        recs = replay(self.stream, schedule, ledger_from_events(schedule),
-                      test=self.test, seeds=self.SEEDS)
+        short = self.check(build_schedule(sched, self.stream.n), self.stream, self.test, 12)
+        if name.startswith(("multires", "sliding")):
+            assert short
+
+    def test_an_image_shaped_record_equals_a_per_release_evaluation(self, stack_bytes):
+        # d=784, k=10, two seeds: each 128-row window is read in place once
+        # for the models scored on it, the seeds' models in one product, and
+        # the 600-row test set in runs of 200 rows by groups of models
+        data = synth_stream(SynthConfig(d=784, k=10, n=1624, sigma=0.6, seed=9))
+        stream, test = data.slice(0, 1023), data.slice(1024, 1623)
+        sched = SchedulerConfig("continual", Fraction(1), 1.0, 0.2, B=512, b0=128)
+        self.check(build_schedule(sched, stream.n), stream, test, 128)
+
+    def check(self, schedule, stream, test, batch):
+        """Assert that replay's records equal one evaluate_accuracy call per
+        release and data set; the number of releases before `batch` points."""
+        recs = replay(stream, schedule, ledger_from_events(schedule), test=test,
+                      seeds=self.SEEDS)
         start_of = {e.model_id: e.a for e in schedule.events}
         short = 0
         for seed in self.SEEDS:
-            weights, releases = run_alone(schedule, self.stream, seed)
+            weights, releases = run_alone(schedule, stream, seed)
             seed_recs = [r for r in recs if r.seed == seed]
             assert len(seed_recs) == len(releases)
             for r, (t, mid) in zip(seed_recs, releases):
                 model = weights[[mid]]
                 a = start_of[mid]
                 assert r.acc_recent == evaluate_accuracy(
-                    model, self.stream.slice(max(0, t - 11), t))[0]
-                assert r.acc_test == evaluate_accuracy(model, self.test)[0]
-                if a < 12:
+                    model, stream.slice(max(0, t - batch + 1), t))[0]
+                assert r.acc_test == evaluate_accuracy(model, test)[0]
+                if a < batch:
                     assert r.acc_old is None
                 else:
                     assert r.acc_old == evaluate_accuracy(
-                        model, self.stream.slice(a - 12, a - 1))[0]
-                short += t < 11
+                        model, stream.slice(a - batch, a - 1))[0]
+                short += t < batch - 1
         assert any(r.acc_old is None for r in recs)
-        if name.startswith(("multires", "sliding")):
-            assert short
+        return short
 
 
 class TestReplayEpsMaxDifferential:

@@ -648,6 +648,68 @@ class TestWaves:
         assert sum(calls) == len(trained)
         assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
 
+    def test_in_place_members_that_share_chunks_share_stacks(self, monkeypatch):
+        # a structural guard: one stack per event, or counting a member read
+        # in place by its whole range's scores, fails it. continual B=256,
+        # b0=128 on 1,024 image-shaped points, 128-row chunks, every member
+        # read in place, a cap of two members of one chunk's scores. Wave 1's
+        # multires events on [0, 255], [256, 511] and [0, 511] share chunks,
+        # ordered by start, longest first, and split in two stacks. Wave 2's
+        # updates have a member per seed; the LargeUpdate on [512, 767]
+        # shares a chunk with the SmallUpdate on [512, 639], and their four
+        # members split in two stacks, where whole ranges' scores take three.
+        monkeypatch.setattr(erm, "_CHUNK_ROWS", 128)
+        k, d = 10, 784
+        monkeypatch.setattr(schedulers, "_SOLVE_BYTES",
+                            2 * (128 * k + schedulers._SOLVE_ARRAYS * k * d) * 8)
+        rng = np.random.default_rng(5)
+        y = rng.integers(0, k, size=1024)
+        X = 0.1 * rng.standard_normal((1024, d)) + 0.1 * (np.arange(d) % k == y[:, None])
+        sched = schedule_of("continual", 1024, L=0.2, B=256, b0=128)
+        calls = []
+
+        def counted(*args, _fn=erm.solve, **kw):
+            calls.append(list(args[4]))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "solve", counted)
+        execute(sched, Dataset(X, y, k), seeds=(1, 2))
+        r = range
+        assert calls == [[r(0, 512), r(0, 256)], [r(256, 512)], [r(512, 768)],
+                         [r(256, 384)] * 2, [r(512, 768)] * 2, [r(512, 640)] * 2,
+                         [r(768, 896)] * 2]
+
+    def test_sliding_keeps_its_gathered_stacks(self, monkeypatch):
+        # a structural guard: each wave's events grouped by row count, in
+        # schedule order, each group split into near-equal stacks under the
+        # cap, every member's rows an index array that solve gathers
+        T, d, k = 600, 4, 3
+        stream = synth_stream(SynthConfig(d=d, k=k, n=T, sigma=0.3, seed=2))
+        sched = schedule_of("sliding", T, L=0.2, w=63, w0=1)
+        calls = []
+
+        def counted(*args, _fn=erm.solve, **kw):
+            calls.append(list(args[4]))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "solve", counted)
+        execute(sched, stream, seeds=(0,))
+        depth = _depths(sched)
+        want = []
+        for wave in range(1, max(depth.values()) + 1):
+            groups = {}
+            for e in sched.events:
+                if not e.adopt and depth[e.model_id] == wave:
+                    groups.setdefault(e.b - e.a + 1, []).append((e.a, e.b))
+            for n, members in groups.items():
+                member = (n * (d + k) + schedulers._SOLVE_ARRAYS * k * d) * 8
+                count = min(len(members), -(-len(members) * member // schedulers._SOLVE_BYTES))
+                size, extra = divmod(len(members), count)
+                cuts = list(itertools.accumulate([size + (j < extra) for j in range(count)],
+                                                 initial=0))
+                want += [members[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert [[(int(r[0]), int(r[-1])) for r in rows] for rows in calls] == want
+        assert all(isinstance(r, np.ndarray) and np.array_equal(r, np.arange(r[0], r[-1] + 1))
+                   for rows in calls for r in rows)
+
     def test_compute_bound_members_train_one_per_call(self, stream, monkeypatch):
         # a structural guard: stacking members above the cap again fails it.
         # The multires events train toward zero, one member each for every
