@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .erm import Dataset, evaluate_accuracy
-from .ledger import Ledger, RunningMax
+from .ledger import Ledger
 from .rng import make_rng
 from .schedulers import _STACK_BYTES, Schedule, execute
 
@@ -232,12 +232,10 @@ def replay(
     window whose copies for each of its models would exceed `_STACK_BYTES`
     is read in place once for all of them, and the other windows are
     gathered in chunks of about `_STACK_BYTES`. Each value equals the
-    model's own evaluation. eps_max is
-    the exact maximum per-point loss over the ledger's charges up to the
-    release step, the same for every seed, kept by `ledger.RunningMax` as
-    integer numerators over one common denominator and read before
-    returning, so charges added to the ledger afterwards do not reach it. In
-    non-private mode nothing is charged and eps_max stays 0.
+    model's own evaluation. eps_max, the same for every seed, is the exact
+    maximum per-point loss over the charges up to the release step, from
+    one `Ledger.running_max` query; non-private, nothing is charged and it
+    is 0.
     """
     kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
     # an adopted continual base is its multires model, trained on [0, t - 1]
@@ -245,12 +243,11 @@ def replay(
     cfg = schedule.config
     batch = cfg.batch
     run = execute(schedule, stream, nonprivate=nonprivate, seeds=seeds)
-    running = RunningMax(Ledger() if nonprivate else ledger)
-    eps_max = {t: running.at(t) for t, _ in schedule.releases}
     steps, mids = np.array(schedule.releases, dtype=np.int64).reshape(-1, 2).T
     # every seed's releases but its skipped models, seed-major, each seed's in time order
     seat, which = np.nonzero(~run.skip[:, mids])
     steps, mids = steps[which], mids[which]
+    eps_max = (Ledger() if nonprivate else ledger).running_max(steps)
     models = run.weights[seat, mids]
     noise_l2 = run.noise_l2[seat, mids].tolist()
     starts = np.array([start_of[mid] for mid in mids.tolist()], dtype=np.int64)
@@ -274,7 +271,7 @@ def replay(
         acc_test=acc_test[r],
         acc_old=acc_old[r],
         noise_l2=noise_l2[r],
-        eps_max=eps_max[t],
+        eps_max=eps_max[r],
         seed=seeds[i],
     ) for r, (i, t, mid) in enumerate(zip(seat.tolist(), steps.tolist(), mids.tolist()))]
 

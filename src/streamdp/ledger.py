@@ -19,11 +19,11 @@ in O(charges) memory rather than O(stream). A ledger forms the segments of
 all its charges once. `Ledger.max_point_loss` (and `assert_budget`, one call
 per subsystem) sweeps them once: each charge adds its numerator at its first
 segment and takes it off past its last, and a cumulative sum gives every
-segment's total. `RunningMax` adds the charges in time order to a list of
-the same segments' totals, one slice at a time, to keep the largest total
-after each step. A bound b must stay below 2**63 - 1, so that b + 1 is an
-int64 too. A Fraction is formed only for a result, so the geometric-series
-budget assertions are exact rather than float-tolerant.
+segment's total. `Ledger.running_max` expands each charge over its segments,
+takes each segment's prefix sums in time order and reads, at each queried
+time, the largest total so far. A bound b must stay below 2**63 - 1, so that
+b + 1 is an int64 too. A Fraction is formed only for a result, so the
+geometric-series budget assertions are exact rather than float-tolerant.
 """
 
 from __future__ import annotations
@@ -75,12 +75,18 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.astype(object) * y.astype(object)
 
 
+def _summable(nums: np.ndarray) -> np.ndarray:
+    """nonnegative nums, as Python ints if a sum of them could leave int64."""
+    if nums.dtype != object and int(nums.max(initial=0)) * len(nums) > _INT64_MAX:
+        return nums.astype(object)
+    return nums
+
+
 def _sweep(lo, hi, nums, size: int) -> np.ndarray:
     """Per-segment totals of charges over `size` segments, charge i adding
     nums[i] to segments lo[i] .. hi[i] - 1: the cumulative sum of each
     charge's +nums[i] at lo[i] and -nums[i] at hi[i]."""
-    if nums.dtype != object and int(nums.max(initial=0)) * len(nums) > _INT64_MAX:
-        nums = nums.astype(object)  # a sum of the numerators could leave int64
+    nums = _summable(nums)
     deltas = np.zeros(size + 1, dtype=nums.dtype)
     np.add.at(deltas, lo, nums)
     np.add.at(deltas, hi, -nums)
@@ -211,26 +217,17 @@ class Ledger:
             self._segs = bounds, segs[: len(a)], segs[len(a) :]
         return self._segs
 
-    def _picked(self, subsystems) -> np.ndarray:
-        """Which charges a max_point_loss or point_loss argument selects:
-        None for all subsystems, a name or a sequence of names."""
-        if subsystems is None:
-            subsystems = self.subsystems
-        elif isinstance(subsystems, str):
-            subsystems = (subsystems,)
-        return np.array([s in subsystems for s in self.subsystems], dtype=bool)[self.column("sub")]
-
-    def point_loss(self, index: int, subsystems=None) -> Fraction:
-        hit = self._picked(subsystems) & (self.column("a") <= index) & (index <= self.column("b"))
-        return Fraction(sum(self.column("num")[hit].tolist()), self.den)
-
     def max_point_loss(self, subsystems=None) -> tuple[int | None, Fraction]:
         """Maximum cumulative charge over all touched indices, by one sweep.
 
         Returns (witness index, exact total), the witness being the first
         index where the maximum is reached; (None, 0) for no charges.
         """
-        picked = self._picked(subsystems)
+        if subsystems is None:
+            subsystems = self.subsystems
+        elif isinstance(subsystems, str):
+            subsystems = (subsystems,)
+        picked = np.array([s in subsystems for s in self.subsystems], dtype=bool)[self.column("sub")]
         num = self.column("num")[picked]
         if not len(num):
             return None, Fraction(0)
@@ -238,6 +235,43 @@ class Ledger:
         totals = _sweep(lo[picked], hi[picked], num, len(bounds))
         seg = int(totals.argmax())
         return int(bounds[seg]), Fraction(int(totals[seg]), self.den)
+
+    def running_max(self, times) -> list[Fraction]:
+        """The exact maximum per-point loss over the charges with time <= t,
+        for each t in times, in the order given; the times may repeat and
+        come in any order, and before the first charge the maximum is 0.
+        Charges are positive, so a segment's total only grows, and the maximum
+        after a charge is the larger of the maximum before it and the totals
+        it leaves on its own segments."""
+        _, lo, hi = self._segmented()
+        # the charges in time order
+        order = self.column("time").argsort(kind="stable")
+        charge_time, lo, hi = self.column("time")[order], lo[order], hi[order]
+        # each charge expanded over its segments lo .. hi - 1, charge by charge;
+        # `first` is each charge's first entry
+        counts = hi - lo
+        first = counts.cumsum() - counts
+        entry_seg = np.arange(counts.sum()) + np.repeat(lo - first, counts)
+        entry_num = _summable(np.repeat(self.column("num")[order], counts))
+        # the entries grouped by segment, each segment's in time order
+        by_seg = entry_seg.argsort(kind="stable")
+        seg_sorted, num_sorted = entry_seg[by_seg], entry_num[by_seg]
+        # each segment's prefix sums: the running sum of all entries, less
+        # its value before the segment's first entry
+        running = num_sorted.cumsum()
+        seg_start = np.flatnonzero(np.diff(seg_sorted, prepend=-1))
+        seg_size = np.diff(seg_start, append=len(seg_sorted))
+        before = np.repeat(running[seg_start] - num_sorted[seg_start], seg_size)
+        totals = np.empty_like(running)
+        totals[by_seg] = running - before
+        # the largest total each charge leaves, then the maximum up to each charge
+        charge_best = np.maximum.reduceat(totals, first)
+        best_after = np.maximum.accumulate(charge_best)
+        # at t, the maximum after the last charge with time <= t, 0 before any
+        charged = charge_time.searchsorted(times, side="right")
+        best_at = np.concatenate((np.zeros(1, dtype=best_after.dtype), best_after))[charged]
+        eps = {num: Fraction(num, self.den) for num in set(best_at.tolist())}
+        return [eps[num] for num in best_at.tolist()]
 
     def assert_budget(self) -> BudgetReport:
         """Per-subsystem pass/fail with the witness point of maximal loss, for
@@ -268,37 +302,3 @@ class Ledger:
                 for t, a, b, s, m, n, d in rows
             )
 
-
-class RunningMax:
-    """Exact maximum per-point loss over a ledger's charges with time <= t.
-
-    Charges are positive, so per-point totals only grow and the maximum is
-    monotone in t. Each charge, taken in time order, adds its numerator to
-    its slice of the ledger's segment totals (see `Ledger._segmented`), Python ints,
-    and folds that slice's maximum into the best so far; the total work is
-    the sum of the charges' segment counts. Charges added to the ledger
-    afterwards do not reach it. `at` is meant for non-decreasing t: a
-    smaller t than one already seen returns the maximum at the largest t seen.
-    """
-
-    def __init__(self, ledger: Ledger):
-        order = ledger.column("time").argsort(kind="stable")
-        bounds, lo, hi = ledger._segmented()
-        cols = (ledger.column("time"), lo, hi, ledger.column("num"))
-        self._charges = list(zip(*(col[order].tolist() for col in cols)))
-        self._totals = [0] * len(bounds)
-        self._den = ledger.den
-        self._pos = 0
-        self._best, self._eps = 0, Fraction(0)
-
-    def at(self, t: int) -> Fraction:
-        charges, totals, pos, best = self._charges, self._totals, self._pos, self._best
-        while pos < len(charges) and charges[pos][0] <= t:
-            _, lo, hi, num = charges[pos]
-            totals[lo:hi] = seg = [total + num for total in totals[lo:hi]]
-            best = max(best, max(seg))
-            pos += 1
-        if best != self._best:
-            self._eps = Fraction(best, self._den)
-        self._pos, self._best = pos, best
-        return self._eps

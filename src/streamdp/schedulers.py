@@ -858,7 +858,7 @@ def _ledger_by_template(fh, budgets) -> Ledger:
 
 def _ledger_by_lines(fh, budgets) -> Ledger:
     """Charge each event line left in fh on its own; a LedgerError names the
-    first bad line."""
+    first bad line. A JSON boolean is no integer here, as in the header."""
     ledger = Ledger(budgets=budgets)
     for lineno, line in enumerate(fh, start=2):
         try:
@@ -866,6 +866,8 @@ def _ledger_by_lines(fh, budgets) -> Ledger:
             sub = KIND_SUBSYSTEM[rec["kind"]]
             if sub not in budgets:
                 raise LedgerError(f"the header has no {sub} budget")
+            if any(isinstance(rec[key], bool) for key in ("t", "a", "b", "eps_num", "eps_den")):
+                raise TypeError("t, a, b, eps_num and eps_den must be integers, not booleans")
             charge = Fraction(rec["eps_num"], rec["eps_den"])
             if charge != 0:
                 ledger.charge((rec["a"], rec["b"]), charge, sub, rec["t"], rec["kind"])

@@ -947,13 +947,31 @@ class TestVerifyLedger:
         assert code == EXIT_DATA and out == ""
         assert "malformed trace line 4000:" in err
 
-    def test_bool_charges_verify_as_the_integers_they_are(self, capsys, tmp_path):
-        plain = [self.mr(8, 0, 0, 7), {**self.mr(8, 0, 0, 7), "eps_num": 0}]
-        code, out, _ = run_cli(capsys, "verify-ledger", str(self.make_trace(tmp_path, plain)))
-        bools = [{**plain[0], "eps_num": True}, {**plain[1], "eps_num": False}]
-        assert (code, out) == run_cli(capsys, "verify-ledger",
-                                      str(self.make_trace(tmp_path, bools)))[:2]
-        assert code == EXIT_OK and out.startswith("max point loss: 1/2 at index 0\n")
+    @pytest.mark.parametrize("field", ["t", "a", "b", "eps_num", "eps_den"])
+    def test_a_bool_in_an_event_line_is_refused(self, capsys, tmp_path, field):
+        # a JSON boolean is no integer of the trace's grammar, in an event line
+        # as in the header, though Python would take true and false as 1 and 0
+        for value in (True, False):
+            p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7),
+                                           {**self.mr(16, 0, 8, 15), field: value}])
+            code, out, err = run_cli(capsys, "verify-ledger", str(p))
+            assert code == EXIT_DATA and out == ""
+            assert "malformed trace line 3: t, a, b, eps_num and eps_den must be integers, " \
+                   "not booleans" in err
+
+    def test_a_true_charge_in_a_written_trace_is_refused(self, capsys, tmp_path):
+        written = tmp_path / "trace.jsonl"
+        code, _, err = run_cli(capsys, "inspect-schedule", "--scheduler", "continual-sample",
+                               "--B", "16", "--b0", "4", "--epsilon", "1", "--lambda", "1",
+                               "--T", "300", "--trace", str(written))
+        assert code == EXIT_OK, err
+        recs = [json.loads(line) for line in written.read_text().splitlines()]
+        first = next(i for i, rec in enumerate(recs) if i and rec["eps_num"] == 1)
+        written.write_text("".join(json.dumps({**rec, "eps_num": True} if i and rec["eps_num"] == 1
+                                              else rec) + "\n" for i, rec in enumerate(recs)))
+        code, out, err = run_cli(capsys, "verify-ledger", str(written))
+        assert code == EXIT_DATA and out == ""
+        assert f"malformed trace line {first + 1}: " in err and "not booleans" in err
 
     def test_zero_and_huge_charges_verify_exactly(self, capsys, tmp_path):
         # a zero charge is skipped, and a denominator past 64 bits stays exact
@@ -968,14 +986,11 @@ class TestVerifyLedger:
         (lambda recs: "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs), 1),
         (lambda recs: "".join(json.dumps(rec, separators=(" ,  ", " :  ")) + " \n"
                               for rec in recs), 1),
-        # an event's charge of true reads as 1; a header's would be refused
-        (lambda recs: "".join(json.dumps({**rec, "eps_num": True} if i and rec["eps_num"] == 1
-                                         else rec) + "\n" for i, rec in enumerate(recs)), 1),
         # text mode reads any line end as "\n", for the template as for json.loads
         (lambda recs: "".join(json.dumps(rec) + "\r\n" for rec in recs), 0),
         (lambda recs: "".join(json.dumps(rec) + ("\r" if i == 0 else "\n")
                               for i, rec in enumerate(recs)), 0),
-    ], ids=["sorted-keys", "spaces", "true-charges", "crlf", "cr-after-header"])
+    ], ids=["sorted-keys", "spaces", "crlf", "cr-after-header"])
     def test_a_rewritten_trace_verifies_like_the_written_one(self, rewrite, fallbacks, capsys,
                                                               tmp_path, monkeypatch):
         # another layout is read line by line, to the same ledger and report

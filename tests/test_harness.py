@@ -21,7 +21,6 @@ from streamdp import (
 )
 from streamdp.cli import SCHEDULERS
 from streamdp.harness import CSV_HEADER, accuracy_quartiles
-from streamdp.ledger import Ledger
 from streamdp.schedulers import build_schedule, execute, export_trace, ledger_from_events
 from conftest import idx_images_bytes, idx_labels_bytes
 
@@ -331,7 +330,7 @@ class TestBatchedEvaluation:
 
 
 class TestReplayEpsMaxDifferential:
-    """Every release's eps_max against a brute-force max of Ledger.point_loss."""
+    """Every release's eps_max against a brute-force max over each point's charges."""
 
     SEEDS = (0, 1)
 
@@ -345,9 +344,9 @@ class TestReplayEpsMaxDifferential:
 
     def brute_force(self, ledger, t):
         charges = [c for c in ledger.charges if c.time <= t]
-        prefix = Ledger(charges=charges)
         points = {i for c in charges for i in range(c.a, c.b + 1)}
-        return max((prefix.point_loss(i) for i in points), default=Fraction(0))
+        return max((sum((c.eps for c in charges if c.a <= i <= c.b), Fraction(0))
+                    for i in points), default=Fraction(0))
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_matches_brute_force_point_loss(self, name):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdp import Charge, Ledger, LedgerError
-from streamdp.ledger import RunningMax
 
 
 def brute_force_max(charges):
@@ -62,23 +61,6 @@ class TestCharge:
             ("other", None, Fraction(1), False), ("multires", Fraction(1), Fraction(0), True)]
 
 
-class TestPointLoss:
-    def test_overlapping_intervals_sum(self):
-        led = Ledger()
-        led.charge((0, 7), Fraction(1, 2), "multires", 8, "m")
-        led.charge((4, 7), Fraction(1, 4), "multires", 8, "m")
-        assert led.point_loss(5) == Fraction(3, 4)
-        assert led.point_loss(2) == Fraction(1, 2)
-        assert led.point_loss(9) == 0
-
-    def test_subsystem_filter(self):
-        led = Ledger()
-        led.charge((0, 3), Fraction(1, 2), "multires", 4, "m")
-        led.charge((0, 3), Fraction(1, 3), "continual", 4, "c")
-        assert led.point_loss(0, "multires") == Fraction(1, 2)
-        assert led.point_loss(0, ("multires", "continual")) == Fraction(5, 6)
-
-
 class TestMaxPointLoss:
     def test_empty_ledger(self):
         assert Ledger().max_point_loss() == (None, Fraction(0))
@@ -120,20 +102,31 @@ class TestMaxPointLoss:
 
 
 class TestRunningMax:
-    def test_no_charges(self):
-        assert RunningMax(Ledger()).at(5) == 0
+    """Each time's maximum on its own, against the sweep over the charges up to it."""
 
-    @given(timed_charges, st.lists(st.integers(-1, 14), min_size=1, max_size=10))
+    @staticmethod
+    def prefix_max(led, t):
+        return Ledger(charges=[c for c in led.charges if c.time <= t]).max_point_loss()[1]
+
+    def test_empty_ledger(self):
+        assert Ledger().running_max([5, -1, 5]) == [0, 0, 0]
+        assert Ledger().running_max([]) == []
+
+    def test_times_in_any_order_repeated_and_outside_the_charges(self):
+        led = Ledger()
+        led.charge((0, 7), Fraction(1, 2), "sliding", 3, "m")
+        led.charge((4, 9), Fraction(1, 3), "sliding", 6, "m")
+        half, most = Fraction(1, 2), Fraction(5, 6)
+        assert led.running_max([9, 0, 6, 3, 6, -5, 5]) == [most, 0, most, half, most, 0, half]
+        # a query is pure: a later one sees charges added since
+        led.charge((9, 9), Fraction(1), "sliding", 7, "m")
+        assert led.running_max([6, 7]) == [most, Fraction(4, 3)]
+
+    @given(timed_charges, st.lists(st.integers(-3, 16), max_size=12))
     @settings(max_examples=150, deadline=None)
-    def test_matches_sweep_over_each_time_prefix(self, raw, queries):
+    def test_each_time_matches_the_sweep_of_its_prefix(self, raw, times):
         led = ledger_of(raw)
-        running = RunningMax(led)
-        seen = -1
-        for t in queries:
-            # a step earlier than one already seen keeps the later maximum
-            seen = max(seen, t)
-            prefix = Ledger(charges=[c for c in led.charges if c.time <= seen])
-            assert running.at(t) == prefix.max_point_loss()[1]
+        assert led.running_max(times) == [self.prefix_max(led, t) for t in times]
 
 
 class TestBudgetReport:
@@ -201,10 +194,8 @@ class TestExactness:
     def test_huge_denominators_match_brute_force(self, raw, queries):
         led = ledger_of(raw)
         assert led.max_point_loss() == brute_force_max(led.charges)
-        running = RunningMax(led)
-        for t in sorted(queries):
-            prefix = [c for c in led.charges if c.time <= t]
-            assert running.at(t) == brute_force_max(prefix)[1]
+        assert led.running_max(queries) == [
+            brute_force_max([c for c in led.charges if c.time <= t])[1] for t in queries]
 
     def test_mixed_huge_denominators(self):
         led = Ledger()
@@ -213,9 +204,8 @@ class TestExactness:
         assert led.den == 2**70 * 3**45
         assert led.max_point_loss() == (5, Fraction(1, 2**70) + Fraction(1, 3**45))
         assert led.max_point_loss() == brute_force_max(led.charges)
-        running = RunningMax(led)
-        assert running.at(0) == Fraction(1, 2**70)
-        assert running.at(1) == Fraction(1, 2**70) + Fraction(1, 3**45)
+        assert led.running_max([1, 0]) == [Fraction(1, 2**70) + Fraction(1, 3**45),
+                                           Fraction(1, 2**70)]
 
     def test_int64_numerators_whose_sum_overflows(self):
         led = Ledger()
@@ -223,7 +213,8 @@ class TestExactness:
             led.charge((t, 10), Fraction(2**62), "sliding", t, "m")
         assert led.column("num").dtype == np.int64
         assert led.max_point_loss() == (3, Fraction(2**64))
-        assert RunningMax(led).at(3) == Fraction(2**64)
+        assert led.running_max([3, 2, 1]) == [Fraction(2**64), Fraction(3 * 2**62),
+                                              Fraction(2**63)]
 
     def test_rescaling_past_64_bits_keeps_earlier_charges(self):
         led = Ledger()
@@ -238,7 +229,7 @@ class TestExactness:
         led = Ledger(budgets={"sliding": Fraction(1)})
         led.charge((0, 2**63 - 2), Fraction(100), "sliding", 0, "m")
         assert led.max_point_loss() == (0, Fraction(100))
-        assert RunningMax(led).at(0) == Fraction(100)
+        assert led.running_max([0]) == [Fraction(100)]
         assert not led.assert_budget().ok
         with pytest.raises(LedgerError, match="b below 9223372036854775807"):
             led.charge((0, 2**63 - 1), Fraction(100), "sliding", 0, "m")

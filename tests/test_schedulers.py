@@ -14,6 +14,7 @@ import pytest
 
 from streamdp import (
     Dataset,
+    Ledger,
     ScheduleError,
     SchedulerConfig,
     SynthConfig,
@@ -375,12 +376,21 @@ class TestExecute:
         norms = [r.noise_l2[0, e.model_id] for e in sched.events]
         assert len(set(norms)) == len(norms) == len(sched.events)
 
-    def test_ledger_matches_dry_run(self, stream):
-        # execute charges nothing; a run's eps_max comes from the dry run's charges
-        sched = schedule_of("continual", stream.n, L=0.2, B=8, b0=2)
+    @pytest.mark.parametrize("name,sizes", [("continual", dict(B=8, b0=2)),
+                                            ("sliding", dict(w=28, w0=4))],
+                             ids=["continual", "sliding"])
+    def test_ledger_matches_dry_run(self, stream, name, sizes):
+        # execute charges nothing; each record's eps_max is the maximum over
+        # the dry run's charges up to its step
+        sched = schedule_of(name, stream.n, L=0.2, **sizes)
         assert not hasattr(self.run(sched, stream), "ledger")
         dry = ledger_from_events(sched)
         recs = replay(stream, sched, dry)
+        assert [r.t for r in recs] == [t for t, _ in sched.releases]
+        for r in recs:
+            prefix = Ledger(charges=[c for c in dry.charges if c.time <= r.t])
+            assert r.eps_max == prefix.max_point_loss()[1]
+        assert len({r.eps_max for r in recs}) > 1
         assert recs[-1].eps_max == dry.max_point_loss()[1]
 
     def test_nonprivate_disables_ledger_and_noise(self, stream):
