@@ -288,7 +288,10 @@ def _split_test(stream: Dataset, cfg: argparse.Namespace):
             raise UsageError("tail split leaves an empty stream or test set")
         return stream.slice(0, cut - 1), stream.slice(cut, stream.n - 1)
     classes = np.arange(stream.k) if stream.classes is None else stream.classes
-    return stream, _load_source(cfg.test, cfg, classes)
+    test = _load_source(cfg.test, cfg, classes)
+    if test.d != stream.d:  # refused before any model is trained on the stream
+        raise HarnessError(f"the test set has {test.d} features, the stream {stream.d}")
+    return stream, test
 
 
 def _seed_path(output: str, seed: int, multi: bool) -> str:

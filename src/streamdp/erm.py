@@ -314,17 +314,18 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
     kept with weight 0. The members run in lockstep, and a certified member
     leaves the stack, whose arrays shrink to the members left.
 
-    rows holds one row set per member, a range or an array of row indices.
+    rows holds one row set per member, a range or an array of row indices,
+    none of them empty: an empty one raises ErmError naming its member.
     Where every set is a range of step 1, each member reads its range of
     data.X in place, in chunks of _CHUNK_ROWS rows from its own start, and
     the ranges may differ in size: a chunk that several members have (one
     start and length) is read once for all of them, with one product for
     them all where `_stacked_product` admits its shape (see `_objective`).
     Otherwise the sets must all be of one size, and each member's rows are
-    gathered into a block of its own. Either way every operation gives each
-    member's slice the bits it gets alone, so a member's weights do not
-    depend on the other members of its stack: solved alone, it gets the
-    same bits.
+    gathered into a block of its own (a gathered stack). Either way every
+    operation gives each member's slice the bits it gets alone, so a
+    member's weights do not depend on the other members of its stack:
+    solved alone, it gets the same bits.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ErmError(f"lambda must be > 0 and finite, got {lam}")
@@ -340,16 +341,19 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
         rows = [range(data.n)] * S
     elif len(rows) != S:
         raise ErmError("need one row set per member")
-    if min(map(len, rows)) == 0:
-        raise ErmError("the members of a stack need equal, non-empty row sets")
+    sizes = [len(r) for r in rows]
+    if 0 in sizes:
+        raise ErmError(f"member {sizes.index(0)} of the stack has no rows")
     if all(isinstance(r, range) and r.step == 1 for r in rows):
         spans = np.array([(r.start, len(r)) for r in rows], dtype=np.int64)
         if spans[:, 0].min() < 0 or spans.sum(axis=1).max() > data.n:
             raise ErmError(f"training rows must lie in [0, {data.n})")
         X, y = data.X, data.y
     else:
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ErmError("the members of a stack need equal, non-empty row sets")
+        if len(set(sizes)) > 1:
+            j = next(j for j, n in enumerate(sizes) if n != sizes[0])
+            raise ErmError(f"the members of a gathered stack need equal row sets: member {j} "
+                           f"has {sizes[j]} rows, member 0 has {sizes[0]}")
         idx = np.array([np.asarray(r) for r in rows], dtype=np.int64)
         if idx.min() < 0 or idx.max() >= data.n:
             raise ErmError(f"training rows must lie in [0, {data.n})")

@@ -455,7 +455,10 @@ _STACK_BYTES = 160 << 10
 # up to about _SOLVE_BYTES of these: stacking spreads the per-call cost of
 # the solver's and the noise draw's numpy operations over many small
 # members. Sliding-w255's 5,473 tiny events ran in 260, 224, 194 and 204 ms
-# at caps of 1, 2, 4 and 8 MiB, at one peak RSS.
+# at caps of 1, 2, 4 and 8 MiB, at one peak RSS. A set of members that read
+# chunks in place for each other goes past the cap up to the bytes of its
+# rows, which are in memory already (`_in_place_stacks`): cutting it would
+# read its shared chunks once per stack.
 _SOLVE_BYTES = 4 << 20
 _SOLVE_ARRAYS = 2 * SOLVE_MEMORY + 8
 
@@ -484,18 +487,21 @@ def execute(
     their own rows, each seed is a member of one seat. A stack of members
     is solved in lockstep by `pberm` with its config's lambda toward each
     member's regularizer (the zero model without one), to each event's
-    tolerance tau, one call per stack (`_stacks`). Where copies of an
-    unsampled event's range for each of its members would take more than
-    _STACK_BYTES, its members read the range in place, in chunks of
-    `erm._CHUNK_ROWS` rows from its start, and the wave's members that read
-    a common chunk, joined transitively, are stacked together
-    (`_chunk_sharing`), in order of start, longest first, so that a split
-    under _SOLVE_BYTES keeps members that share chunks together: the solve
-    reads each shared chunk once for all of them. Otherwise, and for a
-    sampled event's members, each member reads its own rows as an index
-    array that the solve gathers, and the members of one row count are
-    pooled. Either way a set of members is split into near-equal stacks of
-    about _SOLVE_BYTES. `pberm` fans each solved
+    tolerance tau, one call per stack. Where copies of an unsampled event's
+    range for each of its members would take more than _STACK_BYTES, its
+    members read the range in place, in chunks of `erm._CHUNK_ROWS` rows
+    from its start, and the wave's members that read a common chunk, joined
+    transitively, form a set (`_chunk_sharing`), in order of start, longest
+    first: the solve reads each shared chunk once for all the members of a
+    stack. The sets are stacked in order (`_in_place_stacks`): small sets
+    are packed whole into one stack up to _SOLVE_BYTES, and a set over it
+    is a stack of its own while its solver state is at most the bytes of
+    the distinct rows it reads, and past that is split into near-equal
+    stacks under the larger of the two. So a set is cut only where its
+    state would outgrow its data and the cap. Otherwise, and for a sampled event's members, each
+    member reads its own rows as an index array that the solve gathers, and
+    the members of one row count are pooled and split into near-equal
+    stacks of about _SOLVE_BYTES (`_stacks`). `pberm` fans each solved
     member out to its (seed, event) releases with one index and perturbs
     them in one draw. Solving is deterministic and a member's result does
     not depend on its stack-mates, and a seed's subsample and noise streams
@@ -582,11 +588,11 @@ def execute(
                     weights[i, e.model_id] = weights[i, source[e.model_id]]
                 else:
                     groups.setdefault(len(rows), []).append((e, (i,), rows))
-        stacks = [(stack, False) for members in _chunk_sharing(in_place)
-                  for stack in _stacks(members, sum(member_bytes(len(rows), False)
-                                                    for _, _, rows in members))]
+        stacks = [(stack, False) for stack in _in_place_stacks(
+            _chunk_sharing(in_place), lambda n: member_bytes(n, False), stream.d * 8)]
         stacks += [(stack, True) for n, members in groups.items()
-                   for stack in _stacks(members, len(members) * member_bytes(n, True))]
+                   for stack in _stacks(members, len(members) * member_bytes(n, True),
+                                        _SOLVE_BYTES)]
         for members, gathered in stacks:
             rows = [r for _, _, r in members]
             if gathered:  # as index arrays, which solve gathers into blocks
@@ -649,11 +655,43 @@ def _chunk_sharing(members):
             for m in sets.values()]
 
 
-def _stacks(members, total_bytes):
-    """Split members, in order, into near-equal stacks of about _SOLVE_BYTES,
+def _in_place_stacks(sets, state, row_bytes):
+    """The stacks of a wave's in-place members, from their chunk-sharing
+    sets in order (`_chunk_sharing`), where state(n) is what a solve holds
+    for a member that reads n rows and row_bytes the bytes of one row.
+
+    A set is added whole to the current stack while the stack stays within
+    _SOLVE_BYTES, so small sets share one call; one that does not fit closes
+    the current stack. A set over _SOLVE_BYTES on its own is one stack
+    while its state is at most the bytes of the distinct rows it reads,
+    which are in memory already, and past that is split, in order, into
+    near-equal stacks under the larger of those bytes and _SOLVE_BYTES
+    (`_stacks`): a set is cut only where its solver state would outgrow
+    both."""
+    stack, held = [], 0
+    for members in sets:
+        size = sum(state(len(rows)) for _, _, rows in members)
+        if stack and held + size > _SOLVE_BYTES:
+            yield stack
+            stack, held = [], 0
+        if held + size <= _SOLVE_BYTES:
+            stack += members
+            held += size
+            continue
+        distinct, end = 0, 0  # the rows of the union of the ranges, by start
+        for _, _, rows in members:
+            distinct += max(0, rows.stop - max(rows.start, end))
+            end = max(end, rows.stop)
+        yield from _stacks(members, size, max(_SOLVE_BYTES, distinct * row_bytes))
+    if stack:
+        yield stack
+
+
+def _stacks(members, total_bytes, cap):
+    """Split members, in order, into near-equal stacks of about cap bytes,
     the members holding total_bytes in all: as many stacks as total_bytes
     over the cap, rounded up, and at most one per member."""
-    count = min(len(members), -(-total_bytes // _SOLVE_BYTES))
+    count = min(len(members), -(-total_bytes // cap))
     size, extra = divmod(len(members), count)
     start = 0
     for j in range(count):

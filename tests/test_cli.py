@@ -565,6 +565,24 @@ class TestTestLabels:
                                "--output", str(tmp_path / "m.csv"))
         assert code == EXIT_DATA and "label 3 in row 4 is not a class of the stream" in err
 
+    @pytest.mark.parametrize("stream_d,test_d", [(3, 4), (4, 3)])
+    def test_a_test_set_of_another_width_exits_3_before_training(
+            self, capsys, tmp_path, monkeypatch, stream_d, test_d):
+        rng = np.random.default_rng(0)
+        for name, d, n in (("s", stream_d, 64), ("t", test_d, 20)):
+            rows = np.column_stack([rng.standard_normal((n, d)), np.arange(n) % 2])
+            np.savetxt(tmp_path / f"{name}.csv", rows, delimiter=",", fmt="%.17g")
+        monkeypatch.setattr(cli, "replay",
+                            lambda *a, **kw: pytest.fail("trained before the width check"))
+        out = tmp_path / "m.csv"
+        code, _, err = run_cli(capsys, "run", "--scheduler", "multires", "--B", "16",
+                               "--epsilon", "1", "--lambda", "1",
+                               "--source", f"csv:{tmp_path}/s.csv",
+                               "--test", f"csv:{tmp_path}/t.csv", "--output", str(out))
+        assert code == EXIT_DATA
+        assert err == f"error: the test set has {test_d} features, the stream {stream_d}\n"
+        assert not out.exists()
+
 
 class TestNoRelease:
     @pytest.mark.parametrize("seeds", ["1", "1,2"])

@@ -233,13 +233,19 @@ class TestSolve:
         ((1.0, 0.0, None), "tolerances must be positive and finite"),
         ((1.0, float("inf"), None), "tolerances must be positive and finite"),
         ((1.0, 1e-6, [range(0, 3)]), "need one row set per member"),
-        ((1.0, 1e-6, [np.arange(0, 3), np.arange(0, 4)]), "equal, non-empty row sets"),
-        ((1.0, 1e-6, [range(0, 0), range(0, 0)]), "equal, non-empty row sets"),
+        ((1.0, 1e-6, [np.arange(0, 3), np.arange(0, 4)]),
+         "^the members of a gathered stack need equal row sets: member 1 has 4 rows, "
+         "member 0 has 3$"),
+        ((1.0, 1e-6, [range(0, 0), range(0, 0)]), "^member 0 of the stack has no rows$"),
+        ((1.0, 1e-6, [range(0, 6), range(7, 7)]), "^member 1 of the stack has no rows$"),
+        ((1.0, 1e-6, [np.arange(0, 3), np.array([], dtype=np.int64)]),
+         "^member 1 of the stack has no rows$"),
         ((1.0, 1e-6, [range(8, 11), range(8, 11)]), r"training rows must lie in \[0, 10\)"),
         ((1.0, 1e-6, [np.array([0, 10]), np.array([1, 2])]),
          r"training rows must lie in \[0, 10\)"),
     ], ids=["lambda-0", "lambda-nan", "tau-0", "tau-inf", "one-row-set", "unequal-sizes",
-            "empty", "range-past-the-end", "index-past-the-end"])
+            "empty", "empty-beside-a-range", "empty-index-array", "range-past-the-end",
+            "index-past-the-end"])
     def test_bad_arguments_raise_erm_error(self, rng, args, message):
         data = random_dataset(rng, 10, 2, 2)
         lam, tau, rows = args

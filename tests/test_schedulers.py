@@ -589,9 +589,11 @@ def _depths(schedule):
 class TestWaves:
     """execute's dependency waves against the per-event loop, bit for bit.
 
-    `layout` shrinks the caps on a stacked call, down to 1 byte, where every
-    member is a call of its own and reads its rows in place, so that waves
-    split into several calls.
+    `layout` shrinks the caps on a stacked call, so that waves split into
+    several calls. At 1 byte every unsampled event's members read their
+    rows in place, and every member is still a call of its own: a gathered
+    one since it is over the cap, and one read in place since at d = 4 its
+    solver state alone is more than the bytes of the rows its set reads.
     """
 
     SEEDS = (1, 2, 3, 2)
@@ -658,35 +660,65 @@ class TestWaves:
         assert sum(calls) == len(trained)
         assert len(calls) <= waves * len(sizes) * chunks < len(trained) / 2
 
-    def test_in_place_members_that_share_chunks_share_stacks(self, monkeypatch):
-        # a structural guard: one stack per event, or counting a member read
-        # in place by its whole range's scores, fails it. continual B=256,
-        # b0=128 on 1,024 image-shaped points, 128-row chunks, every member
-        # read in place, a cap of two members of one chunk's scores. Wave 1's
-        # multires events on [0, 255], [256, 511] and [0, 511] share chunks,
-        # ordered by start, longest first, and split in two stacks. Wave 2's
-        # updates have a member per seed; the LargeUpdate on [512, 767]
-        # shares a chunk with the SmallUpdate on [512, 639], and their four
-        # members split in two stacks, where whole ranges' scores take three.
+    @pytest.mark.parametrize("nonprivate", [False, True])
+    def test_in_place_sets_are_cut_only_past_their_rows(self, monkeypatch, nonprivate):
+        # a structural guard: cutting every set under the cap, one stack per
+        # set, or counting a member read in place by its whole range's scores
+        # fails it. continual B=512, b0=128 on 2,048 image-shaped points,
+        # 128-row chunks, every member read in place, a cap of 2.5 members
+        # of one chunk's scores (a member's state is m, a row's bytes about
+        # m / 282). Wave 1's multires events on [0, 1023], [0, 511] and
+        # [512, 1023] share chunks: 3m, over the cap but within their 1,024
+        # rows, so one call (a). In a private run the updates have a member
+        # per seed. Wave 2's set on [512, 767] and [512, 639] holds 4m
+        # (private) or 2m, and the set on [1024, 1535], [1024, 1279] and
+        # [1024, 1151] 6m or 3m; past the cap and their 256 or 512 rows, a
+        # set splits into near-equal stacks under the cap (b). Wave 3's five
+        # 128-row updates share no chunk; nonprivate, sets of m pack two to a
+        # call (c), and private ones of 2m do not.
         monkeypatch.setattr(erm, "_CHUNK_ROWS", 128)
         k, d = 10, 784
-        monkeypatch.setattr(schedulers, "_SOLVE_BYTES",
-                            2 * (128 * k + schedulers._SOLVE_ARRAYS * k * d) * 8)
+        member = (128 * k + schedulers._SOLVE_ARRAYS * k * d) * 8
+        monkeypatch.setattr(schedulers, "_SOLVE_BYTES", 5 * member // 2)
         rng = np.random.default_rng(5)
-        y = rng.integers(0, k, size=1024)
-        X = 0.1 * rng.standard_normal((1024, d)) + 0.1 * (np.arange(d) % k == y[:, None])
-        sched = schedule_of("continual", 1024, L=0.2, B=256, b0=128)
+        y = rng.integers(0, k, size=2048)
+        X = 0.1 * rng.standard_normal((2048, d)) + 0.1 * (np.arange(d) % k == y[:, None])
+        sched = schedule_of("continual", 2048, L=0.2, B=512, b0=128)
         calls = []
 
         def counted(*args, _fn=erm.solve, **kw):
             calls.append(list(args[4]))
             return _fn(*args, **kw)
         monkeypatch.setattr(erm, "solve", counted)
-        execute(sched, Dataset(X, y, k), seeds=(1, 2))
+        execute(sched, Dataset(X, y, k), nonprivate, seeds=(1, 2))
         r = range
-        assert calls == [[r(0, 512), r(0, 256)], [r(256, 512)], [r(512, 768)],
-                         [r(256, 384)] * 2, [r(512, 768)] * 2, [r(512, 640)] * 2,
-                         [r(768, 896)] * 2]
+        wave_1 = [[r(0, 1024), r(0, 512), r(512, 1024)], [r(1024, 1536)]]
+        if nonprivate:
+            wave_2 = [[r(512, 768), r(512, 640)], [r(1024, 1536), r(1024, 1280)],
+                      [r(1024, 1152)]]
+            wave_3 = [[r(768, 896), r(1280, 1408)], [r(1536, 1664), r(1664, 1792)],
+                      [r(1792, 1920)]]
+        else:
+            wave_2 = [[r(512, 768)] * 2, [r(512, 640)] * 2, [r(1024, 1536)] * 2,
+                      [r(1024, 1280)] * 2, [r(1024, 1152)] * 2]
+            wave_3 = [[r(a, a + 128)] * 2 for a in (768, 1280, 1536, 1664, 1792)]
+        assert calls == wave_1 + wave_2 + wave_3
+
+    def test_continual_at_the_acceptance_shape_makes_one_call_per_wave(self, monkeypatch):
+        # a structural guard: a stack per set of in-place members again
+        # (29 calls) fails it. d = 20, B = 4096, b0 = 512, four seeds: the
+        # updates' 512-row members are read in place and share no chunk
+        # across events, and each wave's are packed into one stack
+        stream = synth_stream(SynthConfig(d=20, k=3, n=20000, sigma=0.5, seed=0))
+        sched = schedule_of("continual", stream.n, L=lipschitz_public(3, 512), B=4096, b0=512)
+        calls = []
+
+        def counted(*args, _fn=erm.solve, **kw):
+            calls.append(len(args[1]))  # the members
+            return _fn(*args, **kw)
+        monkeypatch.setattr(erm, "solve", counted)
+        execute(sched, stream, seeds=(1, 2, 3, 4))
+        assert len(calls) == max(_depths(sched).values()) == 3
 
     def test_sliding_keeps_its_gathered_stacks(self, monkeypatch):
         # a structural guard: each wave's events grouped by row count, in
