@@ -360,7 +360,7 @@ def cmd_run(cfg: argparse.Namespace) -> int:
     if multi and test is not None:
         q25, q50, q75 = accuracy_quartiles(all_records)
         summary = {"median_final_acc_test": q50, "q25": q25, "q75": q75,
-                   "seeds": list(cfg.seeds)}
+                   "seeds": list(seeds)}
         Path(_summary_path(cfg.output)).write_text(json.dumps(summary) + "\n")
         print(f"median final acc_test: {q50:.4f} (q25 {q25:.4f}, q75 {q75:.4f})")
     if not cfg.nonprivate and not report.ok:

@@ -1,10 +1,11 @@
 """Exact per-datapoint privacy accounting.
 
 Every release charges an inclusive interval of stream indices with an exact
-rational epsilon. A `Ledger` stores its charges as parallel integer columns:
-the interval bounds a and b, the time, a subsystem code, a mechanism code,
-and each charge's numerator over one common denominator, the LCM of the
-charges' denominators. Subsystem and mechanism names are interned, each
+rational epsilon. A `Ledger` stores its charges as parallel integer columns,
+each holding exactly the charges so far (`Ledger.extend` concatenates new
+ones): the interval bounds a and b, the time, a subsystem code, a mechanism
+code, and each charge's numerator over one common denominator, the LCM of
+the charges' denominators. Subsystem and mechanism names are interned, each
 code indexing the names charged so far in first-charge order. The
 numerators, and the sums a sweep forms of them, are int64 while a checked
 bound keeps them in range and Python ints otherwise, in the same code. A
@@ -111,7 +112,7 @@ class BudgetReport:
         return all(e.ok for e in self.entries)
 
 
-# A Ledger's integer columns, the rows of one (5, capacity) int64 array:
+# A Ledger's integer columns, the rows of one (5, charges) int64 array:
 # interval bounds, time, subsystem code and mechanism code. Each charge's
 # numerator over the common denominator is a column of its own ("num"),
 # which holds Python ints past a checked bound.
@@ -122,8 +123,9 @@ class Ledger:
     """Append-only charge log with per-subsystem rational budgets.
 
     The charges live in `_COLUMNS` and "num" (read with `column`), arrays
-    with room to grow by doubling; `den` is the common denominator of
-    "num", and `subsystems` and `mechanisms` name the "sub" and "mech" codes.
+    of one entry a charge, which `extend` replaces by longer ones; `den` is
+    the common denominator of "num", and `subsystems` and `mechanisms` name
+    the "sub" and "mech" codes.
     """
 
     def __init__(self, budgets: dict | None = None, charges=()):
@@ -131,7 +133,6 @@ class Ledger:
         self.den = 1
         self.subsystems: list[str] = []
         self.mechanisms: list[str] = []
-        self._n = 0
         self._rows = np.zeros((len(_COLUMNS), 0), dtype=np.int64)
         self._num = np.zeros(0, dtype=np.int64)
         self._segs = None  # _segmented's arrays, until the next extend
@@ -143,15 +144,15 @@ class Ledger:
                         [c.mechanism for c in charges])
 
     def column(self, name: str) -> np.ndarray:
-        """The live charges' values of "num" or one of `_COLUMNS`."""
+        """The charges' values of "num" or one of `_COLUMNS`."""
         if name == "num":
-            return self._num[: self._n]
-        return self._rows[_COLUMNS.index(name), : self._n]
+            return self._num
+        return self._rows[_COLUMNS.index(name)]
 
     @property
     def charges(self) -> list[Charge]:
         """The charges as records, in charge order, built on each access."""
-        rows = zip(*self._rows[:, : self._n].tolist(), self.column("num").tolist())
+        rows = zip(*self._rows.tolist(), self._num.tolist())
         return [Charge(a, b, Fraction(num, self.den), self.subsystems[sub], time,
                        self.mechanisms[mech])
                 for a, b, time, sub, mech, num in rows]
@@ -188,24 +189,13 @@ class Ledger:
         common = math.lcm(self.den, *set(den.tolist()))
         num = _product(num, common // den if common <= _INT64_MAX
                        else np.full(len(den), common, dtype=object) // den.astype(object))
-        n, m = self._n, len(num)
-        old = self.column("num")
-        if n and common != self.den:
+        old = self._num
+        if common != self.den:
             old = _product(old, np.array([common // self.den]))
-        wide = object if object in (old.dtype, num.dtype) else np.int64
-        if n + m > len(self._num) or self._num.dtype != wide:
-            # room for as many charges again, so that single charges append in
-            # amortised constant time
-            self._rows = np.concatenate((self._rows[:, :n], rows, np.zeros((len(_COLUMNS), n),
-                                                                           dtype=np.int64)), axis=1)
-            self._num = np.concatenate((old, num, np.zeros(n, dtype=wide)))
-        else:
-            self._rows[:, n : n + m] = rows
-            if n and common != self.den:
-                self._num[:n] = old
-            self._num[n : n + m] = num
+        self._rows = np.concatenate((self._rows, rows.astype(np.int64, copy=False)), axis=1)
+        self._num = np.concatenate((old, num))
         self.subsystems, self.mechanisms = list(names), list(index)
-        self.den, self._n = common, n + m
+        self.den = common
         self._segs = None
 
     def _segmented(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -753,15 +753,14 @@ def trace_record(e: EventSpec) -> dict:
 
 
 def trace_header(schedule: Schedule) -> dict:
-    """The first line of a trace: the scheduler (its config's name without
-    `-sample`), its eps (as eps_num and
-    eps_den, like an event's charge), its budgets, each an exact
-    [numerator, denominator] pair, and the lambda, Lipschitz constant and
-    tolerance share (`mechanisms.TAU_SHARE`) its events are calibrated
-    with."""
+    """The first line of a trace: the scheduler (its config's name, `-sample`
+    included), its eps (as eps_num and eps_den, like an event's charge), its
+    budgets, each an exact [numerator, denominator] pair, and the lambda,
+    Lipschitz constant and tolerance share (`mechanisms.TAU_SHARE`) its
+    events are calibrated with."""
     cfg = schedule.config
     return {
-        "scheduler": cfg.name.removesuffix("-sample"),
+        "scheduler": cfg.name,
         "eps_num": cfg.eps.numerator,
         "eps_den": cfg.eps.denominator,
         "budgets": {sub: [b.numerator, b.denominator] for sub, b in schedule.budgets.items()},
@@ -819,19 +818,18 @@ _TRACE_CHUNK = 1 << 20  # characters of trace lines ledger_from_trace matches at
 def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
     """The eps and the budgeted ledger of a trace `export_trace` wrote.
 
-    Line 1 must be the header. Its budgets are checked by value: they must
-    be the `schedule_budgets` of the scheduler it names at its eps (for
-    continual, with or without standalone bases), or a LedgerError naming
-    line 1 says they are not. Each later line is an event, charged to its
-    kind's subsystem with the kind as mechanism; a zero charge is skipped. A line that does not parse, or an event of a
-    subsystem the header has no budget for, raises LedgerError naming its
-    line number. A byte that is not UTF-8 is read as a lone surrogate, which
-    no field's grammar takes and json.loads refuses once the line is encoded.
+    Line 1 must be the header. It names a scheduler of `SCHEDULERS`, and its
+    budgets are checked by value: they must be the `schedule_budgets` of that
+    scheduler (without `-sample`) at its eps (for continual, with or without
+    standalone bases), or a LedgerError naming line 1 says they are not. Each
+    later line is an event, charged to its kind's subsystem with the kind as
+    mechanism; a zero charge is skipped. Any line end reads as a newline, and
+    the last line needs none.
 
-    The events are matched by `_TRACE_PATTERN`, the writer's own template, in
-    chunks of `_TRACE_CHUNK` characters and charged as columns. If a line does
-    not match or the ledger refuses a chunk, `_ledger_by_lines` reads them all
-    again.
+    Only the writer's layout is read: `_charge` matches the events with
+    `_TRACE_PATTERN`, built from the writer's template, `_TRACE_CHUNK`
+    characters at a time, and names the first bad line. A byte that is not
+    UTF-8 is read as a lone surrogate, which no field's grammar takes.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
@@ -841,23 +839,26 @@ def ledger_from_trace(path) -> tuple[Fraction, Ledger]:
             budgets = {sub: _ratio(num, den) for sub, (num, den) in head["budgets"].items()}
         except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise LedgerError(f"trace line 1 is not a trace header: {exc!r}") from exc
-        if not isinstance(name, str) or name not in _BUDGETS:
+        if not isinstance(name, str) or name not in SCHEDULERS:
             raise LedgerError(f"trace line 1 names no schedule: {name!r}")
         if eps <= 0:
             raise LedgerError(f"trace line 1 has an invalid eps: {eps}")
-        rules = [schedule_budgets(name, eps, standalone) for standalone in (False, True)]
+        rules = [schedule_budgets(name.removesuffix("-sample"), eps, standalone)
+                 for standalone in (False, True)]
         if budgets not in rules:
             shown = ["{" + ", ".join(f"{sub}: {b}" for sub, b in rule.items()) + "}"
                      for rule in (budgets, *rules)]
             raise LedgerError(f"trace line 1 budgets {shown[0]} are not those of a {name} "
                               f"schedule of eps {eps}: {' or '.join(dict.fromkeys(shown[1:]))}")
-        try:
-            return eps, _ledger_by_template(fh, budgets)
-        except (ValueError, ArithmeticError):
-            pass
-        fh.seek(0)
-        fh.readline()
-        return eps, _ledger_by_lines(fh, budgets)
+        ledger, lineno, tail = Ledger(budgets=budgets), 2, ""
+        for chunk in iter(functools.partial(fh.read, _TRACE_CHUNK), ""):
+            text, newline, tail = (tail + chunk).rpartition("\n")
+            if newline:
+                text += newline  # in place: text is the one reference
+                lineno = _charge(ledger, text, lineno)
+        if tail:
+            _charge(ledger, tail + "\n", lineno)
+    return eps, ledger
 
 
 def _ratio(num, den) -> Fraction:
@@ -868,47 +869,46 @@ def _ratio(num, den) -> Fraction:
     return Fraction(num, den)
 
 
-def _ledger_by_template(fh, budgets) -> Ledger:
-    """The ledger of the event lines left in fh. Raises ValueError or
-    ArithmeticError on a line `_TRACE_PATTERN` does not match, a value past
-    int64, a zero denominator or an event without a budget."""
-    ledger = Ledger(budgets=budgets)
-    tail = ""
-    for chunk in iter(functools.partial(fh.read, _TRACE_CHUNK), ""):
-        text, _, tail = (tail + chunk).rpartition("\n")
-        text += "\n"  # an empty line if no line ends in the chunk
-        rows = _TRACE_PATTERN.findall(text)
+def _integers(columns) -> np.ndarray:
+    """Columns of decimal integers as rows of int64, or of Python ints if a
+    value does not fit."""
+    try:
+        return np.array(columns, dtype=np.int64)
+    except OverflowError:
+        return np.array([list(map(int, col)) for col in columns], dtype=object)
+
+
+def _charge(ledger, text, lineno) -> int:
+    """Charge the event lines of text, each ending in a newline and the first
+    being trace line lineno, to ledger, and return the next line's number.
+    If a line does not match `_TRACE_PATTERN`, its kind has no budget, its
+    denominator is not positive or `Ledger.extend` refuses its charge, the
+    lines are charged again one at a time, each to a scratch ledger, and a
+    LedgerError names the first that fails and why, quoting it if it does
+    not match."""
+    rows = _TRACE_PATTERN.findall(text)
+    try:
         if len(rows) != text.count("\n"):
-            raise ValueError("a line does not match the trace template")
+            line = text.partition("\n")[0]
+            raise LedgerError(f"{line[:120]!r}{'...' if len(line) > 120 else ''} is not an "
+                              "event line in the writer's layout")
         t, kinds, a, b, num, den = zip(*rows)
-        cols = np.array((t, a, b, num, den), dtype=np.int64)
-        if not cols[4].all() or not {KIND_SUBSYSTEM[k] for k in set(kinds)} <= budgets.keys():
-            raise ValueError("an event has a zero denominator or no budget")
-        if not cols[3].all():  # a zero charge is skipped
-            keep = cols[3] != 0
-            cols, kinds = cols[:, keep], list(itertools.compress(kinds, keep))
-        t, a, b, num, den = cols
+        missing = {KIND_SUBSYSTEM[kind] for kind in set(kinds)} - ledger.budgets.keys()
+        if missing:
+            raise LedgerError(f"the header has no {min(missing)} budget")
+        (t, a, b), (num, den) = _integers((t, a, b)), _integers((num, den))
+        if not (den > 0).all():
+            raise LedgerError("charge denominators must be positive")
+        if not num.all():  # a zero charge is skipped
+            keep = num != 0
+            t, a, b, num, den = t[keep], a[keep], b[keep], num[keep], den[keep]
+            kinds = list(itertools.compress(kinds, keep))
         ledger.extend(a, b, num, den, [KIND_SUBSYSTEM[kind] for kind in kinds], t, kinds)
-    if tail:
-        raise ValueError("the last line does not end in a newline")
-    return ledger
-
-
-def _ledger_by_lines(fh, budgets) -> Ledger:
-    """Charge each event line left in fh on its own; a LedgerError names the
-    first bad line. A JSON boolean is no integer here, as in the header."""
-    ledger = Ledger(budgets=budgets)
-    for lineno, line in enumerate(fh, start=2):
-        try:
-            rec = json.loads(line.encode())
-            sub = KIND_SUBSYSTEM[rec["kind"]]
-            if sub not in budgets:
-                raise LedgerError(f"the header has no {sub} budget")
-            if any(isinstance(rec[key], bool) for key in ("t", "a", "b", "eps_num", "eps_den")):
-                raise TypeError("t, a, b, eps_num and eps_den must be integers, not booleans")
-            charge = Fraction(rec["eps_num"], rec["eps_den"])
-            if charge != 0:
-                ledger.charge((rec["a"], rec["b"]), charge, sub, rec["t"], rec["kind"])
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except LedgerError as exc:
+        lines = text.split("\n")[:-1]
+        if len(lines) == 1:
             raise LedgerError(f"malformed trace line {lineno}: {exc}") from exc
-    return ledger
+        for n, line in enumerate(lines, start=lineno):
+            _charge(Ledger(budgets=ledger.budgets), line + "\n", n)
+        raise
+    return lineno + len(rows)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -404,6 +405,21 @@ class TestRun:
             assert (tmp_path / f"metrics.seed{seed}.csv").exists()
         assert (tmp_path / "metrics.summary.json").exists()
 
+    def test_a_repeated_seed_is_summarised_once(self, capsys, tmp_path):
+        # a repeated seed reruns identically and is replayed once, so the
+        # summary lists the seeds its quartiles are over
+        summaries = []
+        for seeds in ("1,1,2", "1,2"):
+            out_path = tmp_path / seeds / "metrics.csv"
+            out_path.parent.mkdir()
+            code, out, err = run_cli(
+                capsys, "run", "--scheduler", "multires", "--B", "8", "--epsilon", "1",
+                "--lambda", "1", "--synth-n", "200", "--synth-d", "3", "--seeds", seeds,
+                "--test", "tail:0.2", "--output", str(out_path))
+            assert code == EXIT_OK, err
+            summaries.append(json.loads((out_path.parent / "metrics.summary.json").read_text()))
+        assert summaries[0] == summaries[1] and summaries[0]["seeds"] == [1, 2]
+
     def test_missing_data_file_exits_3(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "run", "--scheduler", "multires", "--epsilon", "1",
@@ -774,10 +790,17 @@ class TestVerifyLedger:
          "schedule of eps 1/2: {continual: 1/2, multires: 1/2} or {continual: 1}"),
         ({"scheduler": "multires", "eps_num": 0, "eps_den": 1, "budgets": {"multires": [0, 1]}},
          "trace line 1 has an invalid eps: 0"),
+        ({"scheduler": "baseline-basic-sample", "eps_num": 1, "eps_den": 1,
+          "budgets": {"baseline": [2, 1]}},
+         "trace line 1 names no schedule: 'baseline-basic-sample'"),
+        ({"scheduler": "continual-sample", "eps_num": 1, "eps_den": 1,
+          "budgets": {"sliding": [1, 1]}},
+         "trace line 1 budgets {sliding: 1} are not those of a continual-sample schedule of "
+         "eps 1: {continual: 1, multires: 1} or {continual: 2}"),
     ], ids=["no-such-scheduler", "a-list-scheduler", "an-int-scheduler",
             "other-schedulers-budget", "continual-without-its-own", "an-extra-budget",
             "a-scaled-budget", "another-schedulers-multiple", "continual-mixing-both-rules",
-            "a-zero-eps"])
+            "a-zero-eps", "an-unsampled-only-scheduler-sampled", "a-sampled-scheduler"])
     def test_a_header_that_names_no_schedule_or_its_budgets_exits_3(self, header, message,
                                                                     capsys, tmp_path):
         p = tmp_path / "trace.jsonl"
@@ -902,6 +925,14 @@ class TestVerifyLedger:
         assert code == EXIT_DATA and out == ""
         assert f"malformed trace line {lineno}:" in err
 
+    @pytest.mark.parametrize("lineno", [2, 4000, 5001])
+    def test_a_bad_line_is_numbered_across_chunks(self, capsys, tmp_path, monkeypatch, lineno):
+        monkeypatch.setattr(schedulers, "_TRACE_CHUNK", 1000)
+        p = self.long_trace(tmp_path, lineno, "not json")
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code == EXIT_DATA and out == ""
+        assert err == f"error: malformed trace line {lineno}: {self.not_in_layout('not json')}\n"
+
     @pytest.mark.parametrize("old,new", [('"t": 8', '"t": 08'), ('"a": 0', '"a": +0'),
                                          ('"level": 0', '"level": 0.'), ("null", "None")],
                              ids=["leading-zero", "plus-sign", "bare-point", "python-none"])
@@ -928,28 +959,42 @@ class TestVerifyLedger:
         assert code == EXIT_DATA and out == ""
         assert message in err and "\\udce9" in err
 
+    INT64_BOUNDS = ("interval bounds and times must be integers in the int64 range, "
+                    "b below 9223372036854775807")
+
+    @staticmethod
+    def not_in_layout(line) -> str:
+        """The message naming an event line in another layout."""
+        return f"{line[:120]!r}{'...' if len(line) > 120 else ''} is not an event line in " \
+               "the writer's layout"
+
     @pytest.mark.parametrize("fields,message", [
         ({"eps_num": -1}, "charge must be positive, got -1/2"),
         ({"a": 9}, "interval [9, 7] is malformed"),
-        ({"eps_den": 0}, "Fraction(1, 0)"),
+        ({"eps_den": 0}, "charge denominators must be positive"),
         ({"kind": "Base"}, "the header has no continual budget"),
-        ({"kind": "Unknown"}, "'Unknown'"),
-        ({"a": 0.5}, "interval bounds and times must be integers in the int64 range"),
-        ({"eps_num": "1"}, "both arguments should be Rational instances"),
-        ({"eps_num": 0.0}, "both arguments should be Rational instances"),
-        ({"eps_num": 0, "eps_den": 0.5}, "both arguments should be Rational instances"),
-        ({"eps_num": 0, "eps_den": 0}, "Fraction(0, 0)"),
-        ({"b": 2**63 - 1}, "interval bounds and times must be integers in the int64 range, "
-                           "b below 9223372036854775807"),
+        ({"kind": "Unknown"}, None),
+        ({"a": 0.5}, None),
+        ({"eps_num": "1"}, None),
+        ({"eps_num": 0.0}, None),
+        ({"eps_num": 0, "eps_den": 0.5}, None),
+        ({"eps_num": 0, "eps_den": 0}, "charge denominators must be positive"),
+        ({"b": 2**63 - 1}, INT64_BOUNDS),
+        ({"b": 2**64}, INT64_BOUNDS),
+        ({"t": -2**63 - 1}, INT64_BOUNDS),
     ], ids=["negative", "a-after-b", "zero-denominator", "no-budget", "unknown-kind",
             "float-bound", "string-charge", "float-zero-charge", "zero-charge-float-denominator",
-            "zero-charge-zero-denominator", "int64-limit"])
+            "zero-charge-zero-denominator", "int64-limit", "bound-past-int64",
+            "time-past-int64"])
     def test_a_bad_event_is_named_with_its_fault(self, capsys, tmp_path, fields, message):
-        p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7), self.mr(16, 0, 8, 15),
-                                       {**self.mr(8, 0, 0, 7), **fields}, self.mr(24, 0, 16, 23)])
+        # message None: the line is not in the writer's layout, and is quoted
+        bad = {**self.mr(8, 0, 0, 7), **fields}
+        p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7), self.mr(16, 0, 8, 15), bad,
+                                       self.mr(24, 0, 16, 23)])
         code, out, err = run_cli(capsys, "verify-ledger", str(p))
         assert code == EXIT_DATA and out == ""
-        assert f"malformed trace line 4: {message}" in err
+        message = message or self.not_in_layout(json.dumps(bad))
+        assert err == f"error: malformed trace line 4: {message}\n"
 
     @pytest.mark.parametrize("end", ["", ', "x": {"y": 1}'], ids=["flat", "nested"])
     def test_an_event_across_two_lines_is_named(self, capsys, tmp_path, end):
@@ -970,12 +1015,11 @@ class TestVerifyLedger:
         # a JSON boolean is no integer of the trace's grammar, in an event line
         # as in the header, though Python would take true and false as 1 and 0
         for value in (True, False):
-            p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7),
-                                           {**self.mr(16, 0, 8, 15), field: value}])
+            bad = {**self.mr(16, 0, 8, 15), field: value}
+            p = self.make_trace(tmp_path, [self.mr(8, 0, 0, 7), bad])
             code, out, err = run_cli(capsys, "verify-ledger", str(p))
             assert code == EXIT_DATA and out == ""
-            assert "malformed trace line 3: t, a, b, eps_num and eps_den must be integers, " \
-                   "not booleans" in err
+            assert err == f"error: malformed trace line 3: {self.not_in_layout(json.dumps(bad))}\n"
 
     def test_a_true_charge_in_a_written_trace_is_refused(self, capsys, tmp_path):
         written = tmp_path / "trace.jsonl"
@@ -989,7 +1033,8 @@ class TestVerifyLedger:
                                               else rec) + "\n" for i, rec in enumerate(recs)))
         code, out, err = run_cli(capsys, "verify-ledger", str(written))
         assert code == EXIT_DATA and out == ""
-        assert f"malformed trace line {first + 1}: " in err and "not booleans" in err
+        assert err == (f"error: malformed trace line {first + 1}: "
+                       f"{self.not_in_layout(json.dumps({**recs[first], 'eps_num': True}))}\n")
 
     def test_zero_and_huge_charges_verify_exactly(self, capsys, tmp_path):
         # a zero charge is skipped, and a denominator past 64 bits stays exact
@@ -1000,18 +1045,8 @@ class TestVerifyLedger:
         mx = Fraction(1, 2) + Fraction(1, 2**70)
         assert out.splitlines()[0] == f"max point loss: {mx} at index 4"
 
-    @pytest.mark.parametrize("rewrite,fallbacks", [
-        (lambda recs: "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs), 1),
-        (lambda recs: "".join(json.dumps(rec, separators=(" ,  ", " :  ")) + " \n"
-                              for rec in recs), 1),
-        # text mode reads any line end as "\n", for the template as for json.loads
-        (lambda recs: "".join(json.dumps(rec) + "\r\n" for rec in recs), 0),
-        (lambda recs: "".join(json.dumps(rec) + ("\r" if i == 0 else "\n")
-                              for i, rec in enumerate(recs)), 0),
-    ], ids=["sorted-keys", "spaces", "crlf", "cr-after-header"])
-    def test_a_rewritten_trace_verifies_like_the_written_one(self, rewrite, fallbacks, capsys,
-                                                              tmp_path, monkeypatch):
-        # another layout is read line by line, to the same ledger and report
+    def written_trace(self, capsys, tmp_path):
+        """A continual-sample trace as inspect-schedule writes it, and its records."""
         written = tmp_path / "trace.jsonl"
         code, _, err = run_cli(capsys, "inspect-schedule", "--scheduler", "continual-sample",
                                "--B", "16", "--b0", "4", "--epsilon", "1", "--lambda", "1",
@@ -1019,18 +1054,44 @@ class TestVerifyLedger:
         assert code == EXIT_OK, err
         recs = [json.loads(line) for line in written.read_text().splitlines()]
         assert any(rec.get("eps_num") == 1 for rec in recs[1:])
+        return written, recs
+
+    @pytest.mark.parametrize("rewrite", [
+        # text mode reads any line end as "\n"
+        lambda recs: "".join(json.dumps(rec) + "\r\n" for rec in recs),
+        lambda recs: "".join(json.dumps(rec) + ("\r" if i == 0 else "\n")
+                             for i, rec in enumerate(recs)),
+        lambda recs: "".join(json.dumps(rec) + "\r" for rec in recs),
+        lambda recs: "\n".join(json.dumps(rec) for rec in recs),
+    ], ids=["crlf", "cr-after-header", "cr", "no-final-newline"])
+    def test_a_rewritten_trace_verifies_like_the_written_one(self, rewrite, capsys, tmp_path,
+                                                              monkeypatch):
+        # the same lines with other line ends, to the same ledger and report,
+        # read in chunks that end within lines
+        monkeypatch.setattr(schedulers, "_TRACE_CHUNK", 1000)
+        written, recs = self.written_trace(capsys, tmp_path)
+        assert written.stat().st_size > 10 * schedulers._TRACE_CHUNK
         rewritten = tmp_path / "rewritten.jsonl"
         rewritten.write_bytes(rewrite(recs).encode())
-        by_lines, reference = [], schedulers._ledger_by_lines
-        monkeypatch.setattr(schedulers, "_ledger_by_lines",
-                            lambda fh, budgets: by_lines.append(fh) or reference(fh, budgets))
         want = run_cli(capsys, "verify-ledger", str(written))
-        assert by_lines == [] and want[0] == EXIT_OK
+        assert want[0] == EXIT_OK
         assert run_cli(capsys, "verify-ledger", str(rewritten)) == want
-        assert len(by_lines) == fallbacks
         charges = [schedulers.ledger_from_trace(p)[1].charges for p in (written, rewritten)]
         charged = sum(rec["eps_num"] != 0 for rec in recs[1:])  # zero charges are skipped
         assert charges[0] == charges[1] and len(charges[0]) == charged < len(recs) - 1
+
+    @pytest.mark.parametrize("dumps", [
+        functools.partial(json.dumps, sort_keys=True),
+        functools.partial(json.dumps, separators=(" ,  ", " :  ")),
+        functools.partial(json.dumps, separators=(",", ":")),
+    ], ids=["sorted-keys", "spaces", "compact"])
+    def test_a_trace_in_another_layout_is_refused(self, dumps, capsys, tmp_path):
+        # json.loads would read each line, but only the writer's layout is read
+        written, recs = self.written_trace(capsys, tmp_path)
+        written.write_text("".join(dumps(rec) + "\n" for rec in recs))
+        code, out, err = run_cli(capsys, "verify-ledger", str(written))
+        assert code == EXIT_DATA and out == ""
+        assert err == f"error: malformed trace line 2: {self.not_in_layout(dumps(recs[1]))}\n"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_piped_trace_verifies_in_one_pass(self, capsys, tmp_path):

@@ -230,8 +230,8 @@ class TestReplay:
         assert all(r.scheduler == "continual" for r in recs)
 
     def test_records_and_trace_header_read_the_schedules_config(self, tmp_path):
-        # the records name the config's scheduler, sampled or not, and the
-        # header its base scheduler; both give the lambda it was built at
+        # the records and the header name the config's scheduler, sampled or
+        # not, and give the lambda it was built at
         schedule = build_schedule(
             SchedulerConfig("continual-sample", Fraction(1), 7.0, 0.2, B=32, b0=8), self.stream.n)
         recs = replay(self.stream, schedule,
@@ -240,7 +240,7 @@ class TestReplay:
                             for r in recs)
         export_trace(schedule, tmp_path / "trace.jsonl")
         head = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
-        assert (head["scheduler"], head["lam"]) == ("continual", 7)
+        assert (head["scheduler"], head["lam"]) == ("continual-sample", 7)
 
     def test_eps_max_nondecreasing(self):
         recs = replay(self.stream, self.schedule, self.ledger, test=self.test)

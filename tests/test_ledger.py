@@ -257,6 +257,14 @@ class TestColumns:
         assert led.charges == [Charge(0, 1, Fraction(1, 2), "multires", 0, "m")]
         assert led.subsystems == ["multires"]  # a refused charge interns no name
 
+    def test_an_empty_extend_keeps_the_columns_integers(self):
+        # as verify-ledger's extend of a chunk whose charges are all zero
+        led = Ledger()
+        led.extend([], [], [], [], [], [], [])
+        led.charge((0, 7), Fraction(1, 2), "multires", 8, "m")
+        assert all(led.column(name).dtype == np.int64 for name in ("a", "b", "time", "num"))
+        assert led.max_point_loss() == (0, Fraction(1, 2))
+
     def test_export_writes_each_charge_in_lowest_terms(self, tmp_path):
         led = Ledger()
         led.charge((0, 7), Fraction(1, 2), "multires", 8, "m")
