@@ -335,9 +335,10 @@ def cmd_run(cfg: argparse.Namespace) -> int:
     sched = cfg.sched
     if sched.L is None:
         sched = replace(sched, L=lipschitz_public(stream.k, max(1, sched.batch)))
-    multi = len(cfg.seeds) > 1
-    # a repeated seed reruns identically, so it is replayed and exported once
+    # a repeated seed reruns identically, so it is replayed and exported once,
+    # and the per-seed layout is for more than one distinct seed
     seeds = tuple(dict.fromkeys(cfg.seeds))
+    multi = len(seeds) > 1
     schedule = build_schedule(sched, stream.n)
     if not schedule.releases:
         raise UsageError(f"the {sched.name} schedule releases no model on a stream of "

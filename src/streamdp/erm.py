@@ -315,7 +315,8 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
     leaves the stack, whose arrays shrink to the members left.
 
     rows holds one row set per member, a range or an array of row indices,
-    none of them empty: an empty one raises ErmError naming its member.
+    or is one (S, n) array of every member's row indices; no set may be
+    empty: an empty one raises ErmError naming its member.
     Where every set is a range of step 1, each member reads its range of
     data.X in place, in chunks of _CHUNK_ROWS rows from its own start, and
     the ranges may differ in size: a chunk that several members have (one
@@ -341,10 +342,11 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
         rows = [range(data.n)] * S
     elif len(rows) != S:
         raise ErmError("need one row set per member")
-    sizes = [len(r) for r in rows]
+    stacked = isinstance(rows, np.ndarray)  # one (S, n) array of row indices
+    sizes = [rows.shape[1]] * S if stacked else [len(r) for r in rows]
     if 0 in sizes:
         raise ErmError(f"member {sizes.index(0)} of the stack has no rows")
-    if all(isinstance(r, range) and r.step == 1 for r in rows):
+    if not stacked and all(isinstance(r, range) and r.step == 1 for r in rows):
         spans = np.array([(r.start, len(r)) for r in rows], dtype=np.int64)
         if spans[:, 0].min() < 0 or spans.sum(axis=1).max() > data.n:
             raise ErmError(f"training rows must lie in [0, {data.n})")
@@ -354,7 +356,7 @@ def solve(data: Dataset, bias, lam: float, tau, rows=None) -> np.ndarray:
             j = next(j for j, n in enumerate(sizes) if n != sizes[0])
             raise ErmError(f"the members of a gathered stack need equal row sets: member {j} "
                            f"has {sizes[j]} rows, member 0 has {sizes[0]}")
-        idx = np.array([np.asarray(r) for r in rows], dtype=np.int64)
+        idx = np.asarray(rows if stacked else [np.asarray(r) for r in rows], dtype=np.int64)
         if idx.min() < 0 or idx.max() >= data.n:
             raise ErmError(f"training rows must lie in [0, {data.n})")
         X, y, spans = data.X[idx], data.y[idx], None

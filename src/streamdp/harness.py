@@ -67,7 +67,7 @@ def load_idx(images_path, labels_path, classes=None) -> Dataset:
     (n_lab,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if n_img != n_lab:
         raise HarnessError(f"count mismatch: {n_img} images vs {n_lab} labels")
-    X = pixels.reshape(n_img, rows * cols).astype(np.float64) / 255.0
+    X = np.divide(pixels.reshape(n_img, rows * cols), 255.0, dtype=np.float64)
     y = labels.astype(np.int64)
     if classes is None:
         return Dataset(X, y, int(y.max()) + 1 if n_lab else 0)
@@ -336,25 +336,27 @@ CSV_HEADER = (
 _COLUMNS = CSV_HEADER.split(",")
 
 
-def _record_row(r: MetricsRecord) -> dict:
-    """A record's value in each CSV_HEADER column, in that order: eps_max
-    as its exact numerator and denominator."""
-    return dict(zip(_COLUMNS, (
-        r.t, r.scheduler, r.kind, r.eps, r.lam, r.batch, r.acc_recent, r.acc_test, r.acc_old,
-        r.noise_l2, r.eps_max.numerator, r.eps_max.denominator, r.seed)))
+def _record_row(r: MetricsRecord) -> tuple:
+    """A record's values in CSV_HEADER's column order: eps_max as its exact
+    numerator and denominator."""
+    return (r.t, r.scheduler, r.kind, r.eps, r.lam, r.batch, r.acc_recent, r.acc_test, r.acc_old,
+            r.noise_l2, r.eps_max.numerator, r.eps_max.denominator, r.seed)
 
 
 def export_metrics(records, path, format: str = "csv"):
-    """Write records as CSV (fixed column order; a float as its repr, None
-    as an empty cell) or JSONL (round-trippable), one `_record_row` each."""
+    """Write records, one `_record_row` each, as CSV or JSONL.
+
+    CSV has the fixed column order, and `csv.writer` writes each row's
+    tuple as it is: a float as its repr, None as an empty cell, and a cell
+    quoted where it needs to be. JSONL (round-trippable) is one object a
+    line, the row's values keyed by their columns."""
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_COLUMNS)
-            writer.writerows(["" if v is None else repr(v) if isinstance(v, float) else v
-                              for v in _record_row(r).values()] for r in records)
+            writer.writerows(map(_record_row, records))
     elif format == "jsonl":
         with open(path, "w") as fh:
-            fh.writelines(json.dumps(_record_row(r)) + "\n" for r in records)
+            fh.writelines(json.dumps(dict(zip(_COLUMNS, _record_row(r)))) + "\n" for r in records)
     else:
         raise HarnessError(f"unknown metrics format {format!r}")

@@ -26,6 +26,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,15 +170,11 @@ def _calibration(cfg, n, eps, level, rule) -> tuple:
 
 
 def _event(cfg, t, kind, level, a, b, eps, model_id, rule=None, adopt=False,
-           reg_source=None, side=None, calibration=None) -> EventSpec:
+           reg_source=None) -> EventSpec:
     """An event of the schedule cfg on [a, b] charged eps, with its
-    `_calibration` unless the caller passes it; an adopted model is not
-    trained and has none."""
-    if adopt:
-        scale, tau, p = 0.0, 0.0, None
-    else:
-        scale, tau, p = calibration or _calibration(cfg, b - a + 1, eps, level, rule)
-    return EventSpec(t, kind, level, a, b, eps, scale, tau, model_id, reg_source, adopt, side,
+    `_calibration`; an adopted model is not trained and has none."""
+    scale, tau, p = (0.0, 0.0, None) if adopt else _calibration(cfg, b - a + 1, eps, level, rule)
+    return EventSpec(t, kind, level, a, b, eps, scale, tau, model_id, reg_source, adopt, None,
                      rule, p)
 
 
@@ -323,98 +320,132 @@ def window_shape(w: int, w0: int) -> int:
 
 
 def _sliding_steps(T, w, w0):
-    """The sliding window's release steps on a stream of length T, in closed
-    form.
+    """The sliding window's release steps on a stream of length T, from
+    per-phase templates.
 
     Step n fires at t = w - 1 + n*w0 and covers the window [t - w + 1, t] of
-    2^k - 1 blocks of w0 points, k = `window_shape(w, w0)`. With
-    r = n mod 2^(k-1), the base bucket holds 2^(k-1) blocks, the left side
-    the binary decomposition of the 2^(k-1) - 1 - r blocks before it,
-    smallest oldest, and the right side that of the r blocks after it,
-    largest next to the base. Yields (t, kind, chain, trained) per step:
-    chain is the window's buckets as (a, b, side, blocks, model_id) tuples,
-    base first, then by descending size with a left bucket before a right
-    one of the same size; trained holds the chain positions of the buckets
-    whose interval was not in the previous step's chain, each given the
-    next model id in chain order. The others keep their model ids. The kind
-    is WindowInit at n = 0, WindowRefresh where r = 0 and WindowAdvance
-    otherwise.
+    2^k - 1 blocks of w0 points, k = `window_shape(w, w0)`. Its chain, and
+    which of its buckets are new, depend on t only through the phase
+    r = n mod 2^(k-1), apart from step 0, whose buckets are all new
+    (`_phase_template`). Each template is built once, on first use, so a
+    run builds at most one per step. Yields (t, template, mids) per step:
+    template is the step's `_Phase`, whose buckets are offsets from t, and
+    mids the chain's model ids by position. A new bucket gets the next model
+    id, in chain order; a kept one carries its model id from the position it
+    held in the previous step's chain.
     """
     k = window_shape(w, w0)
     cycle = 2 ** (k - 1)
+    templates = {}  # phase -> its template; None: step 0's
     ids = itertools.count()
-    prev = {}  # (a, b) -> model id, of the previous step's chain
+    mids = []
     for n, t in enumerate(range(w - 1, T, w0)):
-        r = n % cycle
-        left = cycle - 1 - r
-        start = t - w + 1
-        a = start + left * w0
-        spans = [(a, a + cycle * w0 - 1, "base", cycle)]
-        for j in reversed(range(k - 1)):
-            size = 1 << j
-            if left & size:
-                a = start + (left & (size - 1)) * w0
-                spans.append((a, a + size * w0 - 1, "left", size))
-            if r & size:
-                a = t + 1 - (r & (2 * size - 1)) * w0
-                spans.append((a, a + size * w0 - 1, "right", size))
-        chain, trained = [], []
-        for idx, (a, b, side, blocks) in enumerate(spans):
-            mid = prev.get((a, b))
-            if mid is None:
-                mid = next(ids)
-                trained.append(idx)
-            chain.append((a, b, side, blocks, mid))
-        prev = {(a, b): mid for a, b, _, _, mid in chain}
-        kind = "WindowInit" if n == 0 else "WindowAdvance" if r else "WindowRefresh"
-        yield t, kind, chain, trained
+        phase = n % cycle if n else None
+        tpl = templates.get(phase)
+        if tpl is None:
+            tpl = templates[phase] = _phase_template(k, w0, phase)
+        mids = [next(ids) if p is None else mids[p] for p in tpl.carry]
+        yield t, tpl, mids
+
+
+class _Phase(NamedTuple):
+    """The chain of the sliding steps of one phase (`_phase_template`)."""
+
+    kind: str
+    buckets: tuple  # ((t offset of a, of b, side, level), ...) in chain order
+    trained: tuple  # the positions of the new buckets
+    carry: tuple  # each bucket's position in the previous chain, None if new
+
+
+def _phase_spans(k, w0, r) -> list:
+    """The chain of a window of 2^k - 1 blocks of w0 points at phase r, as
+    (a, b, side, level) with a and b offsets from the step t: the base
+    bucket holds 2^(k-1) blocks, at level k - 1, the left side the binary
+    decomposition of the 2^(k-1) - 1 - r blocks before it, smallest oldest,
+    and the right side that of the r blocks after it, largest next to the
+    base. A side bucket of 2^j blocks is at level j. The base comes first,
+    then the buckets by descending size, a left one before a right one of
+    the same size."""
+    cycle = 1 << (k - 1)
+    start = 1 - (2 * cycle - 1) * w0  # the window's first point
+    left = cycle - 1 - r
+    a = start + left * w0
+    spans = [(a, a + cycle * w0 - 1, "base", k - 1)]
+    for j in reversed(range(k - 1)):
+        size = 1 << j
+        if left & size:
+            a = start + (left & (size - 1)) * w0
+            spans.append((a, a + size * w0 - 1, "left", j))
+        if r & size:
+            a = 1 - (r & (2 * size - 1)) * w0
+            spans.append((a, a + size * w0 - 1, "right", j))
+    return spans
+
+
+def _phase_template(k, w0, phase) -> _Phase:
+    """The `_Phase` of the sliding steps n >= 1 with n mod 2^(k-1) = phase,
+    or of step 0 for phase None, whose buckets are all new. A bucket is new
+    where its interval is not in the previous step's chain, the chain of the
+    previous phase w0 points earlier. The kind is WindowInit at step 0,
+    WindowRefresh at phase 0 and WindowAdvance otherwise."""
+    buckets = tuple(_phase_spans(k, w0, phase or 0))
+    if phase is None:
+        return _Phase("WindowInit", buckets, tuple(range(len(buckets))), (None,) * len(buckets))
+    before = {(a - w0, b - w0): p for p, (a, b, _, _) in
+              enumerate(_phase_spans(k, w0, (phase - 1) % (1 << (k - 1))))}
+    carry = tuple(before.get((a, b)) for a, b, _, _ in buckets)
+    return _Phase("WindowAdvance" if phase else "WindowRefresh", buckets,
+                  tuple(i for i, p in enumerate(carry) if p is None), carry)
 
 
 def _sliding(cfg, T) -> Schedule:
     """Sliding-window release with a binary bucket structure on either side
-    of the base bucket, computed per step from the step number
-    (`_sliding_steps`): retrains exactly the buckets whose interval is new,
-    each regularized on the next larger bucket's (possibly just retrained)
-    model, and releases the smallest bucket's.
+    of the base bucket, from the per-phase templates of `_sliding_steps`:
+    retrains exactly the buckets whose interval is new, each regularized on
+    the next larger bucket's (possibly just retrained) model, and releases
+    the smallest bucket's.
+
+    A bucket at level j spans 2^j * w0 points, so its charge, sampling rule
+    and calibration depend on j alone, and each level's are worked out
+    once: a side bucket is charged eps / (6 * 2^j) and, sampled, kept under
+    the reciprocal rule from level 1 on; the base, at level k - 1, is
+    charged eps / 3 and never sampled. Each event is built from its level's.
     """
     w, w0, eps = cfg.w, cfg.w0, cfg.eps
     k = window_shape(w, w0)
-    event = functools.partial(_event, cfg)
-    # A side bucket of 2^j blocks spans 2^j * w0 points, so its charge, rule
-    # and calibration depend on j alone: each level's are worked out once.
-    levels = []
-    for j in range(k - 1):
-        charge, rule = eps / (6 * 2**j), _rule(cfg, "reciprocal") if j > 0 else None
-        levels.append((charge, rule, _calibration(cfg, 2**j * w0, charge, j, rule)))
+    levels = []  # (charge, rule, noise scale, tau, p) of each level
+    for j in range(k):
+        if j == k - 1:
+            charge, rule = eps / 3, None
+        else:
+            charge, rule = eps / (6 * 2**j), _rule(cfg, "reciprocal") if j > 0 else None
+        levels.append((charge, rule, *_calibration(cfg, 2**j * w0, charge, j, rule)))
     events, releases = [], []
-    for t, kind, chain, trained in _sliding_steps(T, w, w0):
+    for t, (kind, buckets, trained, _), mids in _sliding_steps(T, w, w0):
         for idx in trained:
-            a, b, side, blocks, mid = chain[idx]
-            if idx == 0:  # the base
-                events.append(event(t, kind, k - 1, a, b, eps / 3, mid, side="base"))
-            else:
-                j = blocks.bit_length() - 1
-                charge, rule, calibration = levels[j]
-                events.append(event(t, kind, j, a, b, charge, mid, rule, calibration=calibration,
-                                    reg_source=chain[idx - 1][4], side=side))
-        releases.append((t, chain[-1][4]))
+            da, db, side, level = buckets[idx]
+            charge, rule, scale, tau, p = levels[level]
+            events.append(EventSpec(t, kind, level, t + da, t + db, charge, scale, tau, mids[idx],
+                                    mids[idx - 1] if idx else None, False, side, rule, p))
+        releases.append((t, mids[-1]))
     return Schedule(cfg, tuple(events), tuple(releases))
 
 
 def sliding_chain(T, w, w0) -> tuple:
     """The sliding window's dependency chain after each release step of a
     sliding schedule of w and w0 on a stream of length T, as ChainStates,
-    from the same closed-form steps (`_sliding_steps`)."""
+    from the same per-phase steps (`_sliding_steps`)."""
     return tuple(
-        ChainState(t, tuple((a, b, side, mid) for a, b, side, _, mid in chain),
-                   tuple(chain[idx][4] for idx in trained), chain[-1][4])
-        for t, _, chain, trained in _sliding_steps(T, w, w0))
+        ChainState(t, tuple((t + da, t + db, side, mid)
+                            for (da, db, side, _), mid in zip(buckets, mids)),
+                   tuple(mids[idx] for idx in trained), mids[-1])
+        for t, (_, buckets, trained, _), mids in _sliding_steps(T, w, w0))
 
 
 def ledger_from_events(schedule: Schedule) -> Ledger:
     """A fresh ledger of the schedule's budgets, charged with its events (dry
     run: no data, no RNG)."""
-    charged = [e for e in schedule.events if e.eps > 0]
+    charged = [e for e in schedule.events if e.eps.numerator > 0]
     ledger = Ledger(budgets=schedule.budgets)
     ledger.extend([e.a for e in charged], [e.b for e in charged],
                   [e.eps.numerator for e in charged], [e.eps.denominator for e in charged],
@@ -501,7 +532,9 @@ def execute(
     state would outgrow its data and the cap. Otherwise, and for a sampled event's members, each
     member reads its own rows as an index array that the solve gathers, and
     the members of one row count are pooled and split into near-equal
-    stacks of about _SOLVE_BYTES (`_stacks`). `pberm` fans each solved
+    stacks of about _SOLVE_BYTES (`_stacks`). A pooled stack whose members
+    all read ranges passes its rows as one (members, n) array, each start
+    plus arange(n), which the solve gathers as it is. `pberm` fans each solved
     member out to its (seed, event) releases with one index and perturbs
     them in one draw. Solving is deterministic and a member's result does
     not depend on its stack-mates, and a seed's subsample and noise streams
@@ -595,7 +628,9 @@ def execute(
                                         _SOLVE_BYTES)]
         for members, gathered in stacks:
             rows = [r for _, _, r in members]
-            if gathered:  # as index arrays, which solve gathers into blocks
+            if gathered and all(isinstance(r, range) for r in rows):  # one (members, n) array
+                rows = np.array([r.start for r in rows])[:, None] + np.arange(len(rows[0]))
+            elif gathered:  # as index arrays, which solve gathers into blocks
                 rows = [np.arange(r.start, r.stop) if isinstance(r, range) else r for r in rows]
             mids = np.array([e.model_id for e, _, _ in members])
             first = np.array([seats[0] for _, seats, _ in members])
@@ -790,14 +825,29 @@ def export_trace(schedule: Schedule, path=None):
     """Write the schedule's trace to path, or to standard output without one:
     its `trace_header`, then one `trace_record` per event, one JSON object a
     line, written from a template with the bytes json.dumps gives.
-    `ledger_from_trace` reads it back."""
+    `ledger_from_trace` reads it back.
+
+    The fields that repeat across events, kind, level, noise_scale,
+    sampled_p and the charge, are formatted into `_TRACE_LINE` once per
+    distinct combination, which leaves a line template of t, a, b,
+    reg_source and model_id to fill in per event. A combination is keyed by
+    its kind and by the identity of its other values: one object always has
+    one text, while equal values need not (0.0 and -0.0, or 1 and 1.0). All
+    lines are written in one call.
+    """
+    templates = {}  # (kind, ids of level, noise_scale, p, eps) -> a line template
+    lines = []
+    for e in schedule.events:
+        key = (e.kind, id(e.level), id(e.noise_scale), id(e.p), id(e.eps))
+        line = templates.get(key)
+        if line is None:
+            line = templates[key] = _TRACE_LINE.format(
+                "%s", e.kind, _json_scalar(e.level), "%s", "%s", "%s", _json_scalar(e.noise_scale),
+                _json_scalar(e.p), e.eps.numerator, e.eps.denominator, "%s")
+        lines.append(line % (e.t, e.a, e.b, _json_scalar(e.reg_source), e.model_id))
     with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(json.dumps(trace_header(schedule)) + "\n")
-        for e in schedule.events:
-            fh.write(_TRACE_LINE.format(
-                e.t, e.kind, _json_scalar(e.level), e.a, e.b, _json_scalar(e.reg_source),
-                _json_scalar(e.noise_scale), _json_scalar(e.p),
-                e.eps.numerator, e.eps.denominator, e.model_id))
+        fh.write("".join(lines))
 
 
 _JSON_INT = r"-?(?:0|[1-9][0-9]*)"

@@ -420,6 +420,22 @@ class TestRun:
             summaries.append(json.loads((out_path.parent / "metrics.summary.json").read_text()))
         assert summaries[0] == summaries[1] and summaries[0]["seeds"] == [1, 2]
 
+    def test_a_repeated_single_seed_keeps_the_single_seed_layout(self, capsys, tmp_path):
+        # --seeds 1,1 is one replay, so it writes what --seeds 1 writes:
+        # metrics.csv, with no per-seed files and no summary
+        written = []
+        for seeds in ("1,1", "1"):
+            out_path = tmp_path / seeds / "metrics.csv"
+            out_path.parent.mkdir()
+            code, out, err = run_cli(
+                capsys, "run", "--scheduler", "multires", "--B", "8", "--epsilon", "1",
+                "--lambda", "1", "--synth-n", "200", "--synth-d", "3", "--seeds", seeds,
+                "--test", "tail:0.2", "--output", str(out_path))
+            assert code == EXIT_OK, err
+            written.append({p.name: p.read_bytes() for p in out_path.parent.iterdir()})
+        assert list(written[0]) == ["metrics.csv"]
+        assert written[0] == written[1]
+
     def test_missing_data_file_exits_3(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "run", "--scheduler", "multires", "--epsilon", "1",

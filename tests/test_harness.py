@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -60,6 +62,16 @@ class TestLoadIdx:
         lp.write_bytes(idx_labels_bytes(np.array([0])))
         data = load_idx(ip, lp)
         assert data.X[0, 0] == 1.0
+
+    def test_every_pixel_value_is_its_float64_quotient(self, tmp_path):
+        # bit for bit the float64 pixel over 255.0, for each of the 256 values
+        images = np.arange(256).astype(np.uint8).reshape(4, 8, 8)
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        ip.write_bytes(idx_images_bytes(images))
+        lp.write_bytes(idx_labels_bytes(np.arange(4) % 2))
+        X = load_idx(ip, lp).X
+        assert X.dtype == np.float64
+        np.testing.assert_array_equal(X, images.reshape(4, 64).astype(np.float64) / 255.0)
 
     def test_wrong_magic_detected(self, tmp_path):
         ip, lp, _ = self.make_pair(tmp_path)
@@ -398,6 +410,32 @@ class TestExportMetrics:
         assert cells[header.index("eps_max_num")] == "3"
         assert cells[header.index("eps_max_den")] == "4"
         assert cells[header.index("acc_old")] == ""
+
+    def test_csv_bytes_are_the_cell_rule_s(self, tmp_path):
+        # every cell as a float's repr, None as empty and anything else as
+        # csv.writer writes it, quoting included, over the awkward values
+        records = [
+            self.rec(),
+            MetricsRecord(t=2**40, scheduler='sliding, "w" 7', kind="WindowAdvance",
+                          eps=-0.0, lam=math.inf, batch=0, acc_recent=None, acc_test=math.nan,
+                          acc_old=-math.inf, noise_l2=0.0, eps_max=Fraction(2**70 + 1, 3 * 2**64),
+                          seed=-1),
+            MetricsRecord(t=0, scheduler="multires", kind="release", eps=1e-300, lam=0.1,
+                          batch=1, acc_recent=None, acc_test=None, acc_old=None,
+                          noise_l2=-0.0, eps_max=Fraction(0), seed=2**63),
+        ]
+        path = tmp_path / "m.csv"
+        export_metrics(records, path, "csv")
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(CSV_HEADER.split(","))
+        for r in records:
+            values = (r.t, r.scheduler, r.kind, r.eps, r.lam, r.batch, r.acc_recent, r.acc_test,
+                      r.acc_old, r.noise_l2, r.eps_max.numerator, r.eps_max.denominator, r.seed)
+            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
+                             for v in values])
+        assert path.read_bytes() == want.getvalue().encode()
+        assert b'"sliding, ""w"" 7"' in path.read_bytes()
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -109,6 +109,67 @@ def oracle_sliding_buckets(t, w, w0):
     return buckets
 
 
+def oracle_sliding_schedule(T, w, w0, sampled):
+    """The structure of a sliding schedule's events, its releases and its
+    chain states, stepped through `oracle_sliding_buckets`: the chain is the
+    base, then the buckets by descending size, a left one before a right one
+    of the same size; a bucket whose interval was not in the previous step's
+    chain is retrained with the next model id, regularized on the bucket
+    before it, and the smallest bucket is released. Each event is the tuple
+    `TestSlidingSchedule.test_structure_is_pinned` hashes."""
+    cycle = (w // w0 + 1) // 2
+    events, releases, states = [], [], []
+    prev, next_id = {}, 0
+    for n, t in enumerate(range(w - 1, T, w0)):
+        kind = "WindowInit" if n == 0 else "WindowAdvance" if n % cycle else "WindowRefresh"
+        chain, trained = [], []
+        for a, b, side in sorted(oracle_sliding_buckets(t, w, w0),
+                                 key=lambda bk: (bk[2] != "base", bk[0] - bk[1], bk[2] != "left")):
+            mid = prev.get((a, b))
+            if mid is None:
+                mid, next_id = next_id, next_id + 1
+                blocks = (b - a + 1) // w0
+                eps = EPS / 3 if side == "base" else EPS / (6 * blocks)
+                rule = "reciprocal" if sampled and side != "base" and blocks > 1 else None
+                events.append((t, kind, blocks.bit_length() - 1, a, b, str(eps), mid,
+                               chain[-1][3] if chain else None, side, rule))
+                trained.append(mid)
+            chain.append((a, b, side, mid))
+        prev = {(a, b): mid for a, b, _, mid in chain}
+        releases.append((t, chain[-1][3]))
+        states.append((t, tuple(chain), tuple(trained), chain[-1][3]))
+    return events, tuple(releases), states
+
+
+def structure_digest(events, releases):
+    """SHA-256 of the events' structure tuples, then of the releases."""
+    h = hashlib.sha256()
+    for e in events:
+        h.update(repr(e).encode())
+    h.update(repr(releases).encode())
+    return h.hexdigest()
+
+
+def event_structure(e):
+    return (e.t, e.kind, e.level, e.a, e.b, str(e.eps), e.model_id, e.reg_source, e.side,
+            e.sampled_rule)
+
+
+# SHA-256 of each event's structure (`event_structure`) and of the releases,
+# as the step-by-step bucket simulation built them before the chain was
+# computed in closed form. noise_scale is left out: it follows from the
+# structure and the calibration, which may change on its own.
+PINNED_STRUCTURE = pytest.mark.parametrize("sampled,T,w,w0,digest", [
+    (False, 8000, 255, 1, "a9d00c049b48d4357defacf86599f42551a3b09688c3310873cfe079d5918283"),
+    (False, 1000, 42, 6, "ebd7efff480d582031ace7b078dda12f14efad5cb87b1a09d6e034c93c9949db"),
+    (False, 200, 7, 1, "13ce9e175844296b80babcef5d62dc14a7d2804c15c4b25c669b728e6dd8ef2b"),
+    (True, 8000, 255, 1, "8f33013f51d6be1bebf929f949a8d2557757ade72f3513ee1a7b92a7bea04dde"),
+    (True, 1000, 42, 6, "405c408b5906b37aa537123a6bb9b84fd713792f671cda1d44f3733712d1ef25"),
+    (True, 200, 7, 1, "5a04b133d31448dab53865d8a84d12437429ca2c4efe3b19e16e395412bc87b2"),
+], ids=["sliding-255", "sliding-42x6", "sliding-7", "sliding-sample-255",
+        "sliding-sample-42x6", "sliding-sample-7"])
+
+
 def chain_signature(states):
     return [
         (st.t, tuple((a, b, side) for a, b, side, _ in st.buckets))
@@ -282,27 +343,51 @@ class TestSlidingSchedule:
         sched = schedule_of("sliding", 6, w=7, w0=1)
         assert sched.events == () and sched.releases == ()
 
-    # SHA-256 of each event's structure and of the releases, as the
-    # step-by-step bucket simulation built them before the chain was computed
-    # in closed form. noise_scale is left out: it follows from the structure
-    # and the calibration, which may change on its own.
-    @pytest.mark.parametrize("sampled,T,w,w0,digest", [
-        (False, 8000, 255, 1, "a9d00c049b48d4357defacf86599f42551a3b09688c3310873cfe079d5918283"),
-        (False, 1000, 42, 6, "ebd7efff480d582031ace7b078dda12f14efad5cb87b1a09d6e034c93c9949db"),
-        (False, 200, 7, 1, "13ce9e175844296b80babcef5d62dc14a7d2804c15c4b25c669b728e6dd8ef2b"),
-        (True, 8000, 255, 1, "8f33013f51d6be1bebf929f949a8d2557757ade72f3513ee1a7b92a7bea04dde"),
-        (True, 1000, 42, 6, "405c408b5906b37aa537123a6bb9b84fd713792f671cda1d44f3733712d1ef25"),
-        (True, 200, 7, 1, "5a04b133d31448dab53865d8a84d12437429ca2c4efe3b19e16e395412bc87b2"),
-    ], ids=["sliding-255", "sliding-42x6", "sliding-7", "sliding-sample-255",
-            "sliding-sample-42x6", "sliding-sample-7"])
+    @PINNED_STRUCTURE
     def test_structure_is_pinned(self, sampled, T, w, w0, digest):
         sched = schedule_of("sliding-sample" if sampled else "sliding", T, w=w, w0=w0)
-        h = hashlib.sha256()
-        for e in sched.events:
-            h.update(repr((e.t, e.kind, e.level, e.a, e.b, str(e.eps), e.model_id, e.reg_source,
-                           e.side, e.sampled_rule)).encode())
-        h.update(repr(sched.releases).encode())
-        assert h.hexdigest() == digest
+        assert structure_digest(map(event_structure, sched.events), sched.releases) == digest
+
+    @PINNED_STRUCTURE
+    def test_the_oracle_gives_the_pinned_structure(self, sampled, T, w, w0, digest):
+        events, releases, _ = oracle_sliding_schedule(T, w, w0, sampled)
+        assert structure_digest(events, releases) == digest
+
+    # T < w, T = w (one step), a T that ends at a refresh, and Ts that end
+    # mid-cycle, for w0 = 1 and w0 > 1
+    @pytest.mark.parametrize("T,w,w0", [
+        (2, 3, 1), (3, 3, 1), (4, 3, 1), (11, 7, 1), (7, 7, 1), (8, 7, 1), (10, 7, 1),
+        (15, 7, 1), (13, 14, 2), (14, 14, 2), (29, 14, 2), (33, 14, 2), (41, 42, 6),
+        (42, 42, 6), (101, 42, 6), (226, 42, 6), (200, 31, 1), (143, 93, 3),
+    ])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_template_steps_match_the_oracle(self, sampled, T, w, w0):
+        events, releases, states = oracle_sliding_schedule(T, w, w0, sampled)
+        sched = schedule_of("sliding-sample" if sampled else "sliding", T, w=w, w0=w0)
+        assert list(map(event_structure, sched.events)) == events
+        assert sched.releases == releases
+        assert [(st.t, st.buckets, st.trained, st.released)
+                for st in sliding_chain(T, w, w0)] == states
+
+    def test_each_phase_template_is_built_once(self, monkeypatch):
+        built = []
+
+        def spy(k, w0, phase):
+            built.append(phase)
+            return phase_template(k, w0, phase)
+
+        phase_template = schedulers._phase_template
+        monkeypatch.setattr(schedulers, "_phase_template", spy)
+        # a window of 2^20 - 1 points has 2^19 phases; 11 steps build at most 11
+        w = 2**20 - 1
+        sched = schedule_of("sliding", w + 10, w=w, w0=1)
+        assert len(sched.releases) == 11 and len(built) <= 11
+        built.clear()
+        assert len(sliding_chain(w + 10, w, 1)) == 11 and len(built) <= 11
+        # 141 steps of a window of 4 phases: step 0's template, then one a phase
+        built.clear()
+        schedule_of("sliding", 147, w=7, w0=1)
+        assert sorted(built, key=str) == [0, 1, 2, 3, None]
 
 
 class TestBaselines:
@@ -1107,16 +1192,20 @@ class TestTraceLines:
     @pytest.mark.parametrize("L", [
         lipschitz_public(3, 1), lipschitz_public(10, 7), np.float64(lipschitz_public(3, 4)),
         0.37, 2.0, 1e-05, 1e300, math.inf, -math.inf, math.nan,
+        (0.0, -0.0), (float("nan"), float("nan")),
     ], ids=["public-k3", "public-k10", "public-float64", "flag", "flag-int", "tiny", "huge",
-            "inf", "-inf", "nan"])
+            "inf", "-inf", "nan", "signed-zeros", "two-nans"])
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_every_line_is_json_dumps_and_reads_back(self, name, L, tmp_path):
-        # laplace_scale refuses a non-finite L, so an inf or nan scale is set by hand
-        sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, L if math.isfinite(L)
-                                               else 1.0, B=4, b0=2, w=7, w0=1), 40)
-        if not math.isfinite(L):
-            for e in sched.events:
-                e.noise_scale = L
+        # laplace_scale refuses a non-finite or zero L, so those scales are set
+        # by hand; a pair alternates over the events: 0.0 and -0.0, which are
+        # equal and written apart, and two NaN objects, which are not equal
+        by_hand = isinstance(L, tuple) or not math.isfinite(L)
+        sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, 1.0 if by_hand else L,
+                                               B=4, b0=2, w=7, w0=1), 40)
+        if by_hand:
+            for e, scale in zip(sched.events, itertools.cycle(L if isinstance(L, tuple) else [L])):
+                e.noise_scale = scale
         path = tmp_path / "trace.jsonl"
         schedulers.export_trace(sched, path)
         lines = path.read_text().splitlines()
