@@ -340,7 +340,7 @@ def cmd_run(cfg: argparse.Namespace) -> int:
     seeds = tuple(dict.fromkeys(cfg.seeds))
     multi = len(seeds) > 1
     schedule = build_schedule(sched, stream.n)
-    if not schedule.releases:
+    if not len(schedule.release_t):
         raise UsageError(f"the {sched.name} schedule releases no model on a stream of "
                          f"{stream.n} points")
     ledger = ledger_from_events(schedule)
@@ -384,7 +384,7 @@ def cmd_inspect_schedule(cfg: argparse.Namespace) -> int:
     export_trace(schedule, cfg.trace)
     ledger = ledger_from_events(schedule)
     witness, mx = ledger.max_point_loss()
-    print(f"# events: {len(schedule.events)}", file=sys.stderr)
+    print(f"# events: {len(schedule.t)}", file=sys.stderr)
     print(f"# max point loss: {mx} at index {witness}", file=sys.stderr)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ import numpy as np
 from .erm import Dataset, evaluate_accuracy
 from .ledger import Ledger
 from .rng import make_rng
-from .schedulers import _STACK_BYTES, Schedule, execute
+from .schedulers import _STACK_BYTES, KINDS, Schedule, execute
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -237,20 +237,23 @@ def replay(
     one `Ledger.running_max` query; non-private, nothing is charged and it
     is 0.
     """
-    kind_of = {(e.t, e.model_id): e.kind for e in schedule.events}
-    # an adopted continual base is its multires model, trained on [0, t - 1]
-    start_of = {e.model_id: e.a for e in schedule.events}
-    cfg = schedule.config
+    s, cfg = schedule, schedule.config
     batch = cfg.batch
     run = execute(schedule, stream, nonprivate=nonprivate, seeds=seeds)
-    steps, mids = np.array(schedule.releases, dtype=np.int64).reshape(-1, 2).T
+    # a release reads the kind of its model's last event at its step (an
+    # adopted continual base's, not its multires model's), "release" without
+    # one, and starts where its model's last event does
+    stride = int(s.t.max(initial=0)) + 1
+    event = _last(s.model_id * stride + s.t, s.release_mid * stride + s.release_t)
+    kinds = np.array([*KINDS, "release"], dtype=object)[np.where(event < 0, -1, s.kind[event])]
+    starts = s.a[_last(s.model_id, s.release_mid)]
+    steps, mids = s.release_t, s.release_mid
     # every seed's releases but its skipped models, seed-major, each seed's in time order
     seat, which = np.nonzero(~run.skip[:, mids])
-    steps, mids = steps[which], mids[which]
+    steps, mids, kinds, starts = steps[which], mids[which], kinds[which].tolist(), starts[which]
     eps_max = (Ledger() if nonprivate else ledger).running_max(steps)
     models = run.weights[seat, mids]
     noise_l2 = run.noise_l2[seat, mids].tolist()
-    starts = np.array([start_of[mid] for mid in mids.tolist()], dtype=np.int64)
     recent = np.maximum(0, steps - batch + 1)
     # the recent windows, then the old ones, scored in one call
     acc_window = _window_accuracy(
@@ -263,7 +266,7 @@ def replay(
     return [MetricsRecord(
         t=t,
         scheduler=cfg.name,
-        kind=kind_of.get((t, mid), "release"),
+        kind=kinds[r],
         eps=eps,
         lam=cfg.lam,
         batch=batch,
@@ -273,7 +276,14 @@ def replay(
         noise_l2=noise_l2[r],
         eps_max=eps_max[r],
         seed=seeds[i],
-    ) for r, (i, t, mid) in enumerate(zip(seat.tolist(), steps.tolist(), mids.tolist()))]
+    ) for r, (i, t) in enumerate(zip(seat.tolist(), steps.tolist()))]
+
+
+def _last(keys, queries) -> np.ndarray:
+    """The place of the last entry of keys equal to each query, -1 for none."""
+    order = np.argsort(keys, kind="stable")
+    at = order[np.maximum(np.searchsorted(keys, queries, side="right", sorter=order) - 1, 0)]
+    return np.where(keys[at] == queries, at, -1)
 
 
 def _window_accuracy(models: np.ndarray, which, stream: Dataset, starts, lengths) -> list:

@@ -1,11 +1,11 @@
 """Release schedules: multi-resolution, continual cumulative, sliding window.
 
 A schedule is built from one `SchedulerConfig` by `build_schedule`, which
-keeps that config as `Schedule.config`. Schedules are pure, RNG-free event
-lists (so they can be inspected, diffed and charged to a ledger without
-touching data), each event carrying its charge, Laplace scale, solve
-tolerance and, if sampled, inclusion probability; `execute` trains and
-perturbs their models against a stream.
+keeps that config as `Schedule.config`. Schedules are pure and RNG-free (so
+they can be inspected, diffed and charged to a ledger without touching
+data): their events are columns, one array a field, each event carrying its
+charge, Laplace scale, solve tolerance and, if sampled, inclusion
+probability; `execute` trains and perturbs their models against a stream.
 
 Time convention: stream points are 0-indexed. An event at step t fires on the
 arrival of point index t. Multi-resolution, continual and baseline releases
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
+import operator
 import re
 import string
 import sys
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import erm
 from .erm import SOLVE_MEMORY, CertificateError, Dataset
-from .ledger import Ledger, LedgerError
+from .ledger import Ledger, LedgerError, _ints
 from .mechanisms import (TAU_SHARE, laplace_scale, pberm, sampling_probability,
                          solve_tolerance, subsample)
 from .rng import first_integers, stream_keys
@@ -48,6 +48,10 @@ KIND_SUBSYSTEM = {
     "BaselineIndependent": "baseline",
     "BaselineBasicCumulative": "baseline",
 }
+# The names a schedule's kind, side and rule codes index (`Schedule`).
+KINDS = tuple(KIND_SUBSYSTEM)
+SIDES = (None, "base", "left", "right")
+RULES = (None, "exp_formula", "reciprocal")
 
 
 class ScheduleError(ValueError):
@@ -142,21 +146,83 @@ def schedule_budgets(name: str, eps: Fraction, standalone_base: bool = False) ->
     return {sub: times * eps for sub, times in _BUDGETS[name].items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """The events and releases `build_schedule` builds from config, the
     SchedulerConfig whose eps, lambda and L (resolved) they are calibrated
-    for, and trained with."""
+    for, and trained with.
+
+    The events are columns, one array per `EventSpec` field, in schedule
+    order: kind, side and rule as int8 codes into KINDS, SIDES and RULES,
+    level and reg_source -1 for None, p NaN where the rule is None, and the
+    charge eps_num / eps_den in lowest terms, int64, or Python ints past it.
+    The releases, in time order, are (release_t[i], release_mid[i]).
+    `events` and `releases` build records of them on demand.
+    """
 
     config: SchedulerConfig
-    events: tuple
-    releases: tuple  # (t, model_id) pairs in time order, each once
+    t: np.ndarray
+    kind: np.ndarray
+    level: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    eps_num: np.ndarray
+    eps_den: np.ndarray
+    noise_scale: np.ndarray
+    tau: np.ndarray
+    p: np.ndarray
+    model_id: np.ndarray
+    reg_source: np.ndarray
+    adopt: np.ndarray
+    side: np.ndarray
+    rule: np.ndarray
+    release_t: np.ndarray
+    release_mid: np.ndarray
 
     @property
     def budgets(self) -> dict:
         """The config's `schedule_budgets`, a fresh dict on each access."""
         cfg = self.config
         return schedule_budgets(cfg.name.removesuffix("-sample"), cfg.eps, cfg.standalone_base)
+
+    @property
+    def events(self) -> tuple:
+        """The events as `EventSpec` records, built on each access."""
+        return tuple(
+            EventSpec(t, KINDS[kind], None if level < 0 else level, a, b, Fraction(num, den), scale,
+                      tau, mid, None if reg < 0 else reg, adopt, SIDES[side], RULES[rule],
+                      p if rule else None)
+            for t, kind, level, a, b, num, den, scale, tau, p, mid, reg, adopt, side, rule
+            in zip(*(getattr(self, f).tolist() for f in _EVENT_COLUMNS)))
+
+    @property
+    def releases(self) -> tuple:
+        """The (t, model_id) pairs of the releases, built on each access."""
+        return tuple(zip(self.release_t.tolist(), self.release_mid.tolist()))
+
+
+# Schedule's event columns, and each one's dtype (None: `ledger._ints`; a
+# float column reads None as NaN). A schedule of few events is made from
+# `_Row`s, one value a column, converted once (`_from_rows`).
+_EVENT_COLUMNS = ("t", "kind", "level", "a", "b", "eps_num", "eps_den", "noise_scale", "tau",
+                  "p", "model_id", "reg_source", "adopt", "side", "rule")
+_DTYPES = (np.int64, np.int8, np.int64, np.int64, np.int64, None, None, np.float64, np.float64,
+           np.float64, np.int64, np.int64, bool, np.int8, np.int8)
+_Row = NamedTuple("_Row", [(name, object) for name in _EVENT_COLUMNS])
+
+
+def _schedule(cfg, columns, release_t, release_mid) -> Schedule:
+    """The Schedule of cfg with the `_EVENT_COLUMNS` columns and releases."""
+    arrays = [_ints(col, "charges") if dtype is None else np.ascontiguousarray(col, dtype=dtype)
+              for col, dtype in zip(columns, _DTYPES)]
+    return Schedule(cfg, *arrays, np.asarray(release_t, dtype=np.int64),
+                    np.asarray(release_mid, dtype=np.int64))
+
+
+def _from_rows(cfg, rows, releases) -> Schedule:
+    """The Schedule of cfg with the events rows and the (t, model_id) pairs releases."""
+    return _schedule(cfg, list(zip(*rows)) or [()] * len(_EVENT_COLUMNS),
+                     *np.array(releases, dtype=np.int64).reshape(-1, 2).T)
 
 
 def _calibration(cfg, n, eps, level, rule) -> tuple:
@@ -170,12 +236,13 @@ def _calibration(cfg, n, eps, level, rule) -> tuple:
 
 
 def _event(cfg, t, kind, level, a, b, eps, model_id, rule=None, adopt=False,
-           reg_source=None) -> EventSpec:
+           reg_source=None) -> _Row:
     """An event of the schedule cfg on [a, b] charged eps, with its
     `_calibration`; an adopted model is not trained and has none."""
     scale, tau, p = (0.0, 0.0, None) if adopt else _calibration(cfg, b - a + 1, eps, level, rule)
-    return EventSpec(t, kind, level, a, b, eps, scale, tau, model_id, reg_source, adopt, None,
-                     rule, p)
+    return _Row(t, KINDS.index(kind), -1 if level is None else level, a, b, eps.numerator,
+                eps.denominator, scale, tau, p, model_id, -1 if reg_source is None else reg_source,
+                adopt, 0, RULES.index(rule))
 
 
 def _rule(cfg, rule: str) -> str | None:
@@ -209,8 +276,7 @@ def _multires_events(cfg, T, ids, rule) -> list:
 
 def _multires(cfg, T) -> Schedule:
     events = _multires_events(cfg, T, itertools.count(), _rule(cfg, "exp_formula"))
-    releases = tuple((e.t, e.model_id) for e in events)
-    return Schedule(cfg, tuple(events), releases)
+    return _from_rows(cfg, events, [(e.t, e.model_id) for e in events])
 
 
 def _continual(cfg, T) -> Schedule:
@@ -264,8 +330,7 @@ def _continual(cfg, T) -> Schedule:
             releases.append((t, ev.model_id))
     # merge the embedded multires releases into time order; an adopted base
     # is the multires model released at the same step, so it is listed once
-    releases = sorted(dict.fromkeys(releases), key=lambda r: r[0])
-    return Schedule(cfg, tuple(events), tuple(releases))
+    return _from_rows(cfg, events, sorted(dict.fromkeys(releases), key=lambda r: r[0]))
 
 
 def _baseline_independent(cfg, T) -> Schedule:
@@ -280,7 +345,7 @@ def _baseline_independent(cfg, T) -> Schedule:
     ids = itertools.count()
     events = [_event(cfg, t, "BaselineIndependent", None, t - b0, t - 1, cfg.eps / 2, next(ids))
               for t in range(b0, T, b0)]
-    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events))
+    return _from_rows(cfg, events, [(e.t, e.model_id) for e in events])
 
 
 def _baseline_basic(cfg, T) -> Schedule:
@@ -306,7 +371,7 @@ def _baseline_basic(cfg, T) -> Schedule:
             continue
         events.append(ev)
         prev = ev.model_id
-    return Schedule(cfg, tuple(events), tuple((e.t, e.model_id) for e in events))
+    return _from_rows(cfg, events, [(e.t, e.model_id) for e in events])
 
 
 def window_shape(w: int, w0: int) -> int:
@@ -327,25 +392,39 @@ def _sliding_steps(T, w, w0):
     2^k - 1 blocks of w0 points, k = `window_shape(w, w0)`. Its chain, and
     which of its buckets are new, depend on t only through the phase
     r = n mod 2^(k-1), apart from step 0, whose buckets are all new
-    (`_phase_template`). Each template is built once, on first use, so a
-    run builds at most one per step. Yields (t, template, mids) per step:
-    template is the step's `_Phase`, whose buckets are offsets from t, and
-    mids the chain's model ids by position. A new bucket gets the next model
-    id, in chain order; a kept one carries its model id from the position it
-    held in the previous step's chain.
+    (`_phase_template`). Each template the steps reach is built once, so a
+    run builds at most one per step. Returns (steps, row, templates, mid):
+    step n fires at steps[n], its `_Phase`, whose buckets are offsets from
+    t, is templates[row[n]], and mid(n, i) gives the model ids of the
+    buckets at chain positions i of steps n, for broadcast index arrays.
+
+    New buckets get the next model ids, in step and chain order; a kept one
+    carries its model id from the step where it was new, traced back by
+    position through the phases before, which never leaves a step's cycle:
+    a refresh's buckets are all new, as step 0's are.
     """
     k = window_shape(w, w0)
     cycle = 2 ** (k - 1)
-    templates = {}  # phase -> its template; None: step 0's
-    ids = itertools.count()
-    mids = []
-    for n, t in enumerate(range(w - 1, T, w0)):
-        phase = n % cycle if n else None
-        tpl = templates.get(phase)
-        if tpl is None:
-            tpl = templates[phase] = _phase_template(k, w0, phase)
-        mids = [next(ids) if p is None else mids[p] for p in tpl.carry]
-        yield t, tpl, mids
+    steps = np.arange(w - 1, T, w0)
+    n = np.arange(len(steps))
+    # step 0's template, then phases 1, 2, ... as far as the steps reach, then the refresh's
+    phases = [None, *range(1, min(len(steps), cycle))][:len(steps)]
+    phases += [0] if len(steps) > cycle else []
+    templates = [_phase_template(k, w0, phase) for phase in phases]
+    # (d, j) of each template's chain positions: the bucket was the j-th new one d steps before
+    back, prev = np.zeros((len(templates), 2 * k - 1, 2), dtype=np.int64), []
+    for r, tpl in enumerate(templates):  # each after the phase before it
+        rank = {i: j for j, i in enumerate(tpl.trained)}
+        prev = [(0, rank[i]) if p is None else (prev[p][0] + 1, prev[p][1])
+                for i, p in enumerate(tpl.carry)]
+        back[r, :len(prev)] = prev
+    row = np.where((n % cycle == 0) & (n > 0), len(templates) - 1, n % cycle)
+    counts = np.array([len(tpl.trained) for tpl in templates], dtype=np.int64)[row]
+    first = counts.cumsum() - counts  # each step's first new model id
+
+    def mid(n, i):
+        return first[n - back[row[n], i, 0]] + back[row[n], i, 1]
+    return steps, row, templates, mid
 
 
 class _Phase(NamedTuple):
@@ -409,48 +488,62 @@ def _sliding(cfg, T) -> Schedule:
     and calibration depend on j alone, and each level's are worked out
     once: a side bucket is charged eps / (6 * 2^j) and, sampled, kept under
     the reciprocal rule from level 1 on; the base, at level k - 1, is
-    charged eps / 3 and never sampled. Each event is built from its level's.
+    charged eps / 3 and never sampled. The events are built with one
+    broadcast over the steps, from a table of each template's buckets.
     """
     w, w0, eps = cfg.w, cfg.w0, cfg.eps
     k = window_shape(w, w0)
-    levels = []  # (charge, rule, noise scale, tau, p) of each level
-    for j in range(k):
-        if j == k - 1:
-            charge, rule = eps / 3, None
-        else:
-            charge, rule = eps / (6 * 2**j), _rule(cfg, "reciprocal") if j > 0 else None
-        levels.append((charge, rule, *_calibration(cfg, 2**j * w0, charge, j, rule)))
-    events, releases = [], []
-    for t, (kind, buckets, trained, _), mids in _sliding_steps(T, w, w0):
-        for idx in trained:
-            da, db, side, level = buckets[idx]
-            charge, rule, scale, tau, p = levels[level]
-            events.append(EventSpec(t, kind, level, t + da, t + db, charge, scale, tau, mids[idx],
-                                    mids[idx - 1] if idx else None, False, side, rule, p))
-        releases.append((t, mids[-1]))
-    return Schedule(cfg, tuple(events), tuple(releases))
+    # each level's charge, sampling rule and calibration
+    charge = [eps / 3 if j == k - 1 else eps / (6 * 2**j) for j in range(k)]
+    rule = [_rule(cfg, "reciprocal") if 0 < j < k - 1 else None for j in range(k)]
+    scale, tau, p = zip(*(_calibration(cfg, 2**j * w0, charge[j], j, rule[j]) for j in range(k)))
+    steps, row, templates, mid = _sliding_steps(T, w, w0)
+    # each template's buckets by chain position: the offsets of a and b,
+    # side (0 past the chain), level, kind and whether it is new
+    table = np.zeros((len(templates), 2 * k - 1, 6), dtype=np.int64)
+    for r, (name, buckets, _, carry) in enumerate(templates):
+        table[r, :len(buckets)] = [(da, db, SIDES.index(side), level, KINDS.index(name), c is None)
+                                   for (da, db, side, level), c in zip(buckets, carry)]
+    n, i = np.nonzero(table[:, :, 5][row])  # each event's step and chain position
+    da, db, side, level, kind, _ = table[row[n], i].T
+    t = steps[n]
+    columns = (t, kind, level, t + da, t + db,
+               _ints([c.numerator for c in charge], "charges")[level],
+               _ints([c.denominator for c in charge], "charges")[level], np.array(scale)[level],
+               np.array(tau)[level], np.array(p, dtype=np.float64)[level],
+               mid(n, i), np.where(i > 0, mid(n, i - 1), -1), np.zeros(len(t), dtype=bool),
+               side, np.array([RULES.index(r) for r in rule])[level])
+    last = (table[:, :, 2][row] > 0).sum(axis=1) - 1  # each step's smallest bucket
+    return _schedule(cfg, columns, steps, mid(np.arange(len(steps)), last))
 
 
 def sliding_chain(T, w, w0) -> tuple:
     """The sliding window's dependency chain after each release step of a
     sliding schedule of w and w0 on a stream of length T, as ChainStates,
     from the same per-phase steps (`_sliding_steps`)."""
+    steps, row, templates, mid = _sliding_steps(T, w, w0)
+    mids = mid(np.arange(len(steps))[:, None], np.arange(2 * window_shape(w, w0) - 1))
     return tuple(
-        ChainState(t, tuple((t + da, t + db, side, mid)
-                            for (da, db, side, _), mid in zip(buckets, mids)),
-                   tuple(mids[idx] for idx in trained), mids[-1])
-        for t, (_, buckets, trained, _), mids in _sliding_steps(T, w, w0))
+        ChainState(t, tuple((t + da, t + db, side, model)
+                            for (da, db, side, _), model in zip(buckets, m)),
+                   tuple(m[i] for i in trained), m[len(buckets) - 1])
+        for t, (_, buckets, trained, _), m in zip(
+            steps.tolist(), map(templates.__getitem__, row.tolist()), mids.tolist()))
 
 
 def ledger_from_events(schedule: Schedule) -> Ledger:
     """A fresh ledger of the schedule's budgets, charged with its events (dry
-    run: no data, no RNG)."""
-    charged = [e for e in schedule.events if e.eps.numerator > 0]
-    ledger = Ledger(budgets=schedule.budgets)
-    ledger.extend([e.a for e in charged], [e.b for e in charged],
-                  [e.eps.numerator for e in charged], [e.eps.denominator for e in charged],
-                  [e.subsystem for e in charged], [e.t for e in charged],
-                  [e.kind if e.side is None else f"{e.kind}/{e.side}" for e in charged])
+    run: no data, no RNG) in one `Ledger.extend`: each to its kind's
+    subsystem, with its kind, and a sliding event's side, as mechanism."""
+    s = schedule
+    charged = np.flatnonzero(s.eps_num > 0)
+    kind = s.kind[charged]
+    labels = np.array([[k if d is None else f"{k}/{d}" for d in SIDES] for k in KINDS],
+                      dtype=object)  # by kind and side
+    ledger = Ledger(budgets=s.budgets)
+    ledger.extend(s.a[charged], s.b[charged], s.eps_num[charged], s.eps_den[charged],
+                  np.array([KIND_SUBSYSTEM[k] for k in KINDS], dtype=object)[kind], s.t[charged],
+                  labels[kind, s.side[charged]])
     return ledger
 
 
@@ -505,54 +598,45 @@ def execute(
     each of `seeds`, a sequence, returning one RunResult of them all.
 
     The schedule is RNG-free, so every seed trains the same events on the
-    same slices, and events are trained in dependency waves: an event's wave
-    is one more than its `reg_source`'s, and events without one are wave 1, so
-    the events of a wave are independent of each other. A wave is solved as
-    members (event, seat positions, rows), where the seat positions are the
-    places in `seeds` that one solve serves. An unsampled event's seeds train
-    on one range with one lambda and tau, so where their biases are
-    bit-equal (one comparison per wave, as int64, so that -0.0 is not 0.0)
-    the event is one member serving every seat: in a private run, the
-    events trained toward the zero model; in a nonprivate one, every
-    unsampled event. Otherwise, and for a sampled event, whose seeds draw
-    their own rows, each seed is a member of one seat. A stack of members
-    is solved in lockstep by `pberm` with its config's lambda toward each
-    member's regularizer (the zero model without one), to each event's
-    tolerance tau, one call per stack. Where copies of an unsampled event's
-    range for each of its members would take more than _STACK_BYTES, its
-    members read the range in place, in chunks of `erm._CHUNK_ROWS` rows
-    from its start, and the wave's members that read a common chunk, joined
-    transitively, form a set (`_chunk_sharing`), in order of start, longest
-    first: the solve reads each shared chunk once for all the members of a
-    stack. The sets are stacked in order (`_in_place_stacks`): small sets
-    are packed whole into one stack up to _SOLVE_BYTES, and a set over it
-    is a stack of its own while its solver state is at most the bytes of
-    the distinct rows it reads, and past that is split into near-equal
-    stacks under the larger of the two. So a set is cut only where its
-    state would outgrow its data and the cap. Otherwise, and for a sampled event's members, each
-    member reads its own rows as an index array that the solve gathers, and
-    the members of one row count are pooled and split into near-equal
-    stacks of about _SOLVE_BYTES (`_stacks`). A pooled stack whose members
-    all read ranges passes its rows as one (members, n) array, each start
-    plus arange(n), which the solve gathers as it is. `pberm` fans each solved
-    member out to its (seed, event) releases with one index and perturbs
-    them in one draw. Solving is deterministic and a member's result does
-    not depend on its stack-mates, and a seed's subsample and noise streams
-    derive from that seed and the model id alone, so its result equals a
-    run of that seed by itself, event by event; the subseeds of every
-    (event, seed) are derived up front, one vectorised call per label
-    (`_subseeds`).
+    same slices. Events are trained in dependency waves (`_waves`), so the
+    events of a wave are independent of each other. A wave is solved as
+    members, index arrays of an event, its first seat (a place in `seeds`)
+    and how many seats from there one solve serves. An unsampled event
+    whose seeds' biases are bit-equal (one comparison per wave, as int64,
+    so that -0.0 is not 0.0) trains one range toward one bias, so it is one
+    member serving every seat: in a private run, the events trained toward
+    the zero model; in a nonprivate one, every unsampled event. Any other
+    event, and a sampled one, whose seeds draw their own rows, is a member
+    per seat. A stack of members is solved in lockstep by `pberm`, one call
+    per stack, with its config's lambda toward each member's regularizer
+    (the zero model without one), to each event's tolerance tau.
+
+    Where copies of an unsampled event's range for each of its members
+    would take more than _STACK_BYTES, its members read the range in place,
+    in chunks of `erm._CHUNK_ROWS` rows from its start, and the wave's
+    members that read a common chunk, joined transitively, form a set
+    (`_chunk_sharing`): the solve reads each shared chunk once for all the
+    members of a stack. The sets are stacked in order by `_in_place_stacks`.
+    Every other member reads its rows as an index array that the solve
+    gathers: the members of one row count, in order of their first, are
+    split into near-equal stacks of about _SOLVE_BYTES (`_stacks`), and a
+    stack whose members all read ranges passes its rows as one
+    (members, n) array, a[members, None] + arange(n). `pberm` fans each
+    solved member out to its (seed, event) releases with one index and
+    perturbs them in one draw. A member's result does not depend on its
+    stack-mates, and a seed's subsample and noise streams derive from that
+    seed and the model id alone (`_subseeds`, one vectorised call per
+    label), so each seed's result equals a run of that seed by itself,
+    event by event.
 
     The run is kept as arrays with a leading seed axis: one (S, M + 1, k, d)
     weight array indexed by seed position and model id, whose last model
     slot is the zero model, and (S, M + 1) noise-norm and skip columns
-    beside it. A stack gathers its members' biases from it with one
-    fancy index and trains as arrays from there (`pberm`), in this process,
-    and its noisy weights, noise_l1 and noise_l2 are stored with one
-    assignment each. A stack's result depends on its own inputs alone, and
-    its biases come from earlier waves, so the order of a wave's stacks
-    does not matter. Nothing is charged here: the run's charges are the
-    schedule's (`ledger_from_events`).
+    beside it. A stack gathers its members' biases from it with one fancy
+    index and stores its noisy weights, noise_l1 and noise_l2 with one
+    assignment each; its biases come from earlier waves, so the order of a
+    wave's stacks does not matter. Nothing is charged here: the run's
+    charges are the schedule's (`ledger_from_events`).
 
     A sampled event keeps each point with its probability p. One whose
     subsample is empty is skipped for that seed: it is neither trained nor
@@ -570,25 +654,24 @@ def execute(
     seeds = tuple(seeds)
     if not seeds:
         raise ScheduleError("need at least one seed")
-    trained = [e for e in schedule.events if not e.adopt]
-    for e in trained:
-        if e.b >= stream.n:
-            raise ScheduleError(f"event at t={e.t} needs point {e.b} beyond stream end")
-    ids = [e.model_id for e in trained]
+    s, S = schedule, len(seeds)
+    trained = np.flatnonzero(~s.adopt)  # the positions of the trained events
+    late = trained[s.b[trained] >= stream.n]
+    if len(late):
+        e = late[0]
+        raise ScheduleError(f"event at t={s.t[e]} needs point {s.b[e]} beyond stream end")
+    ids = s.model_id[trained]
     noise_seeds = _subseeds(seeds, "noise", ids)
-    sample_seeds = _subseeds(seeds, "sample", [e.model_id for e in trained if e.sampled_rule])
-    zero = 1 + max((e.model_id for e in schedule.events), default=-1)  # the zero model's slot
-    weights = np.zeros((len(seeds), zero + 1, stream.k, stream.d))
-    noise_l1, noise_l2 = np.zeros((2, len(seeds), zero + 1))
-    skip = np.zeros((len(seeds), zero + 1), dtype=bool)
+    sample_seeds = _subseeds(seeds, "sample", ids[s.rule[trained] > 0])
+    zero = int(s.model_id.max(initial=-1)) + 1  # the zero model's slot
+    weights = np.zeros((S, zero + 1, stream.k, stream.d))
+    noise_l1, noise_l2 = np.zeros((2, S, zero + 1))
+    skip = np.zeros((S, zero + 1), dtype=bool)
     scale, tau = np.zeros((2, zero + 1))
     source = np.full(zero + 1, zero)  # each model's regularizer
-    for e in trained:
-        scale[e.model_id] = 0.0 if nonprivate else e.noise_scale
-        tau[e.model_id] = e.tau
-        if e.reg_source is not None:
-            source[e.model_id] = e.reg_source
-    every = tuple(range(len(seeds)))  # the seats of a member that serves every seed
+    scale[ids] = 0.0 if nonprivate else s.noise_scale[trained]
+    tau[ids] = s.tau[trained]
+    source[ids] = np.where(s.reg_source[trained] < 0, zero, s.reg_source[trained])
     lam = schedule.config.lam
 
     def member_bytes(n, gathered):
@@ -596,81 +679,96 @@ def execute(
         rows = n * (stream.d + stream.k) if gathered else min(n, erm._CHUNK_ROWS) * stream.k
         return (rows + _SOLVE_ARRAYS * stream.k * stream.d) * 8
 
-    for wave in _waves(trained):
-        # whether each unsampled event's seeds have bit-equal biases, each
-        # distinct regularizer compared once
-        distinct, which = np.unique(source[[e.model_id for e in wave if e.sampled_rule is None]],
-                                    return_inverse=True)
+    for wave in _waves(ids, source[ids], zero):
+        events = trained[wave]
+        sampled = s.rule[events] > 0
+        # an unsampled event whose seeds' biases are bit-equal, each distinct
+        # regularizer compared once, is one member serving every seat; any
+        # other event is a member per seat
+        distinct, which = np.unique(source[s.model_id[events[~sampled]]], return_inverse=True)
         biases = weights[:, distinct].view(np.int64)
-        shared = iter((biases == biases[:1]).all(axis=(0, 2, 3))[which].tolist())
-        groups = {}  # row count -> [(event, seat positions, rows)] of the pooled members
-        in_place = []  # the members that read their range in place
-        for e in wave:
-            if e.sampled_rule is None:
-                n, rows = e.b - e.a + 1, range(e.a, e.b + 1)
-                members = [(e, every, rows)] if next(shared) else [(e, (i,), rows) for i in every]
-                if len(members) * n * stream.d * 8 > _STACK_BYTES:
-                    in_place += members
-                else:
-                    groups.setdefault(n, []).extend(members)
-                continue
-            for i in every:
-                rows = subsample(e.b - e.a + 1, e.p, int(sample_seeds[i, e.model_id])) + e.a
-                if len(rows) == 0:  # skipped
-                    skip[i, e.model_id] = True
-                    weights[i, e.model_id] = weights[i, source[e.model_id]]
-                else:
-                    groups.setdefault(len(rows), []).append((e, (i,), rows))
-        stacks = [(stack, False) for stack in _in_place_stacks(
-            _chunk_sharing(in_place), lambda n: member_bytes(n, False), stream.d * 8)]
-        stacks += [(stack, True) for n, members in groups.items()
-                   for stack in _stacks(members, len(members) * member_bytes(n, True),
-                                        _SOLVE_BYTES)]
-        for members, gathered in stacks:
-            rows = [r for _, _, r in members]
-            if gathered and all(isinstance(r, range) for r in rows):  # one (members, n) array
-                rows = np.array([r.start for r in rows])[:, None] + np.arange(len(rows[0]))
-            elif gathered:  # as index arrays, which solve gathers into blocks
-                rows = [np.arange(r.start, r.stop) if isinstance(r, range) else r for r in rows]
-            mids = np.array([e.model_id for e, _, _ in members])
-            first = np.array([seats[0] for _, seats, _ in members])
+        shared = np.zeros(len(events), dtype=bool)
+        shared[~sampled] = (biases == biases[:1]).all(axis=(0, 2, 3))[which]
+        count, span = np.where(shared, 1, S), s.b[events] - s.a[events] + 1
+        member = np.repeat(events, count)  # each member's event, in wave and seat order
+        # a member serves `serves` seats from `seat`, and reads n rows
+        seat, serves = _ranks(count), np.repeat(np.where(shared, S, 1), count)
+        n = np.repeat(span, count)
+        in_place = np.repeat(~sampled & (count * span * stream.d * 8 > _STACK_BYTES), count)
+        drawn = {}  # a sampled member's subsample, by its place; an empty one is skipped
+        for j in np.flatnonzero(np.repeat(sampled, count)).tolist():
+            e, i = member[j], seat[j]
+            mid = s.model_id[e]
+            drawn[j] = subsample(int(n[j]), s.p[e], int(sample_seeds[i, mid])) + s.a[e]
+            n[j] = len(drawn[j])
+            if n[j] == 0:
+                skip[i, mid] = True
+                weights[i, mid] = weights[i, source[mid]]
+        places = np.flatnonzero(in_place)
+        starts, sizes = s.a[member[places]].tolist(), n[places].tolist()
+        stacks = [(places[stack], False) for stack in _in_place_stacks(
+            _chunk_sharing(starts, sizes), starts, sizes, lambda n: member_bytes(n, False),
+            stream.d * 8)]
+        pooled = np.flatnonzero(~in_place & (n > 0))
+        lengths, first_at = np.unique(n[pooled], return_index=True)
+        for size in lengths[np.argsort(first_at)].tolist():  # in order of first member
+            group = pooled[n[pooled] == size]
+            stacks += [(stack, True) for stack in _stacks(
+                group, len(group) * member_bytes(size, True), _SOLVE_BYTES)]
+        for stack, gathered in stacks:
+            e, first = member[stack], seat[stack]
+            if not gathered:
+                rows = [range(a, b + 1) for a, b in zip(s.a[e].tolist(), s.b[e].tolist())]
+            elif drawn.keys().isdisjoint(stack.tolist()):  # one (members, n) array
+                rows = s.a[e][:, None] + np.arange(n[stack[0]])
+            else:  # as index arrays, which solve gathers into blocks
+                rows = [drawn.get(j, np.arange(a, a + size)) for j, a, size in
+                        zip(stack.tolist(), s.a[e].tolist(), n[stack].tolist())]
+            mids = s.model_id[e]
             # each (seed, event) release: its seat and the member it is a release of
-            seat = np.array([i for _, seats, _ in members for i in seats])
-            fan = np.array([j for j, (_, seats, _) in enumerate(members) for _ in seats])
+            fan = np.repeat(np.arange(len(stack)), serves[stack])
+            seats = first[fan] + _ranks(serves[stack])
             released = mids[fan]
             try:
                 result = pberm(weights[first, source[mids]], stream, lam, tau[mids],
-                               scale[released], noise_seeds[seat, released], rows, fan)
+                               scale[released], noise_seeds[seats, released], rows, fan)
             except CertificateError as exc:
-                e, seats, _ = members[exc.member]
-                where = f"event at t={e.t} on [{e.a}, {e.b}], seed {seeds[seats[0]]}"
+                j = e[exc.member]
+                where = (f"event at t={s.t[j]} on [{s.a[j]}, {s.b[j]}], "
+                         f"seed {seeds[first[exc.member]]}")
                 raise CertificateError(exc.iterations, exc.grad_norm, exc.member, where) from None
-            weights[seat, released], noise_l1[seat, released], noise_l2[seat, released] = result
+            weights[seats, released], noise_l1[seats, released], noise_l2[seats, released] = result
 
     return RunResult(weights, noise_l1, noise_l2, skip)
 
 
-def _waves(events):
-    """Events grouped by dependency wave, each wave in schedule order.
+def _ranks(count) -> np.ndarray:
+    """0, 1, ..., count[i] - 1 for each i in turn."""
+    return np.arange(count.sum()) - np.repeat(count.cumsum() - count, count)
 
-    An event's wave is one more than its regularizer's, and 1 without one;
-    a regularizer always comes earlier in the schedule.
+
+def _waves(ids, sources, zero) -> list:
+    """The positions of events of model ids ids and regularizers sources
+    (zero, the zero model's slot, for none) by dependency wave, each wave in
+    schedule order.
+
+    An event's wave is one more than its regularizer's, and 1 without one:
+    each pass sets every event's from its regularizer's, until none moves.
     """
-    waves, depth = [], {}
-    for e in events:
-        depth[e.model_id] = 1 if e.reg_source is None else depth[e.reg_source] + 1
-        if depth[e.model_id] > len(waves):
-            waves.append([])
-        waves[depth[e.model_id] - 1].append(e)
-    return waves
+    depth = np.zeros(zero + 1, dtype=np.int64)  # the zero model's stays 0
+    while not np.array_equal(depth[ids], wave := depth[sources] + 1):
+        depth[ids] = wave
+    order = np.argsort(wave, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(wave[order])) + 1) if len(order) else []
 
 
-def _chunk_sharing(members):
-    """Members that read their ranges in place, in sets that share a chunk
-    (`erm._CHUNK_ROWS` rows counted from a member's own start, one start
-    and length), joined transitively: each set in order of start, longest
-    first, and the sets in order of their first member in members."""
-    root = list(range(len(members)))  # union-find over the members' positions
+def _chunk_sharing(starts, sizes):
+    """The members that read their ranges in place, given by each one's start
+    and row count, as their positions, in sets that share a chunk
+    (`erm._CHUNK_ROWS` rows counted from a member's own start, one start and
+    length), joined transitively: each set in order of start, longest first,
+    and the sets in order of their first member."""
+    root = list(range(len(starts)))  # union-find over the members' positions
 
     def find(i):
         while root[i] != i:
@@ -678,22 +776,22 @@ def _chunk_sharing(members):
         return i
 
     first = {}  # chunk -> the first member that reads it
-    for i, (_, _, rows) in enumerate(members):
-        for off in range(0, len(rows), erm._CHUNK_ROWS):
-            j = first.setdefault((rows.start + off, min(erm._CHUNK_ROWS, len(rows) - off)), i)
+    for i, (start, n) in enumerate(zip(starts, sizes)):
+        for off in range(0, n, erm._CHUNK_ROWS):
+            j = first.setdefault((start + off, min(erm._CHUNK_ROWS, n - off)), i)
             a, b = sorted((find(i), find(j)))
             root[b] = a
     sets = {}
-    for i, member in enumerate(members):
-        sets.setdefault(find(i), []).append(member)
-    return [sorted(m, key=lambda member: (member[2].start, -len(member[2])))
-            for m in sets.values()]
+    for i in range(len(starts)):
+        sets.setdefault(find(i), []).append(i)
+    return [sorted(m, key=lambda i: (starts[i], -sizes[i])) for m in sets.values()]
 
 
-def _in_place_stacks(sets, state, row_bytes):
-    """The stacks of a wave's in-place members, from their chunk-sharing
-    sets in order (`_chunk_sharing`), where state(n) is what a solve holds
-    for a member that reads n rows and row_bytes the bytes of one row.
+def _in_place_stacks(sets, starts, sizes, state, row_bytes):
+    """The stacks of a wave's in-place members, given by each one's start and
+    row count, from their chunk-sharing sets in order (`_chunk_sharing`),
+    where state(n) is what a solve holds for a member that reads n rows and
+    row_bytes the bytes of one row.
 
     A set is added whole to the current stack while the stack stays within
     _SOLVE_BYTES, so small sets share one call; one that does not fit closes
@@ -705,7 +803,7 @@ def _in_place_stacks(sets, state, row_bytes):
     both."""
     stack, held = [], 0
     for members in sets:
-        size = sum(state(len(rows)) for _, _, rows in members)
+        size = sum(state(sizes[i]) for i in members)
         if stack and held + size > _SOLVE_BYTES:
             yield stack
             stack, held = [], 0
@@ -714,9 +812,9 @@ def _in_place_stacks(sets, state, row_bytes):
             held += size
             continue
         distinct, end = 0, 0  # the rows of the union of the ranges, by start
-        for _, _, rows in members:
-            distinct += max(0, rows.stop - max(rows.start, end))
-            end = max(end, rows.stop)
+        for i in members:
+            distinct += max(0, starts[i] + sizes[i] - max(starts[i], end))
+            end = max(end, starts[i] + sizes[i])
         yield from _stacks(members, size, max(_SOLVE_BYTES, distinct * row_bytes))
     if stack:
         yield stack
@@ -811,16 +909,6 @@ _TRACE_LINE = ('{{"t": {}, "kind": "{}", "level": {}, "a": {}, "b": {}, "reg_sou
                '"model_id": {}}}\n')
 
 
-def _json_scalar(v) -> str:
-    """json.dumps(v) for None, an int or a float, numpy's float64 included
-    (whose repr under numpy 2 is not the float's)."""
-    if v is None:
-        return "null"
-    if isinstance(v, float):
-        return float.__repr__(v) if math.isfinite(v) else json.dumps(float(v))
-    return int.__repr__(v)
-
-
 def export_trace(schedule: Schedule, path=None):
     """Write the schedule's trace to path, or to standard output without one:
     its `trace_header`, then one `trace_record` per event, one JSON object a
@@ -829,22 +917,29 @@ def export_trace(schedule: Schedule, path=None):
 
     The fields that repeat across events, kind, level, noise_scale,
     sampled_p and the charge, are formatted into `_TRACE_LINE` once per
-    distinct combination, which leaves a line template of t, a, b,
-    reg_source and model_id to fill in per event. A combination is keyed by
-    its kind and by the identity of its other values: one object always has
-    one text, while equal values need not (0.0 and -0.0, or 1 and 1.0). All
-    lines are written in one call.
+    distinct combination of their columns, floats by their bits (0.0 and
+    -0.0 are written apart), which leaves a line template of t, a, b,
+    reg_source and model_id to fill in per event. All lines are written in
+    one call.
     """
-    templates = {}  # (kind, ids of level, noise_scale, p, eps) -> a line template
-    lines = []
-    for e in schedule.events:
-        key = (e.kind, id(e.level), id(e.noise_scale), id(e.p), id(e.eps))
-        line = templates.get(key)
-        if line is None:
-            line = templates[key] = _TRACE_LINE.format(
-                "%s", e.kind, _json_scalar(e.level), "%s", "%s", "%s", _json_scalar(e.noise_scale),
-                _json_scalar(e.p), e.eps.numerator, e.eps.denominator, "%s")
-        lines.append(line % (e.t, e.a, e.b, _json_scalar(e.reg_source), e.model_id))
+    s = schedule
+    cols = (s.kind, s.level, s.noise_scale.view(np.int64), s.p.view(np.int64), s.rule, s.eps_num,
+            s.eps_den)
+    order = np.lexsort(cols)  # the events by combination, each in schedule order
+    new = np.arange(len(order)) == 0  # each sorted event that starts a combination
+    for col in cols:
+        new[1:] |= col[order][1:] != col[order][:-1]
+    first, which = order[new], np.empty_like(order)
+    which[order] = new.cumsum() - 1  # each event's combination
+    templates = [_TRACE_LINE.format(
+        "%s", KINDS[kind], json.dumps(None if level < 0 else level), "%s", "%s", "%s",
+        json.dumps(scale), json.dumps(p if rule else None), num, den, "%s")
+        for kind, level, scale, p, rule, num, den in zip(*(
+            getattr(s, f)[first].tolist() for f in ("kind", "level", "noise_scale", "p", "rule",
+                                                    "eps_num", "eps_den")))]
+    regs = ["null" if r < 0 else r for r in s.reg_source.tolist()]
+    lines = map(operator.mod, [templates[i] for i in which.tolist()],
+                zip(s.t.tolist(), s.a.tolist(), s.b.tolist(), regs, s.model_id.tolist()))
     with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(json.dumps(trace_header(schedule)) + "\n")
         fh.write("".join(lines))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from streamdp import (
     export_metrics,
     load_csv,
     load_idx,
+    multires_events_at,
     replay,
     sgd_train,
     synth_stream,
@@ -253,6 +255,19 @@ class TestReplay:
         export_trace(schedule, tmp_path / "trace.jsonl")
         head = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
         assert (head["scheduler"], head["lam"]) == ("continual-sample", 7)
+
+    def test_a_release_reads_the_kind_of_the_last_event_it_names(self):
+        # an adopted base is the multires model on [0, t - 1] released at its
+        # step t, listed once: its event comes after the multires event in
+        # the schedule, so the release reads Base, and every other multires
+        # release reads MultiRes (B = 32: bases at 32, 64 and 128)
+        recs = replay(self.stream, self.schedule, self.ledger)
+        kinds = Counter((r.t, r.kind) for r in recs)
+        for t in range(32, self.stream.n, 32):
+            base = t in (32, 64, 128)
+            assert kinds[t, "Base"] == base
+            assert kinds[t, "MultiRes"] == len(multires_events_at(t, 32)) - base
+        assert {kind for _, kind in kinds} == {"Base", "MultiRes", "SmallUpdate", "LargeUpdate"}
 
     def test_eps_max_nondecreasing(self):
         recs = replay(self.stream, self.schedule, self.ledger, test=self.test)

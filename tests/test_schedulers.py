@@ -169,6 +169,68 @@ PINNED_STRUCTURE = pytest.mark.parametrize("sampled,T,w,w0,digest", [
 ], ids=["sliding-255", "sliding-42x6", "sliding-7", "sliding-sample-255",
         "sliding-sample-42x6", "sliding-sample-7"])
 
+# SHA-256 of export_trace's bytes and of repr(ledger_from_events(...).charges)
+# for every scheduler, and continual with each flag, at eps 2/3, lambda 0.7
+# and L 0.37, on two (T, block sizes) points, as the event-by-event schedule
+# wrote them before it was kept as columns.
+PINNED_SIZES = {200: dict(B=8, b0=2, w=42, w0=6), 3000: dict(B=48, b0=6, w=255, w0=1)}
+PINNED_OUTPUTS = pytest.mark.parametrize("name,flag,T,trace,charges", [
+    ("multires", None, 200, "90f8e8e09d3f6024f25258769dfb96598a2dca071bf13e6d5915c35a190b313a",
+     "2257987510f8cfd301bcb05a2cacdf3807d0660ecf907f7f36a7a691f0484087"),
+    ("multires", None, 3000, "89e734d9019ff7db6c95332b6543e6b772abc1b25563409ff0fc882500f7bcf0",
+     "9c90e8bddc6a76e67d527d3a541aa6f28c0f3b9b48217297f6c3bc99552d3b5f"),
+    ("multires-sample", None, 200,
+     "c1d4467becfd1aedae988e275253fe978c41d564b7e40d877601e0096b239b2a",
+     "2257987510f8cfd301bcb05a2cacdf3807d0660ecf907f7f36a7a691f0484087"),
+    ("multires-sample", None, 3000,
+     "363656d982a7019c0dd5af0e824ce1198d54ac76ffe04b7c3fa44e45e7912f80",
+     "9c90e8bddc6a76e67d527d3a541aa6f28c0f3b9b48217297f6c3bc99552d3b5f"),
+    ("continual", None, 200, "2d459a086f54a824396ac564395dfb481bca80608588d3b5c74178703b31f2ad",
+     "53bbecc6fddf572f30dc906364fbbc6143b052fe26373f0582a62deb23e46c93"),
+    ("continual", None, 3000, "9f8fd27df346420476250dc1c1d51d40c0d29ae0eac94daf4a94bf6de70d139c",
+     "664436fc01845b4934aec1671c7df42169aade8c107738a96db106c3f6ebefae"),
+    ("continual-sample", None, 200,
+     "30816ba8d7b2baac2ce9c84a49aebb266b450b3206c529be33fe4550fdbc0091",
+     "53bbecc6fddf572f30dc906364fbbc6143b052fe26373f0582a62deb23e46c93"),
+    ("continual-sample", None, 3000,
+     "d95401bb0ef35aa175fd10e32cbce6ef79e8a4ea14a68193fe8ab4f5fdd7628f",
+     "664436fc01845b4934aec1671c7df42169aade8c107738a96db106c3f6ebefae"),
+    ("sliding", None, 200, "5dd415f80c8e46cac51231072d6d73c5ec62dc6aa18755f055817f5f7b463880",
+     "32b35f6bd496a5f10d8e6a3bf099d8a24286c96c7d608c68ee005e937e6dd16e"),
+    ("sliding", None, 3000, "012b428395caf274a9cd579410beb1d0c635091ba2cc3e6576e3188331fe6f09",
+     "ad3b248efe5e25128ffaab2c4854b5cdbbab34340a94c57e1e48ff282802d0f6"),
+    ("sliding-sample", None, 200,
+     "184f41fe16aa39785cc0d274352fe359d3d4ec9931558dd9d4fdbcfdd746e63c",
+     "32b35f6bd496a5f10d8e6a3bf099d8a24286c96c7d608c68ee005e937e6dd16e"),
+    ("sliding-sample", None, 3000,
+     "baaf7ce8514cc221bf146dcb84eddaedef7f285e8646637359f3808e42769674",
+     "ad3b248efe5e25128ffaab2c4854b5cdbbab34340a94c57e1e48ff282802d0f6"),
+    ("baseline-independent", None, 200,
+     "821ac1b991d6b78dec9835db12370ae9b49b8f72367ef13412291313037d95db",
+     "0583de5ef467c84bd26621bac2897ff8f6bdd65a5f108b09ee4c443cac9ff5c6"),
+    ("baseline-independent", None, 3000,
+     "23a4f4f6ad598bc8991354a6a6e7e0b075548e9be0c689bfb1f04583f0e64c15",
+     "a26672831ef9e712729a3cacb292e7541947ddf4480f6f92c9adc09f589ecf60"),
+    ("baseline-basic", None, 200,
+     "22fa5d24b90c1aa4e6af9102f22c6553915231d9c479efa7ec33f042339f6e98",
+     "4a6655391747921cc63846932806ae6c2764f3f2dfcfb584caeda6cb7ad4c7d2"),
+    ("baseline-basic", None, 3000,
+     "cd78430d7829bf319b7050bd38a97a49356ec96deb645381dab76132e0e1a886",
+     "55d877fd7c1d3a5ed26ae858a2dd18f867a59f9d9adb7631bcf3a76eca26212c"),
+    ("continual", "standalone_base", 200,
+     "3eae1cc502de9c1e3f83ab315d129829bf6473efd2d9420b1ea49b5c996c8625",
+     "f6b51afef3477ca954052b0aab3dbf6a33e25c776bd920c18d46ed86fd8f6703"),
+    ("continual", "standalone_base", 3000,
+     "9dd231ab99be0963db555792216169874d9e6fdeff6a111fad7fba92a82cc9aa",
+     "d34d183e6e6d9e921a1396489043e7e761f8d0a23ceb4b4ddd5cd1405ad84429"),
+    ("continual", "first_base_at_2B", 200,
+     "1dc1827828b19bd114ac75af5981abd24e179b50bd37b243db860bc41bca2450",
+     "143a7ded493ca073ec7d180d79e0fab12eedeac72cb358550122665f599d3346"),
+    ("continual", "first_base_at_2B", 3000,
+     "b79cf7b03f514bcefa8c0688d37ee4a769ada9b471468bb42801932c2e92b16a",
+     "5c69ed4c87095e0d36838312e27e0dc2d8e818900a11b99e9e5c036d3f7bfeb4"),
+])
+
 
 def chain_signature(states):
     return [
@@ -368,6 +430,31 @@ class TestSlidingSchedule:
         assert sched.releases == releases
         assert [(st.t, st.buckets, st.trained, st.released)
                 for st in sliding_chain(T, w, w0)] == states
+
+    def test_a_long_schedule_holds_its_columns_alone(self):
+        # the bounds follow from the column dtypes, fixed before any run:
+        # eight int64 columns (t, level, a, b, eps_num, eps_den, model_id,
+        # reg_source), three float64 (noise_scale, tau, p), three int8 codes
+        # and a bool, 92 bytes an event (one EventSpec object held 292), and
+        # two int64 release columns, 16 bytes a step; 64 KiB covers the array
+        # headers. At its peak the build holds besides at most the gathered
+        # template rows (six int64 an event), eight int64 index and model id
+        # temporaries an event, and one int64 per chain position a step
+        # (2k - 1 = 15 positions at w = 255). A short build first leaves out
+        # what a first call caches for good.
+        T, w = 50_000, 255
+        schedule_of("sliding", 2 * w, w=w, w0=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sched = schedule_of("sliding", T, w=w, w0=1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        events, steps = len(sched.t), len(sched.release_t)
+        assert steps == T - w + 1 and events > steps
+        assert held - before <= 92 * events + 16 * steps + (64 << 10)
+        assert peak - before <= (92 + 48 + 64) * events + (16 + 8 * 15) * steps + (64 << 10)
 
     def test_each_phase_template_is_built_once(self, monkeypatch):
         built = []
@@ -1185,6 +1272,19 @@ class TestTraceHeader:
         assert eps == Fraction(2, 3) and ledger.budgets == sched.budgets
 
 
+class TestPinnedOutputs:
+    @PINNED_OUTPUTS
+    def test_trace_bytes_and_charges_are_pinned(self, name, flag, T, trace, charges, tmp_path):
+        flags = {} if flag is None else {flag: True}
+        sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, 0.37,
+                                               **PINNED_SIZES[T], **flags), T)
+        path = tmp_path / "trace.jsonl"
+        schedulers.export_trace(sched, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace
+        got = repr(ledger_from_events(sched).charges).encode()
+        assert hashlib.sha256(got).hexdigest() == charges
+
+
 class TestTraceLines:
     """export_trace's template against json.dumps of each trace_record, and
     ledger_from_trace's pattern built from it."""
@@ -1198,14 +1298,15 @@ class TestTraceLines:
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_every_line_is_json_dumps_and_reads_back(self, name, L, tmp_path):
         # laplace_scale refuses a non-finite or zero L, so those scales are set
-        # by hand; a pair alternates over the events: 0.0 and -0.0, which are
-        # equal and written apart, and two NaN objects, which are not equal
+        # by hand in the noise_scale column; a pair alternates over the
+        # events: 0.0 and -0.0, which are equal and written apart, and two
+        # NaNs, which are not equal
         by_hand = isinstance(L, tuple) or not math.isfinite(L)
         sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, 1.0 if by_hand else L,
                                                B=4, b0=2, w=7, w0=1), 40)
         if by_hand:
-            for e, scale in zip(sched.events, itertools.cycle(L if isinstance(L, tuple) else [L])):
-                e.noise_scale = scale
+            scales = L if isinstance(L, tuple) else (L,)
+            sched.noise_scale[:] = np.resize(scales, len(sched.noise_scale))
         path = tmp_path / "trace.jsonl"
         schedulers.export_trace(sched, path)
         lines = path.read_text().splitlines()
