@@ -23,7 +23,7 @@ from .harness import (
     replay,
     synth_stream,
 )
-from .ledger import BudgetReport, Charge, Ledger, LedgerError
+from .ledger import BudgetReport, Ledger, LedgerError
 from .mechanisms import (
     MechanismError,
     laplace_noise,
@@ -36,7 +36,6 @@ from .mechanisms import (
 )
 from .schedulers import (
     ChainState,
-    EventSpec,
     Schedule,
     ScheduleError,
     SchedulerConfig,

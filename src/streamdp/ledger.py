@@ -8,9 +8,8 @@ code, and each charge's numerator over one common denominator, the LCM of
 the charges' denominators. Subsystem and mechanism names are interned, each
 code indexing the names charged so far in first-charge order. The
 numerators, and the sums a sweep forms of them, are int64 while a checked
-bound keeps them in range and Python ints otherwise, in the same code. A
-`Charge` is a plain record of one row: `Ledger.charges` builds them on
-demand and `Ledger(charges=...)` takes them, checked like any charge. The
+bound keeps them in range and Python ints otherwise, in the same code. The
+columns are the only form of the charges: `Ledger.column` reads one. The
 ledger holds no schedule policy: its budgets are its caller's
 (`schedulers.schedule_budgets`), one per subsystem.
 
@@ -41,16 +40,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 class LedgerError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Charge:
-    a: int
-    b: int
-    eps: Fraction
-    subsystem: str
-    time: int
-    mechanism: str
 
 
 def _ints(values, what: str) -> np.ndarray:
@@ -128,7 +117,7 @@ class Ledger:
     the "sub" and "mech" codes.
     """
 
-    def __init__(self, budgets: dict | None = None, charges=()):
+    def __init__(self, budgets: dict | None = None):
         self.budgets = {} if budgets is None else budgets
         self.den = 1
         self.subsystems: list[str] = []
@@ -136,26 +125,12 @@ class Ledger:
         self._rows = np.zeros((len(_COLUMNS), 0), dtype=np.int64)
         self._num = np.zeros(0, dtype=np.int64)
         self._segs = None  # _segmented's arrays, until the next extend
-        charges = list(charges)
-        if charges:
-            self.extend([c.a for c in charges], [c.b for c in charges],
-                        [c.eps.numerator for c in charges], [c.eps.denominator for c in charges],
-                        [c.subsystem for c in charges], [c.time for c in charges],
-                        [c.mechanism for c in charges])
 
     def column(self, name: str) -> np.ndarray:
         """The charges' values of "num" or one of `_COLUMNS`."""
         if name == "num":
             return self._num
         return self._rows[_COLUMNS.index(name)]
-
-    @property
-    def charges(self) -> list[Charge]:
-        """The charges as records, in charge order, built on each access."""
-        rows = zip(*self._rows.tolist(), self._num.tolist())
-        return [Charge(a, b, Fraction(num, self.den), self.subsystems[sub], time,
-                       self.mechanisms[mech])
-                for a, b, time, sub, mech, num in rows]
 
     def charge(self, interval, eps: Fraction, subsystem: str, time: int, mechanism: str):
         a, b = interval
@@ -277,7 +252,8 @@ class Ledger:
         return BudgetReport(tuple(entries))
 
     def export_jsonl(self, path):
-        """Write one JSON object a charge, its eps in lowest terms."""
+        """Write one JSON object a charge, its eps in lowest terms, all lines in
+        one call."""
         num = self.column("num")
         den = np.full(len(num), self.den, dtype=num.dtype if self.den <= _INT64_MAX else object)
         gcd = np.gcd(num, den)
@@ -286,9 +262,9 @@ class Ledger:
         rows = zip(*(self.column(name).tolist() for name in ("time", "a", "b", "sub", "mech")),
                    (num // gcd).tolist(), (den // gcd).tolist())
         with open(path, "w") as fh:
-            fh.writelines(
+            fh.write("".join(
                 f'{{"t": {t}, "a": {a}, "b": {b}, "eps_num": {n}, "eps_den": {d}, '
                 f'"subsystem": {names[s]}, "mechanism": {mechs[m]}}}\n'
                 for t, a, b, s, m, n, d in rows
-            )
+            ))
 

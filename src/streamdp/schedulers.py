@@ -88,36 +88,6 @@ class SchedulerConfig:
 
 
 @dataclass(slots=True)
-class EventSpec:
-    """One model training/adoption with its interval, noise and exact charge,
-    the gradient norm tau its solve stops at (`mechanisms.solve_tolerance`)
-    and, for a sampled event, the probability p each point is kept with."""
-
-    t: int
-    kind: str
-    level: int | None
-    a: int
-    b: int
-    eps: Fraction
-    noise_scale: float
-    tau: float
-    model_id: int
-    reg_source: int | None = None  # None: trained toward the zero model
-    adopt: bool = False  # released, not trained: a continual base adopts a multires model
-    side: str | None = None  # sliding: base | left | right
-    sampled_rule: str | None = None  # exp_formula | reciprocal, at this event's level
-    p: float | None = None  # None: not sampled
-
-    @property
-    def subsystem(self) -> str:
-        return KIND_SUBSYSTEM[self.kind]
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-
-@dataclass(slots=True)
 class ChainState:
     """Sliding-window dependency chain after one step (`sliding_chain`)."""
 
@@ -152,12 +122,17 @@ class Schedule:
     SchedulerConfig whose eps, lambda and L (resolved) they are calibrated
     for, and trained with.
 
-    The events are columns, one array per `EventSpec` field, in schedule
-    order: kind, side and rule as int8 codes into KINDS, SIDES and RULES,
-    level and reg_source -1 for None, p NaN where the rule is None, and the
-    charge eps_num / eps_den in lowest terms, int64, or Python ints past it.
-    The releases, in time order, are (release_t[i], release_mid[i]).
-    `events` and `releases` build records of them on demand.
+    The events are columns, one array a field, in schedule order: each
+    one's step t, kind, level, interval [a, b], exact charge eps_num /
+    eps_den, noise scale, the gradient norm tau its solve stops at
+    (`mechanisms.solve_tolerance`), the probability p each point is kept
+    with, model id, the model it is trained toward (reg_source, the zero
+    model for None), adopt (released, not trained: a continual base adopts
+    a multires model), side (sliding: base, left or right) and sampling rule
+    at its level. kind, side and rule are int8 codes into KINDS, SIDES and
+    RULES, level and reg_source -1 for None, p NaN where the rule is None,
+    and the charge in lowest terms, int64, or Python ints past it. The
+    releases, in time order, are (release_t[i], release_mid[i]).
     """
 
     config: SchedulerConfig
@@ -184,21 +159,6 @@ class Schedule:
         """The config's `schedule_budgets`, a fresh dict on each access."""
         cfg = self.config
         return schedule_budgets(cfg.name.removesuffix("-sample"), cfg.eps, cfg.standalone_base)
-
-    @property
-    def events(self) -> tuple:
-        """The events as `EventSpec` records, built on each access."""
-        return tuple(
-            EventSpec(t, KINDS[kind], None if level < 0 else level, a, b, Fraction(num, den), scale,
-                      tau, mid, None if reg < 0 else reg, adopt, SIDES[side], RULES[rule],
-                      p if rule else None)
-            for t, kind, level, a, b, num, den, scale, tau, p, mid, reg, adopt, side, rule
-            in zip(*(getattr(self, f).tolist() for f in _EVENT_COLUMNS)))
-
-    @property
-    def releases(self) -> tuple:
-        """The (t, model_id) pairs of the releases, built on each access."""
-        return tuple(zip(self.release_t.tolist(), self.release_mid.tolist()))
 
 
 # Schedule's event columns, and each one's dtype (None: `ledger._ints`; a
@@ -305,7 +265,7 @@ def _continual(cfg, T) -> Schedule:
     t_g = None
     f_g = f_c = None
     min_ratio = 2 if cfg.first_base_at_2B else 1
-    for t in range(B, T):
+    for t in range(B, T, b0):  # B is a multiple of b0, so every event step is one
         ratio = t // B
         if t % B == 0 and _is_pow2(ratio) and ratio >= min_ratio:
             k = ratio.bit_length() - 1
@@ -316,7 +276,7 @@ def _continual(cfg, T) -> Schedule:
             events.append(ev)
             releases.append((t, ev.model_id))
             t_g, f_g, f_c = t, ev.model_id, ev.model_id
-        elif t_g is not None and (t - t_g) % b0 == 0:
+        elif t_g is not None:
             blocks = (t - t_g) // b0
             if _is_pow2(blocks) and blocks >= 2:
                 j = blocks.bit_length() - 1
@@ -356,19 +316,15 @@ def _baseline_basic(cfg, T) -> Schedule:
     event = functools.partial(_event, cfg)
     events = []
     prev = None
-    t_g = None
     ids = itertools.count()
-    for t in range(B, T):
+    for t in range(B, T, b0):  # B is a multiple of b0, so every event step is one
         ratio = t // B
         if t % B == 0 and _is_pow2(ratio):
             k = ratio.bit_length() - 1
             ev = event(t, "BaselineBasicCumulative", k, 0, t - 1, eps / (2 * 2**k), next(ids))
-            t_g = t
-        elif t_g is not None and (t - t_g) % b0 == 0:
+        else:  # after the retrain at t = B
             ev = event(t, "BaselineBasicCumulative", None, t - b0, t - 1, eps / 2, next(ids),
                        reg_source=prev)
-        else:
-            continue
         events.append(ev)
         prev = ev.model_id
     return _from_rows(cfg, events, [(e.t, e.model_id) for e in events])
@@ -410,7 +366,9 @@ def _sliding_steps(T, w, w0):
     # step 0's template, then phases 1, 2, ... as far as the steps reach, then the refresh's
     phases = [None, *range(1, min(len(steps), cycle))][:len(steps)]
     phases += [0] if len(steps) > cycle else []
-    templates = [_phase_template(k, w0, phase) for phase in phases]
+    templates = []
+    for phase in phases:  # each from the buckets of the phase before it
+        templates.append(_phase_template(k, w0, phase, templates[-1].buckets if templates else ()))
     # (d, j) of each template's chain positions: the bucket was the j-th new one d steps before
     back, prev = np.zeros((len(templates), 2 * k - 1, 2), dtype=np.int64), []
     for r, tpl in enumerate(templates):  # each after the phase before it
@@ -461,17 +419,17 @@ def _phase_spans(k, w0, r) -> list:
     return spans
 
 
-def _phase_template(k, w0, phase) -> _Phase:
+def _phase_template(k, w0, phase, before) -> _Phase:
     """The `_Phase` of the sliding steps n >= 1 with n mod 2^(k-1) = phase,
     or of step 0 for phase None, whose buckets are all new. A bucket is new
     where its interval is not in the previous step's chain, the chain of the
-    previous phase w0 points earlier. The kind is WindowInit at step 0,
-    WindowRefresh at phase 0 and WindowAdvance otherwise."""
+    previous phase w0 points earlier, whose buckets are before (unread at
+    step 0). The kind is WindowInit at step 0, WindowRefresh at
+    phase 0 and WindowAdvance otherwise."""
     buckets = tuple(_phase_spans(k, w0, phase or 0))
     if phase is None:
         return _Phase("WindowInit", buckets, tuple(range(len(buckets))), (None,) * len(buckets))
-    before = {(a - w0, b - w0): p for p, (a, b, _, _) in
-              enumerate(_phase_spans(k, w0, (phase - 1) % (1 << (k - 1))))}
+    before = {(a - w0, b - w0): p for p, (a, b, _, _) in enumerate(before)}
     carry = tuple(before.get((a, b)) for a, b, _, _ in buckets)
     return _Phase("WindowAdvance" if phase else "WindowRefresh", buckets,
                   tuple(i for i, p in enumerate(carry) if p is None), carry)
@@ -869,22 +827,6 @@ def build_schedule(cfg: SchedulerConfig, T: int) -> Schedule:
     return builder(replace(cfg, eps=Fraction(cfg.eps)), T)
 
 
-def trace_record(e: EventSpec) -> dict:
-    return {
-        "t": e.t,
-        "kind": e.kind,
-        "level": e.level,
-        "a": e.a,
-        "b": e.b,
-        "reg_source": e.reg_source,
-        "noise_scale": e.noise_scale,
-        "sampled_p": e.p,
-        "eps_num": e.eps.numerator,
-        "eps_den": e.eps.denominator,
-        "model_id": e.model_id,
-    }
-
-
 def trace_header(schedule: Schedule) -> dict:
     """The first line of a trace: the scheduler (its config's name, `-sample`
     included), its eps (as eps_num and eps_den, like an event's charge), its
@@ -903,7 +845,9 @@ def trace_header(schedule: Schedule) -> dict:
     }
 
 
-# One event's trace line: json.dumps(trace_record(e)), field for field.
+# One event's trace line: the bytes json.dumps gives of a dict of its fields
+# in this order, level, reg_source and sampled_p null for None and the charge
+# in lowest terms.
 _TRACE_LINE = ('{{"t": {}, "kind": "{}", "level": {}, "a": {}, "b": {}, "reg_source": {}, '
                '"noise_scale": {}, "sampled_p": {}, "eps_num": {}, "eps_den": {}, '
                '"model_id": {}}}\n')
@@ -911,7 +855,7 @@ _TRACE_LINE = ('{{"t": {}, "kind": "{}", "level": {}, "a": {}, "b": {}, "reg_sou
 
 def export_trace(schedule: Schedule, path=None):
     """Write the schedule's trace to path, or to standard output without one:
-    its `trace_header`, then one `trace_record` per event, one JSON object a
+    its `trace_header`, then one `_TRACE_LINE` per event, one JSON object a
     line, written from a template with the bytes json.dumps gives.
     `ledger_from_trace` reads it back.
 

@@ -1,9 +1,10 @@
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from streamdp import Dataset
+from streamdp import Dataset, Ledger
 
 
 def pytest_report_header():
@@ -21,6 +22,28 @@ def random_dataset(rng, n, d, k):
     X = rng.standard_normal((n, d))
     y = rng.integers(0, k, size=n)
     return Dataset(X, y, k)
+
+
+def charges(ledger):
+    """A ledger's charges read from its columns, in charge order: one
+    (a, b, eps, subsystem, time, mechanism) tuple a charge, eps a Fraction."""
+    return list(zip(ledger.column("a").tolist(), ledger.column("b").tolist(),
+                    [Fraction(num, ledger.den) for num in ledger.column("num").tolist()],
+                    [ledger.subsystems[i] for i in ledger.column("sub").tolist()],
+                    ledger.column("time").tolist(),
+                    [ledger.mechanisms[i] for i in ledger.column("mech").tolist()]))
+
+
+def ledger_until(ledger, t):
+    """A fresh ledger of ledger's budgets and its charges with time <= t, in
+    charge order, taken from its columns in one `Ledger.extend`."""
+    keep = ledger.column("time") <= t
+    sub, mech = (np.array(labels, dtype=object)[ledger.column(code)[keep]]
+                 for labels, code in ((ledger.subsystems, "sub"), (ledger.mechanisms, "mech")))
+    out = Ledger(budgets=ledger.budgets)
+    out.extend(ledger.column("a")[keep], ledger.column("b")[keep], ledger.column("num")[keep],
+               [ledger.den] * int(keep.sum()), sub, ledger.column("time")[keep], mech)
+    return out
 
 
 @pytest.fixture

@@ -28,9 +28,9 @@ from streamdp import (
 from streamdp.erm import lipschitz_public, loss_and_gradient
 from streamdp.harness import accuracy_quartiles
 from streamdp.rng import make_rng
-from streamdp.schedulers import build_schedule, ledger_from_events, sliding_chain
-from conftest import random_dataset
-from test_schedulers import (oracle_continual, oracle_multires, oracle_sliding_buckets,
+from streamdp.schedulers import KINDS, SIDES, build_schedule, ledger_from_events, sliding_chain
+from conftest import charges, random_dataset
+from test_schedulers import (columns, oracle_continual, oracle_multires, oracle_sliding_buckets,
                              schedule_of)
 
 
@@ -92,19 +92,15 @@ def test_criterion_2_schedule_oracle_equivalence():
     for B in (1, 2, 8):
         for T in (1, 100, 4096):
             sched = schedule_of("multires", T, B=B)
-            got = [(e.t, e.level, e.a, e.b, e.eps) for e in sched.events]
-            ok &= got == oracle_multires(T, B)
+            ok &= columns(sched, "t", "level", "a", "b", "eps") == oracle_multires(T, B)
     for B in (1, 2, 8):
         for b0 in (1, 2):
             if b0 > B or B % b0:
                 continue
             for T in (100, 4096):
                 sched = schedule_of("continual", T, B=B, b0=b0)
-                got = [
-                    (e.t, e.kind, e.a, e.b, e.eps)
-                    for e in sched.events
-                    if e.kind != "MultiRes"
-                ]
+                got = [e for e in columns(sched, "t", "kind", "a", "b", "eps")
+                       if e[1] != "MultiRes"]
                 ok &= got == oracle_continual(T, B, b0)
     for w in (7, 15, 31):
         for st in sliding_chain(4096, w, 1):
@@ -129,14 +125,14 @@ def test_criterion_3_privacy_budgets_exact():
     _, cmx = led.max_point_loss("continual")
     pattern_ok = cmx <= EPS
     per_point = {}
-    for c in led.charges:
-        if c.subsystem != "continual":
+    for a, b, eps, subsystem, _, _ in charges(led):
+        if subsystem != "continual":
             continue
-        for p in range(c.a, c.b + 1):
-            per_point.setdefault(p, []).append(c.eps)
-    for charges in per_point.values():
+        for p in range(a, b + 1):
+            per_point.setdefault(p, []).append(eps)
+    for point_charges in per_point.values():
         # distinct geometric-series terms eps/2^i
-        terms = sorted(charges)
+        terms = sorted(point_charges)
         pattern_ok &= len(set(terms)) == len(terms)
         pattern_ok &= all(
             t.numerator == 1 and (t.denominator & (t.denominator - 1)) == 0
@@ -148,15 +144,16 @@ def test_criterion_3_privacy_budgets_exact():
 
     # sliding: >= 10 refreshes, total within eps, side groups within eps/3
     sl = schedule_of("sliding", 1200, w=31, w0=1)
-    refreshes = sum(1 for e in sl.events if e.kind == "WindowRefresh" and e.side == "base")
+    refreshes = int(((sl.kind == KINDS.index("WindowRefresh"))
+                     & (sl.side == SIDES.index("base"))).sum())
     sled = ledger_from_events(sl)
     _, smx = sled.max_point_loss()
     sl_ok = refreshes >= 10 and smx <= EPS
     for side in ("base", "left", "right"):
         group = Ledger()
-        for c in sled.charges:
-            if c.mechanism.endswith("/" + side):
-                group.charge((c.a, c.b), c.eps, c.subsystem, c.time, c.mechanism)
+        for a, b, eps, subsystem, t, mechanism in charges(sled):
+            if mechanism.endswith("/" + side):
+                group.charge((a, b), eps, subsystem, t, mechanism)
         _, gmx = group.max_point_loss()
         sl_ok &= gmx <= EPS / 3
     elapsed = time.time() - start

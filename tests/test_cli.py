@@ -19,7 +19,7 @@ from streamdp.cli import (
 )
 from streamdp import cli, schedulers
 from streamdp.harness import CSV_HEADER
-from conftest import idx_images_bytes, idx_labels_bytes
+from conftest import charges, idx_images_bytes, idx_labels_bytes
 
 
 def run_cli(capsys, *argv):
@@ -1092,9 +1092,9 @@ class TestVerifyLedger:
         want = run_cli(capsys, "verify-ledger", str(written))
         assert want[0] == EXIT_OK
         assert run_cli(capsys, "verify-ledger", str(rewritten)) == want
-        charges = [schedulers.ledger_from_trace(p)[1].charges for p in (written, rewritten)]
+        read = [charges(schedulers.ledger_from_trace(p)[1]) for p in (written, rewritten)]
         charged = sum(rec["eps_num"] != 0 for rec in recs[1:])  # zero charges are skipped
-        assert charges[0] == charges[1] and len(charges[0]) == charged < len(recs) - 1
+        assert read[0] == read[1] and len(read[0]) == charged < len(recs) - 1
 
     @pytest.mark.parametrize("dumps", [
         functools.partial(json.dumps, sort_keys=True),

@@ -26,14 +26,16 @@ from streamdp import (
 from streamdp.cli import SCHEDULERS
 from streamdp.harness import CSV_HEADER, accuracy_quartiles
 from streamdp.schedulers import build_schedule, execute, export_trace, ledger_from_events
-from conftest import idx_images_bytes, idx_labels_bytes
+from conftest import charges, idx_images_bytes, idx_labels_bytes
 
 
 def run_alone(schedule, stream, seed):
     """execute of one seed alone: its (M + 1, k, d) weights and the
     schedule's (t, model id) releases less its skipped models."""
     run = execute(schedule, stream, seeds=(seed,))
-    return run.weights[0], [(t, mid) for t, mid in schedule.releases if not run.skip[0, mid]]
+    return run.weights[0], [(t, mid) for t, mid in zip(schedule.release_t.tolist(),
+                                                        schedule.release_mid.tolist())
+                            if not run.skip[0, mid]]
 
 
 class TestLoadIdx:
@@ -334,7 +336,7 @@ class TestBatchedEvaluation:
         release and data set; the number of releases before `batch` points."""
         recs = replay(stream, schedule, ledger_from_events(schedule), test=test,
                       seeds=self.SEEDS)
-        start_of = {e.model_id: e.a for e in schedule.events}
+        start_of = dict(zip(schedule.model_id.tolist(), schedule.a.tolist()))
         short = 0
         for seed in self.SEEDS:
             weights, releases = run_alone(schedule, stream, seed)
@@ -370,9 +372,9 @@ class TestReplayEpsMaxDifferential:
         return SchedulerConfig(name, Fraction(1), 1.0, 0.2, B=B, b0=4, w=28, w0=4)
 
     def brute_force(self, ledger, t):
-        charges = [c for c in ledger.charges if c.time <= t]
-        points = {i for c in charges for i in range(c.a, c.b + 1)}
-        return max((sum((c.eps for c in charges if c.a <= i <= c.b), Fraction(0))
+        rows = [(a, b, eps) for a, b, eps, _, time, _ in charges(ledger) if time <= t]
+        points = {i for a, b, _ in rows for i in range(a, b + 1)}
+        return max((sum((eps for a, b, eps in rows if a <= i <= b), Fraction(0))
                     for i in points), default=Fraction(0))
 
     @pytest.mark.parametrize("name", SCHEDULERS)
@@ -384,7 +386,7 @@ class TestReplayEpsMaxDifferential:
         for seed in self.SEEDS:
             _, releases = run_alone(schedule, self.stream, seed)
             if name == "multires-sample":
-                assert len(releases) < len(schedule.releases)  # some models skipped
+                assert len(releases) < len(schedule.release_t)  # some models skipped
             seed_recs = [r for r in recs if r.seed == seed]
             assert [(r.t, r.seed) for r in seed_recs] == [(t, seed) for t, _ in releases]
             # releases come in time order, each (t, model) once, and every

@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamdp import Charge, Ledger, LedgerError
+from streamdp import Ledger, LedgerError
+from conftest import charges, ledger_until
 
 
-def brute_force_max(charges):
-    """Reference: scan every touched index directly; (first index at the max, max)."""
-    points = sorted({p for c in charges for p in range(c.a, c.b + 1)})
+def brute_force_max(ledger):
+    """Reference: scan every index a charge of ledger touches directly;
+    (first index at the max, max)."""
+    rows = charges(ledger)
+    points = sorted({p for a, b, *_ in rows for p in range(a, b + 1)})
     best_idx, best = None, Fraction(0)
     for p in points:
-        loss = sum((c.eps for c in charges if c.a <= p <= c.b), Fraction(0))
+        loss = sum((eps for a, b, eps, *_ in rows if a <= p <= b), Fraction(0))
         if loss > best:
             best_idx, best = p, loss
     return best_idx, best
@@ -41,19 +44,19 @@ def ledger_of(raw):
 
 
 class TestCharge:
-    """A Charge is a plain record; a ledger checks it when it takes it."""
+    """A ledger checks each charge it takes."""
 
     def test_malformed_interval(self):
         with pytest.raises(LedgerError, match=r"^interval \[5, 4\] is malformed$"):
-            Ledger(charges=[Charge(5, 4, Fraction(1, 2), "multires", 0, "x")])
+            Ledger().charge((5, 4), Fraction(1, 2), "multires", 0, "x")
 
     def test_nonpositive_eps(self):
         with pytest.raises(LedgerError, match="^charge must be positive, got 0$"):
-            Ledger(charges=[Charge(0, 1, Fraction(0), "multires", 0, "x")])
+            Ledger().charge((0, 1), Fraction(0), "multires", 0, "x")
 
     def test_unknown_subsystem_is_a_violation_with_budget_none(self):
-        led = Ledger(budgets={"multires": Fraction(1)},
-                     charges=[Charge(0, 1, Fraction(1), "other", 0, "x")])
+        led = Ledger(budgets={"multires": Fraction(1)})
+        led.charge((0, 1), Fraction(1), "other", 0, "x")
         assert led.subsystems == ["other"]
         report = led.assert_budget()
         assert not report.ok
@@ -92,13 +95,13 @@ class TestMaxPointLoss:
         for a, b, num in raw:
             lo, hi = min(a, b), max(a, b)
             led.charge((lo, hi), Fraction(num, 16), "multires", hi + 1, "m")
-        assert led.max_point_loss() == brute_force_max(led.charges)
+        assert led.max_point_loss() == brute_force_max(led)
 
     @given(timed_charges)
     @settings(max_examples=120, deadline=None)
     def test_mixed_denominators_match_brute_force_with_witness(self, raw):
         led = ledger_of(raw)
-        assert led.max_point_loss() == brute_force_max(led.charges)
+        assert led.max_point_loss() == brute_force_max(led)
 
 
 class TestRunningMax:
@@ -106,7 +109,7 @@ class TestRunningMax:
 
     @staticmethod
     def prefix_max(led, t):
-        return Ledger(charges=[c for c in led.charges if c.time <= t]).max_point_loss()[1]
+        return ledger_until(led, t).max_point_loss()[1]
 
     def test_empty_ledger(self):
         assert Ledger().running_max([5, -1, 5]) == [0, 0, 0]
@@ -176,8 +179,8 @@ class TestJsonl:
         path = tmp_path / "ledger.jsonl"
         led.export_jsonl(path)
         back = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [Charge(r["a"], r["b"], Fraction(r["eps_num"], r["eps_den"]), r["subsystem"],
-                       r["t"], r["mechanism"]) for r in back] == led.charges
+        assert [(r["a"], r["b"], Fraction(r["eps_num"], r["eps_den"]), r["subsystem"], r["t"],
+                 r["mechanism"]) for r in back] == charges(led)
 
 
 class TestExactness:
@@ -193,9 +196,9 @@ class TestExactness:
     @settings(max_examples=100, deadline=None)
     def test_huge_denominators_match_brute_force(self, raw, queries):
         led = ledger_of(raw)
-        assert led.max_point_loss() == brute_force_max(led.charges)
+        assert led.max_point_loss() == brute_force_max(led)
         assert led.running_max(queries) == [
-            brute_force_max([c for c in led.charges if c.time <= t])[1] for t in queries]
+            brute_force_max(ledger_until(led, t))[1] for t in queries]
 
     def test_mixed_huge_denominators(self):
         led = Ledger()
@@ -203,7 +206,7 @@ class TestExactness:
         led.charge((5, 14), Fraction(1, 3**45), "sliding", 1, "m")
         assert led.den == 2**70 * 3**45
         assert led.max_point_loss() == (5, Fraction(1, 2**70) + Fraction(1, 3**45))
-        assert led.max_point_loss() == brute_force_max(led.charges)
+        assert led.max_point_loss() == brute_force_max(led)
         assert led.running_max([1, 0]) == [Fraction(1, 2**70) + Fraction(1, 3**45),
                                            Fraction(1, 2**70)]
 
@@ -220,7 +223,7 @@ class TestExactness:
         led = Ledger()
         led.charge((0, 3), Fraction(2**62, 3), "sliding", 0, "m")
         led.charge((0, 3), Fraction(1, 2**40), "sliding", 1, "m")
-        assert led.charges[0].eps == Fraction(2**62, 3)
+        assert charges(led)[0][2] == Fraction(2**62, 3)
         assert led.max_point_loss()[1] == Fraction(2**62, 3) + Fraction(1, 2**40)
 
 
@@ -233,16 +236,17 @@ class TestExactness:
         assert not led.assert_budget().ok
         with pytest.raises(LedgerError, match="b below 9223372036854775807"):
             led.charge((0, 2**63 - 1), Fraction(100), "sliding", 0, "m")
-        assert len(led.charges) == 1
+        assert len(led.column("a")) == 1
 
 
 class TestColumns:
     def test_charges_round_trip_through_the_columns(self):
-        charges = [Charge(0, 7, Fraction(2, 4), "multires", 8, "m"),
-                   Charge(3, 3, Fraction(1, 3), "sliding", -1, "injected")]
-        led = Ledger(charges=charges)
-        assert led.charges == charges
-        assert led.charges[0].eps == Fraction(1, 2)
+        led = Ledger()
+        led.extend([0, 3], [7, 3], [2, 1], [4, 3], ["multires", "sliding"], [8, -1],
+                   ["m", "injected"])
+        assert (led.den, led.column("num").tolist()) == (12, [6, 4])  # 2/4 and 1/3
+        assert charges(led) == [(0, 7, Fraction(1, 2), "multires", 8, "m"),
+                                (3, 3, Fraction(1, 3), "sliding", -1, "injected")]
 
     def test_a_bad_charge_appends_nothing(self):
         led = Ledger()
@@ -254,7 +258,7 @@ class TestColumns:
                                    ((0, 2**63), Fraction(1), "multires")]:
             with pytest.raises(LedgerError):
                 led.charge(interval, eps, sub, 0, "m")
-        assert led.charges == [Charge(0, 1, Fraction(1, 2), "multires", 0, "m")]
+        assert charges(led) == [(0, 1, Fraction(1, 2), "multires", 0, "m")]
         assert led.subsystems == ["multires"]  # a refused charge interns no name
 
     def test_an_empty_extend_keeps_the_columns_integers(self):
@@ -272,6 +276,6 @@ class TestColumns:
         path = tmp_path / "ledger.jsonl"
         led.export_jsonl(path)
         assert path.read_text() == "".join(json.dumps({
-            "t": c.time, "a": c.a, "b": c.b, "eps_num": c.eps.numerator,
-            "eps_den": c.eps.denominator, "subsystem": c.subsystem, "mechanism": c.mechanism,
-        }) + "\n" for c in led.charges)
+            "t": time, "a": a, "b": b, "eps_num": eps.numerator, "eps_den": eps.denominator,
+            "subsystem": sub, "mechanism": mech,
+        }) + "\n" for a, b, eps, sub, time, mech in charges(led))

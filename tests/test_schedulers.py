@@ -1,9 +1,9 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import math
-import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +31,8 @@ from streamdp.cli import SCHEDULERS
 from streamdp.erm import CertificateError, ErmError, lipschitz_public
 from streamdp.mechanisms import TAU_SHARE, pberm, sampling_probability, subsample
 from streamdp.rng import make_rng
-from streamdp.schedulers import sliding_chain
+from streamdp.schedulers import KINDS, RULES, SIDES, sliding_chain
+from conftest import charges, ledger_until
 
 EPS = Fraction(1)
 
@@ -39,6 +40,25 @@ EPS = Fraction(1)
 def schedule_of(name, T, lam=1.0, L=1.0, **sizes):
     """The schedule of the named scheduler at eps EPS on a stream of length T."""
     return build_schedule(SchedulerConfig(name, EPS, lam, L, **sizes), T)
+
+
+def eps_of(schedule):
+    """Each event's charge, a Fraction."""
+    return list(map(Fraction, schedule.eps_num.tolist(), schedule.eps_den.tolist()))
+
+
+def columns(schedule, *names):
+    """The named event columns of a schedule as Python values, one tuple an
+    event in schedule order: "kind" as its KINDS name, "eps" as the charge
+    (`eps_of`), and every other column as it is stored."""
+    read = {"kind": lambda s: [KINDS[k] for k in s.kind.tolist()], "eps": eps_of}
+    return list(zip(*(read[name](schedule) if name in read else getattr(schedule, name).tolist()
+                      for name in names)))
+
+
+def releases(schedule):
+    """The schedule's releases as (t, model id) pairs."""
+    return tuple(zip(schedule.release_t.tolist(), schedule.release_mid.tolist()))
 
 
 # Brute-force oracles: re-derive events directly from the release conditions,
@@ -150,12 +170,17 @@ def structure_digest(events, releases):
     return h.hexdigest()
 
 
-def event_structure(e):
-    return (e.t, e.kind, e.level, e.a, e.b, str(e.eps), e.model_id, e.reg_source, e.side,
-            e.sampled_rule)
+def event_structures(schedule):
+    """Each event's (t, kind, level, a, b, eps as str, model id, reg_source,
+    side, sampling rule), None where a code stands for None."""
+    return [(t, kind, None if level < 0 else level, a, b, str(eps), mid, None if reg < 0 else reg,
+             SIDES[side], RULES[rule])
+            for t, kind, level, a, b, eps, mid, reg, side, rule in columns(
+                schedule, "t", "kind", "level", "a", "b", "eps", "model_id", "reg_source", "side",
+                "rule")]
 
 
-# SHA-256 of each event's structure (`event_structure`) and of the releases,
+# SHA-256 of each event's structure (`event_structures`) and of the releases,
 # as the step-by-step bucket simulation built them before the chain was
 # computed in closed form. noise_scale is left out: it follows from the
 # structure and the calibration, which may change on its own.
@@ -169,67 +194,76 @@ PINNED_STRUCTURE = pytest.mark.parametrize("sampled,T,w,w0,digest", [
 ], ids=["sliding-255", "sliding-42x6", "sliding-7", "sliding-sample-255",
         "sliding-sample-42x6", "sliding-sample-7"])
 
-# SHA-256 of export_trace's bytes and of repr(ledger_from_events(...).charges)
-# for every scheduler, and continual with each flag, at eps 2/3, lambda 0.7
-# and L 0.37, on two (T, block sizes) points, as the event-by-event schedule
-# wrote them before it was kept as columns.
+# SHA-256 of export_trace's bytes and of ledger_from_events' columns
+# (`ledger_digest`) for every scheduler, and continual with each flag, at eps
+# 2/3, lambda 0.7 and L 0.37, on two (T, block sizes) points. The trace
+# digests are those the event-by-event schedule wrote before it was kept as
+# columns; the ledger digests were taken from the columns when they still
+# matched the digests of the ledger's charge records.
 PINNED_SIZES = {200: dict(B=8, b0=2, w=42, w0=6), 3000: dict(B=48, b0=6, w=255, w0=1)}
-PINNED_OUTPUTS = pytest.mark.parametrize("name,flag,T,trace,charges", [
+PINNED_OUTPUTS = pytest.mark.parametrize("name,flag,T,trace,ledger", [
     ("multires", None, 200, "90f8e8e09d3f6024f25258769dfb96598a2dca071bf13e6d5915c35a190b313a",
-     "2257987510f8cfd301bcb05a2cacdf3807d0660ecf907f7f36a7a691f0484087"),
+     "5550098d38ca71e8ecbaae0b7ef03aec6a28e27663f7e4b4263033a219a790c1"),
     ("multires", None, 3000, "89e734d9019ff7db6c95332b6543e6b772abc1b25563409ff0fc882500f7bcf0",
-     "9c90e8bddc6a76e67d527d3a541aa6f28c0f3b9b48217297f6c3bc99552d3b5f"),
+     "84de85f1327c73681b5c72467f454969265c5937a854574d137a7932a92946d5"),
     ("multires-sample", None, 200,
      "c1d4467becfd1aedae988e275253fe978c41d564b7e40d877601e0096b239b2a",
-     "2257987510f8cfd301bcb05a2cacdf3807d0660ecf907f7f36a7a691f0484087"),
+     "5550098d38ca71e8ecbaae0b7ef03aec6a28e27663f7e4b4263033a219a790c1"),
     ("multires-sample", None, 3000,
      "363656d982a7019c0dd5af0e824ce1198d54ac76ffe04b7c3fa44e45e7912f80",
-     "9c90e8bddc6a76e67d527d3a541aa6f28c0f3b9b48217297f6c3bc99552d3b5f"),
+     "84de85f1327c73681b5c72467f454969265c5937a854574d137a7932a92946d5"),
     ("continual", None, 200, "2d459a086f54a824396ac564395dfb481bca80608588d3b5c74178703b31f2ad",
-     "53bbecc6fddf572f30dc906364fbbc6143b052fe26373f0582a62deb23e46c93"),
+     "bfc69cafe68202504400b2b8275dd2261adf07db051c61f7a3187daa3f2ad727"),
     ("continual", None, 3000, "9f8fd27df346420476250dc1c1d51d40c0d29ae0eac94daf4a94bf6de70d139c",
-     "664436fc01845b4934aec1671c7df42169aade8c107738a96db106c3f6ebefae"),
+     "8df533d1717e51b196ca8e12efcf0df96f815eb11ba37ad638213a8b2205b98c"),
     ("continual-sample", None, 200,
      "30816ba8d7b2baac2ce9c84a49aebb266b450b3206c529be33fe4550fdbc0091",
-     "53bbecc6fddf572f30dc906364fbbc6143b052fe26373f0582a62deb23e46c93"),
+     "bfc69cafe68202504400b2b8275dd2261adf07db051c61f7a3187daa3f2ad727"),
     ("continual-sample", None, 3000,
      "d95401bb0ef35aa175fd10e32cbce6ef79e8a4ea14a68193fe8ab4f5fdd7628f",
-     "664436fc01845b4934aec1671c7df42169aade8c107738a96db106c3f6ebefae"),
+     "8df533d1717e51b196ca8e12efcf0df96f815eb11ba37ad638213a8b2205b98c"),
     ("sliding", None, 200, "5dd415f80c8e46cac51231072d6d73c5ec62dc6aa18755f055817f5f7b463880",
-     "32b35f6bd496a5f10d8e6a3bf099d8a24286c96c7d608c68ee005e937e6dd16e"),
+     "0f8565104bb1f5f931863cc09396509d46b8fa34191df1c315433d967fbaf3b3"),
     ("sliding", None, 3000, "012b428395caf274a9cd579410beb1d0c635091ba2cc3e6576e3188331fe6f09",
-     "ad3b248efe5e25128ffaab2c4854b5cdbbab34340a94c57e1e48ff282802d0f6"),
+     "fa8748aa6aa8a541a32caaa54f9e76ed66e39ea11fb76cc64b70112047994e59"),
     ("sliding-sample", None, 200,
      "184f41fe16aa39785cc0d274352fe359d3d4ec9931558dd9d4fdbcfdd746e63c",
-     "32b35f6bd496a5f10d8e6a3bf099d8a24286c96c7d608c68ee005e937e6dd16e"),
+     "0f8565104bb1f5f931863cc09396509d46b8fa34191df1c315433d967fbaf3b3"),
     ("sliding-sample", None, 3000,
      "baaf7ce8514cc221bf146dcb84eddaedef7f285e8646637359f3808e42769674",
-     "ad3b248efe5e25128ffaab2c4854b5cdbbab34340a94c57e1e48ff282802d0f6"),
+     "fa8748aa6aa8a541a32caaa54f9e76ed66e39ea11fb76cc64b70112047994e59"),
     ("baseline-independent", None, 200,
      "821ac1b991d6b78dec9835db12370ae9b49b8f72367ef13412291313037d95db",
-     "0583de5ef467c84bd26621bac2897ff8f6bdd65a5f108b09ee4c443cac9ff5c6"),
+     "63120a4f90b326ae54008fdc6b34872047239f9e527f37bb04c8c8d217946340"),
     ("baseline-independent", None, 3000,
      "23a4f4f6ad598bc8991354a6a6e7e0b075548e9be0c689bfb1f04583f0e64c15",
-     "a26672831ef9e712729a3cacb292e7541947ddf4480f6f92c9adc09f589ecf60"),
+     "7bf5ec707ba3059fe58bf6438b89077cc99ccf9aea089a9ab644f939327b7437"),
     ("baseline-basic", None, 200,
      "22fa5d24b90c1aa4e6af9102f22c6553915231d9c479efa7ec33f042339f6e98",
-     "4a6655391747921cc63846932806ae6c2764f3f2dfcfb584caeda6cb7ad4c7d2"),
+     "b9f48a4ef32439b2b43b5a43cf46f0cdc5ec49eedcf25d966a210a02667de15e"),
     ("baseline-basic", None, 3000,
      "cd78430d7829bf319b7050bd38a97a49356ec96deb645381dab76132e0e1a886",
-     "55d877fd7c1d3a5ed26ae858a2dd18f867a59f9d9adb7631bcf3a76eca26212c"),
+     "00f34a090d00737e2a5f88bc0b1016c5865a261263d58b80bd512164f36f7853"),
     ("continual", "standalone_base", 200,
      "3eae1cc502de9c1e3f83ab315d129829bf6473efd2d9420b1ea49b5c996c8625",
-     "f6b51afef3477ca954052b0aab3dbf6a33e25c776bd920c18d46ed86fd8f6703"),
+     "cefbe1350787c4373bd10fd129f39f8c3e6f254a8cbfcaaa5a4aed5f8841d9e4"),
     ("continual", "standalone_base", 3000,
      "9dd231ab99be0963db555792216169874d9e6fdeff6a111fad7fba92a82cc9aa",
-     "d34d183e6e6d9e921a1396489043e7e761f8d0a23ceb4b4ddd5cd1405ad84429"),
+     "916787451b32b3b3c5fe83e9e5fe5bf7f22045f36c9fc5024c63ed1d3e3f2874"),
     ("continual", "first_base_at_2B", 200,
      "1dc1827828b19bd114ac75af5981abd24e179b50bd37b243db860bc41bca2450",
-     "143a7ded493ca073ec7d180d79e0fab12eedeac72cb358550122665f599d3346"),
+     "a57a3a49c7aab3b92949b8c694031924cb4ba2e4454b6ca2f41851ba435ddc28"),
     ("continual", "first_base_at_2B", 3000,
      "b79cf7b03f514bcefa8c0688d37ee4a769ada9b471468bb42801932c2e92b16a",
-     "5c69ed4c87095e0d36838312e27e0dc2d8e818900a11b99e9e5c036d3f7bfeb4"),
+     "47800a69132ce19ac79eea4fb7b1b81a3104da590f5e5a4c41c63645dcb0417c"),
 ])
+
+
+def ledger_digest(ledger):
+    """SHA-256 of a ledger's columns, common denominator and names."""
+    cols = [ledger.column(name).tolist() for name in ("a", "b", "time", "sub", "mech", "num")]
+    return hashlib.sha256(repr((cols, ledger.den, ledger.subsystems, ledger.mechanisms))
+                          .encode()).hexdigest()
 
 
 def chain_signature(states):
@@ -257,15 +291,15 @@ class TestMultiresSchedule:
     @pytest.mark.parametrize("T", [1, 5, 64, 257])
     def test_matches_oracle(self, T, B):
         sched = schedule_of("multires", T, B=B)
-        got = [(e.t, e.level, e.a, e.b, e.eps) for e in sched.events]
-        assert got == oracle_multires(T, B)
+        assert columns(sched, "t", "level", "a", "b", "eps") == oracle_multires(T, B)
 
     def test_intervals_tile_each_level(self):
         sched = schedule_of("multires", 129, B=4)
-        for k in {e.level for e in sched.events}:
-            level = sorted((e.a, e.b) for e in sched.events if e.level == k)
-            for (a1, b1), (a2, b2) in zip(level, level[1:]):
-                assert a2 == b1 + 1  # disjoint, contiguous blocks
+        for k in np.unique(sched.level):
+            at = sched.level == k
+            order = np.lexsort((sched.b[at], sched.a[at]))
+            a, b = sched.a[at][order], sched.b[at][order]
+            assert np.array_equal(a[1:], b[:-1] + 1)  # disjoint, contiguous blocks
 
     def test_invalid_b(self):
         with pytest.raises(ScheduleError):
@@ -277,45 +311,40 @@ class TestContinualSchedule:
     def test_matches_oracle(self, B, b0):
         T = 200
         sched = schedule_of("continual", T, B=B, b0=b0)
-        got = [
-            (e.t, e.kind, e.a, e.b, e.eps)
-            for e in sched.events
-            if e.kind != "MultiRes"
-        ]
+        got = [e for e in columns(sched, "t", "kind", "a", "b", "eps") if e[1] != "MultiRes"]
         assert got == oracle_continual(T, B, b0)
 
     def test_worked_example(self):
         # B=8, b0=2: after the base at t=8, t=10 small, t=12 large j=1,
         # t=14 small against the large model, t=16 next base
         sched = schedule_of("continual", 17, B=8, b0=2)
-        ev = {e.t: e for e in sched.events if e.kind != "MultiRes"}
-        assert ev[8].kind == "Base"
-        assert ev[10].kind == "SmallUpdate" and ev[10].interval == (8, 9)
-        assert ev[10].reg_source == ev[8].model_id
-        assert ev[12].kind == "LargeUpdate" and ev[12].interval == (8, 11)
-        assert ev[12].level == 1 and ev[12].eps == Fraction(1, 4)
-        assert ev[14].kind == "SmallUpdate" and ev[14].interval == (12, 13)
-        assert ev[14].reg_source == ev[12].model_id
-        assert ev[16].kind == "Base"
+        names = ("kind", "a", "b", "reg_source", "model_id", "level", "eps")
+        ev = {t: dict(zip(names, e)) for t, *e in columns(sched, "t", *names)
+              if e[0] != "MultiRes"}
+        assert ev[8]["kind"] == "Base"
+        assert (ev[10]["kind"], ev[10]["a"], ev[10]["b"]) == ("SmallUpdate", 8, 9)
+        assert ev[10]["reg_source"] == ev[8]["model_id"]
+        assert (ev[12]["kind"], ev[12]["a"], ev[12]["b"]) == ("LargeUpdate", 8, 11)
+        assert ev[12]["level"] == 1 and ev[12]["eps"] == Fraction(1, 4)
+        assert (ev[14]["kind"], ev[14]["a"], ev[14]["b"]) == ("SmallUpdate", 12, 13)
+        assert ev[14]["reg_source"] == ev[12]["model_id"]
+        assert ev[16]["kind"] == "Base"
 
     def test_base_adopts_multires_model(self):
         sched = schedule_of("continual", 33, B=8, b0=2)
-        bases = [e for e in sched.events if e.kind == "Base"]
-        prefixes = {
-            e.t: e.model_id
-            for e in sched.events
-            if e.kind == "MultiRes" and e.a == 0
-        }
-        for b in bases:
-            assert b.adopt and b.eps == 0
-            assert b.model_id == prefixes[b.t]
+        bases = sched.kind == KINDS.index("Base")
+        prefix = (sched.kind == KINDS.index("MultiRes")) & (sched.a == 0)
+        prefixes = dict(zip(sched.t[prefix].tolist(), sched.model_id[prefix].tolist()))
+        assert sched.adopt[bases].all() and not sched.eps_num[bases].any()
+        assert sched.model_id[bases].tolist() == [prefixes[t] for t in sched.t[bases].tolist()]
 
     def test_standalone_bases_are_trained_and_charged(self):
         sched = schedule_of("continual", 33, B=8, b0=2, standalone_base=True)
-        assert not any(e.kind == "MultiRes" for e in sched.events)
-        bases = [e for e in sched.events if e.kind == "Base"]
-        assert all(not b.adopt and b.reg_source is None for b in bases)
-        assert [b.eps for b in bases] == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+        assert KINDS.index("MultiRes") not in sched.kind
+        bases = sched.kind == KINDS.index("Base")
+        assert not sched.adopt[bases].any() and (sched.reg_source[bases] == -1).all()
+        assert list(itertools.compress(eps_of(sched), bases)) == [
+            Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
 
     def test_invalid_block_sizes(self):
         with pytest.raises(ScheduleError):
@@ -349,9 +378,7 @@ class TestSlidingSchedule:
         # T = 4w spans at least three refresh cycles of 2^(k-1) * w0 points
         for T, w, w0 in [(100, 15, 1), (4 * 14, 14, 2), (4 * 42, 42, 6)]:
             sched = schedule_of("sliding", T, w=w, w0=w0)
-            id_of = {}
-            for e in sched.events:
-                id_of[e.model_id] = (e.a, e.b)
+            id_of = {mid: (a, b) for mid, a, b in columns(sched, "model_id", "a", "b")}
             prev = None
             states = sliding_chain(T, w, w0)
             refreshes = sum(st.t > w - 1 and len(st.trained) == len(st.buckets) for st in states)
@@ -374,41 +401,38 @@ class TestSlidingSchedule:
         # the chain and the schedule are read from the same steps
         sched = schedule_of("sliding", T, w=w, w0=w0)
         states = sliding_chain(T, w, w0)
-        assert [(st.t, st.released) for st in states] == list(sched.releases)
+        assert tuple((st.t, st.released) for st in states) == releases(sched)
         trained = {}
-        for e in sched.events:
-            trained.setdefault(e.t, []).append(e.model_id)
+        for t, mid in columns(sched, "t", "model_id"):
+            trained.setdefault(t, []).append(mid)
         assert [list(st.trained) for st in states] == [trained[st.t] for st in states]
 
     def test_charges(self):
         sched = schedule_of("sliding", 60, w=7, w0=1)
-        for e in sched.events:
-            blocks = (e.b - e.a + 1) // 1
-            if e.side == "base":
-                assert e.eps == Fraction(1, 3)
-            else:
-                assert e.eps == Fraction(1, 6 * blocks)
+        for a, b, side, eps in columns(sched, "a", "b", "side", "eps"):
+            blocks = (b - a + 1) // 1
+            assert eps == (Fraction(1, 3) if SIDES[side] == "base" else Fraction(1, 6 * blocks))
 
     def test_regularizer_is_next_larger_bucket(self):
         sched = schedule_of("sliding", 60, w=7, w0=1)
         states = {st.t: st for st in sliding_chain(60, 7, 1)}
-        for e in sched.events:
-            if e.side == "base":
-                assert e.reg_source is None
+        for t, side, mid, reg in columns(sched, "t", "side", "model_id", "reg_source"):
+            if SIDES[side] == "base":
+                assert reg == -1
                 continue
-            chain = states[e.t].buckets
-            idx = [mid for _, _, _, mid in chain].index(e.model_id)
+            chain = states[t].buckets
+            idx = [m for _, _, _, m in chain].index(mid)
             assert idx > 0
-            assert e.reg_source == chain[idx - 1][3]
+            assert reg == chain[idx - 1][3]
 
     def test_short_stream_has_no_events(self):
         sched = schedule_of("sliding", 6, w=7, w0=1)
-        assert sched.events == () and sched.releases == ()
+        assert [len(getattr(sched, f.name)) for f in dataclasses.fields(sched)[1:]] == [0] * 17
 
     @PINNED_STRUCTURE
     def test_structure_is_pinned(self, sampled, T, w, w0, digest):
         sched = schedule_of("sliding-sample" if sampled else "sliding", T, w=w, w0=w0)
-        assert structure_digest(map(event_structure, sched.events), sched.releases) == digest
+        assert structure_digest(event_structures(sched), releases(sched)) == digest
 
     @PINNED_STRUCTURE
     def test_the_oracle_gives_the_pinned_structure(self, sampled, T, w, w0, digest):
@@ -424,10 +448,10 @@ class TestSlidingSchedule:
     ])
     @pytest.mark.parametrize("sampled", [False, True])
     def test_template_steps_match_the_oracle(self, sampled, T, w, w0):
-        events, releases, states = oracle_sliding_schedule(T, w, w0, sampled)
+        events, released, states = oracle_sliding_schedule(T, w, w0, sampled)
         sched = schedule_of("sliding-sample" if sampled else "sliding", T, w=w, w0=w0)
-        assert list(map(event_structure, sched.events)) == events
-        assert sched.releases == releases
+        assert event_structures(sched) == events
+        assert releases(sched) == released
         assert [(st.t, st.buckets, st.trained, st.released)
                 for st in sliding_chain(T, w, w0)] == states
 
@@ -435,7 +459,7 @@ class TestSlidingSchedule:
         # the bounds follow from the column dtypes, fixed before any run:
         # eight int64 columns (t, level, a, b, eps_num, eps_den, model_id,
         # reg_source), three float64 (noise_scale, tau, p), three int8 codes
-        # and a bool, 92 bytes an event (one EventSpec object held 292), and
+        # and a bool, 92 bytes an event (a record object an event held 292), and
         # two int64 release columns, 16 bytes a step; 64 KiB covers the array
         # headers. At its peak the build holds besides at most the gathered
         # template rows (six int64 an event), eight int64 index and model id
@@ -459,16 +483,16 @@ class TestSlidingSchedule:
     def test_each_phase_template_is_built_once(self, monkeypatch):
         built = []
 
-        def spy(k, w0, phase):
+        def spy(k, w0, phase, before):
             built.append(phase)
-            return phase_template(k, w0, phase)
+            return phase_template(k, w0, phase, before)
 
         phase_template = schedulers._phase_template
         monkeypatch.setattr(schedulers, "_phase_template", spy)
         # a window of 2^20 - 1 points has 2^19 phases; 11 steps build at most 11
         w = 2**20 - 1
         sched = schedule_of("sliding", w + 10, w=w, w0=1)
-        assert len(sched.releases) == 11 and len(built) <= 11
+        assert len(sched.release_t) == 11 and len(built) <= 11
         built.clear()
         assert len(sliding_chain(w + 10, w, 1)) == 11 and len(built) <= 11
         # 141 steps of a window of 4 phases: step 0's template, then one a phase
@@ -476,13 +500,31 @@ class TestSlidingSchedule:
         schedule_of("sliding", 147, w=7, w0=1)
         assert sorted(built, key=str) == [0, 1, 2, 3, None]
 
+    def test_each_template_computes_its_spans_once(self, monkeypatch):
+        # a template reads the previous one's buckets rather than computing
+        # them again: at w = 255 and T = 3,000, 129 templates (step 0's,
+        # phases 1 .. 127 and the refresh's) and 129 span lists
+        built, spans = [], []
+
+        def spying(calls, fn):
+            return lambda *args: calls.append(args) or fn(*args)
+        monkeypatch.setattr(schedulers, "_phase_template",
+                            spying(built, schedulers._phase_template))
+        monkeypatch.setattr(schedulers, "_phase_spans", spying(spans, schedulers._phase_spans))
+        for build in (functools.partial(schedule_of, "sliding", 3000, w=255, w0=1),
+                      functools.partial(sliding_chain, 3000, 255, 1)):
+            built.clear()
+            spans.clear()
+            build()
+            assert len(built) == len(spans) == 129
+
 
 class TestBaselines:
     def test_independent_batches_have_no_lineage(self):
         sched = schedule_of("baseline-independent", 20, b0=4)
-        assert [e.t for e in sched.events] == [4, 8, 12, 16]
-        assert all(e.eps == Fraction(1, 2) for e in sched.events)
-        assert all(e.reg_source is None for e in sched.events)
+        assert sched.t.tolist() == [4, 8, 12, 16]
+        assert eps_of(sched) == [Fraction(1, 2)] * 4
+        assert (sched.reg_source == -1).all()
 
     @pytest.mark.parametrize("b0", [0, -4])
     def test_independent_refuses_a_block_below_one(self, b0):
@@ -492,38 +534,32 @@ class TestBaselines:
     def test_basic_cumulative_retrain_times(self):
         # inclusive horizon {8,16,32,64} needs T=65 under arrival indexing
         sched = schedule_of("baseline-basic", 65, B=8, b0=8)
-        retrains = [e.t for e in sched.events if e.a == 0]
-        assert retrains == [8, 16, 32, 64]
+        assert sched.t[sched.a == 0].tolist() == [8, 16, 32, 64]
 
     def test_basic_cumulative_small_updates_between(self):
         sched = schedule_of("baseline-basic", 33, B=8, b0=2)
-        smalls = [e for e in sched.events if e.a != 0]
-        assert all(e.eps == Fraction(1, 2) for e in smalls)
-        assert all(e.b - e.a + 1 == 2 for e in smalls)
+        smalls = sched.a != 0
+        assert set(itertools.compress(eps_of(sched), smalls)) == {Fraction(1, 2)}
+        assert ((sched.b - sched.a + 1)[smalls] == 2).all()
 
 
 class TestSampledVariants:
     def test_sampled_multires_scales_shrink_with_level(self):
         sched = schedule_of("multires-sample", 65, B=8)
-        by_level = {}
-        for e in sched.events:
-            by_level[e.level] = e.noise_scale
-            assert e.sampled_rule == "exp_formula"
+        by_level = dict(columns(sched, "level", "noise_scale"))
+        assert (sched.rule == RULES.index("exp_formula")).all()
         levels = sorted(by_level)
         assert all(by_level[a] > by_level[b] for a, b in zip(levels, levels[1:]))
 
     def test_sampled_charges_match_unsampled(self):
         plain = schedule_of("multires", 129, B=8)
         sampled = schedule_of("multires-sample", 129, B=8)
-        assert [(e.t, e.eps) for e in plain.events] == [
-            (e.t, e.eps) for e in sampled.events
-        ]
+        assert columns(plain, "t", "eps") == columns(sampled, "t", "eps")
 
     def test_sliding_sampled_uses_reciprocal(self):
         sched = schedule_of("sliding-sample", 60, w=7, w0=1)
-        for e in sched.events:
-            if e.side != "base" and e.level and e.level > 0:
-                assert e.sampled_rule == "reciprocal"
+        sides = (sched.side != SIDES.index("base")) & (sched.level > 0)
+        assert (sched.rule[sides] == RULES.index("reciprocal")).all()
 
 
 class TestExecute:
@@ -545,8 +581,8 @@ class TestExecute:
     def test_distinct_models_get_distinct_noise(self, stream):
         sched = schedule_of("multires", stream.n, L=0.2, B=8)
         r = self.run(sched, stream)
-        norms = [r.noise_l2[0, e.model_id] for e in sched.events]
-        assert len(set(norms)) == len(norms) == len(sched.events)
+        norms = r.noise_l2[0, sched.model_id].tolist()
+        assert len(set(norms)) == len(norms) == len(sched.t)
 
     @pytest.mark.parametrize("name,sizes", [("continual", dict(B=8, b0=2)),
                                             ("sliding", dict(w=28, w0=4))],
@@ -558,10 +594,9 @@ class TestExecute:
         assert not hasattr(self.run(sched, stream), "ledger")
         dry = ledger_from_events(sched)
         recs = replay(stream, sched, dry)
-        assert [r.t for r in recs] == [t for t, _ in sched.releases]
+        assert [r.t for r in recs] == sched.release_t.tolist()
         for r in recs:
-            prefix = Ledger(charges=[c for c in dry.charges if c.time <= r.t])
-            assert r.eps_max == prefix.max_point_loss()[1]
+            assert r.eps_max == ledger_until(dry, r.t).max_point_loss()[1]
         assert len({r.eps_max for r in recs}) > 1
         assert recs[-1].eps_max == dry.max_point_loss()[1]
 
@@ -581,8 +616,8 @@ class TestExecute:
     def test_run_is_kept_as_arrays_indexed_by_model_id(self, stream):
         sched = schedule_of("multires", stream.n, L=0.2, B=8)
         run = self.run(sched, stream)
-        M = len(sched.events)
-        assert [e.model_id for e in sched.events] == list(range(M))
+        M = len(sched.t)
+        assert sched.model_id.tolist() == list(range(M))
         # four arrays, each with a leading seed axis
         assert list(vars(run)) == ["weights", "noise_l1", "noise_l2", "skip"]
         assert run.weights.shape == (1, M + 1, stream.k, stream.d)
@@ -609,14 +644,14 @@ class TestExecute:
     def test_adopted_base_is_released_not_retrained(self, stream):
         sched = schedule_of("continual", stream.n, L=0.2, B=8, b0=2)
         r = self.run(sched, stream)
-        bases = [e for e in sched.events if e.kind == "Base"]
-        released_ids = {mid for _, mid in sched.releases}
-        trained_ids = [e.model_id for e in sched.events if not e.adopt]
-        assert bases and all(b.adopt for b in bases)
-        for b in bases:
-            assert b.model_id in released_ids
-            assert trained_ids.count(b.model_id) == 1  # the multires event's
-            assert not r.skip[0, b.model_id] and r.noise_l2[0, b.model_id] > 0
+        bases = sched.model_id[sched.kind == KINDS.index("Base")].tolist()
+        released_ids = set(sched.release_mid.tolist())
+        trained_ids = sched.model_id[~sched.adopt].tolist()
+        assert bases and sched.adopt[sched.kind == KINDS.index("Base")].all()
+        for mid in bases:
+            assert mid in released_ids
+            assert trained_ids.count(mid) == 1  # the multires event's
+            assert not r.skip[0, mid] and r.noise_l2[0, mid] > 0
 
 
 class TestLockstepExecute:
@@ -639,8 +674,8 @@ class TestLockstepExecute:
         B = 2 if name.endswith("sample") else 16
         sched = build_schedule(SchedulerConfig(name, EPS, 1.0, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
-        mid_of = {_subseed(seed, "noise", e.model_id): e.model_id
-                  for seed in self.SEEDS for e in sched.events if not e.adopt}
+        mid_of = {_subseed(seed, "noise", mid): mid
+                  for seed in self.SEEDS for mid in sched.model_id[~sched.adopt].tolist()}
         row_sets = []  # the per-member rows of every lockstep pberm call
         members, releases = Counter(), Counter()  # per model id
 
@@ -669,21 +704,22 @@ class TestLockstepExecute:
         # is a model trained toward one on the same rows for every seed,
         # without noise or skipped on every seed
         same = set()  # model ids
-        for e in sched.events:
-            if e.adopt:
+        for mid, reg, rule, a, b, p, adopt in columns(sched, "model_id", "reg_source", "rule", "a",
+                                                      "b", "p", "adopt"):
+            if adopt:
                 continue
-            kept = len(self.SEEDS) - int(runs.skip[:, e.model_id].sum())
-            assert releases[e.model_id] == kept
-            toward_same = e.reg_source is None or e.reg_source in same
-            assert members[e.model_id] == (1 if e.sampled_rule is None and toward_same else kept)
-            drawn = {()} if e.sampled_rule is None else {
-                tuple(subsample(e.b - e.a + 1, e.p,
-                                _subseed(seed, "sample", e.model_id))) for seed in self.SEEDS}
+            kept = len(self.SEEDS) - int(runs.skip[:, mid].sum())
+            assert releases[mid] == kept
+            toward_same = reg < 0 or reg in same
+            assert members[mid] == (1 if not rule and toward_same else kept)
+            drawn = {()} if not rule else {
+                tuple(subsample(b - a + 1, p, _subseed(seed, "sample", mid)))
+                for seed in self.SEEDS}
             if toward_same and len(drawn) == 1 and (nonprivate or kept == 0):
-                same.add(e.model_id)
+                same.add(mid)
         assert runs.noise_l1.any() != nonprivate
-        trained = [e for e in sched.events
-                   if not e.adopt and not runs.skip[:, e.model_id].all()]
+        trained = sched.model_id[~sched.adopt]
+        trained = trained[~runs.skip[:, trained].all(axis=0)]
         if name.endswith("sample"):
             assert runs.skip.any()
             assert len({len(r) for rows in row_sets for r in rows}) > 1
@@ -700,13 +736,12 @@ def records(run, schedule):
     """A RunResult of a schedule read as reference_execute's records, one
     per seed: trained maps each trained event's model id, in schedule
     order, to its (k, d) weights; noise maps those not skipped to
-    (noise_l1, noise_l2); skipped_events lists the skipped events."""
-    trained = [e for e in schedule.events if not e.adopt]
+    (noise_l1, noise_l2); skipped_events lists the skipped events' model ids."""
+    trained = schedule.model_id[~schedule.adopt].tolist()
     return [SimpleNamespace(
-        trained={e.model_id: w[e.model_id] for e in trained},
-        noise={e.model_id: (l1[e.model_id], l2[e.model_id]) for e in trained
-               if not skip[e.model_id]},
-        skipped_events=[e for e in trained if skip[e.model_id]],
+        trained={mid: w[mid] for mid in trained},
+        noise={mid: (l1[mid], l2[mid]) for mid in trained if not skip[mid]},
+        skipped_events=[mid for mid in trained if skip[mid]],
     ) for w, l1, l2, skip in zip(run.weights, run.noise_l1, run.noise_l2, run.skip)]
 
 
@@ -718,30 +753,31 @@ def reference_execute(schedule, stream, lam, eps, nonprivate, seeds):
     feps = float(eps)
     runs = [SimpleNamespace(trained={}, noise={}, skipped_events=[]) for _ in seeds]
     zero = np.zeros((stream.k, stream.d))
-    for e in schedule.events:
-        if e.adopt:
+    for mid, a, b, reg, rule, level, scale, tau, adopt in columns(
+            schedule, "model_id", "a", "b", "reg_source", "rule", "level", "noise_scale", "tau",
+            "adopt"):
+        if adopt:
             continue
-        data = stream.slice(e.a, e.b)
-        mid = e.model_id
-        bias = [zero if e.reg_source is None else run.trained[e.reg_source] for run in runs]
+        data = stream.slice(a, b)
+        bias = [zero if reg < 0 else run.trained[reg] for run in runs]
         rows, sizes = None, [data.n] * len(seeds)
-        if e.sampled_rule is not None:
-            p = sampling_probability(e.sampled_rule, e.level, feps)
+        if rule:
+            p = sampling_probability(RULES[rule], level, feps)
             rows = [subsample(data.n, p, _subseed(seed, "sample", mid)) for seed in seeds]
             sizes = [len(r) for r in rows]
         groups = {}
         for i, n in enumerate(sizes):
             if n == 0:
-                runs[i].skipped_events.append(e)
+                runs[i].skipped_events.append(mid)
                 runs[i].trained[mid] = bias[i]
             else:
                 groups.setdefault(n, []).append(i)
-        scale = 0.0 if nonprivate else e.noise_scale
+        scale = 0.0 if nonprivate else scale
         for members in groups.values():
             noise_seeds = [_subseed(seeds[i], "noise", mid) for i in members]
             member_rows = None if rows is None else [rows[i] for i in members]
             w, l1, l2 = pberm(np.stack([bias[i] for i in members]), data, lam,
-                              [e.tau] * len(members), [scale] * len(members), noise_seeds,
+                              [tau] * len(members), [scale] * len(members), noise_seeds,
                               member_rows)
             for j, i in enumerate(members):
                 runs[i].trained[mid] = w[j]
@@ -752,9 +788,9 @@ def reference_execute(schedule, stream, lam, eps, nonprivate, seeds):
 def _depths(schedule):
     """Dependency wave of every trained model id: 1 + its regularizer's."""
     depth = {}
-    for e in schedule.events:
-        if not e.adopt:
-            depth[e.model_id] = 1 if e.reg_source is None else depth[e.reg_source] + 1
+    for mid, reg, adopt in columns(schedule, "model_id", "reg_source", "adopt"):
+        if not adopt:
+            depth[mid] = 1 if reg < 0 else depth[reg] + 1
     return depth
 
 
@@ -822,9 +858,9 @@ class TestWaves:
             return _fn(*args, **kw)
         monkeypatch.setattr(erm, "solve", counted)
         execute(sched, stream, seeds=(0,))
-        trained = [e for e in sched.events if not e.adopt]
+        trained = np.flatnonzero(~sched.adopt)
         waves = max(_depths(sched).values())
-        sizes = {e.b - e.a + 1 for e in trained}
+        sizes = set((sched.b - sched.a + 1)[trained].tolist())
         # a stack and the next event exceed the cap, so a group of g bytes
         # needs fewer than 2g/cap + 1 stacks; no group holds more than T events
         member = (max(sizes) * (d + k) + schedulers._SOLVE_ARRAYS * k * d) * 8
@@ -910,9 +946,9 @@ class TestWaves:
         want = []
         for wave in range(1, max(depth.values()) + 1):
             groups = {}
-            for e in sched.events:
-                if not e.adopt and depth[e.model_id] == wave:
-                    groups.setdefault(e.b - e.a + 1, []).append((e.a, e.b))
+            for mid, a, b, adopt in columns(sched, "model_id", "a", "b", "adopt"):
+                if not adopt and depth[mid] == wave:
+                    groups.setdefault(b - a + 1, []).append((a, b))
             for n, members in groups.items():
                 member = (n * (d + k) + schedulers._SOLVE_ARRAYS * k * d) * 8
                 count = min(len(members), -(-len(members) * member // schedulers._SOLVE_BYTES))
@@ -938,8 +974,9 @@ class TestWaves:
             return _fn(*args, **kw)
         monkeypatch.setattr(erm, "solve", counted)
         execute(sched, stream, seeds=self.SEEDS)
-        multires = sum(e.kind == "MultiRes" for e in sched.events)
-        updates = sum(e.kind.endswith("Update") for e in sched.events)
+        kinds = np.array(KINDS)[sched.kind]
+        multires = int((kinds == "MultiRes").sum())
+        updates = int(np.char.endswith(kinds, "Update").sum())
         assert multires and updates
         assert calls == [1] * (multires + updates * len(self.SEEDS))
 
@@ -992,7 +1029,7 @@ class TestWaves:
         monkeypatch.setattr(mechanisms, "output_perturb",
                             counting("output_perturb", mechanisms.output_perturb))
         execute(sched, stream, seeds=seeds)
-        trained = [e for e in sched.events if not e.adopt]
+        trained = np.flatnonzero(~sched.adopt)
         assert counts["make_rng"] <= len(trained) * len(seeds)
         assert counts["output_perturb"] <= counts["solve"] < len(trained) / 2
 
@@ -1006,14 +1043,14 @@ class TestSkippedEvents:
         stream = synth_stream(SynthConfig(d=3, k=3, n=n, sigma=0.3, seed=n))
         sched = schedule_of("continual-sample", n, L=0.2, B=B, b0=b0)
         run = execute(sched, stream, seeds=(0, 1, 2, 3, 4))
-        for i, e in itertools.product(range(5), sched.events):
-            if e.adopt or not run.skip[i, e.model_id]:
+        for i, (mid, reg, rule, adopt) in itertools.product(
+                range(5), columns(sched, "model_id", "reg_source", "rule", "adopt")):
+            if adopt or not run.skip[i, mid]:
                 continue
             # resolved to its bias model: not trained or perturbed
-            assert e.sampled_rule is not None and e.reg_source is not None
-            np.testing.assert_array_equal(run.weights[i, e.model_id],
-                                          run.weights[i, e.reg_source])
-            assert run.noise_l1[i, e.model_id] == run.noise_l2[i, e.model_id] == 0
+            assert rule and reg >= 0
+            np.testing.assert_array_equal(run.weights[i, mid], run.weights[i, reg])
+            assert run.noise_l1[i, mid] == run.noise_l2[i, mid] == 0
         assert run.skip.any()
 
     def test_skipped_psgd_event_resolves_to_zero_model(self):
@@ -1021,9 +1058,7 @@ class TestSkippedEvents:
         sched = schedule_of("multires-sample", stream.n, L=0.2, B=2)
         run = execute(sched, stream, seeds=(0,))
         assert run.skip.any()
-        for e in sched.events:
-            if run.skip[0, e.model_id]:
-                assert not run.weights[0, e.model_id].any()
+        assert not run.weights[0, sched.model_id[run.skip[0, sched.model_id]]].any()
 
 
 def reference_noise_scale(kind: str, **params) -> float:
@@ -1062,28 +1097,28 @@ def reference_noise_scale(kind: str, **params) -> float:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def reference_scale(e, cfg) -> float:
-    """An event's scale by the catalogue, times the 1 + 2 * TAU_SHARE that
+def reference_scales(schedule, cfg) -> list:
+    """Each event's scale by the catalogue, times the 1 + 2 * TAU_SHARE that
     covers the distance of a certified solve from the minimiser: its kind
     from the event's kind, side and sampling, its parameters from the
     schedule's config."""
-    return (1 + 2 * TAU_SHARE) * _catalogue_scale(e, cfg)
+    return [(1 + 2 * TAU_SHARE) * _catalogue_scale(cfg, *e) for e in columns(
+        schedule, "kind", "level", "rule", "side", "adopt")]
 
 
-def _catalogue_scale(e, cfg) -> float:
+def _catalogue_scale(cfg, kind, level, rule, side, adopt) -> float:
     ref = functools.partial(reference_noise_scale, L=cfg.L, lam=cfg.lam, eps=float(cfg.eps))
-    if e.adopt:
+    if adopt:
         return 0.0
-    if e.kind == "MultiRes" or e.kind == "Base" or (
-            e.kind == "BaselineBasicCumulative" and e.level is not None):
-        return (ref("multires_sampled", B=cfg.B, level=e.level) if e.sampled_rule
+    if kind == "MultiRes" or kind == "Base" or (kind == "BaselineBasicCumulative" and level >= 0):
+        return (ref("multires_sampled", B=cfg.B, level=level) if rule
                 else ref("multires", B=cfg.B))
-    if e.kind in ("LargeUpdate", "SmallUpdate", "BaselineIndependent", "BaselineBasicCumulative"):
-        return (ref("pberm_sampled", b0=cfg.b0, level=e.level) if e.sampled_rule
+    if kind in ("LargeUpdate", "SmallUpdate", "BaselineIndependent", "BaselineBasicCumulative"):
+        return (ref("pberm_sampled", b0=cfg.b0, level=level) if rule
                 else ref("pberm", b0=cfg.b0))
-    if e.side == "base":
+    if SIDES[side] == "base":
         return ref("sliding_base", base_size=(cfg.w // cfg.w0 + 1) // 2 * cfg.w0)
-    return (ref("sliding_update_sampled", w0=cfg.w0, level=e.level) if e.sampled_rule
+    return (ref("sliding_update_sampled", w0=cfg.w0, level=level) if rule
             else ref("sliding_update", w0=cfg.w0))
 
 
@@ -1113,12 +1148,13 @@ class TestCalibration:
         for _ in range(40):
             cfg = random_scheduler_config(rng, name)
             sched = build_schedule(cfg, int(rng.integers(10, 400)))
-            for e in sched.events:
-                want = reference_scale(e, cfg)
-                assert abs(e.noise_scale - want) <= 8 * math.ulp(want), (cfg, e)
-                if e.sampled_rule is not None:
-                    assert e.p == sampling_probability(e.sampled_rule, e.level, float(cfg.eps))
-            events += len(sched.events)
+            for i, (scale, rule, level, p), want in zip(
+                    itertools.count(), columns(sched, "noise_scale", "rule", "level", "p"),
+                    reference_scales(sched, cfg)):
+                assert abs(scale - want) <= 8 * math.ulp(want), (cfg, i)
+                if rule:
+                    assert p == sampling_probability(RULES[rule], level, float(cfg.eps))
+            events += len(sched.t)
         assert events > 500
 
     @pytest.mark.parametrize("cfg,T", [
@@ -1133,16 +1169,18 @@ class TestCalibration:
         # Delta = 2L/(lam * n), tau = TAU_SHARE * 2 * lam * Delta, and the
         # scale (Delta + tau/lam) / eps, bit for bit
         sched = build_schedule(cfg, T)
-        for e in sched.events:
-            if e.adopt:  # released, not trained: no noise and no solve
-                assert (e.noise_scale, e.tau) == (0.0, 0.0)
+        for (a, b, eps, level, rule, scale, tau_e, adopt), want in zip(
+                columns(sched, "a", "b", "eps", "level", "rule", "noise_scale", "tau", "adopt"),
+                reference_scales(sched, cfg)):
+            if adopt:  # released, not trained: no noise and no solve
+                assert (scale, tau_e) == (0.0, 0.0)
                 continue
-            n, lam = e.b - e.a + 1, cfg.lam
+            n, lam = b - a + 1, cfg.lam
             delta = 2.0 * cfg.L / (lam * n)
             tau = TAU_SHARE * 2.0 * lam * delta
-            eps = float(e.eps * 2**e.level if e.sampled_rule else e.eps)
-            assert (e.noise_scale, e.tau) == ((delta + tau / lam) / eps, tau)
-            assert e.noise_scale == pytest.approx(reference_scale(e, cfg), rel=1e-14)
+            eps = float(eps * 2**level if rule else eps)
+            assert (scale, tau_e) == ((delta + tau / lam) / eps, tau)
+            assert scale == pytest.approx(want, rel=1e-14)
 
 
 class TestBuildSchedule:
@@ -1159,9 +1197,9 @@ class TestBuildSchedule:
         cfg = SchedulerConfig(name, EPS, 1.0, 1.0, B=4, b0=2, w=7, w0=1)
         s = build_schedule(cfg, 20)
         assert s.config == cfg
-        assert {e.subsystem for e in s.events} == set(s.budgets)
-        sampled = [e.p for e in s.events if e.sampled_rule is not None]
-        assert bool(sampled) == name.endswith("-sample") and None not in sampled
+        assert {schedulers.KIND_SUBSYSTEM[kind] for kind, in columns(s, "kind")} == set(s.budgets)
+        sampled = s.p[s.rule > 0]
+        assert bool(len(sampled)) == name.endswith("-sample") and not np.isnan(sampled).any()
 
 
 # Each scheduler's budgets as the paper states them, at eps = 2/3: 2 eps for
@@ -1215,8 +1253,9 @@ class TestCertificates:
         sched = build_schedule(SchedulerConfig(name, EPS, 0.5, 0.2, B=B, b0=2 if B == 2 else 4,
                                                w=7, w0=1), stream.n)
         seeds = (1, 2, 3)
-        trained = [e for e in sched.events if not e.adopt]
-        pair_of = {_subseed(seed, "noise", e.model_id): (i, e)
+        trained = [e for e in columns(sched, "model_id", "reg_source", "a", "b", "rule", "p", "tau",
+                                      "adopt") if not e[-1]]
+        pair_of = {_subseed(seed, "noise", e[0]): (i, e)
                    for i, seed in enumerate(seeds) for e in trained}
         released = []  # (noise seed, weights) of every release, before noise
 
@@ -1228,19 +1267,18 @@ class TestCertificates:
         # every trained (seed, event) pair is released once, checked against
         # its own seed's bias, rows and tolerance
         pairs = [pair_of[subseed] for subseed, _ in released]
-        once = {(i, e.model_id) for i, e in pairs}
-        assert len(once) == len(pairs) == int((~run.skip[:, [e.model_id for e in trained]]).sum())
+        once = {(i, e[0]) for i, e in pairs}
+        assert len(once) == len(pairs) == int((~run.skip[:, [e[0] for e in trained]]).sum())
         assert len(pairs) > 0
         zero = np.zeros((stream.k, stream.d))
-        for (i, e), (_, w) in zip(pairs, released):
-            bias = zero if e.reg_source is None else run.weights[i, e.reg_source]
-            rows = np.arange(e.a, e.b + 1)
-            if e.sampled_rule is not None:
-                rows = subsample(len(rows), e.p,
-                                 _subseed(seeds[i], "sample", e.model_id)) + e.a
+        for (i, (mid, reg, a, b, rule, p, tau, _)), (_, w) in zip(pairs, released):
+            bias = zero if reg < 0 else run.weights[i, reg]
+            rows = np.arange(a, b + 1)
+            if rule:
+                rows = subsample(len(rows), p, _subseed(seeds[i], "sample", mid)) + a
             data = Dataset(stream.X[rows], stream.y[rows], stream.k)
             _, grad = erm.loss_and_gradient(w, data, 0.5, bias)
-            assert np.linalg.norm(grad) <= e.tau
+            assert np.linalg.norm(grad) <= tau
 
 
 class TestTraceHeader:
@@ -1257,8 +1295,9 @@ class TestTraceHeader:
             "budgets": {sub: [b.numerator, b.denominator] for sub, b in sched.budgets.items()},
             "lam": 0.7, "L": 0.37, "tau_share": TAU_SHARE}
         lam, L = head["lam"], head["L"]
-        for rec, e in zip(events, sched.events, strict=True):
-            if e.adopt:  # a released multires model: no noise of its own
+        for rec, (adopt, scale, tau_e) in zip(events, columns(sched, "adopt", "noise_scale", "tau"),
+                                              strict=True):
+            if adopt:  # a released multires model: no noise of its own
                 assert rec["noise_scale"] == 0.0
                 continue
             delta = 2.0 * L / (lam * (rec["b"] - rec["a"] + 1))
@@ -1266,23 +1305,35 @@ class TestTraceHeader:
             eps = Fraction(rec["eps_num"], rec["eps_den"])
             if rec["sampled_p"] is not None:  # the release spends its amplified eps
                 eps *= 2 ** rec["level"]
-            assert rec["noise_scale"] == (delta + tau / lam) / float(eps) == e.noise_scale
-            assert tau == e.tau
+            assert rec["noise_scale"] == (delta + tau / lam) / float(eps) == scale
+            assert tau == tau_e
         eps, ledger = schedulers.ledger_from_trace(path)
         assert eps == Fraction(2, 3) and ledger.budgets == sched.budgets
 
 
 class TestPinnedOutputs:
     @PINNED_OUTPUTS
-    def test_trace_bytes_and_charges_are_pinned(self, name, flag, T, trace, charges, tmp_path):
+    def test_trace_bytes_and_charges_are_pinned(self, name, flag, T, trace, ledger, tmp_path):
         flags = {} if flag is None else {flag: True}
         sched = build_schedule(SchedulerConfig(name, Fraction(2, 3), 0.7, 0.37,
                                                **PINNED_SIZES[T], **flags), T)
         path = tmp_path / "trace.jsonl"
         schedulers.export_trace(sched, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == trace
-        got = repr(ledger_from_events(sched).charges).encode()
-        assert hashlib.sha256(got).hexdigest() == charges
+        assert ledger_digest(ledger_from_events(sched)) == ledger
+
+
+# The columns `trace_record` reads, in its order.
+TRACE_COLUMNS = ("t", "kind", "level", "a", "b", "reg_source", "noise_scale", "p", "rule",
+                 "eps_num", "eps_den", "model_id")
+
+
+def trace_record(t, kind, level, a, b, reg, scale, p, rule, num, den, mid) -> dict:
+    """An event's trace line as a dict, from its `TRACE_COLUMNS` as `columns`
+    reads them: the line export_trace writes is json.dumps of it."""
+    return {"t": t, "kind": kind, "level": None if level < 0 else level, "a": a, "b": b,
+            "reg_source": None if reg < 0 else reg, "noise_scale": scale,
+            "sampled_p": p if rule else None, "eps_num": num, "eps_den": den, "model_id": mid}
 
 
 class TestTraceLines:
@@ -1311,12 +1362,11 @@ class TestTraceLines:
         schedulers.export_trace(sched, path)
         lines = path.read_text().splitlines()
         assert lines[0] == json.dumps(schedulers.trace_header(sched))
-        assert lines[1:] == [json.dumps(schedulers.trace_record(e)) for e in sched.events]
+        assert lines[1:] == [json.dumps(trace_record(*e)) for e in columns(sched, *TRACE_COLUMNS)]
         eps, ledger = schedulers.ledger_from_trace(path)
         want = ledger_from_events(sched)
         assert eps == sched.config.eps and ledger.budgets == want.budgets
-        fields = operator.attrgetter("a", "b", "eps", "subsystem", "time")
-        assert list(map(fields, ledger.charges)) == list(map(fields, want.charges))
+        assert [c[:5] for c in charges(ledger)] == [c[:5] for c in charges(want)]
 
     def test_a_long_trace_is_read_in_chunks(self, tmp_path, monkeypatch):
         # 20,000 events, 3.6 MB, in 16 KiB chunks: a whole-file read would hold

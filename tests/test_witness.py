@@ -23,7 +23,7 @@ import pytest
 
 from streamdp import Dataset, SchedulerConfig
 from streamdp.erm import lipschitz_public, solve
-from streamdp.schedulers import build_schedule, execute
+from streamdp.schedulers import KINDS, build_schedule, execute
 
 N, D, K, SEED = 512, 20, 3, 7
 
@@ -68,20 +68,23 @@ def test_noise_covers_a_replaced_point(sched):
     schedule = build_schedule(sched, N)
     weights = execute(schedule, stream, seeds=(SEED,)).weights[0]
     worst = []
-    for e in schedule.events:
-        if e.adopt or e.eps == 0:
+    fields = ("t", "kind", "a", "b", "eps_num", "eps_den", "reg_source", "tau", "noise_scale",
+              "adopt")
+    for t, kind, a, b, num, den, reg, tau, scale, adopt in zip(
+            *(getattr(schedule, f).tolist() for f in fields)):
+        if adopt or num == 0:
             continue
-        cand_X, cand_y = candidates(stream.X[e.a], stream.y[e.a])
+        cand_X, cand_y = candidates(stream.X[a], stream.y[a])
         data = Dataset(np.vstack([stream.X, cand_X]), np.concatenate([stream.y, cand_y]), K)
-        rows = np.arange(e.a, e.b + 1)
+        rows = np.arange(a, b + 1)
         neighbours = [np.concatenate([[N + j], rows[1:]]) for j in range(len(cand_y))]
-        # the run's weights hold the zero model in their last slot
-        bias = weights[-1 if e.reg_source is None else e.reg_source]
+        # the run's weights hold the zero model in their last slot; reg_source -1 is none
+        bias = weights[reg]
         members = 1 + len(neighbours)
         models = solve(data, np.repeat(bias[None], members, axis=0), schedule.config.lam,
-                       [e.tau] * members, [rows, *neighbours])
-        realised = max(np.abs(m - models[0]).sum() for m in models[1:]) / e.noise_scale
-        worst.append((realised / float(e.eps), e.t, e.kind, e.a, e.b))
+                       [tau] * members, [rows, *neighbours])
+        realised = max(np.abs(m - models[0]).sum() for m in models[1:]) / scale
+        worst.append((realised / (num / den), t, KINDS[kind], a, b))
     if not worst:  # not an AssertionError: the expected failure is the calibration's alone
         pytest.fail("no trained event to retrain")
     ratio, t, kind, a, b = max(worst)
