@@ -89,11 +89,12 @@ class SchedulerConfig:
 
 @dataclass(slots=True)
 class ChainState:
-    """Sliding-window dependency chain after one step (`sliding_chain`)."""
+    """Sliding-window dependency chain after one step (`sliding_chain`), one
+    bucket a level (`_sliding_cells`)."""
 
     t: int
-    buckets: tuple  # ((a, b, side, model_id), ...) in descending size order
-    trained: tuple  # model ids trained at this step
+    buckets: tuple  # ((a, b, side, model_id), ...) from level k - 1 down to 0
+    trained: tuple  # model ids trained at this step, levels top(n) down to 0
     released: int
 
 
@@ -340,114 +341,68 @@ def window_shape(w: int, w0: int) -> int:
     return blocks.bit_length() - 1
 
 
-def _sliding_steps(T, w, w0):
-    """The sliding window's release steps on a stream of length T, from
-    per-phase templates.
+def _sliding_cells(T, w, w0):
+    """The sliding window's release steps on a stream of length T, in closed
+    form.
 
-    Step n fires at t = w - 1 + n*w0 and covers the window [t - w + 1, t] of
-    2^k - 1 blocks of w0 points, k = `window_shape(w, w0)`. Its chain, and
-    which of its buckets are new, depend on t only through the phase
-    r = n mod 2^(k-1), apart from step 0, whose buckets are all new
-    (`_phase_template`). Each template the steps reach is built once, so a
-    run builds at most one per step. Returns (steps, row, templates, mid):
-    step n fires at steps[n], its `_Phase`, whose buckets are offsets from
-    t, is templates[row[n]], and mid(n, i) gives the model ids of the
-    buckets at chain positions i of steps n, for broadcast index arrays.
+    Step n fires at t = w - 1 + n*w0 on the window [t - w + 1, t] of 2^k - 1
+    blocks of w0 points, k = `window_shape(w, w0)`. With r = n mod 2^(k-1),
+    its chain is a base of 2^(k-1) blocks between a left side holding the
+    binary decomposition of the 2^(k-1) - 1 - r blocks before it, smallest
+    oldest, and a right side holding that of the r after it, largest next to
+    the base. A bucket of 2^j blocks is at level j, the base at k - 1, and
+    the sides' counts add up to 2^(k-1) - 1, so each level j < k - 1 holds
+    one side bucket: a right one where bit j of r is set, else a left one.
+    Counted back from t + 1, it starts at a = t + 1 - w0 * (2^j + r mod 2^j)
+    on the right, at a = t + 1 - w0 * (2^k - 2^j + r mod 2^j) on the left,
+    as the base does, and ends at b = a + 2^j * w0 - 1.
 
-    New buckets get the next model ids, in step and chain order; a kept one
-    carries its model id from the step where it was new, traced back by
-    position through the phases before, which never leaves a step's cycle:
-    a refresh's buckets are all new, as step 0's are.
+    From step n - 1 to n, t moves on w0 points, so a bucket keeps its
+    interval where r mod 2^j grows by one, that is where r mod 2^j != 0
+    (bit j of r is then unchanged). Step n's new buckets are thus the levels
+    j <= top(n), k - 1 at r = 0 (step 0 and each refresh) and else the
+    lowest set bit of r, and level j's became new at n' = n - (r mod 2^j).
+    New buckets take the next model ids in step and chain order, the chain
+    running from the base down by level, so level j's model id is
+    first(n') + top(n') - j, with first(n) = sum over m < n of (top(m) + 1).
+
+    Returns (steps, top, bucket): step n fires at steps[n], its new levels
+    are 0 .. top[n], and bucket(n, j) gives level j's (a, b, side code,
+    model id) at steps n, for broadcast index arrays.
     """
     k = window_shape(w, w0)
-    cycle = 2 ** (k - 1)
-    steps = np.arange(w - 1, T, w0)
-    n = np.arange(len(steps))
-    # step 0's template, then phases 1, 2, ... as far as the steps reach, then the refresh's
-    phases = [None, *range(1, min(len(steps), cycle))][:len(steps)]
-    phases += [0] if len(steps) > cycle else []
-    templates = []
-    for phase in phases:  # each from the buckets of the phase before it
-        templates.append(_phase_template(k, w0, phase, templates[-1].buckets if templates else ()))
-    # (d, j) of each template's chain positions: the bucket was the j-th new one d steps before
-    back, prev = np.zeros((len(templates), 2 * k - 1, 2), dtype=np.int64), []
-    for r, tpl in enumerate(templates):  # each after the phase before it
-        rank = {i: j for j, i in enumerate(tpl.trained)}
-        prev = [(0, rank[i]) if p is None else (prev[p][0] + 1, prev[p][1])
-                for i, p in enumerate(tpl.carry)]
-        back[r, :len(prev)] = prev
-    row = np.where((n % cycle == 0) & (n > 0), len(templates) - 1, n % cycle)
-    counts = np.array([len(tpl.trained) for tpl in templates], dtype=np.int64)[row]
-    first = counts.cumsum() - counts  # each step's first new model id
-
-    def mid(n, i):
-        return first[n - back[row[n], i, 0]] + back[row[n], i, 1]
-    return steps, row, templates, mid
-
-
-class _Phase(NamedTuple):
-    """The chain of the sliding steps of one phase (`_phase_template`)."""
-
-    kind: str
-    buckets: tuple  # ((t offset of a, of b, side, level), ...) in chain order
-    trained: tuple  # the positions of the new buckets
-    carry: tuple  # each bucket's position in the previous chain, None if new
-
-
-def _phase_spans(k, w0, r) -> list:
-    """The chain of a window of 2^k - 1 blocks of w0 points at phase r, as
-    (a, b, side, level) with a and b offsets from the step t: the base
-    bucket holds 2^(k-1) blocks, at level k - 1, the left side the binary
-    decomposition of the 2^(k-1) - 1 - r blocks before it, smallest oldest,
-    and the right side that of the r blocks after it, largest next to the
-    base. A side bucket of 2^j blocks is at level j. The base comes first,
-    then the buckets by descending size, a left one before a right one of
-    the same size."""
     cycle = 1 << (k - 1)
-    start = 1 - (2 * cycle - 1) * w0  # the window's first point
-    left = cycle - 1 - r
-    a = start + left * w0
-    spans = [(a, a + cycle * w0 - 1, "base", k - 1)]
-    for j in reversed(range(k - 1)):
+    steps = np.arange(w - 1, T, w0)
+    r = np.arange(len(steps)) % cycle
+    top = np.where(r == 0, k - 1, np.frexp(r & -r)[1] - 1).astype(np.int64)
+    first = (top + 1).cumsum() - (top + 1)
+
+    def bucket(n, j):
         size = 1 << j
-        if left & size:
-            a = start + (left & (size - 1)) * w0
-            spans.append((a, a + size * w0 - 1, "left", j))
-        if r & size:
-            a = 1 - (r & (2 * size - 1)) * w0
-            spans.append((a, a + size * w0 - 1, "right", j))
-    return spans
-
-
-def _phase_template(k, w0, phase, before) -> _Phase:
-    """The `_Phase` of the sliding steps n >= 1 with n mod 2^(k-1) = phase,
-    or of step 0 for phase None, whose buckets are all new. A bucket is new
-    where its interval is not in the previous step's chain, the chain of the
-    previous phase w0 points earlier, whose buckets are before (unread at
-    step 0). The kind is WindowInit at step 0, WindowRefresh at
-    phase 0 and WindowAdvance otherwise."""
-    buckets = tuple(_phase_spans(k, w0, phase or 0))
-    if phase is None:
-        return _Phase("WindowInit", buckets, tuple(range(len(buckets))), (None,) * len(buckets))
-    before = {(a - w0, b - w0): p for p, (a, b, _, _) in enumerate(before)}
-    carry = tuple(before.get((a, b)) for a, b, _, _ in buckets)
-    return _Phase("WindowAdvance" if phase else "WindowRefresh", buckets,
-                  tuple(i for i, p in enumerate(carry) if p is None), carry)
+        r = n % cycle
+        low = r % size
+        right = (r & size) > 0
+        a = steps[n] + 1 - w0 * np.where(right, size + low, 2 * cycle - size + low)
+        side = np.where(j == k - 1, SIDES.index("base"), SIDES.index("left") + right)
+        was = n - low  # the step where it was new
+        return a, a + size * w0 - 1, side, first[was] + top[was] - j
+    return steps, top, bucket
 
 
 def _sliding(cfg, T) -> Schedule:
     """Sliding-window release with a binary bucket structure on either side
-    of the base bucket, from the per-phase templates of `_sliding_steps`:
-    retrains exactly the buckets whose interval is new, each regularized on
-    the next larger bucket's (possibly just retrained) model, and releases
-    the smallest bucket's.
+    of the base bucket, in closed form (`_sliding_cells`): each step
+    retrains its new buckets, levels top(n) down to 0, each regularized on
+    the next level's model and the base on none, and releases level 0's.
 
     A bucket at level j spans 2^j * w0 points, so its charge, sampling rule
     and calibration depend on j alone, and each level's are worked out
     once: a side bucket is charged eps / (6 * 2^j) and, sampled, kept under
     the reciprocal rule from level 1 on; the base, at level k - 1, is
-    charged eps / 3 and never sampled. The events are built with one
-    broadcast over the steps, from a table of each template's buckets.
+    charged eps / 3 and never sampled. The kind is WindowInit at step 0,
+    WindowRefresh at top(n) = k - 1 after it and WindowAdvance otherwise.
+    Every column is built at once from the new (step, level) cells, taken
+    with one np.nonzero.
     """
     w, w0, eps = cfg.w, cfg.w0, cfg.eps
     k = window_shape(w, w0)
@@ -455,38 +410,33 @@ def _sliding(cfg, T) -> Schedule:
     charge = [eps / 3 if j == k - 1 else eps / (6 * 2**j) for j in range(k)]
     rule = [_rule(cfg, "reciprocal") if 0 < j < k - 1 else None for j in range(k)]
     scale, tau, p = zip(*(_calibration(cfg, 2**j * w0, charge[j], j, rule[j]) for j in range(k)))
-    steps, row, templates, mid = _sliding_steps(T, w, w0)
-    # each template's buckets by chain position: the offsets of a and b,
-    # side (0 past the chain), level, kind and whether it is new
-    table = np.zeros((len(templates), 2 * k - 1, 6), dtype=np.int64)
-    for r, (name, buckets, _, carry) in enumerate(templates):
-        table[r, :len(buckets)] = [(da, db, SIDES.index(side), level, KINDS.index(name), c is None)
-                                   for (da, db, side, level), c in zip(buckets, carry)]
-    n, i = np.nonzero(table[:, :, 5][row])  # each event's step and chain position
-    da, db, side, level, kind, _ = table[row[n], i].T
-    t = steps[n]
-    columns = (t, kind, level, t + da, t + db,
+    steps, top, bucket = _sliding_cells(T, w, w0)
+    # the releases and regularizers first: their temporaries then sit beside fewer columns
+    released = bucket(np.arange(len(steps)), 0)[3]
+    kind = np.where(top == k - 1, KINDS.index("WindowRefresh"), KINDS.index("WindowAdvance"))
+    kind[:1] = KINDS.index("WindowInit")
+    n, level = np.nonzero(np.arange(k) >= k - 1 - top[:, None])  # by step, then chain position
+    level = k - 1 - level
+    reg_source = np.where(level < k - 1, bucket(n, level + 1)[3], -1)
+    a, b, side, mid = bucket(n, level)
+    columns = (steps[n], kind[n], level, a, b,
                _ints([c.numerator for c in charge], "charges")[level],
                _ints([c.denominator for c in charge], "charges")[level], np.array(scale)[level],
-               np.array(tau)[level], np.array(p, dtype=np.float64)[level],
-               mid(n, i), np.where(i > 0, mid(n, i - 1), -1), np.zeros(len(t), dtype=bool),
-               side, np.array([RULES.index(r) for r in rule])[level])
-    last = (table[:, :, 2][row] > 0).sum(axis=1) - 1  # each step's smallest bucket
-    return _schedule(cfg, columns, steps, mid(np.arange(len(steps)), last))
+               np.array(tau)[level], np.array(p, dtype=np.float64)[level], mid, reg_source,
+               np.zeros(len(n), dtype=bool), side, np.array([RULES.index(r) for r in rule])[level])
+    return _schedule(cfg, columns, steps, released)
 
 
 def sliding_chain(T, w, w0) -> tuple:
     """The sliding window's dependency chain after each release step of a
     sliding schedule of w and w0 on a stream of length T, as ChainStates,
-    from the same per-phase steps (`_sliding_steps`)."""
-    steps, row, templates, mid = _sliding_steps(T, w, w0)
-    mids = mid(np.arange(len(steps))[:, None], np.arange(2 * window_shape(w, w0) - 1))
-    return tuple(
-        ChainState(t, tuple((t + da, t + db, side, model)
-                            for (da, db, side, _), model in zip(buckets, m)),
-                   tuple(m[i] for i in trained), m[len(buckets) - 1])
-        for t, (_, buckets, trained, _), m in zip(
-            steps.tolist(), map(templates.__getitem__, row.tolist()), mids.tolist()))
+    from the same closed form (`_sliding_cells`)."""
+    steps, top, bucket = _sliding_cells(T, w, w0)
+    cells = bucket(np.arange(len(steps))[:, None], np.arange(window_shape(w, w0) - 1, -1, -1))
+    a, b, side, mid = (col.tolist() for col in cells)
+    return tuple(ChainState(t, tuple(zip(a[n], b[n], map(SIDES.__getitem__, side[n]), mid[n])),
+                            tuple(mid[n][-1 - j:]), mid[n][-1])
+                 for n, (t, j) in enumerate(zip(steps.tolist(), top.tolist())))
 
 
 def ledger_from_events(schedule: Schedule) -> Ledger:

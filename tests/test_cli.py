@@ -868,6 +868,24 @@ class TestVerifyLedger:
         assert err == ("error: trace line 1 budgets {sliding: 100} are not those of a sliding "
                        "schedule of eps 1: {sliding: 1}\n")
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: verify-ledger sums the event lines a trace "
+                              "holds, and does not rebuild the schedule its header names")
+    @pytest.mark.parametrize("edit", [
+        lambda events: events[::2],
+        lambda events: [{**e, "eps_den": 50 * e["eps_den"]} for e in events],
+    ], ids=["every-second-event-dropped", "every-eps-den-times-50"])
+    def test_an_edited_sliding_trace_is_refused(self, edit, capsys, tmp_path):
+        p = tmp_path / "sliding.jsonl"
+        code, _, err = run_cli(capsys, "inspect-schedule", "--scheduler", "sliding", "--w", "7",
+                               "--w0", "1", "--epsilon", "1", "--lambda", "1", "--T", "40",
+                               "--trace", str(p))
+        assert code == EXIT_OK, err
+        head, *events = map(json.loads, p.read_text().splitlines())
+        p.write_text("".join(json.dumps(rec) + "\n" for rec in [head, *edit(events)]))
+        code, out, err = run_cli(capsys, "verify-ledger", str(p))
+        assert code != EXIT_OK, out
+
     @pytest.mark.parametrize("flags,budgets", [
         ((), {"continual": Fraction(1, 3), "multires": Fraction(1, 3)}),
         (("--standalone-base",), {"continual": Fraction(2, 3)}),

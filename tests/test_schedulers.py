@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamdp import (
     Dataset,
@@ -439,15 +440,7 @@ class TestSlidingSchedule:
         events, releases, _ = oracle_sliding_schedule(T, w, w0, sampled)
         assert structure_digest(events, releases) == digest
 
-    # T < w, T = w (one step), a T that ends at a refresh, and Ts that end
-    # mid-cycle, for w0 = 1 and w0 > 1
-    @pytest.mark.parametrize("T,w,w0", [
-        (2, 3, 1), (3, 3, 1), (4, 3, 1), (11, 7, 1), (7, 7, 1), (8, 7, 1), (10, 7, 1),
-        (15, 7, 1), (13, 14, 2), (14, 14, 2), (29, 14, 2), (33, 14, 2), (41, 42, 6),
-        (42, 42, 6), (101, 42, 6), (226, 42, 6), (200, 31, 1), (143, 93, 3),
-    ])
-    @pytest.mark.parametrize("sampled", [False, True])
-    def test_template_steps_match_the_oracle(self, sampled, T, w, w0):
+    def assert_matches_the_oracle(self, T, w, w0, sampled):
         events, released, states = oracle_sliding_schedule(T, w, w0, sampled)
         sched = schedule_of("sliding-sample" if sampled else "sliding", T, w=w, w0=w0)
         assert event_structures(sched) == events
@@ -455,17 +448,41 @@ class TestSlidingSchedule:
         assert [(st.t, st.buckets, st.trained, st.released)
                 for st in sliding_chain(T, w, w0)] == states
 
+    # T < w, T = w (one step), Ts that end at a refresh, and Ts that end
+    # mid-cycle, for w0 = 1 and w0 > 1, from the smallest window (k = 2) to
+    # k = 9
+    @pytest.mark.parametrize("T,w,w0", [
+        (2, 3, 1), (3, 3, 1), (4, 3, 1), (11, 7, 1), (7, 7, 1), (8, 7, 1), (10, 7, 1),
+        (15, 7, 1), (13, 14, 2), (14, 14, 2), (29, 14, 2), (33, 14, 2), (41, 42, 6),
+        (42, 42, 6), (101, 42, 6), (226, 42, 6), (200, 31, 1), (143, 93, 3), (17, 6, 2),
+        (1123, 511, 1), (30, 14, 2),
+    ])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_steps_match_the_oracle(self, sampled, T, w, w0):
+        self.assert_matches_the_oracle(T, w, w0, sampled)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 9), st.integers(1, 6), st.booleans())
+    def test_any_window_matches_the_oracle(self, data, k, w0, sampled):
+        # T from w - 1 (no step) to 5 refresh cycles of 2^(k-1) steps past w
+        w = (2**k - 1) * w0
+        T = w + data.draw(st.integers(-1, 5 * 2 ** (k - 1) * w0), label="T - w")
+        self.assert_matches_the_oracle(T, w, w0, sampled)
+
     def test_a_long_schedule_holds_its_columns_alone(self):
         # the bounds follow from the column dtypes, fixed before any run:
         # eight int64 columns (t, level, a, b, eps_num, eps_den, model_id,
         # reg_source), three float64 (noise_scale, tau, p), three int8 codes
         # and a bool, 92 bytes an event (a record object an event held 292), and
         # two int64 release columns, 16 bytes a step; 64 KiB covers the array
-        # headers. At its peak the build holds besides at most the gathered
-        # template rows (six int64 an event), eight int64 index and model id
-        # temporaries an event, and one int64 per chain position a step
-        # (2k - 1 = 15 positions at w = 255). A short build first leaves out
-        # what a first call caches for good.
+        # headers. At its peak the build holds besides at most fourteen int64
+        # an event (each new cell's step and level, its other columns before
+        # their int8 codes, and the temporaries of its bucket and its
+        # regularizer's), and fifteen int64 a step (the step times, each
+        # step's top new level, first model id and kind, the temporaries of
+        # the release column, and the new-cell mask, one byte per chain
+        # position: a chain has one bucket a level, k = 8 at w = 255). A
+        # short build first leaves out what a first call caches for good.
         T, w = 50_000, 255
         schedule_of("sliding", 2 * w, w=w, w0=1)
         tracemalloc.start()
@@ -480,43 +497,26 @@ class TestSlidingSchedule:
         assert held - before <= 92 * events + 16 * steps + (64 << 10)
         assert peak - before <= (92 + 48 + 64) * events + (16 + 8 * 15) * steps + (64 << 10)
 
-    def test_each_phase_template_is_built_once(self, monkeypatch):
-        built = []
-
-        def spy(k, w0, phase, before):
-            built.append(phase)
-            return phase_template(k, w0, phase, before)
-
-        phase_template = schedulers._phase_template
-        monkeypatch.setattr(schedulers, "_phase_template", spy)
-        # a window of 2^20 - 1 points has 2^19 phases; 11 steps build at most 11
+    def test_a_build_holds_no_memory_per_phase(self):
+        # a window of 2^20 - 1 points has 2^19 phases, where one int64 a
+        # phase would take 4 MiB; w + 10 points give 11 steps of 20 levels,
+        # and the schedule and the chain are built from those cells alone,
+        # within 1 KiB a cell
         w = 2**20 - 1
-        sched = schedule_of("sliding", w + 10, w=w, w0=1)
-        assert len(sched.release_t) == 11 and len(built) <= 11
-        built.clear()
-        assert len(sliding_chain(w + 10, w, 1)) == 11 and len(built) <= 11
-        # 141 steps of a window of 4 phases: step 0's template, then one a phase
-        built.clear()
-        schedule_of("sliding", 147, w=7, w0=1)
-        assert sorted(built, key=str) == [0, 1, 2, 3, None]
-
-    def test_each_template_computes_its_spans_once(self, monkeypatch):
-        # a template reads the previous one's buckets rather than computing
-        # them again: at w = 255 and T = 3,000, 129 templates (step 0's,
-        # phases 1 .. 127 and the refresh's) and 129 span lists
-        built, spans = [], []
-
-        def spying(calls, fn):
-            return lambda *args: calls.append(args) or fn(*args)
-        monkeypatch.setattr(schedulers, "_phase_template",
-                            spying(built, schedulers._phase_template))
-        monkeypatch.setattr(schedulers, "_phase_spans", spying(spans, schedulers._phase_spans))
-        for build in (functools.partial(schedule_of, "sliding", 3000, w=255, w0=1),
-                      functools.partial(sliding_chain, 3000, 255, 1)):
-            built.clear()
-            spans.clear()
-            build()
-            assert len(built) == len(spans) == 129
+        bound = 1024 * 11 * window_shape(w, 1)
+        built, peaks = [], []
+        for build in (functools.partial(schedule_of, "sliding", w + 10, w=w, w0=1),
+                      functools.partial(sliding_chain, w + 10, w, 1)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                built.append(build())
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        sched, chain = built
+        assert len(sched.release_t) == len(chain) == 11
+        assert max(peaks) <= bound, peaks
 
 
 class TestBaselines:
