@@ -11,9 +11,12 @@ to CSV or JSONL.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
+import os
 import re
+import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,14 +80,22 @@ def load_idx(images_path, labels_path, classes=None) -> Dataset:
 def load_csv(path, classes=None) -> Dataset:
     """Numeric CSV, last column an integral label; header auto-detected.
 
-    A non-numeric first cell in the first non-empty row marks a header.
-    Blank lines are skipped, and errors name the row counting non-empty
-    rows from 1, the header included. Labels are indexed among the file's
-    own distinct values, in increasing order, or given `classes`, the label
-    values of another dataset (a test set's stream), among those
+    A non-numeric first cell in the first non-empty row marks a header; a
+    UTF-8 byte-order mark is not part of it. Blank lines are skipped, and
+    errors name the row counting non-empty rows from 1, the header
+    included. A label must not exceed 2^53 - 1 in magnitude, as past it
+    distinct integers read as one float. Labels are indexed among the
+    file's own distinct values, in increasing order, or given `classes`,
+    the label values of another dataset (a test set's stream), among those
     (`_class_indices`).
+
+    A regular file's bytes are parsed once: the parsed matrix is kept in
+    `__streamdp_cache__/` beside the file, named by their SHA-256
+    (`_cache_entry`), and later calls on the same bytes read it from there
+    and check it as they would a parse.
     """
-    with open(path, newline="") as fh:
+    entry = _cache_entry(path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         first = next((r for r in reader if r), None)
         header_lines = reader.line_num
@@ -95,13 +106,16 @@ def load_csv(path, classes=None) -> Dataset:
         start, skip = 0, 0
     except ValueError:
         start, skip = 1, header_lines  # the header row and the blank lines before it
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header with no data rows
-            mat = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip,
-                             comments=None, quotechar='"')
-    except ValueError as exc:
-        raise _csv_parse_error(path, str(exc), start) from exc
+    mat = _read_entry(entry)
+    hit = mat is not None
+    if not hit:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header with no data rows
+                mat = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, comments=None,
+                                 quotechar='"', encoding="utf-8-sig")
+        except ValueError as exc:
+            raise _csv_parse_error(path, str(exc), start) from exc
     if mat.shape[0] == 0 or mat.shape[1] < 2:
         raise HarnessError(f"{path}: need at least one data row with features and a label")
     finite = np.isfinite(mat).all(axis=1)
@@ -112,12 +126,85 @@ def load_csv(path, classes=None) -> Dataset:
     if not np.all(raw_labels == np.round(raw_labels)):
         bad = int(np.argmax(raw_labels != np.round(raw_labels)))
         raise HarnessError(f"{path}: non-integral label in row {bad + start + 1}")
+    # 2^53 + 1 reads as 2^53, and 1e19 and 2e19 cast to one int64
+    outside = np.abs(raw_labels) >= 2.0 ** 53
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise HarnessError(f"{path}: label in row {bad + start + 1} exceeds 2^53 - 1 "
+                           "in magnitude")
+    if not hit:
+        _write_entry(path, entry, mat)
     raw_labels = raw_labels.astype(np.int64)
     if classes is None:
         classes, y = np.unique(raw_labels, return_inverse=True)
     else:
         y = _class_indices(path, raw_labels, classes, start + 1)
     return Dataset(mat[:, :-1], y, len(classes), classes)
+
+
+_CACHE_DIR = "__streamdp_cache__"
+_CACHE_FORMAT = 1  # bump on any change to what load_csv parses from a file's bytes
+_HASH_BLOCK = 1 << 16  # larger blocks moved glibc's mmap threshold and raised peak RSS
+
+
+def _cache_entry(path) -> Path | None:
+    """Where `load_csv` keeps the matrix parsed from the file at path:
+    `__streamdp_cache__/NAME.FORMAT.SHA256.npy` beside it, SHA256 the hex
+    digest of its bytes now. None unless path is a regular file, so a FIFO
+    is not drained."""
+    path = Path(path)
+    if not path.is_file():
+        return None
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return path.parent / _CACHE_DIR / f"{path.name}.{_CACHE_FORMAT}.{digest.hexdigest()}.npy"
+
+
+def _read_entry(entry: Path | None) -> np.ndarray | None:
+    """The 2-D float64 matrix a cache entry holds; None where there is no
+    such entry or it cannot be read as one."""
+    if entry is None:
+        return None
+    try:
+        with open(entry, "rb") as fh:
+            mat = np.lib.format.read_array(fh, allow_pickle=False)
+    except Exception:  # a bad entry raises many kinds of error; any one means re-parse
+        return None
+    return mat if mat.dtype == np.float64 and mat.ndim == 2 else None
+
+
+def _write_entry(path, entry: Path | None, mat: np.ndarray):
+    """Keep mat as the cache entry `entry` of the file at path, with the
+    file's permission bits, in place of any older entry of its name.
+
+    Nothing is written unless the file's bytes still hash to the entry's
+    name, so a file edited during the parse is not cached under the old
+    key. The entry is written to a unique temporary file and renamed into
+    place. An OSError leaves the cache as it is: a read-only directory
+    still loads.
+    """
+    if entry is None or _cache_entry(path) != entry:
+        return
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=entry.name, suffix=".tmp", dir=entry.parent)
+        try:
+            with open(fd, "wb") as fh:
+                np.lib.format.write_array(fh, mat, allow_pickle=False)
+                os.fchmod(fd, os.stat(path).st_mode & 0o777)
+            os.replace(tmp, entry)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+        older = re.compile(re.escape(Path(path).name) + r"\.\d+\.[0-9a-f]{64}\.npy")
+        for other in entry.parent.iterdir():
+            if other != entry and older.fullmatch(other.name):
+                other.unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 def _class_indices(path, labels: np.ndarray, classes: np.ndarray, first_row: int) -> np.ndarray:
