@@ -11,12 +11,10 @@ to CSV or JSONL.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-import os
 import re
-import tempfile
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,17 +86,14 @@ def load_csv(path, classes=None) -> Dataset:
     file's own distinct values, in increasing order, or given `classes`,
     the label values of another dataset (a test set's stream), among those
     (`_class_indices`).
-
-    A regular file's bytes are parsed once: the parsed matrix is kept in
-    `__streamdp_cache__/` beside the file, named by their SHA-256
-    (`_cache_entry`), and later calls on the same bytes read it from there
-    and check it as they would a parse.
     """
-    entry = _cache_entry(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        first = next((r for r in reader if r), None)
-        header_lines = reader.line_num
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            first = next((r for r in reader if r), None)
+            header_lines = reader.line_num
+    except UnicodeDecodeError as exc:  # past the first read, np.loadtxt's ValueError below
+        raise HarnessError(f"{path}: {exc}") from exc
     if first is None:
         raise HarnessError(f"{path}: empty file")
     try:
@@ -106,9 +101,8 @@ def load_csv(path, classes=None) -> Dataset:
         start, skip = 0, 0
     except ValueError:
         start, skip = 1, header_lines  # the header row and the blank lines before it
-    mat = _read_entry(entry)
-    hit = mat is not None
-    if not hit:
+    mat = _parse_plain_csv(path, skip)
+    if mat is None:  # not plain, or no x87 long double: np.loadtxt parses and reports
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a header with no data rows
@@ -132,79 +126,12 @@ def load_csv(path, classes=None) -> Dataset:
         bad = int(np.argmax(outside))
         raise HarnessError(f"{path}: label in row {bad + start + 1} exceeds 2^53 - 1 "
                            "in magnitude")
-    if not hit:
-        _write_entry(path, entry, mat)
     raw_labels = raw_labels.astype(np.int64)
     if classes is None:
         classes, y = np.unique(raw_labels, return_inverse=True)
     else:
         y = _class_indices(path, raw_labels, classes, start + 1)
     return Dataset(mat[:, :-1], y, len(classes), classes)
-
-
-_CACHE_DIR = "__streamdp_cache__"
-_CACHE_FORMAT = 1  # bump on any change to what load_csv parses from a file's bytes
-_HASH_BLOCK = 1 << 16  # larger blocks moved glibc's mmap threshold and raised peak RSS
-
-
-def _cache_entry(path) -> Path | None:
-    """Where `load_csv` keeps the matrix parsed from the file at path:
-    `__streamdp_cache__/NAME.FORMAT.SHA256.npy` beside it, SHA256 the hex
-    digest of its bytes now. None unless path is a regular file, so a FIFO
-    is not drained."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    digest = hashlib.sha256()
-    block = bytearray(_HASH_BLOCK)
-    view = memoryview(block)
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(block):
-            digest.update(view[:size])
-    return path.parent / _CACHE_DIR / f"{path.name}.{_CACHE_FORMAT}.{digest.hexdigest()}.npy"
-
-
-def _read_entry(entry: Path | None) -> np.ndarray | None:
-    """The 2-D float64 matrix a cache entry holds; None where there is no
-    such entry or it cannot be read as one."""
-    if entry is None:
-        return None
-    try:
-        with open(entry, "rb") as fh:
-            mat = np.lib.format.read_array(fh, allow_pickle=False)
-    except Exception:  # a bad entry raises many kinds of error; any one means re-parse
-        return None
-    return mat if mat.dtype == np.float64 and mat.ndim == 2 else None
-
-
-def _write_entry(path, entry: Path | None, mat: np.ndarray):
-    """Keep mat as the cache entry `entry` of the file at path, with the
-    file's permission bits, in place of any older entry of its name.
-
-    Nothing is written unless the file's bytes still hash to the entry's
-    name, so a file edited during the parse is not cached under the old
-    key. The entry is written to a unique temporary file and renamed into
-    place. An OSError leaves the cache as it is: a read-only directory
-    still loads.
-    """
-    if entry is None or _cache_entry(path) != entry:
-        return
-    try:
-        entry.parent.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=entry.name, suffix=".tmp", dir=entry.parent)
-        try:
-            with open(fd, "wb") as fh:
-                np.lib.format.write_array(fh, mat, allow_pickle=False)
-                os.fchmod(fd, os.stat(path).st_mode & 0o777)
-            os.replace(tmp, entry)
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-        older = re.compile(re.escape(Path(path).name) + r"\.\d+\.[0-9a-f]{64}\.npy")
-        for other in entry.parent.iterdir():
-            if other != entry and older.fullmatch(other.name):
-                other.unlink(missing_ok=True)
-    except OSError:
-        pass
 
 
 def _class_indices(path, labels: np.ndarray, classes: np.ndarray, first_row: int) -> np.ndarray:
@@ -238,6 +165,157 @@ def _csv_parse_error(path, msg: str, start: int) -> HarnessError:
         return HarnessError(
             f"{path}: non-numeric cell in row {row + start + 1}, column {col}: {value}")
     return HarnessError(f"{path}: {msg}")
+
+
+# bytes parsed at a time: a block's copies stay under glibc's 128 KiB mmap
+# threshold, which 1 MiB blocks raised, adding 12 MB to continual-d20's peak RSS
+_CSV_BLOCK = 1 << 16
+_POW10 = np.cumprod(np.r_[1, np.full(28, 10)].astype(np.longdouble))  # exact to 10^27
+_NUMBER = re.compile(rb"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_INT64 = np.iinfo(np.int64)
+
+
+def _plain_csv_exact() -> bool:
+    """Whether `_parse_block`'s arithmetic holds on this platform: long
+    double is x87's, its 64-bit significand first in 16 little-endian
+    bytes, and numpy's int64 text parse saturates on overflow."""
+    if (np.finfo(np.longdouble).nmant != 63 or np.dtype(np.longdouble).itemsize != 16
+            or sys.byteorder != "little"):
+        return False
+    big = np.fromstring(b"99999999999999999999,-99999999999999999999", dtype=np.int64, sep=",")
+    return bool(np.isin(big, [_INT64.min, _INT64.max]).all())
+
+
+_PLAIN_CSV = _plain_csv_exact()
+
+
+def _parse_plain_csv(path, skip: int) -> np.ndarray | None:
+    """`np.loadtxt`'s matrix for the CSV at path after `skip` lines, in
+    about half its time; None unless every line is `ncol` plain decimal
+    cells (`_parse_block`) and the skipped lines, all in the first block,
+    hold no quote or CR.
+
+    A first pass counts the lines, so that the blocks are parsed into one
+    matrix of the right size and no more than a block's copies are alive;
+    a file that is not a regular one is not read twice.
+    """
+    if not _PLAIN_CSV or not Path(path).is_file():
+        return None
+    with open(path, "rb") as fh:
+        head = fh.read(_CSV_BLOCK)
+        start = len(b"\xef\xbb\xbf") if head.startswith(b"\xef\xbb\xbf") else 0
+        for _ in range(skip):
+            start = head.find(b"\n", start) + 1
+            if not start:
+                return None
+        if b'"' in head[:start] or b"\r" in head[:start]:
+            return None
+        ncol = head.count(b",", start, head.find(b"\n", start)) + 1
+        rows, last = head.count(b"\n", start), head[-1:]
+        while block := fh.read(_CSV_BLOCK):
+            rows, last = rows + block.count(b"\n"), block[-1:]
+        rows += last not in (b"", b"\n")  # a last line with no newline
+        if not rows:
+            return None
+        out = np.empty((rows, ncol))
+        done, pending = 0, b""
+        fh.seek(start)
+        while True:
+            more = fh.read(_CSV_BLOCK)
+            pending += more
+            if not more and pending and not pending.endswith(b"\n"):
+                pending += b"\n"  # the last line's
+            cut = pending.rfind(b"\n") + 1
+            if cut:
+                part = _parse_block(pending[:cut], ncol)
+                if part is None or done + len(part) > rows:
+                    return None
+                out[done:done + len(part)] = part
+                done += len(part)
+                pending = pending[cut:]
+            if not more:
+                return out if done == rows else None
+
+
+def _parse_block(block: bytes, ncol: int) -> np.ndarray | None:
+    """The (rows, ncol) float64 matrix of whole lines, each ending in a
+    newline; None unless every cell is `-?digits*.?digits*` with a digit,
+    or that in exponent notation.
+
+    A cell reads as m / 10^f: m the integer of its digits, parsed by numpy
+    in C, and f its digits after the dot. For m below 2^63 and f up to 27
+    both are exact in x87 long double, so the quotient is rounded once, to
+    64 bits, and rounding that to a double gives `float`'s correctly
+    rounded value unless it lies on a midpoint between two doubles. Such
+    cells, longer ones and cells in exponent notation (rare in a %.17g
+    file) are parsed by `float`.
+    """
+    exps = []
+    for char in b"eE":
+        at = block.find(char)
+        while at >= 0:
+            exps.append(at)
+            at = block.find(char, at + 1)
+    if len(exps) * 512 > len(block):
+        return None  # much exponent notation: np.loadtxt is faster
+    text = block
+    if exps:  # zeroed here, parsed by float below
+        zeroed = bytearray(block)
+        for at in exps:
+            lo = max(block.rfind(b",", 0, at), block.rfind(b"\n", 0, at)) + 1
+            hi = min(i for i in (block.find(b",", at), block.find(b"\n", at)) if i >= 0)
+            zeroed[lo:hi] = b"0" * (hi - lo)
+        text = bytes(zeroed)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1 warns and stops at text it cannot parse
+            m = np.fromstring(text.replace(b".", b"").replace(b"\n", b","), dtype=np.int64,
+                              sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    # every newline, comma and dot; a blank, NUL or plus there is one more
+    # separator than numpy's cells
+    chars = np.frombuffer(text, np.uint8)
+    at = np.flatnonzero((chars < 48) & (chars != 45))
+    kind = chars[at]
+    dot = np.flatnonzero(kind == 46)
+    n = at.size - dot.size  # one separator per cell
+    newline = np.flatnonzero(kind == 10)
+    if (m.size != n or newline.size * ncol != n
+            or (kind[dot + 1] == 46).any() or (chars[at[dot] + 1] == 45).any()
+            or not np.array_equal(newline + 1 - np.searchsorted(dot, newline),
+                                  np.arange(ncol, n + 1, ncol))):
+        return None  # that, a ragged line, two dots in a cell or a minus after a dot
+    dotted = dot - np.arange(dot.size)  # the cell of each dot
+
+    def span(cells):
+        """The first byte of each cell and the separator after it."""
+        sep = at[cells + np.searchsorted(dotted, cells, side="right")]
+        prev = at[np.maximum(cells - 1, 0) + np.searchsorted(dotted, cells - 1, side="right")]
+        return np.where(cells > 0, prev + 1, 0), sep
+
+    places = np.zeros(n, np.uint8)
+    places[dotted] = np.minimum(at[dot + 1] - at[dot] - 1, 28)
+    x = m.astype(np.longdouble) / _POW10[places]
+    out = x.astype(np.float64)
+    zero = np.flatnonzero(m == 0)
+    lo, hi = span(zero)
+    minus = chars[lo] == 45
+    if (minus & ((hi - lo == 1) | (hi - lo == 2) & (chars[lo + 1] == 46))).any():
+        return None  # "-" or "-.", which numpy reads as 0
+    out[zero[minus]] = -0.0
+    redo = ((m == _INT64.max) | (m == _INT64.min) | (places > 27)
+            | (x.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)))
+    redo = np.flatnonzero(redo)
+    if exps:
+        before = np.searchsorted(at, exps)
+        redo = np.union1d(redo, before - np.searchsorted(at[dot], exps))
+    for i, lo, hi in zip(redo.tolist(), *(side.tolist() for side in span(redo))):
+        cell = block[lo:hi]
+        if not _NUMBER.fullmatch(cell):
+            return None
+        out[i] = float(cell)
+    return out.reshape(-1, ncol)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,8 @@ import csv
 import io
 import json
 import math
-import os
-import threading
 from collections import Counter
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +24,9 @@ from streamdp import (
     sgd_train,
     synth_stream,
 )
-from streamdp.cli import SCHEDULERS, main
-from streamdp.harness import CSV_HEADER, _cache_entry, accuracy_quartiles
+from streamdp import harness
+from streamdp.cli import SCHEDULERS
+from streamdp.harness import CSV_HEADER, accuracy_quartiles
 from streamdp.schedulers import build_schedule, execute, export_trace, ledger_from_events
 from conftest import charges, idx_images_bytes, idx_labels_bytes
 
@@ -199,6 +199,12 @@ class TestLoadCsv:
         assert data.n == n
         assert data.X[0, 0] == 0.5
 
+    @pytest.mark.parametrize("header", ["f,g,label\r", '"f\ng",h,label\n'])
+    def test_a_header_ending_in_cr_or_quoting_a_newline_is_one_row(self, tmp_path, header):
+        p = tmp_path / "d.csv"
+        p.write_bytes((header + "1.0,2.0,0\n3.0,4.0,1\n").encode())
+        np.testing.assert_array_equal(load_csv(p).X, [[1.0, 2.0], [3.0, 4.0]])
+
     @pytest.mark.parametrize("labels,row", [
         (("1e19", "2e19"), 2),  # both would cast to -2^63, one class
         (("0", "9007199254740993"), 3),  # would read as 9007199254740992
@@ -215,180 +221,113 @@ class TestLoadCsv:
         p.write_text("1.0,9007199254740991\n2.0,-9007199254740991\n")
         np.testing.assert_array_equal(load_csv(p).classes, [-(2**53 - 1), 2**53 - 1])
 
-
-def csv_entries(directory):
-    """The names in the CSV cache directory beside files in directory."""
-    cache = directory / "__streamdp_cache__"
-    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
-
-
-@pytest.fixture
-def loadtxt_calls(monkeypatch):
-    """A list that gets one item per np.loadtxt call, which still parses."""
-    calls, loadtxt = [], np.loadtxt
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", spy)
-    return calls
-
-
-class TestCsvCache:
     @pytest.mark.parametrize("text", [
-        "f1,f2,label\n1.5,2.25,3\n-4.0,5.0,-1\n",
-        "\n\n1.5,2.25,3\n\n\n-4.0,5.0,-1\n\n",
-        "-0.0,0.0,0\n0.1,-0.0,1\n",
-        '"1.5","2.25",3\n"-4.0",5.0,"-1"\n',
-    ], ids=["header", "blank-lines", "negative-zero", "quoted"])
-    def test_a_hit_returns_the_bits_of_the_parse(self, tmp_path, loadtxt_calls, text):
-        p = tmp_path / "d.csv"
-        p.write_text(text)
-        parsed = load_csv(p)
-        assert csv_entries(tmp_path) == [_cache_entry(p).name]
-        cached = load_csv(p)
-        assert len(loadtxt_calls) == 1
-        assert cached.X.tobytes() == parsed.X.tobytes()
-        assert cached.y.tobytes() == parsed.y.tobytes()
-        assert cached.classes.tobytes() == parsed.classes.tobytes()
-        assert cached.X.flags.c_contiguous
-
-    def test_entry_is_named_by_the_bytes(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        name = _cache_entry(p).name
-        assert name.startswith("d.csv.1.") and name.endswith(".npy")
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        assert _cache_entry(p).name == name
-        p.write_text("1.0,2.0,0\n3.0,4.0,2\n")
-        assert _cache_entry(p).name != name
-
-    def test_edit_keeping_size_and_mtime_is_parsed_again(self, tmp_path, loadtxt_calls):
-        p = tmp_path / "d.csv"
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        load_csv(p)
-        st = p.stat()
-        p.write_text("1.0,2.0,0\n3.0,5.0,1\n")
-        os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
-        assert p.stat().st_size == st.st_size and p.stat().st_mtime_ns == st.st_mtime_ns
-        assert load_csv(p).X[1, 1] == 5.0
-        assert len(loadtxt_calls) == 2
-        assert csv_entries(tmp_path) == [_cache_entry(p).name]  # the older entry is gone
-
-    def test_edit_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
-        p = tmp_path / "d.csv"
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        loadtxt = np.loadtxt
-
-        def parse_then_edit(*args, **kwargs):
-            mat = loadtxt(*args, **kwargs)
-            p.write_text("1.0,2.0,0\n3.0,5.0,1\n")
-            return mat
-
-        monkeypatch.setattr(np, "loadtxt", parse_then_edit)
-        assert load_csv(p).X[1, 1] == 4.0
-        assert csv_entries(tmp_path) == []
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
-        assert load_csv(p).X[1, 1] == 5.0
-        assert csv_entries(tmp_path) == [_cache_entry(p).name]
-
-    @pytest.mark.parametrize("damage", [
-        lambda raw: raw[:-8],  # truncated data
-        lambda raw: raw[:20],  # truncated header
-        lambda raw: raw[:10] + b"garbage!!" + raw[19:],  # corrupt header
-        lambda raw: b"",
-        lambda raw: b"PK\x03\x04" + raw,  # not a .npy file
-    ], ids=["data", "header", "corrupt", "empty", "zip-magic"])
-    def test_damaged_entry_is_parsed_again_and_replaced(self, tmp_path, loadtxt_calls, damage):
-        p = tmp_path / "d.csv"
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        parsed = load_csv(p)
-        entry = _cache_entry(p)
-        raw = entry.read_bytes()
-        entry.write_bytes(damage(raw))
-        assert load_csv(p).X.tobytes() == parsed.X.tobytes()
-        assert len(loadtxt_calls) == 2
-        assert entry.read_bytes() == raw
-
-    @pytest.mark.parametrize("array", [
-        np.array([[1, 2, 0], [3, 4, 1]]),  # int64
-        np.array([1.0, 2.0, 0.0]),  # 1-D
-        np.array([[1.0, 2.0, 0.0]], dtype=">f8"),  # big-endian
-    ], ids=["dtype", "ndim", "byte-order"])
-    def test_entry_of_the_wrong_array_is_a_miss(self, tmp_path, loadtxt_calls, array):
-        p = tmp_path / "d.csv"
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        entry = _cache_entry(p)
-        entry.parent.mkdir()
-        np.save(entry, array)
-        np.testing.assert_array_equal(load_csv(p).X, [[1.0, 2.0], [3.0, 4.0]])
-        assert len(loadtxt_calls) == 1
-        assert np.load(entry).dtype == np.float64
-
-    def test_file_in_place_of_the_cache_directory_still_loads(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        blocker = tmp_path / "__streamdp_cache__"
-        blocker.write_text("not a directory")
-        for _ in range(2):
-            assert load_csv(p).n == 2
-        assert blocker.read_text() == "not a directory"
-
-    @pytest.mark.parametrize("text,message", [
-        ("1.0,2.0,0\n1.0,x,1\n", "non-numeric cell in row 2"),
-        ("1.0,2.0,0\n1.0,0\n", "ragged row 2"),
-        ("1.0,nan,0\n", "non-finite cell in row 1"),
-        ("1.0,2.0,0\n1.0,2.0,0.5\n", "non-integral label in row 2"),
-        ("1.0,1e19\n", "label in row 1 exceeds"),
+        b"f\xe9,g,label\n1.0,2.0,0\n",  # a Latin-1 header
+        b"f,g,label\n" + b"1.0,2.0,0\n" * 2000 + b"1.0,\xe9,0\n",  # past the first read
     ])
-    def test_errors_repeat_and_leave_no_entry(self, tmp_path, text, message):
+    def test_bytes_that_are_not_utf_8_are_a_data_error(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text)
+        with pytest.raises(HarnessError, match="'utf-8' codec can't decode byte 0xe9"):
+            load_csv(p)
+
+
+def loadtxt(path, skip=0):
+    """What load_csv's np.loadtxt call returns for the file at path."""
+    return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, comments=None,
+                      quotechar='"', encoding="utf-8-sig")
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.skipif(not harness._PLAIN_CSV, reason="needs x87 long double")
+class TestPlainCsv:
+    """`harness._parse_plain_csv` returns np.loadtxt's exact bits, or None."""
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.6f", "%.3g", "%.0f", "%.20f"])
+    def test_matches_loadtxt_bit_for_bit(self, tmp_path, rng, fmt):
+        X = rng.standard_normal((300, 5)) * 10.0 ** rng.integers(-2, 3, size=(300, 5))
+        X[::7, 1] = -0.0
+        X[::11, 2] = 0.0
+        X[::29, 3] = -1e-5  # exponent notation in %.17g and %.3g
+        p = tmp_path / "d.csv"
+        np.savetxt(p, X, delimiter=",", fmt=fmt)
+        assert same_bits(harness._parse_plain_csv(p, 0), loadtxt(p))
+
+    def test_much_exponent_notation_is_left_to_loadtxt(self, tmp_path, rng):
+        p = tmp_path / "d.csv"
+        np.savetxt(p, rng.standard_normal((50, 3)), delimiter=",", fmt="%.17e")
+        assert harness._parse_plain_csv(p, 0) is None
+
+    def test_rounds_each_cell_as_float_does(self, tmp_path, rng):
+        # decimals next to the midpoint between two doubles, where rounding
+        # twice goes wrong, and cells past 18 digits or 27 places
+        d = np.abs(rng.standard_normal(400)) * 10.0 ** rng.integers(-6, 6, size=400)
+        cells = []
+        for v in d.tolist():
+            mid = (Decimal(v) + Decimal(np.nextafter(v, np.inf))) / 2
+            for digits in (17, 18, 19, 21, 30):
+                for rounding in (ROUND_FLOOR, ROUND_CEILING):
+                    with localcontext() as ctx:
+                        ctx.prec, ctx.rounding = digits, rounding
+                        cells.append(format(+mid, "f"))
+        cells += ["9007199254740993", "-9007199254740995", "0.1", "-.5", "5.", "007.25",
+                  "0." + "0" * 30 + "1", "1" * 25, "-" + "9" * 19, "1.5e300", "-2E-310", "3e+2"]
+        cells += ["1"] * (-len(cells) % 4)
+        p = tmp_path / "d.csv"
+        p.write_text("".join(",".join(cells[i:i + 4]) + "\n" for i in range(0, len(cells), 4)))
+        mat = harness._parse_plain_csv(p, 0)
+        assert same_bits(mat.ravel(), np.array([float(c) for c in cells]))
+
+    @pytest.mark.parametrize("text,skip", [
+        ("f1,f2,label\n1.5,2.25,3\n-4.0,5.0,-1\n", 1),
+        ("\n\nf1,f2,label\n1.5,2.25,3\n", 3),
+        ("﻿f1,f2,label\n1.5,2.25,3\n", 1),
+        ("﻿1.5,2.25,3\n-0.0,-0,0", 0),
+    ])
+    def test_header_byte_order_mark_and_last_newline(self, tmp_path, text, skip):
+        p = tmp_path / "d.csv"
+        p.write_text(text, encoding="utf-8")
+        assert same_bits(harness._parse_plain_csv(p, skip), loadtxt(p, skip))
+
+    def test_blocks_split_between_lines(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(harness, "_CSV_BLOCK", 100)
+        X = rng.standard_normal((40, 3))
+        p = tmp_path / "d.csv"
+        np.savetxt(p, X, delimiter=",", fmt="%.17g")
+        assert same_bits(harness._parse_plain_csv(p, 0), X)
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_lines_longer_than_a_block_read_the_same(self, tmp_path, rng, monkeypatch, header):
+        monkeypatch.setattr(harness, "_CSV_BLOCK", 64)
+        p = tmp_path / "d.csv"
+        np.savetxt(p, np.column_stack([rng.standard_normal((20, 12)), rng.integers(0, 3, 20)]),
+                   delimiter=",", fmt="%.17g", header="x" * 100 if header else "", comments="")
+        fast = load_csv(p)
+        monkeypatch.setattr(harness, "_PLAIN_CSV", False)
+        assert same_bits(fast.X, load_csv(p).X)
+
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n1.2.3,4\n", "1.0,.-5\n", "1.0,-\n", "1.0,-.\n", "1.0, 2\n", "1.0,2 \n",
+        "1.0,+2\n", "1.0,nan\n", "1.0,inf\n", '1.0,"2"\n', "1.0,,2\n", "1.0,2\n\n3.0,4\n",
+        "1.0,2\r\n", "1.0,2\n3.0\n", "1.0,2\n3.0\n4.0,5,6\n", "1.0,2\x00\n", "1.0,1e5x\n", "1.0,2-3\n", "",
+    ])
+    def test_anything_else_is_left_to_loadtxt(self, tmp_path, text):
         p = tmp_path / "d.csv"
         p.write_text(text)
-        errors = []
-        for _ in range(2):
-            with pytest.raises(HarnessError, match=message) as exc:
-                load_csv(p)
-            errors.append(str(exc.value))
-        assert errors[0] == errors[1]
-        assert csv_entries(tmp_path) == []
+        assert harness._parse_plain_csv(p, 0) is None
 
-    @pytest.mark.parametrize("mode", [0o640, 0o604])
-    def test_entry_has_the_mode_of_the_file(self, tmp_path, mode):
+    def test_load_csv_reads_the_same_either_way(self, tmp_path, rng, monkeypatch):
         p = tmp_path / "d.csv"
-        p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        p.chmod(mode)
-        load_csv(p)
-        assert _cache_entry(p).stat().st_mode & 0o777 == mode
-
-    def test_a_fifo_is_not_read(self, tmp_path):
-        fifo = tmp_path / "d.csv"
-        os.mkfifo(fifo)
-        found = []
-        # opening a FIFO for reading blocks until a writer comes
-        worker = threading.Thread(target=lambda: found.append(_cache_entry(fifo)), daemon=True)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive() and found == [None]
-
-    def test_second_run_writes_the_same_outputs_without_parsing(
-            self, tmp_path, loadtxt_calls, capsys):
-        data = synth_stream(SynthConfig(d=3, k=3, n=96, sigma=0.3, seed=5))
-        src = tmp_path / "stream.csv"
-        np.savetxt(src, np.column_stack([data.X, data.y]), delimiter=",", fmt="%.17g")
-        outputs = []
-        for run in ("a", "b"):
-            out = tmp_path / run
-            out.mkdir()
-            code = main(["run", "--scheduler", "continual", "--epsilon", "1", "--lambda", "1",
-                         "--B", "16", "--b0", "4", "--source", f"csv:{src}",
-                         "--test", "tail:0.25", "--output", str(out / "metrics.csv"),
-                         "--trace", str(out / "trace.jsonl"),
-                         "--ledger", str(out / "ledger.jsonl")])
-            assert code == 0, capsys.readouterr().err
-            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
-            assert len(loadtxt_calls) == 1
-        assert outputs[0] == outputs[1]
+        np.savetxt(p, np.column_stack([rng.standard_normal((50, 3)), rng.integers(0, 3, 50)]),
+                   delimiter=",", fmt="%.17g", header="a,b,c,label", comments="")
+        fast = load_csv(p)
+        monkeypatch.setattr(harness, "_PLAIN_CSV", False)
+        slow = load_csv(p)
+        assert same_bits(fast.X, slow.X)
+        np.testing.assert_array_equal(fast.y, slow.y)
 
 
 class TestSynthStream:
