@@ -171,8 +171,8 @@ def _coerce(key: str, value: str, where: str):
 def _read_config_file(path) -> dict:
     out = {}
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for i, line in enumerate(lines, start=1):
         line = line.strip()

@@ -10,7 +10,9 @@ to CSV or JSONL.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import math
 import re
@@ -85,52 +87,60 @@ def load_csv(path, classes=None) -> Dataset:
     distinct integers read as one float. Labels are indexed among the
     file's own distinct values, in increasing order, or given `classes`,
     the label values of another dataset (a test set's stream), among those
-    (`_class_indices`).
+    (`_class_indices`). The path is opened once: a pipe is read into
+    memory once, a regular file in blocks. Any header the csv module reads
+    takes the fast path (`_parse_plain_csv` from the byte after it).
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            first = next((r for r in reader if r), None)
-            header_lines = reader.line_num
-    except UnicodeDecodeError as exc:  # past the first read, np.loadtxt's ValueError below
-        raise HarnessError(f"{path}: {exc}") from exc
-    if first is None:
-        raise HarnessError(f"{path}: empty file")
-    try:
-        float(first[0])
-        start, skip = 0, 0
-    except ValueError:
-        start, skip = 1, header_lines  # the header row and the blank lines before it
-    mat = _parse_plain_csv(path, skip)
-    if mat is None:  # not plain, or no x87 long double: np.loadtxt parses and reports
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        start = 3 if fh.read(3) == codecs.BOM_UTF8 else 0
+        fh.seek(start)
+        lines = []  # what the csv module reads, each line with its own ending
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header with no data rows
-                mat = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, comments=None,
-                                 quotechar='"', encoding="utf-8-sig")
-        except ValueError as exc:
-            raise _csv_parse_error(path, str(exc), start) from exc
+            first = next((r for r in csv.reader(lines.append(s) or s for s in text) if r), None)
+        except UnicodeDecodeError as exc:  # past the first read, np.loadtxt's ValueError below
+            raise HarnessError(f"{path}: {exc}") from exc
+        text.detach()
+        if first is None:
+            raise HarnessError(f"{path}: empty file")
+        try:
+            float(first[0])
+            header, lines = 0, []  # no header: the data start after the byte-order mark
+        except ValueError:
+            header = 1  # the header row, after the blank lines before it
+        mat = _parse_plain_csv(fh, start + sum(len(s.encode()) for s in lines))
+        if mat is None:  # not plain, or no x87 long double: np.loadtxt parses and reports
+            fh.seek(0)
+            try:
+                with warnings.catch_warnings(), io.TextIOWrapper(fh, encoding="utf-8-sig") as text:
+                    warnings.simplefilter("ignore", UserWarning)  # a header with no data rows
+                    mat = np.loadtxt(text, delimiter=",", ndmin=2, skiprows=len(lines),
+                                     comments=None, quotechar='"')
+            except ValueError as exc:
+                raise _csv_parse_error(path, str(exc), header) from exc
     if mat.shape[0] == 0 or mat.shape[1] < 2:
         raise HarnessError(f"{path}: need at least one data row with features and a label")
     finite = np.isfinite(mat).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise HarnessError(f"{path}: non-finite cell in row {bad + start + 1}")
+        raise HarnessError(f"{path}: non-finite cell in row {bad + header + 1}")
     raw_labels = mat[:, -1]
     if not np.all(raw_labels == np.round(raw_labels)):
         bad = int(np.argmax(raw_labels != np.round(raw_labels)))
-        raise HarnessError(f"{path}: non-integral label in row {bad + start + 1}")
+        raise HarnessError(f"{path}: non-integral label in row {bad + header + 1}")
     # 2^53 + 1 reads as 2^53, and 1e19 and 2e19 cast to one int64
     outside = np.abs(raw_labels) >= 2.0 ** 53
     if outside.any():
         bad = int(np.argmax(outside))
-        raise HarnessError(f"{path}: label in row {bad + start + 1} exceeds 2^53 - 1 "
+        raise HarnessError(f"{path}: label in row {bad + header + 1} exceeds 2^53 - 1 "
                            "in magnitude")
     raw_labels = raw_labels.astype(np.int64)
     if classes is None:
         classes, y = np.unique(raw_labels, return_inverse=True)
     else:
-        y = _class_indices(path, raw_labels, classes, start + 1)
+        y = _class_indices(path, raw_labels, classes, header + 1)
     return Dataset(mat[:, :-1], y, len(classes), classes)
 
 
@@ -148,7 +158,7 @@ def _class_indices(path, labels: np.ndarray, classes: np.ndarray, first_row: int
     return y
 
 
-def _csv_parse_error(path, msg: str, start: int) -> HarnessError:
+def _csv_parse_error(path, msg: str, header: int) -> HarnessError:
     """The loader's error for numpy's parse error `msg`, with the row renumbered.
 
     numpy counts data rows after the skipped header, leaving out blank
@@ -158,12 +168,12 @@ def _csv_parse_error(path, msg: str, start: int) -> HarnessError:
     if ragged:
         width, cells, row = map(int, ragged.groups())
         return HarnessError(
-            f"{path}: ragged row {row + start}: {cells} cells, expected {width}")
+            f"{path}: ragged row {row + header}: {cells} cells, expected {width}")
     cell = re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", msg)
     if cell:
         value, row, col = cell.group(1), int(cell.group(2)), int(cell.group(3))
         return HarnessError(
-            f"{path}: non-numeric cell in row {row + start + 1}, column {col}: {value}")
+            f"{path}: non-numeric cell in row {row + header + 1}, column {col}: {value}")
     return HarnessError(f"{path}: {msg}")
 
 
@@ -189,52 +199,40 @@ def _plain_csv_exact() -> bool:
 _PLAIN_CSV = _plain_csv_exact()
 
 
-def _parse_plain_csv(path, skip: int) -> np.ndarray | None:
-    """`np.loadtxt`'s matrix for the CSV at path after `skip` lines, in
-    about half its time; None unless every line is `ncol` plain decimal
-    cells (`_parse_block`) and the skipped lines, all in the first block,
-    hold no quote or CR.
-
-    A first pass counts the lines, so that the blocks are parsed into one
-    matrix of the right size and no more than a block's copies are alive;
-    a file that is not a regular one is not read twice.
-    """
-    if not _PLAIN_CSV or not Path(path).is_file():
+def _parse_plain_csv(fh, start: int) -> np.ndarray | None:
+    """`np.loadtxt`'s matrix for the binary handle fh's lines from byte
+    `start`, in about half its time; None unless each line holds the first
+    one's number of plain decimal cells (`_parse_block`). A first pass
+    counts the lines, so that one matrix of the right size is filled and
+    no more than a block's copies are alive."""
+    if not _PLAIN_CSV:
         return None
-    with open(path, "rb") as fh:
-        head = fh.read(_CSV_BLOCK)
-        start = len(b"\xef\xbb\xbf") if head.startswith(b"\xef\xbb\xbf") else 0
-        for _ in range(skip):
-            start = head.find(b"\n", start) + 1
-            if not start:
+    fh.seek(start)
+    first = fh.readline()
+    ncol, rows, last = first.count(b",") + 1, first.count(b"\n"), first[-1:]
+    while block := fh.read(_CSV_BLOCK):
+        rows, last = rows + block.count(b"\n"), block[-1:]
+    rows += last not in (b"", b"\n")  # a last line with no newline
+    if not rows:
+        return None
+    out = np.empty((rows, ncol))
+    done, pending = 0, b""
+    fh.seek(start)
+    while True:
+        more = fh.read(_CSV_BLOCK)
+        pending += more
+        if not more and pending and not pending.endswith(b"\n"):
+            pending += b"\n"  # the last line's
+        cut = pending.rfind(b"\n") + 1
+        if cut:
+            part = _parse_block(pending[:cut], ncol)
+            if part is None or done + len(part) > rows:
                 return None
-        if b'"' in head[:start] or b"\r" in head[:start]:
-            return None
-        ncol = head.count(b",", start, head.find(b"\n", start)) + 1
-        rows, last = head.count(b"\n", start), head[-1:]
-        while block := fh.read(_CSV_BLOCK):
-            rows, last = rows + block.count(b"\n"), block[-1:]
-        rows += last not in (b"", b"\n")  # a last line with no newline
-        if not rows:
-            return None
-        out = np.empty((rows, ncol))
-        done, pending = 0, b""
-        fh.seek(start)
-        while True:
-            more = fh.read(_CSV_BLOCK)
-            pending += more
-            if not more and pending and not pending.endswith(b"\n"):
-                pending += b"\n"  # the last line's
-            cut = pending.rfind(b"\n") + 1
-            if cut:
-                part = _parse_block(pending[:cut], ncol)
-                if part is None or done + len(part) > rows:
-                    return None
-                out[done:done + len(part)] = part
-                done += len(part)
-                pending = pending[cut:]
-            if not more:
-                return out if done == rows else None
+            out[done:done + len(part)] = part
+            done += len(part)
+            pending = pending[cut:]
+        if not more:
+            return out if done == rows else None
 
 
 def _parse_block(block: bytes, ncol: int) -> np.ndarray | None:

@@ -151,6 +151,25 @@ class TestParsing:
         assert code == EXIT_USAGE and "STREAMDP_T" in err and "config key T" in err
         assert not (tmp_path / "m.csv").exists()
 
+    def test_a_config_file_that_is_not_utf_8_is_a_usage_error(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_bytes(b"# caf\xe9\nepsilon=1\n")
+        code, out, err = run_cli(capsys, *BASE_RUN, "--output", str(tmp_path / "m.csv"),
+                                 "--config", str(cfgfile))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot read config file {cfgfile}: 'utf-8' codec")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_a_config_file_is_read_as_utf_8(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_bytes("# café\nepsilon=1/2\n".encode())
+        code, out, err = run_cli(capsys, "inspect-schedule", "--config", str(cfgfile),
+                                 "--scheduler", "multires", "--B", "2", "--T", "8",
+                                 "--lambda", "1")
+        assert code == EXIT_OK
+        first = json.loads(out.splitlines()[1])  # the first event, after the header
+        assert first["eps_num"] == 1 and first["eps_den"] == 4
+
     def test_bad_tail_fraction_names_value(self, capsys, tmp_path):
         argv = [*BASE_RUN, "--output", str(tmp_path / "m.csv")]
         argv[argv.index("tail:0.25")] = "tail:abc"

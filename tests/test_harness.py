@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 from collections import Counter
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -99,6 +101,14 @@ class TestLoadIdx:
         lp.write_bytes(idx_labels_bytes(np.array([0, 1])))
         with pytest.raises(HarnessError, match="count mismatch"):
             load_idx(ip, lp)
+
+
+def csv_bytes(rng, n, header=""):
+    """`header`, then n rows of four normal features and a label in 0..2, as
+    %.17g CSV lines."""
+    X = np.column_stack([rng.standard_normal((n, 4)), rng.integers(0, 3, n)])
+    return (header + "".join(",".join("%.17g" % v for v in row) + "\n"
+                             for row in X.tolist())).encode()
 
 
 class TestLoadCsv:
@@ -231,6 +241,38 @@ class TestLoadCsv:
         with pytest.raises(HarnessError, match="'utf-8' codec can't decode byte 0xe9"):
             load_csv(p)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("header", ["", "f1,f2,f3,f4,label\n"], ids=["plain", "header"])
+    def test_a_named_pipe_loads_every_row(self, tmp_path, rng, header):
+        text = csv_bytes(rng, 5000, header)
+        assert len(text) > 4 * harness._CSV_BLOCK
+        regular, fifo = tmp_path / "d.csv", tmp_path / "pipe.csv"
+        regular.write_bytes(text)
+        os.mkfifo(fifo)
+
+        def write():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(text)
+            except BrokenPipeError:
+                pass  # the reader left early; the assertions below say how
+
+        loaded = []
+        writer = threading.Thread(target=write, daemon=True)
+        reader = threading.Thread(target=lambda: loaded.append(load_csv(fifo)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=20)
+        if reader.is_alive():  # blocked opening the pipe again: give it an end of file
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        writer.join(timeout=20)
+        assert loaded, "load_csv of a named pipe did not return"
+        assert not writer.is_alive()
+        data, expected = loaded[0], load_csv(regular)
+        assert data.n == expected.n == 5000
+        assert same_bits(data.X, expected.X)
+        np.testing.assert_array_equal(data.y, expected.y)
+
 
 def loadtxt(path, skip=0):
     """What load_csv's np.loadtxt call returns for the file at path."""
@@ -240,6 +282,27 @@ def loadtxt(path, skip=0):
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def parse_plain(path):
+    """`harness._parse_plain_csv` of the file at path from its first byte."""
+    with open(path, "rb") as fh:
+        return harness._parse_plain_csv(fh, 0)
+
+
+def assert_loads_as_loadtxt(path, skip, monkeypatch):
+    """load_csv of path never calls np.loadtxt and gives its bits, `skip`
+    lines skipped."""
+    expected = loadtxt(path, skip)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", spy)
+        data = load_csv(path)
+    assert same_bits(data.X, expected[:, :-1])
+    np.testing.assert_array_equal(data.classes[data.y], expected[:, -1])
 
 
 @pytest.mark.skipif(not harness._PLAIN_CSV, reason="needs x87 long double")
@@ -254,12 +317,12 @@ class TestPlainCsv:
         X[::29, 3] = -1e-5  # exponent notation in %.17g and %.3g
         p = tmp_path / "d.csv"
         np.savetxt(p, X, delimiter=",", fmt=fmt)
-        assert same_bits(harness._parse_plain_csv(p, 0), loadtxt(p))
+        assert same_bits(parse_plain(p), loadtxt(p))
 
     def test_much_exponent_notation_is_left_to_loadtxt(self, tmp_path, rng):
         p = tmp_path / "d.csv"
         np.savetxt(p, rng.standard_normal((50, 3)), delimiter=",", fmt="%.17e")
-        assert harness._parse_plain_csv(p, 0) is None
+        assert parse_plain(p) is None
 
     def test_rounds_each_cell_as_float_does(self, tmp_path, rng):
         # decimals next to the midpoint between two doubles, where rounding
@@ -278,7 +341,7 @@ class TestPlainCsv:
         cells += ["1"] * (-len(cells) % 4)
         p = tmp_path / "d.csv"
         p.write_text("".join(",".join(cells[i:i + 4]) + "\n" for i in range(0, len(cells), 4)))
-        mat = harness._parse_plain_csv(p, 0)
+        mat = parse_plain(p)
         assert same_bits(mat.ravel(), np.array([float(c) for c in cells]))
 
     @pytest.mark.parametrize("text,skip", [
@@ -287,17 +350,30 @@ class TestPlainCsv:
         ("﻿f1,f2,label\n1.5,2.25,3\n", 1),
         ("﻿1.5,2.25,3\n-0.0,-0,0", 0),
     ])
-    def test_header_byte_order_mark_and_last_newline(self, tmp_path, text, skip):
+    def test_header_byte_order_mark_and_last_newline(self, tmp_path, text, skip, monkeypatch):
         p = tmp_path / "d.csv"
         p.write_text(text, encoding="utf-8")
-        assert same_bits(harness._parse_plain_csv(p, skip), loadtxt(p, skip))
+        assert_loads_as_loadtxt(p, skip, monkeypatch)
+
+    @pytest.mark.parametrize("header,skip", [
+        ('"f,1",g,label\n', 1),  # a quoted cell holding a comma
+        ('"f\ng",h,label\n', 2),  # a quoted newline
+        ("f,g,label\r", 1),  # a lone CR
+        ("x" * 100 + ",g,label\n", 1),  # longer than a block
+    ], ids=["quoted-comma", "quoted-newline", "lone-cr", "longer-than-a-block"])
+    def test_any_header_the_csv_module_reads_takes_the_plain_path(
+            self, tmp_path, rng, monkeypatch, header, skip):
+        monkeypatch.setattr(harness, "_CSV_BLOCK", 64)
+        p = tmp_path / "d.csv"
+        p.write_bytes(csv_bytes(rng, 30, header))
+        assert_loads_as_loadtxt(p, skip, monkeypatch)
 
     def test_blocks_split_between_lines(self, tmp_path, rng, monkeypatch):
         monkeypatch.setattr(harness, "_CSV_BLOCK", 100)
         X = rng.standard_normal((40, 3))
         p = tmp_path / "d.csv"
         np.savetxt(p, X, delimiter=",", fmt="%.17g")
-        assert same_bits(harness._parse_plain_csv(p, 0), X)
+        assert same_bits(parse_plain(p), X)
 
     @pytest.mark.parametrize("header", [False, True])
     def test_lines_longer_than_a_block_read_the_same(self, tmp_path, rng, monkeypatch, header):
@@ -317,7 +393,7 @@ class TestPlainCsv:
     def test_anything_else_is_left_to_loadtxt(self, tmp_path, text):
         p = tmp_path / "d.csv"
         p.write_text(text)
-        assert harness._parse_plain_csv(p, 0) is None
+        assert parse_plain(p) is None
 
     def test_load_csv_reads_the_same_either_way(self, tmp_path, rng, monkeypatch):
         p = tmp_path / "d.csv"
